@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race short bench bench-smoke bench-json nemesis soak-smoke
+.PHONY: check vet build test race short bench bench-smoke bench-e2e-test bench-json nemesis soak-smoke
 
 check: vet test race
 
@@ -55,6 +55,12 @@ bench:
 # real measurement.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run=^$$ ./internal/transport ./internal/ec ./internal/qos ./internal/wlog ./internal/pfs ./internal/tier
+
+# The end-to-end benchmark is a module of its own (bench/go.mod), so
+# the root `go test ./...` never reaches it: its unit tests and the
+# smoke run of all four workloads, traced and not (~7 s).
+bench-e2e-test:
+	cd bench && $(GO) test ./...
 
 # Full data-plane measurement: serialized seed transport vs the
 # multiplexed fast path, the EC encode kernel and the tenant

@@ -87,23 +87,29 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 const recMagic = "CKP1"
 
 // SealRecord frames a checkpoint or spill payload: magic, sequence
-// number, payload length, CRC32-C over header+payload, payload. Any
-// truncation or bit flip fails verification in OpenRecord. The tier
-// layer (internal/tier) reuses this exact framing for spilled object
-// records, so one codec — and one fuzz corpus — covers both.
-func SealRecord(seq uint64, payload []byte) []byte {
-	rec := make([]byte, 0, 24+len(payload))
-	rec = append(rec, recMagic...)
-	var hdr [16]byte
+// number, payload length, CRC32-C over header+payload, payload. The
+// payload is the concatenation of parts, copied and checksummed once
+// each, so a caller with a header and a bulk body need not join them
+// first. Any truncation or bit flip fails verification in OpenRecord.
+// The tier layer (internal/tier) reuses this exact framing for spilled
+// object records, so one codec — and one fuzz corpus — covers both.
+func SealRecord(seq uint64, parts ...[]byte) []byte {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	rec := make([]byte, 24, 24+n)
+	copy(rec, recMagic)
+	hdr := rec[4:20]
 	binary.BigEndian.PutUint64(hdr[0:8], seq)
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(len(payload)))
-	rec = append(rec, hdr[:]...)
-	crc := crc32.Checksum(hdr[:], crcTable)
-	crc = crc32.Update(crc, crcTable, payload)
-	var c [4]byte
-	binary.BigEndian.PutUint32(c[:], crc)
-	rec = append(rec, c[:]...)
-	return append(rec, payload...)
+	binary.BigEndian.PutUint64(hdr[8:16], uint64(n))
+	crc := crc32.Checksum(hdr, crcTable)
+	for _, p := range parts {
+		crc = crc32.Update(crc, crcTable, p)
+		rec = append(rec, p...)
+	}
+	binary.BigEndian.PutUint32(rec[20:24], crc)
+	return rec
 }
 
 // OpenRecord verifies and unframes one generation record.

@@ -88,6 +88,7 @@ type Server struct {
 	tier      *tier.Tier
 	tierWater float64
 	tierMu    sync.Mutex
+	tierCtr   tierCounters
 }
 
 // lockAttempt records the latest lock RPC admitted for one holder. Lock

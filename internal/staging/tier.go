@@ -1,10 +1,11 @@
 package staging
 
 import (
-	"errors"
 	"strconv"
 	"time"
 
+	"gospaces/internal/metrics"
+	"gospaces/internal/store"
 	"gospaces/internal/tier"
 )
 
@@ -17,6 +18,14 @@ import (
 // defaultTierWatermark is the spill trigger as a fraction of the
 // memory budget when neither EnableTier nor QoS specifies one.
 const defaultTierWatermark = 0.6
+
+// tierCounters are the server's tier.* counters, resolved once in
+// EnableTier so the spill and promote paths pay no registry lookup.
+type tierCounters struct {
+	spills, spilledBytes, spillNanos, degradedSpills *metrics.Counter
+	promotes, promoteNanos, promoteErrors            *metrics.Counter
+	gcFreedBytes, scrubs                             *metrics.Counter
+}
 
 // EnableTier attaches a cold-tier backend. watermark is the fraction
 // of the memory budget above which puts demote cold versions; <= 0
@@ -31,6 +40,17 @@ func (s *Server) EnableTier(be tier.Backend, watermark float64) {
 	}
 	s.tier = tier.New(be, strconv.Itoa(s.id))
 	s.tierWater = watermark
+	s.tierCtr = tierCounters{
+		spills:         s.reg.Counter("tier.spills"),
+		spilledBytes:   s.reg.Counter("tier.spilled_bytes"),
+		spillNanos:     s.reg.Counter("tier.spill_nanos"),
+		degradedSpills: s.reg.Counter("tier.degraded_spills"),
+		promotes:       s.reg.Counter("tier.promotes"),
+		promoteNanos:   s.reg.Counter("tier.promote_nanos"),
+		promoteErrors:  s.reg.Counter("tier.promote_errors"),
+		gcFreedBytes:   s.reg.Counter("tier.gc_freed_bytes"),
+		scrubs:         s.reg.Counter("tier.scrubs"),
+	}
 }
 
 // spillWater is the resident-bytes level above which puts demote cold
@@ -69,42 +89,34 @@ func (s *Server) maybeSpill(incoming int64) {
 				return
 			}
 			if !s.spillVersion(name, v) && s.tier.Degraded() {
-				s.reg.Counter("tier.degraded_spills").Inc()
+				s.tierCtr.degradedSpills.Inc()
 				return
 			}
 		}
 	}
 }
 
-// spillVersion demotes one (name, version): every logged object is
-// durably committed to the tier before the RAM copy is dropped, so a
-// crash at any point leaves the version either resident or spilled —
-// never half-moved. Reports whether anything was demoted.
+// spillVersion demotes one (name, version): its logged objects go to
+// the tier as one batch, and only what that batch durably committed is
+// dropped from RAM, so a crash or backend fault at any point leaves the
+// version either resident or spilled — never half-moved. Unlogged
+// objects of the version stay resident. Reports whether it was demoted.
 func (s *Server) spillVersion(name string, version int64) bool {
 	start := time.Now()
-	objs := s.store.VersionObjects(name, version)
-	spilled := false
-	for _, o := range objs {
-		if !o.Logged || o.Data == nil {
-			continue
+	var batch []*store.Object
+	for _, o := range s.store.VersionObjects(name, version) {
+		if o.Logged && o.Data != nil {
+			batch = append(batch, o)
 		}
-		if err := s.tier.Spill(o); err != nil {
-			var de *tier.DegradedError
-			if errors.As(err, &de) {
-				return spilled
-			}
-			continue
-		}
-		spilled = true
 	}
-	if !spilled {
+	if len(batch) == 0 || s.tier.Spill(batch) != nil {
 		return false
 	}
-	freed := s.store.DropVersion(name, version)
-	s.reg.Counter("tier.spills").Inc()
-	s.reg.Counter("tier.spilled_bytes").Add(freed)
-	s.reg.Counter("tier.spill_nanos").Add(time.Since(start).Nanoseconds())
-	s.rebaseQoS()
+	freed := s.store.DropObjects(name, version, batch)
+	s.chargeQoS(name, -freed, -freed)
+	s.tierCtr.spills.Inc()
+	s.tierCtr.spilledBytes.Add(freed)
+	s.tierCtr.spillNanos.Add(time.Since(start).Nanoseconds())
 	return true
 }
 
@@ -120,20 +132,24 @@ func (s *Server) promoteFromTier(name string, version int64) bool {
 	defer s.tierMu.Unlock()
 	objs, err := s.tier.Promote(name, version)
 	if err != nil {
-		s.reg.Counter("tier.promote_errors").Inc()
+		s.tierCtr.promoteErrors.Inc()
 	}
 	if len(objs) == 0 {
 		return false
 	}
+	var resident int64
 	for _, o := range objs {
-		if err := s.store.Put(o); err != nil {
-			s.reg.Counter("tier.promote_errors").Inc()
+		delta, err := s.store.PutAccounted(o)
+		if err != nil {
+			s.tierCtr.promoteErrors.Inc()
+			s.chargeQoS(name, resident, resident)
 			return false
 		}
+		resident += delta
 	}
-	s.reg.Counter("tier.promotes").Inc()
-	s.reg.Counter("tier.promote_nanos").Add(time.Since(start).Nanoseconds())
-	s.rebaseQoS()
+	s.chargeQoS(name, resident, resident)
+	s.tierCtr.promotes.Inc()
+	s.tierCtr.promoteNanos.Add(time.Since(start).Nanoseconds())
 	return true
 }
 
@@ -147,7 +163,7 @@ func (s *Server) tierGC() int64 {
 	for _, name := range s.store.Names() {
 		freed += s.tier.DropBelow(name, s.log.PayloadFrontier(name))
 	}
-	s.reg.Counter("tier.gc_freed_bytes").Add(freed)
+	s.tierCtr.gcFreedBytes.Add(freed)
 	return freed
 }
 
@@ -184,7 +200,7 @@ func (s *Server) handleTierScrub() (any, error) {
 		return resp, nil
 	}
 	rep := s.tier.Scrub()
-	s.reg.Counter("tier.scrubs").Inc()
+	s.tierCtr.scrubs.Inc()
 	resp.Enabled = true
 	resp.Checked = rep.Checked
 	resp.Healed = rep.Healed

@@ -2,10 +2,15 @@ package staging
 
 import (
 	"bytes"
+	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"gospaces/internal/domain"
+	"gospaces/internal/metrics"
 	"gospaces/internal/pfs"
+	"gospaces/internal/qos"
+	"gospaces/internal/store"
 	"gospaces/internal/tier"
 	"gospaces/internal/transport"
 )
@@ -177,5 +182,137 @@ func TestWlogInstallResetsTier(t *testing.T) {
 	}
 	if srv.tier.HasName("field") {
 		t.Fatal("tier survived a wlog install; stale spilled versions would shadow the restored state")
+	}
+}
+
+// loggedObj builds a resident logged object as applyPut would.
+func loggedObj(name string, version int64, bbox domain.BBox, seed int64) *store.Object {
+	data := fill(domain.BufLen(bbox, 1), seed)
+	return &store.Object{
+		Name: name, Version: version, BBox: bbox, ElemSize: 1,
+		Data: data, CRC: crc32.Checksum(data, castagnoli), Logged: true,
+	}
+}
+
+// TestSpillVersionDropsOnlyWhatWasCommitted: a version holding one
+// logged and one unlogged object spills the logged one and keeps the
+// unlogged one resident — the RAM copy of an object goes only when the
+// tier holds a committed copy of it.
+func TestSpillVersionDropsOnlyWhatWasCommitted(t *testing.T) {
+	srv := NewServer(0)
+	srv.EnableTier(pfs.NewStore(), 0)
+	boxA, boxB := domain.Box3(0, 0, 0, 3, 3, 0), domain.Box3(4, 0, 0, 7, 3, 0)
+	logged := loggedObj("field", 1, boxA, 1)
+	unlogged := &store.Object{Name: "field", Version: 1, BBox: boxB, ElemSize: 1, Data: fill(16, 2)}
+	for _, o := range []*store.Object{logged, unlogged, loggedObj("field", 2, boxA, 3)} {
+		if err := srv.store.Put(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !srv.spillVersion("field", 1) {
+		t.Fatal("nothing spilled")
+	}
+	if got := srv.store.VersionObjects("field", 1); len(got) != 1 || got[0] != unlogged {
+		t.Fatalf("resident after spill = %v, want only the unlogged object", got)
+	}
+	if st := srv.tier.Stats(); st.Entries != 1 || st.Bytes != logged.Bytes() {
+		t.Fatalf("tier after spill: %+v", st)
+	}
+	resp, _, err := srv.applyGet(GetReq{App: "ana/0", Name: "field", Version: 1, BBox: boxA})
+	if err != nil || len(resp.Pieces) != 1 || !bytes.Equal(resp.Pieces[0].Data, logged.Data) {
+		t.Fatalf("get of the spilled object: %v, %d pieces", err, len(resp.Pieces))
+	}
+}
+
+// failNthWrite fails the n'th Write it sees with ENOSPC.
+type failNthWrite struct {
+	*pfs.Store
+	n int
+}
+
+func (b *failNthWrite) Write(name string, data []byte) error {
+	if b.n--; b.n == 0 {
+		b.Store.FailNextWrite(pfs.FaultENOSPC)
+	}
+	return b.Store.Write(name, data)
+}
+
+// TestSpillFaultLeavesVersionResident sweeps an ENOSPC over every write
+// of a version's group commit: wherever the backend fails, the server
+// still holds every byte of the version in RAM, the tier is degraded
+// and holds nothing of it — live or after a re-attach.
+func TestSpillFaultLeavesVersionResident(t *testing.T) {
+	const n = 4
+	for k := 1; k <= 2*n+2; k++ {
+		be := &failNthWrite{Store: pfs.NewStore(), n: k}
+		srv := NewServer(0)
+		srv.EnableTier(be, 0)
+		var want []*store.Object
+		for i := int64(0); i < n; i++ {
+			box := domain.Box3(4*i, 0, 0, 4*i+3, 3, 0)
+			want = append(want, loggedObj("field", 1, box, i))
+			for _, o := range []*store.Object{want[i], loggedObj("field", 2, box, 10+i)} {
+				if err := srv.store.Put(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		used := srv.store.BytesUsed()
+		if srv.spillVersion("field", 1) {
+			t.Fatalf("write %d failed yet the version was demoted", k)
+		}
+		if got := srv.store.VersionObjects("field", 1); !reflect.DeepEqual(got, want) || srv.store.BytesUsed() != used {
+			t.Fatalf("write %d failed: %d of %d objects resident, %d of %d bytes", k, len(got), n, srv.store.BytesUsed(), used)
+		}
+		if !srv.tier.Degraded() || srv.tier.HasName("field") {
+			t.Fatalf("write %d failed: degraded=%v, tier holds field=%v", k, srv.tier.Degraded(), srv.tier.HasName("field"))
+		}
+		if tier.New(be.Store, "0").HasName("field") || len(be.List("tier/0/o/")) != 0 {
+			t.Fatalf("write %d failed: re-attach finds records %v", k, be.List("tier/0/o/"))
+		}
+	}
+}
+
+// TestTierChargesQoSByDelta: after puts that spill and replay gets that
+// promote, the per-tenant accounting kept by delta charges equals what
+// a Rebase over the resident store would compute.
+func TestTierChargesQoSByDelta(t *testing.T) {
+	box := domain.Box3(0, 0, 0, 3, 3, 0) // 128B per put
+	srv := NewServer(0)
+	srv.SetMemoryBudget(1024)
+	srv.EnableQoS(qos.Config{Tenants: map[string]qos.Quota{"sim": {Priority: 1}, "ana": {Priority: 1}}})
+	srv.EnableTier(pfs.NewStore(), 0.5)
+	for v := int64(1); v <= 8; v++ {
+		for _, name := range []string{"sim/u", "ana/w"} {
+			if _, err := srv.Handle(qosPut(name, v, box, true, v)); err != nil {
+				t.Fatalf("put %s v%d: %v", name, v, err)
+			}
+		}
+	}
+	for _, v := range []int64{1, 2} {
+		if _, err := srv.Handle(GetReq{App: "viz/0", Name: "sim/u", Version: v, BBox: box, Logged: true}); err != nil {
+			t.Fatalf("get v%d: %v", v, err)
+		}
+	}
+	if st := srv.tier.Stats(); st.Spills == 0 || st.Promotes != 2 || st.Entries == 0 {
+		t.Fatalf("sequence did not spill and promote: %+v", st)
+	}
+	truth := qos.NewController(srv.qosCtl.Config(), metrics.NewRegistry())
+	var items []qos.UsageItem
+	for _, o := range srv.store.Export() {
+		items = append(items, qos.UsageItem{Name: o.Name, Bytes: o.Bytes(), Logged: o.Logged})
+	}
+	truth.Rebase(items)
+	want := map[string][2]int64{}
+	for _, ts := range truth.Snapshot() {
+		want[ts.Tenant] = [2]int64{ts.StoreBytes, ts.WlogBytes}
+	}
+	for _, ts := range srv.qosCtl.Snapshot() {
+		if got := [2]int64{ts.StoreBytes, ts.WlogBytes}; got != want[ts.Tenant] {
+			t.Errorf("tenant %s: charged store/wlog = %v, rebase over the store gives %v", ts.Tenant, got, want[ts.Tenant])
+		}
+	}
+	if len(want) != 2 {
+		t.Fatalf("tenants in the store: %v", want)
 	}
 }

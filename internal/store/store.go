@@ -219,8 +219,11 @@ func (s *Store) DropBelow(name string, keep int64, keepLatest bool) int64 {
 	return freed
 }
 
-// DropVersion removes exactly one version of name, returning bytes freed.
-func (s *Store) DropVersion(name string, version int64) int64 {
+// DropObjects removes exactly the given objects of (name, version),
+// matched by identity — an object that was replaced or never listed
+// stays resident — and returns the bytes freed. The spill path uses it
+// to drop what the cold tier committed and nothing else.
+func (s *Store) DropObjects(name string, version int64, objs []*Object) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ni, ok := s.names[name]
@@ -231,16 +234,29 @@ func (s *Store) DropVersion(name string, version int64) int64 {
 	if !ok {
 		return 0
 	}
-	var freed int64
-	for _, o := range vs.objs {
-		freed += o.Bytes()
-		s.count--
+	drop := make(map[*Object]bool, len(objs))
+	for _, o := range objs {
+		drop[o] = true
 	}
-	delete(ni.versions, version)
-	for i, v := range ni.sorted {
-		if v == version {
-			ni.sorted = append(ni.sorted[:i], ni.sorted[i+1:]...)
-			break
+	var freed int64
+	keep := vs.objs[:0]
+	for _, o := range vs.objs {
+		if drop[o] {
+			freed += o.Bytes()
+			s.count--
+			continue
+		}
+		keep = append(keep, o)
+	}
+	clear(vs.objs[len(keep):]) // release the dropped objects to the GC
+	vs.objs = keep
+	if len(keep) == 0 {
+		delete(ni.versions, version)
+		for i, v := range ni.sorted {
+			if v == version {
+				ni.sorted = append(ni.sorted[:i], ni.sorted[i+1:]...)
+				break
+			}
 		}
 	}
 	s.bytes -= freed

@@ -124,22 +124,39 @@ func TestDropBelowNoKeepLatest(t *testing.T) {
 	}
 }
 
-func TestDropVersion(t *testing.T) {
+func TestDropObjects(t *testing.T) {
 	s := New()
 	b := domain.Box3(0, 0, 0, 1, 1, 1)
-	_ = s.Put(obj("f", 1, b, 10))
+	b2 := domain.Box3(2, 0, 0, 3, 1, 1)
+	a1, a2 := obj("f", 1, b, 10), obj("f", 1, b2, 7)
+	_ = s.Put(a1)
+	_ = s.Put(a2)
 	_ = s.Put(obj("f", 2, b, 10))
-	if freed := s.DropVersion("f", 1); freed != 10 {
+	// Only the listed object goes; its sibling keeps the version alive.
+	if freed := s.DropObjects("f", 1, []*Object{a1}); freed != 10 {
 		t.Fatalf("freed %d", freed)
 	}
-	if freed := s.DropVersion("f", 1); freed != 0 {
+	if got := s.VersionObjects("f", 1); len(got) != 1 || got[0] != a2 {
+		t.Fatalf("survivors = %v", got)
+	}
+	if freed := s.DropObjects("f", 1, []*Object{a1}); freed != 0 {
 		t.Fatal("double drop freed bytes")
 	}
-	if freed := s.DropVersion("ghost", 1); freed != 0 {
+	// A replaced object is matched by identity, not by bbox.
+	if freed := s.DropObjects("f", 1, []*Object{obj("f", 1, b2, 7)}); freed != 0 {
+		t.Fatal("drop of a stranger freed bytes")
+	}
+	if freed := s.DropObjects("ghost", 1, []*Object{a1}); freed != 0 {
 		t.Fatal("ghost drop freed bytes")
+	}
+	if freed := s.DropObjects("f", 1, []*Object{a2}); freed != 7 {
+		t.Fatalf("freed %d", freed)
 	}
 	if got := s.Versions("f"); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("versions = %v", got)
+	}
+	if s.BytesUsed() != 10 || s.Objects() != 1 {
+		t.Fatalf("accounting: %d bytes, %d objects", s.BytesUsed(), s.Objects())
 	}
 }
 

@@ -7,12 +7,14 @@
 // spilled object is sealed with the same record framing
 // (ckpt.SealRecord) and written in two generations, so a single torn
 // write or bit flip never loses the record. The set of spilled entries
-// lives in a manifest committed by write-temp + rename + marker flip:
-// a spill is visible only after its manifest commit, and the caller
-// drops the RAM copy only after that, so a crash mid-spill never
-// leaves a version half-moved — it is either still resident or
-// durably in the tier. Records not reachable from the committed
-// manifest are orphans and are garbage-collected on attach.
+// lives in a manifest committed by write-temp + rename + marker flip.
+// A spill is a group commit: every record of the batch (one version)
+// is written, then the manifest is committed once, and the caller
+// drops the RAM copies only after that, so a crash or backend fault
+// mid-spill never leaves a version half-moved — it is either still
+// resident or durably in the tier, whole. Records not reachable from
+// the committed manifest are orphans and are garbage-collected on
+// attach.
 //
 // When the backend fails (ENOSPC, I/O errors) the tier degrades to
 // RAM-only mode: spills return the typed *DegradedError and the
@@ -25,6 +27,7 @@ package tier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
@@ -76,14 +79,58 @@ type Entry struct {
 	Bytes    int64
 }
 
-// recBody is the gob body sealed inside a spill record.
-type recBody struct {
-	Name     string
-	Version  int64
-	BBox     domain.BBox
-	ElemSize int
-	CRC      uint32
-	Data     []byte
+// A spill record's body is a fixed big-endian header, the object name,
+// and the payload to the end of the record (the ckpt frame carries and
+// checks the total length):
+//
+//	0  magic "TOB1"    4  version i64    12 elemSize u32   16 payload CRC u32
+//	20 ndim u8         21 min[3] i64     45 max[3] i64     69 name length u32
+//	73 name            73+len(name) payload
+const (
+	bodyMagic  = "TOB1"
+	bodyHdrLen = 73
+)
+
+// sealObject builds o's sealed record: the payload is copied and
+// checksummed exactly once, straight into the record.
+func sealObject(key uint64, o *store.Object) []byte {
+	hdr := make([]byte, bodyHdrLen, bodyHdrLen+len(o.Name))
+	copy(hdr, bodyMagic)
+	binary.BigEndian.PutUint64(hdr[4:], uint64(o.Version))
+	binary.BigEndian.PutUint32(hdr[12:], uint32(o.ElemSize))
+	binary.BigEndian.PutUint32(hdr[16:], o.CRC)
+	hdr[20] = byte(o.BBox.NDim)
+	for i := 0; i < domain.MaxDims; i++ {
+		binary.BigEndian.PutUint64(hdr[21+8*i:], uint64(o.BBox.Min[i]))
+		binary.BigEndian.PutUint64(hdr[45+8*i:], uint64(o.BBox.Max[i]))
+	}
+	binary.BigEndian.PutUint32(hdr[69:], uint32(len(o.Name)))
+	return ckpt.SealRecord(key, append(hdr, o.Name...), o.Data)
+}
+
+// openObject decodes a record body. The returned payload aliases body.
+func openObject(body []byte) (*store.Object, bool) {
+	if len(body) < bodyHdrLen || string(body[:4]) != bodyMagic || body[20] > domain.MaxDims {
+		return nil, false
+	}
+	nameLen := uint64(binary.BigEndian.Uint32(body[69:]))
+	if uint64(len(body)-bodyHdrLen) < nameLen {
+		return nil, false
+	}
+	o := &store.Object{
+		Name:     string(body[bodyHdrLen : bodyHdrLen+nameLen]),
+		Version:  int64(binary.BigEndian.Uint64(body[4:])),
+		ElemSize: int(binary.BigEndian.Uint32(body[12:])),
+		CRC:      binary.BigEndian.Uint32(body[16:]),
+		Data:     body[bodyHdrLen+nameLen:],
+		Logged:   true,
+	}
+	o.BBox.NDim = int(body[20])
+	for i := 0; i < domain.MaxDims; i++ {
+		o.BBox.Min[i] = int64(binary.BigEndian.Uint64(body[21+8*i:]))
+		o.BBox.Max[i] = int64(binary.BigEndian.Uint64(body[45+8*i:]))
+	}
+	return o, true
 }
 
 // manifest is the gob body sealed inside the manifest record.
@@ -289,7 +336,10 @@ func (t *Tier) commitManifest() error {
 	}
 	if err := t.be.Write(t.manCur(), []byte{byte(target)}); err != nil {
 		// The rename landed but the marker didn't: the old generation
-		// is still the committed one. Roll back our view.
+		// is still the committed one. Roll back our view, and remove the
+		// uncommitted generation so an attach that finds no valid marker
+		// cannot elect it by sequence number.
+		t.be.Delete(t.manKey(target))
 		t.mseq--
 		return err
 	}
@@ -304,57 +354,66 @@ func (t *Tier) degrade(cause error) *DegradedError {
 	return &DegradedError{Cause: cause}
 }
 
-// Spill demotes one resident object into the cold tier. On success the
-// entry is durably committed and the caller may drop the RAM copy. A
-// backend fault degrades the tier and returns *DegradedError.
-func (t *Tier) Spill(o *store.Object) error {
-	if o.Data == nil {
-		return fmt.Errorf("tier: refusing to spill metadata-only object %s@%d", o.Name, o.Version)
+// deleteRecords removes both generations of every entry's record.
+func (t *Tier) deleteRecords(entries []*Entry) {
+	for _, e := range entries {
+		t.be.Delete(t.recKey(e.Key, 0))
+		t.be.Delete(t.recKey(e.Key, 1))
+	}
+}
+
+// Spill demotes a batch of resident objects — one version's worth — as
+// a group commit: both generations of every record are written, then
+// the manifest is committed once, and only then may the caller drop
+// the RAM copies. A backend fault at any point deletes the batch's
+// records, degrades the tier and returns *DegradedError with nothing
+// of the batch visible, so the caller drops nothing.
+func (t *Tier) Spill(objs []*store.Object) error {
+	for _, o := range objs {
+		if o.Data == nil {
+			return fmt.Errorf("tier: refusing to spill metadata-only object %s@%d", o.Name, o.Version)
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.degraded {
 		return &DegradedError{Cause: t.degradedCause}
 	}
-	body := recBody{
-		Name:     o.Name,
-		Version:  o.Version,
-		BBox:     o.BBox,
-		ElemSize: o.ElemSize,
-		CRC:      o.CRC,
-		Data:     o.Data,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&body); err != nil {
-		return fmt.Errorf("tier: spill encode: %w", err)
-	}
-	key := t.nextKey
-	t.nextKey++
-	rec := ckpt.SealRecord(key, buf.Bytes())
-	for g := 0; g < 2; g++ {
-		if err := t.be.Write(t.recKey(key, g), rec); err != nil {
-			t.be.Delete(t.recKey(key, 0))
-			return t.degrade(err)
+	batch := make([]*Entry, 0, len(objs))
+	var total int64
+	for _, o := range objs {
+		e := &Entry{
+			Key:      t.nextKey,
+			Name:     o.Name,
+			Version:  o.Version,
+			BBox:     o.BBox,
+			ElemSize: o.ElemSize,
+			CRC:      o.CRC,
+			Bytes:    int64(len(o.Data)),
+		}
+		t.nextKey++
+		batch = append(batch, e)
+		total += e.Bytes
+		rec := sealObject(e.Key, o)
+		for g := 0; g < 2; g++ {
+			if err := t.be.Write(t.recKey(e.Key, g), rec); err != nil {
+				t.deleteRecords(batch)
+				return t.degrade(err)
+			}
 		}
 	}
-	e := &Entry{
-		Key:      key,
-		Name:     o.Name,
-		Version:  o.Version,
-		BBox:     o.BBox,
-		ElemSize: o.ElemSize,
-		CRC:      o.CRC,
-		Bytes:    int64(len(o.Data)),
+	for _, e := range batch {
+		t.index(e)
 	}
-	t.index(e)
 	if err := t.commitManifest(); err != nil {
-		t.unindex(e)
-		t.be.Delete(t.recKey(key, 0))
-		t.be.Delete(t.recKey(key, 1))
+		for _, e := range batch {
+			t.unindex(e)
+		}
+		t.deleteRecords(batch)
 		return t.degrade(err)
 	}
-	t.spills++
-	t.spillBytes += e.Bytes
+	t.spills += int64(len(batch))
+	t.spillBytes += total
 	return nil
 }
 
@@ -396,25 +455,14 @@ func (t *Tier) readEntry(e *Entry) (*store.Object, bool) {
 		if !ok || seq != e.Key {
 			continue
 		}
-		var rb recBody
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rb); err != nil {
+		o, ok := openObject(body)
+		if !ok || o.Name != e.Name || o.Version != e.Version || int64(len(o.Data)) != e.Bytes {
 			continue
 		}
-		if rb.Name != e.Name || rb.Version != e.Version {
+		if crc32.Checksum(o.Data, crcTable) != o.CRC {
 			continue
 		}
-		if crc32.Checksum(rb.Data, crcTable) != rb.CRC {
-			continue
-		}
-		return &store.Object{
-			Name:     rb.Name,
-			Version:  rb.Version,
-			BBox:     rb.BBox,
-			ElemSize: rb.ElemSize,
-			Data:     rb.Data,
-			CRC:      rb.CRC,
-			Logged:   true,
-		}, true
+		return o, true
 	}
 	return nil, false
 }
@@ -458,10 +506,7 @@ func (t *Tier) Promote(name string, version int64) ([]*store.Object, error) {
 		}
 		return objs, t.degrade(err)
 	}
-	for _, e := range promoted {
-		t.be.Delete(t.recKey(e.Key, 0))
-		t.be.Delete(t.recKey(e.Key, 1))
-	}
+	t.deleteRecords(promoted)
 	for _, o := range objs {
 		t.promotes++
 		t.promoteBytes += int64(len(o.Data))
@@ -496,10 +541,7 @@ func (t *Tier) DropBelow(name string, keep int64) int64 {
 		t.degrade(err)
 		return 0
 	}
-	for _, e := range drop {
-		t.be.Delete(t.recKey(e.Key, 0))
-		t.be.Delete(t.recKey(e.Key, 1))
-	}
+	t.deleteRecords(drop)
 	return freed
 }
 
@@ -577,10 +619,7 @@ func (t *Tier) Scrub() ScrubReport {
 		if err := t.commitManifest(); err != nil {
 			healthy = false
 		} else {
-			for _, e := range lost {
-				t.be.Delete(t.recKey(e.Key, 0))
-				t.be.Delete(t.recKey(e.Key, 1))
-			}
+			t.deleteRecords(lost)
 		}
 	}
 	if healthy && t.degraded {
