@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race short bench bench-smoke bench-e2e-test bench-json nemesis soak-smoke
+.PHONY: check vet build test race short bench bench-smoke bench-e2e-test bench-json nemesis soak-smoke no-gob-on-wire loc
 
-check: vet test race
+check: vet no-gob-on-wire test race
 
 vet:
 	$(GO) vet ./...
@@ -16,14 +16,27 @@ build:
 test: build
 	$(GO) test ./...
 
-# The resilience acceptance gate: transport, staging, and the
-# fail-stop recovery stack under the race detector (includes the chaos
-# soak, lifecycle, supervised-recovery, log-replication, multiplexing
-# concurrency, and frame-corruption tests, plus the crash-consistency
-# state machines: wlog, ckpt, pfs, the cold tier — the parallel EC
-# kernel, and the admission-control/QoS layer).
+# One wire codec, verifiably: encoding/gob may be a storage format
+# (wlog snapshots, ckpt, the tier manifest) but never a wire format, so
+# no non-test file of the wire packages may import it.
+WIRE_PKGS = internal/codec internal/transport internal/staging internal/health internal/qos
+no-gob-on-wire:
+	@! grep -l '"encoding/gob"' $$(find $(WIRE_PKGS) -name '*.go' ! -name '*_test.go') || \
+		{ echo 'encoding/gob imported by a wire package (above): every message goes through internal/codec'; exit 1; }
+
+# The line count ROADMAP item 2's budget is measured in: non-test Go
+# under the wire/staging packages plus the public facade.
+loc:
+	@cat $$(ls internal/staging/*.go internal/transport/*.go internal/codec/*.go gospaces.go | grep -v _test) | wc -l
+
+# The resilience acceptance gate: the wire codec, transport, staging,
+# and the fail-stop recovery stack under the race detector (includes the
+# chaos soak, lifecycle, supervised-recovery, log-replication,
+# multiplexing concurrency, and frame-corruption tests, plus the
+# crash-consistency state machines: wlog, ckpt, pfs, the cold tier — the
+# parallel EC kernel, and the admission-control/QoS layer).
 race:
-	$(GO) test -race ./internal/transport/... ./internal/staging/... ./internal/ec/... ./internal/health/... ./internal/recovery/... ./internal/corec/... ./internal/wlog/... ./internal/ckpt/... ./internal/pfs/... ./internal/tier/... ./internal/qos/... ./internal/trace/...
+	$(GO) test -race ./internal/codec/... ./internal/transport/... ./internal/staging/... ./internal/ec/... ./internal/health/... ./internal/recovery/... ./internal/corec/... ./internal/wlog/... ./internal/ckpt/... ./internal/pfs/... ./internal/tier/... ./internal/qos/... ./internal/trace/...
 
 # Fast loop: -short skips the chaos soak and other slow tests.
 short:
@@ -50,11 +63,11 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # One-iteration compile-and-run pass over the data-plane benchmarks
-# (including the admission fast path, the wlog event/delta paths, and
-# the PFS/cold-tier record paths); catches bit-rot without the cost of
-# real measurement.
+# (including the codec's reflection plan, the admission fast path, the
+# wlog event/delta paths, and the PFS/cold-tier record paths); catches
+# bit-rot without the cost of real measurement.
 bench-smoke:
-	$(GO) test -bench . -benchtime=1x -run=^$$ ./internal/transport ./internal/ec ./internal/qos ./internal/wlog ./internal/pfs ./internal/tier
+	$(GO) test -bench . -benchtime=1x -run=^$$ ./internal/codec ./internal/transport ./internal/ec ./internal/qos ./internal/wlog ./internal/pfs ./internal/tier
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), so
 # the root `go test ./...` never reaches it: its unit tests and the
@@ -62,10 +75,11 @@ bench-smoke:
 bench-e2e-test:
 	cd bench && $(GO) test ./...
 
-# Full data-plane measurement: serialized seed transport vs the
-# multiplexed fast path, the EC encode kernel and the tenant
-# overload/QoS contrast, and the cold-tier spill/promote/replication
-# readings, recorded as JSON.
+# Full data-plane measurement: the multiplexed transport (the
+# "serialized" seed-transport rows already in BENCH_transport.json are
+# carried over as history, not regenerated), the EC encode kernel and
+# the tenant overload/QoS contrast, and the cold-tier
+# spill/promote/replication readings, recorded as JSON.
 bench-json:
 	$(GO) run ./cmd/wfbench -exp transport -out BENCH_transport.json
 	$(GO) run ./cmd/wfbench -exp overload -out-overload BENCH_overload.json

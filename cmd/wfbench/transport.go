@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"gospaces/internal/ec"
@@ -27,38 +26,38 @@ type transportRow struct {
 }
 
 // transportExp measures the staging data plane end to end over TCP
-// loopback: the serialized seed transport (gob both ways, one call in
-// flight per connection) against the multiplexed binary fast path, for
-// real protocol messages (ShardPutReq) across payload sizes and caller
-// counts. It also times the erasure-coding encode kernel serial vs
-// chunk-parallel, and writes every measurement to outPath as JSON.
+// loopback: real protocol messages (ShardPutReq) through the
+// multiplexed transport across payload sizes and caller counts. It also
+// times the erasure-coding encode kernel serial vs chunk-parallel, and
+// writes every measurement to outPath as JSON. The "serialized" rows
+// already in outPath — the seed transport (gob both ways, one call in
+// flight), which no longer exists to be measured — are carried over
+// untouched as history.
 func transportExp(outPath string) error {
 	sizes := []int{4 << 10, 256 << 10, 4 << 20}
 	callers := []int{1, 8, 64}
 	var rows []transportRow
+	if old, err := os.ReadFile(outPath); err == nil {
+		var prev []transportRow
+		if err := json.Unmarshal(old, &prev); err != nil {
+			return fmt.Errorf("%s: %w", outPath, err)
+		}
+		for _, r := range prev {
+			if r.Mode == "serialized" {
+				rows = append(rows, r)
+			}
+		}
+	}
 
-	fmt.Println("== transport: serialized seed vs multiplexed fast path (TCP loopback) ==")
+	fmt.Println("== transport: multiplexed TCP loopback ==")
 	for _, size := range sizes {
 		for _, nc := range callers {
-			var serialized, mux transportRow
-			for _, mode := range []string{"serialized", "mux"} {
-				row, err := putThroughput(mode, size, nc)
-				if err != nil {
-					return err
-				}
-				rows = append(rows, row)
-				if mode == "serialized" {
-					serialized = row
-				} else {
-					mux = row
-				}
+			row, err := putThroughput(size, nc)
+			if err != nil {
+				return err
 			}
-			speedup := 0.0
-			if serialized.MBPerSec > 0 {
-				speedup = mux.MBPerSec / serialized.MBPerSec
-			}
-			fmt.Printf("  %8s x %2d callers: serialized %8.1f MB/s   mux %8.1f MB/s   %.2fx\n",
-				sizeName(size), nc, serialized.MBPerSec, mux.MBPerSec, speedup)
+			rows = append(rows, row)
+			fmt.Printf("  %8s x %2d callers: %8.1f MB/s\n", sizeName(size), nc, row.MBPerSec)
 		}
 	}
 
@@ -96,11 +95,10 @@ func transportExp(outPath string) error {
 	return nil
 }
 
-// putThroughput drives shard puts at one (mode, size, callers) point
-// until enough wall time has accumulated for a stable rate.
-func putThroughput(mode string, size, nc int) (transportRow, error) {
+// putThroughput drives shard puts at one (size, callers) point until
+// enough wall time has accumulated for a stable rate.
+func putThroughput(size, nc int) (transportRow, error) {
 	tr := transport.NewTCPTimeout(30*time.Second, 5*time.Second)
-	tr.DisableFastPath = mode == "serialized"
 	ep, err := tr.ListenTCP("127.0.0.1:0", func(req any) (any, error) {
 		return staging.ShardPutResp{}, nil
 	})
@@ -108,13 +106,9 @@ func putThroughput(mode string, size, nc int) (transportRow, error) {
 		return transportRow{}, err
 	}
 	defer ep.Close()
-	raw, err := tr.Dial(ep.Addr())
+	cl, err := tr.Dial(ep.Addr())
 	if err != nil {
 		return transportRow{}, err
-	}
-	var cl transport.Client = raw
-	if mode == "serialized" {
-		cl = &oneInFlight{cl: raw}
 	}
 	defer cl.Close()
 
@@ -125,14 +119,14 @@ func putThroughput(mode string, size, nc int) (transportRow, error) {
 	req := staging.ShardPutReq{Key: "bench/object", Shard: 0, Data: payload}
 
 	// Calibrate the op count so each point moves about a gibibyte —
-	// enough wall time for a stable rate on both the fast and slow mode.
+	// enough wall time for a stable rate.
 	ops := 1 << 30 / size
 	if ops < 64 {
 		ops = 64
 	}
 
 	// Warm up the connection, codec state, and buffer pools untimed,
-	// and start each point from a clean heap so one mode's garbage does
+	// and start each point from a clean heap so one point's garbage does
 	// not bill the next point's run.
 	for i := 0; i < 8; i++ {
 		if _, err := cl.Call(req); err != nil {
@@ -166,7 +160,7 @@ func putThroughput(mode string, size, nc int) (transportRow, error) {
 	}
 	sec := time.Since(start).Seconds()
 	return transportRow{
-		Bench: "PutGet", Mode: mode, PayloadBytes: size, Callers: nc, Ops: ops,
+		Bench: "PutGet", Mode: "mux", PayloadBytes: size, Callers: nc, Ops: ops,
 		Seconds: sec, MBPerSec: mbps(ops, size, sec), OpsPerSec: float64(ops) / sec,
 	}, nil
 }
@@ -212,21 +206,6 @@ func ecThroughput(mode string, objSize int) (transportRow, error) {
 		Seconds: sec, MBPerSec: mbps(ops, objSize, sec), OpsPerSec: float64(ops) / sec,
 	}, nil
 }
-
-// oneInFlight emulates the seed transport's lock-step behaviour: one
-// call in flight per connection.
-type oneInFlight struct {
-	mu sync.Mutex
-	cl transport.Client
-}
-
-func (s *oneInFlight) Call(req any) (any, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cl.Call(req)
-}
-
-func (s *oneInFlight) Close() error { return s.cl.Close() }
 
 func mbps(ops, size int, sec float64) float64 {
 	if sec <= 0 {

@@ -615,7 +615,7 @@ type QoSQuota = qos.Quota
 // ErrOverloaded is the typed admission rejection: which tenant hit
 // which resource, and when to come back. The retry layer honors
 // RetryAfter automatically; OverloadedError extracts it from any
-// wrapped or wire-flattened error chain.
+// error chain, local or behind a remote transport.
 type ErrOverloaded = qos.ErrOverloaded
 
 // Overloaded resources reported in ErrOverloaded.Resource.
@@ -629,9 +629,9 @@ const (
 	ResourceGlobal = qos.ResourceGlobal
 )
 
-// OverloadedError extracts the typed overload rejection from err,
-// looking through error wrapping and the string form RPC transports
-// flatten remote errors into.
+// OverloadedError extracts the typed overload rejection from err's
+// chain; it crosses RPC transports as a typed cause, so the chain is
+// the same in process and remote.
 func OverloadedError(err error) (*ErrOverloaded, bool) { return qos.FromError(err) }
 
 // QoSTenant is one tenant's admission accounting on one server.

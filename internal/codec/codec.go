@@ -1,171 +1,208 @@
-// Package codec provides the binary fast path for bulk RPC payloads:
-// messages that carry large []byte bodies (staged puts, shard writes,
-// replication batches, log-snapshot transfers) implement Appender and
-// are written/read without gob reflection. Everything else keeps gob —
-// the fast path is an optimisation, never a requirement, so a message
-// type can adopt it (or an envelope can decline it) without protocol
-// changes.
+// Package codec is the one wire codec: every message that crosses a
+// transport — request, response, or typed error cause — is a registered
+// Go type, encoded by a plan built once from the type by reflection
+// (plan.go). Register panics on a type it cannot encode, so a message
+// is either on this path or not on the wire at all; there is no second
+// codec to fall back to.
 //
-// Encodings are length-delimited and self-describing at the top level
-// only: a two-byte registered type id selects the decoder, and each
-// implementation is responsible for its own field layout. Decoders must
-// be total: arbitrary input returns a typed error (ErrCorrupt,
-// ErrUnknownType), never a panic — the transport fuzz suite holds them
-// to that.
+// Encodings are length-delimited and self-describing at the message
+// level only: a two-byte registered type id selects the plan, and the
+// body is the type's fields in declaration order (see kind for the
+// per-kind layouts). Decoding is total: arbitrary input returns a typed
+// error (ErrCorrupt, ErrUnknownType), never a panic and never an
+// allocation the unread input cannot back — the fuzz suites hold it to
+// that.
 package codec
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
+	"reflect"
 	"sync"
+	"sync/atomic"
 )
 
-// ErrCorrupt reports a fast-path body that does not parse: truncated
-// fields, length prefixes pointing past the end, trailing garbage.
-var ErrCorrupt = errors.New("codec: corrupt fast-path body")
+// ErrCorrupt reports a body that does not parse: truncated fields,
+// length prefixes or counts pointing past the end, trailing garbage, a
+// value its type's Validator rejects.
+var ErrCorrupt = errors.New("codec: corrupt message body")
 
-// ErrUnknownType reports a fast-path type id with no registered decoder.
-var ErrUnknownType = errors.New("codec: unknown fast-path type id")
+// ErrUnknownType reports a type id nothing is registered under.
+var ErrUnknownType = errors.New("codec: unknown message type id")
 
-// ErrNoFastPath is returned by AppendTo when a message cannot take the
-// fast path after all (an envelope whose inner payload has no Appender);
-// the caller falls back to gob for the whole message.
-var ErrNoFastPath = errors.New("codec: message has no fast-path encoding")
+// ErrUnregistered reports an encode of a value whose type — its own or
+// that of a payload nested in an envelope — was never registered.
+var ErrUnregistered = errors.New("codec: unregistered message type")
 
-// Appender is the encode half of the fast path, implemented on value
-// receivers so any payload (request or response) qualifies directly.
-// AppendTo appends the message body (without the type id) to buf and
-// returns the extended slice; returning an error (conventionally
-// ErrNoFastPath) makes the transport fall back to gob.
-type Appender interface {
-	CodecID() uint16
-	AppendTo(buf []byte) ([]byte, error)
+// msgType is one registered message.
+type msgType struct {
+	id       uint16
+	plan     *plan
+	ptr      bool // registered as *T: encode dereferences, decode returns the pointer
+	bulk     bool // the encoding ends with a []byte: MarshalBulk splits it off
+	retained bool // decoded values outlive the delivering call: never alias the input
 }
 
-// BulkAppender is an optional refinement of Appender for messages whose
-// encoding ends with one bulk []byte field. AppendHeadTo appends
-// everything up to and including that field's length prefix and returns
-// the bulk bytes separately (unencoded, uncopied), so the transport can
-// hand them to vectored I/O instead of copying them into the frame
-// buffer. head followed by tail must be byte-identical to AppendTo's
-// output; returning an error declines the split for this value and the
-// caller falls back to AppendTo.
-type BulkAppender interface {
-	Appender
-	AppendHeadTo(buf []byte) (head, tail []byte, err error)
-}
-
-// Decoder is the decode half, implemented on pointer receivers.
-// DecodeFrom parses the body produced by AppendTo from r (which also
-// carries the aliasing mode, see NewAliasReader); Value returns the
-// message as the value type handlers switch on.
-type Decoder interface {
-	DecodeFrom(r *Reader) error
-	Value() any
+// registrations is the immutable registry snapshot; Register swaps in
+// an extended copy, so the encode and decode paths read it lock-free.
+type registrations struct {
+	byID   map[uint16]*msgType
+	byType map[reflect.Type]*msgType
+	plans  map[reflect.Type]*plan
 }
 
 var (
-	regMu sync.RWMutex
-	reg   = map[uint16]func() Decoder{}
+	registerMu sync.Mutex
+	registry   atomic.Pointer[registrations]
 )
 
-// Register installs the decoder factory for a fast-path type id.
-// Duplicate registrations panic (ids are a protocol constant).
-func Register(id uint16, factory func() Decoder) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := reg[id]; dup {
-		panic(fmt.Sprintf("codec: duplicate fast-path id %d", id))
-	}
-	reg[id] = factory
+func init() {
+	registry.Store(&registrations{
+		byID: map[uint16]*msgType{}, byType: map[reflect.Type]*msgType{}, plans: map[reflect.Type]*plan{},
+	})
+	Register(0, "") // bare string payloads are built in
 }
 
-// Marshal appends v's fast-path encoding (type id + body) to buf. ok is
-// false — and buf is returned unchanged — when v has no fast path.
+// Register puts zero's type on the wire under id: a struct T, a *T
+// (typed errors register the pointer their chain holds), or string.
+// Ids are protocol constants; a duplicate id or type, or a type with a
+// field that has no wire encoding, panics.
+func Register(id uint16, zero any) { register(id, zero, false) }
+
+// RegisterRetained is Register for messages whose handler keeps the
+// decoded value past its return (replication records, snapshot and
+// install state): their byte fields are always copied, even out of a
+// buffer UnmarshalAlias was told it may alias, because the transport
+// reclaims that buffer when the handler returns.
+func RegisterRetained(id uint16, zero any) { register(id, zero, true) }
+
+func register(id uint16, zero any, retained bool) {
+	registerMu.Lock()
+	defer registerMu.Unlock()
+	old := registry.Load()
+	t := reflect.TypeOf(zero)
+	if old.byID[id] != nil || old.byType[t] != nil {
+		panic(fmt.Sprintf("codec: duplicate registration of id %d / %v", id, t))
+	}
+	next := &registrations{byID: maps.Clone(old.byID), byType: maps.Clone(old.byType), plans: maps.Clone(old.plans)}
+	m := &msgType{id: id, ptr: t.Kind() == reflect.Pointer, retained: retained}
+	if m.ptr {
+		t = t.Elem()
+	}
+	m.plan = planFor(t, next.plans)
+	m.bulk = m.plan.bulk()
+	next.byID[id], next.byType[reflect.TypeOf(zero)] = m, m
+	registry.Store(next)
+}
+
+// Append appends v's encoding (type id + body) to buf. On error buf is
+// returned unchanged.
+func Append(buf []byte, v any) ([]byte, error) {
+	out, _, err := appendMsg(buf, v, false)
+	return out, err
+}
+
+// Marshal is Append with the error folded to ok.
 func Marshal(buf []byte, v any) (out []byte, ok bool) {
-	a, isAppender := v.(Appender)
-	if !isAppender {
-		return buf, false
-	}
-	n := len(buf)
-	buf = binary.BigEndian.AppendUint16(buf, a.CodecID())
-	buf, err := a.AppendTo(buf)
-	if err != nil {
-		return buf[:n], false
-	}
-	return buf, true
+	out, err := Append(buf, v)
+	return out, err == nil
 }
 
-// MarshalBulk is Marshal for BulkAppender messages: it appends the type
-// id and encoded head to buf and returns the bulk tail separately,
-// still aliasing the message's own bytes. ok is false — and buf is
-// returned unchanged — when v is not a BulkAppender or declines the
-// split.
+// AppendVec is Append for vectored I/O: when v's encoding ends with a
+// bulk []byte field, everything up to and including that field's length
+// prefix is appended to buf and the bytes themselves are returned as
+// tail (unencoded, uncopied), so head followed by tail is byte-identical
+// to Append's output. Every other message, envelopes included, has a
+// nil tail.
+func AppendVec(buf []byte, v any) (head, tail []byte, err error) { return appendMsg(buf, v, true) }
+
+// MarshalBulk is AppendVec for callers that want to know whether v is
+// a message that splits: ok is false — and buf is returned unchanged —
+// for one that does not.
 func MarshalBulk(buf []byte, v any) (head, tail []byte, ok bool) {
-	a, isBulk := v.(BulkAppender)
-	if !isBulk {
+	if m := registry.Load().byType[reflect.TypeOf(v)]; m == nil || !m.bulk {
 		return buf, nil, false
 	}
-	n := len(buf)
-	buf = binary.BigEndian.AppendUint16(buf, a.CodecID())
-	head, tail, err := a.AppendHeadTo(buf)
-	if err != nil {
-		return buf[:n], nil, false
-	}
-	return head, tail, true
+	head, tail, err := appendMsg(buf, v, true)
+	return head, tail, err == nil
 }
 
-// Unmarshal decodes a fast-path encoding produced by Marshal. Byte and
-// string fields are copied out of data.
-func Unmarshal(data []byte) (any, error) { return UnmarshalFrom(NewReader(data)) }
+func appendMsg(buf []byte, v any, split bool) (head, tail []byte, err error) {
+	e := encoder{buf: buf}
+	e.message(v, split)
+	if e.err != nil {
+		return buf, nil, e.err
+	}
+	return e.buf, e.tail, nil
+}
+
+// Unmarshal decodes one message produced by Marshal; bytes left over
+// are corruption. Byte and string fields are copied out of data.
+func Unmarshal(data []byte) (any, error) { return unmarshal(NewReader(data)) }
 
 // UnmarshalAlias decodes like Unmarshal but byte fields alias data
-// directly (zero copy). The caller cedes ownership of data: it must not
-// be modified or recycled while the decoded value is live.
-func UnmarshalAlias(data []byte) (any, error) { return UnmarshalFrom(NewAliasReader(data)) }
+// directly (zero copy), except in messages registered as retained. The
+// caller cedes ownership of data: it must not be modified or recycled
+// while the decoded value is live.
+func UnmarshalAlias(data []byte) (any, error) { return unmarshal(NewAliasReader(data)) }
 
-// UnmarshalFrom decodes a fast-path encoding (type id + body) from the
-// unread bytes of r, inheriting r's aliasing mode — this is how an
-// envelope decodes its nested payload.
+func unmarshal(r *Reader) (any, error) {
+	v, err := UnmarshalFrom(r)
+	if err == nil && len(r.d) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.d))
+	}
+	return v, err
+}
+
+// maxNesting bounds envelopes within envelopes; the deepest real
+// message is three levels (FencedReq{EpochReq{ShardPutReq}}).
+const maxNesting = 8
+
+// UnmarshalFrom decodes one message (type id + body) from the unread
+// bytes of r, inheriting r's aliasing mode, and leaves what follows
+// unread — this is how an envelope decodes its nested payload and how
+// an error frame carries a cause ahead of a payload.
 func UnmarshalFrom(r *Reader) (any, error) {
+	if r.err == nil && len(r.d) < 2 {
+		r.fail()
+	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	if len(r.d) < 2 {
-		return nil, fmt.Errorf("%w: short type id", ErrCorrupt)
-	}
 	id := binary.BigEndian.Uint16(r.d)
 	r.d = r.d[2:]
-	regMu.RLock()
-	factory := reg[id]
-	regMu.RUnlock()
-	if factory == nil {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, id)
+	m := registry.Load().byID[id]
+	if m == nil {
+		r.err = fmt.Errorf("%w: %d", ErrUnknownType, id)
+		return nil, r.err
 	}
-	d := factory()
-	if err := d.DecodeFrom(r); err != nil {
-		return nil, err
+	if r.depth++; r.depth > maxNesting {
+		r.err = fmt.Errorf("%w: messages nested %d deep", ErrCorrupt, r.depth)
+		return nil, r.err
 	}
-	return d.Value(), nil
+	if m.retained {
+		r.alias = false
+	}
+	pv := reflect.New(m.plan.typ)
+	m.plan.dec(r, pv.Elem())
+	r.depth--
+	if r.err != nil {
+		return nil, r.err
+	}
+	if m.ptr {
+		return pv.Interface(), nil
+	}
+	return pv.Elem().Interface(), nil
 }
 
 // ---------------------------------------------------------------------
-// Append helpers (the encode vocabulary shared by implementations).
+// Append helpers (the encode vocabulary the plans and the transport's
+// error frames share).
 
-// AppendUvarint appends v in unsigned varint form.
-func AppendUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
-
-// AppendVarint appends v in zig-zag varint form.
-func AppendVarint(buf []byte, v int64) []byte { return binary.AppendVarint(buf, v) }
-
-// AppendBytes appends a uvarint length prefix followed by b.
-func AppendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-// AppendString appends s like AppendBytes.
+// AppendString appends a uvarint length prefix followed by s.
 func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
@@ -189,6 +226,7 @@ type Reader struct {
 	d     []byte
 	err   error
 	alias bool
+	depth int // messages being decoded around the current one
 }
 
 // NewReader wraps data for decoding; Bytes copies out of data.
@@ -196,22 +234,12 @@ func NewReader(data []byte) *Reader { return &Reader{d: data} }
 
 // NewAliasReader wraps data for zero-copy decoding: Bytes returns
 // subslices of data itself. Use only when the decoded value may own
-// data (the transport hands over fast-path frame bodies this way,
-// skipping one full payload copy per message).
+// data (the transport hands over large frame bodies this way, skipping
+// one full payload copy per message).
 func NewAliasReader(data []byte) *Reader { return &Reader{d: data, alias: true} }
-
-// DisableAlias switches r to copying Bytes reads even when it was
-// created with NewAliasReader. Decoders whose values outlive the call
-// that delivered them (deep-retained replication and snapshot state)
-// opt out of zero-copy, because the transport reclaims an aliased
-// request body once its handler returns.
-func (r *Reader) DisableAlias() { r.alias = false }
 
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }
-
-// Len returns the unread byte count.
-func (r *Reader) Len() int { return len(r.d) }
 
 // Rest consumes and returns all unread bytes (no copy).
 func (r *Reader) Rest() []byte {
@@ -281,7 +309,7 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	if n == 0 {
-		return nil // match gob: empty fields decode as nil
+		return nil // one canonical empty: nil, never a zero-length alias of the input
 	}
 	var out []byte
 	if r.alias {
@@ -306,6 +334,20 @@ func (r *Reader) String() string {
 	out := string(r.d[:n])
 	r.d = r.d[n:]
 	return out
+}
+
+// Float64 reads eight big-endian IEEE 754 bytes.
+func (r *Reader) Float64() float64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.d) < 8 {
+		r.fail()
+		return 0
+	}
+	v := math.Float64frombits(binary.BigEndian.Uint64(r.d))
+	r.d = r.d[8:]
+	return v
 }
 
 // Bool reads one byte as a bool (any non-zero value is true).

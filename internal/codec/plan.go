@@ -1,0 +1,284 @@
+package codec
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"reflect"
+	"time"
+)
+
+// kind is one wire encoding. Every Go type a message may hold maps to
+// exactly one; a type with none (maps, channels, unexported fields)
+// panics at Register, not at the first Call.
+type kind uint8
+
+const (
+	kBool   kind = iota // one byte, 0 or 1
+	kInt                // zig-zag varint (all signed widths, time.Duration)
+	kUint               // uvarint (all unsigned widths)
+	kFloat              // 8 bytes, IEEE 754 big endian
+	kString             // uvarint length + bytes
+	kBytes              // uvarint length + bytes; aliasable; empty decodes as nil
+	kTime               // varint Unix seconds + uvarint nanoseconds
+	kArray              // the elements, no count
+	kSlice              // uvarint count + elements; empty decodes as nil
+	kStruct             // the exported fields in declaration order
+	kPtr                // presence byte + pointee
+	kAny                // a nested registered message: type id + body
+)
+
+// Validator is the type-level decode hook: when *T implements it, every
+// decoded T — at any nesting depth — is checked right after its fields
+// are read, and a non-nil error fails the decode with ErrCorrupt. It is
+// for invariants of the type itself (domain.BBox bounds NDim), never
+// for one message's layout.
+type Validator interface{ ValidateWire() error }
+
+var (
+	timeType      = reflect.TypeOf(time.Time{})
+	validatorType = reflect.TypeOf((*Validator)(nil)).Elem()
+)
+
+// maxSlice caps decoded element counts; the unread input bounds them
+// too (see plan.min), so the cap only matters for zero-size elements.
+const maxSlice = 1 << 20
+
+// plan is the compiled encoding of one Go type, built once at Register.
+type plan struct {
+	kind   kind
+	typ    reflect.Type
+	elem   *plan   // kArray, kSlice, kPtr
+	fields []field // kStruct
+	n      int     // kArray length
+	min    int     // least encoded size in bytes: bounds slice counts by the unread input
+	valid  bool    // *typ implements Validator
+}
+
+type field struct {
+	idx  int
+	plan *plan
+}
+
+// planFor compiles t, reusing plans of nested types already seen.
+func planFor(t reflect.Type, seen map[reflect.Type]*plan) *plan {
+	if p := seen[t]; p != nil {
+		return p
+	}
+	p := &plan{typ: t, min: 1}
+	seen[t] = p
+	switch t.Kind() {
+	case reflect.Bool:
+		p.kind = kBool
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		p.kind = kInt
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		p.kind = kUint
+	case reflect.Float64:
+		p.kind, p.min = kFloat, 8
+	case reflect.String:
+		p.kind = kString
+	case reflect.Interface:
+		if t.NumMethod() != 0 {
+			panic(fmt.Sprintf("codec: %v: only `any` may hold a nested message", t))
+		}
+		p.kind, p.min = kAny, 2
+	case reflect.Slice:
+		if t.Elem().Kind() == reflect.Uint8 {
+			p.kind = kBytes
+			break
+		}
+		p.kind, p.elem = kSlice, planFor(t.Elem(), seen)
+	case reflect.Array:
+		p.kind, p.elem, p.n = kArray, planFor(t.Elem(), seen), t.Len()
+		p.min = p.n * p.elem.min
+	case reflect.Pointer:
+		if t.Elem().Kind() != reflect.Struct {
+			panic(fmt.Sprintf("codec: %v: only pointers to structs go on the wire", t))
+		}
+		p.kind, p.elem = kPtr, planFor(t.Elem(), seen)
+	case reflect.Struct:
+		if t == timeType {
+			p.kind, p.min = kTime, 2
+			break
+		}
+		p.kind, p.min = kStruct, 0
+		p.valid = reflect.PointerTo(t).Implements(validatorType)
+		for i := 0; i < t.NumField(); i++ {
+			if !t.Field(i).IsExported() {
+				panic(fmt.Sprintf("codec: %v.%s: unexported field", t, t.Field(i).Name))
+			}
+			f := field{idx: i, plan: planFor(t.Field(i).Type, seen)}
+			p.fields = append(p.fields, f)
+			p.min += f.plan.min
+		}
+	default:
+		panic(fmt.Sprintf("codec: %v: no wire encoding for kind %v", t, t.Kind()))
+	}
+	return p
+}
+
+// bulk reports whether the encoding ends with a []byte field — the
+// payload a split encode hands back as the vectored tail.
+func (p *plan) bulk() bool {
+	for p.kind == kStruct && len(p.fields) > 0 {
+		p = p.fields[len(p.fields)-1].plan
+	}
+	return p.kind == kBytes
+}
+
+// encoder carries one Marshal: the output, the held-back tail of a
+// split encode, and the first error (only an unregistered nested
+// message can fail an encode).
+type encoder struct {
+	buf, tail []byte
+	err       error
+}
+
+// message appends v's type id and body. split asks for the trailing
+// []byte to be held back in e.tail (its length prefix still goes to
+// e.buf), so head followed by tail is byte-identical to a plain encode.
+func (e *encoder) message(v any, split bool) {
+	m := registry.Load().byType[reflect.TypeOf(v)]
+	if m == nil {
+		e.err = fmt.Errorf("%w: %T", ErrUnregistered, v)
+		return
+	}
+	rv := reflect.ValueOf(v)
+	if m.ptr {
+		if rv.IsNil() {
+			e.err = fmt.Errorf("%w: nil %T", ErrUnregistered, v)
+			return
+		}
+		rv = rv.Elem()
+	}
+	e.buf = binary.BigEndian.AppendUint16(e.buf, m.id)
+	m.plan.enc(e, rv, split)
+}
+
+// enc appends v. last is true only down the chain of final fields of a
+// split encode: the []byte it ends in is the tail.
+func (p *plan) enc(e *encoder, v reflect.Value, last bool) {
+	switch p.kind {
+	case kBool:
+		e.buf = AppendBool(e.buf, v.Bool())
+	case kInt:
+		e.buf = binary.AppendVarint(e.buf, v.Int())
+	case kUint:
+		e.buf = binary.AppendUvarint(e.buf, v.Uint())
+	case kFloat:
+		e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v.Float()))
+	case kString:
+		e.buf = AppendString(e.buf, v.String())
+	case kBytes:
+		b := v.Bytes()
+		e.buf = binary.AppendUvarint(e.buf, uint64(len(b)))
+		if last {
+			e.tail = b
+		} else {
+			e.buf = append(e.buf, b...)
+		}
+	case kTime:
+		t := v.Interface().(time.Time)
+		e.buf = binary.AppendVarint(e.buf, t.Unix())
+		e.buf = binary.AppendUvarint(e.buf, uint64(t.Nanosecond()))
+	case kArray:
+		for i := 0; i < p.n; i++ {
+			p.elem.enc(e, v.Index(i), false)
+		}
+	case kSlice:
+		n := v.Len()
+		e.buf = binary.AppendUvarint(e.buf, uint64(n))
+		for i := 0; i < n; i++ {
+			p.elem.enc(e, v.Index(i), false)
+		}
+	case kStruct:
+		for i, f := range p.fields {
+			f.plan.enc(e, v.Field(f.idx), last && i == len(p.fields)-1)
+		}
+	case kPtr:
+		e.buf = AppendBool(e.buf, !v.IsNil())
+		if !v.IsNil() {
+			p.elem.enc(e, v.Elem(), false)
+		}
+	case kAny:
+		if e.err == nil {
+			e.message(v.Interface(), false)
+		}
+	}
+}
+
+// dec reads one value of p's type from r into v (settable). Errors are
+// r's sticky ones; loops stop at the first.
+func (p *plan) dec(r *Reader, v reflect.Value) {
+	switch p.kind {
+	case kBool:
+		v.SetBool(r.Bool())
+	case kInt:
+		if x := r.Varint(); v.OverflowInt(x) {
+			r.fail()
+		} else {
+			v.SetInt(x)
+		}
+	case kUint:
+		if x := r.Uvarint(); v.OverflowUint(x) {
+			r.fail()
+		} else {
+			v.SetUint(x)
+		}
+	case kFloat:
+		v.SetFloat(r.Float64())
+	case kString:
+		v.SetString(r.String())
+	case kBytes:
+		v.SetBytes(r.Bytes())
+	case kTime:
+		sec, nsec := r.Varint(), r.Uvarint()
+		if nsec >= 1e9 {
+			r.fail()
+		}
+		v.Set(reflect.ValueOf(time.Unix(sec, int64(nsec))))
+	case kArray:
+		for i := 0; i < p.n && r.err == nil; i++ {
+			p.elem.dec(r, v.Index(i))
+		}
+	case kSlice:
+		// Every element takes at least elem.min bytes, so a count the
+		// unread input cannot back is corrupt before anything is
+		// allocated for it.
+		n := r.Int()
+		if n > maxSlice || n*p.elem.min > len(r.d) {
+			r.fail()
+		}
+		if r.err != nil || n == 0 {
+			return
+		}
+		s := reflect.MakeSlice(p.typ, n, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			p.elem.dec(r, s.Index(i))
+		}
+		v.Set(s)
+	case kStruct:
+		for _, f := range p.fields {
+			if r.err != nil {
+				return
+			}
+			f.plan.dec(r, v.Field(f.idx))
+		}
+		if p.valid && r.err == nil {
+			if err := v.Addr().Interface().(Validator).ValidateWire(); err != nil {
+				r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+		}
+	case kPtr:
+		if r.Bool() {
+			pv := reflect.New(p.elem.typ)
+			p.elem.dec(r, pv.Elem())
+			v.Set(pv)
+		}
+	case kAny:
+		if inner, err := UnmarshalFrom(r); err == nil {
+			v.Set(reflect.ValueOf(inner))
+		}
+	}
+}

@@ -64,6 +64,22 @@ func Box3(x0, y0, z0, x1, y1, z1 int64) BBox {
 	return MustBBox(3, []int64{x0, y0, z0}, []int64{x1, y1, z1})
 }
 
+// ValidateWire is the box's decode check (codec.Validator): a box off
+// the wire must have a dimension count the coordinate arrays can hold,
+// and nothing set in the coordinates past it, so every box compares
+// and indexes like one NewBBox built.
+func (b *BBox) ValidateWire() error {
+	if b.NDim < 0 || b.NDim > MaxDims {
+		return fmt.Errorf("bbox dimension %d", b.NDim)
+	}
+	for i := b.NDim; i < MaxDims; i++ {
+		if b.Min[i] != 0 || b.Max[i] != 0 {
+			return fmt.Errorf("bbox coordinate set past dimension %d", b.NDim)
+		}
+	}
+	return nil
+}
+
 // IsEmpty reports whether the box covers no cells.
 func (b BBox) IsEmpty() bool { return b.NDim == 0 }
 

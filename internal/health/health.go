@@ -12,11 +12,11 @@
 package health
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
 
+	"gospaces/internal/codec"
 	"gospaces/internal/metrics"
 	"gospaces/internal/transport"
 )
@@ -41,9 +41,11 @@ type PingResp struct {
 	Spare bool
 }
 
+// Wire ids of the probe pair (internal/codec; DESIGN.md §7 has the
+// whole table). Never renumber.
 func init() {
-	gob.Register(PingReq{})
-	gob.Register(PingResp{})
+	codec.Register(256, PingReq{})
+	codec.Register(257, PingResp{})
 }
 
 // State is a probed server's liveness verdict.

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"gospaces/internal/codec"
 	"gospaces/internal/metrics"
 )
 
@@ -157,10 +158,6 @@ func (c Config) maxPriority() int {
 // ---------------------------------------------------------------------
 // Typed backpressure.
 
-// overloadedPrefix is the canonical rendering marker ErrOverloaded
-// round-trips through string-typed transports on.
-const overloadedPrefix = "qos: overloaded"
-
 // ErrOverloaded is the typed admission rejection: the server refused
 // the request because tenant Tenant is out of Resource, and the client
 // should retry no sooner than RetryAfter. The retry layer
@@ -172,64 +169,19 @@ type ErrOverloaded struct {
 	RetryAfter time.Duration
 }
 
-// Error renders the canonical, parseable form; ParseOverloaded is its
-// inverse, so the rejection stays typed across transports that carry
-// handler errors as strings.
 func (e *ErrOverloaded) Error() string {
-	return fmt.Sprintf("%s: tenant=%s resource=%s retry_after=%s",
-		overloadedPrefix, e.Tenant, e.Resource, e.RetryAfter)
+	return fmt.Sprintf("qos: overloaded: tenant=%s resource=%s retry_after=%s", e.Tenant, e.Resource, e.RetryAfter)
 }
 
-// ParseOverloaded recovers an ErrOverloaded from an error message that
-// contains its canonical rendering (possibly wrapped by transport and
-// staging error prefixes). ok is false when the message carries none.
-func ParseOverloaded(msg string) (*ErrOverloaded, bool) {
-	i := strings.Index(msg, overloadedPrefix+": ")
-	if i < 0 {
-		return nil, false
-	}
-	rest := msg[i+len(overloadedPrefix)+2:]
-	// The rendering is the tail of the message (errors wrap by
-	// prefixing), but guard against trailing wrapping anyway.
-	if j := strings.IndexByte(rest, '\n'); j >= 0 {
-		rest = rest[:j]
-	}
-	e := &ErrOverloaded{}
-	for _, f := range strings.Fields(rest) {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			continue
-		}
-		switch k {
-		case "tenant":
-			e.Tenant = v
-		case "resource":
-			e.Resource = v
-		case "retry_after":
-			if d, err := time.ParseDuration(v); err == nil {
-				e.RetryAfter = d
-			}
-		}
-	}
-	if e.Resource == "" {
-		return nil, false
-	}
-	return e, true
-}
+// Wire id of the rejection (internal/codec; DESIGN.md §7 has the whole
+// table): registered, it crosses a remote transport as a typed cause.
+func init() { codec.Register(512, &ErrOverloaded{}) }
 
-// FromError extracts a typed overload rejection from err: directly for
-// in-process transports (errors.As), or by parsing the canonical
-// rendering out of the message for transports that ship handler errors
-// as strings. ok is false for every other error.
+// FromError extracts the typed overload rejection from err's chain —
+// the same chain behind a remote transport as in process.
 func FromError(err error) (*ErrOverloaded, bool) {
-	if err == nil {
-		return nil, false
-	}
 	var e *ErrOverloaded
-	if errors.As(err, &e) {
-		return e, true
-	}
-	return ParseOverloaded(err.Error())
+	return e, errors.As(err, &e)
 }
 
 // ---------------------------------------------------------------------

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"gospaces/internal/codec"
 )
 
 func TestTenantOf(t *testing.T) {
@@ -32,18 +34,24 @@ func TestErrOverloadedRoundTrip(t *testing.T) {
 		t.Fatalf("FromError(errors.As path) = %+v, %v", got, ok)
 	}
 
-	// String path (TCP transport ships handler errors as messages).
-	remote := errors.New("rpc: remote error: staging put: " + orig.Error())
-	got, ok = FromError(remote)
+	// Wire path: the rejection is a registered message, so a remote
+	// transport delivers it decoded (transport's
+	// TestRetryAfterSurvivesRemoteErrorWire drives it over TCP).
+	wire, ok := codec.Marshal(nil, orig)
 	if !ok {
-		t.Fatalf("FromError did not parse %q", remote.Error())
+		t.Fatal("*ErrOverloaded is not registered with the wire codec")
 	}
-	if got.Tenant != "lo" || got.Resource != ResourceStaging || got.RetryAfter != 125*time.Millisecond {
-		t.Fatalf("parsed %+v, want %+v", got, orig)
+	back, err := codec.Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := back.(*ErrOverloaded); !ok || *got != *orig {
+		t.Fatalf("wire round trip = %#v, want %+v", back, orig)
 	}
 
-	if _, ok := FromError(errors.New("some other failure")); ok {
-		t.Fatal("FromError matched a non-overload error")
+	// Text that merely reads like a rejection is not one.
+	if _, ok := FromError(errors.New("rpc: remote error: " + orig.Error())); ok {
+		t.Fatal("FromError matched a string look-alike")
 	}
 	if _, ok := FromError(nil); ok {
 		t.Fatal("FromError matched nil")

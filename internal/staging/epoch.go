@@ -3,14 +3,7 @@ package staging
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
-
-// staleEpochMark is the substring that identifies a stale-epoch
-// rejection across transports: the TCP transport flattens handler
-// errors to strings (transport.RemoteError), so the typed check alone
-// cannot recognize a redirect from a remote server.
-const staleEpochMark = "staging: stale membership epoch"
 
 // StaleEpochError rejects a call stamped with a membership epoch older
 // than the server's: the client is routing on a superseded server set
@@ -21,21 +14,15 @@ type StaleEpochError struct {
 	Server uint64 // epoch the server holds
 }
 
-// Error renders the rejection; it embeds staleEpochMark so IsStaleEpoch
-// works on the flattened string form too.
 func (e *StaleEpochError) Error() string {
-	return fmt.Sprintf("%s: client at %d, server at %d", staleEpochMark, e.Client, e.Server)
+	return fmt.Sprintf("staging: stale membership epoch: client at %d, server at %d", e.Client, e.Server)
 }
 
-// IsStaleEpoch reports whether err is a stale-epoch redirect, in typed
-// form (in-proc) or flattened through a remote transport.
+// IsStaleEpoch reports whether err's chain holds a stale-epoch
+// redirect. The type is a registered wire message, so the chain looks
+// the same behind a remote transport (transport.RemoteError unwraps to
+// the decoded cause) as in process.
 func IsStaleEpoch(err error) bool {
-	if err == nil {
-		return false
-	}
 	var se *StaleEpochError
-	if errors.As(err, &se) {
-		return true
-	}
-	return strings.Contains(err.Error(), staleEpochMark)
+	return errors.As(err, &se)
 }

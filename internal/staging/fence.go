@@ -3,15 +3,9 @@ package staging
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
-
-// fencedMark is the substring that identifies a fencing rejection
-// across transports (the TCP transport flattens handler errors to
-// strings), mirroring staleEpochMark.
-const fencedMark = "staging: fenced: stale leader token"
 
 // FencedError rejects a recovery-side mutation carrying a fencing
 // token older than the highest this server has granted: the caller is
@@ -22,23 +16,15 @@ type FencedError struct {
 	Fence uint64 // highest token the server has seen
 }
 
-// Error renders the rejection; it embeds fencedMark so IsFenced works
-// on the flattened string form too.
 func (e *FencedError) Error() string {
-	return fmt.Sprintf("%s: call fenced at %d, server at %d", fencedMark, e.Token, e.Fence)
+	return fmt.Sprintf("staging: fenced: stale leader token: call fenced at %d, server at %d", e.Token, e.Fence)
 }
 
-// IsFenced reports whether err is a fencing rejection, in typed form
-// (in-proc) or flattened through a remote transport.
+// IsFenced reports whether err's chain holds a fencing rejection, in
+// process or behind a remote transport alike (see IsStaleEpoch).
 func IsFenced(err error) bool {
-	if err == nil {
-		return false
-	}
 	var fe *FencedError
-	if errors.As(err, &fe) {
-		return true
-	}
-	return strings.Contains(err.Error(), fencedMark)
+	return errors.As(err, &fe)
 }
 
 // leaseState is the server-side half of recovery-leader election: one

@@ -9,7 +9,6 @@
 package staging
 
 import (
-	"encoding/gob"
 	"time"
 
 	"gospaces/internal/domain"
@@ -30,8 +29,10 @@ type PutReq struct {
 	Name     string
 	Version  int64
 	ElemSize int
-	Piece    Piece
 	Logged   bool // true: crash-consistent path with event logging
+	// Piece is last so its payload is the message's bulk tail: the
+	// transport writes it as its own iovec (codec.AppendVec).
+	Piece Piece
 }
 
 // PutResp acknowledges a put.
@@ -103,11 +104,11 @@ type QueryResp struct {
 type ShardPutReq struct {
 	Key   string
 	Shard int
-	Data  []byte
 	// Rebuild marks a shard re-written by the recovery supervisor's
 	// re-protection pass (as opposed to first-time protection); servers
 	// count rebuilt shards and bytes separately for recovery accounting.
 	Rebuild bool
+	Data    []byte // last: the bulk tail (codec.AppendVec)
 }
 
 // ShardPutResp acknowledges a shard write.
@@ -124,8 +125,8 @@ type ShardGetReq struct {
 
 // ShardGetResp returns the shard payload; Found is false when absent.
 type ShardGetResp struct {
-	Data  []byte
 	Found bool
+	Data  []byte // last: the bulk tail (codec.AppendVec)
 }
 
 // ShardDropReq deletes all shards of a key on this server.
@@ -550,60 +551,4 @@ type TierScrubResp struct {
 	Healed   int64
 	Lost     int64
 	Degraded bool
-}
-
-func init() {
-	gob.Register(TierStatsReq{})
-	gob.Register(TierStatsResp{})
-	gob.Register(TierScrubReq{})
-	gob.Register(TierScrubResp{})
-	gob.Register(PutReq{})
-	gob.Register(PutResp{})
-	gob.Register(GetReq{})
-	gob.Register(GetResp{})
-	gob.Register(CheckpointReq{})
-	gob.Register(CheckpointResp{})
-	gob.Register(RecoveryReq{})
-	gob.Register(RecoveryResp{})
-	gob.Register(QueryReq{})
-	gob.Register(QueryResp{})
-	gob.Register(ShardPutReq{})
-	gob.Register(ShardPutResp{})
-	gob.Register(ShardGetReq{})
-	gob.Register(ShardGetResp{})
-	gob.Register(ShardDropReq{})
-	gob.Register(ShardDropResp{})
-	gob.Register(ShardKeysReq{})
-	gob.Register(ShardKeysResp{})
-	gob.Register(EpochReq{})
-	gob.Register(EpochSetReq{})
-	gob.Register(EpochSetResp{})
-	gob.Register(MembershipReq{})
-	gob.Register(MembershipResp{})
-	gob.Register(LockReq{})
-	gob.Register(LockResp{})
-	gob.Register(TraceReq{})
-	gob.Register(TraceResp{})
-	gob.Register(StatsReq{})
-	gob.Register(StatsResp{})
-	gob.Register(QosStatsReq{})
-	gob.Register(QosStatsResp{})
-	gob.Register(ReplApplyReq{})
-	gob.Register(ReplApplyResp{})
-	gob.Register(ReplSnapshotReq{})
-	gob.Register(ReplSnapshotResp{})
-	gob.Register(ReplFetchReq{})
-	gob.Register(ReplFetchResp{})
-	gob.Register(WlogInstallReq{})
-	gob.Register(WlogInstallResp{})
-	gob.Register(FencedReq{})
-	gob.Register(LeaseCASReq{})
-	gob.Register(LeaseCASResp{})
-	gob.Register(PromotionIntent{})
-	gob.Register(IntentPutReq{})
-	gob.Register(IntentPutResp{})
-	gob.Register(IntentClearReq{})
-	gob.Register(IntentClearResp{})
-	gob.Register(LeaderInfoReq{})
-	gob.Register(LeaderInfoResp{})
 }

@@ -2,7 +2,6 @@ package staging
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -58,11 +57,6 @@ type ReduceResp struct {
 	Value float64
 	// Cells is the number of cells reduced on this server.
 	Cells int64
-}
-
-func init() {
-	gob.Register(ReduceReq{})
-	gob.Register(ReduceResp{})
 }
 
 func (s *Server) handleReduce(r ReduceReq) (any, error) {

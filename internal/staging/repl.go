@@ -2,6 +2,7 @@ package staging
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"gospaces/internal/locks"
@@ -105,14 +106,14 @@ func (m *lockMirror) export() LockMirrorState {
 	for n := range names {
 		sorted = append(sorted, n)
 	}
-	sortStrings(sorted)
+	sort.Strings(sorted)
 	for _, n := range sorted {
 		h := locks.HeldLock{Name: n, Writer: m.writers[n]}
 		holders := make([]string, 0, len(m.readers[n]))
 		for r := range m.readers[n] {
 			holders = append(holders, r)
 		}
-		sortStrings(holders)
+		sort.Strings(holders)
 		for _, r := range holders {
 			h.Readers = append(h.Readers, locks.ReaderCount{Holder: r, Count: m.readers[n][r]})
 		}
@@ -122,7 +123,7 @@ func (m *lockMirror) export() LockMirrorState {
 	for h := range m.dedup {
 		holders = append(holders, h)
 	}
-	sortStrings(holders)
+	sort.Strings(holders)
 	for _, h := range holders {
 		st.Dedup = append(st.Dedup, m.dedup[h])
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sort"
 	"sync"
 	"time"
 
@@ -738,16 +739,8 @@ func (s *Server) handleShardKeys() (any, error) {
 		keys = append(keys, k)
 	}
 	s.mu.Unlock()
-	sortStrings(keys)
+	sort.Strings(keys)
 	return ShardKeysResp{Keys: keys}, nil
-}
-
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 func (s *Server) handleShardGet(r ShardGetReq) (any, error) {

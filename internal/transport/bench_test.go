@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,10 +9,8 @@ import (
 	"gospaces/internal/codec"
 )
 
-// benchPut mimics a staged put: a small key plus a bulk payload. It has
-// both encodings — gob (registered below) for the serialized baseline
-// and a fast-path codec for the mux mode — so the benchmark compares
-// the whole stack, not just the framing.
+// benchPut mimics a staged put: a small key plus a bulk payload (last,
+// so the transport writes it as the frame's vectored tail).
 type benchPut struct {
 	Key  string
 	Data []byte
@@ -23,67 +20,15 @@ type benchAck struct {
 	N int
 }
 
-const (
-	benchPutID uint16 = 0xff00
-	benchAckID uint16 = 0xff01
-)
-
 func init() {
-	gob.Register(benchPut{})
-	gob.Register(benchAck{})
-	codec.Register(benchPutID, func() codec.Decoder { return &benchPut{} })
-	codec.Register(benchAckID, func() codec.Decoder { return &benchAck{} })
+	codec.Register(0xff03, benchPut{})
+	codec.Register(0xff04, benchAck{})
 }
-
-func (m benchPut) CodecID() uint16 { return benchPutID }
-func (m benchPut) AppendTo(buf []byte) ([]byte, error) {
-	head, tail, _ := m.AppendHeadTo(buf)
-	return append(head, tail...), nil
-}
-func (m benchPut) AppendHeadTo(buf []byte) (head, tail []byte, err error) {
-	buf = codec.AppendString(buf, m.Key)
-	buf = codec.AppendUvarint(buf, uint64(len(m.Data)))
-	return buf, m.Data, nil
-}
-func (m *benchPut) DecodeFrom(r *codec.Reader) error {
-	m.Key = r.String()
-	m.Data = r.Bytes()
-	return r.Err()
-}
-func (m *benchPut) Value() any { return *m }
-
-func (m benchAck) CodecID() uint16 { return benchAckID }
-func (m benchAck) AppendTo(buf []byte) ([]byte, error) {
-	return codec.AppendVarint(buf, int64(m.N)), nil
-}
-func (m *benchAck) DecodeFrom(r *codec.Reader) error {
-	m.N = int(r.Varint())
-	return r.Err()
-}
-func (m *benchAck) Value() any { return *m }
-
-// serialClient emulates the seed transport's behaviour: one call in
-// flight per connection, enforced with a mutex around a shared client.
-type serialClient struct {
-	mu sync.Mutex
-	cl Client
-}
-
-func (s *serialClient) Call(req any) (any, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cl.Call(req)
-}
-
-func (s *serialClient) Close() error { return s.cl.Close() }
 
 // BenchmarkPutGet measures put round-trips through one shared client
-// across payload sizes and caller counts, in two modes:
-//
-//   - serialized: gob both ways (DisableFastPath) with one call in
-//     flight at a time — the seed transport's behaviour.
-//   - mux: concurrent in-flight calls on one connection with the
-//     binary fast path.
+// across payload sizes and caller counts: concurrent in-flight calls on
+// one multiplexed connection (mode=mux, the name its rows carry in
+// BENCH_transport.json).
 func BenchmarkPutGet(b *testing.B) {
 	sizes := []struct {
 		name  string
@@ -94,7 +39,6 @@ func BenchmarkPutGet(b *testing.B) {
 		{"4MiB", 4 << 20},
 	}
 	callers := []int{1, 8, 64}
-	modes := []string{"serialized", "mux"}
 
 	handler := func(req any) (any, error) {
 		p := req.(benchPut)
@@ -107,66 +51,59 @@ func BenchmarkPutGet(b *testing.B) {
 			payload[i] = byte(i)
 		}
 		for _, nc := range callers {
-			for _, mode := range modes {
-				name := fmt.Sprintf("size=%s/callers=%d/mode=%s", size.name, nc, mode)
-				b.Run(name, func(b *testing.B) {
-					tr := NewTCPTimeout(30*time.Second, 5*time.Second)
-					tr.DisableFastPath = mode == "serialized"
-					ep, err := tr.ListenTCP("127.0.0.1:0", handler)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer ep.Close()
-					raw, err := tr.Dial(ep.Addr())
-					if err != nil {
-						b.Fatal(err)
-					}
-					var cl Client = raw
-					if mode == "serialized" {
-						cl = &serialClient{cl: raw}
-					}
-					defer cl.Close()
+			name := fmt.Sprintf("size=%s/callers=%d/mode=mux", size.name, nc)
+			b.Run(name, func(b *testing.B) {
+				tr := NewTCPTimeout(30*time.Second, 5*time.Second)
+				ep, err := tr.ListenTCP("127.0.0.1:0", handler)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer ep.Close()
+				cl, err := tr.Dial(ep.Addr())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer cl.Close()
 
-					b.SetBytes(int64(size.bytes))
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					per := b.N / nc
-					extra := b.N % nc
-					failed := make(chan error, nc)
-					for c := 0; c < nc; c++ {
-						n := per
-						if c < extra {
-							n++
-						}
-						if n == 0 {
-							continue
-						}
-						wg.Add(1)
-						go func(n int) {
-							defer wg.Done()
-							req := benchPut{Key: "bench/object", Data: payload}
-							for i := 0; i < n; i++ {
-								resp, err := cl.Call(req)
-								if err != nil {
-									failed <- err
-									return
-								}
-								if a := resp.(benchAck); a.N != len(payload) {
-									failed <- fmt.Errorf("ack %d != %d", a.N, len(payload))
-									return
-								}
+				b.SetBytes(int64(size.bytes))
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				per := b.N / nc
+				extra := b.N % nc
+				failed := make(chan error, nc)
+				for c := 0; c < nc; c++ {
+					n := per
+					if c < extra {
+						n++
+					}
+					if n == 0 {
+						continue
+					}
+					wg.Add(1)
+					go func(n int) {
+						defer wg.Done()
+						req := benchPut{Key: "bench/object", Data: payload}
+						for i := 0; i < n; i++ {
+							resp, err := cl.Call(req)
+							if err != nil {
+								failed <- err
+								return
 							}
-						}(n)
-					}
-					wg.Wait()
-					b.StopTimer()
-					select {
-					case err := <-failed:
-						b.Fatal(err)
-					default:
-					}
-				})
-			}
+							if a := resp.(benchAck); a.N != len(payload) {
+								failed <- fmt.Errorf("ack %d != %d", a.N, len(payload))
+								return
+							}
+						}
+					}(n)
+				}
+				wg.Wait()
+				b.StopTimer()
+				select {
+				case err := <-failed:
+					b.Fatal(err)
+				default:
+				}
+			})
 		}
 	}
 }

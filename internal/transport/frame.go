@@ -1,9 +1,8 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
@@ -14,31 +13,38 @@ import (
 // is one self-contained frame:
 //
 //	offset  size  field
-//	0       4     magic 0x67535031 ("gSP1")
-//	4       1     flags (response / error / fast-path)
+//	0       4     magic 0x67535032 ("gSP2")
+//	4       1     flags (response / error / cause)
 //	5       1     reserved (0)
 //	6       8     request id (big endian; responses echo the request's)
 //	14      4     body length (big endian)
 //	18      n     body
 //
-// Request body: the encoded payload. With flagFastPath set it is a
-// codec type id + binary body; otherwise a self-contained gob stream.
+// Request body: the payload in the one wire codec (internal/codec): a
+// registered type id + the type's fields.
 //
 // Response body: with flagError set it starts with a uvarint-prefixed
-// error string, optionally followed by an encoded payload; without it
-// the body is just the encoded payload (empty body = nil payload).
+// error string, then — with flagCause — the encoded typed error the
+// handler's chain held, then optionally an encoded payload; without
+// flagError the body is just the encoded payload (empty body = nil
+// payload).
 //
 // Because frames carry explicit lengths and ids, one connection
 // sustains any number of concurrent in-flight calls: writers interleave
 // whole frames under a write lock, and the reader demultiplexes
 // responses back to their callers by id.
+//
+// "gSP1" frames selected between gob and a hand-written binary codec
+// with flag bit 2; both are gone, so the magic moved on and the bit is
+// retired: a frame carrying either is corrupt, never mis-decoded.
 const (
-	frameMagic  = 0x67535031
+	frameMagic  = 0x67535032
 	frameHdrLen = 18
 
 	flagResponse = 1 << 0
 	flagError    = 1 << 1
-	flagFastPath = 1 << 2
+	flagCause    = 1 << 3
+	flagsKnown   = flagResponse | flagError | flagCause
 
 	// MaxFrameBody bounds one frame's body; a length field beyond it is
 	// treated as stream corruption, not an allocation request.
@@ -52,15 +58,10 @@ func beginFrame(buf []byte) []byte {
 	return append(buf, hdr[:]...)
 }
 
-// finishFrame writes the header of a frame whose body follows the
-// reserved space. It fails if the body outgrew MaxFrameBody.
-func finishFrame(buf []byte, flags byte, id uint64) ([]byte, error) {
-	return finishFrameTail(buf, flags, id, 0)
-}
-
-// finishFrameTail is finishFrame for a vectored frame: the body
-// continues for tailLen bytes past buf, written separately (writev)
-// right after it.
+// finishFrameTail writes the header of a frame whose body follows the
+// reserved space and — for a vectored frame — continues for tailLen
+// bytes past buf, written separately (writev) right after it. It fails
+// if the body outgrew MaxFrameBody.
 func finishFrameTail(buf []byte, flags byte, id uint64, tailLen int) ([]byte, error) {
 	body := len(buf) - frameHdrLen + tailLen
 	if body > MaxFrameBody {
@@ -86,7 +87,9 @@ func readFrame(r io.Reader) (flags byte, id uint64, body []byte, err error) {
 	if binary.BigEndian.Uint32(hdr[0:4]) != frameMagic {
 		return 0, 0, nil, fmt.Errorf("%w: bad magic %#x", ErrFrameCorrupt, hdr[0:4])
 	}
-	flags = hdr[4]
+	if flags = hdr[4]; flags&^flagsKnown != 0 || flags&(flagError|flagCause) == flagCause {
+		return 0, 0, nil, fmt.Errorf("%w: flags %#x", ErrFrameCorrupt, flags)
+	}
 	id = binary.BigEndian.Uint64(hdr[6:14])
 	n := binary.BigEndian.Uint32(hdr[14:18])
 	if n > MaxFrameBody {
@@ -108,107 +111,89 @@ func readFrame(r io.Reader) (flags byte, id uint64, body []byte, err error) {
 	return flags, id, body, nil
 }
 
-// gobEnvelope wraps an arbitrary payload for the gob path; concrete
-// types must be gob.Registered by the protocol package, as before.
-type gobEnvelope struct{ V any }
-
-// appendWriter adapts append-style encoding to io.Writer for gob.
-type appendWriter struct{ b *[]byte }
-
-func (w appendWriter) Write(p []byte) (int, error) {
-	*w.b = append(*w.b, p...)
-	return len(p), nil
-}
-
-// appendPayload appends v's encoding to buf: the binary fast path when
-// v implements codec.Appender (and fastOK), a self-contained gob stream
-// otherwise. It reports the flag bits the frame must carry.
-func appendPayload(buf []byte, v any, fastOK bool) ([]byte, byte, error) {
-	if fastOK {
-		if out, ok := codec.Marshal(buf, v); ok {
-			return out, flagFastPath, nil
-		}
-	}
-	w := appendWriter{b: &buf}
-	if err := gob.NewEncoder(w).Encode(&gobEnvelope{V: v}); err != nil {
-		return buf, 0, fmt.Errorf("transport: encode %T: %w", v, err)
-	}
-	return buf, 0, nil
-}
-
 // vecThreshold is the bulk-tail size above which a frame is written as
 // two iovecs (head + the message's own payload slice) instead of
 // copying the payload into the frame buffer. Below it one contiguous
 // write is cheaper than a second iovec.
 const vecThreshold = 64 << 10
 
-// appendPayloadVec is appendPayload with a vectored fast path: when v
-// splits into head+tail (codec.BulkAppender) and the tail is large, the
-// returned tail aliases v's own payload and must be written right after
-// buf. A nil tail means buf is the complete encoding.
-func appendPayloadVec(buf []byte, v any, fastOK bool) (out, tail []byte, flags byte, err error) {
-	if fastOK {
-		if head, tl, ok := codec.MarshalBulk(buf, v); ok {
-			if len(tl) >= vecThreshold {
-				return head, tl, flagFastPath, nil
-			}
-			return append(head, tl...), nil, flagFastPath, nil
-		}
+// appendPayload appends v's encoding to buf. When v ends in a large
+// bulk tail (codec.AppendVec), the returned tail aliases v's own
+// payload and must be written right after buf; a nil tail means buf is
+// the complete encoding. A v whose type (or whose nested payload's
+// type) is not registered is an error: there is no other codec to fall
+// back to.
+func appendPayload(buf []byte, v any) (out, tail []byte, err error) {
+	out, tail, err = codec.AppendVec(buf, v)
+	if err != nil {
+		return buf, nil, fmt.Errorf("transport: encode %T: %w", v, err)
 	}
-	out, flags, err = appendPayload(buf, v, fastOK)
-	return out, nil, flags, err
+	if len(tail) < vecThreshold {
+		return append(out, tail...), nil, nil
+	}
+	return out, tail, nil
 }
 
-// aliasThreshold is the body size above which fast-path payloads decode
-// in alias mode. Below it the copy is cheaper than losing the pooled
-// buffer: a tiny ack aliased into a recycled 256 KiB buffer would pin
-// the whole thing and starve the pool.
+// appendError appends an error response's head: the error string, and
+// the first error in herr's chain that is a registered wire type, so
+// the caller's errors.As finds the same typed cause it would in
+// process. It reports the flag bits the frame must carry.
+func appendError(buf []byte, herr error) ([]byte, byte) {
+	buf = codec.AppendString(buf, herr.Error())
+	for e := herr; e != nil; e = errors.Unwrap(e) {
+		if out, ok := codec.Marshal(buf, e); ok {
+			return out, flagError | flagCause
+		}
+	}
+	return buf, flagError
+}
+
+// aliasThreshold is the body size above which payloads decode in alias
+// mode. Below it the copy is cheaper than losing the pooled buffer: a
+// tiny ack aliased into a recycled 256 KiB buffer would pin the whole
+// thing and starve the pool.
 const aliasThreshold = 16 << 10
 
 // decodePayload decodes a payload encoded by appendPayload. An empty
-// body is a nil payload. Large fast-path payloads decode in alias mode —
-// the value's byte fields point into body itself, saving one full
-// payload copy — so when aliased is true the caller has ceded ownership
-// of body and must NOT recycle it into the buffer pool.
-func decodePayload(flags byte, body []byte) (v any, aliased bool, err error) {
+// body is a nil payload. Large payloads decode in alias mode — the
+// value's byte fields point into body itself, saving one full payload
+// copy — so when aliased is true the caller has ceded ownership of body
+// and must NOT recycle it into the buffer pool.
+func decodePayload(body []byte) (v any, aliased bool, err error) {
 	if len(body) == 0 {
 		return nil, false, nil
 	}
-	if flags&flagFastPath != 0 {
-		if len(body) < aliasThreshold {
-			v, err := codec.Unmarshal(body)
-			if err != nil {
-				return nil, false, fmt.Errorf("%w: %v", ErrFrameCorrupt, err)
-			}
-			return v, false, nil
-		}
-		v, err := codec.UnmarshalAlias(body)
-		if err != nil {
-			return nil, false, fmt.Errorf("%w: %v", ErrFrameCorrupt, err)
-		}
-		return v, true, nil
+	if aliased = len(body) >= aliasThreshold; aliased {
+		v, err = codec.UnmarshalAlias(body)
+	} else {
+		v, err = codec.Unmarshal(body)
 	}
-	var env gobEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		return nil, false, fmt.Errorf("%w: gob: %v", ErrFrameCorrupt, err)
+	if err != nil {
+		return nil, false, fmt.Errorf("%w: %w", ErrFrameCorrupt, err)
 	}
-	return env.V, false, nil
+	return v, aliased, nil
 }
 
 // decodeResponse splits a response body into payload and remote error,
 // with decodePayload's aliasing contract.
 func decodeResponse(flags byte, body []byte) (v any, aliased bool, err error) {
 	if flags&flagError == 0 {
-		return decodePayload(flags, body)
+		return decodePayload(body)
 	}
 	r := codec.NewReader(body)
-	msg := r.String()
-	if r.Err() != nil {
-		return nil, false, fmt.Errorf("%w: error frame: %v", ErrFrameCorrupt, r.Err())
+	re := &RemoteError{Msg: r.String()}
+	if flags&flagCause != 0 {
+		c, _ := codec.UnmarshalFrom(r)
+		if re.Cause, _ = c.(error); re.Cause == nil && r.Err() == nil {
+			return nil, false, fmt.Errorf("%w: error frame: cause %T is not an error", ErrFrameCorrupt, c)
+		}
 	}
-	payload, aliased, err := decodePayload(flags, r.Rest())
+	if r.Err() != nil {
+		return nil, false, fmt.Errorf("%w: error frame: %w", ErrFrameCorrupt, r.Err())
+	}
+	payload, aliased, err := decodePayload(r.Rest())
 	if err != nil {
 		return nil, false, err
 	}
-	return payload, aliased, &RemoteError{Msg: msg}
+	return payload, aliased, re
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -35,6 +34,11 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"empty", nil, io.EOF},
 		{"truncated header", good[:frameHdrLen-4], io.ErrUnexpectedEOF},
 		{"bad magic", buildFrame(0xdeadbeef, 0, 7, 0, nil), ErrFrameCorrupt},
+		// The two-codec wire format: its frames must be refused whole,
+		// never handed to the one codec as if they were its own.
+		{"old magic gSP1", buildFrame(0x67535031, 0, 7, 3, []byte{1, 2, 3}), ErrFrameCorrupt},
+		{"retired codec-selector flag", buildFrame(frameMagic, 1<<2, 7, 3, []byte{1, 2, 3}), ErrFrameCorrupt},
+		{"cause flag without error flag", buildFrame(frameMagic, flagResponse|flagCause, 7, 0, nil), ErrFrameCorrupt},
 		{"oversized length", buildFrame(frameMagic, 0, 7, MaxFrameBody+1, nil), ErrFrameTooLarge},
 		{"truncated body", good[:len(good)-2], io.ErrUnexpectedEOF},
 	}
@@ -71,8 +75,8 @@ func TestServerSurvivesGarbageConn(t *testing.T) {
 	payloads := [][]byte{
 		[]byte("GET / HTTP/1.1\r\n\r\n"), // not our protocol
 		buildFrame(frameMagic, 0, 1, MaxFrameBody+99, nil),
-		buildFrame(frameMagic, flagResponse, 1, 0, nil),             // response on a server stream
-		buildFrame(frameMagic, flagFastPath, 1, 2, []byte{0xff, 1}), // unregistered fast-path id
+		buildFrame(frameMagic, flagResponse, 1, 0, nil),  // response on a server stream
+		buildFrame(frameMagic, 0, 1, 2, []byte{0xfe, 1}), // unregistered type id
 	}
 	for _, p := range payloads {
 		conn, err := net.Dial("tcp", ep.Addr())
@@ -166,11 +170,11 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(buildFrame(frameMagic, 0, 1, 0, nil))
 	f.Add(buildFrame(frameMagic, flagResponse, 2, 3, []byte{1, 2, 3}))
 	f.Add(buildFrame(frameMagic, flagResponse|flagError, 3, 2, []byte{1, 'x'}))
-	f.Add(buildFrame(frameMagic, flagFastPath, 4, 4, []byte{0, 1, 0, 0}))
+	f.Add(buildFrame(frameMagic, 1<<2, 4, 4, []byte{0, 1, 0, 0})) // retired codec-selector bit
 	f.Add(buildFrame(0xbadbad, 0, 5, 0, nil))
 	f.Add(buildFrame(frameMagic, 0, 6, MaxFrameBody+1, nil))
-	if env, _, err := appendPayload(beginFrame(nil), echoReq{Msg: "seed"}, false); err == nil {
-		if env, err = finishFrame(env, flagResponse, 9); err == nil {
+	if env, _, err := appendPayload(beginFrame(nil), echoReq{Msg: "seed"}); err == nil {
+		if env, err = finishFrameTail(env, flagResponse, 9, 0); err == nil {
 			f.Add(env)
 		}
 	}
@@ -191,7 +195,7 @@ func FuzzFrameDecode(f *testing.F) {
 			checkDecodeErr(t, rerr)
 		} else {
 			var derr error
-			_, aliased, derr = decodePayload(flags, body)
+			_, aliased, derr = decodePayload(body)
 			checkDecodeErr(t, derr)
 		}
 		if !aliased {
@@ -209,13 +213,9 @@ func checkDecodeErr(t *testing.T, err error) {
 	if errors.As(err, &re) {
 		return // decoded error frame: a remote error is a valid outcome
 	}
-	if errors.Is(err, ErrFrameCorrupt) || errors.Is(err, codec.ErrCorrupt) ||
-		errors.Is(err, codec.ErrUnknownType) {
-		return
-	}
-	// gob's own rejections surface wrapped in ErrFrameCorrupt; anything
-	// else is an untyped escape.
-	if strings.Contains(err.Error(), "corrupt frame") {
+	// Every payload rejection is the codec's typed error wrapped in
+	// ErrFrameCorrupt; anything else is an untyped escape.
+	if errors.Is(err, ErrFrameCorrupt) && (errors.Is(err, codec.ErrCorrupt) || errors.Is(err, codec.ErrUnknownType)) {
 		return
 	}
 	t.Fatalf("untyped decode error: %v", err)

@@ -1,13 +1,14 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gospaces/internal/codec"
 )
 
 type muxEcho struct {
@@ -16,7 +17,7 @@ type muxEcho struct {
 	Slow   bool
 }
 
-func init() { gob.Register(muxEcho{}) }
+func init() { codec.Register(0xff02, muxEcho{}) }
 
 // TestMuxConcurrentCalls hammers one shared client from many
 // goroutines: every call must return exactly once with its own echo —

@@ -200,8 +200,8 @@ func (r *Retrying) retry(what string, stop <-chan struct{}, op func() error) err
 		// back. The hint is honored (jittered upward) instead of blind
 		// exponential backoff, and the wait is charged against the retry
 		// budget in MaxDelay-sized units so long hints draw it down
-		// proportionally. Over TCP the rejection arrives as a RemoteError
-		// message; FromError re-types it.
+		// proportionally. Over TCP the rejection arrives as the typed
+		// cause of a RemoteError, which FromError sees through.
 		wait := r.delay(attempt)
 		units := int64(1)
 		if ov, ok := qos.FromError(err); ok {

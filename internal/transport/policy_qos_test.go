@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,15 +12,15 @@ import (
 )
 
 // overloadHandler rejects the first n calls with a typed overload
-// rejection carrying hint, then succeeds.
-func overloadHandler(n int64, hint time.Duration, asRemote bool) (Handler, *atomic.Int64) {
+// rejection carrying hint (wrapped, the way the staging server returns
+// it, when wrap is set), then succeeds.
+func overloadHandler(n int64, hint time.Duration, wrap bool) (Handler, *atomic.Int64) {
 	var calls atomic.Int64
 	h := func(req any) (any, error) {
 		if calls.Add(1) <= n {
 			e := &qos.ErrOverloaded{Tenant: "lo", Resource: qos.ResourceStaging, RetryAfter: hint}
-			if asRemote {
-				// The TCP transport delivers handler errors as messages.
-				return nil, &RemoteError{Msg: "staging put: " + e.Error()}
+			if wrap {
+				return nil, fmt.Errorf("staging put: %w", e)
 			}
 			return nil, e
 		}
@@ -70,11 +71,52 @@ func TestRetryHonorsRetryAfterHint(t *testing.T) {
 	}
 }
 
+// TestRetryAfterSurvivesRemoteErrorWire sends the rejection over
+// loopback TCP: it arrives as a RemoteError whose message is the
+// handler's text byte for byte and whose cause is the decoded
+// ErrOverloaded, fields intact — terminal to Retryable, yet honoured by
+// the retry layer for exactly the hint it carries.
 func TestRetryAfterSurvivesRemoteErrorWire(t *testing.T) {
-	h, calls := overloadHandler(1, 10*time.Millisecond, true)
-	_, c := dialRetrying(t, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: 7}, h)
-	if _, err := c.Call("put"); err != nil {
-		t.Fatalf("call through RemoteError-typed rejection: %v", err)
+	const hint = 30 * time.Millisecond
+	h, calls := overloadHandler(1, hint, true)
+	tcp := NewTCPTimeout(5*time.Second, time.Second)
+	ep, err := tcp.ListenTCP("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+
+	raw, err := tcp.Dial(ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = raw.Call("put")
+	raw.Close()
+	want := &qos.ErrOverloaded{Tenant: "lo", Resource: qos.ResourceStaging, RetryAfter: hint}
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Msg != "staging put: "+want.Error() {
+		t.Fatalf("err = %#v, want a RemoteError with the handler's text", err)
+	}
+	if ov, ok := qos.FromError(err); !ok || *ov != *want {
+		t.Fatalf("FromError(%v) = %+v, %v; want %+v", err, ov, ok, want)
+	}
+	if Retryable(err) {
+		t.Fatal("a delivered rejection must stay terminal to Retryable")
+	}
+
+	r := WithRetry(tcp, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: 7})
+	defer r.Close()
+	c, err := r.Dial(ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls.Store(0)
+	start := time.Now()
+	if resp, err := c.Call("put"); err != nil || resp != "ok" {
+		t.Fatalf("call through a wire-typed rejection = %v, %v", resp, err)
+	}
+	if elapsed := time.Since(start); elapsed < hint {
+		t.Fatalf("retried after %v, want >= the %v hint", elapsed, hint)
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("handler saw %d calls, want 2", calls.Load())

@@ -30,10 +30,6 @@ type TCP struct {
 	// DialTimeout, when positive, bounds connection establishment,
 	// including the transparent re-dial after a broken connection.
 	DialTimeout time.Duration
-	// DisableFastPath forces every payload through gob inside its frame
-	// (the benchmark baseline). The server mirrors the request's
-	// encoding, so disabling it client-side disables it end to end.
-	DisableFastPath bool
 
 	regMu sync.Mutex
 	reg   atomic.Pointer[tcpMetrics]
@@ -46,8 +42,7 @@ type tcpMetrics struct {
 	inflight *metrics.Gauge
 	bytesIn  *metrics.Counter
 	bytesOut *metrics.Counter
-	fastpath *metrics.Counter
-	gobPath  *metrics.Counter
+	payloads *metrics.Counter
 }
 
 // NewTCP returns a TCP transport with no deadlines (calls may block
@@ -62,7 +57,8 @@ func NewTCPTimeout(call, dial time.Duration) *TCP {
 
 // Metrics returns the transport's registry: transport.inflight (gauge),
 // transport.bytes_out/bytes_in (counters, frame bytes incl. headers),
-// codec.fastpath_hits / codec.gob_payloads (encode-side counters).
+// codec.fastpath_hits (counter: payloads encoded, requests and
+// responses; the name predates the one codec and is what bench/ reads).
 func (t *TCP) Metrics() *metrics.Registry { return t.m().reg }
 
 // m returns the cached metric handles, building them once.
@@ -81,20 +77,10 @@ func (t *TCP) m() *tcpMetrics {
 		inflight: reg.Gauge("transport.inflight"),
 		bytesIn:  reg.Counter("transport.bytes_in"),
 		bytesOut: reg.Counter("transport.bytes_out"),
-		fastpath: reg.Counter("codec.fastpath_hits"),
-		gobPath:  reg.Counter("codec.gob_payloads"),
+		payloads: reg.Counter("codec.fastpath_hits"),
 	}
 	t.reg.Store(m)
 	return m
-}
-
-// countPayload records which encode path a payload took.
-func (t *TCP) countPayload(flags byte) {
-	if flags&flagFastPath != 0 {
-		t.m().fastpath.Inc()
-	} else {
-		t.m().gobPath.Inc()
-	}
 }
 
 // TCPEndpoint is the closer returned by TCP.Listen; it also reports the
@@ -194,7 +180,7 @@ func (t *TCP) serveConn(conn net.Conn, h Handler) {
 			codec.PutBuf(body)
 			return // protocol violation; drop the connection
 		}
-		req, aliased, derr := decodePayload(flags, body)
+		req, aliased, derr := decodePayload(body)
 		if !aliased {
 			codec.PutBuf(body)
 		}
@@ -202,17 +188,16 @@ func (t *TCP) serveConn(conn net.Conn, h Handler) {
 			// The frame parsed (boundaries are intact) but its payload
 			// did not: answer the one call with a typed error and keep
 			// serving the connection.
-			t.writeResponse(conn, &wmu, id, nil, derr, false)
+			t.writeResponse(conn, &wmu, id, nil, derr)
 			continue
 		}
-		fastOK := flags&flagFastPath != 0 && !t.DisableFastPath
 		sem <- struct{}{}
 		handlers.Add(1)
-		go func(id uint64, req any, fastOK bool, body []byte, aliased bool) {
+		go func(id uint64, req any, body []byte, aliased bool) {
 			defer handlers.Done()
 			defer func() { <-sem }()
 			resp, herr := h(req)
-			t.writeResponse(conn, &wmu, id, resp, herr, fastOK)
+			t.writeResponse(conn, &wmu, id, resp, herr)
 			if aliased {
 				// An alias-decoded request points into its frame body; per
 				// the Handler contract the payload is dead once the handler
@@ -222,35 +207,32 @@ func (t *TCP) serveConn(conn net.Conn, h Handler) {
 				// allocations.
 				codec.PutBuf(body)
 			}
-		}(id, req, fastOK, body, aliased)
+		}(id, req, body, aliased)
 	}
 }
 
 // writeResponse encodes and writes one response frame. A write failure
 // kills the connection: the reader loop and the client both find out
 // through their own I/O errors.
-func (t *TCP) writeResponse(conn net.Conn, wmu *sync.Mutex, id uint64, resp any, herr error, fastOK bool) {
+func (t *TCP) writeResponse(conn net.Conn, wmu *sync.Mutex, id uint64, resp any, herr error) {
 	buf := beginFrame(codec.GetBuf())
 	defer func() { codec.PutBuf(buf) }()
 	flags := byte(flagResponse)
 	if herr != nil {
-		flags |= flagError
-		buf = codec.AppendString(buf, herr.Error())
+		var ef byte
+		buf, ef = appendError(buf, herr)
+		flags |= ef
 	}
 	var tail []byte
 	if resp != nil {
-		var pf byte
 		var err error
-		buf, tail, pf, err = appendPayloadVec(buf, resp, fastOK)
+		buf, tail, err = appendPayload(buf, resp)
 		if err != nil {
 			// Unencodable response: report it as a remote error instead.
-			buf = beginFrame(buf[:0])
+			buf = codec.AppendString(beginFrame(buf[:0]), err.Error())
 			flags = flagResponse | flagError
-			tail = nil
-			buf = codec.AppendString(buf, err.Error())
 		} else {
-			flags |= pf
-			t.countPayload(pf)
+			t.m().payloads.Inc()
 		}
 	}
 	buf, err := finishFrameTail(buf, flags, id, len(tail))
@@ -483,19 +465,16 @@ func (c *tcpClient) Call(req any) (any, error) {
 		return nil, err
 	}
 
-	buf := beginFrame(codec.GetBuf())
-	var pf byte
-	var tail []byte
-	buf, tail, pf, err = appendPayloadVec(buf, req, !c.t.DisableFastPath)
+	buf, tail, err := appendPayload(beginFrame(codec.GetBuf()), req)
 	if err == nil {
-		buf, err = finishFrameTail(buf, pf, id, len(tail))
+		buf, err = finishFrameTail(buf, 0, id, len(tail))
 	}
 	if err != nil {
 		codec.PutBuf(buf)
 		mc.unregister(id)
 		return nil, err
 	}
-	c.t.countPayload(pf)
+	c.t.m().payloads.Inc()
 
 	mc.wmu.Lock()
 	if c.t.CallTimeout > 0 {

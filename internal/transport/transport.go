@@ -2,9 +2,10 @@
 // clients and staging servers. Two interchangeable implementations are
 // provided: an in-process transport (direct dispatch, used by tests,
 // benchmarks, and single-binary deployments) and a TCP transport
-// (gob-framed, used by cmd/stagingd and cmd/dsctl). DataSpaces uses
-// RDMA verbs here; the staging protocol above is transport-agnostic, so
-// swapping the wire changes constants, not behaviour.
+// (multiplexed length-prefixed frames carrying internal/codec payloads,
+// used by cmd/stagingd and cmd/dsctl). DataSpaces uses RDMA verbs here;
+// the staging protocol above is transport-agnostic, so swapping the
+// wire changes constants, not behaviour.
 package transport
 
 import (
@@ -22,11 +23,11 @@ import (
 // internally.
 //
 // Byte-slice fields of req are only valid until the handler returns:
-// large fast-path payloads are decoded zero-copy out of a frame buffer
-// the transport reclaims afterwards. A handler that retains payload
-// bytes past its return must copy them (the staging server already
-// copies on ingest), or the message's decoder must opt out of aliasing
-// with Reader.DisableAlias.
+// large payloads are decoded zero-copy out of a frame buffer the
+// transport reclaims afterwards. A handler that retains payload bytes
+// past its return must copy them (the staging server already copies on
+// ingest), or the message must be registered with
+// codec.RegisterRetained, which never aliases.
 type Handler func(req any) (resp any, err error)
 
 // Client issues requests to one endpoint.
@@ -73,9 +74,20 @@ var ErrFrameTooLarge = errors.New("transport: frame too large")
 // RemoteError carries an error returned by the remote handler, as
 // opposed to a transport fault. Remote errors are terminal: the request
 // was delivered and the server answered, so retrying cannot help.
-type RemoteError struct{ Msg string }
+//
+// Msg is the handler error's full text. Cause, when the handler's chain
+// held an error type registered with internal/codec, is that error
+// decoded on this side, so errors.As/Is see through a RemoteError to
+// the same typed cause an in-process call would have returned.
+type RemoteError struct {
+	Msg   string
+	Cause error
+}
 
 func (e *RemoteError) Error() string { return e.Msg }
+
+// Unwrap returns the decoded typed cause, or nil.
+func (e *RemoteError) Unwrap() error { return e.Cause }
 
 // Retryable reports whether err is a transient transport fault worth
 // retrying: timeouts, broken/reset connections, and missing endpoints

@@ -1,20 +1,22 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"gospaces/internal/codec"
 )
 
 type echoReq struct{ Msg string }
 type echoResp struct{ Msg string }
 
+// Wire ids 0xff00 and up are the test range of this package.
 func init() {
-	gob.Register(echoReq{})
-	gob.Register(echoResp{})
+	codec.Register(0xff00, echoReq{})
+	codec.Register(0xff01, echoResp{})
 }
 
 func echoHandler(req any) (any, error) {

@@ -3,7 +3,6 @@ package wlog
 import (
 	"fmt"
 
-	"gospaces/internal/codec"
 	"gospaces/internal/domain"
 )
 
@@ -61,35 +60,6 @@ type Record struct {
 	Version int64       // put/get; recovery: covered-version bound
 	BBox    domain.BBox // put/get
 	Bytes   int64       // put/get payload accounting
-}
-
-// AppendBinary appends the record's fast-path wire encoding. The
-// log-replication stream ships one Record per mutation; encoding them
-// without gob reflection keeps replication bandwidth tracking the data
-// plane (see internal/codec).
-func (r Record) AppendBinary(buf []byte) []byte {
-	buf = codec.AppendUvarint(buf, uint64(r.Op))
-	buf = codec.AppendString(buf, r.App)
-	buf = codec.AppendString(buf, r.Name)
-	buf = codec.AppendVarint(buf, r.Version)
-	buf = r.BBox.AppendBinary(buf)
-	return codec.AppendVarint(buf, r.Bytes)
-}
-
-// DecodeRecordBinary reads a Record encoded by AppendBinary from rd.
-func DecodeRecordBinary(rd *codec.Reader) (Record, error) {
-	var r Record
-	r.Op = Op(rd.Uvarint())
-	r.App = rd.String()
-	r.Name = rd.String()
-	r.Version = rd.Varint()
-	b, err := domain.DecodeBBox(rd)
-	if err != nil {
-		return Record{}, err
-	}
-	r.BBox = b
-	r.Bytes = rd.Varint()
-	return r, rd.Err()
 }
 
 // Apply replays one mutation record onto l. Records must be applied in
