@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race short bench bench-smoke bench-e2e-test bench-json nemesis soak-smoke no-gob-on-wire loc
+.PHONY: check vet build test race short bench bench-smoke bench-e2e-test bench-pairs bench-json nemesis soak-smoke no-gob-on-wire loc
 
 check: vet no-gob-on-wire test race
 
@@ -64,16 +64,27 @@ bench:
 
 # One-iteration compile-and-run pass over the data-plane benchmarks
 # (including the codec's reflection plan, the admission fast path, the
-# wlog event/delta paths, and the PFS/cold-tier record paths); catches
-# bit-rot without the cost of real measurement.
+# wlog event/delta paths, the PFS/cold-tier record paths, and the logged
+# put/get through a replicating group, in-process and over TCP by piece
+# size); catches bit-rot without the cost of real measurement.
 bench-smoke:
-	$(GO) test -bench . -benchtime=1x -run=^$$ ./internal/codec ./internal/transport ./internal/ec ./internal/qos ./internal/wlog ./internal/pfs ./internal/tier
+	$(GO) test -bench . -benchtime=1x -run=^$$ ./internal/codec ./internal/transport ./internal/staging ./internal/ec ./internal/qos ./internal/wlog ./internal/pfs ./internal/tier
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), so
 # the root `go test ./...` never reaches it: its unit tests and the
 # smoke run of all four workloads, traced and not (~7 s).
 bench-e2e-test:
 	cd bench && $(GO) test ./...
+
+# The standing rule for a PR that touches a hot path, in one command:
+# ten alternated parent/change pairs of `bench/run.sh -all` (the change
+# is the working tree) and the benchmark's own -check over the two
+# result files, left in .bench_build/{parent,change}.json. About 55
+# minutes at the benchmark's 20 s runs.
+PAIRS ?= 10
+bench-pairs:
+	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<rev> [PAIRS=10] [BENCH_ARGS="-seconds 10"]'; exit 2; }
+	PAIRS=$(PAIRS) bash scripts/bench-pairs.sh $(PARENT) $(BENCH_ARGS)
 
 # Full data-plane measurement: the multiplexed transport (the
 # "serialized" seed-transport rows already in BENCH_transport.json are

@@ -173,7 +173,7 @@ func run(servers, domainStr string, elem, bits int, app string, opts gospaces.Di
 		fmt.Printf("suppressed puts:  %d\n", st.SuppressedPuts)
 		fmt.Printf("replay gets:      %d\n", st.ReplayGets)
 		fmt.Printf("gc freed bytes:   %d\n", st.GCFreedBytes)
-		fmt.Printf("repl seq:         %d\n", st.ReplSeq)
+		fmt.Printf("repl seq:         %d (in %d batches)\n", st.ReplSeq, st.ReplBatches)
 		fmt.Printf("replica slots:    %d\n", st.ReplicaSlots)
 		fmt.Printf("replica bytes:    %d\n", st.ReplicaBytes)
 		fmt.Printf("replica records:  %d\n", st.ReplicaRecords)

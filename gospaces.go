@@ -656,8 +656,8 @@ type QoSView struct {
 	// QueueForeground and QueueRecovery are the current lane queue
 	// depths.
 	QueueForeground, QueueRecovery int64
-	// ReplLag is the event-log replication backlog (records shipped
-	// behind the log sequence).
+	// ReplLag is the event-log replication backlog (records a handler
+	// waits for that are not yet shipped).
 	ReplLag int64
 	// Err describes the probe failure when Alive is false.
 	Err string

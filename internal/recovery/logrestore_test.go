@@ -73,7 +73,13 @@ type harness struct {
 
 func startHarness(t *testing.T, cfg staging.Config) *harness {
 	t.Helper()
-	tr := transport.NewInProc()
+	return startHarnessOn(t, transport.NewInProc(), cfg)
+}
+
+// startHarnessOn is startHarness over a given transport: servers,
+// supervisor and clients all dial through it.
+func startHarnessOn(t *testing.T, tr transport.Transport, cfg staging.Config) *harness {
+	t.Helper()
 	g, err := staging.StartGroup(tr, "stage", cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -234,6 +234,12 @@ type Client struct {
 	// CumulativeWriteTime accumulates client-observed put response
 	// time, the Figure 9(a)/(b) metric.
 	cumWrite time.Duration
+	// held are the pieces of the put in progress that its current server
+	// acked Deferred since its last flushed ack (heldBytes their payload):
+	// applied there, on no replica yet. regions is put's scratch.
+	held      []PutReq
+	heldBytes int
+	regions   []domain.BBox
 }
 
 // NewClient connects rank identity app (e.g. "sim/12") to the group.
@@ -309,6 +315,7 @@ func (c *Client) call(s int, req any) (any, error) {
 	if !stale && !transport.Retryable(err) {
 		return raw, err
 	}
+	addr := c.addrs[s]
 	if rerr := c.rebind(); rerr != nil {
 		if stale {
 			return nil, rerr
@@ -317,8 +324,23 @@ func (c *Client) call(s int, req any) (any, error) {
 		// error says more than the failed rebind.
 		return raw, err
 	}
+	if c.addrs[s] != addr {
+		// The slot moved to a promoted spare: the server that acked the
+		// held pieces died, perhaps with their records unshipped. Re-send
+		// them first, in order and flushed; the wlog's same-version-tail
+		// dedup makes each a no-op or the missing append (DESIGN.md §6).
+		for _, h := range c.held {
+			h.Defer = false
+			if _, err := c.conns[s].Call(EpochReq{Epoch: c.pool.Epoch(), Req: h}); err != nil {
+				return nil, err
+			}
+		}
+		c.dropHeld()
+	}
 	return c.conns[s].Call(EpochReq{Epoch: c.pool.Epoch(), Req: req})
 }
+
+func (c *Client) dropHeld() { c.held, c.heldBytes = c.held[:0], 0 }
 
 // rebind refreshes the membership view from any reachable server and
 // re-dials the connections whose slot address changed.
@@ -361,6 +383,18 @@ func (c *Client) rebind() error {
 // time so far.
 func (c *Client) CumulativeWriteTime() time.Duration { return c.cumWrite }
 
+// replDeferBytes is the group-commit budget of log replication: within
+// one server's run of a logged rank put a piece is sent Defer — acked
+// without a replica round trip of its own — while the payload so acked
+// since the run's last flush stays within it; the piece that would cross
+// it, and always the run's last, flushes for them all. Measured on 2
+// vCPUs (put_overhead_ratio): 2 KiB pieces 1.85–1.88 → 1.32–1.34, 16 KiB
+// 1.69 → 1.58. A 128 KiB piece is over the budget alone and keeps its
+// round trip: acking those early and shipping each at once cost 1.63–1.70
+// → 1.85–1.95, holding eight for one 1 MiB batch 1.92–1.95 — at that
+// size the cost is the bytes walked, not the waiting.
+const replDeferBytes = 64 << 10
+
 // put is the shared implementation of Put and PutWithLog.
 func (c *Client) put(name string, version int64, bbox domain.BBox, data []byte, logged bool) error {
 	if want := domain.BufLen(bbox, c.pool.cfg.ElemSize); len(data) != want {
@@ -369,21 +403,31 @@ func (c *Client) put(name string, version int64, bbox domain.BBox, data []byte, 
 	start := time.Now()
 	defer func() { c.cumWrite += time.Since(start) }()
 	for _, s := range c.pool.index.ServersFor(bbox) {
+		c.regions = c.regions[:0]
 		for _, cell := range c.pool.serverCells(s) {
-			region, ok := cell.Intersect(bbox)
-			if !ok {
-				continue
+			if region, ok := cell.Intersect(bbox); ok {
+				c.regions = append(c.regions, region)
 			}
-			piece := Piece{
-				BBox: region,
-				Data: domain.Extract(data, bbox, region, c.pool.cfg.ElemSize),
-			}
+		}
+		for i, region := range c.regions {
 			req := PutReq{
 				App: c.app, Name: name, Version: version,
-				ElemSize: c.pool.cfg.ElemSize, Piece: piece, Logged: logged,
+				ElemSize: c.pool.cfg.ElemSize, Logged: logged,
+				Piece: Piece{BBox: region, Data: domain.Extract(data, bbox, region, c.pool.cfg.ElemSize)},
 			}
-			if _, err := c.call(s, req); err != nil {
+			n := len(req.Piece.Data)
+			req.Defer = logged && i < len(c.regions)-1 && c.heldBytes+n <= replDeferBytes
+			raw, err := c.call(s, req)
+			if err != nil {
+				// The held pieces are abandoned with the put: unacknowledged
+				// by definition, they ride the stream's next flush.
+				c.dropHeld()
 				return wrapCall(err, "put %q v%d to server %d", name, version, s)
+			}
+			if resp, _ := raw.(PutResp); resp.Deferred {
+				c.held, c.heldBytes = append(c.held, req), c.heldBytes+n
+			} else {
+				c.dropHeld()
 			}
 		}
 	}
@@ -577,6 +621,7 @@ func (c *Client) Stats() (StatsResp, error) {
 		agg.RebuiltShards += st.RebuiltShards
 		agg.RebuiltBytes += st.RebuiltBytes
 		agg.ReplSeq += st.ReplSeq
+		agg.ReplBatches += st.ReplBatches
 		agg.ReplicaSlots += st.ReplicaSlots
 		agg.ReplicaBytes += st.ReplicaBytes
 		agg.ReplicaRecords += st.ReplicaRecords

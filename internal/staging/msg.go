@@ -30,6 +30,9 @@ type PutReq struct {
 	Version  int64
 	ElemSize int
 	Logged   bool // true: crash-consistent path with event logging
+	// Defer asks for the ack without flushing the piece's record to the
+	// replicas: a later piece of the same put flushes for both (Client.put).
+	Defer bool
 	// Piece is last so its payload is the message's bulk tail: the
 	// transport writes it as its own iovec (codec.AppendVec).
 	Piece Piece
@@ -40,6 +43,9 @@ type PutResp struct {
 	// Suppressed is true when the write was a replayed duplicate and
 	// the payload was already staged (paper Fig. 2, case 2).
 	Suppressed bool
+	// Deferred is true when the server honoured PutReq.Defer: the piece
+	// is applied and logged, on no replica until the stream's next flush.
+	Deferred bool
 }
 
 // GetReq reads the fragments of an object version intersecting a bbox.
@@ -463,9 +469,10 @@ type StatsResp struct {
 	RebuiltBytes  int64
 	Epoch         uint64
 	// Log-replication accounting: the origin-side stream position
-	// (records emitted for this server's own slot), and the replica
-	// state hosted for peer slots.
+	// (records emitted for this server's own slot) and the batches they
+	// shipped in, and the replica state hosted for peer slots.
 	ReplSeq        int64
+	ReplBatches    int64
 	ReplicaSlots   int
 	ReplicaBytes   int64
 	ReplicaRecords int64

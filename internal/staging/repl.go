@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"gospaces/internal/locks"
+	"gospaces/internal/metrics"
 	"gospaces/internal/store"
 	"gospaces/internal/transport"
 	"gospaces/internal/wlog"
@@ -166,26 +167,40 @@ type peerConn struct {
 }
 
 // replWindowBytes is the default retained-window size for delta
-// re-sync (see replicator.window).
+// re-sync (see replicator.window), and the bound on the bytes the
+// queue may hold unshipped before a put's Defer is ignored.
 const replWindowBytes = 4 << 20
+
+// replCounters are the replicator's repl_* counters, resolved once in
+// newReplicator so the ship path pays no registry lookup.
+type replCounters struct {
+	recordsShipped, batchesShipped, peerErrors, anchorCompactions *metrics.Counter
+	deltaResyncs, deltaBytes, snapshotsSent, snapshotBytes        *metrics.Counter
+	deferredAcks, forcedFlushes                                   *metrics.Counter
+}
 
 // replicator is the origin side of log replication for one server: a
 // sequenced queue of ReplRecords plus a background sender that ships
 // them, in order, to the K membership successors of the server's slot.
-// Handlers block in flush until their records are shipped (or the
-// peer failure is recorded), so an acknowledged operation is on every
-// reachable replica — the synchronous semantics a recovery metadata
-// store needs.
+// The sender holds the queue until a handler asks in flush, then ships
+// all of it as one batch; handlers block in flush until their records
+// are shipped (or the peer failure is recorded), so an acknowledged
+// client operation is on every reachable replica — the synchronous
+// semantics a recovery metadata store needs. Only a piece of a rank put
+// that a later piece flushes for is acked without (PutReq.Defer).
 type replicator struct {
 	srv *Server
 	tr  transport.Transport
 	k   int
+	ctr replCounters
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	seq     int64 // last sequence number assigned
 	shipped int64 // last sequence number the sender has dealt with
+	want    int64 // highest sequence number a flusher has asked for
 	queue   []ReplRecord
+	held    int64 // recBytes of queue
 	mirror  *lockMirror
 	closed  bool
 
@@ -238,6 +253,18 @@ func newReplicator(srv *Server, tr transport.Transport, k int) *replicator {
 		mirror:    newLockMirror(),
 		peers:     make(map[string]*peerConn),
 		maxWindow: replWindowBytes,
+		ctr: replCounters{
+			recordsShipped:    srv.reg.Counter("repl_records_shipped"),
+			batchesShipped:    srv.reg.Counter("repl_batches_shipped"),
+			peerErrors:        srv.reg.Counter("repl_peer_errors"),
+			anchorCompactions: srv.reg.Counter("repl_anchor_compactions"),
+			deltaResyncs:      srv.reg.Counter("repl_delta_resyncs"),
+			deltaBytes:        srv.reg.Counter("repl_delta_bytes"),
+			snapshotsSent:     srv.reg.Counter("repl_snapshots_sent"),
+			snapshotBytes:     srv.reg.Counter("repl_snapshot_bytes"),
+			deferredAcks:      srv.reg.Counter("repl_deferred_acks"),
+			forcedFlushes:     srv.reg.Counter("repl_forced_flushes"),
+		},
 	}
 	r.cond = sync.NewCond(&r.mu)
 	go r.sender()
@@ -280,7 +307,7 @@ func (r *replicator) compactLocked() {
 		r.windowBytes = 0
 	}
 	if compacted {
-		r.srv.reg.Counter("repl_anchor_compactions").Inc()
+		r.ctr.anchorCompactions.Inc()
 	}
 }
 
@@ -302,7 +329,8 @@ func (r *replicator) windowSince(peerSeq int64) ([]ReplRecord, bool) {
 
 // enqueue assigns the next sequence number to rec and queues it for
 // shipment, folding lock records into the origin mirror atomically
-// with sequence assignment.
+// with sequence assignment. The sender is not woken: the record is
+// held until a flush asks for it or a later one.
 func (r *replicator) enqueue(rec ReplRecord) int64 {
 	r.mu.Lock()
 	r.seq++
@@ -311,18 +339,37 @@ func (r *replicator) enqueue(rec ReplRecord) int64 {
 		r.mirror.apply(rec.Lock)
 	}
 	r.queue = append(r.queue, rec)
+	r.held += recBytes(rec)
 	r.mu.Unlock()
-	r.cond.Broadcast()
 	return rec.Seq
 }
 
-// flush blocks until the sender has dealt with every record up to seq.
+// flush asks the sender for every record up to seq and blocks until it
+// has dealt with them.
 func (r *replicator) flush(seq int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if seq > r.want {
+		r.want = seq
+		r.cond.Broadcast()
+	}
 	for r.shipped < seq && !r.closed {
 		r.cond.Wait()
 	}
+}
+
+// hold reports whether a piece that asked to be deferred may be acked
+// with its record unshipped: only while the held bytes are within the
+// window bound, however many clients are mid-put.
+func (r *replicator) hold() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.held > replWindowBytes {
+		r.ctr.forcedFlushes.Inc()
+		return false
+	}
+	r.ctr.deferredAcks.Inc()
+	return true
 }
 
 // setState is called when a WlogInstall restores this server's state
@@ -332,7 +379,9 @@ func (r *replicator) setState(seq int64, locks LockMirrorState) {
 	defer r.mu.Unlock()
 	r.seq = seq
 	r.shipped = seq
+	r.want = seq
 	r.queue = nil
+	r.held = 0
 	r.window = nil
 	r.windowBytes = 0
 	r.anchorSeq = seq
@@ -346,13 +395,14 @@ func (r *replicator) position() int64 {
 	return r.seq
 }
 
-// lag returns the replication backlog: records emitted but not yet
-// dealt with by the sender — one of the admission controller's
-// retry-after pressure signals.
+// lag returns the replication backlog: records a flusher is waiting
+// for that the sender has not yet dealt with — one of the admission
+// controller's retry-after pressure signals. Records held for a put in
+// progress are not backlog: nobody waits for them yet.
 func (r *replicator) lag() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.seq - r.shipped
+	return max(r.want-r.shipped, 0)
 }
 
 // close stops the sender goroutine and unblocks flushers.
@@ -366,15 +416,16 @@ func (r *replicator) close() {
 func (r *replicator) sender() {
 	for {
 		r.mu.Lock()
-		for len(r.queue) == 0 && !r.closed {
+		for (r.want <= r.shipped || len(r.queue) == 0) && !r.closed {
 			r.cond.Wait()
 		}
 		if r.closed {
 			r.mu.Unlock()
 			return
 		}
+		// Everything held goes along: one ReplApplyReq per peer.
 		batch := r.queue
-		r.queue = nil
+		r.queue, r.held = nil, 0
 		// Retain before shipping so a re-sync triggered by this very
 		// batch can serve it from the window.
 		r.retain(batch)
@@ -405,7 +456,7 @@ func (r *replicator) ship(batch []ReplRecord) {
 	for _, addr := range targets {
 		p, err := r.peer(addr)
 		if err != nil {
-			r.srv.reg.Counter("repl_peer_errors").Inc()
+			r.ctr.peerErrors.Inc()
 			continue
 		}
 		if p.needSnap {
@@ -421,20 +472,21 @@ func (r *replicator) ship(batch []ReplRecord) {
 		raw, err := p.conn.Call(req)
 		if err != nil {
 			r.dropPeer(addr)
-			r.srv.reg.Counter("repl_peer_errors").Inc()
+			r.ctr.peerErrors.Inc()
 			continue
 		}
 		resp, ok := raw.(ReplApplyResp)
 		if !ok {
 			r.dropPeer(addr)
-			r.srv.reg.Counter("repl_peer_errors").Inc()
+			r.ctr.peerErrors.Inc()
 			continue
 		}
 		if resp.NeedSnapshot {
 			r.resync(p, addr, epoch, slot, resp.Seq)
 		}
 	}
-	r.srv.reg.Counter("repl_records_shipped").Add(int64(len(batch)))
+	r.ctr.recordsShipped.Add(int64(len(batch)))
+	r.ctr.batchesShipped.Inc()
 }
 
 // resync heals one peer. peerSeq is the peer's reported stream
@@ -449,13 +501,13 @@ func (r *replicator) resync(p *peerConn, addr string, epoch uint64, slot int, pe
 		raw, err := p.conn.Call(ReplApplyReq{Epoch: epoch, Slot: slot})
 		if err != nil {
 			r.dropPeer(addr)
-			r.srv.reg.Counter("repl_peer_errors").Inc()
+			r.ctr.peerErrors.Inc()
 			return false
 		}
 		resp, ok := raw.(ReplApplyResp)
 		if !ok {
 			r.dropPeer(addr)
-			r.srv.reg.Counter("repl_peer_errors").Inc()
+			r.ctr.peerErrors.Inc()
 			return false
 		}
 		peerSeq = resp.Seq
@@ -482,7 +534,7 @@ func (r *replicator) sendDelta(p *peerConn, addr string, epoch uint64, slot int,
 	raw, err := p.conn.Call(ReplApplyReq{Epoch: epoch, Slot: slot, Records: delta})
 	if err != nil {
 		r.dropPeer(addr)
-		r.srv.reg.Counter("repl_peer_errors").Inc()
+		r.ctr.peerErrors.Inc()
 		return false, true
 	}
 	resp, ok := raw.(ReplApplyResp)
@@ -493,25 +545,25 @@ func (r *replicator) sendDelta(p *peerConn, addr string, epoch uint64, slot int,
 	for _, rec := range delta {
 		bytes += recBytes(rec)
 	}
-	r.srv.reg.Counter("repl_delta_resyncs").Inc()
-	r.srv.reg.Counter("repl_delta_bytes").Add(bytes)
+	r.ctr.deltaResyncs.Inc()
+	r.ctr.deltaBytes.Add(bytes)
 	return true, false
 }
 
 func (r *replicator) sendSnapshot(p *peerConn, epoch uint64, slot int) bool {
 	state, err := r.srv.buildReplState()
 	if err != nil {
-		r.srv.reg.Counter("repl_peer_errors").Inc()
+		r.ctr.peerErrors.Inc()
 		return false
 	}
 	if _, err := p.conn.Call(ReplSnapshotReq{Epoch: epoch, Slot: slot, State: state}); err != nil {
 		p.needSnap = true
-		r.srv.reg.Counter("repl_peer_errors").Inc()
+		r.ctr.peerErrors.Inc()
 		return false
 	}
 	p.needSnap = false
-	r.srv.reg.Counter("repl_snapshots_sent").Inc()
-	r.srv.reg.Counter("repl_snapshot_bytes").Add(stateBytes(state))
+	r.ctr.snapshotsSent.Inc()
+	r.ctr.snapshotBytes.Add(stateBytes(state))
 	return true
 }
 

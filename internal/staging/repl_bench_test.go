@@ -16,13 +16,18 @@ import (
 
 func benchGroup(b *testing.B, k int) (*Group, *Client, *Client, domain.BBox) {
 	b.Helper()
-	g, err := StartGroup(transport.NewInProc(), "stage", Config{
+	return benchGroupOn(b, transport.NewInProc(), "stage", Config{
 		Global:       domain.Box3(0, 0, 0, 31, 31, 15),
 		NServers:     3,
 		Bits:         2,
 		ElemSize:     8,
 		WlogReplicas: k,
 	})
+}
+
+func benchGroupOn(b *testing.B, tr transport.Transport, prefix string, cfg Config) (*Group, *Client, *Client, domain.BBox) {
+	b.Helper()
+	g, err := StartGroup(tr, prefix, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,15 +49,37 @@ func BenchmarkLoggedPut(b *testing.B) {
 	for _, k := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			_, prod, _, global := benchGroup(b, k)
-			data := fill(domain.BufLen(global, 8), 1)
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := prod.PutWithLog("field", int64(i+1), global, data); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchLoggedPut(b, prod, global)
 		})
+	}
+	// K=1 over loopback TCP, where a replica round trip costs what it
+	// costs in production, by piece size: 2 KiB pieces share one round
+	// trip per server, 16 KiB ones one per 64 KiB, 128 KiB ones none.
+	for _, tc := range []struct {
+		piece  string
+		global domain.BBox
+	}{
+		{"2KiB", domain.Box3(0, 0, 0, 31, 31, 15)},
+		{"16KiB", domain.Box3(0, 0, 0, 63, 63, 31)},
+		{"128KiB", domain.Box3(0, 0, 0, 127, 127, 63)},
+	} {
+		b.Run("tcp/piece="+tc.piece, func(b *testing.B) {
+			_, prod, _, global := benchGroupOn(b, transport.NewTCP(), "127.0.0.1:0", Config{
+				Global: tc.global, NServers: 4, Bits: 2, ElemSize: 8, WlogReplicas: 1,
+			})
+			benchLoggedPut(b, prod, global)
+		})
+	}
+}
+
+func benchLoggedPut(b *testing.B, prod *Client, global domain.BBox) {
+	data := fill(domain.BufLen(global, 8), 1)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := prod.PutWithLog("field", int64(i+1), global, data); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

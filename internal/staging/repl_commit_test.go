@@ -1,0 +1,457 @@
+package staging
+
+import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gospaces/internal/domain"
+	"gospaces/internal/qos"
+	"gospaces/internal/transport"
+)
+
+// The tests in this file pin the group commit of log replication: which
+// acks wait for the replica stream, what the lag signal counts, and the
+// exact number of replica round trips each client operation costs.
+
+// tapTransport decorates a Transport: before runs ahead of every
+// forwarded call and may block to park it or act at an exact point of
+// the message sequence; after sees the outcome. Both get the request
+// out of its envelopes. Set them before the group starts.
+type tapTransport struct {
+	transport.Transport
+	before func(addr string, req any)
+	after  func(addr string, req, resp any)
+}
+
+type tapClient struct {
+	transport.Client
+	t    *tapTransport
+	addr string
+}
+
+func (t *tapTransport) Dial(addr string) (transport.Client, error) {
+	c, err := t.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &tapClient{Client: c, t: t, addr: addr}, nil
+}
+
+func (c *tapClient) Call(req any) (any, error) {
+	inner := req
+	for {
+		if e, ok := inner.(EpochReq); ok {
+			inner = e.Req
+		} else if f, ok := inner.(FencedReq); ok {
+			inner = f.Req
+		} else {
+			break
+		}
+	}
+	if c.t.before != nil {
+		c.t.before(c.addr, inner)
+	}
+	resp, err := c.Client.Call(req)
+	if c.t.after != nil && err == nil {
+		c.t.after(c.addr, inner, resp)
+	}
+	return resp, err
+}
+
+// waitFor polls cond: the tests below wait on server-side events that
+// have no channel to block on.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// stalledGroup is a 2-server K=1 in-process group whose replica stream
+// is parked until release is called.
+func stalledGroup(t *testing.T, q *qos.Config) (g *Group, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	tr := &tapTransport{Transport: transport.NewInProc(), before: func(_ string, req any) {
+		if _, ok := req.(ReplApplyReq); ok {
+			<-gate
+		}
+	}}
+	g, err := StartGroup(tr, "stage", Config{
+		Global: domain.Box3(0, 0, 0, 63, 63, 31), NServers: 2, Bits: 2, ElemSize: 8, WlogReplicas: 1, QoS: q,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { release(); g.Close() })
+	return g, release
+}
+
+// TestRetriedPutAckWaitsForStream: a retried logged piece hits the
+// wlog's same-version-tail dedup and emits no record of its own, yet
+// its ack must wait for the first attempt's record like the first
+// attempt does — or a response-lost retry is acknowledged unshipped.
+func TestRetriedPutAckWaitsForStream(t *testing.T) {
+	g, release := stalledGroup(t, nil)
+	srv := g.Server(0)
+	req := qosPut("field", 1, domain.Box3(0, 0, 0, 3, 3, 3), true, 1)
+	var released atomic.Bool
+	acked := make(chan struct{})
+	send := func(who string) {
+		go func() {
+			defer func() { acked <- struct{}{} }()
+			if _, err := srv.Handle(req); err != nil {
+				t.Errorf("%s: %v", who, err)
+			}
+			if !released.Load() {
+				t.Errorf("%s acknowledged while the stream was stalled and its record unshipped", who)
+			}
+		}()
+	}
+	send("first attempt")
+	waitFor(t, "the first attempt to ask for its record", func() bool { return srv.repl.lag() == 1 })
+	send("retry")
+	waitFor(t, "the retry to hit the dedup", func() bool { return srv.reg.Counter("suppressed_puts").Value() == 1 })
+	for i := 0; i < 1000; i++ {
+		runtime.Gosched() // room for an ack that does not wait
+	}
+	released.Store(true)
+	release()
+	<-acked
+	<-acked
+}
+
+// TestReplLagIgnoresHeldRecords: records held for a put in progress are
+// not replication backlog — nobody is waiting for them — so they must
+// not raise the admission controller's retry-after pressure. Lag counts
+// what a flusher waits for.
+func TestReplLagIgnoresHeldRecords(t *testing.T) {
+	g, release := stalledGroup(t, &qos.Config{})
+	srv := g.Server(0)
+	lags := func() [2]int64 {
+		return [2]int64{srv.qosSignals().ReplLag, srv.qosStats().ReplLag}
+	}
+	for i := int64(0); i < 3; i++ {
+		req := qosPut("field", 1, domain.Box3(4*i, 0, 0, 4*i+3, 3, 3), true, i)
+		req.Defer = true
+		raw, err := srv.Handle(req)
+		if err != nil || !raw.(PutResp).Deferred {
+			t.Fatalf("deferred piece %d = %+v, %v", i, raw, err)
+		}
+	}
+	if got := lags(); srv.repl.position() != 3 || got != [2]int64{} {
+		t.Fatalf("3 held records: position %d, lag %v, want 3 and no lag", srv.repl.position(), got)
+	}
+	done := make(chan error)
+	go func() {
+		_, err := srv.Handle(qosPut("field", 1, domain.Box3(12, 0, 0, 15, 3, 3), true, 3))
+		done <- err
+	}()
+	waitFor(t, "the flushing piece to raise the lag", func() bool { return lags() == [2]int64{4, 4} })
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := lags(); got != [2]int64{} {
+		t.Fatalf("lag %v after the flush returned", got)
+	}
+	if d, b := srv.repl.ctr.deferredAcks.Value(), srv.repl.ctr.batchesShipped.Value(); d != 3 || b != 1 {
+		t.Fatalf("repl_deferred_acks %d, repl_batches_shipped %d, want 3 and 1", d, b)
+	}
+}
+
+// TestDeferIgnoredAtWindowBound: held bytes are bounded by
+// replWindowBytes however many clients are mid-put — the piece that
+// finds the queue past the bound flushes although it asked not to.
+func TestDeferIgnoredAtWindowBound(t *testing.T) {
+	g, release := stalledGroup(t, nil)
+	release()
+	srv := g.Server(0)
+	box := domain.Box3(0, 0, 0, 31, 31, 30) // 248 KiB: 16 fit in the window, 17 do not
+	n := int64(replWindowBytes / domain.BufLen(box, 8))
+	for i := int64(0); i <= n; i++ {
+		req := qosPut("field", i, box, true, 1)
+		req.Defer = true
+		raw, err := srv.Handle(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := raw.(PutResp).Deferred; got != (i < n) {
+			t.Fatalf("piece %d of %d: Deferred = %v", i, n, got)
+		}
+		srv.repl.mu.Lock()
+		held := srv.repl.held
+		srv.repl.mu.Unlock()
+		if held > replWindowBytes {
+			t.Fatalf("%d bytes held unshipped after piece %d, bound %d", held, i, replWindowBytes)
+		}
+	}
+	if f, lag := srv.repl.ctr.forcedFlushes.Value(), srv.repl.lag(); f != 1 || lag != 0 {
+		t.Fatalf("repl_forced_flushes %d, lag %d, want 1 and 0", f, lag)
+	}
+}
+
+// wireEvent is one request the counting tap saw, in order.
+type wireEvent struct {
+	kind     string // PutReq, GetReq, CheckpointReq, ReplApplyReq
+	slot     int    // destination slot, or the origin slot of a ReplApplyReq
+	records  int    // ReplApplyReq only
+	deferred bool   // PutReq.Defer
+}
+
+// countGroup is a K=1 group over loopback TCP behind a counting tap.
+type countGroup struct {
+	*Group
+	mu     sync.Mutex
+	events []wireEvent
+	slotOf map[string]int
+	// onPut runs before the n-th PutReq since the last reset is forwarded.
+	onPut func(n int)
+	puts  int
+}
+
+func startCountGroup(t *testing.T, global domain.BBox, nservers int) *countGroup {
+	t.Helper()
+	cg := &countGroup{slotOf: map[string]int{}}
+	tr := &tapTransport{Transport: transport.NewTCP()}
+	tr.before = func(addr string, req any) {
+		cg.mu.Lock()
+		ev := wireEvent{slot: cg.slotOf[addr]}
+		var hook func(int)
+		switch r := req.(type) {
+		case PutReq:
+			ev.kind, ev.deferred = "PutReq", r.Defer
+			cg.puts++
+			hook = cg.onPut
+		case GetReq:
+			ev.kind = "GetReq"
+		case CheckpointReq:
+			ev.kind = "CheckpointReq"
+		case ReplApplyReq:
+			ev.kind, ev.slot, ev.records = "ReplApplyReq", r.Slot, len(r.Records)
+		default:
+			cg.mu.Unlock()
+			return
+		}
+		cg.events = append(cg.events, ev)
+		n := cg.puts
+		cg.mu.Unlock()
+		if hook != nil {
+			hook(n)
+		}
+	}
+	tr.after = func(_ string, req, resp any) {
+		if r, ok := resp.(ReplApplyResp); ok && r.NeedSnapshot {
+			t.Errorf("replica answered %T with NeedSnapshot: the stream has a gap", req)
+		}
+	}
+	g, err := StartGroup(tr, "127.0.0.1:0", Config{Global: global, NServers: nservers, Bits: 2, ElemSize: 8, WlogReplicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	cg.mu.Lock()
+	defer cg.mu.Unlock()
+	cg.Group = g
+	for i, a := range g.Addrs() {
+		cg.slotOf[a] = i
+	}
+	return cg
+}
+
+func (cg *countGroup) client(t *testing.T, app string) *Client {
+	t.Helper()
+	c, err := cg.NewClient(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// take returns the events since the last take, and resets the tap.
+func (cg *countGroup) take() []wireEvent {
+	cg.mu.Lock()
+	defer cg.mu.Unlock()
+	out := cg.events
+	cg.events, cg.puts = nil, 0
+	return out
+}
+
+// batches returns, per origin slot, the record counts of the
+// ReplApplyReq batches in evs, in order.
+func batches(evs []wireEvent, nservers int) [][]int {
+	out := make([][]int, nservers)
+	for _, e := range evs {
+		if e.kind == "ReplApplyReq" {
+			out[e.slot] = append(out[e.slot], e.records)
+		}
+	}
+	return out
+}
+
+func count(evs []wireEvent, kind string) int {
+	n := 0
+	for _, e := range evs {
+		if e.kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// mirrored checks every origin's replica holds exactly the origin's
+// stream: same position, same log, byte for byte.
+func (cg *countGroup) mirrored(t *testing.T, nservers int) {
+	t.Helper()
+	for id := 0; id < nservers; id++ {
+		own, err := cg.Server(id).buildReplState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := fetchReplica(t, cg.Server((id+1)%nservers), id)
+		if rep.Seq != own.Seq || !bytes.Equal(rep.Wlog, own.Wlog) || len(rep.Objects) != len(own.Objects) {
+			t.Fatalf("server %d: replica at seq %d with %d objects, origin at %d with %d (or logs differ)",
+				id, rep.Seq, len(rep.Objects), own.Seq, len(own.Objects))
+		}
+	}
+}
+
+// TestReplicaRPCCounts: the number of ReplApplyReq a client operation
+// costs repeats exactly, so it is asserted exactly. One rank put over
+// the whole domain per geometry, after a warm-up put that takes the
+// peers' first-contact re-sync out of the count.
+func TestReplicaRPCCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		global    domain.BBox
+		nservers  int
+		perServer int   // pieces of a whole-domain put on each server
+		want      []int // records per ReplApplyReq, per server
+	}{
+		// Everything but the run's last piece is deferred.
+		{"8x2KiB", domain.Box3(0, 0, 0, 31, 31, 15), 8, 8, []int{8}},
+		// The piece that would take the held payload past 64 KiB
+		// flushes: pieces 5, 10, 15, and the last.
+		{"16x16KiB", domain.Box3(0, 0, 0, 63, 63, 31), 4, 16, []int{5, 5, 5, 1}},
+		// A 128 KiB piece is over the budget alone: nothing defers.
+		{"8x128KiB", domain.Box3(0, 0, 0, 127, 127, 63), 8, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cg := startCountGroup(t, tc.global, tc.nservers)
+			prod, cons := cg.client(t, "sim/0"), cg.client(t, "ana/0")
+			data := fill(domain.BufLen(tc.global, 8), 1)
+			if err := prod.PutWithLog("field", 1, tc.global, data); err != nil {
+				t.Fatal(err)
+			}
+			cg.take()
+
+			if err := prod.PutWithLog("field", 2, tc.global, data); err != nil {
+				t.Fatal(err)
+			}
+			evs := cg.take()
+			if got := count(evs, "PutReq"); got != tc.nservers*tc.perServer {
+				t.Fatalf("logged put: %d PutReq, want %d x %d", got, tc.nservers, tc.perServer)
+			}
+			for s, got := range batches(evs, tc.nservers) {
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("logged put, server %d: ReplApplyReq batches %v, want %v", s, got, tc.want)
+				}
+			}
+			if len(tc.want) == tc.perServer {
+				// Nothing deferred: the message sequence is the one of
+				// per-piece replication — each piece, then its record.
+				for i, e := range evs {
+					if want := [...]string{"PutReq", "ReplApplyReq"}[i%2]; e.kind != want || e.deferred {
+						t.Fatalf("event %d = %+v, want an undeferred %s", i, e, want)
+					}
+				}
+			}
+			cg.mirrored(t, tc.nservers)
+
+			if err := prod.Put("plain", 1, tc.global, data); err != nil {
+				t.Fatal(err)
+			}
+			evs = cg.take()
+			for _, e := range evs {
+				if e.kind != "PutReq" || e.deferred {
+					t.Fatalf("unlogged put issued %+v", e)
+				}
+			}
+			if len(evs) != tc.nservers*tc.perServer {
+				t.Fatalf("unlogged put: %d PutReq, want %d", len(evs), tc.nservers*tc.perServer)
+			}
+
+			if _, _, err := cons.GetWithLog("field", 2, tc.global); err != nil {
+				t.Fatal(err)
+			}
+			evs = cg.take()
+			if g, r := count(evs, "GetReq"), count(evs, "ReplApplyReq"); g != tc.nservers || r != tc.nservers {
+				t.Fatalf("logged get: %d GetReq, %d ReplApplyReq, want %d of each", g, r, tc.nservers)
+			}
+			if _, err := cons.WorkflowCheck(); err != nil {
+				t.Fatal(err)
+			}
+			evs = cg.take()
+			if c, r := count(evs, "CheckpointReq"), count(evs, "ReplApplyReq"); c != tc.nservers || r != tc.nservers {
+				t.Fatalf("workflow_check: %d CheckpointReq, %d ReplApplyReq, want %d of each", c, r, tc.nservers)
+			}
+			for s, got := range batches(evs, tc.nservers) {
+				if !reflect.DeepEqual(got, []int{1}) {
+					t.Errorf("workflow_check, server %d: batches %v, want one record", s, got)
+				}
+			}
+		})
+	}
+}
+
+// TestInterleavedFlushShipsHeldRecords: any client's flush ships
+// everything the stream holds, in stream order — a consumer's logged get
+// arriving between two deferred pieces of a producer's put carries the
+// producer's held records to the replica ahead of its own.
+func TestInterleavedFlushShipsHeldRecords(t *testing.T) {
+	global := domain.Box3(0, 0, 0, 31, 31, 15)
+	const nservers, perServer = 8, 8
+	cg := startCountGroup(t, global, nservers)
+	prod, cons := cg.client(t, "sim/0"), cg.client(t, "ana/0")
+	data := fill(domain.BufLen(global, 8), 1)
+	if err := prod.PutWithLog("field", 1, global, data); err != nil {
+		t.Fatal(err)
+	}
+	cg.take()
+	first := prod.pool.index.ServersFor(global)[0]
+	cg.mu.Lock()
+	cg.onPut = func(n int) {
+		if n != 4 {
+			return
+		}
+		// Three pieces of v2 are held on the first server of the run.
+		got, _, err := cons.GetWithLog("field", 1, global)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("interleaved get: %v", err)
+		}
+	}
+	cg.mu.Unlock()
+	if err := prod.PutWithLog("field", 2, global, data); err != nil {
+		t.Fatal(err)
+	}
+	got := batches(cg.take(), nservers)
+	for s := range got {
+		want := []int{1, perServer} // the get's record, then the put's run
+		if s == first {
+			want = []int{3 + 1, perServer - 3}
+		}
+		if !reflect.DeepEqual(got[s], want) {
+			t.Errorf("server %d: ReplApplyReq batches %v, want %v", s, got[s], want)
+		}
+	}
+	cg.mirrored(t, nservers)
+}

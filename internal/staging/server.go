@@ -378,8 +378,18 @@ func (s *Server) handlePut(r PutReq) (any, error) {
 		return nil, fmt.Errorf("%w: %d resident + %d incoming > %d",
 			ErrOverBudget, s.store.BytesUsed(), len(r.Piece.Data), s.budget)
 	}
-	resp, seq, err := s.applyPut(r)
-	s.flushRepl(seq)
+	resp, err := s.applyPut(r)
+	if r.Logged && s.repl != nil {
+		// Flush before the client operation is acknowledged (DESIGN.md
+		// §6): a deferred piece is acked unshipped, and a later piece of
+		// its put flushes for it — to the stream's position, not its own
+		// record, so a retry the wlog deduplicated (which emits nothing)
+		// waits for its first attempt's record too.
+		resp.Deferred = resp.Deferred && s.repl.hold()
+		if !resp.Deferred {
+			s.repl.flush(s.repl.position())
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -388,29 +398,33 @@ func (s *Server) handlePut(r PutReq) (any, error) {
 
 // applyPut performs the put's log and store mutations. With
 // replication enabled, logged puts run under replMu so the emitted
-// record order matches the mutation order; the returned sequence
-// number is flushed by the caller after replMu is released.
-func (s *Server) applyPut(r PutReq) (PutResp, int64, error) {
-	var seq int64
+// record order matches the mutation order; the caller flushes after
+// replMu is released, unless the response comes back Deferred.
+func (s *Server) applyPut(r PutReq) (PutResp, error) {
 	if r.Logged && s.repl != nil {
 		s.replMu.Lock()
 		defer s.replMu.Unlock()
 	}
+	var resp PutResp
 	if r.Logged {
 		wasReplaying := s.repl != nil && s.log.Replaying(r.App)
 		suppress, err := s.log.BeginPut(r.App, r.Name, r.Version, r.Piece.BBox)
 		if err != nil {
-			return PutResp{}, seq, err
+			return PutResp{}, err
 		}
 		if wasReplaying {
 			// The replay cursor moved (or replay ended): advance the
 			// replicas the same way.
-			seq = s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpAdvance, App: r.App}})
+			s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpAdvance, App: r.App}})
 		}
+		// A replaying app is never deferred: every cursor advance is
+		// flushed by the piece that made it, as it always was.
+		resp.Deferred = r.Defer && s.repl != nil && !wasReplaying
 		if suppress {
 			s.reg.Counter("suppressed_puts").Inc()
 			s.trace.Add(trace.Record{Op: trace.OpSuppressedPut, App: r.App, Name: r.Name, Version: r.Version})
-			return PutResp{Suppressed: true}, seq, nil
+			resp.Suppressed = true
+			return resp, nil
 		}
 	}
 	// Ingest copy: the staging server owns its buffers (clients may
@@ -431,7 +445,7 @@ func (s *Server) applyPut(r PutReq) (PutResp, int64, error) {
 	}
 	delta, err := s.store.PutAccounted(obj)
 	if err != nil {
-		return PutResp{}, seq, err
+		return PutResp{}, err
 	}
 	if r.Logged {
 		s.chargeQoS(r.Name, delta, delta)
@@ -441,7 +455,7 @@ func (s *Server) applyPut(r PutReq) (PutResp, int64, error) {
 	if r.Logged {
 		s.log.CommitPut(r.App, r.Name, r.Version, r.Piece.BBox, obj.Bytes())
 		s.trace.Add(trace.Record{Op: trace.OpPut, App: r.App, Name: r.Name, Version: r.Version, Bytes: obj.Bytes()})
-		seq = s.emit(ReplRecord{
+		s.emit(ReplRecord{
 			Wlog: &wlog.Record{
 				Op: wlog.OpPut, App: r.App, Name: r.Name,
 				Version: r.Version, BBox: r.Piece.BBox, Bytes: obj.Bytes(),
@@ -454,7 +468,7 @@ func (s *Server) applyPut(r PutReq) (PutResp, int64, error) {
 		// globally rolled-back workflow rewind the staged sequence.
 		s.chargeQoS(r.Name, -s.store.KeepOnly(r.Name, r.Version), 0)
 	}
-	return PutResp{}, seq, nil
+	return resp, nil
 }
 
 func (s *Server) handleGet(r GetReq) (any, error) {
@@ -807,12 +821,13 @@ func (s *Server) stats() StatsResp {
 	shardBytes := s.shardBytes
 	s.mu.Unlock()
 	slots, repBytes, repRecords := s.replicas.stats()
-	var replSeq int64
+	var replSeq, replBatches int64
 	if s.repl != nil {
-		replSeq = s.repl.position()
+		replSeq, replBatches = s.repl.position(), s.repl.ctr.batchesShipped.Value()
 	}
 	return StatsResp{
 		ReplSeq:        replSeq,
+		ReplBatches:    replBatches,
 		ReplicaSlots:   slots,
 		ReplicaBytes:   repBytes,
 		ReplicaRecords: repRecords,

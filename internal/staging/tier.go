@@ -186,10 +186,10 @@ func (s *Server) handleTierStats() (any, error) {
 	resp.ScrubLost = st.ScrubLost
 	resp.DegradedEvents = st.DegradedEvents
 	if s.repl != nil {
-		resp.DeltaResyncs = s.reg.Counter("repl_delta_resyncs").Value()
-		resp.DeltaBytes = s.reg.Counter("repl_delta_bytes").Value()
-		resp.SnapshotsSent = s.reg.Counter("repl_snapshots_sent").Value()
-		resp.SnapshotBytes = s.reg.Counter("repl_snapshot_bytes").Value()
+		resp.DeltaResyncs = s.repl.ctr.deltaResyncs.Value()
+		resp.DeltaBytes = s.repl.ctr.deltaBytes.Value()
+		resp.SnapshotsSent = s.repl.ctr.snapshotsSent.Value()
+		resp.SnapshotBytes = s.repl.ctr.snapshotBytes.Value()
 	}
 	return resp, nil
 }
