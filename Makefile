@@ -7,8 +7,12 @@ GO ?= go
 
 check: vet no-gob-on-wire test race
 
+# bench/ is a module of its own, so tier-1 never compiles it: vetting it
+# here is what catches an exported-API change in codec, transport or
+# staging that breaks the benchmark (seconds; bench-e2e-test runs it).
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

@@ -42,7 +42,6 @@ type msgType struct {
 	id       uint16
 	plan     *plan
 	ptr      bool // registered as *T: encode dereferences, decode returns the pointer
-	bulk     bool // the encoding ends with a []byte: MarshalBulk splits it off
 	retained bool // decoded values outlive the delivering call: never alias the input
 }
 
@@ -93,7 +92,6 @@ func register(id uint16, zero any, retained bool) {
 		t = t.Elem()
 	}
 	m.plan = planFor(t, next.plans)
-	m.bulk = m.plan.bulk()
 	next.byID[id], next.byType[reflect.TypeOf(zero)] = m, m
 	registry.Store(next)
 }
@@ -101,7 +99,7 @@ func register(id uint16, zero any, retained bool) {
 // Append appends v's encoding (type id + body) to buf. On error buf is
 // returned unchanged.
 func Append(buf []byte, v any) ([]byte, error) {
-	out, _, err := appendMsg(buf, v, false)
+	out, _, err := AppendCuts(buf, v, 0)
 	return out, err
 }
 
@@ -111,32 +109,36 @@ func Marshal(buf []byte, v any) (out []byte, ok bool) {
 	return out, err == nil
 }
 
-// AppendVec is Append for vectored I/O: when v's encoding ends with a
-// bulk []byte field, everything up to and including that field's length
-// prefix is appended to buf and the bytes themselves are returned as
-// tail (unencoded, uncopied), so head followed by tail is byte-identical
-// to Append's output. Every other message, envelopes included, has a
-// nil tail.
-func AppendVec(buf []byte, v any) (head, tail []byte, err error) { return appendMsg(buf, v, true) }
-
-// MarshalBulk is AppendVec for callers that want to know whether v is
-// a message that splits: ok is false — and buf is returned unchanged —
-// for one that does not.
-func MarshalBulk(buf []byte, v any) (head, tail []byte, ok bool) {
-	if m := registry.Load().byType[reflect.TypeOf(v)]; m == nil || !m.bulk {
-		return buf, nil, false
-	}
-	head, tail, err := appendMsg(buf, v, true)
-	return head, tail, err == nil
+// Cut is a byte field a scatter-gather encode left out of the head:
+// Data, uncopied, belongs at head[At], right after its own length prefix.
+type Cut struct {
+	At   int
+	Data []byte
 }
 
-func appendMsg(buf []byte, v any, split bool) (head, tail []byte, err error) {
-	e := encoder{buf: buf}
-	e.message(v, split)
+// AppendCuts is Append for vectored I/O. Every []byte field of at least
+// min bytes (min > 0) — at any depth: in a nested struct, a slice of
+// structs, an envelope's payload — is appended as its length prefix only
+// and returned as a cut aliasing the field, so head with each cut's Data
+// spliced in at its At is byte-identical to Append's output.
+func AppendCuts(buf []byte, v any, min int) (head []byte, cuts []Cut, err error) {
+	e := encoder{buf: buf, min: min}
+	e.message(v)
 	if e.err != nil {
 		return buf, nil, e.err
 	}
-	return e.buf, e.tail, nil
+	return e.buf, e.cuts, nil
+}
+
+// MarshalBulk is the single-tail split bench/ still calls: ok when v's
+// only non-empty byte field ends its encoding. The next [benchmark] PR
+// drops it for AppendCuts.
+func MarshalBulk(buf []byte, v any) (head, tail []byte, ok bool) {
+	head, cuts, err := AppendCuts(buf, v, 1)
+	if err != nil || len(cuts) != 1 || cuts[0].At != len(head) {
+		return buf, nil, false
+	}
+	return head, cuts[0].Data, true
 }
 
 // Unmarshal decodes one message produced by Marshal; bytes left over

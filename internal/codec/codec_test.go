@@ -16,6 +16,7 @@ import (
 	"gospaces/internal/health"
 	"gospaces/internal/qos"
 	"gospaces/internal/staging"
+	"gospaces/internal/transport"
 )
 
 // The registry under test is the production one: importing the protocol
@@ -25,7 +26,24 @@ var (
 	_ = qos.ErrOverloaded{}
 )
 
-// registered returns the production registrations in id order.
+// Two shapes no production message has, for the cut rule (ids 0xfe00
+// and up are the test range): a bulk field with fields on both sides,
+// and two byte fields with nothing but a length prefix between them.
+type (
+	midBulk struct {
+		A    string
+		Data []byte
+		B    int
+	}
+	twoBulk struct{ A, B []byte }
+)
+
+func init() {
+	codec.Register(0xfe10, midBulk{})
+	codec.Register(0xfe11, twoBulk{})
+}
+
+// registered returns the registrations in id order.
 func registered() (ids []uint16, types map[uint16]reflect.Type) {
 	types = codec.RegisteredTypes()
 	for id := range types {
@@ -72,6 +90,13 @@ func gen(t testing.TB, typ reflect.Type, rng *rand.Rand, depth int) reflect.Valu
 			v.Field(i).Set(gen(t, typ.Field(i).Type, rng, depth))
 		}
 	case reflect.Slice:
+		if typ.Elem().Kind() == reflect.Uint8 {
+			// Byte fields come in every size class the cut thresholds tell apart.
+			if n := []int{0, 1, 40, 16<<10 - 1, 16 << 10, 64<<10 - 1, 64 << 10, 100 << 10}[rng.Intn(8)]; n > 0 {
+				v.Set(reflect.ValueOf(blob(rng, n)).Convert(typ))
+			}
+			return v
+		}
 		if n := rng.Intn(4); n > 0 {
 			v.Set(reflect.MakeSlice(typ, n, n))
 			for i := 0; i < n; i++ {
@@ -99,6 +124,16 @@ func gen(t testing.TB, typ reflect.Type, rng *rand.Rand, depth int) reflect.Valu
 	return v
 }
 
+// blob returns n fresh bytes of noise.
+func blob(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	k, _ := rng.Read(b[:min(n, 64)])
+	for k < n {
+		k += copy(b[k:], b[:k])
+	}
+	return b
+}
+
 // genMessage builds a random value of a registered type as Marshal
 // takes it (a registered *T is a pointer to a generated T).
 func genMessage(t testing.TB, typ reflect.Type, rng *rand.Rand) any {
@@ -110,16 +145,109 @@ func genMessage(t testing.TB, typ reflect.Type, rng *rand.Rand) any {
 	return gen(t, typ, rng, 0).Interface()
 }
 
+// decoders are the two decode modes every encoding must survive.
+var decoders = map[string]func([]byte) (any, error){"Unmarshal": codec.Unmarshal, "UnmarshalAlias": codec.UnmarshalAlias}
+
+// byteFields appends every []byte field of v in encode order.
+func byteFields(out [][]byte, v reflect.Value) [][]byte {
+	switch v.Kind() {
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			return append(out, v.Bytes())
+		}
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			out = byteFields(out, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField() && v.Type() != timeType; i++ {
+			out = byteFields(out, v.Field(i))
+		}
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			out = byteFields(out, v.Elem())
+		}
+	}
+	return out
+}
+
+// stitch splices each cut's bytes back into head at its offset.
+func stitch(head []byte, cuts []codec.Cut) []byte {
+	var out []byte
+	at := 0
+	for _, c := range cuts {
+		out = append(append(out, head[at:c.At]...), c.Data...)
+		at = c.At
+	}
+	return append(out, head[at:]...)
+}
+
+// checkCuts holds AppendCuts to its contract for v at one threshold:
+// the cuts are exactly v's byte fields of at least min bytes, in order
+// and by address (nothing copied), and head stitched with them is wire.
+func checkCuts(t *testing.T, v any, wire []byte, min int) []codec.Cut {
+	t.Helper()
+	head, cuts, err := codec.AppendCuts([]byte("prefix"), v, min)
+	if err != nil {
+		t.Fatalf("%T min %d: %v", v, min, err)
+	}
+	var want [][]byte
+	for _, b := range byteFields(nil, reflect.ValueOf(v)) {
+		if min > 0 && len(b) >= min {
+			want = append(want, b)
+		}
+	}
+	if len(cuts) != len(want) {
+		t.Fatalf("%T min %d: %d cuts, want %d", v, min, len(cuts), len(want))
+	}
+	for i, c := range cuts {
+		if len(c.Data) != len(want[i]) || &c.Data[0] != &want[i][0] {
+			t.Fatalf("%T min %d: cut %d (%d bytes) is not field %d (%d bytes) itself", v, min, i, len(c.Data), i, len(want[i]))
+		}
+	}
+	got := stitch(head, cuts)
+	if !bytes.Equal(got, append([]byte("prefix"), wire...)) {
+		t.Fatalf("%T min %d: head stitched with %d cuts differs from Append", v, min, len(cuts))
+	}
+	for name, decode := range decoders {
+		if back, err := decode(append([]byte(nil), got[len("prefix"):]...)); err != nil || !reflect.DeepEqual(back, v) {
+			t.Fatalf("%T min %d: %s of the stitched bytes = %v", v, min, name, err)
+		}
+	}
+	return cuts
+}
+
+type cutCase struct {
+	cuts int // how many fields of msg are 64 KiB or more
+	msg  any
+}
+
+// cutCases are the shapes the cut rule must hold for: mid-struct, in a
+// slice of structs, back to back, three envelope levels down.
+func cutCases(rng *rand.Rand) []cutCase {
+	big := func() []byte { return blob(rng, 64<<10) }
+	return []cutCase{
+		{1, midBulk{A: "before", Data: big(), B: 7}},
+		{3, staging.GetResp{Version: 3, Pieces: []staging.Piece{{Data: big()}, {Data: []byte("small")}, {Data: big()}, {Data: big()}}}},
+		{2, twoBulk{A: big(), B: big()}},
+		{2, staging.FencedReq{Token: 1, Req: staging.EpochReq{Epoch: 2, Req: staging.ReplApplyReq{Records: []staging.ReplRecord{
+			{Seq: 1, Data: big()}, {Seq: 2, Lock: &staging.LockRecord{Name: "l"}}, {Seq: 3, Data: big()}}}}}},
+	}
+}
+
 // TestRoundTripEveryRegisteredType: for every id in the registry,
-// random values survive Marshal→Unmarshal and Marshal→UnmarshalAlias,
-// and a bulk split is byte-identical to the plain encoding.
+// random values — byte fields of every size class among them — survive
+// Marshal→Unmarshal and Marshal→UnmarshalAlias, and a scatter-gather
+// encode at every threshold cuts exactly the fields it should, without
+// copying them, out of a head that stitches back to the plain encoding.
 func TestRoundTripEveryRegisteredType(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ids, types := registered()
 	if len(ids) < 60 {
 		t.Fatalf("only %d registered types: the protocol packages' registrations did not run", len(ids))
 	}
-	bulk := map[reflect.Type]bool{}
+	thresholds := []int{1, 16 << 10, 64 << 10, 0}
 	for _, id := range ids {
 		for i := 0; i < 40; i++ {
 			v := genMessage(t, types[id], rng)
@@ -127,34 +255,50 @@ func TestRoundTripEveryRegisteredType(t *testing.T) {
 			if err != nil {
 				t.Fatalf("id %d: encode %#v: %v", id, v, err)
 			}
-			for name, decode := range map[string]func([]byte) (any, error){"Unmarshal": codec.Unmarshal, "UnmarshalAlias": codec.UnmarshalAlias} {
+			for name, decode := range decoders {
 				got, err := decode(append([]byte(nil), wire...))
 				if err != nil || !reflect.DeepEqual(got, v) {
 					t.Fatalf("id %d: %s = %#v, %v\nwant %#v", id, name, got, err, v)
 				}
 			}
-			head, tail, err := codec.AppendVec([]byte("prefix"), v)
-			if got := append(head, tail...); err != nil || !bytes.Equal(got, append([]byte("prefix"), wire...)) {
-				t.Fatalf("id %d: AppendVec head+tail differs from Append for %#v (%v)", id, v, err)
-			}
-			if _, _, ok := codec.MarshalBulk(nil, v); tail != nil && !ok {
-				t.Fatalf("id %d: AppendVec split %#v but MarshalBulk declines it", id, v)
-			}
-			if head, tail, ok := codec.MarshalBulk([]byte("prefix"), v); ok {
-				bulk[types[id]] = true
-				if got := append(head, tail...); !bytes.Equal(got, append([]byte("prefix"), wire...)) {
-					t.Fatalf("id %d: MarshalBulk head+tail differs from Marshal for %#v", id, v)
-				}
+			for _, min := range thresholds {
+				checkCuts(t, v, wire, min)
 			}
 		}
 	}
-	// Exactly the messages that end in their payload split; envelopes
-	// decline (vectoring them is a separate change with its own numbers).
-	want := map[reflect.Type]bool{
-		reflect.TypeOf(staging.PutReq{}): true, reflect.TypeOf(staging.ShardPutReq{}): true, reflect.TypeOf(staging.ShardGetResp{}): true,
+	for _, tc := range cutCases(rng) {
+		wire, err := codec.Append(nil, tc.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, min := range thresholds {
+			cuts := checkCuts(t, tc.msg, wire, min)
+			if min == 64<<10 && len(cuts) != tc.cuts {
+				t.Fatalf("%T: %d cuts at 64 KiB, want %d", tc.msg, len(cuts), tc.cuts)
+			}
+		}
 	}
-	if !reflect.DeepEqual(bulk, want) {
-		t.Fatalf("bulk-split messages = %v, want %v", bulk, want)
+	// Back-to-back cuts: only the second field's own length prefix (three
+	// bytes for 64 KiB) separates them in the head.
+	if _, cuts, _ := codec.AppendCuts(nil, twoBulk{A: blob(rng, 64<<10), B: blob(rng, 64<<10)}, 1); len(cuts) != 2 || cuts[1].At-cuts[0].At != 3 {
+		t.Fatalf("twoBulk: %d cuts, want two with nothing but a 3-byte prefix between them", len(cuts))
+	}
+
+	// The shim bench/ calls: one cut, ending the head — also through an
+	// envelope, which the single-tail split it replaces declined.
+	put := staging.PutReq{Name: "f", Piece: staging.Piece{Data: blob(rng, 2<<10)}}
+	for _, v := range []any{put, staging.EpochReq{Epoch: 1, Req: put}} {
+		wire, _ := codec.Marshal(nil, v)
+		head, tail, ok := codec.MarshalBulk([]byte("prefix"), v)
+		if !ok || &tail[0] != &put.Piece.Data[0] || !bytes.Equal(append(head, tail...), append([]byte("prefix"), wire...)) {
+			t.Fatalf("MarshalBulk(%T): ok %v, or head+tail differs from Marshal", v, ok)
+		}
+	}
+	buf := []byte("prefix")
+	for _, v := range []any{staging.PutReq{Name: "f"}, midBulk{Data: []byte("x"), B: 1}, twoBulk{A: []byte("x"), B: []byte("y")}} {
+		if head, tail, ok := codec.MarshalBulk(buf, v); ok || tail != nil || &head[0] != &buf[0] || len(head) != len(buf) {
+			t.Fatalf("MarshalBulk(%#v) = ok %v: not one cut ending the head, so it must decline and return buf", v, ok)
+		}
 	}
 }
 
@@ -162,7 +306,7 @@ func TestRoundTripEveryRegisteredType(t *testing.T) {
 // a typed error, or a value that re-encodes to a fixed point.
 func checkTotal(t *testing.T, data []byte) {
 	t.Helper()
-	for name, decode := range map[string]func([]byte) (any, error){"Unmarshal": codec.Unmarshal, "UnmarshalAlias": codec.UnmarshalAlias} {
+	for name, decode := range decoders {
 		v, err := decode(append([]byte(nil), data...))
 		if err != nil {
 			if !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, codec.ErrUnknownType) {
@@ -200,6 +344,13 @@ func FuzzDecode(f *testing.F) {
 		mut := append([]byte(nil), wire...)
 		mut[len(mut)-1] ^= 0xff
 		f.Add(mut)
+	}
+	for _, tc := range cutCases(rng) {
+		head, cuts, err := codec.AppendCuts(nil, tc.msg, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(stitch(head, cuts))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xfe})
@@ -318,23 +469,20 @@ func TestRegisterRejects(t *testing.T) {
 }
 
 // BenchmarkPlan tracks the reflection plan's cost on the data plane's
-// own messages, the way the transport drives it: a logged put's
-// envelope (MarshalBulk declines it, so Marshal copies the payload) and
-// its alias decode, and a get response of four pieces.
+// own messages, the way the transport drives it — a scatter-gather
+// encode that cuts byte fields of 64 KiB and up, and an alias decode:
+// a logged put's envelope, small and large, and a get response of four
+// pieces.
 func BenchmarkPlan(b *testing.B) {
 	box := domain.Box3(0, 0, 0, 15, 15, 7)
 	put := func(n int) any {
 		return staging.EpochReq{Epoch: 3, Req: staging.PutReq{App: "sim/0", Name: "field", Version: 7, ElemSize: 1, Logged: true,
 			Piece: staging.Piece{BBox: box, Data: make([]byte, n)}}}
 	}
-	resp := staging.GetResp{Version: 7}
-	for i := 0; i < 4; i++ {
-		resp.Pieces = append(resp.Pieces, staging.Piece{BBox: box, Data: make([]byte, 2<<10)})
-	}
 	for _, bc := range []struct {
 		name string
 		msg  any
-	}{{"EpochPut2KiB", put(2 << 10)}, {"EpochPut128KiB", put(128 << 10)}, {"GetResp4x2KiB", resp}} {
+	}{{"EpochPut2KiB", put(2 << 10)}, {"EpochPut128KiB", put(128 << 10)}, {"GetResp4x2KiB", getResp(4, 2<<10)}} {
 		wire, err := codec.Append(nil, bc.msg)
 		if err != nil {
 			b.Fatal(err)
@@ -343,8 +491,8 @@ func BenchmarkPlan(b *testing.B) {
 		b.Run(bc.name+"/encode", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, ok := codec.Marshal(buf[:0], bc.msg); !ok {
-					b.Fatal("encode declined")
+				if _, _, err := codec.AppendCuts(buf[:0], bc.msg, 64<<10); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
@@ -353,6 +501,48 @@ func BenchmarkPlan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := codec.UnmarshalAlias(wire); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func getResp(pieces, size int) staging.GetResp {
+	resp := staging.GetResp{Version: 7}
+	for i := 0; i < pieces; i++ {
+		resp.Pieces = append(resp.Pieces, staging.Piece{BBox: domain.Box3(0, 0, 0, 15, 15, 7), Data: make([]byte, size)})
+	}
+	return resp
+}
+
+// BenchmarkGetRespWire is one get round trip over loopback TCP by
+// piece size: a server's whole answer to a consumer, every piece a cut
+// at 128 KiB and none at 16 KiB.
+func BenchmarkGetRespWire(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		size int
+	}{{"pieces=16x128KiB", 128 << 10}, {"pieces=16x16KiB", 16 << 10}} {
+		b.Run(bc.name, func(b *testing.B) {
+			resp := getResp(16, bc.size)
+			tr := transport.NewTCP()
+			ep, err := tr.ListenTCP("127.0.0.1:0", func(any) (any, error) { return resp, nil })
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ep.Close()
+			cl, err := tr.Dial(ep.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			b.ReportAllocs()
+			b.SetBytes(int64(16 * bc.size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := cl.Call(staging.GetReq{Name: "field", Version: 7})
+				if err != nil || len(got.(staging.GetResp).Pieces) != 16 {
+					b.Fatal(got, err)
 				}
 			}
 		})

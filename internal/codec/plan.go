@@ -118,27 +118,18 @@ func planFor(t reflect.Type, seen map[reflect.Type]*plan) *plan {
 	return p
 }
 
-// bulk reports whether the encoding ends with a []byte field — the
-// payload a split encode hands back as the vectored tail.
-func (p *plan) bulk() bool {
-	for p.kind == kStruct && len(p.fields) > 0 {
-		p = p.fields[len(p.fields)-1].plan
-	}
-	return p.kind == kBytes
-}
-
-// encoder carries one Marshal: the output, the held-back tail of a
-// split encode, and the first error (only an unregistered nested
-// message can fail an encode).
+// encoder carries one encode: the output, the byte fields of at least
+// min bytes held back as cuts (min 0: none), and the first error (only
+// an unregistered nested message can fail an encode).
 type encoder struct {
-	buf, tail []byte
-	err       error
+	buf  []byte
+	min  int
+	cuts []Cut
+	err  error
 }
 
-// message appends v's type id and body. split asks for the trailing
-// []byte to be held back in e.tail (its length prefix still goes to
-// e.buf), so head followed by tail is byte-identical to a plain encode.
-func (e *encoder) message(v any, split bool) {
+// message appends v's type id and body.
+func (e *encoder) message(v any) {
 	m := registry.Load().byType[reflect.TypeOf(v)]
 	if m == nil {
 		e.err = fmt.Errorf("%w: %T", ErrUnregistered, v)
@@ -153,12 +144,11 @@ func (e *encoder) message(v any, split bool) {
 		rv = rv.Elem()
 	}
 	e.buf = binary.BigEndian.AppendUint16(e.buf, m.id)
-	m.plan.enc(e, rv, split)
+	m.plan.enc(e, rv)
 }
 
-// enc appends v. last is true only down the chain of final fields of a
-// split encode: the []byte it ends in is the tail.
-func (p *plan) enc(e *encoder, v reflect.Value, last bool) {
+// enc appends v.
+func (p *plan) enc(e *encoder, v reflect.Value) {
 	switch p.kind {
 	case kBool:
 		e.buf = AppendBool(e.buf, v.Bool())
@@ -173,8 +163,8 @@ func (p *plan) enc(e *encoder, v reflect.Value, last bool) {
 	case kBytes:
 		b := v.Bytes()
 		e.buf = binary.AppendUvarint(e.buf, uint64(len(b)))
-		if last {
-			e.tail = b
+		if e.min > 0 && len(b) >= e.min {
+			e.cuts = append(e.cuts, Cut{At: len(e.buf), Data: b})
 		} else {
 			e.buf = append(e.buf, b...)
 		}
@@ -184,26 +174,26 @@ func (p *plan) enc(e *encoder, v reflect.Value, last bool) {
 		e.buf = binary.AppendUvarint(e.buf, uint64(t.Nanosecond()))
 	case kArray:
 		for i := 0; i < p.n; i++ {
-			p.elem.enc(e, v.Index(i), false)
+			p.elem.enc(e, v.Index(i))
 		}
 	case kSlice:
 		n := v.Len()
 		e.buf = binary.AppendUvarint(e.buf, uint64(n))
 		for i := 0; i < n; i++ {
-			p.elem.enc(e, v.Index(i), false)
+			p.elem.enc(e, v.Index(i))
 		}
 	case kStruct:
-		for i, f := range p.fields {
-			f.plan.enc(e, v.Field(f.idx), last && i == len(p.fields)-1)
+		for _, f := range p.fields {
+			f.plan.enc(e, v.Field(f.idx))
 		}
 	case kPtr:
 		e.buf = AppendBool(e.buf, !v.IsNil())
 		if !v.IsNil() {
-			p.elem.enc(e, v.Elem(), false)
+			p.elem.enc(e, v.Elem())
 		}
 	case kAny:
 		if e.err == nil {
-			e.message(v.Interface(), false)
+			e.message(v.Interface())
 		}
 	}
 }

@@ -33,8 +33,9 @@ type PutReq struct {
 	// Defer asks for the ack without flushing the piece's record to the
 	// replicas: a later piece of the same put flushes for both (Client.put).
 	Defer bool
-	// Piece is last so its payload is the message's bulk tail: the
-	// transport writes it as its own iovec (codec.AppendVec).
+	// Piece's payload is never copied into a frame: from 64 KiB up the
+	// transport writes it as its own iovec (codec.AppendCuts), wherever
+	// the field sits. Field order is a wire constant all the same.
 	Piece Piece
 }
 
@@ -114,7 +115,7 @@ type ShardPutReq struct {
 	// re-protection pass (as opposed to first-time protection); servers
 	// count rebuilt shards and bytes separately for recovery accounting.
 	Rebuild bool
-	Data    []byte // last: the bulk tail (codec.AppendVec)
+	Data    []byte
 }
 
 // ShardPutResp acknowledges a shard write.
@@ -132,7 +133,7 @@ type ShardGetReq struct {
 // ShardGetResp returns the shard payload; Found is false when absent.
 type ShardGetResp struct {
 	Found bool
-	Data  []byte // last: the bulk tail (codec.AppendVec)
+	Data  []byte
 }
 
 // ShardDropReq deletes all shards of a key on this server.

@@ -1,6 +1,7 @@
 package staging
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -139,19 +140,42 @@ func listenTCP(t *testing.T, s *Server) transport.Client {
 	return cl
 }
 
+// wireBytes returns the payload bytes a response carries back, for the
+// three responses that do.
+func wireBytes(resp any) (data []byte, carries bool) {
+	switch r := resp.(type) {
+	case GetResp:
+		if len(r.Pieces) == 1 {
+			data = r.Pieces[0].Data
+		}
+	case ShardGetResp:
+		data = r.Data
+	case ReplFetchResp:
+		if len(r.State.Objects) == 1 {
+			data = r.State.Objects[0].Data
+		}
+	default:
+		return nil, false
+	}
+	return data, true
+}
+
 // TestWireCompleteness sends every request type Server.dispatch
 // switches on over loopback TCP — bare, and inside each envelope — and
 // wants its typed response back. InProc never encodes, so without this
 // a message missing from wireTypes passes every other test and fails
-// the first real deployment.
+// the first real deployment. Every message that carries payload bytes
+// carries 64 KiB of them, so it crosses as a head and a cut (bare and
+// at both envelope depths), and the bytes must come back exact.
 func TestWireCompleteness(t *testing.T) {
 	const ahead = 1 << 40 // an epoch / fencing token no install below overtakes
-	box := domain.Box3(0, 0, 0, 3, 3, 3)
+	box := domain.Box3(0, 0, 0, 63, 31, 31)
+	big := fill(domain.BufLen(box, 1), 1) // 64 KiB: the transport's vecThreshold
 	wl, err := wlog.New().Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := ReplState{Wlog: wl}
+	state := ReplState{Wlog: wl, Objects: []ReplObject{{Name: "f", Version: 1, BBox: box, ElemSize: 1, Data: big}}}
 	cases := []struct{ req, resp any }{
 		{health.PingReq{}, health.PingResp{}},
 		{LeaseCASReq{Holder: "sup", Token: 1, TTL: time.Second}, LeaseCASResp{}},
@@ -160,18 +184,20 @@ func TestWireCompleteness(t *testing.T) {
 		{LeaderInfoReq{}, LeaderInfoResp{}},
 		{EpochSetReq{Epoch: 1, Addrs: []string{"a", "b"}}, EpochSetResp{}},
 		{MembershipReq{}, MembershipResp{}},
-		{PutReq{App: "sim/0", Name: "f", Version: 1, ElemSize: 1, Logged: true,
-			Piece: Piece{BBox: box, Data: make([]byte, domain.BufLen(box, 1))}}, PutResp{}},
+		{PutReq{App: "sim/0", Name: "f", Version: 1, ElemSize: 1, Logged: true, Piece: Piece{BBox: box, Data: big}}, PutResp{}},
 		{GetReq{App: "viz/0", Name: "f", Version: 1, BBox: box, Logged: true}, GetResp{}},
 		{CheckpointReq{App: "viz/0"}, CheckpointResp{}},
 		{RecoveryReq{App: "viz/0"}, RecoveryResp{}},
 		{QueryReq{Name: "f"}, QueryResp{}},
-		{ShardPutReq{Key: "k", Shard: 1, Data: []byte("shard")}, ShardPutResp{}},
+		{ShardPutReq{Key: "k", Shard: 1, Data: big}, ShardPutResp{}},
 		{ShardGetReq{Key: "k", Shard: 1}, ShardGetResp{}},
 		{ShardKeysReq{}, ShardKeysResp{}},
 		{ShardDropReq{Key: "k"}, ShardDropResp{}},
 		{LockReq{Name: "step", Holder: "viz/0"}, LockResp{}},
-		{ReplApplyReq{Epoch: ahead, Slot: 1, Records: []ReplRecord{{Seq: 1, Lock: &LockRecord{Name: "l", Holder: "h", Ok: true}}}}, ReplApplyResp{}},
+		{ReplApplyReq{Epoch: ahead, Slot: 1, Records: []ReplRecord{
+			{Seq: 1, Lock: &LockRecord{Name: "l", Holder: "h", Ok: true}},
+			{Seq: 2, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0", Name: "f", Version: 1, BBox: box, Bytes: int64(len(big))}, Data: big, ElemSize: 1},
+		}}, ReplApplyResp{}},
 		{ReplSnapshotReq{Epoch: ahead, Slot: 2, State: state}, ReplSnapshotResp{}},
 		{ReplFetchReq{Slot: 2}, ReplFetchResp{}},
 		{WlogInstallReq{Slot: 0, State: state}, WlogInstallResp{}},
@@ -191,6 +217,9 @@ func TestWireCompleteness(t *testing.T) {
 			resp, err := cl.Call(req)
 			if err != nil || reflect.TypeOf(resp) != reflect.TypeOf(tc.resp) {
 				t.Errorf("Call(%T{%T}) = %T, %v; want %T", req, tc.req, resp, err, tc.resp)
+			}
+			if got, carries := wireBytes(resp); carries && !bytes.Equal(got, big) {
+				t.Errorf("Call(%T{%T}) brought back %d payload bytes that are not the %d sent", req, tc.req, len(got), len(big))
 			}
 		}
 	}
@@ -299,4 +328,74 @@ func FuzzFastpathDecode(f *testing.F) {
 			t.Fatalf("decoded %T does not re-encode: %v", v, err)
 		}
 	})
+}
+
+// TestGetSurvivesGCBeforeWrite: a get's response aliases the store's
+// own objects until the transport has written it — one writev of the
+// pieces where it used to copy them into a frame first — and in that
+// window a checkpoint may garbage-collect the very version being
+// returned. The handler hook below runs a whole WorkflowCheck over a
+// second connection after every logged get has been served and before
+// its response is encoded: the collection must really happen, and the
+// consumer must still read the version's exact bytes (under -race: no
+// one may write what the transport is reading).
+func TestGetSurvivesGCBeforeWrite(t *testing.T) {
+	tr := transport.NewTCP()
+	cfg := Config{Global: domain.Box3(0, 0, 0, 127, 127, 31), NServers: 1, Bits: 2, ElemSize: 8} // 64 cells of 64 KiB
+	srv := NewServer(0)
+	var check *Client
+	freed := map[int64]int64{}
+	ep, err := tr.ListenTCP("127.0.0.1:0", func(req any) (any, error) {
+		resp, err := srv.Handle(req)
+		if e, ok := req.(EpochReq); ok {
+			if g, ok := e.Req.(GetReq); ok && g.Logged && err == nil {
+				n, cerr := check.WorkflowCheck()
+				if cerr != nil {
+					t.Errorf("checkpoint behind get v%d: %v", g.Version, cerr)
+				}
+				freed[g.Version] += n
+			}
+		}
+		return resp, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	pool, err := NewPool(tr, []string{ep.Addr()}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := func(app string) *Client {
+		c, err := pool.NewClient(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	prod, cons := client("sim/0"), client("ana/0")
+	check = client("ana/0") // the consumer's checkpoints, over a connection of their own
+
+	n := domain.BufLen(cfg.Global, cfg.ElemSize)
+	if err := prod.PutWithLog("f", 1, cfg.Global, fill(n, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for v := int64(1); v <= 4; v++ {
+		// v+1 is staged first, so v is not the newest version: collectable
+		// the moment its one reader checkpoints past it.
+		if err := prod.PutWithLog("f", v+1, cfg.Global, fill(n, v+1)); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := cons.GetWithLog("f", v, cfg.Global)
+		if err != nil || !bytes.Equal(got, fill(n, v)) {
+			t.Fatalf("get v%d while it was being collected: %d bytes, %v", v, len(got), err)
+		}
+		if freed[v] < int64(n) {
+			t.Fatalf("the checkpoint behind get v%d freed %d bytes, want the version's %d: nothing was collected in the window", v, freed[v], n)
+		}
+		if vs, _ := prod.Versions("f"); len(vs) != 1 || vs[0] != v+1 {
+			t.Fatalf("versions after get v%d = %v", v, vs)
+		}
+	}
 }

@@ -9,8 +9,8 @@ import (
 	"gospaces/internal/codec"
 )
 
-// benchPut mimics a staged put: a small key plus a bulk payload (last,
-// so the transport writes it as the frame's vectored tail).
+// benchPut mimics a staged put: a small key plus a bulk payload (from
+// 64 KiB up the transport writes it as an iovec of its own).
 type benchPut struct {
 	Key  string
 	Data []byte

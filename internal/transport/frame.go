@@ -51,6 +51,18 @@ const (
 	MaxFrameBody = 64 << 20
 )
 
+// frameTooLargeError is ErrFrameTooLarge with the size. It is a wire
+// type (ids 768–1023 are this package's) so that a server refusing to
+// send an oversized response answers the one call with a typed cause.
+type frameTooLargeError struct{ Bytes int }
+
+func (e *frameTooLargeError) Error() string {
+	return fmt.Sprintf("%v: %d bytes", ErrFrameTooLarge, e.Bytes)
+}
+func (e *frameTooLargeError) Is(target error) bool { return target == ErrFrameTooLarge }
+
+func init() { codec.Register(768, &frameTooLargeError{}) }
+
 // beginFrame reserves header space at the start of a (pooled) buffer;
 // the body is appended after it and finishFrame fills the header in.
 func beginFrame(buf []byte) []byte {
@@ -59,20 +71,20 @@ func beginFrame(buf []byte) []byte {
 }
 
 // finishFrameTail writes the header of a frame whose body follows the
-// reserved space and — for a vectored frame — continues for tailLen
-// bytes past buf, written separately (writev) right after it. It fails
-// if the body outgrew MaxFrameBody.
-func finishFrameTail(buf []byte, flags byte, id uint64, tailLen int) ([]byte, error) {
-	body := len(buf) - frameHdrLen + tailLen
+// reserved space and — for a vectored frame — continues for cutLen more
+// bytes, the cuts writeFrame interleaves with buf. It fails if the body
+// outgrew MaxFrameBody.
+func finishFrameTail(buf []byte, flags byte, id uint64, cutLen int) error {
+	body := len(buf) - frameHdrLen + cutLen
 	if body > MaxFrameBody {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, body)
+		return &frameTooLargeError{Bytes: body}
 	}
 	binary.BigEndian.PutUint32(buf[0:4], frameMagic)
 	buf[4] = flags
 	buf[5] = 0
 	binary.BigEndian.PutUint64(buf[6:14], id)
 	binary.BigEndian.PutUint32(buf[14:18], uint32(body))
-	return buf, nil
+	return nil
 }
 
 // readFrame reads one frame; the returned body is a pooled buffer the
@@ -111,27 +123,31 @@ func readFrame(r io.Reader) (flags byte, id uint64, body []byte, err error) {
 	return flags, id, body, nil
 }
 
-// vecThreshold is the bulk-tail size above which a frame is written as
-// two iovecs (head + the message's own payload slice) instead of
-// copying the payload into the frame buffer. Below it one contiguous
-// write is cheaper than a second iovec.
+// vecThreshold is the byte-field size from which a frame leaves the
+// field in place and writes it as its own iovec (a codec.Cut) instead
+// of copying it into the frame buffer. Below it one contiguous write is
+// cheaper than another iovec.
 const vecThreshold = 64 << 10
 
-// appendPayload appends v's encoding to buf. When v ends in a large
-// bulk tail (codec.AppendVec), the returned tail aliases v's own
-// payload and must be written right after buf; a nil tail means buf is
-// the complete encoding. A v whose type (or whose nested payload's
+// appendPayload appends v's encoding to buf, less every byte field of
+// at least vecThreshold bytes: those come back as cuts aliasing v, for
+// writeFrame to splice in. A v whose type (or whose nested payload's
 // type) is not registered is an error: there is no other codec to fall
 // back to.
-func appendPayload(buf []byte, v any) (out, tail []byte, err error) {
-	out, tail, err = codec.AppendVec(buf, v)
+func appendPayload(buf []byte, v any) ([]byte, []codec.Cut, error) {
+	out, cuts, err := codec.AppendCuts(buf, v, vecThreshold)
 	if err != nil {
-		return buf, nil, fmt.Errorf("transport: encode %T: %w", v, err)
+		err = fmt.Errorf("transport: encode %T: %w", v, err) // out is buf, unchanged
 	}
-	if len(tail) < vecThreshold {
-		return append(out, tail...), nil, nil
+	return out, cuts, err
+}
+
+// cutBytes is the part of a frame's body its cuts carry.
+func cutBytes(cuts []codec.Cut) (n int) {
+	for _, c := range cuts {
+		n += len(c.Data)
 	}
-	return out, tail, nil
+	return n
 }
 
 // appendError appends an error response's head: the error string, and

@@ -223,48 +223,55 @@ func (t *TCP) writeResponse(conn net.Conn, wmu *sync.Mutex, id uint64, resp any,
 		buf, ef = appendError(buf, herr)
 		flags |= ef
 	}
-	var tail []byte
+	var cuts []codec.Cut
+	var err error
 	if resp != nil {
-		var err error
-		buf, tail, err = appendPayload(buf, resp)
-		if err != nil {
-			// Unencodable response: report it as a remote error instead.
-			buf = codec.AppendString(beginFrame(buf[:0]), err.Error())
-			flags = flagResponse | flagError
-		} else {
+		if buf, cuts, err = appendPayload(buf, resp); err == nil {
 			t.m().payloads.Inc()
 		}
 	}
-	buf, err := finishFrameTail(buf, flags, id, len(tail))
+	if err == nil {
+		err = finishFrameTail(buf, flags, id, cutBytes(cuts))
+	}
 	if err != nil {
-		conn.Close()
-		return
+		// A response that does not encode, or outgrew MaxFrameBody, fails
+		// its own call and nobody else's: an error frame, without cuts.
+		var ef byte
+		buf, ef = appendError(beginFrame(buf[:0]), err)
+		cuts = nil
+		_ = finishFrameTail(buf, flagResponse|ef, id, 0) // an error text is no 64 MiB
 	}
 	wmu.Lock()
 	if t.CallTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(t.CallTimeout))
 	}
-	werr := writeFrame(conn, buf, tail)
+	n, werr := writeFrame(conn, buf, cuts)
 	wmu.Unlock()
 	if werr != nil {
 		conn.Close()
 		return
 	}
-	t.m().bytesOut.Add(int64(len(buf) + len(tail)))
+	t.m().bytesOut.Add(n)
 }
 
-// writeFrame writes one frame, as a single write or — when a vectored
-// encode produced a separate bulk tail — as two iovecs via writev, so
-// large payloads reach the socket without ever being copied into the
-// frame buffer.
-func writeFrame(conn net.Conn, buf, tail []byte) error {
-	if len(tail) == 0 {
-		_, err := conn.Write(buf)
-		return err
+// writeFrame writes one frame and reports its length: buf as a single
+// write, or — when the encode held large byte fields back as cuts —
+// buf's segments and the cuts interleaved as one writev, so bulk
+// payloads reach the socket without ever being copied into the frame
+// buffer.
+func writeFrame(conn net.Conn, buf []byte, cuts []codec.Cut) (int64, error) {
+	if len(cuts) == 0 {
+		n, err := conn.Write(buf)
+		return int64(n), err
 	}
-	bufs := net.Buffers{buf, tail}
-	_, err := bufs.WriteTo(conn)
-	return err
+	bufs := make(net.Buffers, 0, 2*len(cuts)+1)
+	at := 0
+	for _, c := range cuts {
+		bufs = append(bufs, buf[at:c.At], c.Data)
+		at = c.At
+	}
+	bufs = append(bufs, buf[at:])
+	return bufs.WriteTo(conn)
 }
 
 // ListenTCP is Listen with a concrete return type so callers can learn
@@ -465,9 +472,9 @@ func (c *tcpClient) Call(req any) (any, error) {
 		return nil, err
 	}
 
-	buf, tail, err := appendPayload(beginFrame(codec.GetBuf()), req)
+	buf, cuts, err := appendPayload(beginFrame(codec.GetBuf()), req)
 	if err == nil {
-		buf, err = finishFrameTail(buf, 0, id, len(tail))
+		err = finishFrameTail(buf, 0, id, cutBytes(cuts))
 	}
 	if err != nil {
 		codec.PutBuf(buf)
@@ -480,9 +487,8 @@ func (c *tcpClient) Call(req any) (any, error) {
 	if c.t.CallTimeout > 0 {
 		mc.conn.SetWriteDeadline(time.Now().Add(c.t.CallTimeout))
 	}
-	werr := writeFrame(mc.conn, buf, tail)
+	n, werr := writeFrame(mc.conn, buf, cuts)
 	mc.wmu.Unlock()
-	n := len(buf) + len(tail)
 	codec.PutBuf(buf)
 	if werr != nil {
 		// A failed or half-written frame desyncs the stream: the whole
@@ -492,7 +498,7 @@ func (c *tcpClient) Call(req any) (any, error) {
 		mc.fail(cerr)
 		return nil, cerr
 	}
-	c.t.m().bytesOut.Add(int64(n))
+	c.t.m().bytesOut.Add(n)
 
 	var timeout <-chan time.Time
 	if c.t.CallTimeout > 0 {

@@ -67,8 +67,10 @@ var ErrConnBroken = errors.New("transport: connection broken")
 // (and the connection) intact.
 var ErrFrameCorrupt = errors.New("transport: corrupt frame")
 
-// ErrFrameTooLarge reports a frame whose declared body exceeds
-// MaxFrameBody — treated as corruption, never as an allocation request.
+// ErrFrameTooLarge reports a frame whose body exceeds MaxFrameBody. Read
+// off a stream it is corruption, never an allocation request; on the way
+// out it fails the one call whose message outgrew a frame — a response's
+// with a terminal RemoteError — and the connection carries on.
 var ErrFrameTooLarge = errors.New("transport: frame too large")
 
 // RemoteError carries an error returned by the remote handler, as
