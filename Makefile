@@ -70,9 +70,10 @@ bench:
 # (including the codec's reflection plan, the admission fast path, the
 # wlog event/delta paths, the PFS/cold-tier record paths, and the logged
 # put/get through a replicating group, in-process and over TCP by piece
-# size); catches bit-rot without the cost of real measurement.
+# size, and the client's split/reassembly kernel beside the row walk it
+# replaced); catches bit-rot without the cost of real measurement.
 bench-smoke:
-	$(GO) test -bench . -benchtime=1x -run=^$$ ./internal/codec ./internal/transport ./internal/staging ./internal/ec ./internal/qos ./internal/wlog ./internal/pfs ./internal/tier
+	$(GO) test -bench . -benchtime=1x -run=^$$ ./internal/domain ./internal/codec ./internal/transport ./internal/staging ./internal/ec ./internal/qos ./internal/wlog ./internal/pfs ./internal/tier
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), so
 # the root `go test ./...` never reaches it: its unit tests and the

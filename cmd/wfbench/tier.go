@@ -302,8 +302,8 @@ func tierReplRun(snapshotOnly bool) (staging.TierStatsResp, error) {
 			return staging.TierStatsResp{}, err
 		}
 	}
-	// Let the async senders finish their resyncs before reading the
-	// counters.
+	// Read the counters once they have stopped moving (the resyncs ran
+	// inside the puts' own flushes).
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		st := tierStats(g, nservers)

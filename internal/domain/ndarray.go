@@ -13,19 +13,19 @@ func BufLen(b BBox, elemSize int) int {
 	return int(b.Volume()) * elemSize
 }
 
-// offsetIn returns the row-major element offset of point p within box b.
-// p must lie inside b.
-func offsetIn(b BBox, p Point) int64 {
-	var off int64
-	for i := 0; i < b.NDim; i++ {
-		off = off*b.Extent(i) + (p[i] - b.Min[i])
-	}
-	return off
-}
+// CopyRegion walks at most two dimensions outside its contiguous run.
+var _ [3 - MaxDims]struct{}
 
 // CopyRegion copies the cells of region from a row-major buffer covering
 // srcBox into a row-major buffer covering dstBox. region must be
 // contained in both boxes, and all boxes must share dimensionality.
+//
+// The geometry is resolved once per call: the byte strides of both boxes
+// and the offsets of region.Min in each. The unit of copying is the
+// longest run contiguous in both buffers — the region's last-dimension
+// row, extended over dimension d while the region spans both boxes fully
+// in every dimension after d — and the dimensions before it are walked by
+// adding strides, one copy per run.
 func CopyRegion(dst []byte, dstBox BBox, src []byte, srcBox BBox, region BBox, elemSize int) {
 	if region.IsEmpty() {
 		return
@@ -37,32 +37,40 @@ func CopyRegion(dst []byte, dstBox BBox, src []byte, srcBox BBox, region BBox, e
 		panic("domain: CopyRegion buffer too small")
 	}
 	n := region.NDim
-	rowDim := n - 1
-	rowBytes := int(region.Extent(rowDim)) * elemSize
-
-	// Iterate over every row start (all dims except the last).
-	var p Point
-	for i := 0; i < n; i++ {
-		p[i] = region.Min[i]
+	var sStride, dStride [MaxDims]int
+	so, do := 0, 0
+	for i, ss, ds := n-1, elemSize, elemSize; i >= 0; i-- {
+		sStride[i], dStride[i] = ss, ds
+		so += int(region.Min[i]-srcBox.Min[i]) * ss
+		do += int(region.Min[i]-dstBox.Min[i]) * ds
+		ss *= int(srcBox.Extent(i))
+		ds *= int(dstBox.Extent(i))
 	}
-	for {
-		so := offsetIn(srcBox, p) * int64(elemSize)
-		do := offsetIn(dstBox, p) * int64(elemSize)
-		copy(dst[do:do+int64(rowBytes)], src[so:so+int64(rowBytes)])
+	// A run covers dimensions m..n-1; where it spans more than one, the
+	// two boxes have the region's extents there, so their strides agree.
+	m := n - 1
+	for m > 0 && region.Extent(m) == srcBox.Extent(m) && region.Extent(m) == dstBox.Extent(m) {
+		m--
+	}
+	run := int(region.Extent(m)) * sStride[m]
 
-		// Advance to the next row: increment dims rowDim-1 .. 0.
-		d := rowDim - 1
-		for d >= 0 {
-			p[d]++
-			if p[d] <= region.Max[d] {
-				break
-			}
-			p[d] = region.Min[d]
-			d--
+	// The dimensions before the run, at most two, as two nested loops; an
+	// absent one runs once.
+	cnt := [2]int{1, 1}
+	var sStep, dStep [2]int
+	for i := 0; i < m; i++ {
+		j := i + 2 - m
+		cnt[j], sStep[j], dStep[j] = int(region.Extent(i)), sStride[i], dStride[i]
+	}
+	for i := 0; i < cnt[0]; i++ {
+		s, d := so, do
+		for j := 0; j < cnt[1]; j++ {
+			copy(dst[d:d+run], src[s:s+run])
+			s += sStep[1]
+			d += dStep[1]
 		}
-		if d < 0 {
-			return
-		}
+		so += sStep[0]
+		do += dStep[0]
 	}
 }
 

@@ -3,6 +3,7 @@ package staging
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -445,8 +446,9 @@ func (c *Client) get(name string, version int64, bbox domain.BBox, logged bool) 
 		if err != nil {
 			return nil, 0, wrapCall(err, "get %q v%d from server %d", name, version, s)
 		}
-		resp, err := respAs[GetResp](raw, fmt.Sprintf("get %q", name))
-		if err != nil {
+		resp, ok := raw.(GetResp)
+		if !ok { // only a failure pays for its label
+			_, err := respAs[GetResp](raw, fmt.Sprintf("get %q", name))
 			return nil, 0, err
 		}
 		if resolved == NoVersion {
@@ -592,7 +594,7 @@ func (c *Client) Versions(name string) ([]int64, error) {
 	for v := range seen {
 		out = append(out, v)
 	}
-	sortInt64s(out)
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -708,11 +710,3 @@ func (c *Client) ShardConn(server int) transport.Client { return c.conns[server]
 
 // NumServers returns the group size.
 func (c *Client) NumServers() int { return len(c.conns) }
-
-func sortInt64s(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}

@@ -180,29 +180,31 @@ type replCounters struct {
 }
 
 // replicator is the origin side of log replication for one server: a
-// sequenced queue of ReplRecords plus a background sender that ships
-// them, in order, to the K membership successors of the server's slot.
-// The sender holds the queue until a handler asks in flush, then ships
-// all of it as one batch; handlers block in flush until their records
-// are shipped (or the peer failure is recorded), so an acknowledged
-// client operation is on every reachable replica — the synchronous
-// semantics a recovery metadata store needs. Only a piece of a rank put
-// that a later piece flushes for is acked without (PutReq.Defer).
+// sequenced queue of ReplRecords shipped, in order, to the K membership
+// successors of the server's slot. Records are held in the queue until a
+// handler asks in flush; the first to ask ships all of it as one batch
+// on its own goroutine, one shipper at a time, and handlers block in
+// flush until their records are shipped (or the peer failure is
+// recorded), so an acknowledged client operation is on every reachable
+// replica — the synchronous semantics a recovery metadata store needs.
+// Only a piece of a rank put that a later piece flushes for is acked
+// without (PutReq.Defer).
 type replicator struct {
 	srv *Server
 	tr  transport.Transport
 	k   int
 	ctr replCounters
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	seq     int64 // last sequence number assigned
-	shipped int64 // last sequence number the sender has dealt with
-	want    int64 // highest sequence number a flusher has asked for
-	queue   []ReplRecord
-	held    int64 // recBytes of queue
-	mirror  *lockMirror
-	closed  bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	seq      int64 // last sequence number assigned
+	shipped  int64 // last sequence number a shipper has dealt with
+	want     int64 // highest sequence number a flusher has asked for
+	queue    []ReplRecord
+	held     int64 // recBytes of queue
+	shipping bool  // a flusher is in ship with r.mu released
+	mirror   *lockMirror
+	closed   bool
 
 	// Incremental re-sync state: window retains the most recently
 	// shipped records, covering (anchorSeq, shipped]. A peer that fell
@@ -267,7 +269,6 @@ func newReplicator(srv *Server, tr transport.Transport, k int) *replicator {
 		},
 	}
 	r.cond = sync.NewCond(&r.mu)
-	go r.sender()
 	return r
 }
 
@@ -329,8 +330,8 @@ func (r *replicator) windowSince(peerSeq int64) ([]ReplRecord, bool) {
 
 // enqueue assigns the next sequence number to rec and queues it for
 // shipment, folding lock records into the origin mirror atomically
-// with sequence assignment. The sender is not woken: the record is
-// held until a flush asks for it or a later one.
+// with sequence assignment. Nothing is shipped: the record is held
+// until a flush asks for it or a later one.
 func (r *replicator) enqueue(rec ReplRecord) int64 {
 	r.mu.Lock()
 	r.seq++
@@ -344,17 +345,33 @@ func (r *replicator) enqueue(rec ReplRecord) int64 {
 	return rec.Seq
 }
 
-// flush asks the sender for every record up to seq and blocks until it
-// has dealt with them.
+// flush blocks until every record up to seq has been dealt with. The
+// caller that finds them unshipped and nobody shipping takes everything
+// held — one ReplApplyReq per peer — and ships it itself with r.mu
+// released; the others wait for it, or for their turn.
 func (r *replicator) flush(seq int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if seq > r.want {
-		r.want = seq
-		r.cond.Broadcast()
-	}
+	r.want = max(r.want, seq)
 	for r.shipped < seq && !r.closed {
-		r.cond.Wait()
+		if r.shipping || len(r.queue) == 0 {
+			r.cond.Wait()
+			continue
+		}
+		batch := r.queue
+		r.queue, r.held = nil, 0
+		// Retain before shipping so a re-sync triggered by this very
+		// batch can serve it from the window.
+		r.retain(batch)
+		r.shipping = true
+		r.mu.Unlock()
+
+		r.ship(batch)
+
+		r.mu.Lock()
+		r.shipping = false
+		r.shipped = batch[len(batch)-1].Seq
+		r.cond.Broadcast()
 	}
 }
 
@@ -396,7 +413,7 @@ func (r *replicator) position() int64 {
 }
 
 // lag returns the replication backlog: records a flusher is waiting
-// for that the sender has not yet dealt with — one of the admission
+// for that no shipper has yet dealt with — one of the admission
 // controller's retry-after pressure signals. Records held for a put in
 // progress are not backlog: nobody waits for them yet.
 func (r *replicator) lag() int64 {
@@ -405,39 +422,12 @@ func (r *replicator) lag() int64 {
 	return max(r.want-r.shipped, 0)
 }
 
-// close stops the sender goroutine and unblocks flushers.
+// close unblocks flushers; what is still held is never shipped.
 func (r *replicator) close() {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
 	r.cond.Broadcast()
-}
-
-func (r *replicator) sender() {
-	for {
-		r.mu.Lock()
-		for (r.want <= r.shipped || len(r.queue) == 0) && !r.closed {
-			r.cond.Wait()
-		}
-		if r.closed {
-			r.mu.Unlock()
-			return
-		}
-		// Everything held goes along: one ReplApplyReq per peer.
-		batch := r.queue
-		r.queue, r.held = nil, 0
-		// Retain before shipping so a re-sync triggered by this very
-		// batch can serve it from the window.
-		r.retain(batch)
-		r.mu.Unlock()
-
-		r.ship(batch)
-
-		r.mu.Lock()
-		r.shipped = batch[len(batch)-1].Seq
-		r.mu.Unlock()
-		r.cond.Broadcast()
-	}
 }
 
 // ship sends one batch to every current replica peer, re-syncing peers
@@ -780,7 +770,7 @@ func (s *Server) SetReplWindow(n int64) {
 	}
 }
 
-// StopReplication stops the replication sender (server shutdown).
+// StopReplication stops the replication stream (server shutdown).
 func (s *Server) StopReplication() {
 	if s.repl != nil {
 		s.repl.close()

@@ -455,3 +455,91 @@ func TestInterleavedFlushShipsHeldRecords(t *testing.T) {
 	}
 	cg.mirrored(t, nservers)
 }
+
+// TestConcurrentFlushersShipInOrder: there is no sender goroutine — the
+// flusher that finds records unshipped ships them itself — so however
+// many handlers enqueue and flush at once there is one shipper at a
+// time over the FIFO queue: every record leaves exactly once, in
+// sequence order across ReplApplyReqs, and no flush returns before the
+// replica has answered for its record.
+func TestConcurrentFlushersShipInOrder(t *testing.T) {
+	const flushers, perFlusher = 16, 50
+	var (
+		mu        sync.Mutex
+		recording bool
+		seqs      []int64 // every record of every ReplApplyReq, in wire order
+		acked     atomic.Int64
+	)
+	tr := &tapTransport{Transport: transport.NewInProc()}
+	tr.before = func(_ string, req any) {
+		r, ok := req.(ReplApplyReq)
+		mu.Lock()
+		defer mu.Unlock()
+		if !ok || !recording {
+			return
+		}
+		for _, rec := range r.Records {
+			seqs = append(seqs, rec.Seq)
+		}
+		runtime.Gosched() // room for a second shipper, were there one
+	}
+	tr.after = func(_ string, req, resp any) {
+		if r, ok := req.(ReplApplyReq); ok && len(r.Records) > 0 {
+			if resp.(ReplApplyResp).NeedSnapshot {
+				t.Error("replica answered NeedSnapshot: the stream has a gap")
+			}
+			acked.Store(r.Records[len(r.Records)-1].Seq) // one shipper at a time: never backwards
+		}
+	}
+	g, err := StartGroup(tr, "stage", Config{
+		Global: domain.Box3(0, 0, 0, 63, 63, 31), NServers: 2, Bits: 2, ElemSize: 8, WlogReplicas: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	repl := g.Server(0).repl
+	// The peer's first-contact re-sync ships its batch twice; take it out
+	// of the count.
+	repl.flush(repl.enqueue(ReplRecord{}))
+	mu.Lock()
+	recording = true
+	mu.Unlock()
+
+	var wg sync.WaitGroup
+	for f := 0; f < flushers; f++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perFlusher; i++ {
+				seq := repl.enqueue(ReplRecord{})
+				if i%3 == 2 {
+					continue // held, as a deferred piece is: a later flush carries it
+				}
+				repl.flush(seq)
+				if got := acked.Load(); got < seq {
+					t.Errorf("flush(%d) returned with the replica at %d", seq, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	repl.flush(repl.position())
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seqs) != flushers*perFlusher {
+		t.Fatalf("%d records shipped, want %d", len(seqs), flushers*perFlusher)
+	}
+	for i, seq := range seqs {
+		if want := int64(i) + 2; seq != want { // 1 was the warm-up
+			t.Fatalf("record %d on the wire has seq %d, want %d", i, seq, want)
+		}
+	}
+	if rep := fetchReplica(t, g.Server(1), 0); rep.Seq != repl.position() {
+		t.Fatalf("replica at seq %d, origin at %d", rep.Seq, repl.position())
+	}
+	if lag := repl.lag(); lag != 0 {
+		t.Fatalf("lag %d with everything shipped", lag)
+	}
+}

@@ -109,6 +109,10 @@ func readFrame(r io.Reader) (flags byte, id uint64, body []byte, err error) {
 	}
 	body = codec.GetBuf()
 	if cap(body) < int(n) {
+		// The popped buffer is let go, not put back: a miss is the free
+		// list's only eviction. Re-queued, every miss grows the list by
+		// one until it is full of buffers some frame did not fit, cycled
+		// first in first out and cache-cold (measured: DESIGN.md §7).
 		body = make([]byte, n)
 	} else {
 		body = body[:n]
