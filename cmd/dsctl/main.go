@@ -186,17 +186,17 @@ func run(servers, domainStr string, elem, bits int, app string, opts gospaces.Di
 func healthCmd(addrs []string, opts gospaces.DialOptions) error {
 	dead := 0
 	for _, h := range gospaces.ProbeHealth(addrs, opts) {
-		if !h.Alive {
+		if !h.Alive() {
 			dead++
 			fmt.Printf("%-22s DEAD  %s\n", h.Addr, h.Err)
 			continue
 		}
 		role := "member"
-		if h.Spare {
+		if h.Resp.Spare {
 			role = "spare"
 		}
 		fmt.Printf("%-22s ALIVE id=%d epoch=%d role=%s shard_bytes=%d rebuilt_shards=%d rebuilt_bytes=%d\n",
-			h.Addr, h.ID, h.Epoch, role, h.ShardBytes, h.RebuiltShards, h.RebuiltBytes)
+			h.Addr, h.Resp.ID, h.Resp.Epoch, role, h.Stats.ShardBytes, h.Stats.RebuiltShards, h.Stats.RebuiltBytes)
 	}
 	if dead > 0 {
 		return fmt.Errorf("%d of %d servers unreachable", dead, len(addrs))
@@ -207,11 +207,12 @@ func healthCmd(addrs []string, opts gospaces.DialOptions) error {
 func leaderCmd(addrs []string, opts gospaces.DialOptions) error {
 	holders := map[string]int{}
 	backlog := 0
-	for _, v := range gospaces.ProbeLeader(addrs, opts) {
-		if v.Err != "" {
-			fmt.Printf("%-22s DEAD  %s\n", v.Addr, v.Err)
+	for _, p := range gospaces.ProbeLeader(addrs, opts) {
+		if !p.Alive() {
+			fmt.Printf("%-22s DEAD  %s\n", p.Addr, p.Err)
 			continue
 		}
+		v := p.Resp
 		holder := v.Holder
 		if holder == "" {
 			holder = "<none>"
@@ -219,7 +220,7 @@ func leaderCmd(addrs []string, opts gospaces.DialOptions) error {
 			holders[holder]++
 		}
 		fmt.Printf("%-22s holder=%-20s token=%d fence=%d expires_in=%v\n",
-			v.Addr, holder, v.Token, v.Fence, v.ExpiresIn.Round(time.Millisecond))
+			p.Addr, holder, v.Token, v.MaxFence, v.ExpiresIn.Round(time.Millisecond))
 		for _, in := range v.Intents {
 			backlog++
 			fmt.Printf("%22s   intent: slot %d (%s dead) -> spare %s under token %d\n",
@@ -244,18 +245,19 @@ func leaderCmd(addrs []string, opts gospaces.DialOptions) error {
 
 func qosCmd(addrs []string, opts gospaces.DialOptions) error {
 	dead := 0
-	for _, v := range gospaces.ProbeQoS(addrs, opts) {
-		if !v.Alive {
+	for _, p := range gospaces.ProbeQoS(addrs, opts) {
+		if !p.Alive() {
 			dead++
-			fmt.Printf("%-22s DEAD  %s\n", v.Addr, v.Err)
+			fmt.Printf("%-22s DEAD  %s\n", p.Addr, p.Err)
 			continue
 		}
+		v := p.Resp
 		if !v.Enabled {
-			fmt.Printf("%-22s id=%d qos disabled\n", v.Addr, v.ID)
+			fmt.Printf("%-22s id=%d qos disabled\n", p.Addr, v.ID)
 			continue
 		}
 		fmt.Printf("%-22s id=%d admits=%d sheds=%d lanes fg=%d rec=%d repl_lag=%d\n",
-			v.Addr, v.ID, v.Admits, v.Sheds, v.QueueForeground, v.QueueRecovery, v.ReplLag)
+			p.Addr, v.ID, v.Admits, v.Sheds, v.QueueForeground, v.QueueRecovery, v.ReplLag)
 		for _, t := range v.Tenants {
 			fmt.Printf("%22s   tenant %-12s prio=%d staging=%s wlog=%s admits=%d sheds=%d\n",
 				"", t.Tenant, t.Priority,
@@ -271,21 +273,22 @@ func qosCmd(addrs []string, opts gospaces.DialOptions) error {
 
 func tierCmd(addrs []string, opts gospaces.DialOptions) error {
 	dead := 0
-	for _, v := range gospaces.ProbeTier(addrs, opts) {
-		if !v.Alive {
+	for _, p := range gospaces.ProbeTier(addrs, opts) {
+		if !p.Alive() {
 			dead++
-			fmt.Printf("%-22s DEAD  %s\n", v.Addr, v.Err)
+			fmt.Printf("%-22s DEAD  %s\n", p.Addr, p.Err)
 			continue
 		}
+		v := p.Resp
 		if !v.Enabled {
-			fmt.Printf("%-22s id=%d tier disabled\n", v.Addr, v.ID)
+			fmt.Printf("%-22s id=%d tier disabled\n", p.Addr, v.ID)
 			continue
 		}
 		state := "ok"
 		if v.Degraded {
 			state = "DEGRADED (RAM-only)"
 		}
-		fmt.Printf("%-22s id=%d %s entries=%d bytes=%d\n", v.Addr, v.ID, state, v.Entries, v.Bytes)
+		fmt.Printf("%-22s id=%d %s entries=%d bytes=%d\n", p.Addr, v.ID, state, v.Entries, v.Bytes)
 		fmt.Printf("%22s   spills=%d (%d bytes) promotes=%d (%d bytes)\n",
 			"", v.Spills, v.SpillBytes, v.Promotes, v.PromoteBytes)
 		fmt.Printf("%22s   scrub checked=%d healed=%d lost=%d degraded_events=%d\n",
@@ -301,14 +304,15 @@ func tierCmd(addrs []string, opts gospaces.DialOptions) error {
 
 func scrubCmd(addrs []string, opts gospaces.DialOptions) error {
 	dead, lost := 0, int64(0)
-	for _, v := range gospaces.ScrubTier(addrs, opts) {
-		if !v.Alive {
+	for _, p := range gospaces.ScrubTier(addrs, opts) {
+		if !p.Alive() {
 			dead++
-			fmt.Printf("%-22s DEAD  %s\n", v.Addr, v.Err)
+			fmt.Printf("%-22s DEAD  %s\n", p.Addr, p.Err)
 			continue
 		}
+		v := p.Resp
 		if !v.Enabled {
-			fmt.Printf("%-22s id=%d tier disabled\n", v.Addr, v.ID)
+			fmt.Printf("%-22s id=%d tier disabled\n", p.Addr, v.ID)
 			continue
 		}
 		state := "ok"
@@ -317,7 +321,7 @@ func scrubCmd(addrs []string, opts gospaces.DialOptions) error {
 		}
 		lost += v.Lost
 		fmt.Printf("%-22s id=%d %s checked=%d healed=%d lost=%d\n",
-			v.Addr, v.ID, state, v.Checked, v.Healed, v.Lost)
+			p.Addr, v.ID, state, v.Checked, v.Healed, v.Lost)
 	}
 	if dead > 0 {
 		return fmt.Errorf("%d of %d servers unreachable", dead, len(addrs))

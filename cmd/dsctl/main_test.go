@@ -189,19 +189,19 @@ func TestTierCommand(t *testing.T) {
 		}
 	}
 	views := gospaces.ProbeTier([]string{servers}, opts)
-	if !views[0].Alive || !views[0].Enabled {
+	if !views[0].Alive() || !views[0].Resp.Enabled {
 		t.Fatalf("tier view = %+v", views[0])
 	}
-	if views[0].Spills == 0 || views[0].Entries == 0 {
+	if views[0].Resp.Spills == 0 || views[0].Resp.Entries == 0 {
 		t.Fatalf("budget pressure spilled nothing: %+v", views[0])
 	}
 	// Scrub while the cold versions are still on disk: a clean tier
 	// CRC-checks every generation and loses nothing.
 	scrubs := gospaces.ScrubTier([]string{servers}, opts)
-	if !scrubs[0].Alive || !scrubs[0].Enabled || scrubs[0].Checked == 0 {
+	if !scrubs[0].Alive() || !scrubs[0].Resp.Enabled || scrubs[0].Resp.Checked == 0 {
 		t.Fatalf("scrub view = %+v", scrubs[0])
 	}
-	if scrubs[0].Lost != 0 || scrubs[0].Degraded {
+	if scrubs[0].Resp.Lost != 0 || scrubs[0].Resp.Degraded {
 		t.Fatalf("clean tier scrub reported damage: %+v", scrubs[0])
 	}
 	// Spilled versions still read back byte-exact (promote-on-get).
@@ -242,10 +242,10 @@ func TestHealthCommand(t *testing.T) {
 	}
 
 	hs := gospaces.ProbeHealth([]string{member.Addr(), spare.Addr()}, opts)
-	if !hs[0].Alive || hs[0].Spare {
+	if !hs[0].Alive() || hs[0].Resp.Spare {
 		t.Fatalf("member health = %+v", hs[0])
 	}
-	if !hs[1].Alive || !hs[1].Spare || hs[1].ID != 1 {
+	if !hs[1].Alive() || !hs[1].Resp.Spare || hs[1].Resp.ID != 1 {
 		t.Fatalf("spare health = %+v", hs[1])
 	}
 
@@ -259,7 +259,7 @@ func TestHealthCommand(t *testing.T) {
 		t.Fatal("dead server not reported")
 	}
 	hs = gospaces.ProbeHealth([]string{deadAddr}, opts)
-	if hs[0].Alive || hs[0].Err == "" {
+	if hs[0].Alive() || hs[0].Err == "" {
 		t.Fatalf("dead health = %+v", hs[0])
 	}
 }

@@ -3,17 +3,22 @@
 //
 // Usage:
 //
-//	wfbench -exp fig9a|fig9b|fig9c|fig9d|fig9e|fig10|table1|table2|table3|all
+//	wfbench -exp table1|table2|table3|motivation|fig9a|fig9b|fig9c|fig9d|fig9e|fig10|sweep|all
 //	        [-seeds n] [-steps n] [-reps n]
 //
-// Figures 9(a)–(d) measure the live staging service in this process;
-// Figure 9(e) and Figure 10 run the crash-consistency protocol on the
-// virtual-time simulator at the paper's Cori scales.
+// Figures 9(a)–(d) and the Fig. 2 motivation measure the live staging
+// service in this process; Figure 9(e), Figure 10 and the MTBF sweep
+// run the crash-consistency protocol on the virtual-time simulator at
+// the paper's Cori scales. Two experiments go beyond the paper: -exp
+// nemesis (MTTR with the recovery leader killed mid-promotion) and
+// -exp soak (the record/replay churn soak make soak-smoke runs).
+// Performance of the staging service itself is bench/'s job.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -29,130 +34,127 @@ import (
 	"gospaces/internal/transport"
 )
 
+// expUsage is the -exp flag's help text: every experiment by name.
+const expUsage = "experiment to run: table1, table2, table3, fig9a, fig9b, fig9c, fig9d, fig9e, fig10, sweep, motivation, nemesis, soak, all"
+
+// allExps is what -exp all runs, in order (fig9c/fig9d print with
+// fig9a/fig9b; the soak is make soak-smoke's).
+var allExps = []string{"table1", "table2", "table3", "motivation", "nemesis", "fig9a", "fig9b", "fig9e", "fig10", "sweep"}
+
+// params carries the flags into the experiments.
+type params struct {
+	out   io.Writer
+	live  expt.LiveParams
+	seeds []int64
+	// soak holds the -soak-* flags (soakExp sets its Seed per seed); a
+	// failing seed's trace is persisted under traceDir, and replay names
+	// one persisted trace to re-execute instead of recording.
+	soak             gospaces.SoakOptions
+	traceDir, replay string
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1, table2, table3, fig9a, fig9b, fig9c, fig9d, fig9e, fig10, sweep, motivation, failstop, logrepl, nemesis, transport, overload, tier, soak, all")
+	p := params{out: os.Stdout, live: expt.DefaultLiveParams()}
+	exp := flag.String("exp", "all", expUsage)
 	seeds := flag.Int("seeds", 5, "number of failure-schedule seeds for the simulated experiments")
-	steps := flag.Int64("steps", 20, "coupling cycles for the live staging measurements")
-	reps := flag.Int("reps", 5, "repetitions (median) for the live staging measurements")
-	out := flag.String("out", "", "output file for the transport/tier experiment's JSON measurements (default BENCH_<exp>.json)")
-	outOverload := flag.String("out-overload", "BENCH_overload.json", "output file for the overload experiment's JSON measurements")
-	soakGroups := flag.Int("soak-groups", 2, "producer/consumer pairs per churn soak")
-	soakSteps := flag.Int("soak-steps", 5, "logged versions per producer in a churn soak")
-	soakFaults := flag.Int("soak-faults", 6, "injected faults per churn soak (0 = clean)")
-	soakTier := flag.Bool("soak-tier", true, "give soak servers a cold tier and storage faults")
-	soakOverload := flag.Bool("soak-overload", true, "enable admission control and flood bursts in soaks")
-	traceDir := flag.String("trace-dir", ".", "directory for failing soak runs' persisted traces")
-	replay := flag.String("replay", "", "replay one persisted soak trace file instead of recording")
+	flag.Int64Var(&p.live.Steps, "steps", 20, "coupling cycles for the live staging measurements")
+	flag.IntVar(&expt.Reps, "reps", 5, "repetitions (median) for the live staging measurements")
+	flag.IntVar(&p.soak.Groups, "soak-groups", 2, "producer/consumer pairs per churn soak")
+	flag.IntVar(&p.soak.Steps, "soak-steps", 5, "logged versions per producer in a churn soak")
+	flag.IntVar(&p.soak.Faults, "soak-faults", 6, "injected faults per churn soak (0 = clean)")
+	flag.BoolVar(&p.soak.Tier, "soak-tier", true, "give soak servers a cold tier and storage faults")
+	flag.BoolVar(&p.soak.Overload, "soak-overload", true, "enable admission control and flood bursts in soaks")
+	flag.StringVar(&p.traceDir, "trace-dir", ".", "directory for failing soak runs' persisted traces")
+	flag.StringVar(&p.replay, "replay", "", "replay one persisted soak trace file instead of recording")
 	flag.Parse()
-
-	expt.Reps = *reps
-	live := expt.DefaultLiveParams()
-	live.Steps = *steps
-	seedList := make([]int64, *seeds)
-	for i := range seedList {
-		seedList[i] = int64(i + 1)
+	for i := 1; i <= *seeds; i++ {
+		p.seeds = append(p.seeds, int64(i))
 	}
 
-	run := func(name string) error {
-		switch name {
-		case "table1":
-			return table1()
-		case "table2":
-			return table2()
-		case "table3":
-			return table3()
-		case "fig9a", "fig9c":
-			rows, err := expt.Fig9Case1(live)
-			if err != nil {
-				return err
-			}
-			expt.WriteCase1(os.Stdout, rows)
-		case "fig9b", "fig9d":
-			rows, err := expt.Fig9Case2(live)
-			if err != nil {
-				return err
-			}
-			expt.WriteCase2(os.Stdout, rows)
-		case "fig9e":
-			rows, err := expt.Fig9e(seedList)
-			if err != nil {
-				return err
-			}
-			case2, err := expt.Fig9eCase2(seedList)
-			if err != nil {
-				return err
-			}
-			expt.WriteFig9e(os.Stdout, rows, case2)
-		case "fig10":
-			rows, err := expt.Fig10(seedList)
-			if err != nil {
-				return err
-			}
-			expt.WriteFig10(os.Stdout, rows)
-		case "sweep":
-			rows, err := expt.MTBFSweep(seedList)
-			if err != nil {
-				return err
-			}
-			expt.WriteSweep(os.Stdout, rows)
-		case "motivation":
-			return motivation()
-		case "failstop":
-			return failstop()
-		case "logrepl":
-			return logrepl()
-		case "nemesis":
-			return nemesisExp()
-		case "transport":
-			return transportExp(orDefault(*out, "BENCH_transport.json"))
-		case "overload":
-			return overloadExp(*outOverload)
-		case "tier":
-			return tierExp(orDefault(*out, "BENCH_tier.json"))
-		case "soak":
-			return soakExp(soakParams{
-				seeds:    seedList,
-				groups:   *soakGroups,
-				steps:    *soakSteps,
-				faults:   *soakFaults,
-				tier:     *soakTier,
-				overload: *soakOverload,
-				traceDir: *traceDir,
-				replay:   *replay,
-			})
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		return nil
-	}
-
-	var names []string
+	names := []string{*exp}
 	if *exp == "all" {
-		names = []string{"table1", "table2", "table3", "motivation", "failstop", "logrepl", "nemesis", "fig9a", "fig9b", "fig9e", "fig10", "sweep"}
-	} else {
-		names = []string{*exp}
+		names = allExps
 	}
 	for _, n := range names {
-		if err := run(n); err != nil {
+		if err := run(n, p); err != nil {
 			fmt.Fprintf(os.Stderr, "wfbench: %s: %v\n", n, err)
 			os.Exit(1)
 		}
 	}
 }
 
-// orDefault substitutes def for an unset output-path flag.
-func orDefault(v, def string) string {
-	if v == "" {
-		return def
+// experiments maps every -exp name to what runs it.
+var experiments = map[string]func(params) error{
+	"table1": table1, "table2": table2, "table3": table3,
+	"fig9a": fig9Case1, "fig9c": fig9Case1,
+	"fig9b": fig9Case2, "fig9d": fig9Case2,
+	"fig9e": fig9e, "fig10": fig10, "sweep": sweep,
+	"motivation": motivation, "nemesis": nemesisExp, "soak": soakExp,
+}
+
+// run dispatches one experiment by name.
+func run(name string, p params) error {
+	f, ok := experiments[name]
+	if !ok {
+		return fmt.Errorf("unknown experiment %q", name)
 	}
-	return v
+	return f(p)
+}
+
+func fig9Case1(p params) error {
+	rows, err := expt.Fig9Case1(p.live)
+	if err != nil {
+		return err
+	}
+	expt.WriteCase1(p.out, rows)
+	return nil
+}
+
+func fig9Case2(p params) error {
+	rows, err := expt.Fig9Case2(p.live)
+	if err != nil {
+		return err
+	}
+	expt.WriteCase2(p.out, rows)
+	return nil
+}
+
+func fig9e(p params) error {
+	rows, err := expt.Fig9e(p.seeds)
+	if err != nil {
+		return err
+	}
+	case2, err := expt.Fig9eCase2(p.seeds)
+	if err != nil {
+		return err
+	}
+	expt.WriteFig9e(p.out, rows, case2)
+	return nil
+}
+
+func fig10(p params) error {
+	rows, err := expt.Fig10(p.seeds)
+	if err != nil {
+		return err
+	}
+	expt.WriteFig10(p.out, rows)
+	return nil
+}
+
+func sweep(p params) error {
+	rows, err := expt.MTBFSweep(p.seeds)
+	if err != nil {
+		return err
+	}
+	expt.WriteSweep(p.out, rows)
+	return nil
 }
 
 // motivation runs the paper's Figure 2 scenario live — one consumer
 // failure under each scheme — and prints whether the results stayed
 // correct. This is the paper's core claim demonstrated on real staging
 // servers with byte-level verification.
-func motivation() error {
+func motivation(p params) error {
 	t := &expt.Table{
 		Title:   "Fig 2 motivation (live): one analytic failure under each scheme",
 		Headers: []string{"scheme", "recoveries", "replayed", "suppressed", "corrupt reads", "verdict"},
@@ -185,106 +187,7 @@ func motivation() error {
 		}
 		t.Add(scheme.String(), res.Recoveries, res.ReplayedEvents, res.SuppressedPuts, res.CorruptReads, verdict)
 	}
-	t.Write(os.Stdout)
-	return nil
-}
-
-// failstop runs a live staging-server fail-stop under the coordinated
-// scheme, once per redundancy mode: a server's listener closes for
-// good mid-run, the supervisor promotes a warm spare and re-protects
-// the staged shards, and every consumer read is still verified byte
-// for byte.
-func failstop() error {
-	t := &expt.Table{
-		Title:   "Server fail-stop recovery (live): one staging server lost mid-run",
-		Headers: []string{"redundancy", "server recoveries", "epoch", "rebuilds", "rebuilt bytes", "corrupt reads", "verdict"},
-	}
-	for _, red := range []struct {
-		name string
-		cfg  gospaces.RedundancyConfig
-	}{
-		{"replication x3", gospaces.RedundancyConfig{Mode: gospaces.Replication, Replicas: 3}},
-		{"erasure RS(2,2)", gospaces.RedundancyConfig{Mode: gospaces.ErasureCoding, K: 2, M: 2}},
-	} {
-		cfg := red.cfg
-		res, err := gospaces.RunWorkflow(gospaces.WorkflowOptions{
-			Scheme:      gospaces.Coordinated,
-			Steps:       12,
-			Global:      gospaces.Box3(0, 0, 0, 63, 63, 31),
-			SimRanks:    4,
-			AnaRanks:    2,
-			NServers:    4,
-			SimPeriod:   4,
-			AnaPeriod:   5,
-			CoordPeriod: 4,
-			ServerFailures: []gospaces.ServerFailAt{
-				{Server: 1, TS: 6},
-			},
-			Redundancy: &cfg,
-		})
-		if err != nil {
-			return err
-		}
-		verdict := "CONSISTENT"
-		if res.CorruptReads > 0 {
-			verdict = "CORRUPTED"
-		}
-		if res.ServerRecoveries == 0 {
-			verdict = "NO RECOVERY"
-		}
-		t.Add(red.name, res.ServerRecoveries, res.FinalEpoch, res.Rebuilds,
-			expt.MiB(res.RebuildBytes), res.CorruptReads, verdict)
-	}
-	t.Write(os.Stdout)
-	return nil
-}
-
-// logrepl runs live staging-server fail-stops under the LOGGED schemes
-// with event-log replication on: the supervisor promotes a spare and
-// restores the dead server's event queues, payloads, and lock state
-// from the freshest replica, so workflow_restart replays byte-exactly
-// even though the paper's recovery metadata lived on the dead server.
-func logrepl() error {
-	t := &expt.Table{
-		Title:   "Event-log replication (live): logged schemes surviving staging fail-stop",
-		Headers: []string{"scenario", "server recoveries", "epoch", "rollbacks", "replayed", "corrupt reads", "verdict"},
-	}
-	for _, sc := range []struct {
-		name     string
-		scheme   gospaces.Scheme
-		k        int
-		failures []gospaces.ServerFailAt
-	}{
-		{"uncoordinated K=1", gospaces.Uncoordinated, 1, []gospaces.ServerFailAt{{Server: 1, TS: 6}}},
-		{"hybrid K=1", gospaces.Hybrid, 1, []gospaces.ServerFailAt{{Server: 2, TS: 6}}},
-		{"uncoordinated K=2, 2 kills", gospaces.Uncoordinated, 2, []gospaces.ServerFailAt{{Server: 1, TS: 4}, {Server: 3, TS: 8}}},
-	} {
-		res, err := gospaces.RunWorkflow(gospaces.WorkflowOptions{
-			Scheme:         sc.scheme,
-			Steps:          12,
-			Global:         gospaces.Box3(0, 0, 0, 63, 63, 31),
-			SimRanks:       4,
-			AnaRanks:       2,
-			NServers:       4,
-			SimPeriod:      4,
-			AnaPeriod:      5,
-			WlogReplicas:   sc.k,
-			ServerFailures: sc.failures,
-		})
-		if err != nil {
-			return err
-		}
-		verdict := "CONSISTENT"
-		if res.CorruptReads > 0 {
-			verdict = "CORRUPTED"
-		}
-		if res.ServerRecoveries != len(sc.failures) {
-			verdict = "NO RECOVERY"
-		}
-		t.Add(sc.name, res.ServerRecoveries, res.FinalEpoch, res.Recoveries,
-			res.ReplayedEvents, res.CorruptReads, verdict)
-	}
-	t.Write(os.Stdout)
+	t.Write(p.out)
 	return nil
 }
 
@@ -293,7 +196,7 @@ func logrepl() error {
 // killed mid-promotion: the killed-leader case pays roughly one lease
 // TTL for the standby takeover, and the journaled intent lets the
 // successor finish the same promotion (one spare, one epoch bump).
-func nemesisExp() error {
+func nemesisExp(p params) error {
 	t := &expt.Table{
 		Title:   "Supervisor HA (live): MTTR for a server fail-stop, 3 redundant supervisors",
 		Headers: []string{"scenario", "median MTTR", "promotions", "takeovers", "verdict"},
@@ -326,7 +229,7 @@ func nemesisExp() error {
 		}
 		t.Add(sc.name, mttrs[len(mttrs)/2].Round(time.Millisecond), promotions, takeovers, verdict)
 	}
-	t.Write(os.Stdout)
+	t.Write(p.out)
 	return nil
 }
 
@@ -417,7 +320,7 @@ func nemesisMTTR(kill bool) (time.Duration, int64, int64, error) {
 }
 
 // table1 prints the user interface of Table I.
-func table1() error {
+func table1(p params) error {
 	t := &expt.Table{
 		Title:   "Table I: user interface for checkpoint/restart in workflows",
 		Headers: []string{"paper API", "gospaces API", "purpose"},
@@ -426,11 +329,11 @@ func table1() error {
 	t.Add("workflow_restart()", "Client.WorkflowRestart", "recover the staging client and notify the recovery event")
 	t.Add("dspaces_put_with_log()", "Client.PutWithLog", "log data to data staging")
 	t.Add("dspaces_get_with_log()", "Client.GetWithLog", "retrieve the logged data specified by geometric descriptor")
-	t.Write(os.Stdout)
+	t.Write(p.out)
 	return nil
 }
 
-func table2() error {
+func table2(p params) error {
 	w := cluster.TableII()
 	t := &expt.Table{
 		Title:   "Table II: experimental setup for synthetic test cases",
@@ -447,11 +350,11 @@ func table2() error {
 	t.Add("simulation ckpt period (ts)", w.SimPeriod)
 	t.Add("analytic ckpt period (ts)", w.AnaPeriod)
 	t.Add("MTBF", w.MTBF)
-	t.Write(os.Stdout)
+	t.Write(p.out)
 	return nil
 }
 
-func table3() error {
+func table3(p params) error {
 	t := &expt.Table{
 		Title:   "Table III: scalability test configurations",
 		Headers: []string{"scale", "total", "sim", "staging", "analytic", "data/40ts", "periods", "MTBF", "failures"},
@@ -462,6 +365,6 @@ func table3() error {
 			fmt.Sprintf("%d/%d/%d", w.CoordPeriod, w.SimPeriod, w.AnaPeriod),
 			w.MTBF, w.NFailures)
 	}
-	t.Write(os.Stdout)
+	t.Write(p.out)
 	return nil
 }

@@ -10,18 +10,6 @@ import (
 	"gospaces/internal/expt"
 )
 
-// soakParams carries the -soak-* flags into the experiment.
-type soakParams struct {
-	seeds    []int64
-	groups   int
-	steps    int
-	faults   int
-	tier     bool
-	overload bool
-	traceDir string
-	replay   string
-}
-
 // soakExp runs one churn soak per seed: record the deterministic
 // trace, execute it against a live staging group, then immediately
 // replay the recorded trace and hold both runs to the same digest.
@@ -29,7 +17,7 @@ type soakParams struct {
 // can be replayed under `go test` (copy it into
 // internal/workflow/testdata/ and point a TestReplayRegression_* case
 // at it).
-func soakExp(p soakParams) error {
+func soakExp(p params) error {
 	if p.replay != "" {
 		return soakReplay(p.replay)
 	}
@@ -39,14 +27,8 @@ func soakExp(p soakParams) error {
 	}
 	failures := 0
 	for _, seed := range p.seeds {
-		o := gospaces.SoakOptions{
-			Seed:     seed,
-			Groups:   p.groups,
-			Steps:    p.steps,
-			Faults:   p.faults,
-			Tier:     p.tier,
-			Overload: p.overload,
-		}
+		o := p.soak
+		o.Seed = seed
 		start := time.Now()
 		h, events, rec, err := gospaces.RunSoak(o)
 		verdict := "CONSISTENT"
@@ -78,7 +60,7 @@ func soakExp(p soakParams) error {
 			rec.TierFaults, fmt.Sprintf("%d/%d", rec.FloodPuts, rec.FloodSheds), rec.Retries,
 			time.Since(start).Round(time.Millisecond), verdict)
 	}
-	t.Write(os.Stdout)
+	t.Write(p.out)
 	if failures > 0 {
 		return fmt.Errorf("%d of %d soak seeds diverged", failures, len(p.seeds))
 	}

@@ -212,34 +212,22 @@ func ServeWithOptions(addr string, id int, opts ServeOptions) (*StagingServer, e
 		chaos.SetServeFaults(opts.ChaosDelayProb, opts.ChaosDelay, opts.ChaosHangProb, opts.ChaosHang)
 		tr = chaos
 	}
-	srv := staging.NewServer(id)
-	srv.SetSpare(opts.Spare)
-	if opts.QoS != nil {
-		srv.EnableQoS(*opts.QoS)
-	}
-	if opts.MemoryBudget > 0 {
-		srv.SetMemoryBudget(opts.MemoryBudget)
+	cfg := StagingConfig{
+		MemoryBudgetPerServer: opts.MemoryBudget,
+		WlogReplicas:          opts.WlogReplicas,
+		QoS:                   opts.QoS,
+		TierWatermark:         opts.TierWatermark,
 	}
 	if opts.TierDir != "" {
 		be, err := pfs.NewDirStore(opts.TierDir)
 		if err != nil {
 			return nil, fmt.Errorf("gospaces: tier dir: %w", err)
 		}
-		srv.EnableTier(be, opts.TierWatermark)
+		cfg.TierBackend = func(int) tier.Backend { return be }
 	}
-	closer, err := tr.Listen(addr, srv.Handle)
+	srv, closer, bound, err := staging.Serve(tr, addr, id, cfg, opts.Spare)
 	if err != nil {
 		return nil, fmt.Errorf("gospaces: serve: %w", err)
-	}
-	bound := addr
-	if a, ok := closer.(interface{ Addr() string }); ok {
-		bound = a.Addr()
-	}
-	if opts.WlogReplicas > 0 {
-		// The server finds its own membership slot by address, so it
-		// must know the bound (not the requested ":0") address.
-		srv.SetAddr(bound)
-		srv.EnableReplication(tr, opts.WlogReplicas)
 	}
 	return &StagingServer{ep: closer, srv: srv, addr: bound}, nil
 }
@@ -449,152 +437,92 @@ func NewRedundancy(cfg RedundancyConfig, c *Client) (*Redundancy, error) {
 }
 
 // ---------------------------------------------------------------------
-// Health probing (dsctl health wraps this).
+// Probes (dsctl health, leader, qos, tier and scrub wrap these).
 
-// ServerHealth is one staging server's liveness and recovery
-// accounting as seen by a health probe.
-type ServerHealth struct {
+// Probed is one staging server's answer to a probe: the response as
+// the server sent it, or why there is none. A probe never fails as a
+// whole — a dead server is a row with Err set.
+type Probed[R any] struct {
 	// Addr is the probed address.
 	Addr string
-	// Alive is true when the server answered the ping.
-	Alive bool
-	// ID is the server's id within its group (valid when Alive).
-	ID int
-	// Epoch is the membership epoch the server holds (0 until the
-	// first recovery pushes a view).
-	Epoch uint64
-	// Spare is true while the server waits outside the membership.
-	Spare bool
-	// ShardBytes, RebuiltShards, RebuiltBytes report the server's
-	// resilience-shard footprint and how much of it was re-written by
-	// recovery re-protection.
-	ShardBytes    int64
-	RebuiltShards int64
-	RebuiltBytes  int64
-	// Err describes the probe failure when Alive is false.
+	// Err describes the probe failure (Resp is then zero).
 	Err string
+	// Resp is the server's response.
+	Resp R
 }
 
-// ProbeHealth pings each address and collects liveness, membership
-// epoch, and recovery accounting. Dead servers are reported with
-// Alive=false rather than failing the probe.
-func ProbeHealth(addrs []string, opts DialOptions) []ServerHealth {
+// Alive reports whether the server answered.
+func (p Probed[R]) Alive() bool { return p.Err == "" }
+
+// probe sends req to every address and expects an R back.
+func probe[R any](addrs []string, opts DialOptions, req any) []Probed[R] {
 	tr := transport.NewTCPTimeout(opts.CallTimeout, opts.DialTimeout)
-	out := make([]ServerHealth, len(addrs))
+	out := make([]Probed[R], len(addrs))
 	for i, addr := range addrs {
-		out[i] = probeOne(tr, addr)
+		out[i].Addr = addr
+		if err := callOnce(tr, addr, req, &out[i].Resp); err != nil {
+			out[i].Err = err.Error()
+		}
 	}
 	return out
 }
 
-func probeOne(tr transport.Transport, addr string) ServerHealth {
-	h := ServerHealth{Addr: addr}
+// callOnce makes one call over a connection of its own, without the
+// retry layer: a dead server costs a probe one dial timeout.
+func callOnce[R any](tr transport.Transport, addr string, req any, resp *R) error {
 	conn, err := tr.Dial(addr)
 	if err != nil {
-		h.Err = err.Error()
-		return h
+		return err
 	}
 	defer conn.Close()
-	resp, err := conn.Call(health.PingReq{From: "dsctl"})
+	raw, err := conn.Call(req)
 	if err != nil {
-		h.Err = err.Error()
-		return h
+		return err
 	}
-	ping, ok := resp.(health.PingResp)
+	r, ok := raw.(R)
 	if !ok {
-		h.Err = fmt.Sprintf("unexpected ping response %T", resp)
-		return h
+		return fmt.Errorf("%T answered with %T, want %T", req, raw, r)
 	}
-	h.Alive = true
-	h.ID = ping.ID
-	h.Epoch = ping.Epoch
-	h.Spare = ping.Spare
-	if sresp, err := conn.Call(staging.StatsReq{}); err == nil {
-		if st, ok := sresp.(staging.StatsResp); ok {
-			h.ShardBytes = st.ShardBytes
-			h.RebuiltShards = st.RebuiltShards
-			h.RebuiltBytes = st.RebuiltBytes
-			if st.Epoch > h.Epoch {
-				h.Epoch = st.Epoch
-			}
+	*resp = r
+	return nil
+}
+
+// ServerHealth is one staging server's liveness — its ID, membership
+// Epoch and whether it is a Spare waiting outside the membership — and,
+// when it answered, its accounting: Stats.ShardBytes, RebuiltShards and
+// RebuiltBytes are the resilience-shard footprint and how much of it
+// recovery re-protection re-wrote.
+type ServerHealth struct {
+	Probed[health.PingResp]
+	Stats StagingStats
+}
+
+// ProbeHealth pings each address and asks the servers that answered
+// for their accounting; Resp.Epoch is the newer of the two answers'.
+func ProbeHealth(addrs []string, opts DialOptions) []ServerHealth {
+	tr := transport.NewTCPTimeout(opts.CallTimeout, opts.DialTimeout)
+	out := make([]ServerHealth, len(addrs))
+	for i, p := range probe[health.PingResp](addrs, opts, health.PingReq{From: "dsctl"}) {
+		out[i].Probed = p
+		// A server that dies between the two calls keeps its ping row.
+		if p.Alive() && callOnce(tr, p.Addr, staging.StatsReq{}, &out[i].Stats) == nil {
+			out[i].Resp.Epoch = max(p.Resp.Epoch, out[i].Stats.Epoch)
 		}
 	}
-	return h
+	return out
 }
 
 // LeaderView is one staging server's view of recovery leadership: the
 // lease record it granted, its fencing high-water mark, and any
 // journaled promotion intents (the dead-slot backlog a takeover would
 // resume).
-type LeaderView struct {
-	// Addr is the probed address.
-	Addr string
-	// Holder names the supervisor the server granted the lease to
-	// (empty when no lease is held).
-	Holder string
-	// Token is the granted lease's fencing token.
-	Token uint64
-	// Fence is the highest token the server has seen: calls below it
-	// are rejected.
-	Fence uint64
-	// ExpiresIn is the remaining lease time (negative when expired).
-	ExpiresIn time.Duration
-	// Intents are the promotions journaled on this server but not yet
-	// completed.
-	Intents []PromotionIntentInfo
-	// Err describes the probe failure (the other fields are zero).
-	Err string
-}
-
-// PromotionIntentInfo renders one journaled promotion intent.
-type PromotionIntentInfo struct {
-	Slot     int
-	DeadAddr string
-	Spare    string
-	Token    uint64
-}
+type LeaderView = Probed[staging.LeaderInfoResp]
 
 // ProbeLeader asks each address for its recovery-leadership view —
-// lease holder, fencing token, and journaled promotion backlog. Dead
-// servers are reported with Err set rather than failing the probe.
-// dsctl leader wraps this.
+// lease holder, fencing token, and journaled promotion backlog. dsctl
+// leader wraps this.
 func ProbeLeader(addrs []string, opts DialOptions) []LeaderView {
-	tr := transport.NewTCPTimeout(opts.CallTimeout, opts.DialTimeout)
-	out := make([]LeaderView, len(addrs))
-	for i, addr := range addrs {
-		out[i] = leaderOne(tr, addr)
-	}
-	return out
-}
-
-func leaderOne(tr transport.Transport, addr string) LeaderView {
-	v := LeaderView{Addr: addr}
-	conn, err := tr.Dial(addr)
-	if err != nil {
-		v.Err = err.Error()
-		return v
-	}
-	defer conn.Close()
-	raw, err := conn.Call(staging.LeaderInfoReq{})
-	if err != nil {
-		v.Err = err.Error()
-		return v
-	}
-	resp, ok := raw.(staging.LeaderInfoResp)
-	if !ok {
-		v.Err = fmt.Sprintf("unexpected leader-info response %T", raw)
-		return v
-	}
-	v.Holder = resp.Holder
-	v.Token = resp.Token
-	v.Fence = resp.MaxFence
-	v.ExpiresIn = resp.ExpiresIn
-	for _, in := range resp.Intents {
-		v.Intents = append(v.Intents, PromotionIntentInfo{
-			Slot: in.Slot, DeadAddr: in.DeadAddr, Spare: in.Spare, Token: in.Token,
-		})
-	}
-	return v
+	return probe[staging.LeaderInfoResp](addrs, opts, staging.LeaderInfoReq{})
 }
 
 // ---------------------------------------------------------------------
@@ -638,72 +566,14 @@ func OverloadedError(err error) (*ErrOverloaded, bool) { return qos.FromError(er
 type QoSTenant = staging.QosTenant
 
 // QoSView is one staging server's admission-control accounting as seen
-// by a probe.
-type QoSView struct {
-	// Addr is the probed address.
-	Addr string
-	// Alive is true when the server answered; Err holds the failure
-	// otherwise.
-	Alive bool
-	// Enabled is true when the admission layer is on.
-	Enabled bool
-	// ID is the server's id within its group.
-	ID int
-	// Tenants is the per-tenant usage, quota, and admit/shed accounting.
-	Tenants []QoSTenant
-	// Admits and Sheds count admission decisions server-wide.
-	Admits, Sheds int64
-	// QueueForeground and QueueRecovery are the current lane queue
-	// depths.
-	QueueForeground, QueueRecovery int64
-	// ReplLag is the event-log replication backlog (records a handler
-	// waits for that are not yet shipped).
-	ReplLag int64
-	// Err describes the probe failure when Alive is false.
-	Err string
-}
+// by a probe: per-tenant usage against quota, admit/shed counters, lane
+// queue depths, and the event-log replication backlog.
+type QoSView = Probed[staging.QosStatsResp]
 
-// ProbeQoS asks each address for its admission-control view: tenant
-// quota usage, admit/shed counters, lane queue depths, and replication
-// lag. Dead servers are reported with Alive=false rather than failing
-// the probe. dsctl qos wraps this.
+// ProbeQoS asks each address for its admission-control view. dsctl qos
+// wraps this.
 func ProbeQoS(addrs []string, opts DialOptions) []QoSView {
-	tr := transport.NewTCPTimeout(opts.CallTimeout, opts.DialTimeout)
-	out := make([]QoSView, len(addrs))
-	for i, addr := range addrs {
-		out[i] = qosOne(tr, addr)
-	}
-	return out
-}
-
-func qosOne(tr transport.Transport, addr string) QoSView {
-	v := QoSView{Addr: addr}
-	conn, err := tr.Dial(addr)
-	if err != nil {
-		v.Err = err.Error()
-		return v
-	}
-	defer conn.Close()
-	raw, err := conn.Call(staging.QosStatsReq{})
-	if err != nil {
-		v.Err = err.Error()
-		return v
-	}
-	resp, ok := raw.(staging.QosStatsResp)
-	if !ok {
-		v.Err = fmt.Sprintf("unexpected qos-stats response %T", raw)
-		return v
-	}
-	v.Alive = true
-	v.Enabled = resp.Enabled
-	v.ID = resp.ID
-	v.Tenants = resp.Tenants
-	v.Admits = resp.Admits
-	v.Sheds = resp.Sheds
-	v.QueueForeground = resp.QueueForeground
-	v.QueueRecovery = resp.QueueRecovery
-	v.ReplLag = resp.ReplLag
-	return v
+	return probe[staging.QosStatsResp](addrs, opts, staging.QosStatsReq{})
 }
 
 // ---------------------------------------------------------------------
@@ -719,151 +589,27 @@ var ErrTierDegraded error = tier.ErrTierDegraded
 // probe: spill/promote traffic, scrub results, degradation, and the
 // incremental event-log replication counters (delta re-syncs served
 // from the retained window vs full snapshot fallbacks).
-type TierView struct {
-	// Addr is the probed address.
-	Addr string
-	// Alive is true when the server answered; Err holds the failure
-	// otherwise.
-	Alive bool
-	// Enabled is true when a cold tier is attached.
-	Enabled bool
-	// ID is the server's id within its group.
-	ID int
-	// Degraded is true while the tier runs RAM-only after a backend
-	// fault (a scrub pass re-arms it).
-	Degraded bool
-	// Entries and Bytes are the spilled records resident in the tier.
-	Entries int
-	Bytes   int64
-	// Spill/promote traffic (cumulative).
-	Spills, SpillBytes, Promotes, PromoteBytes int64
-	// Scrub accounting: records CRC-checked, healed from the twin
-	// generation, and lost to double corruption; DegradedEvents counts
-	// RAM-only fallbacks.
-	ScrubChecked, ScrubHealed, ScrubLost, DegradedEvents int64
-	// Incremental wlog replication: delta re-syncs served from the
-	// retained window vs full snapshots, with shipped bytes for each.
-	DeltaResyncs, DeltaBytes, SnapshotsSent, SnapshotBytes int64
-	// Err describes the probe failure when Alive is false.
-	Err string
-}
+type TierView = Probed[staging.TierStatsResp]
 
-// ProbeTier asks each address for its cold-tier view: spill/promote
-// accounting, scrub results, degradation state, and incremental
-// replication counters. Dead servers are reported with Alive=false
-// rather than failing the probe. dsctl tier wraps this.
+// ProbeTier asks each address for its cold-tier view. dsctl tier wraps
+// this.
 func ProbeTier(addrs []string, opts DialOptions) []TierView {
-	tr := transport.NewTCPTimeout(opts.CallTimeout, opts.DialTimeout)
-	out := make([]TierView, len(addrs))
-	for i, addr := range addrs {
-		out[i] = tierOne(tr, addr)
-	}
-	return out
+	return probe[staging.TierStatsResp](addrs, opts, staging.TierStatsReq{})
 }
 
-func tierOne(tr transport.Transport, addr string) TierView {
-	v := TierView{Addr: addr}
-	conn, err := tr.Dial(addr)
-	if err != nil {
-		v.Err = err.Error()
-		return v
-	}
-	defer conn.Close()
-	raw, err := conn.Call(staging.TierStatsReq{})
-	if err != nil {
-		v.Err = err.Error()
-		return v
-	}
-	resp, ok := raw.(staging.TierStatsResp)
-	if !ok {
-		v.Err = fmt.Sprintf("unexpected tier-stats response %T", raw)
-		return v
-	}
-	v.Alive = true
-	v.Enabled = resp.Enabled
-	v.ID = resp.ID
-	v.Degraded = resp.Degraded
-	v.Entries = resp.Entries
-	v.Bytes = resp.Bytes
-	v.Spills = resp.Spills
-	v.SpillBytes = resp.SpillBytes
-	v.Promotes = resp.Promotes
-	v.PromoteBytes = resp.PromoteBytes
-	v.ScrubChecked = resp.ScrubChecked
-	v.ScrubHealed = resp.ScrubHealed
-	v.ScrubLost = resp.ScrubLost
-	v.DegradedEvents = resp.DegradedEvents
-	v.DeltaResyncs = resp.DeltaResyncs
-	v.DeltaBytes = resp.DeltaBytes
-	v.SnapshotsSent = resp.SnapshotsSent
-	v.SnapshotBytes = resp.SnapshotBytes
-	return v
-}
-
-// ScrubView is the result of one server's triggered scrub pass.
-type ScrubView struct {
-	// Addr is the probed address.
-	Addr string
-	// Alive is true when the server answered; Err holds the failure
-	// otherwise.
-	Alive bool
-	// Enabled is true when a cold tier is attached.
-	Enabled bool
-	// ID is the server's id within its group.
-	ID int
-	// Checked, Healed, Lost count the records CRC-verified by this
-	// pass, those re-replicated from their surviving twin generation,
-	// and those lost to double corruption (detected, dropped, counted —
-	// never silently returned).
-	Checked, Healed, Lost int64
-	// Degraded is true when the tier is still RAM-only after the pass
-	// (the degradation probe write also failed).
-	Degraded bool
-	// Err describes the probe failure when Alive is false.
-	Err string
-}
+// ScrubView is the result of one server's triggered scrub pass: the
+// records CRC-verified, those re-replicated from their surviving twin
+// generation, and those lost to double corruption (detected, dropped,
+// counted — never silently returned); Degraded when the tier is still
+// RAM-only after the pass.
+type ScrubView = Probed[staging.TierScrubResp]
 
 // ScrubTier triggers a CRC scrub pass over each server's spilled
 // records: every record generation is re-read and CRC-verified, corrupt
 // generations are re-replicated from their intact twins, and a degraded
-// tier that passes its probe write is re-armed. Dead servers are
-// reported with Alive=false rather than failing the probe. dsctl scrub
-// wraps this.
+// tier that passes its probe write is re-armed. dsctl scrub wraps this.
 func ScrubTier(addrs []string, opts DialOptions) []ScrubView {
-	tr := transport.NewTCPTimeout(opts.CallTimeout, opts.DialTimeout)
-	out := make([]ScrubView, len(addrs))
-	for i, addr := range addrs {
-		out[i] = scrubOne(tr, addr)
-	}
-	return out
-}
-
-func scrubOne(tr transport.Transport, addr string) ScrubView {
-	v := ScrubView{Addr: addr}
-	conn, err := tr.Dial(addr)
-	if err != nil {
-		v.Err = err.Error()
-		return v
-	}
-	defer conn.Close()
-	raw, err := conn.Call(staging.TierScrubReq{})
-	if err != nil {
-		v.Err = err.Error()
-		return v
-	}
-	resp, ok := raw.(staging.TierScrubResp)
-	if !ok {
-		v.Err = fmt.Sprintf("unexpected tier-scrub response %T", raw)
-		return v
-	}
-	v.Alive = true
-	v.Enabled = resp.Enabled
-	v.ID = resp.ID
-	v.Checked = resp.Checked
-	v.Healed = resp.Healed
-	v.Lost = resp.Lost
-	v.Degraded = resp.Degraded
-	return v
+	return probe[staging.TierScrubResp](addrs, opts, staging.TierScrubReq{})
 }
 
 // ---------------------------------------------------------------------

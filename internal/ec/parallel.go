@@ -24,31 +24,19 @@ const (
 	chunkLen = 32 << 10
 )
 
-// ecWorkers is the configured pool width; 0 selects GOMAXPROCS.
-var ecWorkers atomic.Int32
-
-// SetWorkers bounds the goroutines a single Encode/Reconstruct may use.
-// n == 0 restores the default (GOMAXPROCS); n == 1 forces the serial
-// kernel. It returns the previous setting.
-func SetWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(ecWorkers.Swap(int32(n)))
-}
-
-func workerCount() int {
-	if n := int(ecWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// ecWorkers is the goroutines one Encode/Reconstruct may use; 0 means
+// GOMAXPROCS. Nothing outside the tests sets it: they pin the chunked
+// kernel against the serial one (export_test.go).
+var ecWorkers int
 
 // runChunked invokes fn over disjoint sub-ranges covering [0, shardLen).
 // fn must be safe to run concurrently on disjoint ranges. Short inputs
-// and single-worker configurations run inline on the caller.
+// and a single worker run inline on the caller.
 func runChunked(shardLen int, fn func(lo, hi int)) {
-	w := workerCount()
+	w := ecWorkers
+	if w == 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
 	if w <= 1 || shardLen < parallelThreshold {
 		fn(0, shardLen)
 		return

@@ -29,14 +29,14 @@ func TestParallelEncodeMatchesSerial(t *testing.T) {
 	for _, shardLen := range []int{1, 1000, parallelThreshold - 1, parallelThreshold, chunkLen*3 + 17, 1 << 20} {
 		data := randShards(t, 6, shardLen, int64(shardLen))
 
-		prev := SetWorkers(1)
+		prev := setWorkers(1)
 		serial, err := c.Encode(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetWorkers(8)
+		setWorkers(8)
 		parallel, err := c.Encode(data)
-		SetWorkers(prev)
+		setWorkers(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,15 +70,15 @@ func TestParallelReconstructMatchesSerial(t *testing.T) {
 		return d
 	}
 
-	prev := SetWorkers(1)
+	prev := setWorkers(1)
 	serial := damage()
 	if err := c.Reconstruct(serial); err != nil {
 		t.Fatal(err)
 	}
-	SetWorkers(8)
+	setWorkers(8)
 	parallel := damage()
 	err = c.Reconstruct(parallel)
-	SetWorkers(prev)
+	setWorkers(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func BenchmarkECEncode(b *testing.B) {
 		for _, workers := range []int{1, 0} {
 			name := fmt.Sprintf("obj=%dKiB/workers=%d", objSize>>10, workers)
 			b.Run(name, func(b *testing.B) {
-				prev := SetWorkers(workers)
-				defer SetWorkers(prev)
+				prev := setWorkers(workers)
+				defer setWorkers(prev)
 				b.SetBytes(int64(objSize))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -136,8 +136,8 @@ func BenchmarkECReconstruct(b *testing.B) {
 	work := make([][]byte, len(all))
 	for _, workers := range []int{1, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			prev := SetWorkers(workers)
-			defer SetWorkers(prev)
+			prev := setWorkers(workers)
+			defer setWorkers(prev)
 			b.SetBytes(int64(objSize))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

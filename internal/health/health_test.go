@@ -158,7 +158,7 @@ func TestMembershipEpochsAndSubscribe(t *testing.T) {
 		t.Fatalf("initial epoch = %d", m.Epoch())
 	}
 	sub := m.Subscribe()
-	epoch, err := m.Replace(1, "b2")
+	epoch, err := m.ReplaceFenced(0, 1, "b2")
 	if err != nil || epoch != 2 {
 		t.Fatalf("replace: epoch %d err %v", epoch, err)
 	}
@@ -173,7 +173,7 @@ func TestMembershipEpochsAndSubscribe(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("no membership change delivered")
 	}
-	if _, err := m.Replace(9, "x"); err == nil {
+	if _, err := m.ReplaceFenced(0, 9, "x"); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
 	addrs, epoch := m.Snapshot()

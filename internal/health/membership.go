@@ -74,17 +74,10 @@ func (m *Membership) Snapshot() ([]string, uint64) {
 	return append([]string(nil), m.addrs...), m.epoch
 }
 
-// Replace points slot id at a new address and bumps the epoch,
-// notifying subscribers. It returns the new epoch. Legacy single-writer
-// path; the HA supervisor uses ReplaceFenced.
-func (m *Membership) Replace(id int, addr string) (uint64, error) {
-	return m.ReplaceFenced(0, id, addr)
-}
-
 // Fence seals the membership at a fencing token: writes carrying an
 // older token are rejected from now on. A freshly elected recovery
 // leader fences the membership with its lease token so a deposed
-// in-process leader's stale Replace cannot land mid-takeover.
+// in-process leader's stale ReplaceFenced cannot land mid-takeover.
 func (m *Membership) Fence(token uint64) {
 	m.mu.Lock()
 	if token > m.maxToken {
@@ -93,12 +86,13 @@ func (m *Membership) Fence(token uint64) {
 	m.mu.Unlock()
 }
 
-// ReplaceFenced is Replace under a fencing token: the write is rejected
-// with ErrFenced when token trails the highest the membership has seen.
-// It is idempotent — re-pointing a slot at the address it already holds
-// (a takeover resuming a deposed leader's completed write) returns the
-// current epoch without a bump, so a resumed promotion never
-// double-counts.
+// ReplaceFenced points slot id at a new address under a fencing token
+// and bumps the epoch, notifying subscribers; it returns the new epoch.
+// The write is rejected with ErrFenced when token trails the highest
+// the membership has seen. It is idempotent — re-pointing a slot at
+// the address it already holds (a takeover resuming a deposed leader's
+// completed write) returns the current epoch without a bump, so a
+// resumed promotion never double-counts.
 func (m *Membership) ReplaceFenced(token uint64, id int, addr string) (uint64, error) {
 	m.mu.Lock()
 	if token < m.maxToken {

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gospaces/internal/sim"
@@ -34,7 +35,7 @@ type Store struct {
 	objects  map[string][]byte
 	bytes    int64
 	writes   int64
-	reads    int64
+	reads    atomic.Int64 // Read counts under the read lock
 	fault    WriteFault
 	faultOff int
 	capacity int64
@@ -174,7 +175,7 @@ func (s *Store) Read(name string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	s.reads++
+	s.reads.Add(1)
 	return append([]byte(nil), d...), true
 }
 
@@ -249,7 +250,7 @@ func (s *Store) Bytes() int64 {
 func (s *Store) Stats() (int64, int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.writes, s.reads
+	return s.writes, s.reads.Load()
 }
 
 // SimPFS is the virtual-time parallel file system: a shared bandwidth

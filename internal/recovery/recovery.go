@@ -1024,7 +1024,7 @@ const reprotectAttempts = 5
 // backoff until a pass completes with every key rebuilt (or the
 // attempt budget runs out). Each pass is timed under
 // recovery.reprotect: rebuild decode dominates it, and the EC kernel's
-// chunked-parallel path (ec.SetWorkers) shortens exactly this window.
+// chunked-parallel path shortens exactly this window.
 func (s *Supervisor) reprotect(addrs []string) {
 	start := time.Now()
 	defer func() { s.reg.Timer("recovery.reprotect").Observe(time.Since(start)) }()

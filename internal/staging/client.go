@@ -251,16 +251,25 @@ func (p *Pool) NewClient(app string) (*Client, error) {
 		conns: make([]transport.Client, p.cfg.NServers),
 		addrs: make([]string, p.cfg.NServers),
 	}
-	for i, addr := range p.Addrs() {
-		conn, err := p.tr.Dial(addr)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("staging: dial server %d: %w", i, err)
-		}
-		c.conns[i] = conn
-		c.addrs[i] = addr
+	if err := c.Reconnect(); err != nil {
+		c.Close()
+		return nil, err
 	}
 	return c, nil
+}
+
+// redial points slot i's connection at addr: whatever was dialled
+// before is closed, and the address is recorded for rebind to compare.
+func (c *Client) redial(i int, addr string) error {
+	if c.conns[i] != nil {
+		c.conns[i].Close()
+	}
+	conn, err := c.pool.tr.Dial(addr)
+	if err != nil {
+		return err
+	}
+	c.conns[i], c.addrs[i] = conn, addr
+	return nil
 }
 
 // App returns the client's component/rank identity.
@@ -280,20 +289,14 @@ func (c *Client) Close() error {
 	return first
 }
 
-// Reconnect re-dials all servers at the pool's current addresses;
-// workflow_restart uses it to rebuild the staging client after a
-// component recovers (paper §III-C).
+// Reconnect dials all servers at the pool's current addresses, closing
+// the connections it replaces; workflow_restart uses it to rebuild the
+// staging client after a component recovers (paper §III-C).
 func (c *Client) Reconnect() error {
 	for i, addr := range c.pool.Addrs() {
-		if c.conns[i] != nil {
-			c.conns[i].Close()
+		if err := c.redial(i, addr); err != nil {
+			return fmt.Errorf("staging: dial server %d: %w", i, err)
 		}
-		conn, err := c.pool.tr.Dial(addr)
-		if err != nil {
-			return fmt.Errorf("staging: re-dial server %d: %w", i, err)
-		}
-		c.conns[i] = conn
-		c.addrs[i] = addr
 	}
 	return nil
 }
@@ -367,15 +370,9 @@ func (c *Client) rebind() error {
 		if c.addrs[i] == addr && c.conns[i] != nil {
 			continue
 		}
-		if c.conns[i] != nil {
-			c.conns[i].Close()
-		}
-		conn, err := c.pool.tr.Dial(addr)
-		if err != nil {
+		if err := c.redial(i, addr); err != nil {
 			return wrapCall(err, "rebind: re-dial server %d", i)
 		}
-		c.conns[i] = conn
-		c.addrs[i] = addr
 	}
 	return nil
 }

@@ -87,14 +87,15 @@ func TestClientRebindsAfterPromotion(t *testing.T) {
 	if err := g.FailStop(1); err != nil {
 		t.Fatal(err)
 	}
-	spareAddr, ok := g.TakeSpare()
+	spareAddr, ok := g.TakeSpareFor(1)
 	if !ok {
 		t.Fatal("no spare to take")
 	}
-	epoch, err := g.Membership().Replace(1, spareAddr)
+	epoch, err := g.Membership().ReplaceFenced(0, 1, spareAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.CommitSpare(1)
 	if epoch != 2 {
 		t.Fatalf("epoch = %d", epoch)
 	}

@@ -3,6 +3,7 @@ package staging
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -20,64 +21,80 @@ type Group struct {
 	prefix     string
 	membership *health.Membership
 
-	mu      sync.Mutex
-	addrs   []string
-	servers []*Server
-	closers []io.Closer
-	spares  []spareEntry
+	mu sync.Mutex
+	// nodes are the servers serving (or, once fail-stopped, that served)
+	// member traffic: the original members in id order, then promoted
+	// spares in promotion order. spares wait outside the membership.
+	nodes  []node
+	spares []node
 	// assigned maps a dead membership slot to the spare drawn for its
 	// promotion. The assignment is idempotent (TakeSpareFor returns the
 	// same spare until the promotion commits or the spare is returned),
 	// which is what lets a recovery-leader takeover resume a half-done
 	// promotion without double-spending a second spare on the slot.
-	assigned map[int]spareEntry
+	assigned map[int]node
 	spareSeq int // monotonic spare address counter (survives returns)
 }
 
-// spareEntry is one warm spare: a running, empty server outside the
-// membership, listening and answering pings until promoted.
-type spareEntry struct {
+// node is one running server of the group: what Serve returned.
+type node struct {
 	srv    *Server
 	addr   string
 	closer io.Closer
 }
 
+// Serve brings up staging server id on tr at addr, configured from cfg
+// in the one order that works: the memory budget, QoS before the tier
+// (whose default watermark is the QoS SpillWater), the listener, and —
+// only once the bound address is known, because a server finds its own
+// membership slot by address — log replication. A spare answers pings
+// but waits outside the membership. It returns the server, its
+// listener and the address it bound (which differs from addr for ":0").
+func Serve(tr transport.Transport, addr string, id int, cfg Config, spare bool) (*Server, io.Closer, string, error) {
+	srv := NewServer(id)
+	srv.SetSpare(spare)
+	srv.SetMemoryBudget(cfg.MemoryBudgetPerServer)
+	if cfg.QoS != nil {
+		srv.EnableQoS(*cfg.QoS)
+	}
+	if cfg.TierBackend != nil {
+		srv.EnableTier(cfg.TierBackend(id), cfg.TierWatermark)
+	}
+	closer, err := tr.Listen(addr, srv.Handle)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	if a, ok := closer.(interface{ Addr() string }); ok {
+		addr = a.Addr()
+	}
+	srv.EnableReplication(tr, addr, cfg.WlogReplicas)
+	return srv, closer, addr, nil
+}
+
+// listenAddr names the n-th server (or, with kind "spare/", spare) of a
+// group: a prefix containing ":" is a TCP host:port every server
+// listens on as given (use ":0" for ephemeral ports); otherwise
+// addresses are "<prefix>/<kind><n>".
+func listenAddr(prefix, kind string, n int) string {
+	if strings.Contains(prefix, ":") {
+		return prefix
+	}
+	return fmt.Sprintf("%s/%s%d", prefix, kind, n)
+}
+
 // StartGroup launches cfg.NServers staging servers on tr at addresses
 // "<prefix>/<id>" and returns the group handle.
 func StartGroup(tr transport.Transport, prefix string, cfg Config) (*Group, error) {
-	g := &Group{tr: tr, prefix: prefix, servers: make([]*Server, cfg.NServers), closers: make([]io.Closer, cfg.NServers)}
-	addrs := make([]string, cfg.NServers)
+	g := &Group{tr: tr, prefix: prefix, assigned: make(map[int]node)}
 	for i := 0; i < cfg.NServers; i++ {
-		srv := NewServer(i)
-		srv.SetMemoryBudget(cfg.MemoryBudgetPerServer)
-		if cfg.QoS != nil {
-			srv.EnableQoS(*cfg.QoS)
-		}
-		if cfg.TierBackend != nil {
-			srv.EnableTier(cfg.TierBackend(i), cfg.TierWatermark)
-		}
-		// A prefix containing ":" is a TCP host:port (use ":0" for
-		// ephemeral ports); otherwise addresses are "<prefix>/<id>".
-		addr := fmt.Sprintf("%s/%d", prefix, i)
-		if strings.Contains(prefix, ":") {
-			addr = prefix
-		}
-		closer, err := tr.Listen(addr, srv.Handle)
+		srv, closer, addr, err := Serve(tr, listenAddr(prefix, "", i), i, cfg, false)
 		if err != nil {
 			g.Close()
 			return nil, fmt.Errorf("staging: start server %d: %w", i, err)
 		}
-		// Transports with dynamic binding report the real address.
-		if a, ok := closer.(interface{ Addr() string }); ok {
-			addr = a.Addr()
-		}
-		srv.SetAddr(addr)
-		srv.EnableReplication(tr, cfg.WlogReplicas)
-		g.servers[i] = srv
-		g.closers[i] = closer
-		addrs[i] = addr
+		g.nodes = append(g.nodes, node{srv, addr, closer})
 	}
-	g.addrs = addrs
+	addrs := g.Addrs()
 	pool, err := NewPool(tr, addrs, cfg)
 	if err != nil {
 		g.Close()
@@ -87,8 +104,8 @@ func StartGroup(tr transport.Transport, prefix string, cfg Config) (*Group, erro
 	g.membership = health.NewMembership(addrs)
 	// Seed every member with the initial view so epoch-stamped calls
 	// (epoch 1) pass and MembershipReq answers are useful from the start.
-	for _, srv := range g.servers {
-		srv.SetMembership(1, addrs)
+	for _, n := range g.nodes {
+		n.srv.SetMembership(1, addrs)
 	}
 	return g, nil
 }
@@ -105,65 +122,22 @@ func (g *Group) AddSpare() (string, error) {
 	g.mu.Lock()
 	n := g.spareSeq
 	g.spareSeq++
-	id := len(g.servers) + n // spare keeps its own id; slots are bound by address
+	id := len(g.nodes) + n // spare keeps its own id; slots are bound by address
 	g.mu.Unlock()
-	srv := NewServer(id)
-	srv.SetSpare(true)
-	srv.SetMemoryBudget(g.Pool.cfg.MemoryBudgetPerServer)
-	if g.Pool.cfg.QoS != nil {
-		// A promoted spare serves under the same admission policy; its
-		// per-tenant usage is inherited at promotion when the wlog
-		// restore rebases the accounting from the restored content.
-		srv.EnableQoS(*g.Pool.cfg.QoS)
-	}
-	if g.Pool.cfg.TierBackend != nil {
-		// The spare gets its own tier store; a promotion resets it before
-		// the wlog restore repopulates staging RAM.
-		srv.EnableTier(g.Pool.cfg.TierBackend(id), g.Pool.cfg.TierWatermark)
-	}
-	addr := fmt.Sprintf("%s/spare/%d", g.prefix, n)
-	if strings.Contains(g.prefix, ":") {
-		addr = g.prefix
-	}
-	closer, err := g.tr.Listen(addr, srv.Handle)
+	// A promoted spare serves under the group's budget and admission
+	// policy (its per-tenant usage is rebased from the restored content
+	// at promotion) and gets a tier store of its own, which the
+	// promotion resets before the wlog restore repopulates staging RAM.
+	// It replicates too once promoted; until then its slot is unresolved
+	// and the replicator stays idle.
+	srv, closer, addr, err := Serve(g.tr, listenAddr(g.prefix, "spare/", n), id, g.Pool.cfg, true)
 	if err != nil {
 		return "", fmt.Errorf("staging: start spare %d: %w", n, err)
 	}
-	if a, ok := closer.(interface{ Addr() string }); ok {
-		addr = a.Addr()
-	}
-	srv.SetAddr(addr)
-	// Spares replicate too once promoted into the membership; until then
-	// their slot is unresolved and the replicator stays idle.
-	srv.EnableReplication(g.tr, g.Pool.cfg.WlogReplicas)
 	g.mu.Lock()
-	g.spares = append(g.spares, spareEntry{srv: srv, addr: addr, closer: closer})
+	g.spares = append(g.spares, node{srv, addr, closer})
 	g.mu.Unlock()
 	return addr, nil
-}
-
-// TakeSpare pops the next warm spare for promotion, returning its
-// address. It is the legacy non-idempotent draw; the recovery
-// supervisor uses TakeSpareFor so a resumed promotion re-reads the
-// same assignment.
-func (g *Group) TakeSpare() (string, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.takeLocked()
-}
-
-func (g *Group) takeLocked() (string, bool) {
-	if len(g.spares) == 0 {
-		return "", false
-	}
-	e := g.spares[0]
-	g.spares = g.spares[1:]
-	// The spare stays tracked for inspection and Close; its listener now
-	// serves member traffic.
-	g.servers = append(g.servers, e.srv)
-	g.closers = append(g.closers, e.closer)
-	g.addrs = append(g.addrs, e.addr)
-	return e.addr, true
 }
 
 // TakeSpareFor draws a spare for the promotion of a dead membership
@@ -182,12 +156,8 @@ func (g *Group) TakeSpareFor(slot int) (string, bool) {
 		return "", false
 	}
 	e := g.spares[0]
-	if _, ok := g.takeLocked(); !ok {
-		return "", false
-	}
-	if g.assigned == nil {
-		g.assigned = make(map[int]spareEntry)
-	}
+	g.spares = g.spares[1:]
+	g.nodes = append(g.nodes, e) // its listener now serves member traffic
 	g.assigned[slot] = e
 	return e.addr, true
 }
@@ -204,16 +174,8 @@ func (g *Group) ReturnSpare(slot int) bool {
 		return false
 	}
 	delete(g.assigned, slot)
-	// Undo the member tracking takeLocked added (search from the end:
-	// spares append after the original members).
-	for i := len(g.addrs) - 1; i >= 0; i-- {
-		if g.addrs[i] == e.addr {
-			g.addrs = append(g.addrs[:i], g.addrs[i+1:]...)
-			g.servers = append(g.servers[:i], g.servers[i+1:]...)
-			g.closers = append(g.closers[:i], g.closers[i+1:]...)
-			break
-		}
-	}
+	// Undo the member tracking TakeSpareFor added.
+	g.nodes = slices.DeleteFunc(g.nodes, func(n node) bool { return n.addr == e.addr })
 	g.spares = append(g.spares, e)
 	return true
 }
@@ -254,11 +216,11 @@ func (g *Group) Spares() []string {
 func (g *Group) FailStop(id int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if id < 0 || id >= len(g.closers) {
+	if id < 0 || id >= len(g.nodes) {
 		return fmt.Errorf("staging: no server %d", id)
 	}
-	err := g.closers[id].Close()
-	g.closers[id] = nopCloser{} // Close must not re-close the dead listener
+	err := g.nodes[id].closer.Close()
+	g.nodes[id].closer = nopCloser{} // Close must not re-close the dead listener
 	return err
 }
 
@@ -267,27 +229,29 @@ type nopCloser struct{}
 func (nopCloser) Close() error { return nil }
 
 // ReplaceServer simulates losing staging server id and bringing up an
-// empty replacement at the same address: all object, log, and shard
-// state on that server is gone. Clients keep working through the same
-// address; shard data protected by the resilience layer
-// (internal/corec) is recoverable with Rebuild, and object data is
-// recoverable from producers via the crash-consistency protocol.
+// empty replacement at the same address, configured like the server it
+// replaces and holding the group's current membership view: all
+// object, log, and shard state on that server is gone. Clients keep
+// working through the same address; shard data protected by the
+// resilience layer (internal/corec) is recoverable with Rebuild, and
+// object data is recoverable from producers via the crash-consistency
+// protocol.
 func (g *Group) ReplaceServer(id int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if id < 0 || id >= len(g.servers) {
+	if id < 0 || id >= len(g.nodes) {
 		return fmt.Errorf("staging: no server %d", id)
 	}
-	if err := g.closers[id].Close(); err != nil {
+	if err := g.nodes[id].closer.Close(); err != nil {
 		return fmt.Errorf("staging: stop server %d: %w", id, err)
 	}
-	srv := NewServer(id)
-	closer, err := g.tr.Listen(g.addrs[id], srv.Handle)
+	srv, closer, addr, err := Serve(g.tr, g.nodes[id].addr, id, g.Pool.cfg, false)
 	if err != nil {
 		return fmt.Errorf("staging: restart server %d: %w", id, err)
 	}
-	g.servers[id] = srv
-	g.closers[id] = closer
+	addrs, epoch := g.membership.Snapshot()
+	srv.SetMembership(epoch, addrs)
+	g.nodes[id] = node{srv, addr, closer}
 	return nil
 }
 
@@ -296,7 +260,7 @@ func (g *Group) ReplaceServer(id int) error {
 func (g *Group) Server(id int) *Server {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.servers[id]
+	return g.nodes[id].srv
 }
 
 // ServerAt returns the server currently listening at addr (nil if
@@ -305,14 +269,11 @@ func (g *Group) Server(id int) *Server {
 func (g *Group) ServerAt(addr string) *Server {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i, a := range g.addrs {
-		if a == addr {
-			return g.servers[i]
-		}
-	}
-	for _, e := range g.spares {
-		if e.addr == addr {
-			return e.srv
+	for _, list := range [][]node{g.nodes, g.spares} {
+		for _, n := range list {
+			if n.addr == addr {
+				return n.srv
+			}
 		}
 	}
 	return nil
@@ -324,27 +285,24 @@ func (g *Group) ServerAt(addr string) *Server {
 func (g *Group) Addrs() []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return append([]string(nil), g.addrs...)
+	out := make([]string, len(g.nodes))
+	for i, n := range g.nodes {
+		out[i] = n.addr
+	}
+	return out
 }
 
 // Close stops all servers, including unpromoted spares.
 func (g *Group) Close() error {
 	g.mu.Lock()
-	closers := append([]io.Closer(nil), g.closers...)
-	servers := append([]*Server(nil), g.servers...)
-	for _, e := range g.spares {
-		closers = append(closers, e.closer)
-		servers = append(servers, e.srv)
-	}
+	all := append(append([]node(nil), g.nodes...), g.spares...)
 	g.mu.Unlock()
-	for _, srv := range servers {
-		if srv != nil {
-			srv.StopReplication()
-		}
+	for _, n := range all {
+		n.srv.StopReplication()
 	}
 	var first error
-	for _, c := range closers {
-		if err := c.Close(); err != nil && first == nil {
+	for _, n := range all {
+		if err := n.closer.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

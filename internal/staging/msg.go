@@ -204,8 +204,8 @@ type LockReq struct {
 	// transitions are not idempotent (acquire/release change state), so
 	// when the retry layer re-sends a request whose response was lost,
 	// the server uses (Holder, Seq) to recognize the duplicate and
-	// return the original outcome instead of re-executing. Zero means
-	// "no dedup" (legacy callers).
+	// return the original outcome instead of re-executing. Clients
+	// number from 1.
 	Seq uint64
 }
 
@@ -224,7 +224,7 @@ type LockRecord struct {
 	// ReleaseAll drops every lock and the dedup entry of Holder (a
 	// component recovery); Name/Write/Release are ignored.
 	ReleaseAll bool
-	// Seq is the holder's lock-operation sequence number (0 = no dedup).
+	// Seq is the holder's lock-operation sequence number.
 	Seq uint64
 	// Ok is true when the operation succeeded and its state transition
 	// must be applied; Err carries the failure outcome otherwise.

@@ -58,11 +58,9 @@ func (m *lockMirror) apply(r *LockRecord) {
 		delete(m.dedup, r.Holder)
 		return
 	}
-	if r.Seq != 0 {
-		m.dedup[r.Holder] = LockOutcome{
-			Holder: r.Holder, Seq: r.Seq, Name: r.Name,
-			Write: r.Write, Release: r.Release, Ok: r.Ok, Err: r.Err,
-		}
+	m.dedup[r.Holder] = LockOutcome{
+		Holder: r.Holder, Seq: r.Seq, Name: r.Name,
+		Write: r.Write, Release: r.Release, Ok: r.Ok, Err: r.Err,
 	}
 	if !r.Ok {
 		return
@@ -213,9 +211,7 @@ type replicator struct {
 	// gets a full snapshot — the freshest anchor. When window bytes
 	// exceed maxWindow the covered prefix is compacted away and the
 	// anchor advances (the prefix is "covered" by any future snapshot,
-	// which always reflects the latest state). maxWindow 0 disables
-	// retention: every re-sync is a full snapshot (the pre-delta
-	// baseline, kept for A/B measurement).
+	// which always reflects the latest state).
 	window      []ReplRecord
 	anchorSeq   int64
 	windowBytes int64
@@ -272,8 +268,12 @@ func newReplicator(srv *Server, tr transport.Transport, k int) *replicator {
 	return r
 }
 
-// setWindow resizes the retained delta window (0 = snapshot-only).
+// setWindow shrinks or grows the retained delta window to n > 0 bytes;
+// the tests use it to push the anchor past a peer.
 func (r *replicator) setWindow(n int64) {
+	if n <= 0 {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.maxWindow = n
@@ -283,9 +283,6 @@ func (r *replicator) setWindow(n int64) {
 // retain appends shipped records to the window and compacts the
 // covered prefix past the byte bound. Caller holds r.mu.
 func (r *replicator) retain(batch []ReplRecord) {
-	if r.maxWindow <= 0 {
-		return
-	}
 	for _, rec := range batch {
 		r.window = append(r.window, rec)
 		r.windowBytes += recBytes(rec)
@@ -297,7 +294,7 @@ func (r *replicator) retain(batch []ReplRecord) {
 // holds, advancing the anchor. Caller holds r.mu.
 func (r *replicator) compactLocked() {
 	compacted := false
-	for len(r.window) > 0 && (r.windowBytes > r.maxWindow || r.maxWindow <= 0) {
+	for len(r.window) > 0 && r.windowBytes > r.maxWindow {
 		r.windowBytes -= recBytes(r.window[0])
 		r.anchorSeq = r.window[0].Seq
 		r.window = r.window[1:]
@@ -318,7 +315,7 @@ func (r *replicator) compactLocked() {
 func (r *replicator) windowSince(peerSeq int64) ([]ReplRecord, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.maxWindow <= 0 || peerSeq < r.anchorSeq {
+	if peerSeq < r.anchorSeq {
 		return nil, false
 	}
 	i := 0
@@ -743,31 +740,18 @@ func importObjects(objs []ReplObject) []*store.Object {
 
 // --- Server-side wiring ---
 
-// SetAddr records the server's own bound address; the replicator uses
-// it to locate the server's slot in the membership view.
-func (s *Server) SetAddr(addr string) {
-	s.memberMu.Lock()
-	s.addr = addr
-	s.memberMu.Unlock()
-}
-
 // EnableReplication turns on log replication to k membership
-// successors, shipped over tr. Call before serving traffic.
-func (s *Server) EnableReplication(tr transport.Transport, k int) {
+// successors, shipped over tr. addr is the server's own bound address:
+// the replicator locates the server's slot in the membership view by
+// it. Call before serving traffic.
+func (s *Server) EnableReplication(tr transport.Transport, addr string, k int) {
 	if k <= 0 {
 		return
 	}
+	s.memberMu.Lock()
+	s.addr = addr
+	s.memberMu.Unlock()
 	s.repl = newReplicator(s, tr, k)
-}
-
-// SetReplWindow resizes the retained delta-resync window in bytes.
-// 0 disables retention entirely: every re-sync ships a full snapshot
-// (the pre-incremental baseline, kept selectable for A/B
-// measurement). No-op when replication is disabled.
-func (s *Server) SetReplWindow(n int64) {
-	if s.repl != nil {
-		s.repl.setWindow(n)
-	}
 }
 
 // StopReplication stops the replication stream (server shutdown).

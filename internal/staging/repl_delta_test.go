@@ -121,7 +121,7 @@ func TestReplSnapshotFallbackPastAnchor(t *testing.T) {
 	// Shrink the window so compaction advances the anchor past the
 	// shipped history, then lose the replica: the peer's position (0)
 	// now predates the anchor.
-	origin.SetReplWindow(1)
+	origin.repl.setWindow(1)
 	if counter(origin, "repl_anchor_compactions") == 0 {
 		t.Fatal("window shrink compacted nothing")
 	}
@@ -131,34 +131,6 @@ func TestReplSnapshotFallbackPastAnchor(t *testing.T) {
 	}
 	if counter(origin, "repl_snapshots_sent") == 0 {
 		t.Fatal("peer behind the anchor was not healed with a snapshot")
-	}
-	assertReplicaConverged(t, g)
-}
-
-// TestReplSnapshotOnlyBaseline: SetReplWindow(0) disables retention —
-// every re-sync ships a full snapshot, the pre-incremental baseline the
-// wfbench tier experiment measures against.
-func TestReplSnapshotOnlyBaseline(t *testing.T) {
-	g := replGroup(t, 2, 1)
-	g.Server(0).SetReplWindow(0)
-	c, err := g.NewClient("sim/0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	global := g.Config().Global
-	n := domain.BufLen(global, 8)
-	for v := int64(1); v <= 2; v++ {
-		if err := c.PutWithLog("field", v, global, fill(n, v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	origin := g.Server(0)
-	if counter(origin, "repl_snapshots_sent") == 0 {
-		t.Fatal("snapshot-only mode shipped no snapshots")
-	}
-	if counter(origin, "repl_delta_resyncs") != 0 {
-		t.Fatal("snapshot-only mode served a delta")
 	}
 	if counter(origin, "repl_snapshot_bytes") == 0 {
 		t.Fatal("snapshot bytes not accounted")

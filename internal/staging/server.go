@@ -640,10 +640,6 @@ func (s *Server) handleLock(r LockReq) (any, error) {
 	if r.Write {
 		kind = locks.Write
 	}
-	if r.Seq == 0 {
-		// Legacy caller without retry dedup: execute directly.
-		return s.runLock(r, kind)
-	}
 	s.lockMu.Lock()
 	if a, ok := s.lockOps[r.Holder]; ok &&
 		a.seq == r.Seq && a.name == r.Name && a.kind == kind && a.release == r.Release {

@@ -2,12 +2,14 @@ package staging
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"gospaces/internal/dht"
 	"gospaces/internal/domain"
+	"gospaces/internal/qos"
 	"gospaces/internal/transport"
 )
 
@@ -502,6 +504,47 @@ func TestServerLossObjectRerun(t *testing.T) {
 	got, _, err := prod.GetWithLog("f", 1, b)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("re-staged read: %v", err)
+	}
+}
+
+// TestReplaceServerKeepsGroupConfig: the replacement comes up through
+// the same wiring as the server it replaces — under the group's memory
+// budget and, when the group has one, its admission policy — not as a
+// bare NewServer that admits anything.
+func TestReplaceServerKeepsGroupConfig(t *testing.T) {
+	box := domain.Box3(0, 0, 0, 7, 7, 7) // 4 KiB at 8 B per cell
+	for _, withQoS := range []bool{false, true} {
+		cfg := Config{Global: box, NServers: 2, Bits: 1, ElemSize: 8, MemoryBudgetPerServer: 1 << 10}
+		if withQoS {
+			cfg.QoS = &qos.Config{}
+		}
+		g, err := StartGroup(transport.NewInProc(), "replace", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		if err := g.ReplaceServer(1); err != nil {
+			t.Fatal(err)
+		}
+		c, err := g.NewClient("sim/0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_, err = c.ShardConn(1).Call(qosPut("f", 1, box, false, 1))
+		if _, typed := qos.FromError(err); withQoS && !typed {
+			t.Fatalf("replacement with QoS answered an over-budget put with %v, want qos.ErrOverloaded", err)
+		}
+		if !withQoS && !errors.Is(err, ErrOverBudget) {
+			t.Fatalf("replacement answered an over-budget put with %v, want ErrOverBudget", err)
+		}
+		raw, err := c.ShardConn(1).Call(QosStatsReq{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := raw.(QosStatsResp); resp.Enabled != withQoS || resp.ID != 1 {
+			t.Fatalf("replacement's qos stats = %+v, want Enabled=%v", resp, withQoS)
+		}
 	}
 }
 

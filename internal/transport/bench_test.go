@@ -28,7 +28,7 @@ func init() {
 // BenchmarkPutGet measures put round-trips through one shared client
 // across payload sizes and caller counts: concurrent in-flight calls on
 // one multiplexed connection (mode=mux, the name its rows carry in
-// BENCH_transport.json).
+// EXPERIMENTS.md's serialized-vs-multiplexed table).
 func BenchmarkPutGet(b *testing.B) {
 	sizes := []struct {
 		name  string

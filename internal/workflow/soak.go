@@ -151,12 +151,12 @@ func soakPutSeed(base int64, g, v int) int64 {
 	return base ^ (int64(g+1) << 40) ^ int64(v)*2654435761
 }
 
-func soakField(g int) string  { return fmt.Sprintf("soak/g%d/field", g) }
-func soakLock(g int) string   { return fmt.Sprintf("soak/lk/%d", g) }
-func soakProd(g int) string   { return fmt.Sprintf("soak/prod/%d", g) }
-func soakCons(g int) string   { return fmt.Sprintf("soak/cons/%d", g) }
-func soakSweep() string       { return "soak/sweep" }
-func soakFloodApp() string    { return "soak/flood" }
+func soakField(g int) string { return fmt.Sprintf("soak/g%d/field", g) }
+func soakLock(g int) string  { return fmt.Sprintf("soak/lk/%d", g) }
+func soakProd(g int) string  { return fmt.Sprintf("soak/prod/%d", g) }
+func soakCons(g int) string  { return fmt.Sprintf("soak/cons/%d", g) }
+func soakSweep() string      { return "soak/sweep" }
+func soakFloodApp() string   { return "soak/flood" }
 
 // BuildSoakTrace generates the complete recorded schedule for one
 // seeded soak: the multi-group workload, the fault injections at their
