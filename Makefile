@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt-check build test race short bench bench-smoke bench-e2e-test bench-pairs nemesis soak-smoke no-gob-on-wire loc loc-check
+.PHONY: check vet fmt-check build test race short bench bench-smoke bench-e2e-test bench-pairs nemesis soak-smoke no-gob loc loc-check
 
-check: vet fmt-check no-gob-on-wire loc-check test race
+check: vet fmt-check no-gob loc-check test race
 
 # bench/ is a module of its own, so tier-1 never compiles it: vetting it
 # here is what catches an exported-API change in codec, transport or
@@ -26,13 +26,14 @@ build:
 test: build
 	$(GO) test ./...
 
-# One wire codec, verifiably: encoding/gob may be a storage format
-# (wlog snapshots, ckpt, the tier manifest) but never a wire format, so
-# no non-test file of the wire packages may import it.
-WIRE_PKGS = internal/codec internal/transport internal/staging internal/health internal/qos
-no-gob-on-wire:
-	@! grep -l '"encoding/gob"' $$(find $(WIRE_PKGS) -name '*.go' ! -name '*_test.go') || \
-		{ echo 'encoding/gob imported by a wire package (above): every message goes through internal/codec'; exit 1; }
+# One codec, verifiably: internal/codec encodes every message and every
+# storage body the service itself defines (the wlog snapshot, the tier
+# manifest), so no non-test file imports encoding/gob. internal/ckpt is
+# the one exemption: ckpt.Saver serializes *application* state, of types
+# the application owns and cannot register with the codec.
+no-gob:
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' *.go cmd internal examples | grep -v '^internal/ckpt/'); \
+	test -z "$$out" || { echo "$$out"; echo 'encoding/gob imported outside internal/ckpt (above): messages and storage bodies go through internal/codec'; exit 1; }
 
 # The line count ROADMAP item 4's budget is measured in: non-test Go
 # under the wire/staging packages plus the public facade.
@@ -43,7 +44,7 @@ loc:
 # The ratchet: `make loc` may not rise unnoticed. A PR that needs more
 # lines raises LOC_BUDGET in its own diff, where a reviewer sees it; one
 # that removes lines lowers it to what it reaches.
-LOC_BUDGET = 6874
+LOC_BUDGET = 6605
 loc-check:
 	@loc=$$($(LOC)); echo "make loc: $$loc, LOC_BUDGET: $(LOC_BUDGET)"; \
 	test $$loc -le $(LOC_BUDGET) || { echo 'over budget: remove lines, or raise LOC_BUDGET in this diff'; exit 1; }

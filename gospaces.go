@@ -36,7 +36,6 @@ import (
 	"gospaces/internal/ckpt"
 	"gospaces/internal/cluster"
 	"gospaces/internal/corec"
-	"gospaces/internal/dht"
 	"gospaces/internal/domain"
 	"gospaces/internal/expt"
 	"gospaces/internal/health"
@@ -84,17 +83,6 @@ func Subset(global BBox, frac float64) BBox { return domain.Subset(global, frac)
 // StagingConfig describes a staging server group.
 type StagingConfig = staging.Config
 
-// Curve selects the space-filling curve of the staging index.
-type Curve = dht.Curve
-
-// Space-filling curves for StagingConfig.Curve.
-const (
-	// ZOrder is the Morton curve, DataSpaces' default.
-	ZOrder = dht.CurveZ
-	// Hilbert trades code computation for better query locality.
-	Hilbert = dht.CurveHilbert
-)
-
 // Staging is a running in-process staging group.
 type Staging = staging.Group
 
@@ -112,19 +100,6 @@ type StagingStats = staging.StatsResp
 
 // NoVersion requests the latest staged version on Get.
 const NoVersion = staging.NoVersion
-
-// ReduceOp selects a server-side (in-transit) aggregate for
-// Client.Reduce: the staging servers reduce their local pieces and the
-// client combines partials, so the field never leaves the staging area.
-type ReduceOp = staging.ReduceOp
-
-// In-transit reductions.
-const (
-	ReduceMin   = staging.ReduceMin
-	ReduceMax   = staging.ReduceMax
-	ReduceSum   = staging.ReduceSum
-	ReduceCount = staging.ReduceCount
-)
 
 // StartStaging launches an in-process staging group.
 func StartStaging(cfg StagingConfig) (*Staging, error) {
@@ -454,37 +429,20 @@ type Probed[R any] struct {
 // Alive reports whether the server answered.
 func (p Probed[R]) Alive() bool { return p.Err == "" }
 
-// probe sends req to every address and expects an R back.
+// probe sends req to every address and expects an R back: one call
+// each over a connection of its own, without the retry layer, so a dead
+// server costs one dial timeout.
 func probe[R any](addrs []string, opts DialOptions, req any) []Probed[R] {
 	tr := transport.NewTCPTimeout(opts.CallTimeout, opts.DialTimeout)
 	out := make([]Probed[R], len(addrs))
 	for i, addr := range addrs {
-		out[i].Addr = addr
-		if err := callOnce(tr, addr, req, &out[i].Resp); err != nil {
+		resp, err := transport.CallOnce[R](tr, addr, req)
+		out[i] = Probed[R]{Addr: addr, Resp: resp}
+		if err != nil {
 			out[i].Err = err.Error()
 		}
 	}
 	return out
-}
-
-// callOnce makes one call over a connection of its own, without the
-// retry layer: a dead server costs a probe one dial timeout.
-func callOnce[R any](tr transport.Transport, addr string, req any, resp *R) error {
-	conn, err := tr.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	raw, err := conn.Call(req)
-	if err != nil {
-		return err
-	}
-	r, ok := raw.(R)
-	if !ok {
-		return fmt.Errorf("%T answered with %T, want %T", req, raw, r)
-	}
-	*resp = r
-	return nil
 }
 
 // ServerHealth is one staging server's liveness — its ID, membership
@@ -504,9 +462,13 @@ func ProbeHealth(addrs []string, opts DialOptions) []ServerHealth {
 	out := make([]ServerHealth, len(addrs))
 	for i, p := range probe[health.PingResp](addrs, opts, health.PingReq{From: "dsctl"}) {
 		out[i].Probed = p
+		if !p.Alive() {
+			continue
+		}
 		// A server that dies between the two calls keeps its ping row.
-		if p.Alive() && callOnce(tr, p.Addr, staging.StatsReq{}, &out[i].Stats) == nil {
-			out[i].Resp.Epoch = max(p.Resp.Epoch, out[i].Stats.Epoch)
+		if st, err := transport.CallOnce[StagingStats](tr, p.Addr, staging.StatsReq{}); err == nil {
+			out[i].Stats = st
+			out[i].Resp.Epoch = max(p.Resp.Epoch, st.Epoch)
 		}
 	}
 	return out

@@ -2,8 +2,9 @@
 // workflow components: serializing rank state to reliable storage
 // (internal/pfs), the four workflow-level schemes the paper evaluates
 // (global coordinated, uncoordinated, individual, hybrid — §IV-A), and
-// the extensions its future-work section names: proactive checkpointing
-// and multi-level checkpointing.
+// multi-level checkpointing, one of the extensions its future-work
+// section names (the other, proactive checkpointing, is quantified in
+// the scale model: expt.SimParams.Proactive).
 package ckpt
 
 import (
@@ -224,30 +225,6 @@ func (s *Saver) Drop(component string, rank int) {
 	s.store.Delete(genKey(base, 0))
 	s.store.Delete(genKey(base, 1))
 	s.store.Delete(curKey(base))
-}
-
-// ---------------------------------------------------------------------
-// Proactive checkpointing (Bouguerra et al., IPDPS'13): when a failure
-// predictor warns of an imminent failure, take an extra checkpoint just
-// before it instead of losing the whole period.
-
-// ProactivePolicy decides checkpoint points from a base period plus
-// failure predictions.
-type ProactivePolicy struct {
-	// Period is the preventive checkpoint period in timesteps.
-	Period int
-	// Predictions are timesteps at which failures are predicted; a
-	// proactive checkpoint is taken at the step before each.
-	Predictions map[int64]bool
-}
-
-// ShouldCheckpoint reports whether a checkpoint is due after completing
-// timestep ts.
-func (p ProactivePolicy) ShouldCheckpoint(ts int64) bool {
-	if p.Period > 0 && ts%int64(p.Period) == 0 {
-		return true
-	}
-	return p.Predictions[ts+1]
 }
 
 // ---------------------------------------------------------------------

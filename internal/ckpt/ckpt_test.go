@@ -90,25 +90,6 @@ func TestSchemeProperties(t *testing.T) {
 	}
 }
 
-func TestProactivePolicy(t *testing.T) {
-	p := ProactivePolicy{Period: 4, Predictions: map[int64]bool{7: true}}
-	if !p.ShouldCheckpoint(4) || !p.ShouldCheckpoint(8) {
-		t.Fatal("periodic checkpoints missed")
-	}
-	if p.ShouldCheckpoint(5) {
-		t.Fatal("spurious checkpoint")
-	}
-	// Failure predicted at ts 7: checkpoint right after ts 6.
-	if !p.ShouldCheckpoint(6) {
-		t.Fatal("proactive checkpoint missed")
-	}
-	// No period at all: only predictions trigger.
-	p2 := ProactivePolicy{Predictions: map[int64]bool{3: true}}
-	if p2.ShouldCheckpoint(4) || !p2.ShouldCheckpoint(2) {
-		t.Fatal("prediction-only policy wrong")
-	}
-}
-
 func TestMultiLevelSaveLevels(t *testing.T) {
 	l1, l2 := pfs.NewStore(), pfs.NewStore()
 	m, err := NewMultiLevel(l1, l2, 3)

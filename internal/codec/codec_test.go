@@ -89,6 +89,26 @@ func gen(t testing.TB, typ reflect.Type, rng *rand.Rand, depth int) reflect.Valu
 		for i := 0; i < typ.NumField(); i++ {
 			v.Field(i).Set(gen(t, typ.Field(i).Type, rng, depth))
 		}
+		// The wlog snapshot's Validators want what Log.Snapshot writes:
+		// events of a known kind, none missing, the anchor and cursor
+		// inside the queue, no component twice.
+		switch typ.String() {
+		case "wlog.Event":
+			v.FieldByName("Kind").SetInt(1 + rng.Int63n(3))
+		case "wlog.snapQueue":
+			evs := v.FieldByName("Events")
+			for i := 0; i < evs.Len(); i++ {
+				for evs.Index(i).IsNil() {
+					evs.Index(i).Set(gen(t, evs.Type().Elem(), rng, depth))
+				}
+			}
+			v.FieldByName("Anchor").SetInt(rng.Int63n(int64(evs.Len())+1) - 1)
+			v.FieldByName("Cursor").SetInt(rng.Int63n(int64(evs.Len()) + 1))
+		case "wlog.snapshot":
+			for q, i := v.FieldByName("Queues"), 0; i < q.Len(); i++ {
+				q.Index(i).FieldByName("App").SetString(string(rune('a' + i)))
+			}
+		}
 	case reflect.Slice:
 		if typ.Elem().Kind() == reflect.Uint8 {
 			// Byte fields come in every size class the cut thresholds tell apart.

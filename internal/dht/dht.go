@@ -18,22 +18,15 @@ type Index struct {
 	global   domain.BBox
 	nservers int
 	bits     int // cells per dimension = 1 << bits
-	curve    Curve
 	cellExt  [domain.MaxDims]int64
 	ncells   uint64 // total SFC cells = 1 << (bits * ndim)
 }
 
-// NewIndex builds a Z-order index over global for nservers servers
-// (see NewIndexCurve). bits is the grid refinement: the domain is
-// covered by 2^bits cells per dimension (so server load balance is
-// within 1 cell-arc). bits in [1, 10].
+// NewIndex builds a Z-order index over global for nservers servers.
+// bits is the grid refinement: the domain is covered by 2^bits cells per
+// dimension (so server load balance is within 1 cell-arc). bits in
+// [1, 10].
 func NewIndex(global domain.BBox, nservers, bits int) (*Index, error) {
-	return NewIndexCurve(global, nservers, bits, CurveZ)
-}
-
-// NewIndexCurve builds an index ordered along the chosen space-filling
-// curve.
-func NewIndexCurve(global domain.BBox, nservers, bits int, curve Curve) (*Index, error) {
 	if global.IsEmpty() {
 		return nil, fmt.Errorf("dht: empty global domain")
 	}
@@ -43,7 +36,7 @@ func NewIndexCurve(global domain.BBox, nservers, bits int, curve Curve) (*Index,
 	if bits < 1 || bits > 10 {
 		return nil, fmt.Errorf("dht: bits %d out of range [1,10]", bits)
 	}
-	idx := &Index{global: global, nservers: nservers, bits: bits, curve: curve}
+	idx := &Index{global: global, nservers: nservers, bits: bits}
 	cells := int64(1) << bits
 	for i := 0; i < global.NDim; i++ {
 		idx.cellExt[i] = (global.Extent(i) + cells - 1) / cells
@@ -78,22 +71,6 @@ func (x *Index) cellCoord(d int, v int64) uint32 {
 	return uint32(c)
 }
 
-// code computes the SFC index of a cell coordinate.
-func (x *Index) code(c [domain.MaxDims]uint32) uint64 {
-	if x.curve == CurveHilbert {
-		return hilbert(x.global.NDim, x.bits, c)
-	}
-	return morton(x.global.NDim, x.bits, c)
-}
-
-// uncode inverts code.
-func (x *Index) uncode(m uint64) [domain.MaxDims]uint32 {
-	if x.curve == CurveHilbert {
-		return unhilbert(x.global.NDim, x.bits, m)
-	}
-	return unmorton(x.global.NDim, x.bits, m)
-}
-
 // serverOfMorton maps an SFC code to a server by cutting the curve
 // into nservers equal arcs.
 func (x *Index) serverOfMorton(m uint64) int {
@@ -102,15 +79,6 @@ func (x *Index) serverOfMorton(m uint64) int {
 		s = x.nservers - 1
 	}
 	return s
-}
-
-// ServerForPoint returns the server owning the cell containing p.
-func (x *Index) ServerForPoint(p domain.Point) int {
-	var c [domain.MaxDims]uint32
-	for d := 0; d < x.global.NDim; d++ {
-		c[d] = x.cellCoord(d, p[d])
-	}
-	return x.serverOfMorton(x.code(c))
 }
 
 // ServersFor returns the sorted set of servers whose cells intersect q,
@@ -130,7 +98,7 @@ func (x *Index) ServersFor(q domain.BBox) []int {
 	var cur [domain.MaxDims]uint32
 	copy(cur[:], lo[:])
 	for {
-		seen[x.serverOfMorton(x.code(cur))] = struct{}{}
+		seen[x.serverOfMorton(morton(n, x.bits, cur))] = struct{}{}
 		d := n - 1
 		for d >= 0 {
 			cur[d]++
@@ -165,7 +133,7 @@ func (x *Index) ServerCells(s int) []domain.BBox {
 		if x.serverOfMorton(m) != s {
 			continue
 		}
-		c := x.uncode(m)
+		c := unmorton(n, x.bits, m)
 		b := domain.BBox{NDim: n}
 		skip := false
 		for d := 0; d < n; d++ {

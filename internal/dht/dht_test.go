@@ -90,11 +90,17 @@ func TestPointAssignmentConsistentWithBoxQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		p := domain.Point{rng.Int63n(128), rng.Int63n(128), rng.Int63n(128)}
-		s := x.ServerForPoint(p)
 		box := domain.Box3(p[0], p[1], p[2], p[0], p[1], p[2])
 		owners := x.ServersFor(box)
-		if len(owners) != 1 || owners[0] != s {
-			t.Fatalf("point %v: ServerForPoint=%d, ServersFor=%v", p, s, owners)
+		if len(owners) != 1 {
+			t.Fatalf("point %v: ServersFor=%v, want one owner", p, owners)
+		}
+		owned := false
+		for _, cell := range x.ServerCells(owners[0]) {
+			owned = owned || cell.Contains(box)
+		}
+		if !owned {
+			t.Fatalf("point %v: ServersFor=%v, but none of that server's cells holds it", p, owners)
 		}
 	}
 }
@@ -146,129 +152,5 @@ func TestSingleServer(t *testing.T) {
 	}
 	if got := x.ServersFor(g); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestHilbertRoundTrip(t *testing.T) {
-	f := func(a, b, c uint16) bool {
-		var coord [domain.MaxDims]uint32
-		coord[0] = uint32(a) & 0xff
-		coord[1] = uint32(b) & 0xff
-		coord[2] = uint32(c) & 0xff
-		h := hilbert(3, 8, coord)
-		back := unhilbert(3, 8, h)
-		return back == coord
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHilbertIsBijective(t *testing.T) {
-	// Exhaustive over a 8x8x8 grid: every code distinct and in range.
-	seen := make(map[uint64]bool, 512)
-	for x := uint32(0); x < 8; x++ {
-		for y := uint32(0); y < 8; y++ {
-			for z := uint32(0); z < 8; z++ {
-				h := hilbert(3, 3, [domain.MaxDims]uint32{x, y, z})
-				if h >= 512 {
-					t.Fatalf("code %d out of range", h)
-				}
-				if seen[h] {
-					t.Fatalf("duplicate code %d", h)
-				}
-				seen[h] = true
-			}
-		}
-	}
-}
-
-func TestHilbertAdjacency(t *testing.T) {
-	// Consecutive Hilbert codes are face-adjacent cells: the defining
-	// property Z-order lacks.
-	for h := uint64(0); h < 511; h++ {
-		a := unhilbert(3, 3, h)
-		b := unhilbert(3, 3, h+1)
-		dist := 0
-		for d := 0; d < 3; d++ {
-			diff := int(a[d]) - int(b[d])
-			if diff < 0 {
-				diff = -diff
-			}
-			dist += diff
-		}
-		if dist != 1 {
-			t.Fatalf("codes %d,%d map to cells %v,%v (L1 distance %d)", h, h+1, a, b, dist)
-		}
-	}
-}
-
-func TestHilbertIndexWorks(t *testing.T) {
-	g := domain.Box3(0, 0, 0, 63, 63, 63)
-	x, err := NewIndexCurve(g, 8, 3, CurveHilbert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full coverage and consistency, as for Z-order.
-	if got := x.ServersFor(g); len(got) != 8 {
-		t.Fatalf("global query servers = %v", got)
-	}
-	var vol int64
-	for s := 0; s < 8; s++ {
-		for _, b := range x.ServerCells(s) {
-			vol += b.Volume()
-		}
-	}
-	if vol != g.Volume() {
-		t.Fatalf("cells cover %d of %d", vol, g.Volume())
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 100; i++ {
-		p := domain.Point{rng.Int63n(64), rng.Int63n(64), rng.Int63n(64)}
-		s := x.ServerForPoint(p)
-		owners := x.ServersFor(domain.Box3(p[0], p[1], p[2], p[0], p[1], p[2]))
-		if len(owners) != 1 || owners[0] != s {
-			t.Fatalf("point %v: %d vs %v", p, s, owners)
-		}
-	}
-}
-
-// TestCurveLocalityAblation compares the server fan-out of box queries
-// under the two curves. Hilbert's guaranteed cell adjacency gives it an
-// edge for queries near the cell size; at larger query sizes the two
-// are comparable. The hard assertion is parity within 10%; the measured
-// means are logged for the ablation record.
-func TestCurveLocalityAblation(t *testing.T) {
-	g := domain.Box3(0, 0, 0, 127, 127, 127)
-	zi, err := NewIndexCurve(g, 16, 4, CurveZ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := NewIndexCurve(g, 16, 4, CurveHilbert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for _, size := range []int64{8, 16, 32} {
-		var zTotal, hTotal int
-		const queries = 400
-		for i := 0; i < queries; i++ {
-			lim := 128 - size
-			x0, y0, z0 := rng.Int63n(lim), rng.Int63n(lim), rng.Int63n(lim)
-			q := domain.Box3(x0, y0, z0, x0+size-1, y0+size-1, z0+size-1)
-			zTotal += len(zi.ServersFor(q))
-			hTotal += len(hi.ServersFor(q))
-		}
-		t.Logf("query %d^3: mean servers touched z-order %.2f, hilbert %.2f",
-			size, float64(zTotal)/queries, float64(hTotal)/queries)
-		if float64(hTotal) > float64(zTotal)*1.10 {
-			t.Fatalf("query %d^3: hilbert fan-out %d far above z-order %d", size, hTotal, zTotal)
-		}
-	}
-}
-
-func TestCurveStrings(t *testing.T) {
-	if CurveZ.String() != "z-order" || CurveHilbert.String() != "hilbert" || Curve(9).String() != "curve(?)" {
-		t.Fatal("curve strings wrong")
 	}
 }

@@ -51,12 +51,6 @@ func gfPow(a byte, p int) byte {
 	return r
 }
 
-// DataShards returns k.
-func (c *Coder) DataShards() int { return c.k }
-
-// ParityShards returns m.
-func (c *Coder) ParityShards() int { return c.m }
-
 // Split pads data to a multiple of k and cuts it into k equal data
 // shards. The original length must be carried out of band (the staging
 // object metadata stores it).

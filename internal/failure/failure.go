@@ -50,7 +50,7 @@ const (
 	// The PFS* kinds target the cold-tier backend (internal/pfs) of one
 	// staging server rather than the network: the nemesis harness arms
 	// them on the server's tier store (FailNextWriteAt, Corrupt,
-	// SetCapacity, SetSlowIO); the chaos transport ignores them.
+	// SetSlowIO); the chaos transport ignores them.
 
 	// PFSTornWrite truncates the next tier write mid-record.
 	PFSTornWrite

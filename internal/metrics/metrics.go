@@ -36,13 +36,11 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Timer accumulates durations: total, count, min, max.
+// Timer accumulates durations: total and count.
 type Timer struct {
 	mu    sync.Mutex
 	total time.Duration
 	count int64
-	min   time.Duration
-	max   time.Duration
 }
 
 // Observe records one duration.
@@ -50,12 +48,6 @@ func (t *Timer) Observe(d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.total += d
-	if t.count == 0 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
 	t.count++
 }
 
@@ -81,13 +73,6 @@ func (t *Timer) Mean() time.Duration {
 		return 0
 	}
 	return t.total / time.Duration(t.count)
-}
-
-// MinMax returns the smallest and largest observations.
-func (t *Timer) MinMax() (time.Duration, time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.min, t.max
 }
 
 // Registry is a named collection of metrics, one per staging server or

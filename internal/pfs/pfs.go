@@ -22,8 +22,8 @@ import (
 	"gospaces/internal/sim"
 )
 
-// ErrNoSpace is returned by Write when the store is out of capacity or
-// an ENOSPC fault is armed. Nothing is stored on a failed write.
+// ErrNoSpace is returned by Write when an ENOSPC fault is armed. Nothing
+// is stored on a failed write.
 var ErrNoSpace = errors.New("pfs: no space left on device")
 
 // Store is an in-memory object store for checkpoints and the cold
@@ -38,7 +38,6 @@ type Store struct {
 	reads    atomic.Int64 // Read counts under the read lock
 	fault    WriteFault
 	faultOff int
-	capacity int64
 	slow     time.Duration
 }
 
@@ -88,15 +87,6 @@ func (s *Store) FailNextWriteAt(f WriteFault, offset int) {
 	s.faultOff = offset
 }
 
-// SetCapacity bounds resident bytes: a Write that would push usage
-// past cap fails with ErrNoSpace. cap <= 0 means unlimited (the
-// default).
-func (s *Store) SetCapacity(cap int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.capacity = cap
-}
-
 // SetSlowIO makes every subsequent Write and Read sleep d first,
 // modeling a degraded storage target. Zero disables the delay.
 func (s *Store) SetSlowIO(d time.Duration) {
@@ -128,8 +118,8 @@ func (s *Store) damage(cp []byte) []byte {
 }
 
 // Write stores data under name, replacing any previous object. It
-// fails with ErrNoSpace when capacity is exhausted or an ENOSPC fault
-// is armed; on failure nothing is stored.
+// fails with ErrNoSpace when an ENOSPC fault is armed; on failure
+// nothing is stored.
 func (s *Store) Write(name string, data []byte) error {
 	cp := append([]byte(nil), data...)
 	s.mu.Lock()
@@ -151,9 +141,6 @@ func (s *Store) Write(name string, data []byte) error {
 	var old int64
 	if prev, ok := s.objects[name]; ok {
 		old = int64(len(prev))
-	}
-	if s.capacity > 0 && s.bytes-old+int64(len(cp)) > s.capacity {
-		return ErrNoSpace
 	}
 	s.bytes += int64(len(cp)) - old
 	s.objects[name] = cp
@@ -257,10 +244,6 @@ func (s *Store) Stats() (int64, int64) {
 // pipe with per-operation latency.
 type SimPFS struct {
 	bw *sim.Bandwidth
-	// stripes is the number of concurrent I/O streams the PFS serves at
-	// full aggregate rate; writes beyond it queue.
-	writeBytes int64
-	readBytes  int64
 }
 
 // NewSimPFS creates a PFS model with the given aggregate bandwidth
@@ -274,7 +257,6 @@ func (f *SimPFS) WriteCheckpoint(p *sim.Proc, bytes int64) error {
 	if bytes < 0 {
 		return fmt.Errorf("pfs: negative write size %d", bytes)
 	}
-	f.writeBytes += bytes
 	return f.bw.Transfer(p, bytes)
 }
 
@@ -283,9 +265,5 @@ func (f *SimPFS) ReadCheckpoint(p *sim.Proc, bytes int64) error {
 	if bytes < 0 {
 		return fmt.Errorf("pfs: negative read size %d", bytes)
 	}
-	f.readBytes += bytes
 	return f.bw.Transfer(p, bytes)
 }
-
-// Traffic returns total (written, read) bytes charged so far.
-func (f *SimPFS) Traffic() (int64, int64) { return f.writeBytes, f.readBytes }

@@ -206,9 +206,9 @@ type tenantUsage struct {
 // TenantStat is one tenant's exported accounting row.
 type TenantStat struct {
 	Tenant       string
-	StoreBytes   int64
-	WlogBytes    int64
-	StagingQuota int64
+	StoreBytes   int64 // resident staging payload bytes charged to the tenant
+	WlogBytes    int64 // resident logged (replay-protected) bytes
+	StagingQuota int64 // configured cap (0 = unlimited)
 	WlogQuota    int64
 	Priority     int
 	Admits       int64

@@ -1,0 +1,18 @@
+package recovery
+
+import "sort"
+
+// DeadSlots returns the dead-unrecovered backlog: slots confirmed dead
+// that no spare has been promoted into yet. The spare-exhaustion test
+// watches the backlog through it; outside the tests OnSlotDown reports
+// the same transitions.
+func (s *Supervisor) DeadSlots() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]int, 0, len(s.dead))
+	for slot := range s.dead {
+		out = append(out, slot)
+	}
+	sort.Ints(out)
+	return out
+}

@@ -187,19 +187,6 @@ func (s *Supervisor) Token() uint64 {
 	return s.token
 }
 
-// DeadSlots returns the dead-unrecovered backlog: slots confirmed dead
-// that no spare has been promoted into yet.
-func (s *Supervisor) DeadSlots() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int, 0, len(s.dead))
-	for slot := range s.dead {
-		out = append(out, slot)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Start launches the detector, runs a first election round, and starts
 // the supervision loop. It is a no-op when already started.
 func (s *Supervisor) Start() {
@@ -497,17 +484,9 @@ func (s *Supervisor) quorum(addrs []string) int {
 func (s *Supervisor) leaseRound(addrs []string, token uint64) int {
 	grants := 0
 	for _, addr := range addrs {
-		conn, err := s.tr.Dial(addr)
+		resp, err := transport.CallOnce[staging.LeaseCASResp](s.tr, addr,
+			staging.LeaseCASReq{Holder: s.cfg.ID, Token: token, TTL: s.cfg.LeaseTTL})
 		if err != nil {
-			continue
-		}
-		raw, err := conn.Call(staging.LeaseCASReq{Holder: s.cfg.ID, Token: token, TTL: s.cfg.LeaseTTL})
-		conn.Close()
-		if err != nil {
-			continue
-		}
-		resp, ok := raw.(staging.LeaseCASResp)
-		if !ok {
 			continue
 		}
 		s.mu.Lock()
@@ -577,12 +556,8 @@ func (s *Supervisor) renew() bool {
 // member; a record held by someone else is untouched.
 func (s *Supervisor) releaseRound(addrs []string) {
 	for _, addr := range addrs {
-		conn, err := s.tr.Dial(addr)
-		if err != nil {
-			continue
-		}
-		conn.Call(staging.LeaseCASReq{Holder: s.cfg.ID, Release: true})
-		conn.Close()
+		// Best effort: a grant that is not given back expires on its own.
+		transport.CallOnce[staging.LeaseCASResp](s.tr, addr, staging.LeaseCASReq{Holder: s.cfg.ID, Release: true})
 	}
 }
 
@@ -606,17 +581,8 @@ func (s *Supervisor) onElected(token uint64) {
 func (s *Supervisor) fetchIntents() []staging.PromotionIntent {
 	best := make(map[int]staging.PromotionIntent)
 	for _, addr := range s.mem.Addrs() {
-		conn, err := s.tr.Dial(addr)
+		resp, err := transport.CallOnce[staging.LeaderInfoResp](s.tr, addr, staging.LeaderInfoReq{})
 		if err != nil {
-			continue
-		}
-		raw, err := conn.Call(staging.LeaderInfoReq{})
-		conn.Close()
-		if err != nil {
-			continue
-		}
-		resp, ok := raw.(staging.LeaderInfoResp)
-		if !ok {
 			continue
 		}
 		for _, in := range resp.Intents {
@@ -860,17 +826,14 @@ func (s *Supervisor) putIntent(in staging.PromotionIntent, token uint64) bool {
 			continue
 		}
 		polled++
-		raw, err := s.fencedCall(addr, token, staging.IntentPutReq{Intent: in})
-		if err != nil {
+		if _, err := fencedCall[staging.IntentPutResp](s, addr, token, staging.IntentPutReq{Intent: in}); err != nil {
 			if staging.IsFenced(err) {
 				s.observeDeposed()
 				return false
 			}
 			continue
 		}
-		if _, ok := raw.(staging.IntentPutResp); ok {
-			acks++
-		}
+		acks++
 	}
 	return acks*2 > polled
 }
@@ -878,22 +841,17 @@ func (s *Supervisor) putIntent(in staging.PromotionIntent, token uint64) bool {
 // clearIntent drops the journaled intent on every reachable member.
 func (s *Supervisor) clearIntent(slot int, token uint64) {
 	for _, addr := range s.mem.Addrs() {
-		if _, err := s.fencedCall(addr, token, staging.IntentClearReq{Slot: slot}); err != nil && staging.IsFenced(err) {
+		if _, err := fencedCall[staging.IntentClearResp](s, addr, token, staging.IntentClearReq{Slot: slot}); err != nil && staging.IsFenced(err) {
 			s.observeDeposed()
 			return
 		}
 	}
 }
 
-// fencedCall dials addr and issues one request under the fencing
-// token.
-func (s *Supervisor) fencedCall(addr string, token uint64, req any) (any, error) {
-	conn, err := s.tr.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	return conn.Call(staging.FencedReq{Token: token, Req: req})
+// fencedCall issues one request to addr under the fencing token and
+// expects an R back.
+func fencedCall[R any](s *Supervisor, addr string, token uint64, req any) (R, error) {
+	return transport.CallOnce[R](s.tr, addr, staging.FencedReq{Token: token, Req: req})
 }
 
 // restoreLog restores the dead slot's replicated event-log state onto
@@ -915,17 +873,8 @@ func (s *Supervisor) restoreLog(deadSlot int, spareAddr string, token uint64) bo
 		if i == deadSlot {
 			continue
 		}
-		conn, err := s.tr.Dial(addr)
-		if err != nil {
-			continue
-		}
-		raw, err := conn.Call(staging.ReplFetchReq{Slot: deadSlot})
-		conn.Close()
-		if err != nil {
-			continue
-		}
-		resp, ok := raw.(staging.ReplFetchResp)
-		if !ok || !resp.Found {
+		resp, err := transport.CallOnce[staging.ReplFetchResp](s.tr, addr, staging.ReplFetchReq{Slot: deadSlot})
+		if err != nil || !resp.Found {
 			continue
 		}
 		if minSeq < 0 || resp.State.Seq < minSeq {
@@ -941,16 +890,11 @@ func (s *Supervisor) restoreLog(deadSlot int, spareAddr string, token uint64) bo
 		s.reg.Counter("recovery.log_missing").Inc()
 		return true
 	}
-	raw, err := s.fencedCall(spareAddr, token, staging.WlogInstallReq{Slot: deadSlot, State: *best})
-	if err != nil {
+	if _, err := fencedCall[staging.WlogInstallResp](s, spareAddr, token, staging.WlogInstallReq{Slot: deadSlot, State: *best}); err != nil {
 		if staging.IsFenced(err) {
 			s.observeDeposed()
 			return false
 		}
-		s.reg.Counter("recovery.failed_log_restores").Inc()
-		return false
-	}
-	if _, ok := raw.(staging.WlogInstallResp); !ok {
 		s.reg.Counter("recovery.failed_log_restores").Inc()
 		return false
 	}
@@ -973,13 +917,12 @@ func (s *Supervisor) restoreLog(deadSlot int, spareAddr string, token uint64) bo
 // while the slot was dark. Failures are counted, never fatal — the
 // promotion already holds the restored state in RAM.
 func (s *Supervisor) scrubTier(spareAddr string, token uint64) {
-	raw, err := s.fencedCall(spareAddr, token, staging.TierScrubReq{})
+	resp, err := fencedCall[staging.TierScrubResp](s, spareAddr, token, staging.TierScrubReq{})
 	if err != nil {
 		s.reg.Counter("recovery.tier_scrub_errors").Inc()
 		return
 	}
-	resp, ok := raw.(staging.TierScrubResp)
-	if !ok || !resp.Enabled {
+	if !resp.Enabled {
 		return
 	}
 	s.reg.Counter("recovery.tier_scrubs").Inc()
@@ -1003,15 +946,11 @@ func (s *Supervisor) pushView(token uint64, epoch uint64, addrs []string) {
 
 // pushViewTo sends one fenced view install, reporting success.
 func (s *Supervisor) pushViewTo(addr string, token uint64, epoch uint64, addrs []string) bool {
-	raw, err := s.fencedCall(addr, token, staging.EpochSetReq{Epoch: epoch, Addrs: addrs})
-	if err != nil {
-		if staging.IsFenced(err) {
-			s.observeDeposed()
-		}
-		return false
+	_, err := fencedCall[staging.EpochSetResp](s, addr, token, staging.EpochSetReq{Epoch: epoch, Addrs: addrs})
+	if staging.IsFenced(err) {
+		s.observeDeposed()
 	}
-	_, ok := raw.(staging.EpochSetResp)
-	return ok
+	return err == nil
 }
 
 // reprotectAttempts bounds the re-protection retry loop: a rebuild can
@@ -1069,17 +1008,13 @@ func (s *Supervisor) reprotectOnce(addrs []string) bool {
 	seen := map[string]struct{}{}
 	var keys []string
 	for _, conn := range conns {
-		raw, err := conn.Call(staging.ShardKeysReq{})
+		resp, err := transport.As[staging.ShardKeysResp](conn.Call(staging.ShardKeysReq{}))
 		if err != nil {
 			if staging.IsFenced(err) {
 				s.observeDeposed()
 				return true // the new leader re-protects
 			}
 			continue // dead or lagging member; survivors cover its keys
-		}
-		resp, ok := raw.(staging.ShardKeysResp)
-		if !ok {
-			continue
 		}
 		for _, k := range resp.Keys {
 			if _, dup := seen[k]; !dup {

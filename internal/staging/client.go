@@ -42,17 +42,6 @@ func wrapCall(err error, format string, args ...any) error {
 	return fmt.Errorf("staging: %s: %w", msg, err)
 }
 
-// respAs narrows a transport response to its expected concrete type; a
-// mismatch is reported as an error rather than panicking the rank.
-func respAs[T any](raw any, op string) (T, error) {
-	v, ok := raw.(T)
-	if !ok {
-		var zero T
-		return zero, fmt.Errorf("staging: %s: bad response type %T", op, raw)
-	}
-	return v, nil
-}
-
 // Config describes a staging server group.
 type Config struct {
 	// Global is the data domain the group indexes.
@@ -63,9 +52,6 @@ type Config struct {
 	Bits int
 	// ElemSize is the byte width of one grid cell.
 	ElemSize int
-	// Curve selects the space-filling curve ordering cells across
-	// servers (default Z-order; Hilbert trades code cost for locality).
-	Curve dht.Curve
 	// MemoryBudgetPerServer caps each server's resident object bytes
 	// (0 = unlimited). A put that would exceed the budget first runs
 	// garbage collection; if the log still needs the space, the put is
@@ -124,7 +110,7 @@ func NewPool(tr transport.Transport, addrs []string, cfg Config) (*Pool, error) 
 	if cfg.ElemSize <= 0 {
 		return nil, fmt.Errorf("staging: non-positive element size %d", cfg.ElemSize)
 	}
-	idx, err := dht.NewIndexCurve(cfg.Global, cfg.NServers, cfg.Bits, cfg.Curve)
+	idx, err := dht.NewIndex(cfg.Global, cfg.NServers, cfg.Bits)
 	if err != nil {
 		return nil, err
 	}
@@ -352,11 +338,8 @@ func (c *Client) rebind() error {
 	var view MembershipResp
 	got := false
 	for s := range c.conns {
-		raw, err := c.conns[s].Call(MembershipReq{})
-		if err != nil {
-			continue
-		}
-		if m, ok := raw.(MembershipResp); ok && m.Epoch > 0 && len(m.Addrs) == len(c.conns) {
+		m, err := transport.As[MembershipResp](c.conns[s].Call(MembershipReq{}))
+		if err == nil && m.Epoch > 0 && len(m.Addrs) == len(c.conns) {
 			view = m
 			got = true
 			break
@@ -445,8 +428,8 @@ func (c *Client) get(name string, version int64, bbox domain.BBox, logged bool) 
 		}
 		resp, ok := raw.(GetResp)
 		if !ok { // only a failure pays for its label
-			_, err := respAs[GetResp](raw, fmt.Sprintf("get %q", name))
-			return nil, 0, err
+			_, err := transport.As[GetResp](raw, nil)
+			return nil, 0, fmt.Errorf("staging: get %q: %w", name, err)
 		}
 		if resolved == NoVersion {
 			resolved = resp.Version
@@ -513,17 +496,10 @@ func (c *Client) WorkflowCheck() (int64, error) {
 	var freed int64
 	var firstErr error
 	for s := range c.conns {
-		raw, err := c.call(s, CheckpointReq{App: c.app})
+		resp, err := transport.As[CheckpointResp](c.call(s, CheckpointReq{App: c.app}))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = wrapCall(err, "checkpoint on server %d", s)
-			}
-			continue
-		}
-		resp, err := respAs[CheckpointResp](raw, "checkpoint")
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
 			}
 			continue
 		}
@@ -558,13 +534,9 @@ func (c *Client) WorkflowRestartFrom(covered int64) (int, error) {
 	}
 	total := 0
 	for s := range c.conns {
-		raw, err := c.call(s, RecoveryReq{App: c.app, Covered: covered})
+		resp, err := transport.As[RecoveryResp](c.call(s, RecoveryReq{App: c.app, Covered: covered}))
 		if err != nil {
 			return total, wrapCall(err, "recovery on server %d", s)
-		}
-		resp, err := respAs[RecoveryResp](raw, "recovery")
-		if err != nil {
-			return total, err
 		}
 		total += resp.ReplayEvents
 	}
@@ -575,13 +547,9 @@ func (c *Client) WorkflowRestartFrom(covered int64) (int, error) {
 func (c *Client) Versions(name string) ([]int64, error) {
 	seen := map[int64]struct{}{}
 	for s := range c.conns {
-		raw, err := c.call(s, QueryReq{Name: name})
+		resp, err := transport.As[QueryResp](c.call(s, QueryReq{Name: name}))
 		if err != nil {
 			return nil, wrapCall(err, "query on server %d", s)
-		}
-		resp, err := respAs[QueryResp](raw, "query")
-		if err != nil {
-			return nil, err
 		}
 		for _, v := range resp.Versions {
 			seen[v] = struct{}{}
@@ -599,13 +567,9 @@ func (c *Client) Versions(name string) ([]int64, error) {
 func (c *Client) Stats() (StatsResp, error) {
 	var agg StatsResp
 	for s, conn := range c.conns {
-		raw, err := conn.Call(StatsReq{})
+		st, err := transport.As[StatsResp](conn.Call(StatsReq{}))
 		if err != nil {
 			return agg, wrapCall(err, "stats on server %d", s)
-		}
-		st, err := respAs[StatsResp](raw, "stats")
-		if err != nil {
-			return agg, err
 		}
 		agg.StoreBytes += st.StoreBytes
 		agg.LogMetaBytes += st.LogMetaBytes
@@ -637,13 +601,9 @@ func (c *Client) Stats() (StatsResp, error) {
 func (c *Client) Trace(limit int) ([]string, error) {
 	var out []string
 	for sid, conn := range c.conns {
-		raw, err := conn.Call(TraceReq{Limit: limit})
+		resp, err := transport.As[TraceResp](conn.Call(TraceReq{Limit: limit}))
 		if err != nil {
 			return nil, wrapCall(err, "trace on server %d", sid)
-		}
-		resp, err := respAs[TraceResp](raw, "trace")
-		if err != nil {
-			return nil, err
 		}
 		for _, rec := range resp.Records {
 			out = append(out, fmt.Sprintf("s%d %s", sid, rec))
@@ -658,13 +618,9 @@ func (c *Client) Trace(limit int) ([]string, error) {
 func (c *Client) TraceRecords(limit int) ([][]trace.Record, error) {
 	out := make([][]trace.Record, len(c.conns))
 	for sid, conn := range c.conns {
-		raw, err := conn.Call(TraceReq{Limit: limit, Raw: true})
+		resp, err := transport.As[TraceResp](conn.Call(TraceReq{Limit: limit, Raw: true}))
 		if err != nil {
 			return nil, wrapCall(err, "trace on server %d", sid)
-		}
-		resp, err := respAs[TraceResp](raw, "trace")
-		if err != nil {
-			return nil, err
 		}
 		out[sid] = resp.Raw
 	}

@@ -13,6 +13,7 @@ import (
 
 	"gospaces/internal/domain"
 	"gospaces/internal/locks"
+	"gospaces/internal/qos"
 	"gospaces/internal/trace"
 	"gospaces/internal/wlog"
 )
@@ -247,28 +248,21 @@ type ReplRecord struct {
 }
 
 // LockMirrorState is the exported lock-server state at one stream
-// position: the held-lock table plus the per-holder dedup outcomes.
+// position: the held-lock table plus each holder's latest deduplicated
+// operation, as the record that carried it.
 type LockMirrorState struct {
 	Held  []locks.HeldLock
-	Dedup []LockOutcome
-}
-
-// LockOutcome is one holder's latest deduplicated lock operation.
-type LockOutcome struct {
-	Holder  string
-	Seq     uint64
-	Name    string
-	Write   bool
-	Release bool
-	Ok      bool
-	Err     string
+	Dedup []LockRecord
 }
 
 // ReplState is a full snapshot of a server's replicated state: the
-// event-log codec bytes, the logged objects, and (on the lock server)
-// the lock mirror — everything a spare needs to take the slot over.
+// event log, the logged objects, and (on the lock server) the lock
+// mirror — everything a spare needs to take the slot over.
 type ReplState struct {
-	Seq      int64
+	Seq int64
+	// Wlog is wlog.Log.Snapshot's output, itself a codec message: only
+	// Log.Restore opens it, under the codec's bounds and the snapshot's
+	// own ValidateWire.
 	Wlog     []byte
 	Objects  []ReplObject
 	Locks    LockMirrorState
@@ -488,16 +482,7 @@ type StatsResp struct {
 type QosStatsReq struct{}
 
 // QosTenant is one tenant's accounting row on one server.
-type QosTenant struct {
-	Tenant       string
-	StoreBytes   int64 // resident staging payload bytes charged to the tenant
-	WlogBytes    int64 // resident logged (replay-protected) bytes
-	StagingQuota int64 // configured cap (0 = unlimited)
-	WlogQuota    int64
-	Priority     int
-	Admits       int64
-	Sheds        int64
-}
+type QosTenant = qos.TenantStat
 
 // QosStatsResp reports a server's admission-control state: per-tenant
 // usage against quota, aggregate admit/shed counters, and the lane

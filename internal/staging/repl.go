@@ -31,14 +31,14 @@ import (
 type lockMirror struct {
 	writers map[string]string         // name -> writer
 	readers map[string]map[string]int // name -> holder -> recursion count
-	dedup   map[string]LockOutcome    // holder -> latest deduplicated op
+	dedup   map[string]LockRecord     // holder -> latest deduplicated op
 }
 
 func newLockMirror() *lockMirror {
 	return &lockMirror{
 		writers: make(map[string]string),
 		readers: make(map[string]map[string]int),
-		dedup:   make(map[string]LockOutcome),
+		dedup:   make(map[string]LockRecord),
 	}
 }
 
@@ -58,10 +58,7 @@ func (m *lockMirror) apply(r *LockRecord) {
 		delete(m.dedup, r.Holder)
 		return
 	}
-	m.dedup[r.Holder] = LockOutcome{
-		Holder: r.Holder, Seq: r.Seq, Name: r.Name,
-		Write: r.Write, Release: r.Release, Ok: r.Ok, Err: r.Err,
-	}
+	m.dedup[r.Holder] = *r
 	if !r.Ok {
 		return
 	}
@@ -133,7 +130,7 @@ func (m *lockMirror) export() LockMirrorState {
 func (m *lockMirror) importState(st LockMirrorState) {
 	m.writers = make(map[string]string)
 	m.readers = make(map[string]map[string]int)
-	m.dedup = make(map[string]LockOutcome)
+	m.dedup = make(map[string]LockRecord)
 	for _, h := range st.Held {
 		if h.Writer != "" {
 			m.writers[h.Name] = h.Writer
@@ -456,14 +453,8 @@ func (r *replicator) ship(batch []ReplRecord) {
 				continue
 			}
 		}
-		raw, err := p.conn.Call(req)
+		resp, err := transport.As[ReplApplyResp](p.conn.Call(req))
 		if err != nil {
-			r.dropPeer(addr)
-			r.ctr.peerErrors.Inc()
-			continue
-		}
-		resp, ok := raw.(ReplApplyResp)
-		if !ok {
 			r.dropPeer(addr)
 			r.ctr.peerErrors.Inc()
 			continue
@@ -485,14 +476,8 @@ func (r *replicator) ship(batch []ReplRecord) {
 // peer is healed.
 func (r *replicator) resync(p *peerConn, addr string, epoch uint64, slot int, peerSeq int64) bool {
 	if peerSeq < 0 {
-		raw, err := p.conn.Call(ReplApplyReq{Epoch: epoch, Slot: slot})
+		resp, err := transport.As[ReplApplyResp](p.conn.Call(ReplApplyReq{Epoch: epoch, Slot: slot}))
 		if err != nil {
-			r.dropPeer(addr)
-			r.ctr.peerErrors.Inc()
-			return false
-		}
-		resp, ok := raw.(ReplApplyResp)
-		if !ok {
 			r.dropPeer(addr)
 			r.ctr.peerErrors.Inc()
 			return false
@@ -518,14 +503,13 @@ func (r *replicator) resync(p *peerConn, addr string, epoch uint64, slot int, pe
 // confirmed contiguity; fatal reports a transport failure (peer
 // dropped, no point trying the snapshot on this conn).
 func (r *replicator) sendDelta(p *peerConn, addr string, epoch uint64, slot int, delta []ReplRecord) (healed, fatal bool) {
-	raw, err := p.conn.Call(ReplApplyReq{Epoch: epoch, Slot: slot, Records: delta})
+	resp, err := transport.As[ReplApplyResp](p.conn.Call(ReplApplyReq{Epoch: epoch, Slot: slot, Records: delta}))
 	if err != nil {
 		r.dropPeer(addr)
 		r.ctr.peerErrors.Inc()
 		return false, true
 	}
-	resp, ok := raw.(ReplApplyResp)
-	if !ok || resp.NeedSnapshot {
+	if resp.NeedSnapshot {
 		return false, false
 	}
 	var bytes int64
@@ -833,18 +817,30 @@ func (s *Server) buildReplState() (ReplState, error) {
 	}, nil
 }
 
+// replicaFor is the two-level epoch fence of the replication stream: it
+// returns the hosted replica of slot, locked, unless this server's
+// membership epoch or the replica's own is newer than the sender's —
+// an origin from a prior view must not touch a replica.
+func (s *Server) replicaFor(epoch uint64, slot int) (*slotReplica, error) {
+	held := s.Epoch()
+	if epoch >= held {
+		rep := s.replicas.slot(slot)
+		rep.mu.Lock()
+		if held = rep.epoch; epoch >= held {
+			return rep, nil
+		}
+		rep.mu.Unlock()
+	}
+	s.reg.Counter("stale_epoch_rejects").Inc()
+	return nil, &StaleEpochError{Client: epoch, Server: held}
+}
+
 func (s *Server) handleReplApply(r ReplApplyReq) (any, error) {
-	if epoch := s.Epoch(); r.Epoch < epoch {
-		s.reg.Counter("stale_epoch_rejects").Inc()
-		return nil, &StaleEpochError{Client: r.Epoch, Server: epoch}
+	rep, err := s.replicaFor(r.Epoch, r.Slot)
+	if err != nil {
+		return nil, err
 	}
-	rep := s.replicas.slot(r.Slot)
-	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if r.Epoch < rep.epoch {
-		s.reg.Counter("stale_epoch_rejects").Inc()
-		return nil, &StaleEpochError{Client: r.Epoch, Server: rep.epoch}
-	}
 	rep.epoch = r.Epoch
 	for _, rec := range r.Records {
 		if rec.Seq <= rep.seq {
@@ -862,17 +858,11 @@ func (s *Server) handleReplApply(r ReplApplyReq) (any, error) {
 }
 
 func (s *Server) handleReplSnapshot(r ReplSnapshotReq) (any, error) {
-	if epoch := s.Epoch(); r.Epoch < epoch {
-		s.reg.Counter("stale_epoch_rejects").Inc()
-		return nil, &StaleEpochError{Client: r.Epoch, Server: epoch}
+	rep, err := s.replicaFor(r.Epoch, r.Slot)
+	if err != nil {
+		return nil, err
 	}
-	rep := s.replicas.slot(r.Slot)
-	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if r.Epoch < rep.epoch {
-		s.reg.Counter("stale_epoch_rejects").Inc()
-		return nil, &StaleEpochError{Client: r.Epoch, Server: rep.epoch}
-	}
 	if err := rep.install(r.Epoch, r.State); err != nil {
 		return nil, fmt.Errorf("staging: replica slot %d install: %w", r.Slot, err)
 	}

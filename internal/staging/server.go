@@ -330,8 +330,6 @@ func (s *Server) dispatch(req any) (any, error) {
 		return s.handleWlogInstall(r)
 	case TraceReq:
 		return s.handleTrace(r)
-	case ReduceReq:
-		return s.handleReduce(r)
 	case StatsReq:
 		return s.stats(), nil
 	case QosStatsReq:
@@ -784,11 +782,10 @@ func (s *Server) qosStats() QosStatsResp {
 	if s.qosCtl == nil {
 		return QosStatsResp{ID: s.id}
 	}
-	snap := s.qosCtl.Snapshot()
 	resp := QosStatsResp{
 		Enabled:         true,
 		ID:              s.id,
-		Tenants:         make([]QosTenant, len(snap)),
+		Tenants:         s.qosCtl.Snapshot(),
 		Admits:          s.reg.Counter("qos.admits").Value(),
 		Sheds:           s.reg.Counter("qos.sheds").Value(),
 		QueueForeground: s.reg.Gauge("qos.queue.foreground").Value(),
@@ -796,18 +793,6 @@ func (s *Server) qosStats() QosStatsResp {
 	}
 	if s.repl != nil {
 		resp.ReplLag = s.repl.lag()
-	}
-	for i, t := range snap {
-		resp.Tenants[i] = QosTenant{
-			Tenant:       t.Tenant,
-			StoreBytes:   t.StoreBytes,
-			WlogBytes:    t.WlogBytes,
-			StagingQuota: t.StagingQuota,
-			WlogQuota:    t.WlogQuota,
-			Priority:     t.Priority,
-			Admits:       t.Admits,
-			Sheds:        t.Sheds,
-		}
 	}
 	return resp
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"gospaces/internal/dht"
 	"gospaces/internal/domain"
 	"gospaces/internal/qos"
 	"gospaces/internal/transport"
@@ -545,31 +544,6 @@ func TestReplaceServerKeepsGroupConfig(t *testing.T) {
 		if resp := raw.(QosStatsResp); resp.Enabled != withQoS || resp.ID != 1 {
 			t.Fatalf("replacement's qos stats = %+v, want Enabled=%v", resp, withQoS)
 		}
-	}
-}
-
-func TestHilbertCurveStaging(t *testing.T) {
-	g, err := StartGroup(transport.NewInProc(), "hilb", Config{
-		Global:   domain.Box3(0, 0, 0, 63, 63, 31),
-		NServers: 4,
-		Bits:     3,
-		ElemSize: 8,
-		Curve:    dht.CurveHilbert,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	c, _ := g.NewClient("sim/0")
-	defer c.Close()
-	global := g.Config().Global
-	data := fill(domain.BufLen(global, 8), 77)
-	if err := c.PutWithLog("f", 1, global, data); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := c.GetWithLog("f", 1, global)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("hilbert-indexed round trip: %v", err)
 	}
 }
 

@@ -5,9 +5,10 @@ import "gospaces/internal/codec"
 // wireTypes is the staging protocol's type-id table: every request,
 // response and typed error that crosses a transport, keyed by its
 // wire id (internal/codec builds the encoding from the type itself).
-// The ids are wire constants: never renumber, only append. Ids 256 and
-// up belong to other packages (health, qos; DESIGN.md §7 has the whole
-// table).
+// The ids are wire constants: never renumber, never reuse (53 and 54
+// were the in-transit reduce pair), only append. Ids 256 and up belong
+// to other packages (health, qos, transport, wlog, tier; DESIGN.md §7
+// has the whole table).
 var wireTypes = map[uint16]any{
 	1: PutReq{}, 2: PutResp{},
 	3: GetReq{}, 4: GetResp{},
@@ -34,7 +35,6 @@ var wireTypes = map[uint16]any{
 	47: QosStatsReq{}, 48: QosStatsResp{},
 	49: TierStatsReq{}, 50: TierStatsResp{},
 	51: TierScrubReq{}, 52: TierScrubResp{},
-	53: ReduceReq{}, 54: ReduceResp{},
 	55: &StaleEpochError{}, 56: &FencedError{},
 }
 

@@ -56,7 +56,7 @@ func TestFastpathRoundTrip(t *testing.T) {
 				{Name: "step", Writer: "sim/3"},
 				{Name: "mesh", Readers: []locks.ReaderCount{{Holder: "viz/0", Count: 2}, {Holder: "viz/1", Count: 1}}},
 			},
-			Dedup: []LockOutcome{
+			Dedup: []LockRecord{
 				{Holder: "sim/3", Seq: 9, Name: "step", Write: true, Ok: true},
 				{Holder: "viz/0", Seq: 2, Name: "mesh", Release: true, Err: "not held"},
 			},
@@ -202,7 +202,6 @@ func TestWireCompleteness(t *testing.T) {
 		{ReplFetchReq{Slot: 2}, ReplFetchResp{}},
 		{WlogInstallReq{Slot: 0, State: state}, WlogInstallResp{}},
 		{TraceReq{Raw: true}, TraceResp{}},
-		{ReduceReq{Name: "f", Version: 1, BBox: box, Op: ReduceSum}, ReduceResp{}},
 		{StatsReq{}, StatsResp{}},
 		{QosStatsReq{}, QosStatsResp{}},
 		{TierStatsReq{}, TierStatsResp{}},
@@ -250,6 +249,54 @@ func TestWireCompleteness(t *testing.T) {
 		})
 		return false
 	})
+}
+
+// TestNoGobInFrames: ReplState.Wlog rides inside ReplSnapshotReq,
+// ReplFetchResp and WlogInstallReq as opaque bytes, so an import check
+// cannot see what encodes them. They are a codec message — decoded from
+// network input under the codec's bounds, never a second codec's stream
+// — whether a server built the state or a replica exported it.
+func TestNoGobInFrames(t *testing.T) {
+	g := replGroup(t, 2, 1)
+	prod, _ := g.NewClient("sim/0")
+	defer prod.Close()
+	cons, _ := g.NewClient("ana/0")
+	defer cons.Close()
+	global := g.Config().Global
+	for v := int64(1); v <= 2; v++ {
+		if err := prod.PutWithLog("field", v, global, fill(domain.BufLen(global, 8), v)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cons.GetWithLog("field", v, global); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := cons.WorkflowRestart(); err != nil || n == 0 {
+		t.Fatalf("restart replays %d events, %v", n, err)
+	}
+	if err := prod.LockOnWrite("step"); err != nil {
+		t.Fatal(err)
+	}
+	own, err := g.Server(0).buildReplState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !own.HasLocks || len(own.Objects) == 0 {
+		t.Fatalf("state holds no lock or no object: %+v", own.Locks)
+	}
+	for name, wl := range map[string][]byte{"built": own.Wlog, "replica": fetchReplica(t, g.Server(1), 0).Wlog} {
+		if _, err := codec.Unmarshal(wl); err != nil {
+			t.Errorf("%s state's Wlog is not a codec message: %v", name, err)
+		}
+		flipped := append([]byte(nil), wl...)
+		flipped[2] ^= 0xff // the queue count: more queues than bytes
+		if _, err := codec.Unmarshal(flipped); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s state's Wlog with a flipped byte: %v, want codec.ErrCorrupt", name, err)
+		}
+		if err := wlog.New().Restore(flipped); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("Restore of it: %v, want codec.ErrCorrupt", err)
+		}
+	}
 }
 
 // TestTypedErrorsOverTCP: the two staging rejections cross loopback TCP

@@ -26,15 +26,14 @@
 package tier
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"sort"
 	"sync"
 
 	"gospaces/internal/ckpt"
+	"gospaces/internal/codec"
 	"gospaces/internal/domain"
 	"gospaces/internal/store"
 )
@@ -133,11 +132,16 @@ func openObject(body []byte) (*store.Object, bool) {
 	return o, true
 }
 
-// manifest is the gob body sealed inside the manifest record.
+// manifest is the body sealed inside the manifest record, a codec
+// message. A body that does not decode as one — a manifest written
+// before it was, in gob — is no valid manifest.
 type manifest struct {
 	NextKey uint64
 	Entries []Entry
 }
+
+// Ids 1280–1535 are tier's (DESIGN.md §7 has the whole table).
+func init() { codec.Register(1280, manifest{}) }
 
 // Stats is a point-in-time tier counter snapshot.
 type Stats struct {
@@ -234,12 +238,12 @@ func (t *Tier) load() {
 		if !valid[g] {
 			continue
 		}
-		if err := gob.NewDecoder(bytes.NewReader(bodies[g])).Decode(&man); err != nil {
+		msg, err := codec.Unmarshal(bodies[g])
+		m, ok := msg.(manifest)
+		if err != nil || !ok {
 			continue
 		}
-		t.mseq = seqs[g]
-		t.mgen = g
-		found = true
+		man, t.mseq, t.mgen, found = m, seqs[g], g, true
 		break
 	}
 	live := make(map[string]bool)
@@ -317,8 +321,8 @@ func (t *Tier) commitManifest() error {
 		}
 	}
 	sort.Slice(man.Entries, func(i, j int) bool { return man.Entries[i].Key < man.Entries[j].Key })
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&man); err != nil {
+	body, err := codec.Append(nil, man)
+	if err != nil {
 		return fmt.Errorf("tier: manifest encode: %w", err)
 	}
 	t.mseq++
@@ -326,7 +330,7 @@ func (t *Tier) commitManifest() error {
 	if t.mgen == 0 {
 		target = 1
 	}
-	if err := t.be.Write(t.manTmp(), ckpt.SealRecord(t.mseq, buf.Bytes())); err != nil {
+	if err := t.be.Write(t.manTmp(), ckpt.SealRecord(t.mseq, body)); err != nil {
 		t.mseq--
 		return err
 	}
@@ -415,13 +419,6 @@ func (t *Tier) Spill(objs []*store.Object) error {
 	t.spills += int64(len(batch))
 	t.spillBytes += total
 	return nil
-}
-
-// Has reports whether any entry exists for (name, version).
-func (t *Tier) Has(name string, version int64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byName[name][version]) > 0
 }
 
 // HasName reports whether any version of name is spilled.

@@ -445,6 +445,40 @@ func TestOldGobRecordRejected(t *testing.T) {
 	}
 }
 
+// A committed manifest in the retired gob body format is no valid
+// manifest: the attach comes up empty and collects the records as
+// orphans, never mis-decodes an entry set out of it.
+func TestOldGobManifestRejected(t *testing.T) {
+	be := pfs.NewStore()
+	tr := New(be, "0")
+	if err := tr.Spill(version("sim/f", 1, 2, 64)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	old := manifest{NextKey: 2, Entries: []Entry{{Key: 0, Name: "sim/f", Version: 1, ElemSize: 1, Bytes: 64}, {Key: 1, Name: "sim/f", Version: 1, ElemSize: 1, Bytes: 64}}}
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	be.Write("tier/0/manifest/g0", ckpt.SealRecord(1, buf.Bytes()))
+	be.Delete("tier/0/manifest/g1")
+	be.Write("tier/0/manifest/cur", []byte{0})
+	tr2 := New(be, "0")
+	if st := tr2.Stats(); tr2.Has("sim/f", 1) || st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("gob manifest adopted: %+v", st)
+	}
+	if left := be.List("tier/0/o/"); len(left) != 0 {
+		t.Fatalf("records of a rejected manifest not collected: %v", left)
+	}
+	// The tier works from there: the next commit is a manifest a third
+	// attach reads.
+	if err := tr2.Spill(version("sim/f", 2, 1, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if tr3 := New(be, "0"); !tr3.Has("sim/f", 2) || tr3.Stats().Entries != 1 {
+		t.Fatalf("after the rejected manifest: %+v", tr3.Stats())
+	}
+}
+
 // FuzzRecordBody: any object round-trips through the record body
 // byte-exactly, and arbitrary bytes never panic the decoder or yield an
 // object that does not re-encode to the same bytes.

@@ -189,24 +189,6 @@ func TestReplayerOrderAndDivergence(t *testing.T) {
 	}
 }
 
-func TestRecorderStampsClock(t *testing.T) {
-	r := NewRecorder(Header{Label: "rec", Seed: 9})
-	for i := 0; i < 5; i++ {
-		ev := r.Record(Event{Kind: EvPut, Version: int64(i)})
-		if ev.LC != uint64(i) {
-			t.Fatalf("lc %d at %d", ev.LC, i)
-		}
-	}
-	r.SetDigest(7)
-	h, evs, err := Decode(r.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Digest != 7 || h.Label != "rec" || len(evs) != 5 || r.Len() != 5 {
-		t.Fatalf("recorder encode: %+v, %d events", h, len(evs))
-	}
-}
-
 func TestFromRecordMapping(t *testing.T) {
 	cases := []struct {
 		op     Op

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Executor applies one trace event to a live system. internal/workflow
 // provides the concrete executor that drives a staging group; keeping
@@ -46,9 +43,6 @@ func NewReplayer(h Header, events []Event) *Replayer {
 // Header returns the trace header.
 func (r *Replayer) Header() Header { return r.header }
 
-// Pos reports how many events have been applied.
-func (r *Replayer) Pos() int { return r.pos }
-
 // Run applies every remaining event in order. Note events are skipped
 // (they carry no replay semantics). Any executor error is wrapped in a
 // DivergenceError naming the logical clock it happened at, so a
@@ -72,66 +66,4 @@ func (r *Replayer) Run(x Executor) error {
 		}
 	}
 	return nil
-}
-
-// Recorder accumulates the events of a run being recorded, stamping
-// each with the next logical clock value. It is safe for concurrent
-// use, though recorded schedules are normally produced serially —
-// logical time only means something when the order is deterministic.
-type Recorder struct {
-	mu     sync.Mutex
-	header Header
-	events []Event
-}
-
-// NewRecorder starts a recording with the given header.
-func NewRecorder(h Header) *Recorder {
-	h.Version = FormatVersion
-	return &Recorder{header: h}
-}
-
-// Record stamps ev with the next logical clock and retains it,
-// returning the stamped event.
-func (r *Recorder) Record(ev Event) Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ev.LC = uint64(len(r.events))
-	r.events = append(r.events, ev)
-	return ev
-}
-
-// Len reports how many events have been recorded.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// SetDigest stores the recorded run's final workload digest in the
-// header, making the trace self-checking on replay.
-func (r *Recorder) SetDigest(d uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.header.Digest = d
-}
-
-// Header returns the header as it will be written.
-func (r *Recorder) Header() Header {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.header
-}
-
-// Events returns a copy of the recorded events.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
-}
-
-// Encode serializes the recording as a trace file image.
-func (r *Recorder) Encode() []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Encode(r.header, r.events)
 }

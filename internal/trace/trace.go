@@ -172,14 +172,3 @@ func (b *Buffer) Dump() ([]Record, uint64) {
 	out = append(out, b.ring[:start]...)
 	return out, b.next
 }
-
-// Filter returns the retained records matching op (chronological).
-func (b *Buffer) Filter(op Op) []Record {
-	var out []Record
-	for _, r := range b.Snapshot() {
-		if r.Op == op {
-			out = append(out, r)
-		}
-	}
-	return out
-}

@@ -42,20 +42,6 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	b := New(16)
-	b.Add(Record{Op: OpPut})
-	b.Add(Record{Op: OpGet})
-	b.Add(Record{Op: OpPut})
-	b.Add(Record{Op: OpCheckpoint})
-	if got := b.Filter(OpPut); len(got) != 2 {
-		t.Fatalf("filter put = %d", len(got))
-	}
-	if got := b.Filter(OpRecovery); got != nil {
-		t.Fatalf("filter recovery = %v", got)
-	}
-}
-
 func TestNilAndZeroBufferSafe(t *testing.T) {
 	var b *Buffer
 	b.Add(Record{Op: OpPut}) // must not panic

@@ -112,9 +112,6 @@ func (r *Retrying) Close() error {
 // counters.
 func (r *Retrying) Metrics() *metrics.Registry { return r.reg }
 
-// Policy returns the effective (defaulted) policy.
-func (r *Retrying) Policy() RetryPolicy { return r.pol }
-
 // Listen implements Transport, passing straight through: the policy
 // layer shapes the client side only.
 func (r *Retrying) Listen(addr string, h Handler) (io.Closer, error) {

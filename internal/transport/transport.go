@@ -46,6 +46,34 @@ type Transport interface {
 	Dial(addr string) (Client, error)
 }
 
+// As narrows a call's result to the response type its caller expects,
+// as in As[PingResp](conn.Call(req)). A call error passes through; a
+// response of another type is an error naming both types, never a
+// panic in the caller.
+func As[R any](raw any, err error) (R, error) {
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	r, ok := raw.(R)
+	if !ok {
+		return r, fmt.Errorf("transport: response is a %T, want %T", raw, r)
+	}
+	return r, nil
+}
+
+// CallOnce makes one call over a connection of its own: dial, call,
+// close. It is for control traffic with no connection to keep — a
+// probe, a supervisor's round over the membership.
+func CallOnce[R any](tr Transport, addr string, req any) (R, error) {
+	conn, err := tr.Dial(addr)
+	if err != nil {
+		return As[R](nil, err)
+	}
+	defer conn.Close()
+	return As[R](conn.Call(req))
+}
+
 // ErrNoEndpoint is returned by Dial when the address is unknown.
 var ErrNoEndpoint = errors.New("transport: no such endpoint")
 

@@ -75,6 +75,31 @@ func TestInProcErrors(t *testing.T) {
 	}
 }
 
+// TestTypedCalls: As and CallOnce hand back the typed response, pass a
+// dial or handler error through unchanged, and turn a response of
+// another type into an error naming both — never a panic in the caller.
+func TestTypedCalls(t *testing.T) {
+	tr := NewInProc()
+	closer, _ := tr.Listen("s", echoHandler)
+	defer closer.Close()
+	if resp, err := CallOnce[echoResp](tr, "s", echoReq{Msg: "hi"}); err != nil || resp.Msg != "echo:hi" {
+		t.Fatalf("CallOnce = %+v, %v", resp, err)
+	}
+	if _, err := CallOnce[echoResp](tr, "missing", echoReq{}); !errors.Is(err, ErrNoEndpoint) {
+		t.Fatalf("CallOnce to a missing endpoint: %v", err)
+	}
+	if _, err := CallOnce[echoResp](tr, "s", echoReq{Msg: "boom"}); err == nil || err.Error() != "synthetic failure" {
+		t.Fatalf("CallOnce with a failing handler: %v", err)
+	}
+	_, err := CallOnce[echoReq](tr, "s", echoReq{Msg: "hi"})
+	if err == nil || !strings.Contains(err.Error(), "transport.echoResp, want transport.echoReq") {
+		t.Fatalf("CallOnce expecting the wrong type: %v", err)
+	}
+	if _, err := As[echoResp](nil, nil); err == nil {
+		t.Fatal("As took a nil response for an echoResp")
+	}
+}
+
 func TestInProcConcurrentCalls(t *testing.T) {
 	tr := NewInProc()
 	closer, _ := tr.Listen("s", echoHandler)

@@ -1,23 +1,48 @@
 package wlog
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
+
+	"gospaces/internal/codec"
 )
 
-// snapQueue is the wire form of one component's event queue. Only
-// slices and scalars — no maps — so the gob encoding is byte-exact for
-// equal log states.
+// snapQueue is one component's event queue in a snapshot. Under the
+// lock it captures the queue copy-on-write: the event pointer-slice
+// header plus the scalars. The header is safe to read after unlock
+// because events are immutable once appended and every compaction
+// reallocates the backing array (full slice expressions cap the shared
+// prefix), so concurrent appends land past the captured length, never
+// inside it.
 type snapQueue struct {
 	App       string
-	Events    []Event
+	Events    []*Event
 	NextSeq   int64
 	NextChk   int64
 	Replaying bool
 	Cursor    int
 	Anchor    int
+}
+
+// ValidateWire is the queue's decode check (codec.Validator). A
+// snapshot arrives from a peer or a supervisor, and the log indexes
+// Events by Anchor on the next recovery and by Cursor while replaying:
+// an index outside the queue must fail the decode, not the server.
+func (q *snapQueue) ValidateWire() error {
+	n := len(q.Events)
+	if q.Anchor < -1 || q.Anchor >= n {
+		return fmt.Errorf("wlog: queue %q: anchor %d outside %d events", q.App, q.Anchor, n)
+	}
+	// The cursor is stale, and never read, once a replay has ended.
+	if q.Cursor < 0 || q.Replaying && q.Cursor > n {
+		return fmt.Errorf("wlog: queue %q: cursor %d outside %d events", q.App, q.Cursor, n)
+	}
+	for i, e := range q.Events {
+		if e == nil || e.Kind < KindPut || e.Kind > KindCheckpoint {
+			return fmt.Errorf("wlog: queue %q: event %d is not a put, get or checkpoint", q.App, i)
+		}
+	}
+	return nil
 }
 
 // snapReader is one (app, name) -> newest-version-read entry.
@@ -26,141 +51,113 @@ type snapReader struct {
 	Version   int64
 }
 
+// snapshot is the log's wire and storage form. Only slices and scalars,
+// both sorted, so the encoding is byte-exact for equal log states.
 type snapshot struct {
 	Queues  []snapQueue
-	LastGet []snapReader
+	Readers []snapReader
 }
 
-// cowQueue is the copy-on-write capture of one app queue: the event
-// pointer-slice header plus the scalars, taken under the lock. It is
-// safe to read after unlock because events are immutable once appended
-// and every compaction reallocates the backing array (full slice
-// expressions cap the shared prefix), so concurrent appends land past
-// the captured length, never inside it.
-type cowQueue struct {
-	app       string
-	events    []*Event
-	nextSeq   int64
-	nextChk   int64
-	replaying bool
-	cursor    int
-	anchor    int
+// ValidateWire rejects a snapshot naming one component twice: Restore
+// would count the shadowed queue's events in the frontier indexes and
+// nothing would ever trim them.
+func (s *snapshot) ValidateWire() error {
+	for i := 1; i < len(s.Queues); i++ {
+		if s.Queues[i-1].App >= s.Queues[i].App {
+			return fmt.Errorf("wlog: queues out of order at %q", s.Queues[i].App)
+		}
+	}
+	return nil
 }
+
+// Ids 1024–1279 are wlog's (DESIGN.md §7 has the whole table).
+func init() { codec.Register(1024, snapshot{}) }
 
 // Snapshot serializes the complete log state — events, cursors,
-// anchors, lastGet, nextSeq/nextChk — into a deterministic byte string:
-// two logs in the same state produce identical bytes.
+// anchors, newest versions read, nextSeq/nextChk — into a deterministic
+// byte string (a codec message): two logs in the same state produce
+// identical bytes.
 //
 // The lock is held only to capture slice headers and flatten the small
-// lastGet maps — O(queues + readers), not O(events). The event
-// dereference, sort, and gob encode (the expensive part, linear in
-// resident log bytes) run outside the lock, so a snapshot for wlog
-// replication no longer stalls concurrent puts and gets.
+// readers maps — O(queues + readers), not O(events). The sort and the
+// encode (the expensive part, linear in resident log bytes) run outside
+// the lock, so a snapshot for wlog replication does not stall
+// concurrent puts and gets.
 func (l *Log) Snapshot() ([]byte, error) {
 	l.mu.Lock()
-	queues := make([]cowQueue, 0, len(l.apps))
+	snap := snapshot{Queues: make([]snapQueue, 0, len(l.apps))}
 	for a, q := range l.apps {
-		queues = append(queues, cowQueue{
-			app:       a,
-			events:    q.events,
-			nextSeq:   q.nextSeq,
-			nextChk:   q.nextChk,
-			replaying: q.replaying,
-			cursor:    q.cursor,
-			anchor:    q.anchor,
+		snap.Queues = append(snap.Queues, snapQueue{
+			App:       a,
+			Events:    q.events,
+			NextSeq:   q.nextSeq,
+			NextChk:   q.nextChk,
+			Replaying: q.replaying,
+			Cursor:    q.cursor,
+			Anchor:    q.anchor,
 		})
 	}
-	var readers []snapReader
-	for app, m := range l.lastGet {
-		for name, v := range m {
-			readers = append(readers, snapReader{App: app, Name: name, Version: v})
+	for name, m := range l.readers {
+		for app, v := range m {
+			snap.Readers = append(snap.Readers, snapReader{App: app, Name: name, Version: v})
 		}
 	}
 	l.mu.Unlock()
 
-	sort.Slice(queues, func(i, j int) bool { return queues[i].app < queues[j].app })
-	snap := snapshot{LastGet: readers}
-	for _, cq := range queues {
-		sq := snapQueue{
-			App:       cq.app,
-			Events:    make([]Event, len(cq.events)),
-			NextSeq:   cq.nextSeq,
-			NextChk:   cq.nextChk,
-			Replaying: cq.replaying,
-			Cursor:    cq.cursor,
-			Anchor:    cq.anchor,
-		}
-		for i, e := range cq.events {
-			sq.Events[i] = *e
-		}
-		snap.Queues = append(snap.Queues, sq)
-	}
-	sort.Slice(snap.LastGet, func(i, j int) bool {
-		a, b := snap.LastGet[i], snap.LastGet[j]
+	sort.Slice(snap.Queues, func(i, j int) bool { return snap.Queues[i].App < snap.Queues[j].App })
+	sort.Slice(snap.Readers, func(i, j int) bool {
+		a, b := snap.Readers[i], snap.Readers[j]
 		if a.App != b.App {
 			return a.App < b.App
 		}
 		return a.Name < b.Name
 	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+	out, err := codec.Append(nil, snap)
+	if err != nil {
 		return nil, fmt.Errorf("wlog: snapshot encode: %w", err)
 	}
-	return buf.Bytes(), nil
+	return out, nil
 }
 
 // Restore replaces the log's entire state with a Snapshot taken from
 // another log. The frontier indexes and memory accounting are rebuilt
-// from the restored events.
+// from the restored events. Bytes that are not a valid snapshot (see
+// the ValidateWire methods) fail with the codec's decode error —
+// codec.ErrCorrupt, or codec.ErrUnknownType for what is no codec
+// message at all — and leave the log as it was.
 func (l *Log) Restore(state []byte) error {
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&snap); err != nil {
+	msg, err := codec.Unmarshal(state)
+	if err != nil {
 		return fmt.Errorf("wlog: snapshot decode: %w", err)
+	}
+	snap, ok := msg.(snapshot)
+	if !ok {
+		return fmt.Errorf("wlog: snapshot decode: %w: a %T, not a snapshot", codec.ErrCorrupt, msg)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.apps = make(map[string]*appQueue, len(snap.Queues))
-	l.lastGet = make(map[string]map[string]int64)
 	l.getEvents = make(map[string]*verCounts)
 	l.readers = make(map[string]map[string]int64)
 	l.metaBytes = 0
 	for _, sq := range snap.Queues {
-		q := &appQueue{
-			events:    make([]*Event, len(sq.Events)),
+		for _, e := range sq.Events {
+			l.metaBytes += e.metaBytes()
+			if e.Kind == KindGet {
+				l.indexGetEvent(e.Name, e.Version)
+			}
+		}
+		l.apps[sq.App] = &appQueue{
+			events:    sq.Events,
 			nextSeq:   sq.NextSeq,
 			nextChk:   sq.NextChk,
 			replaying: sq.Replaying,
 			cursor:    sq.Cursor,
 			anchor:    sq.Anchor,
 		}
-		for i := range sq.Events {
-			e := sq.Events[i]
-			q.events[i] = &e
-			l.metaBytes += e.metaBytes()
-			if e.Kind == KindGet {
-				vc, ok := l.getEvents[e.Name]
-				if !ok {
-					vc = &verCounts{counts: make(map[int64]int)}
-					l.getEvents[e.Name] = vc
-				}
-				vc.add(e.Version)
-			}
-		}
-		l.apps[sq.App] = q
 	}
-	for _, r := range snap.LastGet {
-		m, ok := l.lastGet[r.App]
-		if !ok {
-			m = make(map[string]int64)
-			l.lastGet[r.App] = m
-		}
-		m[r.Name] = r.Version
-		rd, ok := l.readers[r.Name]
-		if !ok {
-			rd = make(map[string]int64)
-			l.readers[r.Name] = rd
-		}
-		rd[r.App] = r.Version
+	for _, r := range snap.Readers {
+		l.indexReader(r.App, r.Name, r.Version)
 	}
 	return nil
 }

@@ -3,12 +3,14 @@ package wlog
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"gospaces/internal/codec"
 	"gospaces/internal/domain"
 )
 
@@ -343,10 +345,8 @@ func bruteFrontier(l *Log, name string) int64 {
 				frontier = e.Version
 			}
 		}
-		if m, ok := l.lastGet[app]; ok {
-			if last, ok := m[name]; ok && last+1 < frontier {
-				frontier = last + 1
-			}
+		if last, ok := l.readers[name][app]; ok && last+1 < frontier {
+			frontier = last + 1
 		}
 	}
 	return frontier
@@ -431,10 +431,11 @@ func TestSnapshotConcurrentWithMutations(t *testing.T) {
 		if err := restored.Restore(state); err != nil {
 			t.Fatalf("snapshot %d did not restore: %v", i, err)
 		}
-		var snap snapshot
-		if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&snap); err != nil {
+		msg, err := codec.Unmarshal(state)
+		if err != nil {
 			t.Fatalf("snapshot %d decode: %v", i, err)
 		}
+		snap := msg.(snapshot)
 		for _, q := range snap.Queues {
 			if q.NextSeq < lastSeq[q.App] {
 				t.Fatalf("snapshot %d: app %s seq regressed %d -> %d", i, q.App, lastSeq[q.App], q.NextSeq)
@@ -449,4 +450,77 @@ func TestSnapshotConcurrentWithMutations(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestRestoreValidatesSnapshot: a snapshot reaches Restore from a peer
+// (ReplSnapshotReq) or a supervisor (WlogInstallReq), and the log
+// indexes its events by the anchor and the cursor it carries. One that
+// would index outside the queue — Anchor -5 made the next recovery
+// slice events[-4:] — is a decode error, and the log stays as it was.
+func TestRestoreValidatesSnapshot(t *testing.T) {
+	put := func(seq int64) *Event {
+		return &Event{App: "sim", Seq: seq, Kind: KindPut, Name: "u", Version: seq, BBox: fidBoxes[0], Bytes: 100}
+	}
+	two := []*Event{put(1), put(2)}
+	encode := func(s snapshot) []byte {
+		b, err := codec.Append(nil, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	str, _ := codec.Append(nil, "not a snapshot")
+	var gobbed bytes.Buffer
+	if err := gob.NewEncoder(&gobbed).Encode(snapshot{Queues: []snapQueue{{App: "sim", Events: two, Anchor: -1}}}); err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string][]byte{
+		"anchor below -1":        encode(snapshot{Queues: []snapQueue{{App: "sim", Events: two, NextSeq: 2, Anchor: -5}}}),
+		"anchor past the queue":  encode(snapshot{Queues: []snapQueue{{App: "sim", Events: two, NextSeq: 2, Anchor: 2}}}),
+		"anchor in an empty one": encode(snapshot{Queues: []snapQueue{{App: "sim", Anchor: 0}}}),
+		"negative cursor":        encode(snapshot{Queues: []snapQueue{{App: "sim", Events: two, Anchor: -1, Cursor: -1}}}),
+		"replay cursor past end": encode(snapshot{Queues: []snapQueue{{App: "sim", Events: two, Anchor: -1, Replaying: true, Cursor: 3}}}),
+		"unknown event kind":     encode(snapshot{Queues: []snapQueue{{App: "sim", Events: []*Event{{App: "sim", Kind: 4}}, Anchor: -1}}}),
+		"missing event":          encode(snapshot{Queues: []snapQueue{{App: "sim", Events: []*Event{nil}, Anchor: -1}}}),
+		"one component twice":    encode(snapshot{Queues: []snapQueue{{App: "sim", Anchor: -1}, {App: "sim", Anchor: -1}}}),
+		"another message":        str,
+		"trailing byte":          append(encode(snapshot{}), 0),
+		"truncated":              encode(snapshot{Queues: []snapQueue{{App: "sim", Events: two, Anchor: -1}}})[:20],
+		"a gob stream":           gobbed.Bytes(), // what Snapshot wrote before it was a codec message
+	}
+	for name, state := range bad {
+		t.Run(name, func(t *testing.T) {
+			l := New()
+			l.CommitPut("sim", "u", 1, fidBoxes[0], 100)
+			l.CommitGet("ana", "u", 1, fidBoxes[0], 100)
+			before := mustSnapshot(t, l)
+			if err := l.Restore(state); !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, codec.ErrUnknownType) {
+				t.Fatalf("Restore = %v, want a codec decode error", err)
+			}
+			if !bytes.Equal(mustSnapshot(t, l), before) {
+				t.Fatal("a rejected snapshot changed the log")
+			}
+			if script := l.OnRecoveryFrom("sim", 0); len(script) != 1 {
+				t.Fatalf("recovery after a rejected snapshot replays %d events, want 1", len(script))
+			}
+		})
+	}
+
+	// What it must not reject: once a replay has ended the cursor is
+	// stale, and a checkpoint trim leaves it past the shortened queue.
+	l := New()
+	l.CommitPut("sim", "u", 1, fidBoxes[0], 100)
+	l.CommitPut("sim", "u", 2, fidBoxes[0], 100)
+	l.OnRecovery("sim")
+	for v := int64(1); v <= 2; v++ {
+		if sup, err := l.BeginPut("sim", "u", v, fidBoxes[0]); err != nil || !sup {
+			t.Fatalf("replay put v%d: %v %v", v, sup, err)
+		}
+	}
+	l.OnCheckpoint("sim")
+	restored := New()
+	if err := restored.Restore(mustSnapshot(t, l)); err != nil {
+		t.Fatalf("Restore with a stale cursor: %v", err)
+	}
+	assertLogsEqual(t, l, restored)
 }

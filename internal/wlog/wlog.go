@@ -134,18 +134,16 @@ func (vc *verCounts) remove(v int64) {
 type Log struct {
 	mu        sync.Mutex
 	apps      map[string]*appQueue
-	lastGet   map[string]map[string]int64 // app -> name -> newest version ever read
 	metaBytes int64
 	// PayloadFrontier indexes, maintained on append/trim.
 	getEvents map[string]*verCounts       // name -> resident Get-event versions
-	readers   map[string]map[string]int64 // name -> app -> newest version read
+	readers   map[string]map[string]int64 // name -> app -> newest version ever read
 }
 
 // New returns an empty log.
 func New() *Log {
 	return &Log{
 		apps:      make(map[string]*appQueue),
-		lastGet:   make(map[string]map[string]int64),
 		getEvents: make(map[string]*verCounts),
 		readers:   make(map[string]map[string]int64),
 	}
@@ -284,25 +282,22 @@ func (l *Log) CommitGet(app, name string, resolved int64, bbox domain.BBox, byte
 func (l *Log) commitGetLocked(app, name string, resolved int64, bbox domain.BBox, bytes int64) {
 	q := l.queue(app)
 	l.append(q, &Event{App: app, Kind: KindGet, Name: name, Version: resolved, BBox: bbox, Bytes: bytes})
-	l.indexGet(app, name, resolved)
-	m, ok := l.lastGet[app]
-	if !ok {
-		m = make(map[string]int64)
-		l.lastGet[app] = m
-	}
-	if v, ok := m[name]; !ok || resolved > v {
-		m[name] = resolved
-	}
+	l.indexGetEvent(name, resolved)
+	l.indexReader(app, name, resolved)
 }
 
-// indexGet updates the frontier indexes for one appended Get event.
-func (l *Log) indexGet(app, name string, resolved int64) {
+// indexGetEvent counts one resident Get event in the frontier index.
+func (l *Log) indexGetEvent(name string, version int64) {
 	vc, ok := l.getEvents[name]
 	if !ok {
 		vc = &verCounts{counts: make(map[int64]int)}
 		l.getEvents[name] = vc
 	}
-	vc.add(resolved)
+	vc.add(version)
+}
+
+// indexReader records that app has read version of name.
+func (l *Log) indexReader(app, name string, resolved int64) {
 	r, ok := l.readers[name]
 	if !ok {
 		r = make(map[string]int64)
@@ -438,28 +433,6 @@ func (l *Log) PayloadFrontier(name string) int64 {
 		}
 	}
 	return frontier
-}
-
-// Apps returns the components with a registered queue.
-func (l *Log) Apps() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.apps))
-	for a := range l.apps {
-		out = append(out, a)
-	}
-	return out
-}
-
-// QueueLen returns the resident event count for app.
-func (l *Log) QueueLen(app string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	q, ok := l.apps[app]
-	if !ok {
-		return 0
-	}
-	return len(q.events)
 }
 
 // MetaBytes returns the estimated memory footprint of resident event

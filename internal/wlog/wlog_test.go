@@ -363,18 +363,6 @@ func TestMetaBytesAccounting(t *testing.T) {
 	}
 }
 
-func TestAppsAndQueueLen(t *testing.T) {
-	l := New()
-	doPut(t, l, "x", "f", 1)
-	doGet(t, l, "y", "f", 1)
-	if len(l.Apps()) != 2 {
-		t.Fatalf("apps = %v", l.Apps())
-	}
-	if l.QueueLen("ghost") != 0 {
-		t.Fatal("ghost app has events")
-	}
-}
-
 // TestRecoveryFromCoveredVersion reproduces a torn workflow_check: the
 // component checkpointed durably at ts 5 but this server never received
 // the checkpoint mark (it was issued per server and a fail-stop
