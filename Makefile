@@ -44,7 +44,7 @@ loc:
 # The ratchet: `make loc` may not rise unnoticed. A PR that needs more
 # lines raises LOC_BUDGET in its own diff, where a reviewer sees it; one
 # that removes lines lowers it to what it reaches.
-LOC_BUDGET = 6605
+LOC_BUDGET = 6502
 loc-check:
 	@loc=$$($(LOC)); echo "make loc: $$loc, LOC_BUDGET: $(LOC_BUDGET)"; \
 	test $$loc -le $(LOC_BUDGET) || { echo 'over budget: remove lines, or raise LOC_BUDGET in this diff'; exit 1; }

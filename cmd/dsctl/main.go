@@ -19,7 +19,9 @@
 //	                        against the connected group, verifying
 //	                        every byte a get returns
 //	restart                 switch to replay mode (workflow_restart)
-//	stats                   print aggregated staging statistics
+//	stats                   print aggregated staging statistics, the
+//	                        replica re-sync (delta vs snapshot) counters
+//	                        among them
 //	health                  probe each server's liveness, membership
 //	                        epoch, spare status, and rebuild counters
 //	leader                  probe each server's recovery-leadership view:
@@ -30,8 +32,7 @@
 //	                        lane queue depths, and replication lag
 //	tier                    probe each server's cold-tier view: spilled
 //	                        entries, spill/promote traffic, scrub and
-//	                        degradation state, and the incremental
-//	                        replication (delta vs snapshot) counters
+//	                        degradation state
 //	scrub                   trigger a CRC scrub pass over each server's
 //	                        spilled records, healing corrupt generations
 //	                        from their twins and re-arming degraded tiers
@@ -177,18 +178,46 @@ func run(servers, domainStr string, elem, bits int, app string, opts gospaces.Di
 		fmt.Printf("replica slots:    %d\n", st.ReplicaSlots)
 		fmt.Printf("replica bytes:    %d\n", st.ReplicaBytes)
 		fmt.Printf("replica records:  %d\n", st.ReplicaRecords)
+		fmt.Printf("repl re-syncs:    %d deltas (%d bytes), %d snapshots (%d bytes)\n",
+			st.DeltaResyncs, st.DeltaBytes, st.SnapshotsSent, st.SnapshotBytes)
 	default:
 		return fmt.Errorf("unknown command %q", args[0])
 	}
 	return nil
 }
 
+// probeRows is the preamble the health, qos, tier and scrub tables
+// share: the rows of servers with nothing to report, and the verdict.
+type probeRows struct{ dead, total int }
+
+// skip prints the row of a server that did not answer (DEAD) or that
+// runs without the probed feature, and reports whether it did; the
+// command prints every other row itself.
+func skip[R any](t *probeRows, p gospaces.Probed[R], feature string, id int, enabled bool) bool {
+	t.total++
+	switch {
+	case !p.Alive():
+		t.dead++
+		fmt.Printf("%-22s DEAD  %s\n", p.Addr, p.Err)
+	case !enabled:
+		fmt.Printf("%-22s id=%d %s disabled\n", p.Addr, id, feature)
+	default:
+		return false
+	}
+	return true
+}
+
+func (t probeRows) err() error {
+	if t.dead > 0 {
+		return fmt.Errorf("%d of %d servers unreachable", t.dead, t.total)
+	}
+	return nil
+}
+
 func healthCmd(addrs []string, opts gospaces.DialOptions) error {
-	dead := 0
+	var rows probeRows
 	for _, h := range gospaces.ProbeHealth(addrs, opts) {
-		if !h.Alive() {
-			dead++
-			fmt.Printf("%-22s DEAD  %s\n", h.Addr, h.Err)
+		if skip(&rows, h.Probed, "", 0, true) {
 			continue
 		}
 		role := "member"
@@ -198,10 +227,7 @@ func healthCmd(addrs []string, opts gospaces.DialOptions) error {
 		fmt.Printf("%-22s ALIVE id=%d epoch=%d role=%s shard_bytes=%d rebuilt_shards=%d rebuilt_bytes=%d\n",
 			h.Addr, h.Resp.ID, h.Resp.Epoch, role, h.Stats.ShardBytes, h.Stats.RebuiltShards, h.Stats.RebuiltBytes)
 	}
-	if dead > 0 {
-		return fmt.Errorf("%d of %d servers unreachable", dead, len(addrs))
-	}
-	return nil
+	return rows.err()
 }
 
 func leaderCmd(addrs []string, opts gospaces.DialOptions) error {
@@ -244,16 +270,10 @@ func leaderCmd(addrs []string, opts gospaces.DialOptions) error {
 }
 
 func qosCmd(addrs []string, opts gospaces.DialOptions) error {
-	dead := 0
+	var rows probeRows
 	for _, p := range gospaces.ProbeQoS(addrs, opts) {
-		if !p.Alive() {
-			dead++
-			fmt.Printf("%-22s DEAD  %s\n", p.Addr, p.Err)
-			continue
-		}
 		v := p.Resp
-		if !v.Enabled {
-			fmt.Printf("%-22s id=%d qos disabled\n", p.Addr, v.ID)
+		if skip(&rows, p, "qos", v.ID, v.Enabled) {
 			continue
 		}
 		fmt.Printf("%-22s id=%d admits=%d sheds=%d lanes fg=%d rec=%d repl_lag=%d\n",
@@ -265,66 +285,47 @@ func qosCmd(addrs []string, opts gospaces.DialOptions) error {
 				t.Admits, t.Sheds)
 		}
 	}
-	if dead > 0 {
-		return fmt.Errorf("%d of %d servers unreachable", dead, len(addrs))
+	return rows.err()
+}
+
+// tierState renders a cold tier's degradation flag.
+func tierState(degraded bool) string {
+	if degraded {
+		return "DEGRADED (RAM-only)"
 	}
-	return nil
+	return "ok"
 }
 
 func tierCmd(addrs []string, opts gospaces.DialOptions) error {
-	dead := 0
+	var rows probeRows
 	for _, p := range gospaces.ProbeTier(addrs, opts) {
-		if !p.Alive() {
-			dead++
-			fmt.Printf("%-22s DEAD  %s\n", p.Addr, p.Err)
-			continue
-		}
 		v := p.Resp
-		if !v.Enabled {
-			fmt.Printf("%-22s id=%d tier disabled\n", p.Addr, v.ID)
+		if skip(&rows, p, "tier", v.ID, v.Enabled) {
 			continue
 		}
-		state := "ok"
-		if v.Degraded {
-			state = "DEGRADED (RAM-only)"
-		}
-		fmt.Printf("%-22s id=%d %s entries=%d bytes=%d\n", p.Addr, v.ID, state, v.Entries, v.Bytes)
+		fmt.Printf("%-22s id=%d %s entries=%d bytes=%d\n", p.Addr, v.ID, tierState(v.Degraded), v.Entries, v.Bytes)
 		fmt.Printf("%22s   spills=%d (%d bytes) promotes=%d (%d bytes)\n",
 			"", v.Spills, v.SpillBytes, v.Promotes, v.PromoteBytes)
 		fmt.Printf("%22s   scrub checked=%d healed=%d lost=%d degraded_events=%d\n",
 			"", v.ScrubChecked, v.ScrubHealed, v.ScrubLost, v.DegradedEvents)
-		fmt.Printf("%22s   repl deltas=%d (%d bytes) snapshots=%d (%d bytes)\n",
-			"", v.DeltaResyncs, v.DeltaBytes, v.SnapshotsSent, v.SnapshotBytes)
 	}
-	if dead > 0 {
-		return fmt.Errorf("%d of %d servers unreachable", dead, len(addrs))
-	}
-	return nil
+	return rows.err()
 }
 
 func scrubCmd(addrs []string, opts gospaces.DialOptions) error {
-	dead, lost := 0, int64(0)
+	var rows probeRows
+	lost := int64(0)
 	for _, p := range gospaces.ScrubTier(addrs, opts) {
-		if !p.Alive() {
-			dead++
-			fmt.Printf("%-22s DEAD  %s\n", p.Addr, p.Err)
-			continue
-		}
 		v := p.Resp
-		if !v.Enabled {
-			fmt.Printf("%-22s id=%d tier disabled\n", p.Addr, v.ID)
+		if skip(&rows, p, "tier", v.ID, v.Enabled) {
 			continue
-		}
-		state := "ok"
-		if v.Degraded {
-			state = "DEGRADED (RAM-only)"
 		}
 		lost += v.Lost
 		fmt.Printf("%-22s id=%d %s checked=%d healed=%d lost=%d\n",
-			p.Addr, v.ID, state, v.Checked, v.Healed, v.Lost)
+			p.Addr, v.ID, tierState(v.Degraded), v.Checked, v.Healed, v.Lost)
 	}
-	if dead > 0 {
-		return fmt.Errorf("%d of %d servers unreachable", dead, len(addrs))
+	if err := rows.err(); err != nil {
+		return err
 	}
 	if lost > 0 {
 		return fmt.Errorf("scrub lost %d entries to double corruption", lost)

@@ -548,9 +548,8 @@ func ProbeQoS(addrs []string, opts DialOptions) []QoSView {
 var ErrTierDegraded error = tier.ErrTierDegraded
 
 // TierView is one staging server's cold-tier accounting as seen by a
-// probe: spill/promote traffic, scrub results, degradation, and the
-// incremental event-log replication counters (delta re-syncs served
-// from the retained window vs full snapshot fallbacks).
+// probe: resident entries, spill/promote traffic, scrub results and
+// degradation.
 type TierView = Probed[staging.TierStatsResp]
 
 // ProbeTier asks each address for its cold-tier view. dsctl tier wraps

@@ -16,6 +16,7 @@ package locks
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -217,7 +218,7 @@ func (m *Manager) Export() []HeldLock {
 			names = append(names, n)
 		}
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	out := make([]HeldLock, 0, len(names))
 	for _, n := range names {
 		st := m.locks[n]
@@ -226,7 +227,7 @@ func (m *Manager) Export() []HeldLock {
 		for r := range st.readers {
 			holders = append(holders, r)
 		}
-		sortStrings(holders)
+		sort.Strings(holders)
 		for _, r := range holders {
 			h.Readers = append(h.Readers, ReaderCount{Holder: r, Count: st.readers[r]})
 		}
@@ -252,14 +253,6 @@ func (m *Manager) Import(held []HeldLock) {
 		m.locks[h.Name] = st
 	}
 	m.cond.Broadcast()
-}
-
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Holders reports the current writer ("" if none) and reader count for

@@ -47,14 +47,16 @@ type SparePool interface {
 	CommitSpare(slot int)
 }
 
+// rebuildParallel bounds the re-protection pass's concurrent key
+// rebuilds.
+const rebuildParallel = 4
+
 // Config tunes the supervisor.
 type Config struct {
 	// Redundancy is the CoREC geometry of the shards to re-protect after
 	// a promotion. Nil disables re-protection: the supervisor only
 	// promotes and re-registers membership.
 	Redundancy *corec.Config
-	// RebuildParallel bounds concurrent key rebuilds (default 4).
-	RebuildParallel int
 	// OnPromote, if set, runs after each promotion with the slot, the
 	// replacement address, and the new epoch — the hook a workflow uses
 	// to update its client-side staging pool.
@@ -79,9 +81,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults(det *health.Detector) Config {
-	if c.RebuildParallel <= 0 {
-		c.RebuildParallel = 4
-	}
 	if c.ID == "" {
 		c.ID = "supervisor/0"
 	}
@@ -1031,7 +1030,7 @@ func (s *Supervisor) reprotectOnce(addrs []string) bool {
 		s.reg.Counter("recovery.failed_rebuilds").Add(int64(len(keys)))
 		return false
 	}
-	sem := make(chan struct{}, s.cfg.RebuildParallel)
+	sem := make(chan struct{}, rebuildParallel)
 	type result struct {
 		bytes int64
 		ok    bool

@@ -588,6 +588,10 @@ func (c *Client) Stats() (StatsResp, error) {
 		agg.ReplicaSlots += st.ReplicaSlots
 		agg.ReplicaBytes += st.ReplicaBytes
 		agg.ReplicaRecords += st.ReplicaRecords
+		agg.DeltaResyncs += st.DeltaResyncs
+		agg.DeltaBytes += st.DeltaBytes
+		agg.SnapshotsSent += st.SnapshotsSent
+		agg.SnapshotBytes += st.SnapshotBytes
 		agg.FencedRejects += st.FencedRejects
 		if st.Epoch > agg.Epoch {
 			agg.Epoch = st.Epoch

@@ -14,6 +14,7 @@ import (
 	"gospaces/internal/domain"
 	"gospaces/internal/locks"
 	"gospaces/internal/qos"
+	"gospaces/internal/tier"
 	"gospaces/internal/trace"
 	"gospaces/internal/wlog"
 )
@@ -289,9 +290,11 @@ type ReplApplyReq struct {
 	Records []ReplRecord
 }
 
-// ReplApplyResp acknowledges a batch. NeedSnapshot asks the origin to
-// re-sync with a full ReplSnapshotReq (the receiver saw a sequence
-// gap, e.g. it is a freshly promoted spare with no history).
+// ReplApplyResp acknowledges a batch: Seq is the receiver's stream
+// position after it. NeedSnapshot reports a sequence gap — the batch
+// does not continue from Seq and nothing past the gap was applied; the
+// origin picks the cure, the records since Seq when its log still
+// holds them, else a full ReplSnapshotReq.
 type ReplApplyResp struct {
 	NeedSnapshot bool
 	Seq          int64
@@ -471,6 +474,12 @@ type StatsResp struct {
 	ReplicaSlots   int
 	ReplicaBytes   int64
 	ReplicaRecords int64
+	// What it cost to heal replica peers: catch-ups served from the
+	// retained log against full snapshots, with the bytes each shipped.
+	DeltaResyncs  int64
+	DeltaBytes    int64
+	SnapshotsSent int64
+	SnapshotBytes int64
 	// FencedRejects counts recovery-side mutations rejected because the
 	// caller's fencing token trailed the server's fence — evidence a
 	// deposed leader tried to keep mutating after a takeover.
@@ -503,31 +512,13 @@ type QosStatsResp struct {
 // surfaces it).
 type TierStatsReq struct{}
 
-// TierStatsResp reports a server's cold-tier state: spill/promote
-// counters, scrub results, degradation, and the incremental
-// replication byte split. Enabled is false when no tier is attached.
+// TierStatsResp reports a server's cold-tier state: the tier's own
+// accounting (resident entries, spill/promote traffic, scrub results,
+// degradation). Enabled is false when no tier is attached.
 type TierStatsResp struct {
-	Enabled  bool
-	ID       int
-	Degraded bool
-	// Entries/Bytes are the spilled records resident in the tier.
-	Entries      int
-	Bytes        int64
-	Spills       int64
-	SpillBytes   int64
-	Promotes     int64
-	PromoteBytes int64
-	// Scrub counters (cumulative across scrub passes and promotes).
-	ScrubChecked   int64
-	ScrubHealed    int64
-	ScrubLost      int64
-	DegradedEvents int64
-	// Incremental wlog replication: delta re-syncs served from the
-	// retained window vs full snapshots (anchors), with shipped bytes.
-	DeltaResyncs  int64
-	DeltaBytes    int64
-	SnapshotsSent int64
-	SnapshotBytes int64
+	Enabled bool
+	ID      int
+	tier.Stats
 }
 
 // TierScrubReq triggers a CRC scrub pass over the server's spilled
@@ -536,12 +527,11 @@ type TierStatsResp struct {
 // one after every promotion restore.
 type TierScrubReq struct{}
 
-// TierScrubResp reports one scrub pass.
+// TierScrubResp reports one scrub pass; Degraded is the tier's state
+// after it.
 type TierScrubResp struct {
-	Enabled  bool
-	ID       int
-	Checked  int64
-	Healed   int64
-	Lost     int64
+	Enabled bool
+	ID      int
+	tier.ScrubReport
 	Degraded bool
 }

@@ -151,19 +151,28 @@ func (m *lockMirror) importState(st LockMirrorState) {
 	}
 }
 
-// peerConn is the origin's cached link to one replica peer.
+// cursorUnknown is a peer's cursor after a dial: the origin cannot know
+// what the peer holds until it has asked.
+const cursorUnknown = -1
+
+// peerConn is the origin's link to one replica peer and its cursor into
+// the retained log. The one shipper at a time owns it (peer and dropPeer
+// hand it over under r.mu), and the entry outlives a failed connection:
+// what the origin sent a peer is remembered across re-dials.
 type peerConn struct {
-	conn transport.Client
-	// needSnap is set on a fresh dial and after any failed call to this
-	// peer: the next ship first probes the peer's stream position and
-	// re-syncs it — with a delta from the retained window when the peer
-	// is within it, else with a full snapshot (the freshest anchor).
-	needSnap bool
+	conn    transport.Client // nil until dialled and after a failed call
+	history int              // replicator.history the cursor was taken in
+	acked   int64            // the peer's position as it last reported it
+	// sent is the highest position this origin sent the peer, by record
+	// or by snapshot, answered or not. A peer reporting more holds records
+	// of another incarnation of the slot: it is re-seeded, never passed
+	// for in step.
+	sent int64
 }
 
-// replWindowBytes is the default retained-window size for delta
-// re-sync (see replicator.window), and the bound on the bytes the
-// queue may hold unshipped before a put's Defer is ignored.
+// replWindowBytes is the default bound on the shipped history the log
+// retains for re-sync (see replicator.log), and the bound on the bytes
+// it may hold unshipped before a put's Defer is ignored.
 const replWindowBytes = 4 << 20
 
 // replCounters are the replicator's repl_* counters, resolved once in
@@ -174,16 +183,16 @@ type replCounters struct {
 	deferredAcks, forcedFlushes                                   *metrics.Counter
 }
 
-// replicator is the origin side of log replication for one server: a
-// sequenced queue of ReplRecords shipped, in order, to the K membership
-// successors of the server's slot. Records are held in the queue until a
-// handler asks in flush; the first to ask ships all of it as one batch
-// on its own goroutine, one shipper at a time, and handlers block in
-// flush until their records are shipped (or the peer failure is
-// recorded), so an acknowledged client operation is on every reachable
-// replica — the synchronous semantics a recovery metadata store needs.
-// Only a piece of a rank put that a later piece flushes for is acked
-// without (PutReq.Defer).
+// replicator is the origin side of log replication for one server: one
+// sequenced log of ReplRecords and, for each of the K membership
+// successors of the server's slot, a cursor into it. Records are held
+// unshipped at the log's tail until a handler asks in flush; the first
+// to ask ships the whole tail on its own goroutine, one shipper at a
+// time, and handlers block in flush until their records are shipped (or
+// the peer failure is recorded), so an acknowledged client operation is
+// on every reachable replica — the synchronous semantics a recovery
+// metadata store needs. Only a piece of a rank put that a later piece
+// flushes for is acked without (PutReq.Defer).
 type replicator struct {
 	srv *Server
 	tr  transport.Transport
@@ -195,30 +204,32 @@ type replicator struct {
 	seq      int64 // last sequence number assigned
 	shipped  int64 // last sequence number a shipper has dealt with
 	want     int64 // highest sequence number a flusher has asked for
-	queue    []ReplRecord
-	held     int64 // recBytes of queue
 	shipping bool  // a flusher is in ship with r.mu released
 	mirror   *lockMirror
 	closed   bool
 
-	// Incremental re-sync state: window retains the most recently
-	// shipped records, covering (anchorSeq, shipped]. A peer that fell
-	// behind but is still within the window is healed by re-shipping
-	// only the records it misses (a delta); a peer behind anchorSeq
-	// gets a full snapshot — the freshest anchor. When window bytes
-	// exceed maxWindow the covered prefix is compacted away and the
-	// anchor advances (the prefix is "covered" by any future snapshot,
-	// which always reflects the latest state).
-	window      []ReplRecord
-	anchorSeq   int64
-	windowBytes int64
-	maxWindow   int64
+	// log holds the records (anchorSeq, seq], log[i].Seq == anchorSeq+1+i:
+	// the unshipped tail (shipped, seq] and, behind it, the shipped
+	// history a peer that fell behind is healed from. History beyond
+	// maxWindow bytes is compacted away and the anchor advances; a peer
+	// whose cursor the anchor has passed gets a snapshot, which always
+	// reflects the latest state.
+	log       []ReplRecord
+	anchorSeq int64
+	held      int64 // recBytes of the tail no shipper has taken yet
+	retained  int64 // recBytes of the history (anchorSeq, shipped]
+	maxWindow int64
 
-	peers map[string]*peerConn
+	// base is where this history of the stream began (0, or the position
+	// an install restored) and history counts the installs: a cursor
+	// taken before one says nothing about the stream after it.
+	base    int64
+	history int
+	peers   map[string]*peerConn
 }
 
-// recBytes estimates one record's shipped size for window accounting
-// and the delta-vs-snapshot byte metrics.
+// recBytes estimates one record's shipped size for log accounting and
+// the delta-vs-snapshot byte metrics.
 func recBytes(rec ReplRecord) int64 {
 	n := int64(96) // seq + op metadata framing
 	n += int64(len(rec.Data))
@@ -265,8 +276,8 @@ func newReplicator(srv *Server, tr transport.Transport, k int) *replicator {
 	return r
 }
 
-// setWindow shrinks or grows the retained delta window to n > 0 bytes;
-// the tests use it to push the anchor past a peer.
+// setWindow shrinks or grows the retained history to n > 0 bytes; the
+// tests use it to push the anchor past a peer.
 func (r *replicator) setWindow(n int64) {
 	if n <= 0 {
 		return
@@ -277,55 +288,39 @@ func (r *replicator) setWindow(n int64) {
 	r.compactLocked()
 }
 
-// retain appends shipped records to the window and compacts the
-// covered prefix past the byte bound. Caller holds r.mu.
-func (r *replicator) retain(batch []ReplRecord) {
-	for _, rec := range batch {
-		r.window = append(r.window, rec)
-		r.windowBytes += recBytes(rec)
-	}
-	r.compactLocked()
-}
-
-// compactLocked drops the oldest window records until the byte bound
-// holds, advancing the anchor. Caller holds r.mu.
+// compactLocked drops the oldest shipped records until the history fits
+// its byte bound, advancing the anchor. Caller holds r.mu.
 func (r *replicator) compactLocked() {
-	compacted := false
-	for len(r.window) > 0 && r.windowBytes > r.maxWindow {
-		r.windowBytes -= recBytes(r.window[0])
-		r.anchorSeq = r.window[0].Seq
-		r.window = r.window[1:]
-		compacted = true
+	was := r.anchorSeq
+	for r.retained > r.maxWindow && r.anchorSeq < r.shipped {
+		r.retained -= recBytes(r.log[0])
+		r.anchorSeq++
+		r.log = r.log[1:]
 	}
-	if len(r.window) == 0 {
-		r.window = nil
-		r.windowBytes = 0
+	if len(r.log) == 0 {
+		r.log = nil
 	}
-	if compacted {
+	if r.anchorSeq > was {
 		r.ctr.anchorCompactions.Inc()
 	}
 }
 
-// windowSince returns the retained records with Seq > peerSeq, and
-// whether the window reaches back far enough to heal a peer at that
-// position with a delta.
-func (r *replicator) windowSince(peerSeq int64) ([]ReplRecord, bool) {
+// since returns the records (after, upTo], or false when the log does
+// not hold them: compaction has passed a peer at after, or after is a
+// position the stream has not reached.
+func (r *replicator) since(after, upTo int64) ([]ReplRecord, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if peerSeq < r.anchorSeq {
+	if after < r.anchorSeq || after > upTo || upTo > r.seq {
 		return nil, false
 	}
-	i := 0
-	for i < len(r.window) && r.window[i].Seq <= peerSeq {
-		i++
-	}
-	return append([]ReplRecord(nil), r.window[i:]...), true
+	return r.log[after-r.anchorSeq : upTo-r.anchorSeq], true
 }
 
-// enqueue assigns the next sequence number to rec and queues it for
-// shipment, folding lock records into the origin mirror atomically
-// with sequence assignment. Nothing is shipped: the record is held
-// until a flush asks for it or a later one.
+// enqueue assigns the next sequence number to rec and appends it to the
+// log, folding lock records into the origin mirror atomically with
+// sequence assignment. Nothing is shipped: the record is held until a
+// flush asks for it or a later one.
 func (r *replicator) enqueue(rec ReplRecord) int64 {
 	r.mu.Lock()
 	r.seq++
@@ -333,38 +328,36 @@ func (r *replicator) enqueue(rec ReplRecord) int64 {
 	if rec.Lock != nil {
 		r.mirror.apply(rec.Lock)
 	}
-	r.queue = append(r.queue, rec)
+	r.log = append(r.log, rec)
 	r.held += recBytes(rec)
 	r.mu.Unlock()
 	return rec.Seq
 }
 
 // flush blocks until every record up to seq has been dealt with. The
-// caller that finds them unshipped and nobody shipping takes everything
-// held — one ReplApplyReq per peer — and ships it itself with r.mu
-// released; the others wait for it, or for their turn.
+// caller that finds them unshipped and nobody shipping takes the whole
+// tail — one ReplApplyReq per peer in step — and ships it itself with
+// r.mu released; the others wait for it, or for their turn. What was
+// shipped stays in the log as history.
 func (r *replicator) flush(seq int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.want = max(r.want, seq)
 	for r.shipped < seq && !r.closed {
-		if r.shipping || len(r.queue) == 0 {
+		if r.shipping || r.shipped >= r.seq {
 			r.cond.Wait()
 			continue
 		}
-		batch := r.queue
-		r.queue, r.held = nil, 0
-		// Retain before shipping so a re-sync triggered by this very
-		// batch can serve it from the window.
-		r.retain(batch)
-		r.shipping = true
+		from, upTo, taken := r.shipped, r.seq, r.held
+		r.held, r.shipping = 0, true
 		r.mu.Unlock()
 
-		r.ship(batch)
+		r.ship(from, upTo)
 
 		r.mu.Lock()
-		r.shipping = false
-		r.shipped = batch[len(batch)-1].Seq
+		r.shipping, r.shipped = false, upTo
+		r.retained += taken
+		r.compactLocked()
 		r.cond.Broadcast()
 	}
 }
@@ -384,18 +377,14 @@ func (r *replicator) hold() bool {
 }
 
 // setState is called when a WlogInstall restores this server's state
-// from a replica: the stream continues from the restored position.
+// from a replica: the stream continues from the restored position, as
+// a new history no cursor taken so far points into.
 func (r *replicator) setState(seq int64, locks LockMirrorState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seq = seq
-	r.shipped = seq
-	r.want = seq
-	r.queue = nil
-	r.held = 0
-	r.window = nil
-	r.windowBytes = 0
-	r.anchorSeq = seq
+	r.seq, r.shipped, r.want, r.anchorSeq, r.base = seq, seq, seq, seq, seq
+	r.log, r.held, r.retained = nil, 0, 0
+	r.history++
 	r.mirror.importState(locks)
 }
 
@@ -424,148 +413,110 @@ func (r *replicator) close() {
 	r.cond.Broadcast()
 }
 
-// ship sends one batch to every current replica peer, re-syncing peers
-// that fell behind (or are fresh promotions): with a delta from the
-// retained window when the peer's position is still covered, else
-// with a full snapshot. A peer failure marks the peer for re-sync and
-// is counted, but does not fail the origin's operation: replica count
-// degrades until the membership heals, exactly like the
+// ship brings every current replica peer from its cursor to upTo; (from,
+// upTo] is the tail flush took. One loop per peer: an unknown cursor
+// asks (a record-less request the peer answers with its position); a
+// cursor inside the log is sent exactly the records (acked, upTo] — the
+// new ones for a peer in step, its own suffix for one that fell behind;
+// a cursor the log no longer reaches, a position this origin never put
+// the peer at, or a second gap in a row is re-seeded with a snapshot.
+// Every record reaches every peer once. A peer failure forgets the
+// connection and is counted, but does not fail the origin's operation:
+// replica count degrades until the membership heals, exactly like the
 // data-redundancy layer.
-func (r *replicator) ship(batch []ReplRecord) {
+func (r *replicator) ship(from, upTo int64) {
 	epoch, slot, targets := r.srv.replicaTargets(r.k)
 	if slot < 0 || len(targets) == 0 {
 		return
 	}
-	req := ReplApplyReq{Epoch: epoch, Slot: slot, Records: batch}
 	for _, addr := range targets {
 		p, err := r.peer(addr)
-		if err != nil {
-			r.ctr.peerErrors.Inc()
-			continue
-		}
-		if p.needSnap {
-			// Probe the peer's stream position with an empty apply, then
-			// heal it from wherever it actually is — the peer may hold
-			// almost everything already (a re-dialled warm replica), in
-			// which case the delta is tiny. The probe's batch is covered
-			// by the re-sync; the peer skips duplicates.
-			if !r.resync(p, addr, epoch, slot, -1) {
+		for gaps := 0; err == nil && (p.acked < upTo || p.acked > p.sent); {
+			recs, inLog := r.since(p.acked, upTo)
+			if p.acked != cursorUnknown && (!inLog || p.acked > p.sent || gaps > 1) {
+				err = r.sendSnapshot(p, epoch, slot)
 				continue
 			}
+			if len(recs) > 0 {
+				p.sent = max(p.sent, upTo) // before the call: its answer may be lost
+			}
+			var resp ReplApplyResp
+			resp, err = transport.As[ReplApplyResp](p.conn.Call(ReplApplyReq{Epoch: epoch, Slot: slot, Records: recs}))
+			if err != nil {
+				break
+			}
+			if resp.NeedSnapshot {
+				gaps++
+			} else if len(recs) > 0 && p.acked < from {
+				var missed int64
+				for _, rec := range recs[:from-p.acked] {
+					missed += recBytes(rec)
+				}
+				r.ctr.deltaResyncs.Inc()
+				r.ctr.deltaBytes.Add(missed)
+			}
+			p.acked = resp.Seq
 		}
-		resp, err := transport.As[ReplApplyResp](p.conn.Call(req))
 		if err != nil {
 			r.dropPeer(addr)
 			r.ctr.peerErrors.Inc()
-			continue
-		}
-		if resp.NeedSnapshot {
-			r.resync(p, addr, epoch, slot, resp.Seq)
 		}
 	}
-	r.ctr.recordsShipped.Add(int64(len(batch)))
+	r.ctr.recordsShipped.Add(upTo - from)
 	r.ctr.batchesShipped.Inc()
 }
 
-// resync heals one peer. peerSeq is the peer's reported stream
-// position, or -1 to probe for it first. When the position is covered
-// by the retained window, only the missing suffix is re-shipped (a
-// delta since the anchor); a torn or refused delta — or a peer behind
-// the anchor — falls back to the full snapshot, which is always built
-// from the latest state (the freshest anchor). Returns true when the
-// peer is healed.
-func (r *replicator) resync(p *peerConn, addr string, epoch uint64, slot int, peerSeq int64) bool {
-	if peerSeq < 0 {
-		resp, err := transport.As[ReplApplyResp](p.conn.Call(ReplApplyReq{Epoch: epoch, Slot: slot}))
-		if err != nil {
-			r.dropPeer(addr)
-			r.ctr.peerErrors.Inc()
-			return false
-		}
-		peerSeq = resp.Seq
-	}
-	if delta, ok := r.windowSince(peerSeq); ok {
-		healed, fatal := r.sendDelta(p, addr, epoch, slot, delta)
-		if healed {
-			p.needSnap = false
-			return true
-		}
-		if fatal {
-			return false
-		}
-		// Torn delta stream (the peer moved, or the window raced a
-		// compaction): fall back to the anchor.
-	}
-	return r.sendSnapshot(p, epoch, slot)
-}
-
-// sendDelta re-ships retained records. healed reports the peer
-// confirmed contiguity; fatal reports a transport failure (peer
-// dropped, no point trying the snapshot on this conn).
-func (r *replicator) sendDelta(p *peerConn, addr string, epoch uint64, slot int, delta []ReplRecord) (healed, fatal bool) {
-	resp, err := transport.As[ReplApplyResp](p.conn.Call(ReplApplyReq{Epoch: epoch, Slot: slot, Records: delta}))
-	if err != nil {
-		r.dropPeer(addr)
-		r.ctr.peerErrors.Inc()
-		return false, true
-	}
-	if resp.NeedSnapshot {
-		return false, false
-	}
-	var bytes int64
-	for _, rec := range delta {
-		bytes += recBytes(rec)
-	}
-	r.ctr.deltaResyncs.Inc()
-	r.ctr.deltaBytes.Add(bytes)
-	return true, false
-}
-
-func (r *replicator) sendSnapshot(p *peerConn, epoch uint64, slot int) bool {
+// sendSnapshot re-seeds one peer with the server's full state, always
+// built from the latest (the freshest anchor): the cursor lands at or
+// beyond whatever ship was asked to reach.
+func (r *replicator) sendSnapshot(p *peerConn, epoch uint64, slot int) error {
 	state, err := r.srv.buildReplState()
 	if err != nil {
-		r.ctr.peerErrors.Inc()
-		return false
+		return err
 	}
-	if _, err := p.conn.Call(ReplSnapshotReq{Epoch: epoch, Slot: slot, State: state}); err != nil {
-		p.needSnap = true
-		r.ctr.peerErrors.Inc()
-		return false
+	p.sent = max(p.sent, state.Seq)
+	resp, err := transport.As[ReplSnapshotResp](p.conn.Call(ReplSnapshotReq{Epoch: epoch, Slot: slot, State: state}))
+	if err != nil {
+		return err
 	}
-	p.needSnap = false
+	p.acked = resp.Seq
 	r.ctr.snapshotsSent.Inc()
 	r.ctr.snapshotBytes.Add(stateBytes(state))
-	return true
+	return nil
 }
 
-// peer returns the cached connection to addr, dialling on first use.
-// A fresh peer starts in needSnap state: the origin cannot know what
-// the peer already holds, so it re-syncs before streaming.
+// peer returns addr's cursor over a live connection, dialling when it
+// has none. A fresh dial leaves the cursor unknown: the origin cannot
+// know what the peer holds, so ship asks before it sends.
 func (r *replicator) peer(addr string) (*peerConn, error) {
 	r.mu.Lock()
 	p, ok := r.peers[addr]
-	r.mu.Unlock()
-	if ok {
-		return p, nil
+	if !ok {
+		p = &peerConn{history: -1}
+		r.peers[addr] = p
 	}
-	conn, err := r.tr.Dial(addr)
-	if err != nil {
-		return nil, err
+	if p.history != r.history {
+		p.history, p.acked, p.sent = r.history, cursorUnknown, r.base
 	}
-	p = &peerConn{conn: conn, needSnap: true}
-	r.mu.Lock()
-	r.peers[addr] = p
 	r.mu.Unlock()
+	if p.conn == nil {
+		conn, err := r.tr.Dial(addr)
+		if err != nil {
+			return p, err
+		}
+		p.conn = conn
+	}
 	return p, nil
 }
 
+// dropPeer closes the connection to addr; the next ship re-dials and
+// asks the peer where it is.
 func (r *replicator) dropPeer(addr string) {
 	r.mu.Lock()
-	p, ok := r.peers[addr]
-	delete(r.peers, addr)
-	r.mu.Unlock()
-	if ok {
+	defer r.mu.Unlock()
+	if p := r.peers[addr]; p != nil && p.conn != nil {
 		p.conn.Close()
+		p.conn, p.acked = nil, cursorUnknown
 	}
 }
 
@@ -657,44 +608,39 @@ func (rep *slotReplica) applyRecord(rec ReplRecord) error {
 	return nil
 }
 
-// install replaces the replica's state with a full snapshot.
+// install replaces the replica's state with a full snapshot, or leaves
+// it as it was.
 func (rep *slotReplica) install(epoch uint64, st ReplState) error {
-	log := wlog.New()
-	if err := log.Restore(st.Wlog); err != nil {
+	log, str := wlog.New(), store.New()
+	if err := installState(st, log, str); err != nil {
 		return err
 	}
-	str := store.New()
-	if err := str.Import(importObjects(st.Objects)); err != nil {
-		return err
-	}
-	mirror := newLockMirror()
-	if st.HasLocks {
-		mirror.importState(st.Locks)
-	}
-	rep.log = log
-	rep.store = str
-	rep.mirror = mirror
-	rep.seq = st.Seq
-	if epoch > rep.epoch {
-		rep.epoch = epoch
-	}
+	rep.log, rep.store, rep.seq = log, str, st.Seq
+	rep.mirror.importState(st.Locks)
+	rep.epoch = max(rep.epoch, epoch)
 	return nil
 }
 
-// export renders the replica as a ReplState for the recovery
-// supervisor's restore pass. Caller holds rep.mu.
-func (rep *slotReplica) export() (ReplState, error) {
-	wl, err := rep.log.Snapshot()
+// exportState renders replicated state — a server's own or the replica
+// it hosts of a peer's — as a ReplState at stream position seq.
+func exportState(seq int64, log *wlog.Log, str *store.Store, locks LockMirrorState) (ReplState, error) {
+	wl, err := log.Snapshot()
 	if err != nil {
 		return ReplState{}, err
 	}
-	st := ReplState{Seq: rep.seq, Wlog: wl, Objects: exportObjects(rep.store.Export())}
-	lockState := rep.mirror.export()
-	if len(lockState.Held) > 0 || len(lockState.Dedup) > 0 {
-		st.Locks = lockState
-		st.HasLocks = true
+	return ReplState{
+		Seq: seq, Wlog: wl, Objects: exportObjects(str.Export()),
+		Locks: locks, HasLocks: len(locks.Held) > 0 || len(locks.Dedup) > 0,
+	}, nil
+}
+
+// installState is exportState's inverse: log and str take on the
+// snapshot's event log and logged objects.
+func installState(st ReplState, log *wlog.Log, str *store.Store) error {
+	if err := log.Restore(st.Wlog); err != nil {
+		return err
 	}
-	return st, nil
+	return str.Import(importObjects(st.Objects))
 }
 
 func exportObjects(objs []*store.Object) []ReplObject {
@@ -796,25 +742,12 @@ func (s *Server) buildReplState() (ReplState, error) {
 	defer s.replMu.Unlock()
 	var seq int64
 	var lockState LockMirrorState
-	hasLocks := false
 	if s.repl != nil {
 		s.repl.mu.Lock()
-		seq = s.repl.seq
-		lockState = s.repl.mirror.export()
-		hasLocks = len(lockState.Held) > 0 || len(lockState.Dedup) > 0
+		seq, lockState = s.repl.seq, s.repl.mirror.export()
 		s.repl.mu.Unlock()
 	}
-	wl, err := s.log.Snapshot()
-	if err != nil {
-		return ReplState{}, err
-	}
-	return ReplState{
-		Seq:      seq,
-		Wlog:     wl,
-		Objects:  exportObjects(s.store.Export()),
-		Locks:    lockState,
-		HasLocks: hasLocks,
-	}, nil
+	return exportState(seq, s.log, s.store, lockState)
 }
 
 // replicaFor is the two-level epoch fence of the replication stream: it
@@ -879,7 +812,7 @@ func (s *Server) handleReplFetch(r ReplFetchReq) (any, error) {
 	}
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	st, err := rep.export()
+	st, err := exportState(rep.seq, rep.log, rep.store, rep.mirror.export())
 	if err != nil {
 		return nil, fmt.Errorf("staging: replica slot %d export: %w", r.Slot, err)
 	}
@@ -893,11 +826,8 @@ func (s *Server) handleReplFetch(r ReplFetchReq) (any, error) {
 func (s *Server) handleWlogInstall(r WlogInstallReq) (any, error) {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
-	if err := s.log.Restore(r.State.Wlog); err != nil {
+	if err := installState(r.State, s.log, s.store); err != nil {
 		return nil, fmt.Errorf("staging: install slot %d: %w", r.Slot, err)
-	}
-	if err := s.store.Import(importObjects(r.State.Objects)); err != nil {
-		return nil, fmt.Errorf("staging: install slot %d objects: %w", r.Slot, err)
 	}
 	if r.State.HasLocks {
 		s.locks.Import(r.State.Locks.Held)

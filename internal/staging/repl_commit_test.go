@@ -2,6 +2,7 @@ package staging
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -20,12 +21,16 @@ import (
 
 // tapTransport decorates a Transport: before runs ahead of every
 // forwarded call and may block to park it or act at an exact point of
-// the message sequence; after sees the outcome. Both get the request
-// out of its envelopes. Set them before the group starts.
+// the message sequence; after sees the outcome. All hooks get the
+// request out of its envelopes. Set them before the group starts.
 type tapTransport struct {
 	transport.Transport
 	before func(addr string, req any)
 	after  func(addr string, req, resp any)
+	// drop, when it returns true, fails the call unforwarded: the
+	// address is dark for that request. lose forwards it and fails it
+	// all the same: the request arrived, its answer did not.
+	drop, lose func(addr string, req any) bool
 }
 
 type tapClient struct {
@@ -53,10 +58,16 @@ func (c *tapClient) Call(req any) (any, error) {
 			break
 		}
 	}
+	if c.t.drop != nil && c.t.drop(c.addr, inner) {
+		return nil, fmt.Errorf("tap: %s is dark", c.addr)
+	}
 	if c.t.before != nil {
 		c.t.before(c.addr, inner)
 	}
 	resp, err := c.Client.Call(req)
+	if c.t.lose != nil && c.t.lose(c.addr, inner) {
+		return nil, fmt.Errorf("tap: the answer from %s is lost", c.addr)
+	}
 	if c.t.after != nil && err == nil {
 		c.t.after(c.addr, inner, resp)
 	}
@@ -204,6 +215,7 @@ type wireEvent struct {
 	kind     string // PutReq, GetReq, CheckpointReq, ReplApplyReq
 	slot     int    // destination slot, or the origin slot of a ReplApplyReq
 	records  int    // ReplApplyReq only
+	seq      int64  // ReplApplyReq only: its first record's Seq
 	deferred bool   // PutReq.Defer
 }
 
@@ -237,6 +249,9 @@ func startCountGroup(t *testing.T, global domain.BBox, nservers int) *countGroup
 			ev.kind = "CheckpointReq"
 		case ReplApplyReq:
 			ev.kind, ev.slot, ev.records = "ReplApplyReq", r.Slot, len(r.Records)
+			if len(r.Records) > 0 {
+				ev.seq = r.Records[0].Seq
+			}
 		default:
 			cg.mu.Unlock()
 			return
@@ -413,6 +428,172 @@ func TestReplicaRPCCounts(t *testing.T) {
 	}
 }
 
+// TestFirstContactShipsOnce: a peer the origin has to ask first — on
+// first contact, and after it lost its replica — costs one record-less
+// ReplApplyReq, and every record then reaches it in exactly one request:
+// what heals it and what is new travel together, nothing is sent for the
+// replica to drop as a duplicate.
+func TestFirstContactShipsOnce(t *testing.T) {
+	global := domain.Box3(0, 0, 0, 127, 127, 63) // 8 x 128 KiB a server: every piece flushes
+	const nservers = 8
+	cg := startCountGroup(t, global, nservers)
+	prod := cg.client(t, "sim/0")
+	data := fill(domain.BufLen(global, 8), 1)
+	shipsOnce := func(when string, version int64) {
+		t.Helper()
+		if err := prod.PutWithLog("field", version, global, data); err != nil {
+			t.Fatal(err)
+		}
+		evs := cg.take()
+		asks, last := make([]int, nservers), make([]int64, nservers)
+		for _, e := range evs {
+			switch {
+			case e.kind != "ReplApplyReq":
+			case e.records == 0:
+				asks[e.slot]++
+			case e.seq <= last[e.slot]:
+				t.Errorf("%s, origin %d: seq %d sent again after seq %d (batches %v)",
+					when, e.slot, e.seq, last[e.slot], batches(evs, nservers)[e.slot])
+			default:
+				last[e.slot] = e.seq + int64(e.records) - 1
+			}
+		}
+		for s, n := range asks {
+			if n > 1 {
+				t.Errorf("%s, origin %d: %d record-less ReplApplyReq, want at most one", when, s, n)
+			}
+		}
+		if last[0] != cg.Server(0).repl.position() {
+			t.Errorf("%s: origin 0 sent up to seq %d of %d", when, last[0], cg.Server(0).repl.position())
+		}
+		cg.mirrored(t, nservers)
+	}
+	shipsOnce("first contact", 1)
+	dropReplica(cg.Group)
+	shipsOnce("after a lost replica", 2)
+}
+
+// TestLaggingAndInStepPeersShareOneShip: with K=2, one peer in step and
+// one that missed two ships, a single ship sends the first exactly the
+// new record and the second — asked once — its own suffix, in one
+// request each.
+func TestLaggingAndInStepPeersShareOneShip(t *testing.T) {
+	type sent struct {
+		addr string
+		seqs []int64
+	}
+	var (
+		mu   sync.Mutex
+		dark string // calls to this address fail
+		wire []sent
+	)
+	tr := &tapTransport{Transport: transport.NewInProc()}
+	tr.drop = func(addr string, req any) bool {
+		r, ok := req.(ReplApplyReq)
+		mu.Lock()
+		defer mu.Unlock()
+		if !ok || addr == dark {
+			return ok
+		}
+		ev := sent{addr: addr}
+		for _, rec := range r.Records {
+			ev.seqs = append(ev.seqs, rec.Seq)
+		}
+		wire = append(wire, ev)
+		return false
+	}
+	g, err := StartGroup(tr, "stage", Config{
+		Global: domain.Box3(0, 0, 0, 63, 63, 31), NServers: 3, Bits: 2, ElemSize: 8, WlogReplicas: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	origin, inStep, lagging := g.Server(0), g.Addrs()[1], g.Addrs()[2]
+	ship := func() { origin.repl.flush(origin.repl.enqueue(ReplRecord{})) }
+	setDark := func(addr string) {
+		mu.Lock()
+		dark, wire = addr, nil
+		mu.Unlock()
+	}
+	ship() // 1: first contact, both peers
+	setDark(lagging)
+	ship() // 2 and 3 reach the peer in step only
+	ship()
+	setDark("")
+	ship() // 4
+	mu.Lock()
+	defer mu.Unlock()
+	want := []sent{{inStep, []int64{4}}, {lagging, nil}, {lagging, []int64{2, 3, 4}}}
+	if !reflect.DeepEqual(wire, want) {
+		t.Fatalf("one ship sent %v, want %v", wire, want)
+	}
+	for _, host := range []int{1, 2} {
+		if rep := fetchReplica(t, g.Server(host), 0); rep.Seq != 4 {
+			t.Fatalf("replica on server %d at seq %d, want 4", host, rep.Seq)
+		}
+	}
+	if d, sn, e := counter(origin, "repl_delta_resyncs"), counter(origin, "repl_snapshots_sent"), counter(origin, "repl_peer_errors"); d != 1 || sn != 0 || e != 2 {
+		t.Fatalf("%d delta re-syncs, %d snapshots, %d peer errors, want 1, 0 and 2", d, sn, e)
+	}
+}
+
+// TestLostAckIsNotAnotherHistory: a batch the peer applied but whose
+// answer was lost leaves the peer ahead of what it ever acknowledged —
+// not ahead of what this origin sent it. The next ship asks, finds the
+// peer in step and sends the new record alone; only a position beyond
+// everything sent is another incarnation's (TestPeerAheadOfOriginIsReseeded).
+func TestLostAckIsNotAnotherHistory(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		losing bool
+		wire   [][]int64
+	)
+	tr := &tapTransport{Transport: transport.NewInProc()}
+	tr.lose = func(_ string, req any) bool {
+		r, ok := req.(ReplApplyReq)
+		mu.Lock()
+		defer mu.Unlock()
+		if !ok {
+			return false
+		}
+		var seqs []int64
+		for _, rec := range r.Records {
+			seqs = append(seqs, rec.Seq)
+		}
+		wire = append(wire, seqs)
+		return losing
+	}
+	g, err := StartGroup(tr, "stage", Config{
+		Global: domain.Box3(0, 0, 0, 63, 63, 31), NServers: 2, Bits: 2, ElemSize: 8, WlogReplicas: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	origin := g.Server(0)
+	ship := func(lose bool) {
+		mu.Lock()
+		losing = lose
+		mu.Unlock()
+		origin.repl.flush(origin.repl.enqueue(ReplRecord{}))
+	}
+	ship(false) // 1: first contact
+	ship(true)  // 2 arrives, its answer does not
+	ship(false) // 3
+	mu.Lock()
+	defer mu.Unlock()
+	if want := [][]int64{nil, {1}, {2}, nil, {3}}; !reflect.DeepEqual(wire, want) {
+		t.Fatalf("the stream sent %v, want %v", wire, want)
+	}
+	if sn, e := counter(origin, "repl_snapshots_sent"), counter(origin, "repl_peer_errors"); sn != 0 || e != 1 {
+		t.Fatalf("%d snapshots, %d peer errors, want 0 and 1", sn, e)
+	}
+	if rep := fetchReplica(t, g.Server(1), 0); rep.Seq != 3 {
+		t.Fatalf("replica at seq %d, want 3", rep.Seq)
+	}
+}
+
 // TestInterleavedFlushShipsHeldRecords: any client's flush ships
 // everything the stream holds, in stream order — a consumer's logged get
 // arriving between two deferred pieces of a producer's put carries the
@@ -499,7 +680,7 @@ func TestConcurrentFlushersShipInOrder(t *testing.T) {
 	}
 	t.Cleanup(func() { g.Close() })
 	repl := g.Server(0).repl
-	// The peer's first-contact re-sync ships its batch twice; take it out
+	// The peer's first contact costs a record-less request; take it out
 	// of the count.
 	repl.flush(repl.enqueue(ReplRecord{}))
 	mu.Lock()

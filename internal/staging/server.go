@@ -802,13 +802,7 @@ func (s *Server) stats() StatsResp {
 	shardBytes := s.shardBytes
 	s.mu.Unlock()
 	slots, repBytes, repRecords := s.replicas.stats()
-	var replSeq, replBatches int64
-	if s.repl != nil {
-		replSeq, replBatches = s.repl.position(), s.repl.ctr.batchesShipped.Value()
-	}
-	return StatsResp{
-		ReplSeq:        replSeq,
-		ReplBatches:    replBatches,
+	st := StatsResp{
 		ReplicaSlots:   slots,
 		ReplicaBytes:   repBytes,
 		ReplicaRecords: repRecords,
@@ -827,4 +821,10 @@ func (s *Server) stats() StatsResp {
 		Epoch:          s.Epoch(),
 		FencedRejects:  s.reg.Counter("fenced_rejects").Value(),
 	}
+	if r := s.repl; r != nil {
+		st.ReplSeq, st.ReplBatches = r.position(), r.ctr.batchesShipped.Value()
+		st.DeltaResyncs, st.DeltaBytes = r.ctr.deltaResyncs.Value(), r.ctr.deltaBytes.Value()
+		st.SnapshotsSent, st.SnapshotBytes = r.ctr.snapshotsSent.Value(), r.ctr.snapshotBytes.Value()
+	}
+	return st
 }

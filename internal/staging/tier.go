@@ -168,43 +168,17 @@ func (s *Server) tierGC() int64 {
 }
 
 func (s *Server) handleTierStats() (any, error) {
-	resp := TierStatsResp{ID: s.id}
 	if s.tier == nil {
-		return resp, nil
+		return TierStatsResp{ID: s.id}, nil
 	}
-	st := s.tier.Stats()
-	resp.Enabled = true
-	resp.Degraded = st.Degraded
-	resp.Entries = st.Entries
-	resp.Bytes = st.Bytes
-	resp.Spills = st.Spills
-	resp.SpillBytes = st.SpillBytes
-	resp.Promotes = st.Promotes
-	resp.PromoteBytes = st.PromoteBytes
-	resp.ScrubChecked = st.ScrubChecked
-	resp.ScrubHealed = st.ScrubHealed
-	resp.ScrubLost = st.ScrubLost
-	resp.DegradedEvents = st.DegradedEvents
-	if s.repl != nil {
-		resp.DeltaResyncs = s.repl.ctr.deltaResyncs.Value()
-		resp.DeltaBytes = s.repl.ctr.deltaBytes.Value()
-		resp.SnapshotsSent = s.repl.ctr.snapshotsSent.Value()
-		resp.SnapshotBytes = s.repl.ctr.snapshotBytes.Value()
-	}
-	return resp, nil
+	return TierStatsResp{Enabled: true, ID: s.id, Stats: s.tier.Stats()}, nil
 }
 
 func (s *Server) handleTierScrub() (any, error) {
-	resp := TierScrubResp{ID: s.id}
 	if s.tier == nil {
-		return resp, nil
+		return TierScrubResp{ID: s.id}, nil
 	}
 	rep := s.tier.Scrub()
 	s.tierCtr.scrubs.Inc()
-	resp.Enabled = true
-	resp.Checked = rep.Checked
-	resp.Healed = rep.Healed
-	resp.Lost = rep.Lost
-	resp.Degraded = s.tier.Degraded()
-	return resp, nil
+	return TierScrubResp{Enabled: true, ID: s.id, ScrubReport: rep, Degraded: s.tier.Degraded()}, nil
 }
