@@ -44,7 +44,7 @@ loc:
 # The ratchet: `make loc` may not rise unnoticed. A PR that needs more
 # lines raises LOC_BUDGET in its own diff, where a reviewer sees it; one
 # that removes lines lowers it to what it reaches.
-LOC_BUDGET = 6502
+LOC_BUDGET = 6244
 loc-check:
 	@loc=$$($(LOC)); echo "make loc: $$loc, LOC_BUDGET: $(LOC_BUDGET)"; \
 	test $$loc -le $(LOC_BUDGET) || { echo 'over budget: remove lines, or raise LOC_BUDGET in this diff'; exit 1; }
@@ -54,9 +54,10 @@ loc-check:
 # chaos soak, lifecycle, supervised-recovery, log-replication,
 # multiplexing concurrency, and frame-corruption tests, plus the
 # crash-consistency state machines: wlog, ckpt, pfs, the cold tier — the
-# parallel EC kernel, and the admission-control/QoS layer).
+# parallel EC kernel, the admission-control/QoS layer, and the lock
+# table the lock server, its replicas and a promoted spare all run).
 race:
-	$(GO) test -race ./internal/codec/... ./internal/transport/... ./internal/staging/... ./internal/ec/... ./internal/health/... ./internal/recovery/... ./internal/corec/... ./internal/wlog/... ./internal/ckpt/... ./internal/pfs/... ./internal/tier/... ./internal/qos/... ./internal/trace/...
+	$(GO) test -race ./internal/codec/... ./internal/transport/... ./internal/staging/... ./internal/ec/... ./internal/health/... ./internal/recovery/... ./internal/corec/... ./internal/wlog/... ./internal/ckpt/... ./internal/pfs/... ./internal/tier/... ./internal/qos/... ./internal/trace/... ./internal/locks/...
 
 # Fast loop: -short skips the chaos soak and other slow tests.
 short:

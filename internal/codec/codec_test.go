@@ -386,9 +386,9 @@ func TestCorruptCountAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ...ReplState{Seq, Wlog, Objects, Locks{Held, Dedup}, HasLocks}: cut
-	// at the dedup count and claim 1<<20 of them, one byte following.
-	body = append(body[:len(body)-2], 0x80, 0x80, 0x40, 0x00)
+	// ...ReplState{Seq, Wlog, Objects, Locks{Held, Dedup}}: cut at the
+	// dedup count and claim 1<<20 of them, one byte following.
+	body = append(body[:len(body)-1], 0x80, 0x80, 0x40, 0x00)
 	if len(body) != 12 {
 		t.Fatalf("body is %d bytes, the layout moved: %x", len(body), body)
 	}

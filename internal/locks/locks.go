@@ -8,9 +8,11 @@
 // a waiting writer blocks new readers, so producers are not starved by
 // a stream of consumers.
 //
-// The manager is a pure in-memory structure hosted by one staging
-// server (server 0 of a group); clients reach it through the staging
-// protocol's lock messages.
+// The manager is a pure in-memory structure. The lock server (server 0
+// of a staging group) runs one and serves the staging protocol's lock
+// messages with Do; the replicas of its state and a spare promoted in
+// its place run the same table, fed with the records Do reports (Apply)
+// or a snapshot of them (Import).
 package locks
 
 import (
@@ -46,28 +48,112 @@ var ErrClosed = errors.New("locks: manager closed")
 // ErrNotHeld is returned when releasing a lock the caller does not hold.
 var ErrNotHeld = errors.New("locks: lock not held")
 
+// ErrReleased fails an acquire that was still queued when ReleaseAll
+// released its holder: the incarnation that asked is gone
+// (workflow_restart), and the lock must not go to its successor.
+var ErrReleased = errors.New("locks: holder released while its acquire was queued")
+
 type lockState struct {
 	readers map[string]int // holder -> recursion count
 	writer  string         // holder of the exclusive lock, "" if none
-	// writersWaiting blocks new readers so writers are not starved.
-	writersWaiting int
+	// writersWaiting blocks new readers so writers are not starved;
+	// Waiting reports the two counts' sum.
+	writersWaiting, readersWaiting int
+}
+
+// grant gives holder the lock; the caller has checked it is free.
+func (st *lockState) grant(holder string, kind Kind) {
+	if kind == Write {
+		st.writer = holder
+	} else {
+		st.readers[holder]++
+	}
+}
+
+// Record is one operation of the table as it completed: a numbered
+// acquire or release of Name by Holder (Seq counts the holder's
+// operations), or the release of everything Holder holds. Ok and Err
+// are its outcome. Do reports every record it completes, in the order
+// of the transitions, and a table that applies them in that order
+// (Apply) holds the same locks and dedup rows.
+type Record struct {
+	Name    string
+	Holder  string
+	Write   bool
+	Release bool
+	// ReleaseAll drops every lock and the dedup row of Holder (a
+	// component recovery); Name/Write/Release are ignored.
+	ReleaseAll bool
+	Seq        uint64
+	// Ok is true when the operation succeeded and its transition was
+	// applied; Err carries the failure otherwise.
+	Ok  bool
+	Err string
+}
+
+// Kind is the kind of lock r acquires or releases.
+func (r Record) Kind() Kind {
+	if r.Write {
+		return Write
+	}
+	return Read
+}
+
+// op is one numbered operation Do admitted: its record, and once done,
+// its outcome and the position the emission callback returned for it.
+type op struct {
+	rec  Record
+	err  error
+	pos  int64
+	done bool
+}
+
+// doneOp is the dedup row a reported record stands for.
+func doneOp(r Record) *op {
+	o := &op{rec: r, done: true}
+	if !r.Ok {
+		o.err = errors.New(r.Err)
+	}
+	return o
 }
 
 // Manager is a table of named reader/writer locks. Safe for concurrent
 // use; acquisition blocks the calling goroutine.
 type Manager struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	locks  map[string]*lockState
-	closed bool
+	mu    sync.Mutex
+	cond  *sync.Cond
+	locks map[string]*lockState
+	// Lock transitions are not idempotent, so a retried request (its
+	// response was lost) must get the original outcome instead of running
+	// again. last is each holder's latest completed numbered operation,
+	// queued the one still waiting for its lock.
+	last, queued map[string]*op
+	// releases counts each holder's ReleaseAlls: an acquire queued across
+	// one belongs to an incarnation that is gone.
+	releases map[string]uint64
+	emit     func(Record) int64
+	closed   bool
 }
 
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
-	m := &Manager{locks: make(map[string]*lockState)}
+	m := &Manager{
+		locks:    make(map[string]*lockState),
+		last:     make(map[string]*op),
+		queued:   make(map[string]*op),
+		releases: make(map[string]uint64),
+		emit:     func(Record) int64 { return 0 },
+	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
+
+// OnRecord installs Do's emission callback. It runs under the table's
+// mutex, so the records it sees follow the order of the transitions,
+// and so it must neither call the table nor wait for anything that
+// does; what it returns (a stream position) Do returns with the
+// outcome. Call before the table is used.
+func (m *Manager) OnRecord(emit func(Record) int64) { m.emit = emit }
 
 func (m *Manager) state(name string) *lockState {
 	st, ok := m.locks[name]
@@ -83,12 +169,19 @@ func (m *Manager) state(name string) *lockState {
 // a write lock while holding the read lock (or vice versa) — that
 // returns an error rather than deadlocking.
 func (m *Manager) Acquire(name, holder string, kind Kind) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.acquire(name, holder, kind)
+}
+
+// acquire is Acquire with m.mu held.
+func (m *Manager) acquire(name, holder string, kind Kind) error {
 	if name == "" || holder == "" {
 		return fmt.Errorf("locks: empty name or holder")
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	st := m.state(name)
+	var busy func() bool
+	waiting := &st.readersWaiting
 	switch kind {
 	case Write:
 		if st.readers[holder] > 0 {
@@ -97,17 +190,8 @@ func (m *Manager) Acquire(name, holder string, kind Kind) error {
 		if st.writer == holder {
 			return fmt.Errorf("locks: %q already holds write lock on %q", holder, name)
 		}
-		st.writersWaiting++
-		for !m.closed && (st.writer != "" || len(st.readers) > 0) {
-			m.cond.Wait()
-		}
-		st.writersWaiting--
-		if m.closed {
-			m.cond.Broadcast()
-			return ErrClosed
-		}
-		st.writer = holder
-		return nil
+		busy = func() bool { return st.writer != "" || len(st.readers) > 0 }
+		waiting = &st.writersWaiting
 	case Read:
 		if st.writer == holder {
 			return fmt.Errorf("locks: %q downgrading write lock on %q would deadlock", holder, name)
@@ -116,24 +200,37 @@ func (m *Manager) Acquire(name, holder string, kind Kind) error {
 			st.readers[holder]++
 			return nil
 		}
-		for !m.closed && (st.writer != "" || st.writersWaiting > 0) {
-			m.cond.Wait()
-		}
-		if m.closed {
-			m.cond.Broadcast()
-			return ErrClosed
-		}
-		st.readers[holder]++
-		return nil
+		busy = func() bool { return st.writer != "" || st.writersWaiting > 0 }
 	default:
 		return fmt.Errorf("locks: unknown kind %d", kind)
 	}
+	released := m.releases[holder]
+	*waiting++
+	for !m.closed && m.releases[holder] == released && busy() {
+		m.cond.Wait()
+	}
+	*waiting--
+	switch {
+	case m.closed:
+		m.cond.Broadcast()
+		return ErrClosed
+	case m.releases[holder] != released:
+		m.cond.Broadcast() // one writer fewer waiting may let readers in
+		return ErrReleased
+	}
+	st.grant(holder, kind)
+	return nil
 }
 
 // Release relinquishes holder's lock of the given kind on name.
 func (m *Manager) Release(name, holder string, kind Kind) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.release(name, holder, kind)
+}
+
+// release is Release with m.mu held.
+func (m *Manager) release(name, holder string, kind Kind) error {
 	st, ok := m.locks[name]
 	if !ok {
 		return fmt.Errorf("%w: %s lock on %q by %q", ErrNotHeld, kind, name, holder)
@@ -159,12 +256,18 @@ func (m *Manager) Release(name, holder string, kind Kind) error {
 	return nil
 }
 
-// ReleaseAll drops every lock held by holder (used when a component
+// ReleaseAll drops every lock held by holder and its dedup row, and
+// fails its queued acquires with ErrReleased (used when a component
 // fails: its locks must not dam the workflow; paper §III-C recovers the
 // staging client as part of workflow_restart).
 func (m *Manager) ReleaseAll(holder string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.releaseAll(holder)
+}
+
+// releaseAll is ReleaseAll with m.mu held.
+func (m *Manager) releaseAll(holder string) int {
 	n := 0
 	for _, st := range m.locks {
 		if st.writer == holder {
@@ -176,10 +279,76 @@ func (m *Manager) ReleaseAll(holder string) int {
 			n++
 		}
 	}
-	if n > 0 {
-		m.cond.Broadcast()
-	}
+	delete(m.last, holder)
+	delete(m.queued, holder)
+	m.releases[holder]++
+	m.cond.Broadcast()
 	return n
+}
+
+// Do runs r — one numbered acquire or release, or a ReleaseAll — and
+// returns what the emission callback returned for it and its outcome.
+// A retry of a holder's latest operation (same Seq, Name, Write and
+// Release) runs nothing: it gets the original's outcome, waiting for it
+// while the original is queued. An acquire ReleaseAll failed grants
+// nothing, leaves no dedup row (it would shadow the restarted
+// incarnation's first operation) and is not reported.
+func (m *Manager) Do(r Record) (int64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r.ReleaseAll {
+		m.releaseAll(r.Holder)
+		return m.emit(r), nil
+	}
+	for _, o := range []*op{m.queued[r.Holder], m.last[r.Holder]} {
+		if o != nil && o.rec.Seq == r.Seq && o.rec.Name == r.Name && o.rec.Write == r.Write && o.rec.Release == r.Release {
+			for !o.done {
+				m.cond.Wait()
+			}
+			return o.pos, o.err
+		}
+	}
+	o := &op{rec: r}
+	m.queued[r.Holder] = o
+	if r.Release {
+		o.err = m.release(r.Name, r.Holder, r.Kind())
+	} else {
+		o.err = m.acquire(r.Name, r.Holder, r.Kind())
+	}
+	if m.queued[r.Holder] == o {
+		delete(m.queued, r.Holder)
+	}
+	if !errors.Is(o.err, ErrReleased) {
+		o.rec.Ok = o.err == nil
+		if o.err != nil {
+			o.rec.Err = o.err.Error()
+		}
+		m.last[r.Holder] = o
+		o.pos = m.emit(o.rec)
+	}
+	o.done = true
+	m.cond.Broadcast() // retries waiting for o
+	return o.pos, o.err
+}
+
+// Apply folds one record Do reported into the table, as a replica does
+// in stream order: the transition happened on the origin in this order,
+// so it is applied as it stands, without waiting.
+func (m *Manager) Apply(r Record) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r.ReleaseAll {
+		m.releaseAll(r.Holder)
+		return
+	}
+	m.last[r.Holder] = doneOp(r)
+	switch {
+	case !r.Ok:
+	case r.Release:
+		_ = m.release(r.Name, r.Holder, r.Kind()) // it succeeded on the origin, in this order
+	default:
+		m.state(r.Name).grant(r.Holder, r.Kind())
+	}
 }
 
 // Close fails all waiters and future acquisitions.
@@ -198,59 +367,81 @@ type ReaderCount struct {
 }
 
 // HeldLock is the exported state of one named lock: its writer (""
-// if none) and its readers. Used by the staging log-replication layer
-// to carry the lock table to a promoted spare.
+// if none) and its readers.
 type HeldLock struct {
 	Name    string
 	Writer  string
 	Readers []ReaderCount
 }
 
-// Export returns the lock table's held state in deterministic order
-// (names and reader holders sorted). Waiter bookkeeping is not
-// exported: a restored table starts with no waiters.
-func (m *Manager) Export() []HeldLock {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.locks))
-	for n, st := range m.locks {
-		if st.writer != "" || len(st.readers) > 0 {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	out := make([]HeldLock, 0, len(names))
-	for _, n := range names {
-		st := m.locks[n]
-		h := HeldLock{Name: n, Writer: st.writer}
-		holders := make([]string, 0, len(st.readers))
-		for r := range st.readers {
-			holders = append(holders, r)
-		}
-		sort.Strings(holders)
-		for _, r := range holders {
-			h.Readers = append(h.Readers, ReaderCount{Holder: r, Count: st.readers[r]})
-		}
-		out = append(out, h)
-	}
-	return out
+// State is a table's exported state: the held locks and each holder's
+// latest completed numbered operation (its dedup row), in deterministic
+// order. Waiters are not exported: a restored table starts with none.
+type State struct {
+	Held  []HeldLock
+	Dedup []Record
 }
 
-// Import replaces the lock table with held. It is meant for a freshly
-// promoted spare restoring a dead lock server's state; any local
-// waiters are woken so they re-evaluate against the restored table.
-func (m *Manager) Import(held []HeldLock) {
+// Export returns the table's state. at, when not nil, runs under the
+// table's mutex, where no operation completes or is reported: the lock
+// server reads its stream position there, so the two agree.
+func (m *Manager) Export(at func()) State {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.locks = make(map[string]*lockState, len(held))
-	for _, h := range held {
-		st := &lockState{readers: make(map[string]int), writer: h.Writer}
+	if at != nil {
+		at()
+	}
+	var st State
+	for _, n := range sortedKeys(m.locks) {
+		ls := m.locks[n]
+		if ls.writer == "" && len(ls.readers) == 0 {
+			continue
+		}
+		h := HeldLock{Name: n, Writer: ls.writer}
+		for _, r := range sortedKeys(ls.readers) {
+			h.Readers = append(h.Readers, ReaderCount{Holder: r, Count: ls.readers[r]})
+		}
+		st.Held = append(st.Held, h)
+	}
+	for _, h := range sortedKeys(m.last) {
+		st.Dedup = append(st.Dedup, m.last[h].rec)
+	}
+	return st
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Import replaces the table's locks and dedup rows with st: a replica
+// installing a snapshot, or a promoted spare taking the lock server's
+// place. at, when not nil, runs under the table's mutex once st is in,
+// before any operation can complete on it. Local waiters are woken to
+// re-evaluate against the restored table.
+func (m *Manager) Import(st State, at func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.locks = make(map[string]*lockState, len(st.Held))
+	for _, h := range st.Held {
+		ls := m.state(h.Name)
+		ls.writer = h.Writer
 		for _, r := range h.Readers {
 			if r.Count > 0 {
-				st.readers[r.Holder] = r.Count
+				ls.readers[r.Holder] = r.Count
 			}
 		}
-		m.locks[h.Name] = st
+	}
+	m.last = make(map[string]*op, len(st.Dedup))
+	for _, r := range st.Dedup {
+		m.last[r.Holder] = doneOp(r)
+	}
+	if at != nil {
+		at()
 	}
 	m.cond.Broadcast()
 }
@@ -265,4 +456,16 @@ func (m *Manager) Holders(name string) (writer string, readers int) {
 		return "", 0
 	}
 	return st.writer, len(st.readers)
+}
+
+// Waiting reports how many acquires are queued on name, for
+// introspection.
+func (m *Manager) Waiting(name string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, ok := m.locks[name]
+	if !ok {
+		return 0
+	}
+	return st.writersWaiting + st.readersWaiting
 }

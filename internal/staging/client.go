@@ -603,13 +603,13 @@ func (c *Client) Stats() (StatsResp, error) {
 // Trace fetches the recent protocol trace of every server, rendered
 // and prefixed with the server id.
 func (c *Client) Trace(limit int) ([]string, error) {
+	per, err := c.TraceRecords(limit)
+	if err != nil {
+		return nil, err
+	}
 	var out []string
-	for sid, conn := range c.conns {
-		resp, err := transport.As[TraceResp](conn.Call(TraceReq{Limit: limit}))
-		if err != nil {
-			return nil, wrapCall(err, "trace on server %d", sid)
-		}
-		for _, rec := range resp.Records {
+	for sid, recs := range per {
+		for _, rec := range recs {
 			out = append(out, fmt.Sprintf("s%d %s", sid, rec))
 		}
 	}
@@ -622,7 +622,7 @@ func (c *Client) Trace(limit int) ([]string, error) {
 func (c *Client) TraceRecords(limit int) ([][]trace.Record, error) {
 	out := make([][]trace.Record, len(c.conns))
 	for sid, conn := range c.conns {
-		resp, err := transport.As[TraceResp](conn.Call(TraceReq{Limit: limit, Raw: true}))
+		resp, err := transport.As[TraceResp](conn.Call(TraceReq{Limit: limit}))
 		if err != nil {
 			return nil, wrapCall(err, "trace on server %d", sid)
 		}

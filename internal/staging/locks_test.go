@@ -148,3 +148,63 @@ func TestWorkflowRestartReleasesLocks(t *testing.T) {
 		t.Fatal("lock still held by recovered component")
 	}
 }
+
+// TestRecoveryFailsQueuedAcquire: a component dies while its write
+// acquire is queued behind the producer's lock, and the lock server
+// handles its RecoveryReq. The queued acquire fails instead of being
+// granted when the producer releases, so the restarted incarnation's
+// first lock operation runs (a dedup row of the dead one would shadow
+// its Seq 1) and the producer's next write lock is not dammed.
+func TestRecoveryFailsQueuedAcquire(t *testing.T) {
+	g := testGroup(t, 2)
+	srv := g.Server(lockServer)
+	sim, _ := g.NewClient("sim/0")
+	defer sim.Close()
+	dead, _ := g.NewClient("ana/0")
+	defer dead.Close()
+	if err := sim.LockOnWrite("f"); err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan error, 1)
+	go func() { queued <- dead.LockOnWrite("f") }()
+	for deadline := time.Now().Add(5 * time.Second); srv.locks.Waiting("f") != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("ana/0's acquire never queued")
+		}
+	}
+	if _, err := srv.Handle(RecoveryReq{App: "ana/0"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-queued:
+		if err == nil || !strings.Contains(err.Error(), "released") {
+			t.Fatalf("the dead incarnation's queued acquire = %v, want it released", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dead incarnation's acquire is still queued after its recovery")
+	}
+	if err := sim.UnlockOnWrite("f"); err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := srv.locks.Holders("f"); w != "" {
+		t.Fatalf("writer %q after the producer's release, want none", w)
+	}
+	restarted, _ := g.NewClient("ana/0") // its lock sequence starts at 1 again
+	defer restarted.Close()
+	if err := restarted.LockOnWrite("f"); err != nil {
+		t.Fatalf("the restarted incarnation's first acquire: %v", err)
+	}
+	if err := restarted.UnlockOnWrite("f"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- sim.LockOnWrite("f") }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the producer's next write lock is blocked")
+	}
+}

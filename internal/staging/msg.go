@@ -214,25 +214,13 @@ type LockReq struct {
 // LockResp acknowledges a lock operation.
 type LockResp struct{}
 
-// LockRecord is one completed lock-server operation in the
-// log-replication stream: the state transition (when Ok) plus the
-// dedup outcome, so a promoted spare answers retried lock RPCs exactly
-// like the dead server would have.
-type LockRecord struct {
-	Name    string
-	Holder  string
-	Write   bool
-	Release bool
-	// ReleaseAll drops every lock and the dedup entry of Holder (a
-	// component recovery); Name/Write/Release are ignored.
-	ReleaseAll bool
-	// Seq is the holder's lock-operation sequence number.
-	Seq uint64
-	// Ok is true when the operation succeeded and its state transition
-	// must be applied; Err carries the failure outcome otherwise.
-	Ok  bool
-	Err string
-}
+// LockRecord is one operation the lock server's table completed, in the
+// log-replication stream: the table reports it under its own mutex, so
+// the stream holds the transitions in the order they happened, and a
+// replica's table that applies them (locks.Manager.Apply) holds the
+// origin's locks and dedup rows at every position — a promoted spare
+// answers retried lock RPCs exactly like the dead server would have.
+type LockRecord = locks.Record
 
 // ReplRecord is one mutation of a staging server's replicated state —
 // an event-log record (with the put payload, so replay reads survive
@@ -248,26 +236,18 @@ type ReplRecord struct {
 	Lock     *LockRecord
 }
 
-// LockMirrorState is the exported lock-server state at one stream
-// position: the held-lock table plus each holder's latest deduplicated
-// operation, as the record that carried it.
-type LockMirrorState struct {
-	Held  []locks.HeldLock
-	Dedup []LockRecord
-}
-
-// ReplState is a full snapshot of a server's replicated state: the
-// event log, the logged objects, and (on the lock server) the lock
-// mirror — everything a spare needs to take the slot over.
+// ReplState is a full snapshot of a server's replicated state at stream
+// position Seq: the event log, the logged objects, and the lock table
+// (held locks and dedup rows; empty except on the lock server) —
+// everything a spare needs to take the slot over.
 type ReplState struct {
 	Seq int64
 	// Wlog is wlog.Log.Snapshot's output, itself a codec message: only
 	// Log.Restore opens it, under the codec's bounds and the snapshot's
 	// own ValidateWire.
-	Wlog     []byte
-	Objects  []ReplObject
-	Locks    LockMirrorState
-	HasLocks bool
+	Wlog    []byte
+	Objects []ReplObject
+	Locks   locks.State
 }
 
 // ReplObject is one logged object payload in a replication snapshot.
@@ -429,16 +409,13 @@ type LeaderInfoResp struct {
 type TraceReq struct {
 	// Limit caps the records returned (0 = all retained).
 	Limit int
-	// Raw asks for typed records (for trace export) instead of rendered
-	// strings.
-	Raw bool
 }
 
-// TraceResp carries the server's recent protocol trace, oldest first:
-// rendered strings by default, typed records when the request set Raw.
+// TraceResp carries the server's recent protocol trace, oldest first,
+// as typed records: Client.Trace renders them, dsctl trace dump exports
+// them.
 type TraceResp struct {
-	Records []string
-	Raw     []trace.Record
+	Raw []trace.Record
 	// Total is how many records the server ever traced (including those
 	// evicted from the ring).
 	Total uint64

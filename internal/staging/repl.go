@@ -2,7 +2,6 @@ package staging
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"gospaces/internal/locks"
@@ -20,136 +19,6 @@ import (
 // workflow_restart keeps working — the queues no longer die with the
 // server. The stream is fenced by membership epochs: a replica holding
 // a newer epoch rejects batches from an origin with a prior view.
-
-// lockMirror is the deterministic lock-server state machine driven by
-// LockRecords. The origin updates its mirror at record-emission time
-// (under the replicator mutex, atomically with sequence assignment),
-// and replicas apply the same records in sequence order, so mirror
-// state at an equal sequence number is identical on both ends — which
-// is what makes mid-stream snapshots consistent without quiescing the
-// (blocking) lock manager itself.
-type lockMirror struct {
-	writers map[string]string         // name -> writer
-	readers map[string]map[string]int // name -> holder -> recursion count
-	dedup   map[string]LockRecord     // holder -> latest deduplicated op
-}
-
-func newLockMirror() *lockMirror {
-	return &lockMirror{
-		writers: make(map[string]string),
-		readers: make(map[string]map[string]int),
-		dedup:   make(map[string]LockRecord),
-	}
-}
-
-// apply folds one lock record into the mirror. Transitions are guarded
-// so that cross-holder records that completed concurrently on the
-// origin (and may be sequenced either way) still converge.
-func (m *lockMirror) apply(r *LockRecord) {
-	if r.ReleaseAll {
-		for name, w := range m.writers {
-			if w == r.Holder {
-				delete(m.writers, name)
-			}
-		}
-		for _, hs := range m.readers {
-			delete(hs, r.Holder)
-		}
-		delete(m.dedup, r.Holder)
-		return
-	}
-	m.dedup[r.Holder] = *r
-	if !r.Ok {
-		return
-	}
-	switch {
-	case r.Write && !r.Release:
-		m.writers[r.Name] = r.Holder
-	case r.Write && r.Release:
-		if m.writers[r.Name] == r.Holder {
-			delete(m.writers, r.Name)
-		}
-	case !r.Write && !r.Release:
-		hs, ok := m.readers[r.Name]
-		if !ok {
-			hs = make(map[string]int)
-			m.readers[r.Name] = hs
-		}
-		hs[r.Holder]++
-	default: // read release
-		if hs, ok := m.readers[r.Name]; ok && hs[r.Holder] > 0 {
-			hs[r.Holder]--
-			if hs[r.Holder] == 0 {
-				delete(hs, r.Holder)
-			}
-		}
-	}
-}
-
-// export renders the mirror in deterministic order.
-func (m *lockMirror) export() LockMirrorState {
-	st := LockMirrorState{}
-	names := map[string]bool{}
-	for n := range m.writers {
-		names[n] = true
-	}
-	for n, hs := range m.readers {
-		if len(hs) > 0 {
-			names[n] = true
-		}
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	for _, n := range sorted {
-		h := locks.HeldLock{Name: n, Writer: m.writers[n]}
-		holders := make([]string, 0, len(m.readers[n]))
-		for r := range m.readers[n] {
-			holders = append(holders, r)
-		}
-		sort.Strings(holders)
-		for _, r := range holders {
-			h.Readers = append(h.Readers, locks.ReaderCount{Holder: r, Count: m.readers[n][r]})
-		}
-		st.Held = append(st.Held, h)
-	}
-	holders := make([]string, 0, len(m.dedup))
-	for h := range m.dedup {
-		holders = append(holders, h)
-	}
-	sort.Strings(holders)
-	for _, h := range holders {
-		st.Dedup = append(st.Dedup, m.dedup[h])
-	}
-	return st
-}
-
-// importState replaces the mirror with st.
-func (m *lockMirror) importState(st LockMirrorState) {
-	m.writers = make(map[string]string)
-	m.readers = make(map[string]map[string]int)
-	m.dedup = make(map[string]LockRecord)
-	for _, h := range st.Held {
-		if h.Writer != "" {
-			m.writers[h.Name] = h.Writer
-		}
-		for _, r := range h.Readers {
-			if r.Count > 0 {
-				hs, ok := m.readers[h.Name]
-				if !ok {
-					hs = make(map[string]int)
-					m.readers[h.Name] = hs
-				}
-				hs[r.Holder] = r.Count
-			}
-		}
-	}
-	for _, o := range st.Dedup {
-		m.dedup[o.Holder] = o
-	}
-}
 
 // cursorUnknown is a peer's cursor after a dial: the origin cannot know
 // what the peer holds until it has asked.
@@ -205,7 +74,6 @@ type replicator struct {
 	shipped  int64 // last sequence number a shipper has dealt with
 	want     int64 // highest sequence number a flusher has asked for
 	shipping bool  // a flusher is in ship with r.mu released
-	mirror   *lockMirror
 	closed   bool
 
 	// log holds the records (anchorSeq, seq], log[i].Seq == anchorSeq+1+i:
@@ -256,7 +124,6 @@ func newReplicator(srv *Server, tr transport.Transport, k int) *replicator {
 		srv:       srv,
 		tr:        tr,
 		k:         k,
-		mirror:    newLockMirror(),
 		peers:     make(map[string]*peerConn),
 		maxWindow: replWindowBytes,
 		ctr: replCounters{
@@ -318,16 +185,12 @@ func (r *replicator) since(after, upTo int64) ([]ReplRecord, bool) {
 }
 
 // enqueue assigns the next sequence number to rec and appends it to the
-// log, folding lock records into the origin mirror atomically with
-// sequence assignment. Nothing is shipped: the record is held until a
-// flush asks for it or a later one.
+// log. Nothing is shipped: the record is held until a flush asks for it
+// or a later one.
 func (r *replicator) enqueue(rec ReplRecord) int64 {
 	r.mu.Lock()
 	r.seq++
 	rec.Seq = r.seq
-	if rec.Lock != nil {
-		r.mirror.apply(rec.Lock)
-	}
 	r.log = append(r.log, rec)
 	r.held += recBytes(rec)
 	r.mu.Unlock()
@@ -379,13 +242,12 @@ func (r *replicator) hold() bool {
 // setState is called when a WlogInstall restores this server's state
 // from a replica: the stream continues from the restored position, as
 // a new history no cursor taken so far points into.
-func (r *replicator) setState(seq int64, locks LockMirrorState) {
+func (r *replicator) setState(seq int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq, r.shipped, r.want, r.anchorSeq, r.base = seq, seq, seq, seq, seq
 	r.log, r.held, r.retained = nil, 0, 0
 	r.history++
-	r.mirror.importState(locks)
 }
 
 // position returns the last assigned sequence number.
@@ -520,14 +382,15 @@ func (r *replicator) dropPeer(addr string) {
 	}
 }
 
-// slotReplica is one hosted replica of a peer server's state.
+// slotReplica is one hosted replica of a peer server's state. Its lock
+// table is the origin's state machine, fed the origin's records.
 type slotReplica struct {
-	mu     sync.Mutex
-	epoch  uint64
-	seq    int64
-	log    *wlog.Log
-	store  *store.Store
-	mirror *lockMirror
+	mu    sync.Mutex
+	epoch uint64
+	seq   int64
+	log   *wlog.Log
+	store *store.Store
+	locks *locks.Manager
 	// applied counts records folded in, for accounting.
 	applied int64
 }
@@ -548,7 +411,7 @@ func (rs *replicaSet) slot(id int) *slotReplica {
 	defer rs.mu.Unlock()
 	rep, ok := rs.slots[id]
 	if !ok {
-		rep = &slotReplica{log: wlog.New(), store: store.New(), mirror: newLockMirror()}
+		rep = &slotReplica{log: wlog.New(), store: store.New(), locks: locks.NewManager()}
 		rs.slots[id] = rep
 	}
 	return rep
@@ -602,7 +465,7 @@ func (rep *slotReplica) applyRecord(rec ReplRecord) error {
 		}
 	}
 	if rec.Lock != nil {
-		rep.mirror.apply(rec.Lock)
+		rep.locks.Apply(*rec.Lock)
 	}
 	rep.applied++
 	return nil
@@ -616,22 +479,19 @@ func (rep *slotReplica) install(epoch uint64, st ReplState) error {
 		return err
 	}
 	rep.log, rep.store, rep.seq = log, str, st.Seq
-	rep.mirror.importState(st.Locks)
+	rep.locks.Import(st.Locks, nil)
 	rep.epoch = max(rep.epoch, epoch)
 	return nil
 }
 
 // exportState renders replicated state — a server's own or the replica
 // it hosts of a peer's — as a ReplState at stream position seq.
-func exportState(seq int64, log *wlog.Log, str *store.Store, locks LockMirrorState) (ReplState, error) {
+func exportState(seq int64, log *wlog.Log, str *store.Store, lockTable locks.State) (ReplState, error) {
 	wl, err := log.Snapshot()
 	if err != nil {
 		return ReplState{}, err
 	}
-	return ReplState{
-		Seq: seq, Wlog: wl, Objects: exportObjects(str.Export()),
-		Locks: locks, HasLocks: len(locks.Held) > 0 || len(locks.Dedup) > 0,
-	}, nil
+	return ReplState{Seq: seq, Wlog: wl, Objects: exportObjects(str.Export()), Locks: lockTable}, nil
 }
 
 // installState is exportState's inverse: log and str take on the
@@ -735,19 +595,19 @@ func (s *Server) flushRepl(seq int64) {
 
 // buildReplState snapshots the server's own replicated state at the
 // current stream position. It takes replMu (quiescing log/store
-// mutations) and then the replicator mutex (pinning the sequence
-// number and lock mirror), the same order the handlers use.
+// mutations), then the lock table's mutex (quiescing lock operations,
+// which report under it), then the replicator mutex (the sequence
+// number) — the order every path takes them in.
 func (s *Server) buildReplState() (ReplState, error) {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
 	var seq int64
-	var lockState LockMirrorState
-	if s.repl != nil {
-		s.repl.mu.Lock()
-		seq, lockState = s.repl.seq, s.repl.mirror.export()
-		s.repl.mu.Unlock()
-	}
-	return exportState(seq, s.log, s.store, lockState)
+	lockTable := s.locks.Export(func() {
+		if s.repl != nil {
+			seq = s.repl.position()
+		}
+	})
+	return exportState(seq, s.log, s.store, lockTable)
 }
 
 // replicaFor is the two-level epoch fence of the replication stream: it
@@ -812,7 +672,7 @@ func (s *Server) handleReplFetch(r ReplFetchReq) (any, error) {
 	}
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	st, err := exportState(rep.seq, rep.log, rep.store, rep.mirror.export())
+	st, err := exportState(rep.seq, rep.log, rep.store, rep.locks.Export(nil))
 	if err != nil {
 		return nil, fmt.Errorf("staging: replica slot %d export: %w", r.Slot, err)
 	}
@@ -829,27 +689,11 @@ func (s *Server) handleWlogInstall(r WlogInstallReq) (any, error) {
 	if err := installState(r.State, s.log, s.store); err != nil {
 		return nil, fmt.Errorf("staging: install slot %d: %w", r.Slot, err)
 	}
-	if r.State.HasLocks {
-		s.locks.Import(r.State.Locks.Held)
-		s.lockMu.Lock()
-		s.lockOps = make(map[string]*lockAttempt)
-		for _, o := range r.State.Locks.Dedup {
-			kind := locks.Read
-			if o.Write {
-				kind = locks.Write
-			}
-			a := &lockAttempt{seq: o.Seq, name: o.Name, kind: kind, release: o.Release, done: make(chan struct{})}
-			if !o.Ok {
-				a.err = fmt.Errorf("locks: %s", o.Err)
-			}
-			close(a.done)
-			s.lockOps[o.Holder] = a
+	s.locks.Import(r.State.Locks, func() {
+		if s.repl != nil {
+			s.repl.setState(r.State.Seq)
 		}
-		s.lockMu.Unlock()
-	}
-	if s.repl != nil {
-		s.repl.setState(r.State.Seq, r.State.Locks)
-	}
+	})
 	if s.tier != nil {
 		// The installed snapshot holds every live logged payload; the
 		// local tier described the spare's pre-promotion state and is

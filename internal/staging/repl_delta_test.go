@@ -172,7 +172,7 @@ func TestPeerAheadOfOriginIsReseeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The origin's stream restarts two records behind its replica.
-	origin.repl.setState(own.Seq-2, own.Locks)
+	origin.repl.setState(own.Seq - 2)
 	dropPeers(origin)
 	if err := c.PutWithLog("field", 4, global, fill(n, 4)); err != nil {
 		t.Fatal(err)

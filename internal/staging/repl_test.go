@@ -2,9 +2,11 @@ package staging
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"gospaces/internal/domain"
+	"gospaces/internal/locks"
 	"gospaces/internal/transport"
 )
 
@@ -119,8 +121,10 @@ func TestReplicationCarriesLockState(t *testing.T) {
 
 	// Restore the lock server's (slot 0) replica onto the spare.
 	st := fetchReplica(t, g.Server(1), 0)
-	if !st.HasLocks {
-		t.Fatal("slot 0 replica carries no lock state")
+	held := []locks.HeldLock{{Name: "field", Writer: "sim/0"}}
+	dedup := []LockRecord{{Name: "field", Holder: "sim/0", Write: true, Seq: 1, Ok: true}}
+	if !reflect.DeepEqual(st.Locks, locks.State{Held: held, Dedup: dedup}) {
+		t.Fatalf("slot 0 replica carries lock state %+v, want sim/0's write lock and its dedup row", st.Locks)
 	}
 	spare := g.ServerAt(spareAddr)
 	if _, err := spare.handleWlogInstall(WlogInstallReq{Slot: 0, State: st}); err != nil {

@@ -42,10 +42,6 @@ type Server struct {
 	locks *locks.Manager
 	trace *trace.Buffer
 
-	// lockOps deduplicates retried lock RPCs per holder (see handleLock).
-	lockMu  sync.Mutex
-	lockOps map[string]*lockAttempt
-
 	mu         sync.Mutex
 	shards     map[string]map[int][]byte
 	shardBytes int64
@@ -92,37 +88,20 @@ type Server struct {
 	tierCtr   tierCounters
 }
 
-// lockAttempt records the latest lock RPC admitted for one holder. Lock
-// transitions are not idempotent, so a retried request (same holder,
-// sequence number, and operation — the response to the original was
-// lost in transit) must observe the original outcome rather than
-// re-execute: a re-applied read acquire would double-count recursion,
-// and a re-applied write acquire or release would fail terminally even
-// though the operation succeeded.
-type lockAttempt struct {
-	seq     uint64
-	name    string
-	kind    locks.Kind
-	release bool
-	// done is closed once err is set; duplicates block on it so a retry
-	// that races the still-executing original waits out the result.
-	done chan struct{}
-	err  error
-}
-
 // NewServer creates staging server id.
 func NewServer(id int) *Server {
-	return &Server{
+	s := &Server{
 		id:       id,
 		store:    store.New(),
 		log:      wlog.New(),
 		reg:      metrics.NewRegistry(),
 		locks:    locks.NewManager(),
 		trace:    trace.New(512),
-		lockOps:  make(map[string]*lockAttempt),
 		shards:   make(map[string]map[int][]byte),
 		replicas: newReplicaSet(),
 	}
+	s.locks.OnRecord(s.lockRecord)
+	return s
 }
 
 // ID returns the server's id within its group.
@@ -600,19 +579,13 @@ func (s *Server) applyRecovery(r RecoveryReq) (RecoveryResp, int64) {
 	}
 	script := s.log.OnRecoveryFrom(r.App, r.Covered)
 	s.trace.Add(trace.Record{Op: trace.OpRecovery, App: r.App, Bytes: int64(len(script))})
-	seq := s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpRecovery, App: r.App, Version: r.Covered}})
+	s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpRecovery, App: r.App, Version: r.Covered}})
 	// A failed component must not dam the workflow with locks it held
-	// when it died; recovery drops them (part of rebuilding the staging
-	// client, §III-C). The lock dedup entry goes with them: the
-	// recovered client restarts its sequence counter, and a stale entry
-	// could alias its first post-recovery lock operation.
-	s.locks.ReleaseAll(r.App)
-	s.lockMu.Lock()
-	delete(s.lockOps, r.App)
-	s.lockMu.Unlock()
-	if lockSeq := s.emit(ReplRecord{Lock: &LockRecord{Holder: r.App, ReleaseAll: true}}); lockSeq > 0 {
-		seq = lockSeq
-	}
+	// when it died, or with acquires it left queued; recovery drops them
+	// (part of rebuilding the staging client, §III-C). The dedup row goes
+	// with them: the recovered client restarts its sequence counter, and
+	// a stale row could alias its first post-recovery lock operation.
+	seq, _ := s.locks.Do(locks.Record{Holder: r.App, ReleaseAll: true}) // a ReleaseAll cannot fail
 	return RecoveryResp{ReplayEvents: len(script)}, seq
 }
 
@@ -621,90 +594,38 @@ func (s *Server) handleTrace(r TraceReq) (any, error) {
 	if r.Limit > 0 && len(snap) > r.Limit {
 		snap = snap[len(snap)-r.Limit:]
 	}
-	if r.Raw {
-		// Typed records for trace export (dsctl trace dump): the caller
-		// converts them to replayable trace events.
-		return TraceResp{Raw: snap, Total: total}, nil
-	}
-	out := make([]string, len(snap))
-	for i, rec := range snap {
-		out[i] = rec.String()
-	}
-	return TraceResp{Records: out, Total: total}, nil
+	return TraceResp{Raw: snap, Total: total}, nil
 }
 
+// handleLock runs a LockReq as the lock table's numbered operation —
+// once per holder and sequence number, however often the request is
+// retried — and acknowledges it once its record has shipped, so a
+// promoted spare answers a retried lock RPC exactly like this server.
 func (s *Server) handleLock(r LockReq) (any, error) {
-	kind := locks.Read
-	if r.Write {
-		kind = locks.Write
-	}
-	s.lockMu.Lock()
-	if a, ok := s.lockOps[r.Holder]; ok &&
-		a.seq == r.Seq && a.name == r.Name && a.kind == kind && a.release == r.Release {
-		// Retry of an RPC whose response was lost: return the original
-		// outcome (waiting it out if the original is still executing)
-		// instead of re-applying a non-idempotent lock transition.
-		s.lockMu.Unlock()
-		<-a.done
-		if a.err != nil {
-			return nil, a.err
-		}
-		return LockResp{}, nil
-	}
-	a := &lockAttempt{seq: r.Seq, name: r.Name, kind: kind, release: r.Release, done: make(chan struct{})}
-	s.lockOps[r.Holder] = a
-	s.lockMu.Unlock()
-	resp, err := s.runLock(r, kind)
-	a.err = err
-	close(a.done)
-	return resp, err
-}
-
-// runLock executes the lock operation and, with replication enabled,
-// ships the outcome (state transition plus dedup entry) to the peer
-// replicas before acknowledging, so a promoted spare answers a retried
-// lock RPC exactly like this server would have. The dedup-hit path in
-// handleLock never reaches here: a duplicate returns the original
-// outcome without re-emitting.
-func (s *Server) runLock(r LockReq, kind locks.Kind) (any, error) {
-	resp, err := s.applyLock(r, kind)
-	detail := "acquire"
-	if r.Release {
-		detail = "release"
-	}
-	if r.Write {
-		detail += " write"
-	} else {
-		detail += " read"
-	}
-	if err != nil {
-		detail += " err"
-	}
-	s.trace.Add(trace.Record{Op: trace.OpLock, App: r.Holder, Name: r.Name, Detail: detail})
-	if s.repl != nil {
-		rec := &LockRecord{
-			Name: r.Name, Holder: r.Holder, Write: r.Write,
-			Release: r.Release, Seq: r.Seq, Ok: err == nil,
-		}
-		if err != nil {
-			rec.Err = err.Error()
-		}
-		s.flushRepl(s.emit(ReplRecord{Lock: rec}))
-	}
-	return resp, err
-}
-
-func (s *Server) applyLock(r LockReq, kind locks.Kind) (any, error) {
-	var err error
-	if r.Release {
-		err = s.locks.Release(r.Name, r.Holder, kind)
-	} else {
-		err = s.locks.Acquire(r.Name, r.Holder, kind)
-	}
+	seq, err := s.locks.Do(locks.Record{Name: r.Name, Holder: r.Holder, Write: r.Write, Release: r.Release, Seq: r.Seq})
+	s.flushRepl(seq)
 	if err != nil {
 		return nil, err
 	}
 	return LockResp{}, nil
+}
+
+// lockRecord is the lock table's report of an operation it completed,
+// made under the table's mutex: the trace and the replication stream
+// take the operations in the order the table ran them.
+func (s *Server) lockRecord(r locks.Record) int64 {
+	if !r.ReleaseAll {
+		detail := "acquire"
+		if r.Release {
+			detail = "release"
+		}
+		detail += " " + r.Kind().String()
+		if !r.Ok {
+			detail += " err"
+		}
+		s.trace.Add(trace.Record{Op: trace.OpLock, App: r.Holder, Name: r.Name, Detail: detail})
+	}
+	return s.emit(ReplRecord{Lock: &r})
 }
 
 func (s *Server) handleShardPut(r ShardPutReq) (any, error) {

@@ -50,8 +50,7 @@ func TestFastpathRoundTrip(t *testing.T) {
 			{Name: "field", Version: 7, BBox: box, ElemSize: 8, Data: []byte("payload"), CRC: 0xdeadbeef},
 			{Name: "empty", Version: 1, BBox: domain.BBox{}, ElemSize: 4, Data: nil, CRC: 1},
 		},
-		HasLocks: true,
-		Locks: LockMirrorState{
+		Locks: locks.State{
 			Held: []locks.HeldLock{
 				{Name: "step", Writer: "sim/3"},
 				{Name: "mesh", Readers: []locks.ReaderCount{{Holder: "viz/0", Count: 2}, {Holder: "viz/1", Count: 1}}},
@@ -201,7 +200,7 @@ func TestWireCompleteness(t *testing.T) {
 		{ReplSnapshotReq{Epoch: ahead, Slot: 2, State: state}, ReplSnapshotResp{}},
 		{ReplFetchReq{Slot: 2}, ReplFetchResp{}},
 		{WlogInstallReq{Slot: 0, State: state}, WlogInstallResp{}},
-		{TraceReq{Raw: true}, TraceResp{}},
+		{TraceReq{}, TraceResp{}},
 		{StatsReq{}, StatsResp{}},
 		{QosStatsReq{}, QosStatsResp{}},
 		{TierStatsReq{}, TierStatsResp{}},
@@ -281,7 +280,7 @@ func TestNoGobInFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !own.HasLocks || len(own.Objects) == 0 {
+	if len(own.Locks.Held) == 0 || len(own.Objects) == 0 {
 		t.Fatalf("state holds no lock or no object: %+v", own.Locks)
 	}
 	for name, wl := range map[string][]byte{"built": own.Wlog, "replica": fetchReplica(t, g.Server(1), 0).Wlog} {

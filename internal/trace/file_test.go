@@ -161,8 +161,7 @@ func TestReplayerOrderAndDivergence(t *testing.T) {
 		applied = append(applied, ev)
 		return nil
 	})
-	r := NewReplayer(Header{}, evs)
-	if err := r.Run(x); err != nil {
+	if err := Replay(evs, x); err != nil {
 		t.Fatal(err)
 	}
 	if len(applied) != 2 || applied[0].Kind != EvPut || applied[1].Kind != EvGet {
@@ -170,8 +169,7 @@ func TestReplayerOrderAndDivergence(t *testing.T) {
 	}
 
 	boom := errors.New("bytes differ")
-	r2 := NewReplayer(Header{}, evs)
-	err := r2.Run(execFunc(func(ev Event) error {
+	err := Replay(evs, execFunc(func(ev Event) error {
 		if ev.Kind == EvGet {
 			return boom
 		}
@@ -184,7 +182,7 @@ func TestReplayerOrderAndDivergence(t *testing.T) {
 
 	// Out-of-order logical clocks are rejected before application.
 	bad := []Event{{LC: 5, Kind: EvPut}, {LC: 5, Kind: EvPut}}
-	if err := NewReplayer(Header{}, bad).Run(x); !errors.Is(err, ErrOrder) {
+	if err := Replay(bad, x); !errors.Is(err, ErrOrder) {
 		t.Fatalf("got %v, want ErrOrder", err)
 	}
 }

@@ -26,35 +26,17 @@ func (e *DivergenceError) Error() string {
 
 func (e *DivergenceError) Unwrap() error { return e.Err }
 
-// Replayer drives an Executor through a recorded trace in logical
-// clock order. The clock is the trace itself — the replayer never
-// consults wall time, so outcomes cannot depend on machine speed.
-type Replayer struct {
-	header Header
-	events []Event
-	pos    int
-}
-
-// NewReplayer wraps a decoded trace.
-func NewReplayer(h Header, events []Event) *Replayer {
-	return &Replayer{header: h, events: events}
-}
-
-// Header returns the trace header.
-func (r *Replayer) Header() Header { return r.header }
-
-// Run applies every remaining event in order. Note events are skipped
+// Replay drives x through a recorded trace in logical clock order. The
+// clock is the trace itself — replay never consults wall time, so
+// outcomes cannot depend on machine speed. Note events are skipped
 // (they carry no replay semantics). Any executor error is wrapped in a
-// DivergenceError naming the logical clock it happened at, so a
-// failing replay pinpoints the exact step of the recorded schedule.
-func (r *Replayer) Run(x Executor) error {
-	var last uint64
-	for ; r.pos < len(r.events); r.pos++ {
-		ev := r.events[r.pos]
-		if r.pos > 0 && ev.LC <= last {
-			return fmt.Errorf("%w: lc=%d after lc=%d", ErrOrder, ev.LC, last)
+// DivergenceError naming the logical clock it happened at, so a failing
+// replay pinpoints the exact step of the recorded schedule.
+func Replay(events []Event, x Executor) error {
+	for i, ev := range events {
+		if i > 0 && ev.LC <= events[i-1].LC {
+			return fmt.Errorf("%w: lc=%d after lc=%d", ErrOrder, ev.LC, events[i-1].LC)
 		}
-		last = ev.LC
 		if ev.Kind == EvNote {
 			continue
 		}

@@ -484,7 +484,7 @@ func ReplayTrace(h trace.Header, events []trace.Event) (SoakResult, error) {
 		return SoakResult{}, err
 	}
 	defer x.close()
-	if err := trace.NewReplayer(h, events).Run(x); err != nil {
+	if err := trace.Replay(events, x); err != nil {
 		return x.result(), err
 	}
 	if err := x.finish(); err != nil {
