@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt-check build test race short bench bench-smoke bench-e2e-test bench-pairs nemesis soak-smoke no-gob loc loc-check
+.PHONY: check vet fmt-check build test race short bench bench-smoke bench-e2e-test bench-pairs nemesis recovery-stress soak-smoke no-gob loc loc-check
 
 check: vet fmt-check no-gob loc-check test race
 
@@ -44,7 +44,10 @@ loc:
 # The ratchet: `make loc` may not rise unnoticed. A PR that needs more
 # lines raises LOC_BUDGET in its own diff, where a reviewer sees it; one
 # that removes lines lowers it to what it reaches.
-LOC_BUDGET = 6244
+# 6244 → 6268: a replica holder installs its replica on the promoted
+# spare itself (ReplFetchReq.InstallOn, fenced), so restored state
+# crosses the wire once instead of twice through the supervisor.
+LOC_BUDGET = 6268
 loc-check:
 	@loc=$$($(LOC)); echo "make loc: $$loc, LOC_BUDGET: $(LOC_BUDGET)"; \
 	test $$loc -le $(LOC_BUDGET) || { echo 'over budget: remove lines, or raise LOC_BUDGET in this diff'; exit 1; }
@@ -71,6 +74,13 @@ short:
 # PFS cold tier underneath a spilling, fail-stopping group).
 nemesis:
 	$(GO) test -race -run 'TestNemesis' -count=1 -timeout 10m ./internal/workflow/
+
+# Recovery timing gate: WaitIdle confirms a repaired group (no window
+# pads it), so the kill sweeps and the chaos soak that wait on it run
+# ten times each under the race detector. A flake seen here is filed in
+# CHANGES.md with its seed.
+recovery-stress:
+	$(GO) test -race -count=10 -timeout 20m -run 'TestWaitIdle|TestKillAnyServerAtAnyPoint|TestKillInsidePut|TestNemesisChaosSoak' ./internal/recovery ./internal/workflow
 
 # Bounded churn-soak gate: replay the checked-in regression traces
 # and the record-vs-replay determinism tests, then run two fresh

@@ -378,11 +378,11 @@ func FuzzDecode(f *testing.F) {
 }
 
 // TestCorruptCountAllocatesNothing is the regression for the 318 MiB
-// decode: a 12-byte ReplFetchResp whose dedup count claims 2^20
+// decode: a 12-byte ReplSnapshotReq whose dedup count claims 2^20
 // outcomes with nothing behind it. The count is bounded by the unread
 // input before anything is allocated for it.
 func TestCorruptCountAllocatesNothing(t *testing.T) {
-	body, err := codec.Append(nil, staging.ReplFetchResp{})
+	body, err := codec.Append(nil, staging.ReplSnapshotReq{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,6 +119,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Status is one watched slot's verdict and the send time of the last
+// probe it answered at its current address (zero until it answers one).
+type Status struct {
+	State State
+	Heard time.Time
+}
+
 // target is one probed server slot.
 type target struct {
 	id     int
@@ -126,6 +133,7 @@ type target struct {
 	conn   transport.Client
 	misses int
 	state  State
+	heard  time.Time
 }
 
 // Detector probes a set of staging servers and publishes liveness
@@ -141,6 +149,7 @@ type Detector struct {
 	mu      sync.Mutex
 	targets map[int]*target
 	subs    []chan Event
+	round   chan struct{} // closed+replaced after every probe round (Round)
 	started bool
 	closed  bool
 
@@ -158,25 +167,38 @@ func NewDetector(tr transport.Transport, from string, cfg Config) *Detector {
 		from:    from,
 		reg:     metrics.NewRegistry(),
 		targets: make(map[int]*target),
+		round:   make(chan struct{}),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 }
 
 // Metrics returns the registry recording health.probes, health.misses,
-// health.deaths, and health.rejoins.
+// health.deaths, health.rejoins, and health.rounds.
 func (d *Detector) Metrics() *metrics.Registry { return d.reg }
 
 // Window returns the worst-case detection latency: the time from a
 // fail-stop to the Dead verdict (DeadAfter missed periods plus one
-// probe timeout). Callers that need verdict stability — "nothing has
-// failed recently" — wait out a full window.
+// probe timeout). It sizes timeouts that must outlast a detection — the
+// supervisor's lease TTL and re-protection back-off — and is never a
+// wait for "nothing has failed recently": that is a condition on
+// answered probes (Statuses, Round).
 func (d *Detector) Window() time.Duration {
 	return time.Duration(d.cfg.DeadAfter)*d.cfg.Period + d.cfg.Timeout
 }
 
+// Round returns a channel that is closed when the probe round in
+// progress ends — every verdict of the round recorded and every
+// transition it caused already queued to subscribers — or when the
+// detector closes. Call it again for the next round.
+func (d *Detector) Round() <-chan struct{} {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.round
+}
+
 // Watch adds (or re-targets) membership slot id at addr. The slot
-// starts Alive with a clean miss count.
+// starts Alive with a clean miss count, not yet heard from.
 func (d *Detector) Watch(id int, addr string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -203,13 +225,15 @@ func (d *Detector) Subscribe() <-chan Event {
 	return ch
 }
 
-// States returns the current verdict per slot id.
-func (d *Detector) States() map[int]State {
+// Statuses returns the current verdict per slot id, with the send time
+// of the last probe each slot answered. Every transition behind these
+// verdicts is already queued to the subscribers.
+func (d *Detector) Statuses() map[int]Status {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(map[int]State, len(d.targets))
+	out := make(map[int]Status, len(d.targets))
 	for id, t := range d.targets {
-		out[id] = t.state
+		out[id] = Status{State: t.state, Heard: t.heard}
 	}
 	return out
 }
@@ -242,18 +266,20 @@ func (d *Detector) Close() error {
 
 func (d *Detector) closeSubs() {
 	d.mu.Lock()
-	d.closed = true
-	subs := d.subs
+	defer d.mu.Unlock()
+	for _, ch := range d.subs {
+		close(ch)
+	}
 	d.subs = nil
+	if !d.closed {
+		close(d.round) // after the subscriptions: a woken waiter finds them closed
+	}
+	d.closed = true
 	for _, t := range d.targets {
 		if t.conn != nil {
 			t.conn.Close()
 			t.conn = nil
 		}
-	}
-	d.mu.Unlock()
-	for _, ch := range subs {
-		close(ch)
 	}
 }
 
@@ -272,8 +298,8 @@ func (d *Detector) loop() {
 	}
 }
 
-// probeAll pings every target once, concurrently, and folds the
-// results into the miss counters.
+// probeAll pings every target once, concurrently, folds the results
+// into the miss counters, and ends the round.
 func (d *Detector) probeAll() {
 	d.mu.Lock()
 	snapshot := make([]*target, 0, len(d.targets))
@@ -283,19 +309,28 @@ func (d *Detector) probeAll() {
 	d.mu.Unlock()
 
 	type verdict struct {
-		t  *target
-		ok bool
+		t    *target
+		ok   bool
+		sent time.Time
 	}
 	results := make(chan verdict, len(snapshot))
 	for _, t := range snapshot {
 		go func(t *target) {
-			results <- verdict{t: t, ok: d.probe(t)}
+			sent := time.Now()
+			results <- verdict{t: t, ok: d.probe(t), sent: sent}
 		}(t)
 	}
 	for range snapshot {
 		v := <-results
-		d.record(v.t, v.ok)
+		d.record(v.t, v.ok, v.sent)
 	}
+	d.reg.Counter("health.rounds").Inc()
+	d.mu.Lock()
+	if !d.closed {
+		close(d.round)
+		d.round = make(chan struct{})
+	}
+	d.mu.Unlock()
 }
 
 // probe pings one target, bounded by the configured timeout. The
@@ -358,12 +393,14 @@ func (d *Detector) probe(t *target) bool {
 	}
 }
 
-// record folds one probe outcome into the target's state, publishing
-// transitions.
-func (d *Detector) record(t *target, ok bool) {
+// record folds one probe outcome, of a probe sent at sent, into the
+// target's state, publishing transitions. The transition is queued to
+// the subscribers under d.mu, so no one reads a verdict (Statuses)
+// whose transition is not queued yet.
+func (d *Detector) record(t *target, ok bool, sent time.Time) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.targets[t.id] != t {
-		d.mu.Unlock()
 		return // re-targeted mid-probe; verdict belongs to the old addr
 	}
 	var ev *Event
@@ -376,6 +413,9 @@ func (d *Detector) record(t *target, ok bool) {
 			ev = &Event{Server: t.id, Addr: t.addr, State: Alive}
 		}
 		t.misses = 0
+		if sent.After(t.heard) {
+			t.heard = sent
+		}
 	} else {
 		d.reg.Counter("health.misses").Inc()
 		t.misses++
@@ -389,12 +429,10 @@ func (d *Detector) record(t *target, ok bool) {
 			ev = &Event{Server: t.id, Addr: t.addr, State: Suspect, Misses: t.misses}
 		}
 	}
-	subs := d.subs
-	d.mu.Unlock()
 	if ev == nil {
 		return
 	}
-	for _, ch := range subs {
+	for _, ch := range d.subs {
 		select {
 		case ch <- *ev:
 		default: // subscriber far behind; drop the oldest transition

@@ -77,8 +77,8 @@ func TestDetectorDeathAndRejoin(t *testing.T) {
 	if ev.Misses < 4 {
 		t.Fatalf("dead event %+v", ev)
 	}
-	if d.States()[0] != Dead {
-		t.Fatalf("state = %v", d.States()[0])
+	if d.Statuses()[0].State != Dead {
+		t.Fatalf("state = %v", d.Statuses()[0].State)
 	}
 	if d.Metrics().Counter("health.deaths").Value() != 1 {
 		t.Fatalf("deaths = %d", d.Metrics().Counter("health.deaths").Value())
@@ -126,8 +126,70 @@ func TestDetectorSetAddrResetsVerdict(t *testing.T) {
 	// to Alive without a rejoin event (fresh target, clean slate).
 	d.SetAddr(0, "srv/new")
 	time.Sleep(50 * time.Millisecond)
-	if got := d.States()[0]; got != Alive {
+	if got := d.Statuses()[0].State; got != Alive {
 		t.Fatalf("re-targeted slot state = %v", got)
+	}
+}
+
+// TestDetectorHeardAndRounds: a slot is heard at the send time of the
+// last probe it answered — a probe it misses moves nothing, a re-target
+// forgets it — and Round closes once per probe round, then for good at
+// Close. Everything is counted in rounds, not time.
+func TestDetectorHeardAndRounds(t *testing.T) {
+	tr := transport.NewInProc()
+	var alive atomic.Bool
+	alive.Store(true)
+	for _, addr := range []string{"srv/0", "srv/new"} {
+		closer, err := tr.Listen(addr, pingHandler(0, &alive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closer.Close()
+	}
+	d := NewDetector(tr, "test/0", Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond, SuspectAfter: 50, DeadAfter: 100})
+	defer d.Close()
+	d.Watch(0, "srv/0")
+	rounds := func(n int) {
+		for i := 0; i < n; i++ {
+			<-d.Round()
+		}
+	}
+	if st := d.Statuses()[0]; st.State != Alive || !st.Heard.IsZero() {
+		t.Fatalf("watched, never probed: %+v, want alive and unheard", st)
+	}
+	started := time.Now()
+	d.Start()
+	rounds(1) // the first round's probe leaves after Start
+	if heard := d.Statuses()[0].Heard; heard.Before(started) {
+		t.Fatalf("after one round heard at %v, before Start at %v", heard, started)
+	}
+	if n := d.Metrics().Counter("health.rounds").Value(); n < 1 {
+		t.Fatalf("health.rounds = %d after one round", n)
+	}
+
+	alive.Store(false)
+	rounds(1) // the round in progress may still be answered; later ones are not
+	last := d.Statuses()[0].Heard
+	rounds(2)
+	if got := d.Statuses()[0].Heard; !got.Equal(last) {
+		t.Fatalf("missed probes moved heard from %v to %v", last, got)
+	}
+
+	alive.Store(true)
+	d.SetAddr(0, "srv/new")
+	if st := d.Statuses()[0]; !st.Heard.IsZero() {
+		t.Fatalf("re-targeted slot still heard at %v", st.Heard)
+	}
+	rounds(2)
+	if st := d.Statuses()[0]; st.State != Alive || st.Heard.IsZero() {
+		t.Fatalf("re-targeted slot after two rounds: %+v, want alive and heard", st)
+	}
+
+	d.Close()
+	select {
+	case <-d.Round():
+	default:
+		t.Fatal("Round still open after Close")
 	}
 }
 

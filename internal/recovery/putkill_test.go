@@ -172,26 +172,36 @@ func (h *harness) mustExec(t *testing.T, o wfOp) {
 	}
 }
 
-// replicaPuts fetches the replica of slot from its membership successor
-// and returns the bboxes of app's logged v2 puts, in log order.
+// replicaPuts has the replica of slot on its membership successor
+// installed on a stand-in spare that keeps what it is sent, and returns
+// the bboxes of app's logged v2 puts, in log order.
 func (h *harness) replicaPuts(t *testing.T, slot int, app string) []domain.BBox {
 	t.Helper()
+	const standIn = "stage/stand-in"
+	var got staging.ReplState
+	closer, err := h.tr.Listen(standIn, func(req any) (any, error) {
+		got = req.(staging.FencedReq).Req.(staging.WlogInstallReq).State
+		return staging.WlogInstallResp{Records: got.Seq}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
 	addrs := h.g.Pool.Addrs()
 	conn, err := h.tr.Dial(addrs[(slot+1)%len(addrs)])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	raw, err := conn.Call(staging.ReplFetchReq{Slot: slot})
+	raw, err := conn.Call(staging.FencedReq{Token: h.sup.Token(), Req: staging.ReplFetchReq{Slot: slot, InstallOn: standIn}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, ok := raw.(staging.ReplFetchResp)
-	if !ok || !resp.Found {
+	if resp, ok := raw.(staging.ReplFetchResp); !ok || !resp.Found {
 		t.Fatalf("replica of slot %d: %+v", slot, raw)
 	}
 	log := wlog.New()
-	if err := log.Restore(resp.State.Wlog); err != nil {
+	if err := log.Restore(got.Wlog); err != nil {
 		t.Fatal(err)
 	}
 	var out []domain.BBox

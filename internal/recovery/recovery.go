@@ -120,7 +120,13 @@ type Supervisor struct {
 	token   uint64 // lease token while leader
 	maxSeen uint64 // highest token observed cluster-wide
 	dead    map[int]*deadSlot
-	wake    chan struct{} // closed+replaced on every state change (WaitIdle)
+	wake    chan struct{} // closed+replaced when seen or settled moves (WaitIdle)
+	// seen is the detector's verdicts as of the last probe round whose
+	// transitions the loop has handled (nil before the first), and
+	// settled the last moment a recovery was in flight: what WaitIdle
+	// decides on.
+	seen    map[int]health.Status
+	settled time.Time
 }
 
 // New wires a supervisor over a running detector and membership. It
@@ -227,7 +233,6 @@ func (s *Supervisor) Close() error {
 func (s *Supervisor) Kill() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.det.Close()
-	s.wakeWaiters()
 }
 
 func (s *Supervisor) stopped() bool {
@@ -239,82 +244,77 @@ func (s *Supervisor) stopped() bool {
 	}
 }
 
-// wakeChan returns the channel WaitIdle parks on; wakeWaiters closes
-// and replaces it on every supervisor state change.
-func (s *Supervisor) wakeChan() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wake
-}
-
-func (s *Supervisor) wakeWaiters() {
-	s.mu.Lock()
+// wakeLocked wakes every WaitIdle caller to re-check its condition.
+// Caller holds s.mu.
+func (s *Supervisor) wakeLocked() {
 	close(s.wake)
 	s.wake = make(chan struct{})
-	s.mu.Unlock()
 }
 
-// WaitIdle blocks until every membership slot has been Alive — with no
-// recovery in flight — for a full detection window, or the timeout
-// expires. Requiring a quiet window rather than an instantaneous check
-// closes the race where a server just died but the detector has not
-// yet missed a probe. A workflow calls WaitIdle before re-binding
-// clients so promoted addresses are in place. The wait is event-driven:
-// it parks on supervisor wakeups (detector transitions, promotion
-// start/finish, membership changes) instead of busy-polling, so idle
-// groups cost nothing on the fault-free path.
+// WaitIdle blocks until the group is confirmed repaired, or the timeout
+// expires: no recovery is in flight, and every watched slot is Alive
+// and has answered a probe sent after the later of the call and the
+// last moment a recovery was in flight. A member killed before the call
+// can never answer, and a promoted spare (its slot re-targeted, so not
+// heard yet) must answer before WaitIdle returns; a member that rejoins
+// has been re-sent the view by then. A workflow calls WaitIdle before
+// re-binding clients so promoted addresses are in place. The wait parks
+// on supervisor wakeups — one per probe round the loop has handled, and
+// one per recovery ending — so it returns within a probe round of the
+// repair. A stopped supervisor confirms nothing: WaitIdle fails at once.
 func (s *Supervisor) WaitIdle(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	quiet := s.det.Window()
-	var quietSince time.Time
-	timer := time.NewTimer(quiet)
+	since := time.Now()
+	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	for {
-		wake := s.wakeChan()
-		idle := s.reg.Counter("recovery.in_flight").Value() == 0 && s.allAlive()
-		now := time.Now()
+		s.mu.Lock()
+		wake, idle := s.wake, s.idleLocked(since)
+		s.mu.Unlock()
+		if s.stopped() {
+			return errors.New("recovery: supervisor stopped")
+		}
 		if idle {
-			if quietSince.IsZero() {
-				quietSince = now
-			}
-			if now.Sub(quietSince) >= quiet {
-				return nil
-			}
-		} else {
-			quietSince = time.Time{}
+			return nil
 		}
-		if now.After(deadline) {
-			return fmt.Errorf("recovery: not idle after %v (states %v)", timeout, s.det.States())
-		}
-		// Sleep until the next decision point: the quiet window filling,
-		// the deadline, or a state-change wakeup — whichever is first.
-		next := deadline.Sub(now)
-		if idle {
-			if q := quiet - now.Sub(quietSince); q < next {
-				next = q
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(next)
 		select {
 		case <-wake:
+		case <-s.stop:
 		case <-timer.C:
+			return fmt.Errorf("recovery: not idle after %v (verdicts %v)", timeout, s.det.Statuses())
 		}
 	}
 }
 
-func (s *Supervisor) allAlive() bool {
-	for _, st := range s.det.States() {
-		if st != health.Alive {
+// idleLocked is WaitIdle's condition for a call made at since. Caller
+// holds s.mu.
+func (s *Supervisor) idleLocked(since time.Time) bool {
+	if s.seen == nil || s.reg.Counter("recovery.in_flight").Value() > 0 {
+		return false
+	}
+	if s.settled.After(since) {
+		since = s.settled
+	}
+	for _, st := range s.seen {
+		if st.State != health.Alive || st.Heard.Before(since) {
 			return false
 		}
 	}
 	return true
+}
+
+// beginRecovery and endRecovery bracket one promotion attempt for
+// WaitIdle: it holds while one is in flight and, after it, until every
+// slot answers a probe sent once it ended.
+func (s *Supervisor) beginRecovery() {
+	s.reg.Counter("recovery.in_flight").Inc()
+}
+
+func (s *Supervisor) endRecovery() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reg.Counter("recovery.in_flight").Add(-1)
+	s.settled = time.Now()
+	s.wakeLocked()
 }
 
 // renewEvery is the lease maintenance period: a third of the TTL so a
@@ -335,6 +335,7 @@ func (s *Supervisor) loop() {
 	defer close(s.done)
 	tick := time.NewTicker(s.renewEvery())
 	defer tick.Stop()
+	round := s.det.Round()
 	for {
 		select {
 		case <-s.stop:
@@ -344,12 +345,42 @@ func (s *Supervisor) loop() {
 				return
 			}
 			s.handleEvent(ev)
+		case <-round:
+			round = s.det.Round()
+			if !s.confirmRound() {
+				return
+			}
 		case ch := <-s.memCh:
 			s.handleChange(ch)
 		case <-tick.C:
 			s.tick()
 		}
 	}
+}
+
+// confirmRound takes the detector's verdicts as of the probe round that
+// just ended, handles every transition queued behind them (a rejoined
+// member is re-sent the view here), and only then publishes them to
+// WaitIdle — so it never sees an answer the supervisor has not acted on.
+// It reports false once the detector is closed.
+func (s *Supervisor) confirmRound() bool {
+	seen := s.det.Statuses()
+	for drained := false; !drained; {
+		select {
+		case ev, ok := <-s.events:
+			if !ok {
+				return false
+			}
+			s.handleEvent(ev)
+		default:
+			drained = true
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seen = seen
+	s.wakeLocked()
+	return true
 }
 
 // tick maintains the lease — renew as leader, campaign as standby —
@@ -407,7 +438,6 @@ func (s *Supervisor) handleEvent(ev health.Event) {
 			}
 		}
 	}
-	s.wakeWaiters()
 }
 
 // handleChange follows a membership write made by whichever supervisor
@@ -422,7 +452,6 @@ func (s *Supervisor) handleChange(ch health.Change) {
 	if wasDead && s.cfg.OnSlotDown != nil {
 		s.cfg.OnSlotDown(ch.Server, false)
 	}
-	s.wakeWaiters()
 }
 
 func (s *Supervisor) isLeader() bool {
@@ -443,7 +472,6 @@ func (s *Supervisor) stepDown() {
 	s.mu.Lock()
 	s.leader = false
 	s.mu.Unlock()
-	s.wakeWaiters()
 }
 
 // observeDeposed records a server-side fencing rejection: a newer
@@ -533,7 +561,6 @@ func (s *Supervisor) campaign() bool {
 	// Seal the in-process membership too, so a deposed leader sharing
 	// this Membership object cannot race a stale Replace past us.
 	s.mem.Fence(token)
-	s.wakeWaiters()
 	s.onElected(token)
 	return true
 }
@@ -631,11 +658,9 @@ func (s *Supervisor) resume(in staging.PromotionIntent) {
 	}
 	s.mu.Unlock()
 	s.reg.Counter("recovery.intent_resumes").Inc()
-	s.reg.Counter("recovery.in_flight").Inc()
-	s.wakeWaiters()
+	s.beginRecovery()
 	s.promote(in.Slot, in.DeadAddr, spare)
-	s.reg.Counter("recovery.in_flight").Add(-1)
-	s.wakeWaiters()
+	s.endRecovery()
 }
 
 // sweep drives the dead-slot backlog as leader: every backlogged slot
@@ -677,12 +702,8 @@ func (s *Supervisor) recoverSlot(slot int) {
 	s.mu.Unlock()
 
 	start := time.Now()
-	s.reg.Counter("recovery.in_flight").Inc()
-	s.wakeWaiters()
-	defer func() {
-		s.reg.Counter("recovery.in_flight").Add(-1)
-		s.wakeWaiters()
-	}()
+	s.beginRecovery()
+	defer s.endRecovery()
 
 	spare, ok := s.spares.TakeSpareFor(slot)
 	if !ok {
@@ -797,7 +818,6 @@ func (s *Supervisor) dropDead(slot int) {
 	if ok && s.cfg.OnSlotDown != nil {
 		s.cfg.OnSlotDown(slot, false)
 	}
-	s.wakeWaiters()
 }
 
 // giveBack refunds a spare the promotion could not spend, clearing the
@@ -854,19 +874,20 @@ func fencedCall[R any](s *Supervisor, addr string, token uint64, req any) (R, er
 }
 
 // restoreLog restores the dead slot's replicated event-log state onto
-// the spare: every surviving member is asked for the replica it hosts
-// of that slot, the freshest answer — the highest stream position —
-// wins (ties go to the lowest-numbered responder), and it is installed
-// on the spare with a fenced WlogInstallReq before the membership
-// moves. Flush-before-ack on the origin guarantees the freshest
-// surviving replica holds every acknowledged operation. Finding no
-// replica is not fatal — the slot comes up empty, the pre-replication
-// behavior — but it is counted, because with replication enabled it
-// means the queues died with the server. It reports whether the
-// promotion may proceed.
+// the spare before the membership moves. Every surviving member is
+// asked for its replica's position only; the freshest holder — the
+// highest stream position, ties to the lowest-numbered — is then told,
+// under this leader's fencing token, to install its replica on the
+// spare itself. The supervisor relays no state: the replica crosses the
+// wire once, holder to spare, and no losing copy crosses at all.
+// Flush-before-ack on the origin guarantees the freshest surviving
+// replica holds every acknowledged operation. Finding no replica is not
+// fatal — the slot comes up empty, the pre-replication behavior — but
+// it is counted, because with replication enabled it means the queues
+// died with the server. It reports whether the promotion may proceed.
 func (s *Supervisor) restoreLog(deadSlot int, spareAddr string, token uint64) bool {
 	addrs := s.mem.Addrs()
-	var best *staging.ReplState
+	holder := ""
 	minSeq, maxSeq := int64(-1), int64(-1)
 	for i, addr := range addrs {
 		if i == deadSlot {
@@ -876,20 +897,19 @@ func (s *Supervisor) restoreLog(deadSlot int, spareAddr string, token uint64) bo
 		if err != nil || !resp.Found {
 			continue
 		}
-		if minSeq < 0 || resp.State.Seq < minSeq {
-			minSeq = resp.State.Seq
+		if minSeq < 0 || resp.Seq < minSeq {
+			minSeq = resp.Seq
 		}
-		if resp.State.Seq > maxSeq {
-			maxSeq = resp.State.Seq
-			st := resp.State
-			best = &st
+		if resp.Seq > maxSeq {
+			maxSeq, holder = resp.Seq, addr
 		}
 	}
-	if best == nil {
+	if holder == "" {
 		s.reg.Counter("recovery.log_missing").Inc()
 		return true
 	}
-	if _, err := fencedCall[staging.WlogInstallResp](s, spareAddr, token, staging.WlogInstallReq{Slot: deadSlot, State: *best}); err != nil {
+	resp, err := fencedCall[staging.ReplFetchResp](s, holder, token, staging.ReplFetchReq{Slot: deadSlot, InstallOn: spareAddr})
+	if err != nil || !resp.Found {
 		if staging.IsFenced(err) {
 			s.observeDeposed()
 			return false
@@ -897,13 +917,9 @@ func (s *Supervisor) restoreLog(deadSlot int, spareAddr string, token uint64) bo
 		s.reg.Counter("recovery.failed_log_restores").Inc()
 		return false
 	}
-	restored := int64(len(best.Wlog))
-	for _, o := range best.Objects {
-		restored += int64(len(o.Data))
-	}
 	s.reg.Counter("recovery.log_restores").Inc()
-	s.reg.Counter("recovery.log_records").Add(best.Seq)
-	s.reg.Counter("recovery.log_bytes").Add(restored)
+	s.reg.Counter("recovery.log_records").Add(resp.Seq)
+	s.reg.Counter("recovery.log_bytes").Add(resp.Bytes)
 	s.reg.Counter("recovery.log_lag").Add(maxSeq - minSeq)
 	s.scrubTier(spareAddr, token)
 	return true

@@ -293,19 +293,21 @@ type ReplSnapshotResp struct {
 	Seq int64
 }
 
-// ReplFetchReq asks a server for the replica it hosts of Slot's state;
-// the recovery supervisor queries survivors and restores the freshest
-// answer onto the spare it promotes.
+// ReplFetchReq asks for the position of the replica a server hosts of
+// Slot. With InstallOn (sent fenced) the server installs the replica on
+// that spare itself, under the same token: it crosses the wire once.
 type ReplFetchReq struct {
-	Slot int
+	Slot      int
+	InstallOn string
 }
 
-// ReplFetchResp returns the hosted replica (Found=false when this
-// server holds none).
+// ReplFetchResp is the replica's position (Found=false: none here); after
+// an install, the records installed and the log and payload bytes.
 type ReplFetchResp struct {
 	Found bool
 	Epoch uint64
-	State ReplState
+	Seq   int64
+	Bytes int64
 }
 
 // WlogInstallReq restores a replicated state snapshot onto the

@@ -663,7 +663,13 @@ func (s *Server) handleReplSnapshot(r ReplSnapshotReq) (any, error) {
 	return ReplSnapshotResp{Seq: rep.seq}, nil
 }
 
-func (s *Server) handleReplFetch(r ReplFetchReq) (any, error) {
+// handleReplFetch answers a position query or, with InstallOn and the
+// fencing token the request came under, installs the hosted replica on
+// the spare itself: exported under rep.mu, shipped without it.
+func (s *Server) handleReplFetch(r ReplFetchReq, token uint64) (any, error) {
+	if r.InstallOn != "" && (token == 0 || s.repl == nil) {
+		return nil, fmt.Errorf("staging: server %d installs replica slot %d only fenced, with replication on", s.id, r.Slot)
+	}
 	s.replicas.mu.Lock()
 	rep, ok := s.replicas.slots[r.Slot]
 	s.replicas.mu.Unlock()
@@ -671,12 +677,25 @@ func (s *Server) handleReplFetch(r ReplFetchReq) (any, error) {
 		return ReplFetchResp{}, nil
 	}
 	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	st, err := exportState(rep.seq, rep.log, rep.store, rep.locks.Export(nil))
-	if err != nil {
-		return nil, fmt.Errorf("staging: replica slot %d export: %w", r.Slot, err)
+	resp := ReplFetchResp{Found: true, Epoch: rep.epoch, Seq: rep.seq}
+	if r.InstallOn == "" {
+		rep.mu.Unlock()
+		return resp, nil
 	}
-	return ReplFetchResp{Found: true, Epoch: rep.epoch, State: st}, nil
+	st, err := exportState(rep.seq, rep.log, rep.store, rep.locks.Export(nil))
+	rep.mu.Unlock()
+	if err == nil {
+		install := FencedReq{Token: token, Req: WlogInstallReq{Slot: r.Slot, State: st}}
+		_, err = transport.CallOnce[WlogInstallResp](s.repl.tr, r.InstallOn, install)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("staging: install replica slot %d on %s: %w", r.Slot, r.InstallOn, err)
+	}
+	resp.Bytes = int64(len(st.Wlog))
+	for _, o := range st.Objects {
+		resp.Bytes += int64(len(o.Data))
+	}
+	return resp, nil
 }
 
 // handleWlogInstall restores a replicated state snapshot onto this

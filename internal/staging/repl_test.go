@@ -26,18 +26,23 @@ func replGroup(t *testing.T, nservers, k int) *Group {
 	return g
 }
 
-// fetchReplica returns the replica of slot hosted on server host.
+// fetchReplica returns the replica of slot hosted on server host, as it
+// would install it on a spare.
 func fetchReplica(t *testing.T, host *Server, slot int) ReplState {
 	t.Helper()
-	raw, err := host.handleReplFetch(ReplFetchReq{Slot: slot})
+	host.replicas.mu.Lock()
+	rep, ok := host.replicas.slots[slot]
+	host.replicas.mu.Unlock()
+	if !ok {
+		t.Fatalf("fetch slot %d: replica not found", slot)
+	}
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	st, err := exportState(rep.seq, rep.log, rep.store, rep.locks.Export(nil))
 	if err != nil {
 		t.Fatalf("fetch slot %d: %v", slot, err)
 	}
-	resp := raw.(ReplFetchResp)
-	if !resp.Found {
-		t.Fatalf("fetch slot %d: replica not found", slot)
-	}
-	return resp.State
+	return st
 }
 
 // TestReplicationMirrorsLogState drives the logged protocol and checks
@@ -199,7 +204,7 @@ func TestNoReplicationWithoutOptIn(t *testing.T) {
 	if err := c.PutWithLog("field", 1, global, fill(domain.BufLen(global, 8), 5)); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := g.Server(1).handleReplFetch(ReplFetchReq{Slot: 0})
+	raw, err := g.Server(1).handleReplFetch(ReplFetchReq{Slot: 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

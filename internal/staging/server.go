@@ -260,6 +260,9 @@ func (s *Server) dispatch(req any) (any, error) {
 			s.reg.Counter("fenced_rejects").Inc()
 			return nil, err
 		}
+		if f, ok := r.Req.(ReplFetchReq); ok {
+			return s.handleReplFetch(f, r.Token) // an install it forwards carries the token
+		}
 		return s.dispatch(r.Req)
 	case LeaseCASReq:
 		return s.lease.cas(r, time.Now()), nil
@@ -304,7 +307,7 @@ func (s *Server) dispatch(req any) (any, error) {
 	case ReplSnapshotReq:
 		return s.handleReplSnapshot(r)
 	case ReplFetchReq:
-		return s.handleReplFetch(r)
+		return s.handleReplFetch(r, 0)
 	case WlogInstallReq:
 		return s.handleWlogInstall(r)
 	case TraceReq:

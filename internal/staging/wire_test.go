@@ -83,8 +83,8 @@ func TestFastpathRoundTrip(t *testing.T) {
 		ReplApplyResp{NeedSnapshot: true, Seq: 12},
 		ReplSnapshotReq{Epoch: 5, Slot: 1, State: state},
 		ReplSnapshotResp{Seq: 42},
-		ReplFetchReq{Slot: 2},
-		ReplFetchResp{Found: true, Epoch: 5, State: state},
+		ReplFetchReq{Slot: 2, InstallOn: "spare/0"},
+		ReplFetchResp{Found: true, Epoch: 5, Seq: 42, Bytes: 10},
 		WlogInstallReq{Slot: 1, State: state},
 		WlogInstallResp{Records: 99},
 	}
@@ -140,7 +140,7 @@ func listenTCP(t *testing.T, s *Server) transport.Client {
 }
 
 // wireBytes returns the payload bytes a response carries back, for the
-// three responses that do.
+// two responses that do.
 func wireBytes(resp any) (data []byte, carries bool) {
 	switch r := resp.(type) {
 	case GetResp:
@@ -149,10 +149,6 @@ func wireBytes(resp any) (data []byte, carries bool) {
 		}
 	case ShardGetResp:
 		data = r.Data
-	case ReplFetchResp:
-		if len(r.State.Objects) == 1 {
-			data = r.State.Objects[0].Data
-		}
 	default:
 		return nil, false
 	}
@@ -250,11 +246,11 @@ func TestWireCompleteness(t *testing.T) {
 	})
 }
 
-// TestNoGobInFrames: ReplState.Wlog rides inside ReplSnapshotReq,
-// ReplFetchResp and WlogInstallReq as opaque bytes, so an import check
-// cannot see what encodes them. They are a codec message — decoded from
-// network input under the codec's bounds, never a second codec's stream
-// — whether a server built the state or a replica exported it.
+// TestNoGobInFrames: ReplState.Wlog rides inside ReplSnapshotReq and
+// WlogInstallReq as opaque bytes, so an import check cannot see what
+// encodes them. They are a codec message — decoded from network input
+// under the codec's bounds, never a second codec's stream — whether a
+// server built the state or a replica exported it.
 func TestNoGobInFrames(t *testing.T) {
 	g := replGroup(t, 2, 1)
 	prod, _ := g.NewClient("sim/0")

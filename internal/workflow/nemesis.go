@@ -265,7 +265,23 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 
 	// Optional transient chaos riding on top of the deterministic
 	// deaths: blackouts against servers, random supervisor kills within
-	// the kill budget.
+	// the kill budget. The schedule is wall-clock and the run may end
+	// inside its horizon, so its timers are kept: the settle phase stops
+	// the pending ones (chaosFired counts the callbacks that ran or may
+	// still run) and waits out the last blackout one fired (blackoutEnd).
+	var (
+		chaosTimers []*time.Timer
+		chaosFired  sync.WaitGroup
+		blackoutMu  sync.Mutex
+		blackoutEnd time.Time
+	)
+	chaosAt := func(at time.Duration, f func()) {
+		chaosFired.Add(1)
+		chaosTimers = append(chaosTimers, time.AfterFunc(at, func() {
+			defer chaosFired.Done()
+			f()
+		}))
+	}
 	if o.Chaos > 0 {
 		sched, err := failure.Nemesis(o.Seed, o.Chaos, 300*time.Millisecond, 40*time.Millisecond, o.Servers, o.Supervisors-1)
 		if err != nil {
@@ -277,11 +293,16 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 			inj := inj
 			switch inj.Kind {
 			case failure.ServerCrash:
-				time.AfterFunc(inj.At-time.Since(start), func() {
+				chaosAt(inj.At-time.Since(start), func() {
 					tr.Blackout(addrs[inj.Server], inj.Duration)
+					blackoutMu.Lock()
+					if end := time.Now().Add(inj.Duration); end.After(blackoutEnd) {
+						blackoutEnd = end
+					}
+					blackoutMu.Unlock()
 				})
 			case failure.SupervisorKill:
-				time.AfterFunc(inj.At-time.Since(start), func() {
+				chaosAt(inj.At-time.Since(start), func() {
 					killMu.Lock()
 					ok := killsLeft > 0 && !killed[inj.Server] && inj.Server != o.Supervisors-1
 					if ok {
@@ -572,6 +593,16 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 			conn.Close()
 		}
 	}
+
+	// Stop the chaos schedule before settling: the harvest below calls
+	// every server once, unretried, so no blackout may be live then.
+	for _, t := range chaosTimers {
+		if t.Stop() {
+			chaosFired.Done()
+		}
+	}
+	chaosFired.Wait()
+	time.Sleep(time.Until(blackoutEnd))
 
 	// Settle: the lease must converge on exactly one holder — a leader
 	// killed at the tail of a promotion leaves takeover (and the
