@@ -66,12 +66,13 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Short nemesis soak under the race detector: seeded supervisor/server
-# kill schedules over the HA-recovery stack (leader killed at every
-# promotion stage, deposed-leader fencing, spare exhaustion, chaos,
-# the tenant-overload soak composing fail-stops with a shed flood, and
-# the storage-fault tier soak tearing, rotting, and ENOSPC-failing the
-# PFS cold tier underneath a spilling, fail-stopping group).
+# The nemesis schedules under the race detector: seeded soak traces
+# (internal/workflow/soak.go) of supervisor/server kills over the
+# HA-recovery stack — leader killed at every promotion stage,
+# deposed-leader fencing, spare exhaustion, Churn-drawn chaos, a shed
+# flood around a promoting fail-stop, and storage faults tearing,
+# rotting, and ENOSPC-failing the cold tier under a spilling group.
+# Every run's last barrier checks the recovery ledger.
 nemesis:
 	$(GO) test -race -run 'TestNemesis' -count=1 -timeout 10m ./internal/workflow/
 
@@ -83,8 +84,8 @@ recovery-stress:
 	$(GO) test -race -count=10 -timeout 20m -run 'TestWaitIdle|TestKillAnyServerAtAnyPoint|TestKillInsidePut|TestNemesisChaosSoak' ./internal/recovery ./internal/workflow
 
 # Bounded churn-soak gate: replay the checked-in regression traces
-# and the record-vs-replay determinism tests, then run two fresh
-# wfbench soak seeds end to end (record, execute, replay, compare
+# (each twice) and the record-vs-replay determinism tests, then run two
+# fresh wfbench soak seeds end to end (record, execute, replay, compare
 # digests). Stays well under two minutes.
 soak-smoke:
 	$(GO) test -run 'TestSoakReplayDeterministic|TestSoakDivergenceDeterministic|TestReplayRegression' -count=1 -timeout 5m ./internal/workflow/

@@ -23,7 +23,7 @@ func soakExp(p params) error {
 	}
 	t := &expt.Table{
 		Title:   "Churn soak: recorded fault schedules, record vs replay digests",
-		Headers: []string{"seed", "events", "puts", "gets", "restarts", "failstops", "blackouts", "tierfaults", "floods/sheds", "retries", "wall", "verdict"},
+		Headers: []string{"seed", "events", "puts", "gets", "restarts", "failstops", "promotions", "sup-kills", "blackouts", "tierfaults", "floods/sheds", "retries", "wall", "verdict"},
 	}
 	failures := 0
 	for _, seed := range p.seeds {
@@ -56,7 +56,7 @@ func soakExp(p params) error {
 				fmt.Fprintf(os.Stderr, "wfbench: soak seed %d failed; trace saved to %s\n", seed, path)
 			}
 		}
-		t.Add(seed, len(events), rec.Puts, rec.Gets, rec.Restarts, rec.FailStops, rec.Blackouts,
+		t.Add(seed, len(events), rec.Puts, rec.Gets, rec.Restarts, rec.FailStops, rec.Promotions, rec.SupKills, rec.Blackouts,
 			rec.TierFaults, fmt.Sprintf("%d/%d", rec.FloodPuts, rec.FloodSheds), rec.Retries,
 			time.Since(start).Round(time.Millisecond), verdict)
 	}
@@ -78,8 +78,8 @@ func soakReplay(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replay ok: digest=%#x state=%#x puts=%d gets=%d restarts=%d retries=%d\n",
-		res.Digest, res.StateSum, res.Puts, res.Gets, res.Restarts, res.Retries)
+	fmt.Printf("replay ok: digest=%#x state=%#x puts=%d gets=%d restarts=%d promotions=%d sup-kills=%d retries=%d\n",
+		res.Digest, res.StateSum, res.Puts, res.Gets, res.Restarts, res.Promotions, res.SupKills, res.Retries)
 	return nil
 }
 

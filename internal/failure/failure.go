@@ -7,7 +7,6 @@ package failure
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -37,20 +36,20 @@ const (
 	// back.
 	ServerFailStop
 	// SupervisorKill kills one recovery supervisor (Server indexes the
-	// supervisor, not a staging server). The nemesis harness
-	// (internal/workflow.RunNemesis) consumes it to crash leaders
-	// mid-promotion; the chaos transport ignores it.
+	// supervisor, not a staging server). The trace-recorded soak
+	// (internal/workflow) replays it as an EvSupervisorKill; the chaos
+	// transport ignores it.
 	SupervisorKill
 	// TenantOverload floods the staging group with low-priority tenant
 	// puts for Duration — offered load, not a fault in the transport
-	// sense. The nemesis harness consumes it to drive the admission
-	// control layer (internal/qos) while real faults are in flight; the
-	// chaos transport ignores it.
+	// sense. The soak replays it as an EvFlood burst against the
+	// admission control layer (internal/qos); the chaos transport
+	// ignores it.
 	TenantOverload
 	// The PFS* kinds target the cold-tier backend (internal/pfs) of one
-	// staging server rather than the network: the nemesis harness arms
-	// them on the server's tier store (FailNextWriteAt, Corrupt,
-	// SetSlowIO); the chaos transport ignores them.
+	// staging server rather than the network: the soak arms them on the
+	// server's tier store (FailNextWriteAt, Corrupt, SetSlowIO) as
+	// EvTierFault events; the chaos transport ignores them.
 
 	// PFSTornWrite truncates the next tier write mid-record.
 	PFSTornWrite
@@ -106,7 +105,8 @@ type Injection struct {
 	Component string
 	// Rank is the failing rank within the component (RankFailStop).
 	Rank int
-	// Server is the target staging server id (ServerCrash/Net*).
+	// Server is the target staging server id (ServerCrash/Net*), or the
+	// supervisor (SupervisorKill).
 	Server int
 	// Duration is the fault window length (ServerCrash/Net*/PFSSlowIO);
 	// fail-stops — rank or server — are instantaneous and carry zero
@@ -233,118 +233,6 @@ func Chaos(seed int64, n int, horizon, meanFault time.Duration, nServers int, ki
 	return sched, nil
 }
 
-// Nemesis draws a recovery-soak schedule: n faults uniformly over
-// (0, horizon) mixing permanent staging-server fail-stops, transient
-// server blackouts of mean length meanFault, and supervisor kills
-// (Server indexes the supervisor for those). It is the generator
-// behind the nemesis harness (internal/workflow.RunNemesis), which
-// concurrently kills supervisors, staging servers, and ranks and then
-// asserts the standing invariants. Deterministic for a given seed.
-func Nemesis(seed int64, n int, horizon, meanFault time.Duration, nServers, nSupervisors int) (Schedule, error) {
-	if horizon <= time.Nanosecond {
-		return nil, fmt.Errorf("failure: horizon %v too short", horizon)
-	}
-	if meanFault <= 0 {
-		return nil, fmt.Errorf("failure: non-positive mean fault duration %v", meanFault)
-	}
-	if nServers <= 0 || nSupervisors <= 0 {
-		return nil, fmt.Errorf("failure: nemesis needs servers (%d) and supervisors (%d)", nServers, nSupervisors)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	sched := make(Schedule, 0, n)
-	for i := 0; i < n; i++ {
-		at := time.Duration(rng.Int63n(int64(horizon)-1)) + 1
-		switch rng.Intn(3) {
-		case 0:
-			sched = append(sched, Injection{At: at, Kind: ServerFailStop, Server: rng.Intn(nServers)})
-		case 1:
-			dur := meanFault/2 + time.Duration(rng.Int63n(int64(meanFault)))
-			sched = append(sched, Injection{At: at, Kind: ServerCrash, Server: rng.Intn(nServers), Duration: dur})
-		case 2:
-			sched = append(sched, Injection{At: at, Kind: SupervisorKill, Server: rng.Intn(nSupervisors)})
-		}
-	}
-	sort.Slice(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
-	return sched, nil
-}
-
-// NemesisOverload draws a schedule composing permanent staging-server
-// fail-stops with tenant overload windows of mean length meanFault —
-// the soak for the admission-control layer: recovery promotions must
-// complete, and quotas must hold, while a low-priority tenant floods
-// the group. Deterministic for a given seed.
-func NemesisOverload(seed int64, n int, horizon, meanFault time.Duration, nServers int) (Schedule, error) {
-	if horizon <= time.Nanosecond {
-		return nil, fmt.Errorf("failure: horizon %v too short", horizon)
-	}
-	if meanFault <= 0 {
-		return nil, fmt.Errorf("failure: non-positive mean fault duration %v", meanFault)
-	}
-	if nServers <= 0 {
-		return nil, fmt.Errorf("failure: non-positive server count %d", nServers)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	sched := make(Schedule, 0, n)
-	for i := 0; i < n; i++ {
-		at := time.Duration(rng.Int63n(int64(horizon)-1)) + 1
-		if rng.Intn(2) == 0 {
-			sched = append(sched, Injection{At: at, Kind: ServerFailStop, Server: rng.Intn(nServers)})
-		} else {
-			dur := meanFault/2 + time.Duration(rng.Int63n(int64(meanFault)))
-			sched = append(sched, Injection{At: at, Kind: TenantOverload, Duration: dur})
-		}
-	}
-	sort.Slice(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
-	return sched, nil
-}
-
-// NemesisTier draws the storage-fault soak schedule: n faults uniformly
-// over (0, horizon) mixing permanent staging-server fail-stops, tenant
-// overload windows, and PFS storage faults against the servers' cold
-// tiers — torn and partial writes at random byte offsets, at-rest bit
-// rot, ENOSPC, and slow-I/O windows of mean length meanFault. It is the
-// generator behind TestNemesisTierSoak: promotions must complete and
-// replay must stay byte-exact while spilled records are being corrupted
-// underneath the staging servers. Deterministic for a given seed.
-func NemesisTier(seed int64, n int, horizon, meanFault time.Duration, nServers int) (Schedule, error) {
-	if horizon <= time.Nanosecond {
-		return nil, fmt.Errorf("failure: horizon %v too short", horizon)
-	}
-	if meanFault <= 0 {
-		return nil, fmt.Errorf("failure: non-positive mean fault duration %v", meanFault)
-	}
-	if nServers <= 0 {
-		return nil, fmt.Errorf("failure: non-positive server count %d", nServers)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	storage := []Kind{PFSTornWrite, PFSPartialWrite, PFSBitRot, PFSENOSPC, PFSSlowIO}
-	sched := make(Schedule, 0, n)
-	for i := 0; i < n; i++ {
-		at := time.Duration(rng.Int63n(int64(horizon)-1)) + 1
-		inj := Injection{At: at, Server: rng.Intn(nServers)}
-		switch rng.Intn(4) {
-		case 0:
-			inj.Kind = ServerFailStop
-		case 1:
-			inj.Kind = TenantOverload
-			inj.Duration = meanFault/2 + time.Duration(rng.Int63n(int64(meanFault)))
-		default: // storage faults at double weight: they are the soak's point
-			inj.Kind = storage[rng.Intn(len(storage))]
-			switch inj.Kind {
-			case PFSSlowIO:
-				inj.Duration = meanFault/2 + time.Duration(rng.Int63n(int64(meanFault)))
-			case PFSTornWrite, PFSPartialWrite, PFSBitRot:
-				// Offsets land anywhere in a small record, including the
-				// 24-byte CRC'd header; the store clamps overshoots.
-				inj.Offset = rng.Intn(256) - 1 // -1 = store picks halfway
-			}
-		}
-		sched = append(sched, inj)
-	}
-	sort.Slice(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
-	return sched, nil
-}
-
 // Churn draws the trace-recorded soak schedule: n faults positioned on
 // a logical-operation clock in [0, horizonOps) rather than wall time,
 // so the schedule composes deterministically with a recorded workload
@@ -354,8 +242,10 @@ func NemesisTier(seed int64, n int, horizon, meanFault time.Duration, nServers i
 // 1..nServers-1, never slot 0: the lock server's RPC dedup keys on a
 // per-client sequence that a client-level retry cannot reuse, so
 // faulting slot 0 would make retried lock acquires ambiguous and the
-// replay nondeterministic. Blackouts and slow-I/O windows get Duration
-// in [meanFault/2, 3*meanFault/2); fail-stops are permanent.
+// replay nondeterministic. A SupervisorKill targets supervisor Server
+// mod 2: a soak runs three supervisors and never kills the last.
+// Blackouts and slow-I/O windows get Duration in
+// [meanFault/2, 3*meanFault/2); fail-stops are permanent.
 // Deterministic for a given seed.
 func Churn(seed int64, n, horizonOps, nServers int, meanFault time.Duration, kinds ...Kind) (Schedule, error) {
 	if horizonOps <= 0 {
@@ -371,8 +261,7 @@ func Churn(seed int64, n, horizonOps, nServers int, meanFault time.Duration, kin
 		kinds = []Kind{ServerFailStop, ServerCrash}
 	}
 	for _, k := range kinds {
-		switch k {
-		case RankFailStop, SupervisorKill:
+		if k == RankFailStop {
 			return nil, fmt.Errorf("failure: %v has no logical-clock semantics in a churn schedule", k)
 		}
 	}
@@ -389,6 +278,8 @@ func Churn(seed int64, n, horizonOps, nServers int, meanFault time.Duration, kin
 			inj.Duration = meanFault/2 + time.Duration(rng.Int63n(int64(meanFault)))
 		case PFSTornWrite, PFSPartialWrite, PFSBitRot:
 			inj.Offset = rng.Intn(256) - 1
+		case SupervisorKill:
+			inj.Server %= 2
 		}
 		sched = append(sched, inj)
 	}
@@ -401,13 +292,4 @@ func Fixed(inj ...Injection) Schedule {
 	s := append(Schedule(nil), inj...)
 	sort.Slice(s, func(i, j int) bool { return s[i].At < s[j].At })
 	return s
-}
-
-// ExpectedFailures returns the expected failure count over the horizon
-// for a given MTBF, for sanity checks in experiment configs.
-func ExpectedFailures(mtbf, horizon time.Duration) float64 {
-	if mtbf <= 0 {
-		return math.Inf(1)
-	}
-	return float64(horizon) / float64(mtbf)
 }

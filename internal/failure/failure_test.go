@@ -1,7 +1,6 @@
 package failure
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -152,51 +151,6 @@ func TestChaosEmitsServerFailStop(t *testing.T) {
 	}
 }
 
-func TestNemesisTierSchedule(t *testing.T) {
-	a, err := NemesisTier(11, 60, time.Hour, time.Minute, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := NemesisTier(11, 60, time.Hour, time.Minute, 4)
-	if len(a) != 60 || len(b) != 60 {
-		t.Fatalf("schedule lengths %d/%d", len(a), len(b))
-	}
-	counts := map[Kind]int{}
-	for i, inj := range a {
-		if inj != b[i] {
-			t.Fatalf("same seed diverged at %d: %+v vs %+v", i, inj, b[i])
-		}
-		if i > 0 && inj.At < a[i-1].At {
-			t.Fatalf("unsorted at %d", i)
-		}
-		if inj.At <= 0 || inj.At >= time.Hour {
-			t.Fatalf("injection %d outside horizon: %v", i, inj.At)
-		}
-		counts[inj.Kind]++
-		switch inj.Kind {
-		case PFSTornWrite, PFSPartialWrite, PFSBitRot:
-			if inj.Offset < -1 || inj.Offset > 255 {
-				t.Fatalf("offset %d out of range", inj.Offset)
-			}
-		case PFSSlowIO, TenantOverload:
-			if inj.Duration <= 0 {
-				t.Fatalf("%v with non-positive duration", inj.Kind)
-			}
-		case ServerFailStop, PFSENOSPC:
-			if inj.Duration != 0 {
-				t.Fatalf("%v with recovery horizon %v", inj.Kind, inj.Duration)
-			}
-		default:
-			t.Fatalf("unexpected kind %v", inj.Kind)
-		}
-	}
-	for _, k := range []Kind{ServerFailStop, TenantOverload, PFSTornWrite, PFSBitRot, PFSENOSPC} {
-		if counts[k] == 0 {
-			t.Fatalf("60 draws produced no %v", k)
-		}
-	}
-}
-
 func TestChurnSchedule(t *testing.T) {
 	kinds := []Kind{ServerFailStop, ServerCrash, PFSENOSPC, PFSTornWrite, TenantOverload}
 	a, err := Churn(21, 80, 200, 4, 40*time.Millisecond, kinds...)
@@ -256,8 +210,15 @@ func TestChurnValidation(t *testing.T) {
 	if _, err := Churn(1, 5, 10, 4, time.Millisecond, RankFailStop); err == nil {
 		t.Fatal("rank fail-stop accepted in a churn schedule")
 	}
-	if _, err := Churn(1, 5, 10, 4, time.Millisecond, SupervisorKill); err == nil {
-		t.Fatal("supervisor kill accepted in a churn schedule")
+	// Supervisor kills target one of the two supervisors a soak may kill.
+	kills, err := Churn(1, 20, 10, 4, time.Millisecond, SupervisorKill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inj := range kills {
+		if inj.Kind != SupervisorKill || inj.Server < 0 || inj.Server > 1 {
+			t.Fatalf("supervisor kill drew %+v", inj)
+		}
 	}
 	// Default kinds: fail-stops and blackouts only.
 	sched, err := Churn(3, 40, 100, 3, time.Millisecond)
@@ -268,14 +229,5 @@ func TestChurnValidation(t *testing.T) {
 		if inj.Kind != ServerFailStop && inj.Kind != ServerCrash {
 			t.Fatalf("default kinds drew %v", inj.Kind)
 		}
-	}
-}
-
-func TestExpectedFailures(t *testing.T) {
-	if got := ExpectedFailures(10*time.Minute, 40*time.Minute); got != 4 {
-		t.Fatalf("expected = %f", got)
-	}
-	if !math.IsInf(ExpectedFailures(0, time.Minute), 1) {
-		t.Fatal("zero MTBF should be Inf")
 	}
 }

@@ -160,6 +160,40 @@ func TestLateSpareHealsBacklog(t *testing.T) {
 	}
 }
 
+// TestStaleDeathAfterPromotionIgnored is the double-promotion
+// regression: a standby's loop may handle another supervisor's
+// membership change before a death verdict its detector queued for the
+// old address. That verdict must not put the promoted slot back in the
+// backlog, or the standby, once leader, promotes over the live spare.
+func TestStaleDeathAfterPromotionIgnored(t *testing.T) {
+	tr := transport.NewInProc()
+	g, err := staging.StartGroup(tr, "stage", groupConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	spare, err := g.AddSpare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby := New(tr, haDetector(tr, "sup/standby"), g.Membership(), g, Config{})
+	defer standby.Close()
+
+	dead := g.Membership().Addr(1)
+	if _, err := g.Membership().ReplaceFenced(1, 1, spare); err != nil {
+		t.Fatal(err)
+	}
+	standby.handleChange(health.Change{Epoch: 2, Server: 1, Addr: spare})
+	standby.handleEvent(health.Event{Server: 1, Addr: dead, State: health.Dead})
+	if ds := standby.DeadSlots(); len(ds) != 0 {
+		t.Fatalf("dead backlog = %v after a stale verdict on the promoted slot", ds)
+	}
+	standby.handleEvent(health.Event{Server: 1, Addr: spare, State: health.Dead})
+	if ds := standby.DeadSlots(); len(ds) != 1 || ds[0] != 1 {
+		t.Fatalf("dead backlog = %v, want [1] once the spare itself dies", ds)
+	}
+}
+
 // TestViewPushPartialFailureConverges covers a member that is dark
 // while the leader pushes the post-promotion view: on rejoin the
 // leader re-sends the current view, so the member converges to the new

@@ -74,8 +74,8 @@ type Config struct {
 	// instead of timing out against the dead address.
 	OnSlotDown func(slot int, down bool)
 	// PromotionHook, if set, runs after each completed promotion stage
-	// ("intent", "restored", "replaced", "pushed") — the nemesis
-	// harness's deterministic kill point for killing a leader
+	// ("intent", "restored", "replaced", "pushed") — where the soak's
+	// EvSupervisorKill (internal/workflow) kills or stalls a leader
 	// mid-promotion.
 	PromotionHook func(stage string, slot int)
 }
@@ -225,8 +225,8 @@ func (s *Supervisor) Close() error {
 	return nil
 }
 
-// Kill stops the supervisor abruptly — the nemesis harness's
-// supervisor crash. Unlike Close it does not wait for the loop to
+// Kill stops the supervisor abruptly — the soak's supervisor crash
+// (EvSupervisorKill). Unlike Close it does not wait for the loop to
 // drain: an in-flight promotion aborts at its next stage boundary,
 // leaving the journaled intent for the next leader to resume. Call
 // Close afterwards to reap the loop goroutine.
@@ -407,6 +407,12 @@ func (s *Supervisor) tick() {
 func (s *Supervisor) handleEvent(ev health.Event) {
 	switch ev.State {
 	case health.Dead:
+		if s.mem.Addr(ev.Server) != ev.Addr {
+			// The verdict was queued behind the membership change that
+			// already promoted a spare into the slot: backlogging it would
+			// promote over the live spare.
+			return
+		}
 		s.mu.Lock()
 		if _, ok := s.dead[ev.Server]; !ok {
 			s.dead[ev.Server] = &deadSlot{addr: ev.Addr}

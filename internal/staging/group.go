@@ -189,8 +189,8 @@ func (g *Group) CommitSpare(slot int) {
 }
 
 // SparesConsumed reports how many spares have been permanently drawn
-// from the pool (taken and not returned) — the nemesis harness's
-// no-double-spend invariant counts it against the number of deaths.
+// from the pool (taken and not returned) — the soak's recovery ledger
+// counts it against the number of fail-stops (no double spend).
 func (g *Group) SparesConsumed() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -10,7 +10,8 @@ import (
 // drive the staging client verbatim on replay; fault kinds re-arm the
 // same injection the recorded run suffered; EvNote is an
 // observability-only record (e.g. a GC pass harvested from a server's
-// ring buffer) that replay skips.
+// ring buffer) that replay skips. Kinds are encoded by value, so new
+// ones are appended and the format version stays put.
 type EventKind uint8
 
 // Replayable event kinds.
@@ -28,8 +29,15 @@ const (
 	EvTierFault
 	EvFlood
 	EvNote
+	// EvSupervisorKill kills a recovery supervisor. Name picks the mode:
+	// "" kills supervisor Arg at once; "intent", "restored", "replaced"
+	// or "pushed" kills the leader when the next promotion completes that
+	// stage; "stall" holds the leader at "replaced" past its lease.
+	EvSupervisorKill
+	// EvAddSpare starts Arg warm spares in the group's pool.
+	EvAddSpare
 
-	evKindMax = EvNote
+	evKindMax = EvAddSpare
 )
 
 func (k EventKind) String() string {
@@ -60,6 +68,10 @@ func (k EventKind) String() string {
 		return "flood"
 	case EvNote:
 		return "note"
+	case EvSupervisorKill:
+		return "supervisor-kill"
+	case EvAddSpare:
+		return "add-spare"
 	default:
 		return fmt.Sprintf("ev(%d)", int(k))
 	}
@@ -79,7 +91,7 @@ type Event struct {
 	// App is the acting client identity (component/rank, which is also
 	// the wlog queue and — via the object-name prefix — the QoS tenant).
 	App string
-	// Name is the staged object or lock name.
+	// Name is the staged object or lock name, or EvSupervisorKill's mode.
 	Name string
 	// Version is the object version (puts/gets).
 	Version int64
@@ -95,7 +107,8 @@ type Event struct {
 	// Logged selects the logged data path (PutWithLog/GetWithLog).
 	Logged bool
 	// Arg is the fault target: the staging slot for
-	// EvFailStop/EvBlackout/EvTierFault, the burst size for EvFlood.
+	// EvFailStop/EvBlackout/EvTierFault, the burst size for EvFlood, the
+	// supervisor for EvSupervisorKill, the spare count for EvAddSpare.
 	Arg int64
 	// Arg2 is the fault parameter: blackout duration in milliseconds,
 	// or the failure.Kind code of a tier fault.

@@ -34,6 +34,46 @@ func sampleEvents() []Event {
 	}
 }
 
+// recoveryEvents is a schedule with both supervisor-kill modes and a
+// spare refill: the kinds appended after EvNote.
+func recoveryEvents() []Event {
+	return []Event{
+		{LC: 0, Kind: EvSupervisorKill, Arg: 1},
+		{LC: 1, Kind: EvSupervisorKill, Name: "replaced"},
+		{LC: 2, Kind: EvFailStop, Arg: 3},
+		{LC: 3, Kind: EvAddSpare, Arg: 2},
+	}
+}
+
+func TestRecoveryKindsRoundTrip(t *testing.T) {
+	h, evs := sampleHeader(), recoveryEvents()
+	h.Spares = 0
+	h2, evs2, err := Decode(Encode(h, evs))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	h.Version = FormatVersion
+	if h2 != h || !reflect.DeepEqual(evs2, evs) {
+		t.Fatalf("round trip:\n got %+v %+v\nwant %+v %+v", h2, evs2, h, evs)
+	}
+}
+
+func TestEventStringNamesKinds(t *testing.T) {
+	for _, c := range []struct {
+		ev   Event
+		want string
+	}{
+		{Event{LC: 9, Kind: EvSupervisorKill, Name: "stall"}, "lc=9 supervisor-kill name=stall"},
+		{Event{LC: 4, Kind: EvSupervisorKill, Arg: 1}, "lc=4 supervisor-kill arg=1,0"},
+		{Event{LC: 10, Kind: EvAddSpare, Arg: 2}, "lc=10 add-spare arg=2,0"},
+		{Event{Kind: evKindMax + 1}, "lc=0 ev(16)"},
+	} {
+		if got := c.ev.String(); got != c.want {
+			t.Fatalf("%+v renders %q, want %q", c.ev, got, c.want)
+		}
+	}
+}
+
 func TestFileRoundTrip(t *testing.T) {
 	h, evs := sampleHeader(), sampleEvents()
 	img := Encode(h, evs)

@@ -59,6 +59,7 @@ func FuzzTraceDecode(f *testing.F) {
 	rotted := append([]byte(nil), valid...)
 	rotted[len(fileMagic)+30] ^= 0x40
 	f.Add(rotted)
+	f.Add(Encode(sampleHeader(), recoveryEvents()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, evs, err := Decode(data)
 		if err != nil {

@@ -2,61 +2,45 @@ package workflow
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"gospaces/internal/ckpt"
+	"gospaces/internal/trace"
 )
 
-// The nemesis soak is the HA-recovery acceptance gate: redundant
-// supervisors over a live logged data path, a staging server
-// fail-stopped mid-run, and the recovery leader killed at a chosen
-// promotion stage. Every seeded run must end with all slots alive,
-// exactly one promotion and one spare spent per death, a takeover
-// through the replicated intent journal, byte-exact reads and replay,
-// and a single lease holder.
+// The nemesis schedules are the HA-recovery acceptance gate, written as
+// seeded soak schedules: redundant supervisors over a live logged data
+// path, a staging server fail-stopped mid-run, and the recovery leader
+// killed, stalled or starved of spares on the way. ReplayTrace holds
+// every run to its digest, and its last barrier to the recovery ledger:
+// one lease holder, and one promotion, one spare and one epoch bump per
+// fail-stop (plus a lossless scrub over a tier).
 
-// checkNemesis asserts the standing invariants every soak must hold.
-// Transient blackouts under Chaos can legitimately exceed the
-// detection window and trigger extra (correct) promotions, so the
-// strict one-promotion-per-death equality is asserted only by the
-// deterministic runs; the no-double-spend ledger — one spare and one
-// epoch bump per promotion — holds regardless.
-func checkNemesis(t *testing.T, res NemesisResult, err error) {
+var promotionStages = []string{"intent", "restored", "replaced", "pushed"}
+
+// replaySchedule executes one built schedule, with faults (if any)
+// inserted before its n-th put, failing the test on a build error, a
+// divergence or a broken ledger.
+func replaySchedule(t *testing.T, h trace.Header, events []trace.Event, err error, n int, faults ...trace.Event) SoakResult {
 	t.Helper()
 	if err != nil {
-		t.Fatalf("nemesis run failed: %v (result %+v)", err, res)
+		t.Fatal(err)
 	}
-	if res.Promotions < int64(res.Deaths) {
-		t.Fatalf("%d promotions for %d deaths (dead slot left behind): %+v", res.Promotions, res.Deaths, res)
+	if len(faults) > 0 {
+		h.Flags |= trace.FlagFaults
+		events = renumber(slices.Insert(events, putAnchor(events, n), faults...))
 	}
-	if int64(res.SparesConsumed) != res.Promotions {
-		t.Fatalf("spares consumed %d for %d promotions (double-spent spare): %+v", res.SparesConsumed, res.Promotions, res)
+	res, err := ReplayTrace(h, events)
+	if err != nil {
+		t.Fatalf("%s: %v (result %+v)", h.Label, err, res)
 	}
-	if res.ReplayDiverged {
-		t.Fatalf("replay diverged from the restored event log: %+v", res)
-	}
-	if res.Leaders != 1 {
-		t.Fatalf("%d lease holders at end, want exactly 1: %+v", res.Leaders, res)
-	}
-	if res.ReplayEvents == 0 {
-		t.Fatalf("no events replayed through the restored log: %+v", res)
-	}
-	if res.Epoch != uint64(1)+uint64(res.Promotions) {
-		t.Fatalf("final epoch %d after %d promotions: %+v", res.Epoch, res.Promotions, res)
-	}
-}
-
-// checkStrict additionally pins exactly one promotion per death —
-// valid whenever no transient chaos can fake extra confirmed deaths.
-func checkStrict(t *testing.T, res NemesisResult) {
-	t.Helper()
-	if res.Promotions != int64(res.Deaths) {
-		t.Fatalf("promotions %d for %d deaths (double promotion?): %+v", res.Promotions, res.Deaths, res)
-	}
+	return res
 }
 
 // TestNemesisLeaderKilledMidPromotion kills the recovery leader at a
-// rotating promotion stage across >= 20 seeded runs (fewer in -short).
+// rotating promotion stage across 20 seeded runs (4 in -short): a
+// standby must take over from the intent journal and resume it.
 func TestNemesisLeaderKilledMidPromotion(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -64,12 +48,12 @@ func TestNemesisLeaderKilledMidPromotion(t *testing.T) {
 	}
 	for s := 0; s < seeds; s++ {
 		seed := int64(1000 + s)
-		stage := nemesisStages[s%len(nemesisStages)]
+		stage := promotionStages[s%len(promotionStages)]
 		t.Run(fmt.Sprintf("seed%d-%s", seed, stage), func(t *testing.T) {
-			res, err := RunNemesis(NemesisOptions{Seed: seed, KillStage: stage})
-			checkNemesis(t, res, err)
-			checkStrict(t, res)
-			if res.Takeovers == 0 || res.IntentResumes == 0 {
+			t.Parallel()
+			h, events, err := killTrace(SoakOptions{Seed: seed}, stage, false)
+			res := replaySchedule(t, h, events, err, 0)
+			if res.Takeovers == 0 || res.IntentResumes == 0 || res.SupKills != 1 {
 				t.Fatalf("leader killed at %q but no intent-journal takeover: %+v", stage, res)
 			}
 		})
@@ -81,9 +65,9 @@ func TestNemesisLeaderKilledMidPromotion(t *testing.T) {
 // promotion, and the deposed leader's resumed stale calls must be
 // rejected server-side by the fencing token.
 func TestNemesisDeposedLeaderFenced(t *testing.T) {
-	res, err := RunNemesis(NemesisOptions{Seed: 7, KillStage: "stall"})
-	checkNemesis(t, res, err)
-	checkStrict(t, res)
+	t.Parallel()
+	h, events, err := killTrace(SoakOptions{Seed: 7}, "stall", false)
+	res := replaySchedule(t, h, events, err, 0)
 	if res.ServerFenced == 0 {
 		t.Fatalf("deposed leader's stale calls were not rejected server-side: %+v", res)
 	}
@@ -93,98 +77,82 @@ func TestNemesisDeposedLeaderFenced(t *testing.T) {
 }
 
 // TestNemesisSpareExhaustionHeals starts with an empty spare pool: the
-// dead slot is stranded (clients observe ErrSlotDown) until a late
-// AddSpare refills the pool, after which the backlog sweep promotes —
-// with the leader killed mid-promotion for good measure.
+// dead slot is stranded (a client observes ErrSlotDown) until a refill,
+// after which the backlog sweep promotes — with the leader killed
+// mid-promotion for good measure.
 func TestNemesisSpareExhaustionHeals(t *testing.T) {
-	res, err := RunNemesis(NemesisOptions{Seed: 11, KillStage: "intent", SpareDelay: true})
-	checkNemesis(t, res, err)
-	checkStrict(t, res)
+	t.Parallel()
+	h, events, err := killTrace(SoakOptions{Seed: 11}, "intent", true)
+	res := replaySchedule(t, h, events, err, 0)
 	if res.DeadRetries == 0 {
 		t.Fatalf("stranded slot healed without a backlog retry: %+v", res)
 	}
-	if !res.DownObserved {
+	if res.SlotDowns == 0 {
 		t.Fatalf("no client observed ErrSlotDown while the slot was stranded: %+v", res)
 	}
 }
 
-// TestNemesisChaosSoak layers seeded transient blackouts and random
-// supervisor kills on top of the deterministic death.
+// TestNemesisChaosSoak runs Churn-drawn schedules of fail-stops,
+// blackouts and immediate supervisor kills.
 func TestNemesisChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short")
 	}
 	for _, seed := range []int64{21, 22, 23} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			res, err := RunNemesis(NemesisOptions{Seed: seed, Chaos: 4})
-			checkNemesis(t, res, err)
+			t.Parallel()
+			h, events, err := BuildSoakTrace(SoakOptions{Seed: seed, Faults: 8})
+			res := replaySchedule(t, h, events, err, 0)
+			if res.FailStops == 0 || res.Blackouts == 0 || res.SupKills == 0 {
+				t.Fatalf("schedule lacks a fail-stop, a blackout or a supervisor kill: %+v", res)
+			}
 		})
 	}
 }
 
-// TestNemesisOverloadSoak composes the deterministic server fail-stop
-// with seeded low-priority tenant flood windows
-// (failure.NemesisOverload): the admission layer must shed the flood
-// with typed rejections while recovery still promotes and the logged
-// data path stays byte-exact.
+// TestNemesisOverloadSoak brackets a server fail-stop with low-priority
+// tenant flood bursts: the admission layer must shed the flood with
+// typed rejections while recovery still promotes and the logged data
+// path stays byte-exact.
 func TestNemesisOverloadSoak(t *testing.T) {
-	res, err := RunNemesis(NemesisOptions{Seed: 31, Overload: 6})
-	checkNemesis(t, res, err)
-	checkStrict(t, res)
-	if res.OverloadWindows == 0 {
-		t.Fatalf("schedule armed no overload windows: %+v", res)
-	}
-	if res.FloodPuts == 0 {
-		t.Fatalf("flood tenant never issued a put: %+v", res)
-	}
-	if res.FloodSheds == 0 {
-		t.Fatalf("flood tenant was never shed by admission control: %+v", res)
+	t.Parallel()
+	h, events, err := BuildSoakTrace(SoakOptions{Seed: 31, Overload: true})
+	res := replaySchedule(t, h, events, err, 3,
+		trace.Event{Kind: trace.EvFlood, Arg: 6},
+		trace.Event{Kind: trace.EvFailStop, Arg: 2},
+		trace.Event{Kind: trace.EvFlood, Arg: 6})
+	if res.Promotions != 1 || res.FloodPuts == 0 || res.FloodSheds == 0 {
+		t.Fatalf("flood not shed around a promoting fail-stop: %+v", res)
 	}
 }
 
-// TestNemesisTierSoak is the storage-fault acceptance gate: servers
-// run with a cold PFS tier and a budget that forces the logged history
-// to spill, while a seeded failure.NemesisTier schedule tears, cuts,
-// rots, ENOSPC-fails and slows the tier underneath them, a server
-// fail-stops, and (in the flood variant) a low-priority tenant floods
-// the group. Every seeded run must keep the one-promotion-per-death
-// ledger, replay byte-exactly through the restored and re-promoted
-// history, and end with a scrub that finds zero undetected or
-// unrecoverable corruptions.
+// TestNemesisTierSoak is the storage-fault acceptance gate: servers run
+// with a cold tier and a budget that forces the logged history to
+// spill, while a Churn schedule tears, cuts, rots, ENOSPC-fails and
+// slows the tier underneath them, one server fail-stops before the
+// first spill, and (on the last seed) a low-priority tenant floods the
+// group. The post-run scrub must lose nothing and leave no tier
+// degraded.
 func TestNemesisTierSoak(t *testing.T) {
 	seeds := []int64{41, 42, 43}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for i, seed := range seeds {
-		overload := 0
-		if i == len(seeds)-1 {
-			overload = 4 // last seed composes the tenant flood on top
+		o := SoakOptions{Seed: seed, Steps: 6, Tier: true, Faults: 8, Overload: i == 2}
+		faults := []trace.Event{{Kind: trace.EvFailStop, Arg: 1 + seed%3}}
+		if o.Overload {
+			faults = append(faults, trace.Event{Kind: trace.EvFlood, Arg: 6})
 		}
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			res, err := RunNemesis(NemesisOptions{
-				Seed:          seed,
-				Steps:         10,
-				Tier:          true,
-				StorageFaults: 8,
-				Overload:      overload,
-			})
-			checkNemesis(t, res, err)
-			checkStrict(t, res)
-			if res.TierSpills == 0 {
-				t.Fatalf("budget pressure spilled nothing to the tier: %+v", res)
+			t.Parallel()
+			h, events, err := BuildSoakTrace(o)
+			res := replaySchedule(t, h, events, err, 2, faults...)
+			if res.TierSpills == 0 || res.TierPromotes == 0 || res.TierFaults == 0 || res.Promotions != 1 {
+				t.Fatalf("tier soak spilled, promoted, faulted or recovered nothing: %+v", res)
 			}
-			if res.TierPromotes == 0 {
-				t.Fatalf("replay reads promoted nothing back from the tier: %+v", res)
-			}
-			if res.StorageArmed == 0 {
-				t.Fatalf("schedule armed no storage faults: %+v", res)
-			}
-			if res.ScrubLost != 0 {
-				t.Fatalf("scrub lost %d entries to double corruption: %+v", res.ScrubLost, res)
-			}
-			if res.TierDegraded {
-				t.Fatalf("a tier stayed degraded after the post-soak scrub: %+v", res)
+			if o.Overload && res.FloodSheds == 0 {
+				t.Fatalf("flood tenant was never shed: %+v", res)
 			}
 		})
 	}

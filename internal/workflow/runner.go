@@ -398,9 +398,23 @@ func (r *run) superviseReplicated(c *component) error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			client, err := r.group.NewClient(fmt.Sprintf("%s/%d", c.name, rank))
-			if err != nil {
+			// A replica that stops on an error unwinds the whole run at
+			// once: its coupling peers would otherwise wait for it forever.
+			fail := func(err error) {
 				errs[rank] = err
+				r.condemn()
+			}
+			name := fmt.Sprintf("%s/%d", c.name, rank)
+			client, err := r.group.NewClient(name)
+			if err != nil {
+				// A staging fail-stop can land before this rank first
+				// dials: wait out the promotion, then dial again.
+				if err = r.waitServers(); err == nil {
+					client, err = r.group.NewClient(name)
+				}
+			}
+			if err != nil {
+				fail(err)
 				return
 			}
 			defer client.Close()
@@ -419,7 +433,7 @@ func (r *run) superviseReplicated(c *component) error {
 					r.recoveries.Add(1)
 					sp, ok := r.spares.Get()
 					if !ok {
-						errs[rank] = fmt.Errorf("workflow: no replica available for %s/%d", c.name, rank)
+						fail(fmt.Errorf("workflow: no replica available for %s/%d", c.name, rank))
 						return
 					}
 					e.proc = sp
@@ -431,20 +445,19 @@ func (r *run) superviseReplicated(c *component) error {
 					// membership. No replica is consumed and no rollback
 					// happens; the state advanced in place is still valid.
 				default:
-					errs[rank] = err
-					r.condemn() // hard error: unwind the whole run
+					fail(err)
 					return
 				}
 				if err := r.waitServers(); err != nil {
-					errs[rank] = err
+					fail(err)
 					return
 				}
 				if err := client.Reconnect(); err != nil {
-					errs[rank] = err
+					fail(err)
 					return
 				}
 			}
-			errs[rank] = fmt.Errorf("workflow: %s/%d exceeded recovery attempts", c.name, rank)
+			fail(fmt.Errorf("workflow: %s/%d exceeded recovery attempts", c.name, rank))
 		}(i)
 	}
 	wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -21,18 +22,20 @@ import (
 	"gospaces/internal/wlog"
 )
 
-// This file is the churn-soak composition behind `wfbench -exp soak`:
-// a recorded multi-group workload (producer/consumer pairs bracketing
-// logged puts/gets with the paper's lock API, checkpointing and
-// restarting mid-run) interleaved with a seeded fault schedule
-// (fail-stops, blackouts, tier storage faults, tenant floods), the
-// whole thing expressed as a trace.Event schedule positioned on a
-// logical clock. Because the schedule — including every payload seed
-// and every expected get digest — is generated deterministically from
-// the seed BEFORE execution, recording and replaying are the same
-// operation: executing the schedule. A failing run's trace file
-// therefore reproduces the failure deterministically under `go test`,
-// which is what turns soak failures into checked-in regression tests.
+// This file is the repo's one fault harness, the churn soak behind
+// `wfbench -exp soak` and `make nemesis`: a recorded multi-group
+// workload (producer/consumer pairs bracketing logged puts/gets with the
+// paper's lock API, checkpointing and restarting mid-run) interleaved
+// with a fault schedule (fail-stops, blackouts, tier storage faults,
+// tenant floods, recovery-supervisor kills and spare refills) over a
+// group run by three redundant supervisors, the whole thing expressed
+// as a trace.Event schedule positioned on a logical clock. Because the
+// schedule — including every payload seed and every expected get
+// digest — is generated deterministically from the seed BEFORE
+// execution, recording and replaying are the same operation: executing
+// the schedule. A failing run's trace file therefore reproduces the
+// failure deterministically under `go test`, which is what turns soak
+// failures into checked-in regression tests.
 
 // SoakOptions configures one seeded churn soak.
 type SoakOptions struct {
@@ -99,6 +102,18 @@ type SoakResult struct {
 	FloodPuts  int64  // flood-tenant puts attempted
 	FloodSheds int64  // flood puts rejected with a typed overload
 	Retries    int64  // workload operations that needed at least one retry
+
+	// The recovery side, harvested by the run's last barrier.
+	SupKills      int   // supervisors killed, at once or at a promotion stage
+	Promotions    int64 // membership writes, summed across the supervisors
+	Takeovers     int64 // elections that found journaled promotion intents
+	IntentResumes int64 // promotions resumed from a dead or deposed leader's journal
+	DeadRetries   int64 // stranded slots healed by a later EvAddSpare
+	SlotDowns     int   // stranded slots a client call failed fast on (ErrSlotDown)
+	SupFenced     int64 // supervisor calls rejected as deposed
+	ServerFenced  int64 // fenced calls the servers rejected
+	TierSpills    int64 // versions demoted to a cold tier, summed over the members
+	TierPromotes  int64 // spilled versions read back from a cold tier
 }
 
 // soakGlobal is the domain every soak trace spans: 64x64x1 bytes, so
@@ -243,13 +258,18 @@ func BuildSoakTrace(o SoakOptions) (trace.Header, []trace.Event, error) {
 			{Kind: trace.EvPut, App: soakProd(g), Name: soakField(g), Version: int64(v), Bytes: vol, Seed: soakPutSeed(o.Seed, g, v), Logged: true},
 			{Kind: trace.EvUnlock, App: soakProd(g), Name: soakLock(g)},
 		}
-		// A checkpoint before the consumer's first logged get would let
-		// keep-latest GC drop the old versions (PayloadFrontier is
-		// MaxInt64 for an object nobody has read); after that first get
-		// the consumer's resident Get event pins the frontier at v1
-		// forever, since consumers never checkpoint. So checkpoints only
-		// ride behind segments where the reader is already on record.
-		if v%3 == 0 && gets[g] > 0 {
+		// A checkpoint runs every server's GC, and keep-latest GC drops
+		// the old versions of any group's field no consumer has read yet
+		// (PayloadFrontier is MaxInt64 for an object nobody has read);
+		// after a consumer's first logged get its resident Get event pins
+		// the frontier at v1 forever, since consumers never checkpoint.
+		// So checkpoints only ride behind segments where no group has two
+		// versions staged and no reader on record.
+		unread := false
+		for h := range puts {
+			unread = unread || puts[h] > 1 && gets[h] == 0
+		}
+		if v%3 == 0 && !unread {
 			seg = append(seg, trace.Event{Kind: trace.EvCheckpoint, App: soakProd(g)})
 		}
 		if v == restartAfter[g] {
@@ -262,16 +282,16 @@ func BuildSoakTrace(o SoakOptions) (trace.Header, []trace.Event, error) {
 	// spare pool; excess draws soften to blackouts.
 	byOp := map[int][]trace.Event{}
 	if o.Faults > 0 {
-		kinds := []failure.Kind{failure.ServerFailStop, failure.ServerCrash}
+		kinds := []failure.Kind{failure.ServerFailStop, failure.ServerCrash, failure.SupervisorKill}
 		if o.Tier {
 			// Permanent fail-stops don't compose with private cold
 			// tiers: a spare promotes with a fresh tier, so versions the
 			// dead server had spilled (and nobody had logged a read for)
-			// are unrecoverable — the same reason the nemesis tier runs
-			// use storage faults and blackouts only. Tier'd soaks keep
-			// servers alive and torture the storage instead.
-			kinds = []failure.Kind{failure.ServerCrash,
-				failure.PFSTornWrite, failure.PFSPartialWrite, failure.PFSENOSPC, failure.PFSSlowIO}
+			// are unrecoverable. A tiered schedule fail-stops only before
+			// its first spill, which Churn cannot place, so tiered churn
+			// keeps servers alive and tortures the storage instead.
+			kinds = []failure.Kind{failure.ServerCrash, failure.PFSTornWrite,
+				failure.PFSPartialWrite, failure.PFSBitRot, failure.PFSENOSPC, failure.PFSSlowIO}
 		}
 		if o.Overload {
 			kinds = append(kinds, failure.TenantOverload)
@@ -345,7 +365,7 @@ func BuildRegressionTrace(kind string) (trace.Header, []trace.Event, error) {
 			}
 		}
 		for i := len(anchors) - 1; i >= 0; i-- {
-			events = insertEvent(events, anchors[i], trace.Event{Kind: trace.EvFailStop, Arg: slot})
+			events = slices.Insert(events, anchors[i], trace.Event{Kind: trace.EvFailStop, Arg: slot})
 			slot++
 		}
 		h.Flags |= trace.FlagFaults
@@ -363,9 +383,9 @@ func BuildRegressionTrace(kind string) (trace.Header, []trace.Event, error) {
 		a1 := putAnchor(events, 3)
 		a2 := putAnchor(events, 8)
 		if a2 > a1 {
-			events = insertEvent(events, a2, trace.Event{Kind: trace.EvTierFault, Arg: 2, Arg2: int64(failure.PFSTornWrite), Version: 7})
+			events = slices.Insert(events, a2, trace.Event{Kind: trace.EvTierFault, Arg: 2, Arg2: int64(failure.PFSTornWrite), Version: 7})
 		}
-		events = insertEvent(events, a1, trace.Event{Kind: trace.EvTierFault, Arg: 1, Arg2: int64(failure.PFSENOSPC), Version: -1})
+		events = slices.Insert(events, a1, trace.Event{Kind: trace.EvTierFault, Arg: 1, Arg2: int64(failure.PFSENOSPC), Version: -1})
 		h.Flags |= trace.FlagFaults
 		return h, renumber(events), nil
 
@@ -390,15 +410,52 @@ func BuildRegressionTrace(kind string) (trace.Header, []trace.Event, error) {
 			{a1, trace.Event{Kind: trace.EvFlood, Arg: 6}},
 		} {
 			if ins.at >= 0 {
-				events = insertEvent(events, ins.at, ins.ev)
+				events = slices.Insert(events, ins.at, ins.ev)
 			}
 		}
 		h.Flags |= trace.FlagFaults
 		return h, renumber(events), nil
 
+	case "leader-killed-mid-promotion":
+		// The leader dies between the log restore and the membership
+		// write; a standby takes over from the intent journal.
+		return killTrace(SoakOptions{Seed: 404, Label: "regression/" + kind}, "restored", false)
+
+	case "deposed-leader-fenced":
+		// The leader stalls past its lease after the membership write; a
+		// standby finishes the promotion and the servers fence the stale
+		// leader's view push when it wakes.
+		return killTrace(SoakOptions{Seed: 505, Label: "regression/" + kind}, "stall", false)
+
+	case "spare-exhaustion-healed":
+		// The pool is empty at the fail-stop, so the slot is stranded
+		// until a refill; the leader that heals it dies on the way.
+		return killTrace(SoakOptions{Seed: 606, Label: "regression/" + kind}, "intent", true)
+
 	default:
 		return trace.Header{}, nil, fmt.Errorf("workflow: unknown regression trace %q", kind)
 	}
+}
+
+// killTrace is a clean seeded soak with one fail-stop, before the third
+// put, of slot 1 + Seed mod (Servers-1), which the recovery leader does
+// not live through: an EvSupervisorKill in mode (a promotion stage or
+// "stall") is armed right before it. With strand the header's spare pool
+// is empty, so the fail-stop strands its slot until the EvAddSpare right
+// behind it starts the pool's spares.
+func killTrace(o SoakOptions, mode string, strand bool) (trace.Header, []trace.Event, error) {
+	h, events, err := BuildSoakTrace(o)
+	if err != nil {
+		return h, nil, err
+	}
+	slot := 1 + int64(uint64(o.Seed)%uint64(h.Servers-1))
+	faults := []trace.Event{{Kind: trace.EvSupervisorKill, Name: mode}, {Kind: trace.EvFailStop, Arg: slot}}
+	if strand {
+		faults = append(faults, trace.Event{Kind: trace.EvAddSpare, Arg: int64(h.Spares)})
+		h.Spares = 0
+	}
+	h.Flags |= trace.FlagFaults
+	return h, renumber(slices.Insert(events, putAnchor(events, 3), faults...)), nil
 }
 
 // putAnchor returns the index of the EvLock opening the segment of the
@@ -418,13 +475,6 @@ func putAnchor(events []trace.Event, n int) int {
 		}
 	}
 	return -1
-}
-
-func insertEvent(events []trace.Event, i int, ev trace.Event) []trace.Event {
-	events = append(events, trace.Event{})
-	copy(events[i+1:], events[i:])
-	events[i] = ev
-	return events
 }
 
 // renumber restamps the logical clock 0..n-1 after insertions; the
@@ -455,6 +505,8 @@ func churnEvent(inj failure.Injection, failStops *int, spares int) (trace.Event,
 		}, true
 	case failure.TenantOverload:
 		return trace.Event{Kind: trace.EvFlood, Arg: 3 + int64(inj.Duration/(10*time.Millisecond))}, true
+	case failure.SupervisorKill:
+		return trace.Event{Kind: trace.EvSupervisorKill, Arg: int64(inj.Server)}, true
 	default:
 		return trace.Event{}, false
 	}
@@ -500,14 +552,30 @@ func ReplayTrace(h trace.Header, events []trace.Event) (SoakResult, error) {
 	return res, nil
 }
 
+// Every soak runs soakSupervisors redundant recovery supervisors, and
+// the last is never killed, so one is always left to heal the group.
+// soakSettle bounds each recovery barrier.
+const (
+	soakSupervisors = 3
+	soakLeaseTTL    = 150 * time.Millisecond
+	soakSettle      = 20 * time.Second
+)
+
 // soakExec drives a live staging group from trace events.
 type soakExec struct {
 	h       trace.Header
 	global  domain.BBox
 	tr      *transport.Chaos
 	group   *staging.Group
-	sup     *recovery.Supervisor
+	sups    []*recovery.Supervisor
 	clients map[string]*staging.Client
+
+	// supMu guards killed and armed, which promotion hooks read from the
+	// supervisors' goroutines. armed is the EvSupervisorKill mode waiting
+	// for the next promotion.
+	supMu  sync.Mutex
+	killed []bool
+	armed  string
 
 	tierMu       sync.Mutex
 	tierBackends map[int]*pfs.Store
@@ -537,6 +605,7 @@ func newSoakExec(h trace.Header) (*soakExec, error) {
 		h:            h,
 		global:       soakGlobal(),
 		clients:      map[string]*staging.Client{},
+		killed:       make([]bool, soakSupervisors),
 		tierBackends: map[int]*pfs.Store{},
 		history:      map[string][]trace.Event{},
 		covered:      map[string]int64{},
@@ -585,24 +654,32 @@ func newSoakExec(h trace.Header) (*soakExec, error) {
 	// can't catch that pairing, so a put can be acked into deposed
 	// state and silently lost. With these settings a dead verdict needs
 	// ~140ms of continuous silence: transient blackouts ride, real
-	// kills promote.
-	det := health.NewDetector(x.tr, "soak/sup", health.Config{
-		Period:       10 * time.Millisecond,
-		Timeout:      30 * time.Millisecond,
-		SuspectAfter: 4,
-		DeadAfter:    12,
-	})
-	x.sup = recovery.New(x.tr, det, group.Membership(), group, recovery.Config{
-		ID:       "soak/sup",
-		LeaseTTL: 150 * time.Millisecond,
-		OnPromote: func(slot int, addr string, epoch uint64) {
-			group.Pool.SetMember(slot, addr, epoch)
-		},
-		OnSlotDown: func(slot int, down bool) {
-			group.Pool.MarkSlotDown(slot, down)
-		},
-	})
-	x.sup.Start()
+	// kills promote. Every supervisor exists before any starts, so the
+	// promotion hooks never see a partly built set.
+	x.sups = make([]*recovery.Supervisor, soakSupervisors)
+	for i := range x.sups {
+		id := fmt.Sprintf("soak/sup/%d", i)
+		det := health.NewDetector(x.tr, id, health.Config{
+			Period:       10 * time.Millisecond,
+			Timeout:      30 * time.Millisecond,
+			SuspectAfter: 4,
+			DeadAfter:    12,
+		})
+		x.sups[i] = recovery.New(x.tr, det, group.Membership(), group, recovery.Config{
+			ID:       id,
+			LeaseTTL: soakLeaseTTL,
+			OnPromote: func(slot int, addr string, epoch uint64) {
+				group.Pool.SetMember(slot, addr, epoch)
+			},
+			OnSlotDown: func(slot int, down bool) {
+				group.Pool.MarkSlotDown(slot, down)
+			},
+			PromotionHook: x.promotionHook(i),
+		})
+	}
+	for _, s := range x.sups {
+		s.Start()
+	}
 	// Dial every workload client now, while all slots are up:
 	// Group.NewClient connects to the full membership, so lazily
 	// creating a client mid-churn would race the promotion window.
@@ -626,8 +703,8 @@ func (x *soakExec) close() {
 	for _, c := range x.clients {
 		c.Close()
 	}
-	if x.sup != nil {
-		x.sup.Close()
+	for _, s := range x.sups {
+		s.Close()
 	}
 	if x.group != nil {
 		x.group.Close()
@@ -637,14 +714,231 @@ func (x *soakExec) close() {
 func (x *soakExec) result() SoakResult {
 	r := x.res
 	r.StateSum = x.stateSum
+	x.supMu.Lock()
+	for _, k := range x.killed {
+		if k {
+			r.SupKills++
+		}
+	}
+	x.supMu.Unlock()
 	return r
 }
 
-// finish waits for any in-flight promotion to settle; the trace's own
-// sweep already audited the data, so this is teardown hygiene, not a
-// correctness step.
+// promotionHook fires an armed EvSupervisorKill when supervisor i's
+// promotion completes a stage: a stage mode kills the leader there, and
+// "stall" holds it at "replaced" for three lease TTLs, long enough for a
+// standby to take over and for the servers to fence its view push when
+// it wakes. The last supervisor is spared; the kill stays armed.
+func (x *soakExec) promotionHook(i int) func(stage string, slot int) {
+	return func(stage string, _ int) {
+		x.supMu.Lock()
+		mode := x.armed
+		fire := i < len(x.sups)-1 && !x.killed[i] && (mode == stage || mode == "stall" && stage == "replaced")
+		if fire {
+			x.armed = ""
+			x.killed[i] = mode != "stall"
+		}
+		x.supMu.Unlock()
+		switch {
+		case !fire:
+		case mode == "stall":
+			time.Sleep(3 * soakLeaseTTL)
+		default:
+			x.sups[i].Kill()
+		}
+	}
+}
+
+// killSupervisor applies an EvSupervisorKill: mode "" kills supervisor
+// Arg at once (again is a no-op), and a promotion stage or "stall" is
+// armed for the promotion hook.
+func (x *soakExec) killSupervisor(ev trace.Event) error {
+	switch {
+	case slices.Contains([]string{"intent", "restored", "replaced", "pushed", "stall"}, ev.Name):
+		x.supMu.Lock()
+		x.armed = ev.Name
+		x.supMu.Unlock()
+		return nil
+	case ev.Name != "":
+		return fmt.Errorf("%w: unknown supervisor-kill mode %q", errSoakTerminal, ev.Name)
+	}
+	i := int(ev.Arg)
+	if i < 0 || i >= len(x.sups)-1 {
+		return fmt.Errorf("%w: supervisor %d of %d cannot be killed (the last never is)", errSoakTerminal, i, len(x.sups))
+	}
+	x.supMu.Lock()
+	kill := !x.killed[i]
+	x.killed[i] = true
+	x.supMu.Unlock()
+	if kill {
+		x.sups[i].Kill()
+	}
+	return nil
+}
+
+// settle is the schedule's recovery barrier. It returns once exactly one
+// live supervisor holds the lease and every live supervisor, the
+// never-killed last one included, confirms the repaired group
+// (WaitIdle). Waiting on each supervisor and not on one covers a
+// standby's takeover: a new leader's WaitIdle returns only after it has
+// resumed the journaled intents it was elected into. A supervisor a
+// promotion hook kills mid-wait starts the barrier over.
+func (x *soakExec) settle() error {
+	deadline := time.Now().Add(soakSettle)
+	for {
+		var live []int
+		x.supMu.Lock()
+		for i, k := range x.killed {
+			if !k {
+				live = append(live, i)
+			}
+		}
+		x.supMu.Unlock()
+		leaders := 0
+		for _, i := range live {
+			if x.sups[i].IsLeader() {
+				leaders++
+			}
+		}
+		err := fmt.Errorf("%d lease holders", leaders)
+		if leaders == 1 {
+			if err = x.allIdle(live, deadline); err == nil {
+				return nil
+			}
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("workflow: recovery not settled after %v: %w", soakSettle, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// allIdle waits for each listed supervisor's WaitIdle; one that is
+// killed while waiting fails it.
+func (x *soakExec) allIdle(live []int, deadline time.Time) error {
+	for _, i := range live {
+		if err := x.sups[i].WaitIdle(time.Until(deadline)); err != nil {
+			return fmt.Errorf("supervisor %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// awaitStranded is the barrier of a fail-stop into an empty spare pool:
+// the leader finds no spare (recovery.no_spare) and strands the slot,
+// and the barrier holds until a client call touching it fails fast with
+// staging.ErrSlotDown. Every workload operation spans the whole domain,
+// so none can finish before an EvAddSpare refills the pool: a schedule
+// places one right behind such a fail-stop.
+func (x *soakExec) awaitStranded() error {
+	c, err := x.client(soakSweep())
+	if err != nil {
+		return err
+	}
+	deadline := time.Now().Add(soakSettle)
+	for {
+		_, err := c.Versions(soakField(0))
+		if errors.Is(err, staging.ErrSlotDown) {
+			x.res.SlotDowns++
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("workflow: fail-stopped slot not stranded after %v: %v", soakSettle, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// slotAddr is the address serving slot now: the original member or the
+// spare promoted into it.
+func (x *soakExec) slotAddr(slot int64) (string, error) {
+	if addr := x.group.Membership().Addr(int(slot)); addr != "" {
+		return addr, nil
+	}
+	return "", fmt.Errorf("%w: no slot %d of %d", errSoakTerminal, slot, x.h.Servers)
+}
+
+// failStop kills the server serving slot. A tiered soak fail-stops only
+// before its first spill: a promoted spare attaches a fresh tier, so
+// the versions on the dead server's tier would be lost.
+func (x *soakExec) failStop(slot int64) error {
+	addr, err := x.slotAddr(slot)
+	if err != nil {
+		return err
+	}
+	if x.h.Flags&trace.FlagTier != 0 {
+		st, err := transport.CallOnce[staging.TierStatsResp](x.tr, addr, staging.TierStatsReq{})
+		if err != nil {
+			return err
+		}
+		if st.Spills > 0 {
+			return fmt.Errorf("%w: slot %d fail-stopped after its first spill", errSoakTerminal, slot)
+		}
+	}
+	return x.group.FailStop(slices.Index(x.group.Addrs(), addr))
+}
+
+// finish is the run's last barrier and its recovery ledger: the group
+// settles under one lease holder, every fail-stop cost exactly one
+// promotion, one spare and one epoch bump, and a tiered group's
+// post-run scrub loses nothing and leaves no tier degraded.
 func (x *soakExec) finish() error {
-	return x.sup.WaitIdle(20 * time.Second)
+	if err := x.settle(); err != nil {
+		return err
+	}
+	for _, s := range x.sups {
+		m := s.Metrics()
+		x.res.Promotions += m.Counter("recovery.promotions").Value()
+		x.res.Takeovers += m.Counter("recovery.takeovers").Value()
+		x.res.IntentResumes += m.Counter("recovery.intent_resumes").Value()
+		x.res.DeadRetries += m.Counter("recovery.dead_retries").Value()
+		x.res.SupFenced += m.Counter("recovery.fenced_rejects").Value()
+	}
+	spares, epoch := x.group.SparesConsumed(), x.group.Membership().Epoch()
+	if x.res.Promotions != int64(x.res.FailStops) || int64(spares) != x.res.Promotions || epoch != 1+uint64(x.res.Promotions) {
+		return fmt.Errorf("workflow: recovery ledger: %d fail-stops, %d promotions, %d spares consumed, epoch %d",
+			x.res.FailStops, x.res.Promotions, spares, epoch)
+	}
+	c := x.clients[soakSweep()]
+	if err := c.Reconnect(); err != nil {
+		return err
+	}
+	st, err := c.Stats()
+	if err != nil {
+		return err
+	}
+	x.res.ServerFenced = st.FencedRejects
+	if x.h.Flags&trace.FlagTier != 0 {
+		return x.scrubTiers()
+	}
+	return nil
+}
+
+// scrubTiers disarms every storage fault still pending, then scrubs
+// each member's tier: nothing may be lost and nothing left degraded.
+func (x *soakExec) scrubTiers() error {
+	x.tierMu.Lock()
+	for _, be := range x.tierBackends {
+		be.FailNextWriteAt(pfs.FaultNone, -1)
+		be.SetSlowIO(0)
+	}
+	x.tierMu.Unlock()
+	for _, addr := range x.group.Membership().Addrs() {
+		sc, err := transport.CallOnce[staging.TierScrubResp](x.tr, addr, staging.TierScrubReq{})
+		if err != nil {
+			return err
+		}
+		if sc.Lost > 0 || sc.Degraded {
+			return fmt.Errorf("workflow: tier at %s: scrub lost %d entries, degraded %v", addr, sc.Lost, sc.Degraded)
+		}
+		st, err := transport.CallOnce[staging.TierStatsResp](x.tr, addr, staging.TierStatsReq{})
+		if err != nil {
+			return err
+		}
+		x.res.TierSpills += st.Spills
+		x.res.TierPromotes += st.Promotes
+	}
+	return nil
 }
 
 func (x *soakExec) client(app string) (*staging.Client, error) {
@@ -809,32 +1103,46 @@ func (x *soakExec) Apply(ev trace.Event) error {
 		// The kill itself still tears live state — held client
 		// bindings, wlog replica placement, the restart that follows in
 		// the kill-mid-replay schedule — and every later operation runs
-		// against the promoted membership.
-		if err := x.sup.WaitIdle(20 * time.Second); err != nil {
+		// against the promoted membership. A kill into an empty pool
+		// cannot settle until a refill: its barrier is the stranding.
+		if err := x.settle(); err != nil {
 			return err
 		}
-		if err := x.group.FailStop(int(ev.Arg)); err != nil {
+		strand := len(x.group.Spares()) == 0
+		if err := x.failStop(ev.Arg); err != nil {
 			return err
 		}
 		x.res.FailStops++
-		return x.sup.WaitIdle(20 * time.Second)
+		if strand {
+			return x.awaitStranded()
+		}
+		return x.settle()
 
 	case trace.EvBlackout:
-		addrs := x.group.Addrs()
-		slot := int(ev.Arg)
-		if slot < 0 || slot >= len(addrs) {
-			return fmt.Errorf("%w: blackout slot %d of %d", errSoakTerminal, slot, len(addrs))
+		addr, err := x.slotAddr(ev.Arg)
+		if err != nil {
+			return err
 		}
-		x.tr.Blackout(addrs[slot], time.Duration(ev.Arg2)*time.Millisecond)
+		x.tr.Blackout(addr, time.Duration(ev.Arg2)*time.Millisecond)
 		x.res.Blackouts++
 		return nil
 
 	case trace.EvTierFault:
-		x.applyTierFault(ev)
-		return nil
+		return x.applyTierFault(ev)
 
 	case trace.EvFlood:
 		return x.applyFlood(ev)
+
+	case trace.EvSupervisorKill:
+		return x.killSupervisor(ev)
+
+	case trace.EvAddSpare:
+		for i := int64(0); i < ev.Arg; i++ {
+			if _, err := x.group.AddSpare(); err != nil {
+				return err
+			}
+		}
+		return x.settle()
 
 	case trace.EvNote:
 		return nil
@@ -879,16 +1187,20 @@ func (x *soakExec) applyRestart(ev trace.Event) error {
 	return nil
 }
 
-// applyTierFault arms one storage fault against a server's cold-tier
-// backend. Arming is best-effort by design: if the target server died
-// earlier in the schedule its backend is orphaned and the fault has no
-// one to bite — deterministically so, since the schedule is fixed.
-func (x *soakExec) applyTierFault(ev trace.Event) {
+// applyTierFault arms one storage fault against the cold-tier backend
+// of the server serving a slot. Arming is best-effort by design: a bit
+// flip finds nothing to rot before the first spill — deterministically
+// so, since the schedule is fixed.
+func (x *soakExec) applyTierFault(ev trace.Event) error {
+	addr, err := x.slotAddr(ev.Arg)
+	if err != nil {
+		return err
+	}
 	x.tierMu.Lock()
-	be := x.tierBackends[int(ev.Arg)]
+	be := x.tierBackends[x.group.ServerAt(addr).ID()]
 	x.tierMu.Unlock()
 	if be == nil {
-		return
+		return nil
 	}
 	off := int(ev.Version)
 	switch failure.Kind(ev.Arg2) {
@@ -906,7 +1218,7 @@ func (x *soakExec) applyTierFault(ev trace.Event) {
 			}
 		}
 		if len(g0) == 0 {
-			return
+			return nil
 		}
 		if off < 0 {
 			off = 0
@@ -917,6 +1229,7 @@ func (x *soakExec) applyTierFault(ev trace.Event) {
 		time.AfterFunc(time.Duration(ev.Bytes)*time.Millisecond, func() { be.SetSlowIO(0) })
 	}
 	x.res.TierFaults++
+	return nil
 }
 
 // applyFlood issues one burst of low-priority flood-tenant puts. The

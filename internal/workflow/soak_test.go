@@ -161,9 +161,9 @@ func regressionPath(t *testing.T, kind string) string {
 	return filepath.Join("testdata", kind+".trace")
 }
 
-// runRegression replays one checked-in trace from testdata/ and holds
-// it to its recorded digest. With -update-traces it first rebuilds and
-// re-verifies the artifact.
+// runRegression replays one checked-in trace from testdata/ twice and
+// holds both runs to its recorded digest and to one final-state sum.
+// With -update-traces it first rebuilds and re-verifies the artifact.
 func runRegression(t *testing.T, kind string) {
 	t.Helper()
 	path := regressionPath(t, kind)
@@ -187,18 +187,35 @@ func runRegression(t *testing.T, kind string) {
 	if err != nil {
 		t.Fatalf("checked-in trace unreadable: %v", err)
 	}
-	res, err := ReplayTrace(h, events)
-	if err != nil {
-		t.Fatalf("replay of %s diverged: %v", kind, err)
-	}
-	if res.Digest != h.Digest {
-		t.Fatalf("replay digest %#x != recorded %#x", res.Digest, h.Digest)
+	var first SoakResult
+	for run := 0; run < 2; run++ {
+		res, err := ReplayTrace(h, events)
+		if err != nil {
+			t.Fatalf("replay %d of %s diverged: %v", run, kind, err)
+		}
+		if res.Digest != h.Digest {
+			t.Fatalf("replay %d digest %#x != recorded %#x", run, res.Digest, h.Digest)
+		}
+		if run == 0 {
+			first = res
+		} else if res.StateSum != first.StateSum {
+			t.Fatalf("final staging state diverged between replays: %#x vs %#x", first.StateSum, res.StateSum)
+		}
 	}
 }
 
 func TestReplayRegression_KillMidReplay(t *testing.T)   { runRegression(t, "kill-mid-replay") }
 func TestReplayRegression_TierSpillENOSPC(t *testing.T) { runRegression(t, "tier-spill-enospc") }
 func TestReplayRegression_OverloadShed(t *testing.T)    { runRegression(t, "overload-shed") }
+func TestReplayRegression_LeaderKilledMidPromotion(t *testing.T) {
+	runRegression(t, "leader-killed-mid-promotion")
+}
+func TestReplayRegression_DeposedLeaderFenced(t *testing.T) {
+	runRegression(t, "deposed-leader-fenced")
+}
+func TestReplayRegression_SpareExhaustionHealed(t *testing.T) {
+	runRegression(t, "spare-exhaustion-healed")
+}
 
 func TestBuildRegressionTraceShapes(t *testing.T) {
 	cases := []struct {
@@ -208,6 +225,9 @@ func TestBuildRegressionTraceShapes(t *testing.T) {
 		{"kill-mid-replay", trace.EvFailStop},
 		{"tier-spill-enospc", trace.EvTierFault},
 		{"overload-shed", trace.EvFlood},
+		{"leader-killed-mid-promotion", trace.EvSupervisorKill},
+		{"deposed-leader-fenced", trace.EvSupervisorKill},
+		{"spare-exhaustion-healed", trace.EvAddSpare},
 	}
 	for _, c := range cases {
 		h, events, err := BuildRegressionTrace(c.kind)
