@@ -77,11 +77,13 @@ nemesis:
 	$(GO) test -race -run 'TestNemesis' -count=1 -timeout 10m ./internal/workflow/
 
 # Recovery timing gate: WaitIdle confirms a repaired group (no window
-# pads it), so the kill sweeps and the chaos soak that wait on it run
-# ten times each under the race detector. A flake seen here is filed in
-# CHANGES.md with its seed.
+# pads it, and the repair's end asks for the probe round at once), so
+# the kill sweeps, the chaos soak that wait on it, the requested probe
+# rounds and the supervisor's kept connections run ten times each under
+# the race detector. A flake seen here is filed in CHANGES.md with its
+# seed.
 recovery-stress:
-	$(GO) test -race -count=10 -timeout 20m -run 'TestWaitIdle|TestKillAnyServerAtAnyPoint|TestKillInsidePut|TestNemesisChaosSoak' ./internal/recovery ./internal/workflow
+	$(GO) test -race -count=10 -timeout 20m -run 'TestWaitIdle|TestProbeNow|TestSupervisorKeepsOneConnPerMember|TestKillAnyServerAtAnyPoint|TestKillInsidePut|TestNemesisChaosSoak' ./internal/health ./internal/recovery ./internal/workflow
 
 # Bounded churn-soak gate: replay the checked-in regression traces
 # (each twice) and the record-vs-replay determinism tests, then run two

@@ -6,9 +6,9 @@
 //
 // Detection is φ-style consecutive-miss counting rather than a full
 // accrual detector: a server that misses SuspectAfter consecutive
-// probes is Suspect, one that misses DeadAfter is Dead. A Dead verdict
-// is the trigger for the supervisor's promote-and-re-protect sequence;
-// the detector itself never mutates membership.
+// periodic probes is Suspect, one that misses DeadAfter is Dead. A Dead
+// verdict is the trigger for the supervisor's promote-and-re-protect
+// sequence; the detector itself never mutates membership.
 package health
 
 import (
@@ -153,6 +153,9 @@ type Detector struct {
 	started bool
 	closed  bool
 
+	// kick holds at most one requested round (ProbeNow) not yet started:
+	// a request made while it is full is served by that round.
+	kick     chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
@@ -168,6 +171,7 @@ func NewDetector(tr transport.Transport, from string, cfg Config) *Detector {
 		reg:     metrics.NewRegistry(),
 		targets: make(map[int]*target),
 		round:   make(chan struct{}),
+		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -188,9 +192,10 @@ func (d *Detector) Window() time.Duration {
 }
 
 // Round returns a channel that is closed when the probe round in
-// progress ends — every verdict of the round recorded and every
-// transition it caused already queued to subscribers — or when the
-// detector closes. Call it again for the next round.
+// progress, periodic or requested (ProbeNow), ends — every verdict of
+// the round recorded and every transition it caused already queued to
+// subscribers — or when the detector closes. Call it again for the next
+// round.
 func (d *Detector) Round() <-chan struct{} {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -198,11 +203,18 @@ func (d *Detector) Round() <-chan struct{} {
 }
 
 // Watch adds (or re-targets) membership slot id at addr. The slot
-// starts Alive with a clean miss count, not yet heard from.
+// starts Alive with a clean miss count, not yet heard from. Watching a
+// slot at the address it already watches changes nothing: a supervisor
+// that promoted into the slot hears its own membership change back, and
+// must not forget the answers the spare gave meanwhile.
 func (d *Detector) Watch(id int, addr string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if t, ok := d.targets[id]; ok && t.conn != nil {
+	t, ok := d.targets[id]
+	if ok && t.addr == addr {
+		return
+	}
+	if ok && t.conn != nil {
 		t.conn.Close()
 	}
 	d.targets[id] = &target{id: id, addr: addr, state: Alive}
@@ -264,6 +276,22 @@ func (d *Detector) Close() error {
 	return nil
 }
 
+// ProbeNow asks for one probe round now, outside the periodic schedule,
+// which it leaves as it is. Every request is answered by a round whose
+// probes are sent after it: requests made while a requested round runs
+// coalesce into one more round after it. Answers count as in any round
+// — they advance Heard, report rejoins, and the round closes Round — but
+// a miss is not counted toward Suspect or Dead: detection keeps its
+// configured timing (Window), and a round asked for more often than
+// Period cannot hasten a death verdict. A request made before Start is
+// served once the detector starts.
+func (d *Detector) ProbeNow() {
+	select {
+	case d.kick <- struct{}{}:
+	default: // a requested round is pending already and serves this one too
+	}
+}
+
 func (d *Detector) closeSubs() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -286,6 +314,21 @@ func (d *Detector) closeSubs() {
 func (d *Detector) loop() {
 	defer close(d.done)
 	defer d.closeSubs()
+	// Requested rounds run beside the periodic ones, so a slow one never
+	// delays the schedule; both end before the subscriptions close.
+	requested := make(chan struct{})
+	go func() {
+		defer close(requested)
+		for {
+			select {
+			case <-d.stop:
+				return
+			case <-d.kick:
+				d.probeAll(true)
+			}
+		}
+	}()
+	defer func() { <-requested }()
 	ticker := time.NewTicker(d.cfg.Period)
 	defer ticker.Stop()
 	for {
@@ -293,14 +336,15 @@ func (d *Detector) loop() {
 		case <-d.stop:
 			return
 		case <-ticker.C:
-			d.probeAll()
+			d.probeAll(false)
 		}
 	}
 }
 
 // probeAll pings every target once, concurrently, folds the results
-// into the miss counters, and ends the round.
-func (d *Detector) probeAll() {
+// into the miss counters (a requested round's misses excepted), and
+// ends the round.
+func (d *Detector) probeAll(requested bool) {
 	d.mu.Lock()
 	snapshot := make([]*target, 0, len(d.targets))
 	for _, t := range d.targets {
@@ -322,7 +366,9 @@ func (d *Detector) probeAll() {
 	}
 	for range snapshot {
 		v := <-results
-		d.record(v.t, v.ok, v.sent)
+		if v.ok || !requested {
+			d.record(v.t, v.ok, v.sent)
+		}
 	}
 	d.reg.Counter("health.rounds").Inc()
 	d.mu.Lock()
@@ -358,17 +404,18 @@ func (d *Detector) probe(t *target) bool {
 			}
 		}
 		resp, err := c.Call(PingReq{From: d.from})
-		if err != nil {
-			c.Close()
-			c = nil
-		}
 		d.mu.Lock()
-		// Keep the connection only while the detector is live and the
-		// slot still points at the address we probed (SetAddr may have
-		// re-targeted it).
-		if !d.closed && t.addr == addr {
+		// Keep the connection only while it works, the detector is live,
+		// the slot is still this target (SetAddr may have re-targeted
+		// it), and no concurrent probe (a requested round beside a
+		// periodic one, or a timed-out probe finishing late) parked
+		// another one first.
+		if err == nil && !d.closed && d.targets[t.id] == t && (t.conn == nil || t.conn == c) {
 			t.conn = c
-		} else if c != nil {
+		} else {
+			if t.conn == c {
+				t.conn = nil
+			}
 			c.Close()
 		}
 		d.mu.Unlock()

@@ -184,12 +184,160 @@ func TestDetectorHeardAndRounds(t *testing.T) {
 	if st := d.Statuses()[0]; st.State != Alive || st.Heard.IsZero() {
 		t.Fatalf("re-targeted slot after two rounds: %+v, want alive and heard", st)
 	}
+	// Watching the slot's own address again (a supervisor hearing back
+	// the membership change it made) forgets nothing.
+	heard := d.Statuses()[0].Heard
+	d.SetAddr(0, "srv/new")
+	if got := d.Statuses()[0].Heard; got.Before(heard) {
+		t.Fatalf("re-watching the same address moved heard back from %v to %v", heard, got)
+	}
 
 	d.Close()
 	select {
 	case <-d.Round():
 	default:
 		t.Fatal("Round still open after Close")
+	}
+}
+
+// farConfig puts the periodic rounds an hour apart, so every round a
+// test sees is one it asked for (ProbeNow) or ran by hand (probeAll).
+func farConfig() Config {
+	return Config{Period: time.Hour, Timeout: 20 * time.Millisecond, SuspectAfter: 2, DeadAfter: 3}
+}
+
+// requestRound asks for a probe round and waits for it to end.
+func requestRound(t *testing.T, d *Detector) {
+	t.Helper()
+	round := d.Round()
+	d.ProbeNow()
+	select {
+	case <-round:
+	case <-time.After(5 * time.Second):
+		t.Fatal("requested probe round never ended")
+	}
+}
+
+// TestProbeNowMissesNotCounted: a target that fails only requested
+// rounds keeps its miss count and its state — a requested round can
+// never hasten a death verdict — while the periodic rounds around them
+// count as configured.
+func TestProbeNowMissesNotCounted(t *testing.T) {
+	tr := transport.NewInProc()
+	var alive atomic.Bool
+	closer, err := tr.Listen("srv/0", pingHandler(0, &alive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	d := NewDetector(tr, "test/0", farConfig())
+	defer d.Close()
+	d.Watch(0, "srv/0")
+	events := d.Subscribe()
+	d.Start()
+
+	misses := func() int {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.targets[0].misses
+	}
+	d.probeAll(false) // a periodic round, run by hand: one miss
+	if m := misses(); m != 1 {
+		t.Fatalf("misses = %d after one periodic round, want 1", m)
+	}
+	for i := 0; i < 5; i++ { // more requested misses than DeadAfter
+		requestRound(t, d)
+	}
+	if m, st := misses(), d.Statuses()[0].State; m != 1 || st != Alive {
+		t.Fatalf("after five missed requested rounds: misses %d, %v; want 1, alive", m, st)
+	}
+	if n := d.Metrics().Counter("health.misses").Value(); n != 1 {
+		t.Fatalf("health.misses = %d, want the periodic round's 1", n)
+	}
+	select {
+	case ev := <-events:
+		t.Fatalf("requested rounds produced %+v", ev)
+	default:
+	}
+	d.probeAll(false) // the second periodic miss is the second in a row
+	if ev := waitFor(t, events, Suspect, time.Second); ev.Misses != 2 {
+		t.Fatalf("suspect event %+v, want 2 misses", ev)
+	}
+}
+
+// TestProbeNowAnswers: a requested round's answers advance Heard and its
+// end closes Round, with no periodic round anywhere near. ProbeNow after
+// Close does nothing.
+func TestProbeNowAnswers(t *testing.T) {
+	tr := transport.NewInProc()
+	var alive atomic.Bool
+	alive.Store(true)
+	closer, err := tr.Listen("srv/0", pingHandler(0, &alive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	d := NewDetector(tr, "test/0", farConfig())
+	defer d.Close()
+	d.Watch(0, "srv/0")
+	d.Start()
+	asked := time.Now()
+	requestRound(t, d)
+	if st := d.Statuses()[0]; st.State != Alive || st.Heard.Before(asked) {
+		t.Fatalf("after a requested round: %+v, want alive and heard since %v", st, asked)
+	}
+	if n := d.Metrics().Counter("health.rounds").Value(); n != 1 {
+		t.Fatalf("health.rounds = %d, want the one requested round", n)
+	}
+	d.Close()
+	d.ProbeNow()
+	if n := d.Metrics().Counter("health.rounds").Value(); n != 1 {
+		t.Fatalf("health.rounds = %d after a ProbeNow on a closed detector", n)
+	}
+}
+
+// TestProbeNowCoalesces: requests made while a requested round is
+// running coalesce into exactly one more round, whose probes leave after
+// them.
+func TestProbeNowCoalesces(t *testing.T) {
+	tr := transport.NewInProc()
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	closer, err := tr.Listen("srv/0", func(req any) (any, error) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+		return PingResp{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	d := NewDetector(tr, "test/0", Config{Period: time.Hour, Timeout: 10 * time.Second, SuspectAfter: 2, DeadAfter: 3})
+	defer d.Close()
+	d.Watch(0, "srv/0")
+	d.Start()
+	d.ProbeNow()
+	<-entered // the first round's probe is in flight
+	asked := time.Now()
+	for i := 0; i < 10; i++ {
+		d.ProbeNow()
+	}
+	close(gate)
+	rounds := d.Metrics().Counter("health.rounds")
+	for deadline := time.Now().Add(5 * time.Second); rounds.Value() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("health.rounds = %d: the requests made during a round were never served", rounds.Value())
+		}
+	}
+	if heard := d.Statuses()[0].Heard; heard.Before(asked) {
+		t.Fatalf("heard at %v, before the coalesced requests at %v", heard, asked)
+	}
+	d.Close() // waits for the requested rounds to stop
+	if n := rounds.Value(); n != 2 {
+		t.Fatalf("health.rounds = %d, want 2: ten requests during a round coalesce into one", n)
 	}
 }
 

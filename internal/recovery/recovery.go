@@ -101,6 +101,7 @@ type deadSlot struct {
 // picks one to act and the rest stand by.
 type Supervisor struct {
 	tr     transport.Transport
+	conns  *peers
 	det    *health.Detector
 	mem    *health.Membership
 	spares SparePool
@@ -137,6 +138,7 @@ type Supervisor struct {
 func New(tr transport.Transport, det *health.Detector, mem *health.Membership, spares SparePool, cfg Config) *Supervisor {
 	s := &Supervisor{
 		tr:     tr,
+		conns:  &peers{tr: tr, conns: make(map[string]transport.Client)},
 		det:    det,
 		mem:    mem,
 		spares: spares,
@@ -210,9 +212,10 @@ func (s *Supervisor) Start() {
 	go s.loop()
 }
 
-// Close stops supervising gracefully (the detector is closed too). The
-// lease is not released — it expires on its own, which is also exactly
-// what a crash looks like to the standbys.
+// Close stops supervising gracefully (the detector and the member
+// connections are closed too). The lease is not released — it expires
+// on its own, which is also exactly what a crash looks like to the
+// standbys.
 func (s *Supervisor) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.det.Close() // closes the event channel, unblocking the loop
@@ -222,17 +225,20 @@ func (s *Supervisor) Close() error {
 	if started {
 		<-s.done
 	}
+	s.conns.close()
 	return nil
 }
 
 // Kill stops the supervisor abruptly — the soak's supervisor crash
 // (EvSupervisorKill). Unlike Close it does not wait for the loop to
-// drain: an in-flight promotion aborts at its next stage boundary,
+// drain: the member connections close at once, so an in-flight
+// promotion's calls fail and it aborts at its next stage boundary,
 // leaving the journaled intent for the next leader to resume. Call
 // Close afterwards to reap the loop goroutine.
 func (s *Supervisor) Kill() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.det.Close()
+	s.conns.close()
 }
 
 func (s *Supervisor) stopped() bool {
@@ -260,8 +266,10 @@ func (s *Supervisor) wakeLocked() {
 // has been re-sent the view by then. A workflow calls WaitIdle before
 // re-binding clients so promoted addresses are in place. The wait parks
 // on supervisor wakeups — one per probe round the loop has handled, and
-// one per recovery ending — so it returns within a probe round of the
-// repair. A stopped supervisor confirms nothing: WaitIdle fails at once.
+// one per recovery ending — and a recovery's end asks the detector for
+// a probe round at once, so it returns within one probe round-trip of
+// the repair. A stopped supervisor confirms nothing: WaitIdle fails at
+// once.
 func (s *Supervisor) WaitIdle(timeout time.Duration) error {
 	since := time.Now()
 	timer := time.NewTimer(timeout)
@@ -304,17 +312,19 @@ func (s *Supervisor) idleLocked(since time.Time) bool {
 
 // beginRecovery and endRecovery bracket one promotion attempt for
 // WaitIdle: it holds while one is in flight and, after it, until every
-// slot answers a probe sent once it ended.
+// slot answers a probe sent once it ended. endRecovery asks for that
+// probe round at once rather than leaving it to the next periodic one.
 func (s *Supervisor) beginRecovery() {
 	s.reg.Counter("recovery.in_flight").Inc()
 }
 
 func (s *Supervisor) endRecovery() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.reg.Counter("recovery.in_flight").Add(-1)
 	s.settled = time.Now()
 	s.wakeLocked()
+	s.mu.Unlock()
+	s.det.ProbeNow()
 }
 
 // renewEvery is the lease maintenance period: a third of the TTL so a
@@ -517,7 +527,7 @@ func (s *Supervisor) quorum(addrs []string) int {
 func (s *Supervisor) leaseRound(addrs []string, token uint64) int {
 	grants := 0
 	for _, addr := range addrs {
-		resp, err := transport.CallOnce[staging.LeaseCASResp](s.tr, addr,
+		resp, err := call[staging.LeaseCASResp](s, addr,
 			staging.LeaseCASReq{Holder: s.cfg.ID, Token: token, TTL: s.cfg.LeaseTTL})
 		if err != nil {
 			continue
@@ -589,7 +599,7 @@ func (s *Supervisor) renew() bool {
 func (s *Supervisor) releaseRound(addrs []string) {
 	for _, addr := range addrs {
 		// Best effort: a grant that is not given back expires on its own.
-		transport.CallOnce[staging.LeaseCASResp](s.tr, addr, staging.LeaseCASReq{Holder: s.cfg.ID, Release: true})
+		call[staging.LeaseCASResp](s, addr, staging.LeaseCASReq{Holder: s.cfg.ID, Release: true})
 	}
 }
 
@@ -613,7 +623,7 @@ func (s *Supervisor) onElected(token uint64) {
 func (s *Supervisor) fetchIntents() []staging.PromotionIntent {
 	best := make(map[int]staging.PromotionIntent)
 	for _, addr := range s.mem.Addrs() {
-		resp, err := transport.CallOnce[staging.LeaderInfoResp](s.tr, addr, staging.LeaderInfoReq{})
+		resp, err := call[staging.LeaderInfoResp](s, addr, staging.LeaderInfoReq{})
 		if err != nil {
 			continue
 		}
@@ -873,10 +883,88 @@ func (s *Supervisor) clearIntent(slot int, token uint64) {
 	}
 }
 
+// call issues one request to addr over the member's kept connection
+// and expects an R back.
+func call[R any](s *Supervisor, addr string, req any) (R, error) {
+	return transport.As[R](s.conns.call(addr, req))
+}
+
 // fencedCall issues one request to addr under the fencing token and
 // expects an R back.
 func fencedCall[R any](s *Supervisor, addr string, token uint64, req any) (R, error) {
-	return transport.CallOnce[R](s.tr, addr, staging.FencedReq{Token: token, Req: req})
+	return call[R](s, addr, staging.FencedReq{Token: token, Req: req})
+}
+
+// peers keeps one client per member address for the supervisor's
+// control calls: the lease rounds, the intent journal, the position
+// queries, the fenced install and the view push. A client is dialled on
+// first use and dropped on a transport fault, so the next call to that
+// address re-dials; close shuts every client and refuses new dials.
+type peers struct {
+	tr transport.Transport
+
+	mu     sync.Mutex
+	conns  map[string]transport.Client
+	closed bool
+}
+
+// call issues req to addr over its kept client.
+func (p *peers) call(addr string, req any) (any, error) {
+	c, err := p.client(addr)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.Call(req)
+	if transport.Retryable(err) || errors.Is(err, transport.ErrClosed) {
+		p.mu.Lock()
+		if p.conns[addr] == c {
+			delete(p.conns, addr)
+		}
+		p.mu.Unlock()
+		c.Close()
+	}
+	return resp, err
+}
+
+// client returns addr's kept client, dialling it if there is none. The
+// dial runs outside the lock, so a slow one never holds up close.
+func (p *peers) client(addr string) (transport.Client, error) {
+	p.mu.Lock()
+	c, ok := p.conns[addr]
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
+		return nil, transport.ErrClosed
+	}
+	if ok {
+		return c, nil
+	}
+	c, err := p.tr.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		c.Close()
+		return nil, transport.ErrClosed
+	}
+	if kept, ok := p.conns[addr]; ok { // a concurrent call dialled first
+		c.Close()
+		return kept, nil
+	}
+	p.conns[addr] = c
+	return c, nil
+}
+
+func (p *peers) close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	for addr, c := range p.conns {
+		c.Close()
+		delete(p.conns, addr)
+	}
 }
 
 // restoreLog restores the dead slot's replicated event-log state onto
@@ -899,7 +987,7 @@ func (s *Supervisor) restoreLog(deadSlot int, spareAddr string, token uint64) bo
 		if i == deadSlot {
 			continue
 		}
-		resp, err := transport.CallOnce[staging.ReplFetchResp](s.tr, addr, staging.ReplFetchReq{Slot: deadSlot})
+		resp, err := call[staging.ReplFetchResp](s, addr, staging.ReplFetchReq{Slot: deadSlot})
 		if err != nil || !resp.Found {
 			continue
 		}
@@ -927,28 +1015,7 @@ func (s *Supervisor) restoreLog(deadSlot int, spareAddr string, token uint64) bo
 	s.reg.Counter("recovery.log_records").Add(resp.Seq)
 	s.reg.Counter("recovery.log_bytes").Add(resp.Bytes)
 	s.reg.Counter("recovery.log_lag").Add(maxSeq - minSeq)
-	s.scrubTier(spareAddr, token)
 	return true
-}
-
-// scrubTier fires a best-effort CRC scrub over the promoted spare's
-// cold tier right after the log restore: a promotion is exactly when
-// spilled records written before the fault must be proven readable, and
-// the scrub re-replicates any generation the storage layer corrupted
-// while the slot was dark. Failures are counted, never fatal — the
-// promotion already holds the restored state in RAM.
-func (s *Supervisor) scrubTier(spareAddr string, token uint64) {
-	resp, err := fencedCall[staging.TierScrubResp](s, spareAddr, token, staging.TierScrubReq{})
-	if err != nil {
-		s.reg.Counter("recovery.tier_scrub_errors").Inc()
-		return
-	}
-	if !resp.Enabled {
-		return
-	}
-	s.reg.Counter("recovery.tier_scrubs").Inc()
-	s.reg.Counter("recovery.tier_scrub_healed").Add(resp.Healed)
-	s.reg.Counter("recovery.tier_scrub_lost").Add(resp.Lost)
 }
 
 // pushView installs the new membership on every member, including the

@@ -156,6 +156,118 @@ func TestWaitIdleHeldByBlackout(t *testing.T) {
 	}
 }
 
+// promptGroup is a 4-member group with a spare under a supervisor whose
+// periodic probe round is period away: a test drives the promotion by
+// hand (handleEvent), not through detection. At the promotion's pushed
+// stage, atPushed runs and then WaitIdle is called on a goroutine of its
+// own; the returned channel yields WaitIdle's result and how long after
+// the repair ended (OnPromote) it returned.
+func promptGroup(t *testing.T, tr transport.Transport, period time.Duration, atPushed func()) (*staging.Group, *Supervisor, <-chan idleResult) {
+	t.Helper()
+	g, err := staging.StartGroup(tr, "stage", groupConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	if _, err := g.AddSpare(); err != nil {
+		t.Fatal(err)
+	}
+	det := health.NewDetector(tr, "supervisor/0", health.Config{Period: period, Timeout: 50 * time.Millisecond, SuspectAfter: 2, DeadAfter: 4})
+	out := make(chan idleResult, 1)
+	var (
+		sup      *Supervisor
+		repaired = make(chan time.Time, 1)
+	)
+	sup = New(tr, det, g.Membership(), g, Config{
+		PromotionHook: func(stage string, _ int) {
+			if stage != "pushed" {
+				return
+			}
+			atPushed()
+			calling := make(chan struct{})
+			go func() {
+				close(calling)
+				err := sup.WaitIdle(10 * time.Second)
+				out <- idleResult{err: err, afterRepair: time.Since(<-repaired)}
+			}()
+			// Let the waiter take its start time before the repair ends.
+			<-calling
+			time.Sleep(10 * time.Millisecond)
+		},
+		OnPromote: func(int, string, uint64) { repaired <- time.Now() },
+	})
+	t.Cleanup(func() { sup.Close() })
+	sup.Start()
+	return g, sup, out
+}
+
+type idleResult struct {
+	err         error
+	afterRepair time.Duration
+}
+
+// killByHand fail-stops slot and hands the supervisor its death verdict
+// directly, so the promotion runs now instead of a detection later.
+func killByHand(t *testing.T, g *staging.Group, sup *Supervisor, slot int) {
+	t.Helper()
+	addr := g.Membership().Addr(slot)
+	if err := g.FailStop(slot); err != nil {
+		t.Fatal(err)
+	}
+	sup.handleEvent(health.Event{Server: slot, Addr: addr, State: health.Dead})
+	if p := sup.Metrics().Counter("recovery.promotions").Value(); p != 1 {
+		t.Fatalf("%d promotions after the death verdict, want 1", p)
+	}
+}
+
+// TestWaitIdleConfirmsRepairAtOnce: the end of a recovery starts a probe
+// round, so WaitIdle, called while the promotion runs, returns within a
+// few milliseconds of the repair although the next periodic round is a
+// second away.
+func TestWaitIdleConfirmsRepairAtOnce(t *testing.T) {
+	const period, budget = time.Second, 100 * time.Millisecond
+	g, sup, idle := promptGroup(t, transport.NewInProc(), period, func() {})
+	killByHand(t, g, sup, 1)
+	r := <-idle
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.afterRepair > budget {
+		t.Fatalf("WaitIdle returned %v after the repair, want under %v (the periodic round is %v away)", r.afterRepair, budget, period)
+	}
+	if st := sup.seenAt(1); st.State != health.Alive || st.Heard.IsZero() {
+		t.Fatalf("the spare at return: %+v, want alive and heard", st)
+	}
+}
+
+// TestWaitIdleSpareMissesRequestedRound: a spare that does not answer the
+// round the repair asked for keeps WaitIdle waiting for a periodic
+// round it answers; the missed requested round counts toward nothing.
+func TestWaitIdleSpareMissesRequestedRound(t *testing.T) {
+	const dark = 60 * time.Millisecond
+	chaos := transport.NewChaos(transport.NewInProc(), 4)
+	var from time.Time
+	var g *staging.Group
+	g, sup, idle := promptGroup(t, chaos, 250*time.Millisecond, func() {
+		from = time.Now()
+		chaos.Blackout(g.Membership().Addr(1), dark) // the spare, promoted
+	})
+	killByHand(t, g, sup, 1)
+	r := <-idle
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if held := time.Since(from); held < dark {
+		t.Fatalf("WaitIdle returned %v into the spare's %v blackout", held, dark)
+	}
+	if st := sup.seenAt(1); st.State != health.Alive || st.Heard.Before(from.Add(dark)) {
+		t.Fatalf("the spare at return: %+v, want alive and heard after its blackout", st)
+	}
+	if p := sup.Metrics().Counter("recovery.promotions").Value(); p != 1 {
+		t.Fatalf("%d promotions, want 1", p)
+	}
+}
+
 // TestWaitIdleStoppedSupervisor: a killed or closed supervisor can
 // confirm nothing, so WaitIdle fails at once — whether it was already
 // waiting (on a dead slot no spare can heal) or is called afterwards —

@@ -63,8 +63,8 @@ func As[R any](raw any, err error) (R, error) {
 }
 
 // CallOnce makes one call over a connection of its own: dial, call,
-// close. It is for control traffic with no connection to keep — a
-// probe, a supervisor's round over the membership.
+// close. It is for a one-off call with no connection to keep — a dsctl
+// probe, a forwarded install, a soak's end-of-run tier check.
 func CallOnce[R any](tr Transport, addr string, req any) (R, error) {
 	conn, err := tr.Dial(addr)
 	if err != nil {
