@@ -57,10 +57,11 @@ loc-check:
 # chaos soak, lifecycle, supervised-recovery, log-replication,
 # multiplexing concurrency, and frame-corruption tests, plus the
 # crash-consistency state machines: wlog, ckpt, pfs, the cold tier — the
-# parallel EC kernel, the admission-control/QoS layer, and the lock
-# table the lock server, its replicas and a promoted spare all run).
+# parallel EC kernel, the admission-control/QoS layer, the lock table
+# the lock server, its replicas and a promoted spare all run, and the
+# goroutine MPI runtime, whose ranks wait on condition variables).
 race:
-	$(GO) test -race ./internal/codec/... ./internal/transport/... ./internal/staging/... ./internal/ec/... ./internal/health/... ./internal/recovery/... ./internal/corec/... ./internal/wlog/... ./internal/ckpt/... ./internal/pfs/... ./internal/tier/... ./internal/qos/... ./internal/trace/... ./internal/locks/...
+	$(GO) test -race ./internal/codec/... ./internal/transport/... ./internal/staging/... ./internal/ec/... ./internal/health/... ./internal/recovery/... ./internal/corec/... ./internal/wlog/... ./internal/ckpt/... ./internal/pfs/... ./internal/tier/... ./internal/qos/... ./internal/trace/... ./internal/locks/... ./internal/mpi/...
 
 # Fast loop: -short skips the chaos soak and other slow tests.
 short:

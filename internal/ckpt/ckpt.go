@@ -5,6 +5,11 @@
 // multi-level checkpointing, one of the extensions its future-work
 // section names (the other, proactive checkpointing, is quantified in
 // the scale model: expt.SimParams.Proactive).
+//
+// It also owns the repository's one crash-atomic commit: Twin, a
+// CRC-sealed record (SealRecord) in two alternating generations plus a
+// one-byte marker. A rank's checkpoint is a Twin, and so is the cold
+// tier's manifest (internal/tier): one election, one commit.
 package ckpt
 
 import (
@@ -60,13 +65,12 @@ func (s Scheme) Logged() bool { return s == Uncoordinated || s == Hybrid }
 
 // Saver persists per-rank component state in a checkpoint store.
 //
-// Each rank's checkpoint is kept as a CRC-checksummed record in one of
-// two alternating generations plus a tiny commit marker, so a writer
-// dying mid-checkpoint (torn write) or silent media corruption never
-// costs more than one checkpoint period: Save writes the full record
-// into the non-committed generation and only then flips the marker (the
-// atomic commit point), and Load falls back to the surviving generation
-// when the marked one fails verification.
+// Each rank's checkpoint is one Twin, so a writer dying mid-checkpoint
+// (torn write) or silent media corruption never costs more than one
+// checkpoint period: Save writes the full record into the generation
+// Load would not return and only then flips the marker (the atomic
+// commit point), and Load falls back to the surviving generation when
+// the marked one fails verification or does not decode.
 type Saver struct {
 	store *pfs.Store
 }
@@ -133,99 +137,125 @@ func OpenRecord(rec []byte) (seq uint64, payload []byte, ok bool) {
 	return seq, payload, true
 }
 
-// gens reads and verifies both generation records of base.
-func (s *Saver) gens(base string) (seqs [2]uint64, payloads [2][]byte, valid [2]bool, present bool) {
-	for g := 0; g < 2; g++ {
-		rec, ok := s.store.Read(genKey(base, g))
-		if !ok {
-			continue
-		}
-		present = true
-		seqs[g], payloads[g], valid[g] = OpenRecord(rec)
-	}
-	return
+// Store is the slice of a PFS store a Twin reads and commits through.
+// *pfs.Store, *pfs.DirStore and tier.Backend all satisfy it.
+type Store interface {
+	Write(name string, data []byte) error
+	Read(name string) ([]byte, bool)
+	Delete(name string)
 }
 
-// committedGen reads the commit marker (-1 when missing or corrupt).
-func (s *Saver) committedGen(base string) int {
-	m, ok := s.store.Read(curKey(base))
-	if !ok || len(m) != 1 || m[0] > 1 {
-		return -1
+// Twin is one crash-atomic cell: a sealed record in two alternating
+// generations, <Base>/g0 and <Base>/g1, and a one-byte marker,
+// <Base>/cur, naming the committed one. A rank's checkpoint and the
+// cold tier's manifest are each one Twin.
+type Twin struct {
+	Store Store
+	Base  string
+}
+
+// Load elects the committed generation and returns it with its
+// sequence number; gen is -1 when no generation is usable, and present
+// reports whether any generation record exists at all. A generation is
+// usable when its frame verifies and accept takes its body (accept
+// decodes it, keeping what it decoded). The marked generation is tried
+// first, then its twin; with no usable marker, the freshest verified
+// generation first.
+func (c Twin) Load(accept func(body []byte) bool) (gen int, seq uint64, present bool) {
+	var seqs [2]uint64
+	var bodies [2][]byte
+	var valid [2]bool
+	for g := 0; g < 2; g++ {
+		rec, ok := c.Store.Read(genKey(c.Base, g))
+		present = present || ok
+		if ok {
+			seqs[g], bodies[g], valid[g] = OpenRecord(rec)
+		}
 	}
-	return int(m[0])
+	first := 0
+	if m, ok := c.Store.Read(curKey(c.Base)); ok && len(m) == 1 && m[0] <= 1 {
+		first = int(m[0])
+	} else if valid[1] && (!valid[0] || seqs[1] > seqs[0]) {
+		first = 1
+	}
+	for _, g := range [2]int{first, 1 - first} {
+		if valid[g] && accept(bodies[g]) {
+			return g, seqs[g], present
+		}
+	}
+	return -1, 0, present
+}
+
+// Commit seals parts as sequence seq into the generation Load did not
+// return (prev; -1 when it returned none), then flips the marker: the
+// commit point. If the flip fails, the new generation is deleted, so a
+// Load that finds no usable marker cannot elect it by sequence number.
+// It returns the committed generation, or prev on error.
+func (c Twin) Commit(prev int, seq uint64, parts ...[]byte) (int, error) {
+	g := 0
+	if prev == 0 {
+		g = 1
+	}
+	if err := c.Store.Write(genKey(c.Base, g), SealRecord(seq, parts...)); err != nil {
+		return prev, err
+	}
+	if err := c.Store.Write(curKey(c.Base), []byte{byte(g)}); err != nil {
+		c.Store.Delete(genKey(c.Base, g))
+		return prev, err
+	}
+	return g, nil
+}
+
+// Drop deletes both generations and the marker.
+func (c Twin) Drop() {
+	c.Store.Delete(genKey(c.Base, 0))
+	c.Store.Delete(genKey(c.Base, 1))
+	c.Store.Delete(curKey(c.Base))
+}
+
+// decodesInto is a checkpoint body's acceptance test: it decodes as gob
+// into out (into nothing, only checked, when out is nil).
+func decodesInto(out any) func([]byte) bool {
+	return func(body []byte) bool {
+		return gob.NewDecoder(bytes.NewReader(body)).Decode(out) == nil
+	}
+}
+
+func (s *Saver) cell(component string, rank int) Twin {
+	return Twin{Store: s.store, Base: Key(component, rank)}
 }
 
 // Save serializes state (gob) as the rank's current checkpoint. The
-// record goes to the generation the commit marker does NOT point at, so
-// the committed checkpoint stays intact until the marker flip commits
+// record goes to the generation Load would not return, so the
+// checkpoint Load restores stays intact until the marker flip commits
 // the new one.
 func (s *Saver) Save(component string, rank int, state any) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
 		return fmt.Errorf("ckpt: encode %s/%d: %w", component, rank, err)
 	}
-	base := Key(component, rank)
-	seqs, _, valid, _ := s.gens(base)
-	target := 0
-	switch cur := s.committedGen(base); {
-	case cur >= 0:
-		target = 1 - cur
-	case valid[0] && !valid[1]:
-		target = 1
-	case valid[0] && valid[1] && seqs[1] < seqs[0]:
-		target = 1
-	}
-	seq := uint64(1)
-	for g := 0; g < 2; g++ {
-		if valid[g] && seqs[g] >= seq {
-			seq = seqs[g] + 1
-		}
-	}
-	if err := s.store.Write(genKey(base, target), SealRecord(seq, buf.Bytes())); err != nil {
-		return fmt.Errorf("ckpt: write %s/%d: %w", component, rank, err)
-	}
-	if err := s.store.Write(curKey(base), []byte{byte(target)}); err != nil {
-		return fmt.Errorf("ckpt: commit %s/%d: %w", component, rank, err)
+	c := s.cell(component, rank)
+	gen, seq, _ := c.Load(decodesInto(nil))
+	if _, err := c.Commit(gen, seq+1, buf.Bytes()); err != nil {
+		return fmt.Errorf("ckpt: save %s/%d: %w", component, rank, err)
 	}
 	return nil
 }
 
 // Load restores the rank's last checkpoint into out, reporting whether
-// one existed. The committed generation is tried first; a torn or
-// corrupt record falls back to the other generation. An error is
-// returned only when records exist but none verifies.
+// one existed. A generation that is torn, corrupt or does not decode
+// falls back to its twin. An error is returned only when records exist
+// but none is usable.
 func (s *Saver) Load(component string, rank int, out any) (bool, error) {
-	base := Key(component, rank)
-	seqs, payloads, valid, present := s.gens(base)
-	if !present {
-		return false, nil
+	gen, _, present := s.cell(component, rank).Load(decodesInto(out))
+	if gen < 0 && present {
+		return false, fmt.Errorf("ckpt: %s/%d: all checkpoint generations torn or corrupt", component, rank)
 	}
-	order := []int{0, 1}
-	if cur := s.committedGen(base); cur >= 0 {
-		order = []int{cur, 1 - cur}
-	} else if valid[1] && (!valid[0] || seqs[1] > seqs[0]) {
-		// No usable marker: freshest verified record wins.
-		order = []int{1, 0}
-	}
-	for _, g := range order {
-		if !valid[g] {
-			continue
-		}
-		if err := gob.NewDecoder(bytes.NewReader(payloads[g])).Decode(out); err != nil {
-			return false, fmt.Errorf("ckpt: decode %s/%d: %w", component, rank, err)
-		}
-		return true, nil
-	}
-	return false, fmt.Errorf("ckpt: %s/%d: all checkpoint generations torn or corrupt", component, rank)
+	return gen >= 0, nil
 }
 
 // Drop removes the rank's checkpoint.
-func (s *Saver) Drop(component string, rank int) {
-	base := Key(component, rank)
-	s.store.Delete(genKey(base, 0))
-	s.store.Delete(genKey(base, 1))
-	s.store.Delete(curKey(base))
-}
+func (s *Saver) Drop(component string, rank int) { s.cell(component, rank).Drop() }
 
 // ---------------------------------------------------------------------
 // Multi-level checkpointing (Moody et al., SC'10): frequent cheap

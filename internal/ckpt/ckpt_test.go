@@ -270,6 +270,52 @@ func TestSavePreservesCommittedGeneration(t *testing.T) {
 	}
 }
 
+// TestSaveAfterRotKeepsValidTwin: when the committed generation has
+// rotted at rest, Save must write over the rotted one, not over its
+// valid twin, so a torn next save still leaves the checkpoint before
+// the rotted one loadable. Electing the target from the marker alone
+// overwrote the only valid generation here.
+func TestSaveAfterRotKeepsValidTwin(t *testing.T) {
+	store := pfs.NewStore()
+	s := NewSaver(store)
+	for _, ts := range []int64{4, 8} {
+		if err := s.Save("sim", 0, rankState{LastTS: ts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := Key("sim", 0)
+	cur, _ := store.Read(curKey(base))
+	if !store.Corrupt(genKey(base, int(cur[0])), 30) {
+		t.Fatal("no committed generation to corrupt")
+	}
+	store.FailNextWrite(pfs.FaultTruncate)
+	if err := s.Save("sim", 0, rankState{LastTS: 12}); err != nil {
+		t.Fatal(err)
+	}
+	var out rankState
+	ok, err := s.Load("sim", 0, &out)
+	if err != nil || !ok || out.LastTS != 4 {
+		t.Fatalf("load = %v %v %+v, want the valid twin 4", ok, err, out)
+	}
+}
+
+// TestLoadFallsBackWhenBodyDoesNotDecode: a marked generation whose
+// frame verifies but whose body does not decode loses to its twin.
+func TestLoadFallsBackWhenBodyDoesNotDecode(t *testing.T) {
+	store := pfs.NewStore()
+	s := NewSaver(store)
+	_ = s.Save("sim", 0, rankState{LastTS: 4})
+	_ = s.Save("sim", 0, rankState{LastTS: 8})
+	base := Key("sim", 0)
+	cur, _ := store.Read(curKey(base))
+	store.Write(genKey(base, int(cur[0])), SealRecord(9, []byte("not gob")))
+	var out rankState
+	ok, err := s.Load("sim", 0, &out)
+	if err != nil || !ok || out.LastTS != 4 {
+		t.Fatalf("load = %v %v %+v, want the twin 4", ok, err, out)
+	}
+}
+
 // TestMultiLevelConcurrentSaves is the regression test for the counts
 // data race: many ranks checkpoint through one MultiLevel concurrently
 // (run under -race), and every rank's L2 cadence must stay exact.

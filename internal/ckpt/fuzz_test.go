@@ -3,6 +3,8 @@ package ckpt
 import (
 	"bytes"
 	"testing"
+
+	"gospaces/internal/pfs"
 )
 
 // FuzzRecordRoundTrip seals arbitrary payloads and verifies OpenRecord
@@ -38,6 +40,53 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if cut < len(rec) {
 			if _, _, ok := OpenRecord(rec[:cut]); ok {
 				t.Fatalf("truncated record (%d of %d bytes) accepted", cut, len(rec))
+			}
+		}
+	})
+}
+
+// FuzzTwinLoad feeds arbitrary bytes as g0, g1 and cur (absent where
+// the matching bit of missing is set) and an acceptance test that
+// refuses bodies starting with the byte reject. Load must never panic,
+// must return only a generation whose stored frame OpenRecord verifies
+// with the sequence number and body it reports, must prefer a usable
+// marked generation, and must report present iff a generation record
+// exists.
+func FuzzTwinLoad(f *testing.F) {
+	good, other := SealRecord(1, []byte("one")), SealRecord(2, []byte("two"))
+	f.Add(good, other, []byte{1}, uint8(0), byte(0))
+	f.Add(good, other, []byte{0}, uint8(0), byte('o'))           // marked body refused: twin
+	f.Add(good, other[:10], []byte{1}, uint8(0), byte(0))        // marked torn: twin
+	f.Add(good, other, []byte{9, 9}, uint8(0), byte(0))          // bad marker: freshest
+	f.Add(good, other, []byte{1}, uint8(0b110), byte(0))         // g1 and cur absent
+	f.Add([]byte("junk"), []byte{}, []byte{}, uint8(0), byte(0)) // nothing usable
+	f.Fuzz(func(t *testing.T, g0, g1, cur []byte, missing uint8, reject byte) {
+		store := pfs.NewStore()
+		for i, v := range [][]byte{g0, g1, cur} {
+			if missing&(1<<i) == 0 {
+				store.Write([]string{genKey("b", 0), genKey("b", 1), curKey("b")}[i], v)
+			}
+		}
+		var accepted [][]byte
+		gen, seq, present := Twin{Store: store, Base: "b"}.Load(func(body []byte) bool {
+			accepted = append(accepted, body)
+			return len(body) == 0 || body[0] != reject
+		})
+		if present != (missing&0b11 != 0b11) {
+			t.Fatalf("present = %v with missing %03b", present, missing)
+		}
+		if gen < 0 {
+			return
+		}
+		rec, _ := store.Read(genKey("b", gen))
+		s, body, ok := OpenRecord(rec)
+		if !ok || s != seq || !bytes.Equal(body, accepted[len(accepted)-1]) {
+			t.Fatalf("elected g%d (seq %d) does not verify as the body accepted", gen, seq)
+		}
+		if m, ok := store.Read(curKey("b")); ok && len(m) == 1 && m[0] <= 1 && int(m[0]) != gen {
+			marked, _ := store.Read(genKey("b", int(m[0])))
+			if _, mb, ok := OpenRecord(marked); ok && (len(mb) == 0 || mb[0] != reject) {
+				t.Fatalf("elected g%d over the usable marked g%d", gen, m[0])
 			}
 		}
 	})

@@ -1,13 +1,13 @@
 // Package mpi is a goroutine-based runtime with the shape of MPI plus
-// the ULFM fault-tolerance extensions the paper's recovery path relies
-// on (§III-C): fail-stop process failures, revoked communicators,
-// shrink/repair with a spare-process pool, and fault-tolerant
-// agreement. Application components in this repository run their ranks
-// as goroutines against this runtime; on a Cray the same verbs are
+// the ULFM fault-tolerance verbs the paper's recovery path relies on
+// (§III-C): fail-stop process failures, revoked communicators, and
+// repair from a spare-process pool. Application components in this
+// repository run their ranks as goroutines against this runtime
+// (point-to-point messages and a barrier); on a Cray the same verbs are
 // provided by MPI + ULFM.
 //
 // Semantics follow ULFM's: a process failure revokes every communicator
-// it belongs to; collectives and point-to-point operations involving
+// it belongs to; the barrier and point-to-point operations involving
 // the failed process return errors instead of hanging; survivors build
 // a replacement communicator with Repair, drawing fresh processes from
 // a SparePool.
@@ -21,8 +21,8 @@ import (
 )
 
 // ErrRevoked is returned by operations on a communicator that has been
-// revoked by a member failure. Survivors must Repair (or Shrink) to a
-// new communicator.
+// revoked by a member failure. Survivors must Repair to a new
+// communicator.
 var ErrRevoked = errors.New("mpi: communicator revoked by process failure")
 
 // ErrDead is returned by operations issued by a killed process.
@@ -129,15 +129,10 @@ type Comm struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// collective state, guarded by mu
+	// barrier state, guarded by mu
 	phase   int64
 	arrived map[int]struct{} // proc ids arrived in current phase
-	accum   any
-	result  any
 }
-
-// Size returns the communicator size.
-func (c *Comm) Size() int { return len(c.members) }
 
 // Rank returns p's rank in c, or -1.
 func (c *Comm) Rank(p *Proc) int {
@@ -152,17 +147,6 @@ func (c *Comm) Rank(p *Proc) int {
 // Revoked reports whether a member failure has revoked c.
 func (c *Comm) Revoked() bool { return c.revoked.Load() }
 
-// FailedRanks returns the ranks whose processes have failed.
-func (c *Comm) FailedRanks() []int {
-	var out []int
-	for i, m := range c.members {
-		if m.Dead() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 func (c *Comm) noteFailure(p *Proc) {
 	if c.Rank(p) < 0 {
 		return
@@ -172,7 +156,7 @@ func (c *Comm) noteFailure(p *Proc) {
 
 // Revoke explicitly revokes the communicator (MPI_Comm_revoke):
 // current and future operations on it fail with ErrRevoked. Survivors
-// use it to interrupt peers stuck in collectives before recovery.
+// use it to interrupt peers stuck in the barrier before recovery.
 func (c *Comm) Revoke() {
 	c.revoked.Store(true)
 	c.mu.Lock()
@@ -255,12 +239,12 @@ func (c *Comm) Recv(p *Proc, srcRank, tag int) (any, error) {
 	}
 }
 
-// collective runs one slot-based collective phase. Each member calls it
-// once per phase in lockstep; contribute folds the member's value into
-// the shared slot, and the phase result is the folded value.
-func (c *Comm) collective(p *Proc, contribute func(acc any) any) (any, error) {
+// Barrier blocks until all members arrive, failing with ErrRevoked if a
+// member dies first. Each member enters once per phase, in lockstep; a
+// second entry into the same phase is an error.
+func (c *Comm) Barrier(p *Proc) error {
 	if err := c.checkAlive(p); err != nil {
-		return nil, err
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -269,132 +253,26 @@ func (c *Comm) collective(p *Proc, contribute func(acc any) any) (any, error) {
 	}
 	myPhase := c.phase
 	if _, dup := c.arrived[p.id]; dup {
-		return nil, fmt.Errorf("mpi: proc %d entered collective twice in one phase", p.id)
+		return fmt.Errorf("mpi: proc %d entered the barrier twice in one phase", p.id)
 	}
 	c.arrived[p.id] = struct{}{}
-	c.accum = contribute(c.accum)
 	if len(c.arrived) == len(c.members) {
 		// Last arrival completes the phase.
-		c.result = c.accum
-		c.accum = nil
 		c.arrived = make(map[int]struct{})
 		c.phase++
 		c.cond.Broadcast()
-		return c.result, nil
+		return nil
 	}
 	for c.phase == myPhase && !c.revoked.Load() {
 		if p.Dead() {
-			return nil, ErrDead
+			return ErrDead
 		}
 		c.cond.Wait()
 	}
-	if c.phase == myPhase && c.revoked.Load() {
-		return nil, ErrRevoked
+	if c.phase == myPhase {
+		return ErrRevoked
 	}
-	return c.result, nil
-}
-
-// Barrier blocks until all members arrive, failing with ErrRevoked if a
-// member dies first.
-func (c *Comm) Barrier(p *Proc) error {
-	_, err := c.collective(p, func(acc any) any { return nil })
-	return err
-}
-
-// AllReduceFloat64 folds each member's value with op and returns the
-// result to all.
-func (c *Comm) AllReduceFloat64(p *Proc, v float64, op func(a, b float64) float64) (float64, error) {
-	res, err := c.collective(p, func(acc any) any {
-		if acc == nil {
-			return v
-		}
-		return op(acc.(float64), v)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.(float64), nil
-}
-
-// Bcast distributes root's value to all members.
-func (c *Comm) Bcast(p *Proc, root int, v any) (any, error) {
-	isRoot := c.Rank(p) == root
-	res, err := c.collective(p, func(acc any) any {
-		if isRoot {
-			return v
-		}
-		return acc
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Agree is ULFM's fault-tolerant agreement: it AND-folds flag across
-// the members that are still alive and succeeds even while the
-// communicator is revoked, so survivors can agree on a recovery plan.
-func (c *Comm) Agree(p *Proc, flag bool) (bool, error) {
-	if p.Dead() {
-		return false, ErrDead
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.arrived == nil {
-		c.arrived = make(map[int]struct{})
-	}
-	myPhase := c.phase
-	c.arrived[p.id] = struct{}{}
-	if c.accum == nil {
-		c.accum = flag
-	} else {
-		c.accum = c.accum.(bool) && flag
-	}
-	complete := func() bool {
-		alive := 0
-		for _, m := range c.members {
-			if !m.Dead() {
-				alive++
-			}
-		}
-		return len(c.arrived) >= alive
-	}
-	if complete() {
-		c.result = c.accum
-		c.accum = nil
-		c.arrived = make(map[int]struct{})
-		c.phase++
-		c.cond.Broadcast()
-		return c.result.(bool), nil
-	}
-	for c.phase == myPhase {
-		if p.Dead() {
-			return false, ErrDead
-		}
-		if complete() {
-			// A failure reduced the required count; complete the phase.
-			c.result = c.accum
-			c.accum = nil
-			c.arrived = make(map[int]struct{})
-			c.phase++
-			c.cond.Broadcast()
-			return c.result.(bool), nil
-		}
-		c.cond.Wait()
-	}
-	return c.result.(bool), nil
-}
-
-// Shrink returns a new communicator over the surviving members, in rank
-// order. The old communicator stays revoked.
-func (c *Comm) Shrink() *Comm {
-	var alive []*Proc
-	for _, m := range c.members {
-		if !m.Dead() {
-			alive = append(alive, m)
-		}
-	}
-	return c.world.NewComm(alive)
+	return nil
 }
 
 // Repair returns a new communicator of the same size with failed
@@ -445,20 +323,6 @@ func (p *SparePool) Get() (*Proc, bool) {
 	sp := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
 	return sp, true
-}
-
-// Put returns a process to the pool.
-func (p *SparePool) Put(sp *Proc) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free = append(p.free, sp)
-}
-
-// Len returns the number of idle spares.
-func (p *SparePool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
 }
 
 // Members returns the communicator's processes in rank order.

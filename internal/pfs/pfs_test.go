@@ -248,10 +248,10 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	if err := d.Write("tier/0/o/1/g0", []byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Write("tier/0/manifest.tmp", []byte{3}); err != nil {
+	if err := d.Write("tier/0/a.tmp", []byte{3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Rename("tier/0/manifest.tmp", "tier/0/manifest"); err != nil {
+	if err := d.Rename("tier/0/a.tmp", "tier/0/a"); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := d.Read("tier/0/o/1/g0")
@@ -259,7 +259,7 @@ func TestDirStoreRoundTrip(t *testing.T) {
 		t.Fatalf("read = %v %v", got, ok)
 	}
 	names := d.List("tier/0/")
-	if len(names) != 2 || names[0] != "tier/0/manifest" {
+	if len(names) != 2 || names[0] != "tier/0/a" {
 		t.Fatalf("list = %v", names)
 	}
 	d.Delete("tier/0/o/1/g0")

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gospaces/internal/corec"
 	"gospaces/internal/health"
 	"gospaces/internal/staging"
 	"gospaces/internal/transport"
@@ -93,25 +94,26 @@ func (t *dialTap) breakConns(addr string) {
 	}
 }
 
-// TestSupervisorKeepsOneConnPerMember: the supervisor keeps one client
-// per member. A whole promotion — intents, positions, the fenced
-// install, the view push and the intent clears — dials each member and
-// the spare at most once (it used to dial per call, 16 times); a client
-// whose connection broke is dropped and the member re-dialled on the
-// next call; and Kill leaves no client open.
-func TestSupervisorKeepsOneConnPerMember(t *testing.T) {
+// tappedGroup starts a four-server replicating group with one spare
+// and one logged put (so a promotion installs a replica on the spare),
+// protects keys under red when it is set, and returns a started lone
+// supervisor whose every dial goes through the returned tap. The
+// detector probes over its own transport, an hour apart: a death is
+// handed to the supervisor by hand, and every dial the tap counts is
+// the supervisor's.
+func tappedGroup(t *testing.T, red *corec.Config) (*staging.Group, string, *dialTap, *Supervisor) {
+	t.Helper()
 	tr := transport.NewInProc()
 	cfg := replGroupConfig(4, 1)
 	g, err := staging.StartGroup(tr, "stage", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
+	t.Cleanup(func() { g.Close() })
 	spare, err := g.AddSpare()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A logged put, so the promotion installs a replica on the spare.
 	prod, err := g.NewClient("sim/0")
 	if err != nil {
 		t.Fatal(err)
@@ -120,33 +122,51 @@ func TestSupervisorKeepsOneConnPerMember(t *testing.T) {
 	if err := prod.PutWithLog("field", 1, cfg.Global, make([]byte, 64*64)); err != nil {
 		t.Fatal(err)
 	}
+	if red != nil {
+		protect(t, tr, g.Membership().Addrs(), *red, []string{"k/0", "k/1", "k/2", "k/3"}, payloadFor)
+	}
 
 	tap := newDialTap(tr)
-	// The detector probes over its own transport, an hour apart: the
-	// death is handed to the supervisor by hand, and every dial the tap
-	// counts is the supervisor's.
 	det := health.NewDetector(tr, "supervisor/0", health.Config{Period: time.Hour, Timeout: 50 * time.Millisecond})
-	sup := New(tap, det, g.Membership(), g, Config{})
-	defer sup.Close()
+	sup := New(tap, det, g.Membership(), g, Config{Redundancy: red})
+	t.Cleanup(func() { sup.Close() })
 	sup.Start()
 	if !sup.IsLeader() {
 		t.Fatal("a lone supervisor did not win the lease")
 	}
 	tap.take() // the election dialled every member once
+	return g, spare, tap, sup
+}
 
+// checkDialsOnce fails unless dials has each address at most once and
+// the spare exactly once.
+func checkDialsOnce(t *testing.T, what string, dials map[string]int, spare string) {
+	t.Helper()
+	for addr, n := range dials {
+		if n > 1 {
+			t.Fatalf("%s dialled %s %d times, want at most once (all dials: %v)", what, addr, n, dials)
+		}
+	}
+	if dials[spare] != 1 {
+		t.Fatalf("%s dialled the spare %d times, want once (all dials: %v)", what, dials[spare], dials)
+	}
+}
+
+// TestSupervisorKeepsOneConnPerMember: the supervisor keeps one client
+// per member. A whole promotion — intents, positions, the fenced
+// install, the view push and the intent clears — dials each member and
+// the spare at most once (it used to dial per call, 16 times), and so
+// does a promotion plus its re-protection pass (which used to dial every
+// member again, per pass); a client whose connection broke is dropped
+// and the member re-dialled on the next call; and Kill leaves no client
+// open.
+func TestSupervisorKeepsOneConnPerMember(t *testing.T) {
+	g, spare, tap, sup := tappedGroup(t, nil)
 	killByHand(t, g, sup, 1)
 	if n := sup.Metrics().Counter("recovery.log_restores").Value(); n != 1 {
 		t.Fatalf("recovery.log_restores = %d, want 1", n)
 	}
-	dials := tap.take()
-	for addr, n := range dials {
-		if n > 1 {
-			t.Fatalf("one promotion dialled %s %d times, want at most once (all dials: %v)", addr, n, dials)
-		}
-	}
-	if dials[spare] != 1 {
-		t.Fatalf("the spare was dialled %d times, want once (all dials: %v)", dials[spare], dials)
-	}
+	checkDialsOnce(t, "one promotion", tap.take(), spare)
 
 	member := g.Membership().Addr(0)
 	tap.breakConns(member)
@@ -169,5 +189,21 @@ func TestSupervisorKeepsOneConnPerMember(t *testing.T) {
 	sup.fetchIntents()
 	if dials := tap.take(); len(dials) != 0 {
 		t.Fatalf("a killed supervisor dialled %v", dials)
+	}
+
+	red := corec.Config{Mode: corec.ErasureCoding, K: 2, M: 2}
+	g, spare, tap, sup = tappedGroup(t, &red)
+	killByHand(t, g, sup, 1)
+	if n := sup.Metrics().Counter("recovery.rebuilds").Value(); n == 0 {
+		t.Fatal("the re-protection pass rebuilt nothing")
+	}
+	checkDialsOnce(t, "one promotion and its re-protection pass", tap.take(), spare)
+	// A member that cannot be reached leaves the pass unclean, so
+	// reprotect retries it.
+	if err := g.FailStop(2); err != nil {
+		t.Fatal(err)
+	}
+	if sup.reprotectOnce(g.Membership().Addrs()) {
+		t.Fatal("a re-protection pass with a dead member reported clean")
 	}
 }

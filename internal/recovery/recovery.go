@@ -100,7 +100,6 @@ type deadSlot struct {
 // redundant supervisors may supervise the same group; leader election
 // picks one to act and the rest stand by.
 type Supervisor struct {
-	tr     transport.Transport
 	conns  *peers
 	det    *health.Detector
 	mem    *health.Membership
@@ -137,7 +136,6 @@ type Supervisor struct {
 // not be started yet (Start does it).
 func New(tr transport.Transport, det *health.Detector, mem *health.Membership, spares SparePool, cfg Config) *Supervisor {
 	s := &Supervisor{
-		tr:     tr,
 		conns:  &peers{tr: tr, conns: make(map[string]transport.Client)},
 		det:    det,
 		mem:    mem,
@@ -895,9 +893,9 @@ func fencedCall[R any](s *Supervisor, addr string, token uint64, req any) (R, er
 	return call[R](s, addr, staging.FencedReq{Token: token, Req: req})
 }
 
-// peers keeps one client per member address for the supervisor's
-// control calls: the lease rounds, the intent journal, the position
-// queries, the fenced install and the view push. A client is dialled on
+// peers keeps one client per member address for every supervisor call:
+// the lease rounds, the intent journal, the position queries, the fenced
+// install, the view push and the re-protection pass. A client is dialled on
 // first use and dropped on a transport fault, so the next call to that
 // address re-dials; close shuts every client and refuses new dials.
 type peers struct {
@@ -1072,27 +1070,17 @@ func (s *Supervisor) reprotect(addrs []string) {
 // reprotectOnce runs one re-protection pass: union the shard keys held
 // by reachable members, rebuild each with bounded parallelism. Rebuild
 // reads any K surviving shards and re-writes only the missing ones, so
-// keys untouched by the failure cost one round of reads. The shard
-// writes go through fenced connections, so a deposed leader's rebuild
-// cannot dirty the group. It reports whether the pass fully restored
-// redundancy.
+// keys untouched by the failure cost one round of reads. Every call goes
+// fenced over the member's kept connection, so a deposed leader's
+// rebuild cannot dirty the group. It reports whether the pass fully
+// restored redundancy.
 func (s *Supervisor) reprotectOnce(addrs []string) bool {
 	token := s.currentToken()
 	clean := true
 	conns := make([]transport.Client, len(addrs))
 	for i, addr := range addrs {
-		conn, err := s.tr.Dial(addr)
-		if err != nil {
-			// A member is dark; its shards read as lost and its writes
-			// fail. Proceed degraded and retry for the remainder.
-			conns[i] = deadClient{}
-			clean = false
-			continue
-		}
-		conns[i] = fencedConn{inner: conn, token: token}
+		conns[i] = fencedMember{s: s, addr: addr, token: token}
 	}
-	defer closeAll(conns)
-
 	seen := map[string]struct{}{}
 	var keys []string
 	for _, conn := range conns {
@@ -1102,7 +1090,11 @@ func (s *Supervisor) reprotectOnce(addrs []string) bool {
 				s.observeDeposed()
 				return true // the new leader re-protects
 			}
-			continue // dead or lagging member; survivors cover its keys
+			// A dark member: its shards read as lost and its writes fail.
+			// Proceed degraded; survivors cover its keys, and the pass is
+			// retried for the remainder.
+			clean = false
+			continue
 		}
 		for _, k := range resp.Keys {
 			if _, dup := seen[k]; !dup {
@@ -1149,31 +1141,17 @@ func (s *Supervisor) reprotectOnce(addrs []string) bool {
 	return clean
 }
 
-// fencedConn wraps a transport client so every call carries the
-// leader's fencing token.
-type fencedConn struct {
-	inner transport.Client
+// fencedMember is one member as the re-protection pass's CoREC client
+// sees it: every call carries the leader's fencing token over the
+// supervisor's kept connection to addr. Close is a no-op; the kept
+// connection outlives the pass.
+type fencedMember struct {
+	s     *Supervisor
+	addr  string
 	token uint64
 }
 
-func (f fencedConn) Call(req any) (any, error) {
-	return f.inner.Call(staging.FencedReq{Token: f.token, Req: req})
+func (m fencedMember) Call(req any) (any, error) {
+	return m.s.conns.call(m.addr, staging.FencedReq{Token: m.token, Req: req})
 }
-func (f fencedConn) Close() error { return f.inner.Close() }
-
-// deadClient stands in for a member that cannot be dialled during a
-// re-protection pass; every call fails like the dead server would.
-type deadClient struct{}
-
-func (deadClient) Call(any) (any, error) {
-	return nil, fmt.Errorf("%w: member dark during re-protection", transport.ErrNoEndpoint)
-}
-func (deadClient) Close() error { return nil }
-
-func closeAll(conns []transport.Client) {
-	for _, c := range conns {
-		if c != nil {
-			c.Close()
-		}
-	}
-}
+func (fencedMember) Close() error { return nil }

@@ -40,7 +40,8 @@ func (deadConn) Call(any) (any, error) { return nil, transport.ErrNoEndpoint }
 func (deadConn) Close() error          { return nil }
 
 // dialAll connects to each addr, substituting a dead stub for servers
-// that refuse the dial (blacked out or fail-stopped).
+// that refuse the dial (blacked out or fail-stopped). The clients close
+// when the test ends.
 func dialAll(t testing.TB, tr transport.Transport, addrs []string) []transport.Client {
 	t.Helper()
 	conns := make([]transport.Client, len(addrs))
@@ -51,6 +52,7 @@ func dialAll(t testing.TB, tr transport.Transport, addrs []string) []transport.C
 			continue
 		}
 		conns[i] = c
+		t.Cleanup(func() { c.Close() })
 	}
 	return conns
 }
@@ -58,7 +60,6 @@ func dialAll(t testing.TB, tr transport.Transport, addrs []string) []transport.C
 func protect(t testing.TB, tr transport.Transport, addrs []string, cfg corec.Config, keys []string, payload func(k string) []byte) {
 	t.Helper()
 	conns := dialAll(t, tr, addrs)
-	defer closeAll(conns)
 	rc, err := corec.New(cfg, conns)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +146,6 @@ func TestSupervisorPromotesAndReprotects(t *testing.T) {
 
 	// Full redundancy is back: reads survive losing two MORE shards.
 	conns := dialAll(t, tr, g.Membership().Addrs())
-	defer closeAll(conns)
 	rc, err := corec.New(red, conns)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,6 @@ func TestRecoveryUnderChaosSchedule(t *testing.T) {
 
 	readAll := func(stage string) {
 		conns := dialAll(t, chaos, g.Membership().Addrs())
-		defer closeAll(conns)
 		rc, err := corec.New(red, conns)
 		if err != nil {
 			t.Fatal(err)

@@ -3,17 +3,18 @@
 // RAM into CRC-checksummed records on checkpoint storage and promoted
 // back transparently when a replaying reader asks for them.
 //
-// Crash atomicity follows the checkpoint design of internal/ckpt. Each
-// spilled object is sealed with the same record framing
-// (ckpt.SealRecord) and written in two generations, so a single torn
-// write or bit flip never loses the record. The set of spilled entries
-// lives in a manifest committed by write-temp + rename + marker flip.
-// A spill is a group commit: every record of the batch (one version)
-// is written, then the manifest is committed once, and the caller
-// drops the RAM copies only after that, so a crash or backend fault
-// mid-spill never leaves a version half-moved — it is either still
-// resident or durably in the tier, whole. Records not reachable from
-// the committed manifest are orphans and are garbage-collected on
+// Crash atomicity is internal/ckpt's. Each spilled object is sealed
+// with the same record framing (ckpt.SealRecord) and written in two
+// generations, so a single torn write or bit flip never loses the
+// record. The set of spilled entries lives in a manifest that is one
+// ckpt.Twin, the cell a rank's checkpoint is: a commit writes the
+// uncommitted generation and flips the marker, with no temp file and
+// no rename. A spill is a group commit: every record of the batch (one
+// version) is written, then the manifest is committed once, and the
+// caller drops the RAM copies only after that, so a crash or backend
+// fault mid-spill never leaves a version half-moved — it is either
+// still resident or durably in the tier, whole. Records not reachable
+// from the committed manifest are orphans and are garbage-collected on
 // attach.
 //
 // When the backend fails (ENOSPC, I/O errors) the tier degrades to
@@ -39,7 +40,8 @@ import (
 )
 
 // Backend is the slice of a PFS store the tier needs. Both *pfs.Store
-// and *pfs.DirStore satisfy it.
+// and *pfs.DirStore satisfy it. The tier itself never renames; Rename
+// stays for the benchmark's tracing decorator (bench/decor.go).
 type Backend interface {
 	Write(name string, data []byte) error
 	Read(name string) ([]byte, bool)
@@ -172,6 +174,7 @@ type Tier struct {
 	mu      sync.Mutex
 	be      Backend
 	prefix  string
+	man     ckpt.Twin // <prefix>manifest/g0|g1|cur
 	byName  map[string]map[int64][]*Entry
 	nextKey uint64
 	mseq    uint64
@@ -195,11 +198,12 @@ type Tier struct {
 // manifest (if any) and garbage-collecting orphaned records left by a
 // crash between record writes and the manifest commit.
 func New(be Backend, id string) *Tier {
+	prefix := fmt.Sprintf("tier/%s/", id)
 	t := &Tier{
 		be:     be,
-		prefix: fmt.Sprintf("tier/%s/", id),
+		prefix: prefix,
+		man:    ckpt.Twin{Store: be, Base: prefix + "manifest"},
 		byName: make(map[string]map[int64][]*Entry),
-		mgen:   -1,
 	}
 	t.load()
 	return t
@@ -208,46 +212,19 @@ func New(be Backend, id string) *Tier {
 func (t *Tier) recKey(key uint64, gen int) string {
 	return fmt.Sprintf("%so/%d/g%d", t.prefix, key, gen)
 }
-func (t *Tier) manKey(gen int) string { return fmt.Sprintf("%smanifest/g%d", t.prefix, gen) }
-func (t *Tier) manCur() string        { return t.prefix + "manifest/cur" }
-func (t *Tier) manTmp() string        { return t.prefix + "manifest.tmp" }
 
 // load recovers manifest state on attach. Caller is the constructor;
 // no lock needed yet.
 func (t *Tier) load() {
 	var man manifest
-	found := false
-	order := []int{0, 1}
-	if cur, ok := t.be.Read(t.manCur()); ok && len(cur) == 1 && cur[0] <= 1 {
-		order = []int{int(cur[0]), 1 - int(cur[0])}
-	}
-	var seqs [2]uint64
-	var bodies [2][]byte
-	var valid [2]bool
-	for g := 0; g < 2; g++ {
-		if rec, ok := t.be.Read(t.manKey(g)); ok {
-			seqs[g], bodies[g], valid[g] = ckpt.OpenRecord(rec)
-		}
-	}
-	if !valid[order[0]] && valid[order[1]] {
-		order[0], order[1] = order[1], order[0]
-	} else if valid[0] && valid[1] && seqs[order[1]] > seqs[order[0]] && t.mgenFromMarker() < 0 {
-		order[0], order[1] = order[1], order[0]
-	}
-	for _, g := range order {
-		if !valid[g] {
-			continue
-		}
-		msg, err := codec.Unmarshal(bodies[g])
+	t.mgen, t.mseq, _ = t.man.Load(func(body []byte) bool {
+		msg, err := codec.Unmarshal(body)
 		m, ok := msg.(manifest)
-		if err != nil || !ok {
-			continue
-		}
-		man, t.mseq, t.mgen, found = m, seqs[g], g, true
-		break
-	}
+		man = m
+		return err == nil && ok
+	})
 	live := make(map[string]bool)
-	if found {
+	if t.mgen >= 0 {
 		t.nextKey = man.NextKey
 		for i := range man.Entries {
 			e := man.Entries[i]
@@ -263,15 +240,6 @@ func (t *Tier) load() {
 			t.be.Delete(name)
 		}
 	}
-	t.be.Delete(t.manTmp())
-}
-
-func (t *Tier) mgenFromMarker() int {
-	cur, ok := t.be.Read(t.manCur())
-	if !ok || len(cur) != 1 || cur[0] > 1 {
-		return -1
-	}
-	return int(cur[0])
 }
 
 func (t *Tier) index(e *Entry) {
@@ -307,9 +275,9 @@ func (t *Tier) unindex(e *Entry) {
 	t.bytes -= e.Bytes
 }
 
-// commitManifest persists the in-memory entry set: seal, write to the
-// temp name, rename into the non-committed generation, flip the
-// marker. Caller holds t.mu.
+// commitManifest persists the in-memory entry set as the next
+// generation of the manifest cell: one generation write, one marker
+// flip. Caller holds t.mu.
 func (t *Tier) commitManifest() error {
 	var man manifest
 	man.NextKey = t.nextKey
@@ -325,29 +293,11 @@ func (t *Tier) commitManifest() error {
 	if err != nil {
 		return fmt.Errorf("tier: manifest encode: %w", err)
 	}
-	t.mseq++
-	target := 0
-	if t.mgen == 0 {
-		target = 1
-	}
-	if err := t.be.Write(t.manTmp(), ckpt.SealRecord(t.mseq, body)); err != nil {
-		t.mseq--
+	gen, err := t.man.Commit(t.mgen, t.mseq+1, body)
+	if err != nil {
 		return err
 	}
-	if err := t.be.Rename(t.manTmp(), t.manKey(target)); err != nil {
-		t.mseq--
-		return err
-	}
-	if err := t.be.Write(t.manCur(), []byte{byte(target)}); err != nil {
-		// The rename landed but the marker didn't: the old generation
-		// is still the committed one. Roll back our view, and remove the
-		// uncommitted generation so an attach that finds no valid marker
-		// cannot elect it by sequence number.
-		t.be.Delete(t.manKey(target))
-		t.mseq--
-		return err
-	}
-	t.mgen = target
+	t.mgen, t.mseq = gen, t.mseq+1
 	return nil
 }
 

@@ -93,16 +93,12 @@ func TestCrashMidSpillLeavesNoHalfMove(t *testing.T) {
 	// Simulate the crash: write orphan records directly, no manifest.
 	be.Write("tier/0/o/99/g0", []byte("orphan"))
 	be.Write("tier/0/o/99/g1", []byte("orphan"))
-	be.Write("tier/0/manifest.tmp", []byte("torn temp"))
 	tr2 := New(be, "0")
 	if tr2.Stats().Entries != 1 {
 		t.Fatalf("entries = %d", tr2.Stats().Entries)
 	}
 	if _, ok := be.Read("tier/0/o/99/g0"); ok {
 		t.Fatal("orphan record not collected")
-	}
-	if _, ok := be.Read("tier/0/manifest.tmp"); ok {
-		t.Fatal("manifest temp not collected")
 	}
 }
 
@@ -114,10 +110,8 @@ func TestTornManifestFallsBack(t *testing.T) {
 	if err := tr.Spill([]*store.Object{obj("sim/f", 1, 32)}); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the NEXT manifest temp write mid-flight; the rename then
-	// installs a torn generation, but the marker flip still points at
-	// it... so tear the committed generation instead, post-hoc, and
-	// verify attach falls back to the surviving one.
+	// Tear the committed generation post-hoc (at-rest rot behind the
+	// marker flip) and verify attach falls back to the surviving one.
 	if err := tr.Spill([]*store.Object{obj("sim/f", 2, 32)}); err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +283,9 @@ func (b *opBackend) Rename(old, new string) error {
 }
 
 // A spill of a version of N objects is one group commit: 2N record
-// writes, then exactly one manifest commit (write-temp, rename, marker).
-// A slide back to per-object commits fails here, not in a benchmark.
+// writes, then exactly one manifest commit (one generation write, one
+// marker write; no temp file, no rename). A slide back to per-object
+// commits fails here, not in a benchmark.
 func TestSpillIsOneGroupCommit(t *testing.T) {
 	be := &opBackend{Store: pfs.NewStore()}
 	tr := New(be, "0")
@@ -309,8 +304,7 @@ func TestSpillIsOneGroupCommit(t *testing.T) {
 			fmt.Sprintf("write tier/0/o/%d/g1", key))
 	}
 	want = append(want,
-		"write tier/0/manifest.tmp",
-		"rename tier/0/manifest.tmp tier/0/manifest/g1",
+		"write tier/0/manifest/g1",
 		"write tier/0/manifest/cur")
 	if !reflect.DeepEqual(be.ops, want) {
 		t.Fatalf("backend ops of one spill:\n got %q\nwant %q", be.ops, want)
