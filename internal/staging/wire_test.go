@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -386,6 +387,9 @@ func TestGetSurvivesGCBeforeWrite(t *testing.T) {
 	cfg := Config{Global: domain.Box3(0, 0, 0, 127, 127, 31), NServers: 1, Bits: 2, ElemSize: 8} // 64 cells of 64 KiB
 	srv := NewServer(0)
 	var check *Client
+	// The handler writes freed and the test reads it; nothing else orders
+	// the two, since the handler's goroutine outlives its request.
+	var freedMu sync.Mutex
 	freed := map[int64]int64{}
 	ep, err := tr.ListenTCP("127.0.0.1:0", func(req any) (any, error) {
 		resp, err := srv.Handle(req)
@@ -395,7 +399,9 @@ func TestGetSurvivesGCBeforeWrite(t *testing.T) {
 				if cerr != nil {
 					t.Errorf("checkpoint behind get v%d: %v", g.Version, cerr)
 				}
+				freedMu.Lock()
 				freed[g.Version] += n
+				freedMu.Unlock()
 			}
 		}
 		return resp, err
@@ -433,8 +439,11 @@ func TestGetSurvivesGCBeforeWrite(t *testing.T) {
 		if err != nil || !bytes.Equal(got, fill(n, v)) {
 			t.Fatalf("get v%d while it was being collected: %d bytes, %v", v, len(got), err)
 		}
-		if freed[v] < int64(n) {
-			t.Fatalf("the checkpoint behind get v%d freed %d bytes, want the version's %d: nothing was collected in the window", v, freed[v], n)
+		freedMu.Lock()
+		f := freed[v]
+		freedMu.Unlock()
+		if f < int64(n) {
+			t.Fatalf("the checkpoint behind get v%d freed %d bytes, want the version's %d: nothing was collected in the window", v, f, n)
 		}
 		if vs, _ := prod.Versions("f"); len(vs) != 1 || vs[0] != v+1 {
 			t.Fatalf("versions after get v%d = %v", v, vs)

@@ -240,6 +240,9 @@ func (t *Tier) load() {
 			t.be.Delete(name)
 		}
 	}
+	// A binary that committed the manifest by write-temp + rename could
+	// crash with the temp file written.
+	t.be.Delete(t.prefix + "manifest.tmp")
 }
 
 func (t *Tier) index(e *Entry) {

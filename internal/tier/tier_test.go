@@ -102,6 +102,44 @@ func TestCrashMidSpillLeavesNoHalfMove(t *testing.T) {
 	}
 }
 
+// A directory written by a binary that committed the manifest by
+// write-temp + rename may hold a manifest.tmp left by a crash: attach
+// collects it and keeps the committed cell and every live record.
+func TestAttachCollectsOldManifestTemp(t *testing.T) {
+	be := pfs.NewStore()
+	tr := New(be, "0")
+	for v := int64(1); v <= 2; v++ {
+		if err := tr.Spill([]*store.Object{obj("sim/f", v, 32)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	be.Write("tier/0/manifest.tmp", []byte("crash-left temp"))
+	cell := []string{"tier/0/manifest/g0", "tier/0/manifest/g1", "tier/0/manifest/cur"}
+	before := map[string][]byte{}
+	for _, name := range append(cell, be.List("tier/0/o/")...) {
+		data, ok := be.Read(name)
+		if !ok {
+			t.Fatalf("%s missing before the attach", name)
+		}
+		before[name] = data
+	}
+	tr2 := New(be, "0")
+	if _, ok := be.Read("tier/0/manifest.tmp"); ok {
+		t.Fatal("manifest.tmp survived the attach")
+	}
+	for name, data := range before {
+		if got, ok := be.Read(name); !ok || !bytes.Equal(got, data) {
+			t.Fatalf("%s changed by the attach", name)
+		}
+	}
+	if len(before) != len(cell)+4 || tr2.Stats().Entries != 2 {
+		t.Fatalf("%d names, %d entries after the attach, want %d and 2", len(before), tr2.Stats().Entries, len(cell)+4)
+	}
+	for v := int64(1); v <= 2; v++ {
+		promoteAll(t, tr2, []*store.Object{obj("sim/f", v, 32)})
+	}
+}
+
 // A torn manifest write is healed by the commit-marker protocol: the
 // previous committed manifest generation still decodes.
 func TestTornManifestFallsBack(t *testing.T) {

@@ -28,12 +28,14 @@ func init() {
 // BenchmarkPutGet measures put round-trips through one shared client
 // across payload sizes and caller counts: concurrent in-flight calls on
 // one multiplexed connection (mode=mux, the name its rows carry in
-// EXPERIMENTS.md's serialized-vs-multiplexed table).
+// EXPERIMENTS.md's serialized-vs-multiplexed table). 2 KiB is the
+// couple-small workload's piece size, where per-frame costs dominate.
 func BenchmarkPutGet(b *testing.B) {
 	sizes := []struct {
 		name  string
 		bytes int
 	}{
+		{"2KiB", 2 << 10},
 		{"4KiB", 4 << 10},
 		{"256KiB", 256 << 10},
 		{"4MiB", 4 << 20},
@@ -66,6 +68,7 @@ func BenchmarkPutGet(b *testing.B) {
 				defer cl.Close()
 
 				b.SetBytes(int64(size.bytes))
+				b.ReportAllocs()
 				b.ResetTimer()
 				var wg sync.WaitGroup
 				per := b.N / nc

@@ -38,11 +38,12 @@ type TCP struct {
 // tcpMetrics caches the hot-path metric handles so per-frame accounting
 // is a few atomic adds, not registry map lookups under a mutex.
 type tcpMetrics struct {
-	reg      *metrics.Registry
-	inflight *metrics.Gauge
-	bytesIn  *metrics.Counter
-	bytesOut *metrics.Counter
-	payloads *metrics.Counter
+	reg           *metrics.Registry
+	inflight      *metrics.Gauge
+	bytesIn       *metrics.Counter
+	bytesOut      *metrics.Counter
+	payloads      *metrics.Counter
+	handlerStarts *metrics.Counter
 }
 
 // NewTCP returns a TCP transport with no deadlines (calls may block
@@ -57,7 +58,9 @@ func NewTCPTimeout(call, dial time.Duration) *TCP {
 
 // Metrics returns the transport's registry: transport.inflight (gauge),
 // transport.bytes_out/bytes_in (counters, frame bytes incl. headers),
-// codec.fastpath_hits (counter: payloads encoded, requests and
+// transport.handler_starts (counter: server handler goroutines
+// started, at most one per frame a connection has in flight at its
+// peak), codec.fastpath_hits (counter: payloads encoded, requests and
 // responses; the name predates the one codec and is what bench/ reads).
 func (t *TCP) Metrics() *metrics.Registry { return t.m().reg }
 
@@ -73,11 +76,12 @@ func (t *TCP) m() *tcpMetrics {
 	}
 	reg := metrics.NewRegistry()
 	m := &tcpMetrics{
-		reg:      reg,
-		inflight: reg.Gauge("transport.inflight"),
-		bytesIn:  reg.Counter("transport.bytes_in"),
-		bytesOut: reg.Counter("transport.bytes_out"),
-		payloads: reg.Counter("codec.fastpath_hits"),
+		reg:           reg,
+		inflight:      reg.Gauge("transport.inflight"),
+		bytesIn:       reg.Counter("transport.bytes_in"),
+		bytesOut:      reg.Counter("transport.bytes_out"),
+		payloads:      reg.Counter("codec.fastpath_hits"),
+		handlerStarts: reg.Counter("transport.handler_starts"),
 	}
 	t.reg.Store(m)
 	return m
@@ -149,22 +153,59 @@ func (t *TCP) Listen(addr string, h Handler) (io.Closer, error) {
 	return ep, nil
 }
 
-// maxConnInflight bounds the handler goroutines one server connection
-// may have in flight; past it the reader loop applies backpressure by
-// not reading further frames.
+// maxConnInflight bounds the frames one server connection may have in
+// flight, and so its handler goroutines; past it the reader loop
+// applies backpressure by not reading further frames.
 const maxConnInflight = 256
 
 // readBufSize sizes the per-connection read buffer on both ends.
 const readBufSize = 64 << 10
 
-// serveConn demultiplexes one client connection: each request frame is
-// handled on its own goroutine, so a slow handler delays only its own
-// caller; responses are written whole under a per-connection write lock.
+// connFrame is one decoded request frame on its way to a handler.
+type connFrame struct {
+	id      uint64
+	req     any
+	body    []byte
+	aliased bool
+}
+
+// serveConn demultiplexes one client connection. Each request frame
+// goes to an idle handler goroutine of the connection, or to a new one
+// if none is idle, so a slow handler delays only its own caller.
+// Handlers live as long as the connection, so a request runs on a stack
+// already grown along the staging dispatch instead of growing a fresh
+// one. Responses are written whole under a per-connection write lock.
 func (t *TCP) serveConn(conn net.Conn, h Handler) {
 	var wmu sync.Mutex
 	var handlers sync.WaitGroup
-	defer handlers.Wait()
+	// frames hands a frame to an idle handler; closing it when the read
+	// loop ends lets every handler exit once its frame is answered.
+	frames := make(chan connFrame)
+	defer func() {
+		close(frames)
+		handlers.Wait()
+	}()
 	sem := make(chan struct{}, maxConnInflight)
+	// idle counts handlers left with at most their response's write to
+	// do. A handler joins it before that write and before it frees its
+	// slot, so a sequential caller's next frame always finds it, and a
+	// handler starts only when every live one holds a slot: never more
+	// handlers than the connection's peak in-flight count.
+	var idle atomic.Int32
+	serve := func(f connFrame) {
+		resp, herr := h(f.req)
+		t.writeResponse(conn, &wmu, f.id, resp, herr, &idle)
+		if f.aliased {
+			// An alias-decoded request points into its frame body; per
+			// the Handler contract the payload is dead once the handler
+			// has returned (and any echoing response has been written),
+			// so the buffer goes back in circulation. This is what lets
+			// steady-state bulk ingest run without per-request
+			// allocations.
+			codec.PutBuf(f.body)
+		}
+		<-sem
+	}
 	// Buffering the read side halves the syscall count per frame (header
 	// and body arrive in one read) and drains bursts of small frames in a
 	// single syscall; bufio reads bodies larger than its buffer directly
@@ -188,33 +229,35 @@ func (t *TCP) serveConn(conn net.Conn, h Handler) {
 			// The frame parsed (boundaries are intact) but its payload
 			// did not: answer the one call with a typed error and keep
 			// serving the connection.
-			t.writeResponse(conn, &wmu, id, nil, derr)
+			t.writeResponse(conn, &wmu, id, nil, derr, nil)
 			continue
 		}
 		sem <- struct{}{}
+		f := connFrame{id: id, req: req, body: body, aliased: aliased}
+		if idle.Load() > 0 {
+			// The send waits at most for one response write already under
+			// way, never for a handler's work.
+			idle.Add(-1)
+			frames <- f
+			continue
+		}
 		handlers.Add(1)
-		go func(id uint64, req any, body []byte, aliased bool) {
+		t.m().handlerStarts.Inc()
+		go func(f connFrame) {
 			defer handlers.Done()
-			defer func() { <-sem }()
-			resp, herr := h(req)
-			t.writeResponse(conn, &wmu, id, resp, herr)
-			if aliased {
-				// An alias-decoded request points into its frame body; per
-				// the Handler contract the payload is dead once the handler
-				// has returned (and any echoing response has been written),
-				// so the buffer goes back in circulation. This is what lets
-				// steady-state bulk ingest run without per-request
-				// allocations.
-				codec.PutBuf(body)
+			for ok := true; ok; f, ok = <-frames {
+				serve(f)
 			}
-		}(id, req, body, aliased)
+		}(f)
 	}
 }
 
-// writeResponse encodes and writes one response frame. A write failure
-// kills the connection: the reader loop and the client both find out
-// through their own I/O errors.
-func (t *TCP) writeResponse(conn net.Conn, wmu *sync.Mutex, id uint64, resp any, herr error) {
+// writeResponse encodes and writes one response frame. A handler passes
+// its connection's idle count, which it joins once it holds the write
+// lock: a frame handed to it then waits for this one write, not for the
+// encode or the lock. A write failure kills the connection: the reader
+// loop and the client both find out through their own I/O errors.
+func (t *TCP) writeResponse(conn net.Conn, wmu *sync.Mutex, id uint64, resp any, herr error, idle *atomic.Int32) {
 	buf := beginFrame(codec.GetBuf())
 	defer func() { codec.PutBuf(buf) }()
 	flags := byte(flagResponse)
@@ -242,6 +285,9 @@ func (t *TCP) writeResponse(conn net.Conn, wmu *sync.Mutex, id uint64, resp any,
 		_ = finishFrameTail(buf, flagResponse|ef, id, 0) // an error text is no 64 MiB
 	}
 	wmu.Lock()
+	if idle != nil {
+		idle.Add(1)
+	}
 	if t.CallTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(t.CallTimeout))
 	}
