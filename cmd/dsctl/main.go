@@ -13,11 +13,12 @@
 //	versions <name>         list staged versions
 //	check                   send a checkpoint event (workflow_check)
 //	trace [n]               render the servers' recent protocol trace
-//	trace dump <file> [n]   merge the servers' recent records and
-//	                        persist them as a durable trace file
-//	trace replay <file>     re-issue a trace file's workload operations
-//	                        against the connected group, verifying
-//	                        every byte a get returns
+//	trace dump <file>       merge the servers' whole trace rings into a
+//	                        trace file that trace replay checks (refused
+//	                        once a ring has wrapped)
+//	trace replay <file>     re-execute a trace file, faults included,
+//	                        against an in-process group built from its
+//	                        header (no -servers), verifying every get
 //	restart                 switch to replay mode (workflow_restart)
 //	stats                   print aggregated staging statistics, the
 //	                        replica re-sync (delta vs snapshot) counters
@@ -76,6 +77,10 @@ func main() {
 func run(servers, domainStr string, elem, bits int, app string, opts gospaces.DialOptions, args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("missing command (put/get/versions/check/restart/stats/health/leader/qos/tier/scrub)")
+	}
+	// A replay builds its own in-process group from the trace header.
+	if args[0] == "trace" && len(args) > 1 && args[1] == "replay" {
+		return traceReplay(args[2:])
 	}
 	global, err := parseDomain(domainStr)
 	if err != nil {
@@ -161,7 +166,7 @@ func run(servers, domainStr string, elem, bits int, app string, opts gospaces.Di
 		}
 		fmt.Printf("recovery event sent; %d events will replay\n", n)
 	case "trace":
-		return traceCmd(client, global, elem, bits, len(addrs), args[1:])
+		return traceCmd(client, global, elem, bits, args[1:])
 	case "stats":
 		st, err := client.Stats()
 		if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"gospaces"
+	"gospaces/internal/workflow"
 )
 
 func TestParseDomain(t *testing.T) {
@@ -41,16 +43,7 @@ func TestNameVersion(t *testing.T) {
 // TestEndToEndAgainstLiveServers drives the dsctl command paths against
 // real TCP staging servers.
 func TestEndToEndAgainstLiveServers(t *testing.T) {
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		srv, err := gospaces.Serve("127.0.0.1:0", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		addrs = append(addrs, srv.Addr())
-	}
-	servers := strings.Join(addrs, ",")
+	servers := liveServers(t, 2)
 	for _, cmd := range [][]string{
 		{"put", "f", "1"},
 		{"get", "f", "1"},
@@ -79,37 +72,66 @@ func TestEndToEndAgainstLiveServers(t *testing.T) {
 }
 
 // traceCmd validates its subcommand arguments before touching the
-// client, so a nil client is safe here.
+// client, so a nil client is safe here; trace replay validates its own
+// before reading a file.
 func TestTraceCmdArgErrors(t *testing.T) {
 	global := gospaces.Box3(0, 0, 0, 3, 3, 0)
 	cases := [][]string{
 		{"dump"},           // missing file
-		{"dump", "f", "x"}, // bad limit
-		{"replay"},         // missing file
+		{"dump", "f", "5"}, // the dump takes no limit: a partial dump cannot replay
 		{"nonsense"},       // neither subcommand nor limit
 	}
 	for _, args := range cases {
-		if err := traceCmd(nil, global, 4, 1, 1, args); err == nil {
+		if err := traceCmd(nil, global, 4, 1, args); err == nil {
 			t.Fatalf("%v accepted", args)
+		}
+	}
+	for _, args := range [][]string{nil, {"a", "b"}} {
+		if err := traceReplay(args); err == nil {
+			t.Fatalf("trace replay %v accepted", args)
 		}
 	}
 }
 
-// TestTraceDumpReplayRoundTrip drives a workload through the run
-// dispatcher against live TCP servers, exports the group's merged
-// trace with `trace dump`, checks the artifact, and re-executes it
-// with `trace replay`.
-func TestTraceDumpReplayRoundTrip(t *testing.T) {
+// TestTraceReplayCheckedInTraces replays every checked-in regression
+// trace through the run dispatcher with no staging servers: the replay
+// builds its group from the trace header, re-arms the faults, and must
+// reach the header's digest.
+func TestTraceReplayCheckedInTraces(t *testing.T) {
+	paths, err := filepath.Glob("../../internal/workflow/testdata/*.trace")
+	if err != nil || len(paths) != 6 {
+		t.Fatalf("checked-in traces: %v %v", paths, err)
+	}
+	for _, path := range paths {
+		if err := run("", "64x64x32", 8, 2, "dsctl/0", gospaces.DefaultDialOptions(), []string{"trace", "replay", path}); err != nil {
+			t.Errorf("trace replay %s: %v", filepath.Base(path), err)
+		}
+	}
+}
+
+// liveServers starts n single TCP staging servers for the test and
+// returns their -servers list.
+func liveServers(t *testing.T, n int) string {
+	t.Helper()
 	var addrs []string
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		srv, err := gospaces.Serve("127.0.0.1:0", i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
+		t.Cleanup(func() { srv.Close() })
 		addrs = append(addrs, srv.Addr())
 	}
-	servers := strings.Join(addrs, ",")
+	return strings.Join(addrs, ",")
+}
+
+// TestTraceDumpReplayRoundTrip drives a workload through the run
+// dispatcher against live TCP servers — a checkpoint, then a restart
+// whose re-put the servers suppress, a new put and a get — exports the
+// group's merged trace with `trace dump`, checks the artifact, and
+// re-executes it in process with `trace replay`.
+func TestTraceDumpReplayRoundTrip(t *testing.T) {
+	servers := liveServers(t, 2)
 	const domain, elem, bits = "8x8x2", 4, 1
 	do := func(args ...string) error {
 		return run(servers, domain, elem, bits, "dsctl/0", gospaces.DefaultDialOptions(), args)
@@ -120,6 +142,11 @@ func TestTraceDumpReplayRoundTrip(t *testing.T) {
 		{"put", "rho", "2"},
 		{"get", "rho", "2"},
 		{"check"},
+		{"put", "rho", "3"},
+		{"restart"},
+		{"put", "rho", "3"}, // the re-put the restart replays: suppressed
+		{"put", "rho", "4"},
+		{"get", "rho", "4"},
 	} {
 		if err := do(cmd...); err != nil {
 			t.Fatalf("%v: %v", cmd, err)
@@ -134,36 +161,80 @@ func TestTraceDumpReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dumped trace unreadable: %v", err)
 	}
-	if h.Label != "dsctl dump" || h.Servers != 2 || h.ElemSize != elem || h.DimX != 8 || h.DimZ != 2 {
+	if h.Label != "dsctl dump" || h.Servers != 2 || h.ElemSize != elem || h.DimX != 8 || h.DimZ != 2 || h.Digest == 0 {
 		t.Fatalf("dump header: %+v", h)
 	}
-	puts, gets := 0, 0
+	var puts, gets, restarts []gospaces.TraceEvent
 	for i, ev := range events {
 		if ev.LC != uint64(i) {
 			t.Fatalf("event %d carries lc=%d", i, ev.LC)
 		}
-		switch ev.Kind {
-		case gospaces.TraceEvPut:
-			if ev.Name != "rho" || !ev.Logged {
-				t.Fatalf("unexpected put event: %+v", ev)
+		switch ev.Kind.String() {
+		case "put":
+			puts = append(puts, ev)
+		case "get":
+			gets = append(gets, ev)
+		case "restart":
+			restarts = append(restarts, ev)
+			// The suppressed re-put is a note: the replay's restart
+			// re-issues the producer's logged puts itself.
+			if next := events[i+1]; next.Kind.String() != "note" || next.Name != "rho" || next.Version != 3 {
+				t.Fatalf("after the restart: %+v", next)
 			}
-			puts++
-		case gospaces.TraceEvGet:
-			gets++
 		}
 	}
-	// Both puts shard across both servers; the dump must collapse each
-	// to one event, not one per touched server.
-	if puts != 2 || gets == 0 {
-		t.Fatalf("dump has %d puts, %d gets: %v", puts, gets, events)
+	// Each put shards across both servers; the dump collapses each call
+	// to one event.
+	if len(puts) != 4 || len(gets) != 2 || len(restarts) != 1 {
+		t.Fatalf("dump has %d puts, %d gets, %d restarts: %v", len(puts), len(gets), len(restarts), events)
+	}
+	for _, ev := range puts {
+		if ev.Name != "rho" || !ev.Logged || ev.Bytes != 8*8*2*elem {
+			t.Fatalf("unexpected put event: %+v", ev)
+		}
+	}
+	for _, ev := range gets {
+		if ev.Sum == 0 {
+			t.Fatalf("get carries no sum: %+v", ev)
+		}
 	}
 
 	if err := do("trace", "replay", path); err != nil {
 		t.Fatalf("trace replay: %v", err)
 	}
-
 	if err := do("trace", "replay", filepath.Join(t.TempDir(), "missing.trace")); err == nil {
 		t.Fatal("replay of missing file accepted")
+	}
+}
+
+// TestTraceDumpRefusesWrappedRing: once a server's ring has evicted
+// records, the history a replay needs is gone, and the dump says so
+// with the typed error instead of writing a trace that cannot replay.
+func TestTraceDumpRefusesWrappedRing(t *testing.T) {
+	servers := liveServers(t, 1)
+	global := gospaces.Box3(0, 0, 0, 3, 3, 0)
+	pool, err := gospaces.Connect([]string{servers}, gospaces.StagingConfig{Global: global, NServers: 1, Bits: 1, ElemSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := pool.NewClient("w/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 300; i++ { // two lock records each: 600 > the ring's 512
+		if err := c.LockOnWrite("lk"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.UnlockOnWrite("lk"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = run(servers, "4x4x1", 1, 1, "dsctl/0", gospaces.DefaultDialOptions(),
+		[]string{"trace", "dump", filepath.Join(t.TempDir(), "dump.trace")})
+	var derr *workflow.DumpError
+	if !errors.As(err, &derr) || derr.Missing != "history" {
+		t.Fatalf("dump of a wrapped ring: %v", err)
 	}
 }
 

@@ -2,41 +2,25 @@ package main
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"gospaces"
+	"gospaces/internal/workflow"
 )
 
-// traceCmd dispatches the trace subcommands:
+// traceCmd dispatches the trace subcommands that talk to the group
+// (trace replay needs none, see traceReplay):
 //
 //	trace [n]               render the servers' recent protocol records
-//	trace dump <file> [n]   export the merged records as a trace file
-//	trace replay <file>     re-issue a trace file's workload operations
+//	trace dump <file>       export the merged records as a trace file
 //
 // args holds everything after "trace".
-func traceCmd(client *gospaces.Client, global gospaces.BBox, elem, bits, servers int, args []string) error {
-	if len(args) > 0 {
-		switch args[0] {
-		case "dump":
-			if len(args) < 2 {
-				return fmt.Errorf("trace dump needs <file> [n]")
-			}
-			limit := 0
-			if len(args) > 2 {
-				n, err := strconv.Atoi(args[2])
-				if err != nil {
-					return fmt.Errorf("bad limit %q", args[2])
-				}
-				limit = n
-			}
-			return traceDump(client, global, elem, bits, servers, args[1], limit)
-		case "replay":
-			if len(args) < 2 {
-				return fmt.Errorf("trace replay needs <file>")
-			}
-			return traceReplay(client, global, elem, args[1])
+func traceCmd(client *gospaces.Client, global gospaces.BBox, elem, bits int, args []string) error {
+	if len(args) > 0 && args[0] == "dump" {
+		if len(args) != 2 {
+			return fmt.Errorf("trace dump needs <file>")
 		}
+		return traceDump(client, global, elem, bits, args[1])
 	}
 	limit := 0
 	if len(args) > 0 {
@@ -46,54 +30,38 @@ func traceCmd(client *gospaces.Client, global gospaces.BBox, elem, bits, servers
 		}
 		limit = n
 	}
-	records, err := client.Trace(limit)
-	if err != nil {
-		return err
-	}
-	for _, r := range records {
-		fmt.Println(r)
-	}
-	return nil
-}
-
-// traceDump exports the group's recent activity as a durable trace
-// file. Each server's observability ring is fetched raw, the rings are
-// merged on wall-clock order, and sharded operations — which leave one
-// record per touched server — are collapsed to a single event. The
-// result replays with `dsctl trace replay` (synthetic payloads seeded
-// by version, exactly like `dsctl put`).
-func traceDump(client *gospaces.Client, global gospaces.BBox, elem, bits, servers int, path string, limit int) error {
 	per, err := client.TraceRecords(limit)
 	if err != nil {
 		return err
 	}
-	var recs []gospaces.TraceRecord
-	for _, rs := range per {
-		recs = append(recs, rs...)
-	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].At.Before(recs[j].At) })
-	events := make([]gospaces.TraceEvent, 0, len(recs))
-	lastKey := ""
-	for _, r := range recs {
-		// A sharded put/get lands one record per server within the same
-		// client call; after the time sort those duplicates are adjacent.
-		key := fmt.Sprintf("%d|%s|%s|%d|%s", r.Op, r.App, r.Name, r.Version, r.Detail)
-		if key == lastKey {
-			continue
+	for sid, resp := range per {
+		for _, r := range resp.Raw {
+			fmt.Printf("s%d %s\n", sid, r)
 		}
-		lastKey = key
-		ev := gospaces.TraceEventFromRecord(r)
-		ev.LC = uint64(len(events))
-		events = append(events, ev)
 	}
-	h := gospaces.TraceHeader{
+	return nil
+}
+
+// traceDump exports the group's activity as a durable trace file that
+// `dsctl trace replay` executes and checks. It needs every server's
+// whole ring: a ring that has wrapped, or a get whose put left no
+// record, fails with a *workflow.DumpError.
+func traceDump(client *gospaces.Client, global gospaces.BBox, elem, bits int, path string) error {
+	per, err := client.TraceRecords(0)
+	if err != nil {
+		return err
+	}
+	h, events, err := workflow.DumpTrace(gospaces.TraceHeader{
 		Label:    "dsctl dump",
-		Servers:  servers,
+		Servers:  len(per),
 		Bits:     bits,
 		ElemSize: elem,
 		DimX:     global.Max[0] - global.Min[0] + 1,
 		DimY:     global.Max[1] - global.Min[1] + 1,
 		DimZ:     global.Max[2] - global.Min[2] + 1,
+	}, per)
+	if err != nil {
+		return err
 	}
 	if err := gospaces.WriteTraceFile(path, h, events); err != nil {
 		return err
@@ -102,80 +70,24 @@ func traceDump(client *gospaces.Client, global gospaces.BBox, elem, bits, server
 	return nil
 }
 
-// traceReplay re-issues a trace file's workload operations through the
-// connected client: puts stage the deterministic synthetic field for
-// the recorded version (dsctl put semantics), gets verify every byte
-// against it, and checkpoint/restart/lock events are forwarded
-// verbatim. Fault events and notes are skipped — replaying a soak
-// trace with its fault schedule is wfbench's job (`wfbench -exp soak
-// -replay`). All operations run under dsctl's own -app identity.
-func traceReplay(client *gospaces.Client, global gospaces.BBox, elem int, path string) error {
-	h, events, err := gospaces.ReadTraceFile(path)
+// traceReplay re-executes a trace file — a soak's, a checked-in
+// regression trace, or a dump — faults included, against an in-process
+// staging group built from its header, and verifies every checked get
+// and the header's digest. It needs no -servers.
+func traceReplay(args []string) error {
+	if len(args) != 1 {
+		return fmt.Errorf("trace replay needs <file>")
+	}
+	h, events, err := gospaces.ReadTraceFile(args[0])
 	if err != nil {
 		return err
 	}
-	// A trace recorded elsewhere knows its own domain and element size;
-	// prefer those so payloads regenerate at the recorded geometry.
-	if h.DimX > 0 && h.DimY > 0 && h.DimZ > 0 {
-		global = gospaces.Box3(0, 0, 0, h.DimX-1, h.DimY-1, h.DimZ-1)
+	fmt.Printf("replaying %s: %q seed=%d %d events digest=%#x\n", args[0], h.Label, h.Seed, len(events), h.Digest)
+	res, err := gospaces.ReplaySoakTrace(h, events)
+	if err != nil {
+		return err
 	}
-	if h.ElemSize > 0 {
-		elem = h.ElemSize
-	}
-	fmt.Printf("replaying %s: %q, %d events\n", path, h.Label, len(events))
-	puts, gets, other, skipped := 0, 0, 0, 0
-	for _, ev := range events {
-		switch ev.Kind {
-		case gospaces.TraceEvPut:
-			field := gospaces.NewField(ev.Name, global, elem)
-			data := field.Fill(ev.Version, global)
-			if ev.Logged {
-				err = client.PutWithLog(ev.Name, ev.Version, global, data)
-			} else {
-				err = client.Put(ev.Name, ev.Version, global, data)
-			}
-			puts++
-		case gospaces.TraceEvGet:
-			var data []byte
-			var v int64
-			if ev.Logged {
-				data, v, err = client.GetWithLog(ev.Name, ev.Version, global)
-			} else {
-				data, v, err = client.Get(ev.Name, ev.Version, global)
-			}
-			if err == nil {
-				field := gospaces.NewField(ev.Name, global, elem)
-				if idx := field.Verify(v, global, data); idx >= 0 {
-					err = fmt.Errorf("%s v%d corrupt at byte %d", ev.Name, v, idx)
-				}
-			}
-			gets++
-		case gospaces.TraceEvCheckpoint:
-			_, err = client.WorkflowCheck()
-			other++
-		case gospaces.TraceEvRestart:
-			_, err = client.WorkflowRestart()
-			other++
-		case gospaces.TraceEvLock:
-			err = client.LockOnWrite(ev.Name)
-			other++
-		case gospaces.TraceEvUnlock:
-			err = client.UnlockOnWrite(ev.Name)
-			other++
-		case gospaces.TraceEvRLock:
-			err = client.LockOnRead(ev.Name)
-			other++
-		case gospaces.TraceEvRUnlock:
-			err = client.UnlockOnRead(ev.Name)
-			other++
-		default:
-			skipped++
-		}
-		if err != nil {
-			return fmt.Errorf("replay lc=%d (%v %s v%d): %w", ev.LC, ev.Kind, ev.Name, ev.Version, err)
-		}
-	}
-	fmt.Printf("replayed %d puts, %d gets, %d control ops (%d skipped), all verified\n",
-		puts, gets, other, skipped)
+	fmt.Printf("replay ok: digest=%#x state=%#x puts=%d gets=%d restarts=%d promotions=%d sup-kills=%d retries=%d\n",
+		res.Digest, res.StateSum, res.Puts, res.Gets, res.Restarts, res.Promotions, res.SupKills, res.Retries)
 	return nil
 }

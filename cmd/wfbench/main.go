@@ -47,10 +47,9 @@ type params struct {
 	live  expt.LiveParams
 	seeds []int64
 	// soak holds the -soak-* flags (soakExp sets its Seed per seed); a
-	// failing seed's trace is persisted under traceDir, and replay names
-	// one persisted trace to re-execute instead of recording.
-	soak             gospaces.SoakOptions
-	traceDir, replay string
+	// failing seed's trace is persisted under traceDir.
+	soak     gospaces.SoakOptions
+	traceDir string
 }
 
 func main() {
@@ -65,7 +64,6 @@ func main() {
 	flag.BoolVar(&p.soak.Tier, "soak-tier", true, "give soak servers a cold tier and storage faults")
 	flag.BoolVar(&p.soak.Overload, "soak-overload", true, "enable admission control and flood bursts in soaks")
 	flag.StringVar(&p.traceDir, "trace-dir", ".", "directory for failing soak runs' persisted traces")
-	flag.StringVar(&p.replay, "replay", "", "replay one persisted soak trace file instead of recording")
 	flag.Parse()
 	for i := 1; i <= *seeds; i++ {
 		p.seeds = append(p.seeds, int64(i))

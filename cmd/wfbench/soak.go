@@ -13,14 +13,11 @@ import (
 // soakExp runs one churn soak per seed: record the deterministic
 // trace, execute it against a live staging group, then immediately
 // replay the recorded trace and hold both runs to the same digest.
-// A failing seed's trace is persisted under -trace-dir so the failure
-// can be replayed under `go test` (copy it into
-// internal/workflow/testdata/ and point a TestReplayRegression_* case
-// at it).
+// A failing seed's trace is persisted under -trace-dir, and `dsctl
+// trace replay <path>` re-executes it (copied into
+// internal/workflow/testdata/ with a TestReplayRegression_* case
+// pointed at it, it becomes a regression test).
 func soakExp(p params) error {
-	if p.replay != "" {
-		return soakReplay(p.replay)
-	}
 	t := &expt.Table{
 		Title:   "Churn soak: recorded fault schedules, record vs replay digests",
 		Headers: []string{"seed", "events", "puts", "gets", "restarts", "failstops", "promotions", "sup-kills", "blackouts", "tierfaults", "floods/sheds", "retries", "wall", "verdict"},
@@ -53,7 +50,7 @@ func soakExp(p params) error {
 			if path, werr := persistFailingTrace(p.traceDir, seed, h, events); werr != nil {
 				fmt.Fprintf(os.Stderr, "wfbench: soak seed %d: persisting trace: %v\n", seed, werr)
 			} else {
-				fmt.Fprintf(os.Stderr, "wfbench: soak seed %d failed; trace saved to %s\n", seed, path)
+				fmt.Fprintf(os.Stderr, "wfbench: soak seed %d failed; replay it with: dsctl trace replay %s\n", seed, path)
 			}
 		}
 		t.Add(seed, len(events), rec.Puts, rec.Gets, rec.Restarts, rec.FailStops, rec.Promotions, rec.SupKills, rec.Blackouts,
@@ -64,22 +61,6 @@ func soakExp(p params) error {
 	if failures > 0 {
 		return fmt.Errorf("%d of %d soak seeds diverged", failures, len(p.seeds))
 	}
-	return nil
-}
-
-// soakReplay re-executes one persisted trace file and verifies it.
-func soakReplay(path string) error {
-	h, events, err := gospaces.ReadTraceFile(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("replaying %s: %q seed=%d %d events digest=%#x\n", path, h.Label, h.Seed, len(events), h.Digest)
-	res, err := gospaces.ReplaySoakTrace(h, events)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("replay ok: digest=%#x state=%#x puts=%d gets=%d restarts=%d promotions=%d sup-kills=%d retries=%d\n",
-		res.Digest, res.StateSum, res.Puts, res.Gets, res.Restarts, res.Promotions, res.SupKills, res.Retries)
 	return nil
 }
 

@@ -310,31 +310,6 @@ type TraceHeader = trace.Header
 // fault, positioned on the trace's logical clock.
 type TraceEvent = trace.Event
 
-// Trace event kinds a client-driven replay acts on (fault kinds and
-// EvNote records are observability-only outside the soak harness).
-const (
-	TraceEvPut        = trace.EvPut
-	TraceEvGet        = trace.EvGet
-	TraceEvCheckpoint = trace.EvCheckpoint
-	TraceEvRestart    = trace.EvRestart
-	TraceEvLock       = trace.EvLock
-	TraceEvUnlock     = trace.EvUnlock
-	TraceEvRLock      = trace.EvRLock
-	TraceEvRUnlock    = trace.EvRUnlock
-	TraceEvNote       = trace.EvNote
-)
-
-// TraceRecord is one entry of a staging server's in-memory
-// observability ring (Client.TraceRecords).
-type TraceRecord = trace.Record
-
-// TraceEventFromRecord converts a ring-buffer record into a replayable
-// trace event, for exporting a live group's recent activity as a trace
-// file (dsctl trace dump).
-func TraceEventFromRecord(r TraceRecord) TraceEvent {
-	return trace.FromRecord(r)
-}
-
 // WriteTraceFile atomically persists a recorded trace in the durable
 // CRC-framed format (see DESIGN.md §10).
 func WriteTraceFile(path string, h TraceHeader, events []TraceEvent) error {
@@ -363,9 +338,9 @@ func RunSoak(o SoakOptions) (TraceHeader, []TraceEvent, SoakResult, error) {
 	return workflow.RunSoak(o)
 }
 
-// ReplaySoakTrace re-executes a recorded soak trace against a freshly
-// built staging group and verifies every checked get byte-exactly
-// against the recorded digests.
+// ReplaySoakTrace re-executes a recorded trace (a soak or a dump)
+// against a freshly built staging group, faults included, and verifies
+// every checked get byte-exactly against the recorded digests.
 func ReplaySoakTrace(h TraceHeader, events []TraceEvent) (SoakResult, error) {
 	return workflow.ReplayTrace(h, events)
 }

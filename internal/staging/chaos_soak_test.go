@@ -238,7 +238,7 @@ func TestMalformedResponsesReturnErrors(t *testing.T) {
 	if _, err := client.Stats(); err == nil {
 		t.Error("Stats accepted a malformed response")
 	}
-	if _, err := client.Trace(5); err == nil {
-		t.Error("Trace accepted a malformed response")
+	if _, err := client.TraceRecords(5); err == nil {
+		t.Error("TraceRecords accepted a malformed response")
 	}
 }

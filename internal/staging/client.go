@@ -11,7 +11,6 @@ import (
 	"gospaces/internal/domain"
 	"gospaces/internal/qos"
 	"gospaces/internal/tier"
-	"gospaces/internal/trace"
 	"gospaces/internal/transport"
 )
 
@@ -600,33 +599,17 @@ func (c *Client) Stats() (StatsResp, error) {
 	return agg, nil
 }
 
-// Trace fetches the recent protocol trace of every server, rendered
-// and prefixed with the server id.
-func (c *Client) Trace(limit int) ([]string, error) {
-	per, err := c.TraceRecords(limit)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for sid, recs := range per {
-		for _, rec := range recs {
-			out = append(out, fmt.Sprintf("s%d %s", sid, rec))
-		}
-	}
-	return out, nil
-}
-
-// TraceRecords fetches the recent protocol trace of every server as
-// typed records, for export into a durable trace file (dsctl trace
-// dump). The outer slice is indexed by server id.
-func (c *Client) TraceRecords(limit int) ([][]trace.Record, error) {
-	out := make([][]trace.Record, len(c.conns))
+// TraceRecords fetches the recent protocol trace of every server,
+// indexed by server id: each server's retained records, oldest first,
+// and its Total, which exceeds len(Raw) once the ring has wrapped.
+func (c *Client) TraceRecords(limit int) ([]TraceResp, error) {
+	out := make([]TraceResp, len(c.conns))
 	for sid, conn := range c.conns {
 		resp, err := transport.As[TraceResp](conn.Call(TraceReq{Limit: limit}))
 		if err != nil {
 			return nil, wrapCall(err, "trace on server %d", sid)
 		}
-		out[sid] = resp.Raw
+		out[sid] = resp
 	}
 	return out, nil
 }

@@ -414,7 +414,7 @@ type TraceReq struct {
 }
 
 // TraceResp carries the server's recent protocol trace, oldest first,
-// as typed records: Client.Trace renders them, dsctl trace dump exports
+// as typed records: dsctl trace renders them, dsctl trace dump exports
 // them.
 type TraceResp struct {
 	Raw []trace.Record

@@ -41,27 +41,37 @@ func TestTraceCapturesProtocolStory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	records, err := prod.Trace(0)
+	per, err := prod.TraceRecords(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(records, "\n")
+	if len(per) != 2 {
+		t.Fatalf("trace of %d servers, want 2", len(per))
+	}
+	var lines []string
+	for sid, resp := range per {
+		if len(resp.Raw) == 0 || resp.Total != uint64(len(resp.Raw)) {
+			t.Fatalf("server %d: %d records retained of %d total", sid, len(resp.Raw), resp.Total)
+		}
+		for _, r := range resp.Raw {
+			lines = append(lines, r.String())
+		}
+	}
+	joined := strings.Join(lines, "\n")
 	for _, want := range []string{" put ", " get ", " checkpoint ", " recovery", " gc "} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("trace missing %q:\n%s", want, joined)
 		}
 	}
-	// Server prefix present.
-	if !strings.Contains(joined, "s0 ") || !strings.Contains(joined, "s1 ") {
-		t.Fatalf("per-server prefixes missing:\n%s", joined)
-	}
 
-	// Limit caps output per server.
-	few, err := prod.Trace(2)
+	// Limit caps the records per server, not the total.
+	few, err := prod.TraceRecords(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(few) > 4 { // 2 servers x limit 2
-		t.Fatalf("limit ignored: %d records", len(few))
+	for sid, resp := range few {
+		if len(resp.Raw) > 2 || resp.Total != per[sid].Total {
+			t.Fatalf("server %d: limit 2 returned %d records, total %d", sid, len(resp.Raw), resp.Total)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 )
 
 // EventKind classifies one replayable trace event. Workload kinds
@@ -252,52 +251,4 @@ func decodeEvent(buf []byte) (Event, error) {
 		return e, fmt.Errorf("%w: %d trailing bytes after event", ErrCorrupt, len(buf))
 	}
 	return e, nil
-}
-
-// FromRecord converts one ring-buffer observability record into a
-// trace event, for exporting a live server's recent activity as a
-// trace file (dsctl trace dump). Ring records carry no payload seeds,
-// so puts exported this way replay with the synthetic generator seeded
-// by version; operations with no replay semantics map to EvNote.
-func FromRecord(r Record) Event {
-	e := Event{
-		App:     r.App,
-		Name:    r.Name,
-		Version: r.Version,
-		Bytes:   r.Bytes,
-		Seed:    r.Version,
-	}
-	switch r.Op {
-	// The ring only records puts and gets on the logged data path
-	// (unlogged ops leave no record), so all four data kinds replay
-	// through PutWithLog/GetWithLog.
-	case OpPut, OpSuppressedPut:
-		e.Kind, e.Logged = EvPut, true
-	case OpGet, OpReplayGet:
-		e.Kind, e.Logged = EvGet, true
-	case OpCheckpoint:
-		e.Kind = EvCheckpoint
-	case OpRecovery:
-		e.Kind = EvRestart
-	case OpLock:
-		// The ring folds all four lock verbs into OpLock and keeps the
-		// verb in Detail; failed attempts replay as nothing.
-		switch {
-		case strings.HasSuffix(r.Detail, "err"):
-			e.Kind = EvNote
-		case r.Detail == "acquire write":
-			e.Kind = EvLock
-		case r.Detail == "release write":
-			e.Kind = EvUnlock
-		case r.Detail == "acquire read":
-			e.Kind = EvRLock
-		case r.Detail == "release read":
-			e.Kind = EvRUnlock
-		default:
-			e.Kind = EvNote
-		}
-	default:
-		e.Kind = EvNote
-	}
-	return e
 }

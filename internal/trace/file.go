@@ -37,6 +37,22 @@ var (
 	ErrOrder = errors.New("trace: trace records out of order")
 )
 
+// DivergenceError reports a replay that stopped reproducing the
+// recorded run: the event at logical clock LC produced a different
+// outcome than the recording (wrong bytes on a get, a wlog replay
+// divergence, an operation that cannot complete).
+type DivergenceError struct {
+	LC  uint64
+	Ev  Event
+	Err error
+}
+
+func (e *DivergenceError) Error() string {
+	return fmt.Sprintf("trace: replay diverged at lc=%d (%s): %v", e.LC, e.Ev, e.Err)
+}
+
+func (e *DivergenceError) Unwrap() error { return e.Err }
+
 // fileMagic opens every trace file.
 const fileMagic = "GTRACE1\n"
 

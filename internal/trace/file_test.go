@@ -189,77 +189,3 @@ func TestDecodeFutureVersion(t *testing.T) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
 }
-
-func TestReplayerOrderAndDivergence(t *testing.T) {
-	evs := []Event{
-		{LC: 0, Kind: EvPut, Name: "a"},
-		{LC: 1, Kind: EvNote},
-		{LC: 2, Kind: EvGet, Name: "a"},
-	}
-	var applied []Event
-	x := execFunc(func(ev Event) error {
-		applied = append(applied, ev)
-		return nil
-	})
-	if err := Replay(evs, x); err != nil {
-		t.Fatal(err)
-	}
-	if len(applied) != 2 || applied[0].Kind != EvPut || applied[1].Kind != EvGet {
-		t.Fatalf("applied %+v", applied)
-	}
-
-	boom := errors.New("bytes differ")
-	err := Replay(evs, execFunc(func(ev Event) error {
-		if ev.Kind == EvGet {
-			return boom
-		}
-		return nil
-	}))
-	var div *DivergenceError
-	if !errors.As(err, &div) || div.LC != 2 || !errors.Is(err, boom) {
-		t.Fatalf("got %v", err)
-	}
-
-	// Out-of-order logical clocks are rejected before application.
-	bad := []Event{{LC: 5, Kind: EvPut}, {LC: 5, Kind: EvPut}}
-	if err := Replay(bad, x); !errors.Is(err, ErrOrder) {
-		t.Fatalf("got %v, want ErrOrder", err)
-	}
-}
-
-func TestFromRecordMapping(t *testing.T) {
-	cases := []struct {
-		op     Op
-		detail string
-		kind   EventKind
-		logged bool
-	}{
-		{OpPut, "", EvPut, true},
-		{OpSuppressedPut, "", EvPut, true},
-		{OpGet, "", EvGet, true},
-		{OpReplayGet, "", EvGet, true},
-		{OpCheckpoint, "", EvCheckpoint, false},
-		{OpRecovery, "", EvRestart, false},
-		{OpLock, "acquire write", EvLock, false},
-		{OpLock, "release write", EvUnlock, false},
-		{OpLock, "acquire read", EvRLock, false},
-		{OpLock, "release read", EvRUnlock, false},
-		{OpLock, "acquire write err", EvNote, false},
-		{OpLock, "", EvNote, false},
-		{OpGC, "", EvNote, false},
-	}
-	for _, c := range cases {
-		ev := FromRecord(Record{Op: c.op, App: "a", Name: "n", Version: 3, Bytes: 8, Detail: c.detail})
-		if ev.Kind != c.kind || ev.Logged != c.logged {
-			t.Fatalf("%v -> %+v", c.op, ev)
-		}
-		if ev.App != "a" || ev.Name != "n" || ev.Version != 3 || ev.Seed != 3 {
-			t.Fatalf("%v fields: %+v", c.op, ev)
-		}
-	}
-}
-
-// execFunc adapts a function to the Executor interface.
-type execFunc func(Event) error
-
-func (f execFunc) Apply(ev Event) error { return f(ev) }

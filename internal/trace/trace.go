@@ -1,8 +1,10 @@
 // Package trace is a lightweight fixed-capacity event tracer for the
 // staging servers: a lock-protected ring buffer of typed records that
 // captures the protocol activity (puts, gets, checkpoints, recoveries,
-// suppressions, GC passes) without unbounded growth. dsctl's trace
-// command and the debugging tests read it back.
+// suppressions, GC passes) without unbounded growth, and the durable
+// trace-file format (file.go, event.go) that records and replays a
+// run. dsctl's trace command reads the ring back; internal/workflow
+// turns rings into trace files and executes them.
 package trace
 
 import (

@@ -34,8 +34,10 @@ import (
 // digest — is generated deterministically from the seed BEFORE
 // execution, recording and replaying are the same operation: executing
 // the schedule. A failing run's trace file therefore reproduces the
-// failure deterministically under `go test`, which is what turns soak
-// failures into checked-in regression tests.
+// failure deterministically under `go test` or `dsctl trace replay`,
+// which is what turns soak failures into checked-in regression tests.
+// ReplayTrace is the one executor of trace events, for soak schedules
+// and for dumps of live groups (dump.go) alike.
 
 // SoakOptions configures one seeded churn soak.
 type SoakOptions struct {
@@ -524,20 +526,33 @@ func RunSoak(o SoakOptions) (trace.Header, []trace.Event, SoakResult, error) {
 	return h, events, res, err
 }
 
-// ReplayTrace executes a soak trace against a freshly built staging
-// group and verifies it: every checked get must return the recorded
+// ReplayTrace is the one executor of trace events: it runs a trace —
+// a soak schedule or a dump of a live group — against a freshly built
+// staging group and verifies it. Events apply in logical clock order,
+// and notes are skipped. Every checked get must return the recorded
 // bytes, and when the header carries a digest the ordered fold of all
-// checked gets must reproduce it. Running it twice on the same trace
-// must yield identical results — that is the determinism contract the
-// regression tests pin down.
+// checked gets must reproduce it. An event that fails is reported as a
+// *trace.DivergenceError naming its logical clock. Running it twice on
+// the same trace must yield identical results — that is the
+// determinism contract the regression tests pin down.
 func ReplayTrace(h trace.Header, events []trace.Event) (SoakResult, error) {
+	for i := 1; i < len(events); i++ {
+		if events[i].LC <= events[i-1].LC {
+			return SoakResult{}, fmt.Errorf("%w: lc=%d after lc=%d", trace.ErrOrder, events[i].LC, events[i-1].LC)
+		}
+	}
 	x, err := newSoakExec(h)
 	if err != nil {
 		return SoakResult{}, err
 	}
 	defer x.close()
-	if err := trace.Replay(events, x); err != nil {
-		return x.result(), err
+	for _, ev := range events {
+		if ev.Kind == trace.EvNote {
+			continue
+		}
+		if err := x.apply(ev); err != nil {
+			return x.result(), &trace.DivergenceError{LC: ev.LC, Ev: ev, Err: err}
+		}
 	}
 	if err := x.finish(); err != nil {
 		return x.result(), err
@@ -565,6 +580,7 @@ const (
 type soakExec struct {
 	h       trace.Header
 	global  domain.BBox
+	size    int64 // bytes of one full-domain payload
 	tr      *transport.Chaos
 	group   *staging.Group
 	sups    []*recovery.Supervisor
@@ -597,13 +613,36 @@ type soakExec struct {
 	stateSum uint64
 }
 
+// maxTracePut bounds one full-domain payload, so a header read from a
+// file cannot ask the executor for an absurd allocation.
+const maxTracePut = 1 << 30
+
+// putSize is the bytes of one full-domain payload the header describes
+// (volume × element size), or false unless every extent and the
+// element size are positive and the product stays within maxTracePut.
+func putSize(h trace.Header) (int64, bool) {
+	n := int64(1)
+	for _, d := range []int64{h.DimX, h.DimY, h.DimZ, int64(h.ElemSize)} {
+		if d < 1 || n > maxTracePut/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
+
+// newSoakExec builds the group a trace header describes. The header
+// comes from a file, so it is checked first: a positive, bounded domain
+// and element size, and at least one server.
 func newSoakExec(h trace.Header) (*soakExec, error) {
-	if h.Servers < 2 || h.DimX != 64 || h.DimY != 64 || h.DimZ != 1 {
-		return nil, fmt.Errorf("workflow: trace header does not describe a soak environment: %+v", h)
+	size, ok := putSize(h)
+	if !ok || h.Servers < 1 {
+		return nil, fmt.Errorf("workflow: trace header describes no staging group: %+v", h)
 	}
 	x := &soakExec{
 		h:            h,
-		global:       soakGlobal(),
+		global:       domain.Box3(0, 0, 0, h.DimX-1, h.DimY-1, h.DimZ-1),
+		size:         size,
 		clients:      map[string]*staging.Client{},
 		killed:       make([]bool, soakSupervisors),
 		tierBackends: map[int]*pfs.Store{},
@@ -997,10 +1036,13 @@ func lockIdempotent(err error) bool {
 	return strings.Contains(s, "already holds write lock") || strings.Contains(s, "lock not held")
 }
 
-// Apply executes one trace event. It implements trace.Executor.
-func (x *soakExec) Apply(ev trace.Event) error {
+// apply executes one trace event.
+func (x *soakExec) apply(ev trace.Event) error {
 	switch ev.Kind {
 	case trace.EvPut:
+		if ev.Bytes != x.size {
+			return fmt.Errorf("%w: put of %d bytes, the domain holds %d", errSoakTerminal, ev.Bytes, x.size)
+		}
 		c, err := x.client(ev.App)
 		if err != nil {
 			return err
@@ -1245,7 +1287,7 @@ func (x *soakExec) applyFlood(ev trace.Event) error {
 	}
 	for i := int64(0); i < ev.Arg; i++ {
 		name := fmt.Sprintf("flood/f%d_%d", ev.LC, i)
-		data := soakPayload(int64(ev.LC)+i, x.global.Volume())
+		data := soakPayload(int64(ev.LC)+i, x.size)
 		x.res.FloodPuts++
 		err := x.retry(c, func() error {
 			perr := c.Put(name, 1, x.global, data)
