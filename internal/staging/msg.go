@@ -502,8 +502,8 @@ type TierStatsResp struct {
 
 // TierScrubReq triggers a CRC scrub pass over the server's spilled
 // records: corrupt generations are re-replicated from the surviving
-// twin, unrecoverable entries dropped. The recovery supervisor fires
-// one after every promotion restore.
+// twin, unrecoverable entries dropped. Sent by `dsctl scrub` and by a
+// tiered soak's last barrier (workflow's finish), to every member.
 type TierScrubReq struct{}
 
 // TierScrubResp reports one scrub pass; Degraded is the tier's state

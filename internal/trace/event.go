@@ -110,9 +110,20 @@ type Event struct {
 	// supervisor for EvSupervisorKill, the spare count for EvAddSpare.
 	Arg int64
 	// Arg2 is the fault parameter: blackout duration in milliseconds,
-	// or the failure.Kind code of a tier fault.
+	// or the tier-fault code (TierTornWrite … TierSlowIO) of a tier fault.
 	Arg2 int64
 }
+
+// Tier-fault codes: an EvTierFault's Arg2 names the storage fault it
+// arms on the slot's cold tier. They are trace-format values, fixed like
+// the event kinds, because checked-in traces carry them.
+const (
+	TierTornWrite    int64 = iota + 7 // truncate the next tier write at Version
+	TierPartialWrite                  // cut the next tier write at Version
+	TierBitRot                        // flip a bit of a spilled record at rest
+	TierENOSPC                        // fail the next tier write with no space
+	TierSlowIO                        // slow every tier I/O for Bytes ms
+)
 
 // String renders the event for terminals.
 func (e Event) String() string {

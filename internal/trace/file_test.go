@@ -74,6 +74,16 @@ func TestEventStringNamesKinds(t *testing.T) {
 	}
 }
 
+// TestTierFaultCodesPinned: the tier-fault codes are trace-format
+// values (checked-in traces carry them), fixed at 7–11.
+func TestTierFaultCodesPinned(t *testing.T) {
+	for i, code := range []int64{TierTornWrite, TierPartialWrite, TierBitRot, TierENOSPC, TierSlowIO} {
+		if code != int64(7+i) {
+			t.Fatalf("tier-fault code %d is %d, want %d", i, code, 7+i)
+		}
+	}
+}
+
 func TestFileRoundTrip(t *testing.T) {
 	h, evs := sampleHeader(), sampleEvents()
 	img := Encode(h, evs)

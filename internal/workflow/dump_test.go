@@ -168,4 +168,13 @@ func TestReplayTraceOrderAndDivergence(t *testing.T) {
 	if _, err := ReplayTrace(dumpHeader(), events[:1]); !errors.As(err, &div) || div.LC != 0 || !errors.Is(err, errSoakTerminal) {
 		t.Fatalf("got %v, want a divergence at lc=0", err)
 	}
+
+	// So is a tier fault whose code names no storage fault: it would arm
+	// nothing yet count as a fault.
+	for _, code := range []int64{3, trace.TierSlowIO + 1} {
+		bad := []trace.Event{{LC: 0, Kind: trace.EvTierFault, Arg: 1, Arg2: code}}
+		if _, err := ReplayTrace(dumpHeader(), bad); !errors.As(err, &div) || div.LC != 0 || !errors.Is(err, errSoakTerminal) {
+			t.Fatalf("tier fault code %d: got %v, want a divergence at lc=0", code, err)
+		}
+	}
 }

@@ -385,9 +385,9 @@ func BuildRegressionTrace(kind string) (trace.Header, []trace.Event, error) {
 		a1 := putAnchor(events, 3)
 		a2 := putAnchor(events, 8)
 		if a2 > a1 {
-			events = slices.Insert(events, a2, trace.Event{Kind: trace.EvTierFault, Arg: 2, Arg2: int64(failure.PFSTornWrite), Version: 7})
+			events = slices.Insert(events, a2, trace.Event{Kind: trace.EvTierFault, Arg: 2, Arg2: trace.TierTornWrite, Version: 7})
 		}
-		events = slices.Insert(events, a1, trace.Event{Kind: trace.EvTierFault, Arg: 1, Arg2: int64(failure.PFSENOSPC), Version: -1})
+		events = slices.Insert(events, a1, trace.Event{Kind: trace.EvTierFault, Arg: 1, Arg2: trace.TierENOSPC, Version: -1})
 		h.Flags |= trace.FlagFaults
 		return h, renumber(events), nil
 
@@ -1234,6 +1234,9 @@ func (x *soakExec) applyRestart(ev trace.Event) error {
 // flip finds nothing to rot before the first spill — deterministically
 // so, since the schedule is fixed.
 func (x *soakExec) applyTierFault(ev trace.Event) error {
+	if ev.Arg2 < trace.TierTornWrite || ev.Arg2 > trace.TierSlowIO {
+		return fmt.Errorf("%w: unknown tier fault code %d", errSoakTerminal, ev.Arg2)
+	}
 	addr, err := x.slotAddr(ev.Arg)
 	if err != nil {
 		return err
@@ -1245,14 +1248,14 @@ func (x *soakExec) applyTierFault(ev trace.Event) error {
 		return nil
 	}
 	off := int(ev.Version)
-	switch failure.Kind(ev.Arg2) {
-	case failure.PFSTornWrite:
+	switch ev.Arg2 {
+	case trace.TierTornWrite:
 		be.FailNextWriteAt(pfs.FaultTruncate, off)
-	case failure.PFSPartialWrite:
+	case trace.TierPartialWrite:
 		be.FailNextWriteAt(pfs.FaultPartial, off)
-	case failure.PFSENOSPC:
+	case trace.TierENOSPC:
 		be.FailNextWriteAt(pfs.FaultENOSPC, -1)
-	case failure.PFSBitRot:
+	case trace.TierBitRot:
 		var g0 []string
 		for _, name := range be.List("tier/") {
 			if strings.HasSuffix(name, "/g0") {
@@ -1266,7 +1269,7 @@ func (x *soakExec) applyTierFault(ev trace.Event) error {
 			off = 0
 		}
 		be.Corrupt(g0[off%len(g0)], off)
-	case failure.PFSSlowIO:
+	case trace.TierSlowIO:
 		be.SetSlowIO(200 * time.Microsecond)
 		time.AfterFunc(time.Duration(ev.Bytes)*time.Millisecond, func() { be.SetSlowIO(0) })
 	}
