@@ -387,14 +387,19 @@ func (s *Server) applyPut(r PutReq) (PutResp, error) {
 	}
 	var resp PutResp
 	if r.Logged {
-		wasReplaying := s.repl != nil && s.log.Replaying(r.App)
+		cursor := -1
+		if s.repl != nil {
+			cursor = s.log.ReplayCursor(r.App)
+		}
+		wasReplaying := cursor >= 0
 		suppress, err := s.log.BeginPut(r.App, r.Name, r.Version, r.Piece.BBox)
 		if err != nil {
 			return PutResp{}, err
 		}
-		if wasReplaying {
+		if wasReplaying && s.log.ReplayCursor(r.App) != cursor {
 			// The replay cursor moved (or replay ended): advance the
-			// replicas the same way.
+			// replicas the same way. A retried piece the replay already
+			// consumed moves nothing.
 			s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpAdvance, App: r.App}})
 		}
 		// A replaying app is never deferred: every cursor advance is

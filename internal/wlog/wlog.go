@@ -173,6 +173,18 @@ func (l *Log) Replaying(app string) bool {
 	return ok && q.replaying
 }
 
+// ReplayCursor returns app's replay cursor, or -1 when app is not
+// replaying. A put or get moved the cursor (or ended the replay) iff the
+// value differs after it.
+func (l *Log) ReplayCursor(app string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if q, ok := l.apps[app]; ok && q.replaying {
+		return q.cursor
+	}
+	return -1
+}
+
 // exitReplay is called with the lock held when a component's requests
 // run past the logged window.
 func (q *appQueue) exitReplay() { q.replaying = false }
@@ -180,8 +192,9 @@ func (q *appQueue) exitReplay() { q.replaying = false }
 // BeginPut decides how to treat a put request from app. It returns
 // suppress=true when the request is a re-issued write from a rollback
 // re-execution whose payload is already staged; the caller must then
-// skip the store write. On suppress the replay cursor advances. When
-// the request diverges from the log, ErrReplayDivergence is returned.
+// skip the store write. On suppress the replay cursor advances, unless
+// the request retries a piece the replay already consumed. When the
+// request diverges from the log, ErrReplayDivergence is returned.
 //
 // When suppress is false the caller performs the store write and then
 // calls CommitPut to append the event.
@@ -194,21 +207,9 @@ func (l *Log) BeginPut(app, name string, version int64, bbox domain.BBox) (suppr
 		// multi-server put partway) re-issues the identical write, and
 		// versions are write-once — logging it twice would make a later
 		// replay, which re-executes the op once, diverge on the duplicate
-		// record. A version's pieces arrive as a contiguous run (the
-		// client blocks on the put until every piece lands), so scanning
-		// back through the same-version tail finds the original record of
-		// any retried piece. The payload already landed with it, so the
-		// caller skips the store write too.
-		for i := len(q.events) - 1; i >= 0; i-- {
-			e := q.events[i]
-			if e.Kind != KindPut || e.Version != version {
-				break
-			}
-			if e.Name == name && e.BBox.Equal(bbox) {
-				return true, nil
-			}
-		}
-		return false, nil
+		// record. The payload already landed with it, so the caller skips
+		// the store write too.
+		return q.retried(len(q.events), name, version, bbox), nil
 	}
 	if q.cursor >= len(q.events) {
 		q.exitReplay()
@@ -216,6 +217,11 @@ func (l *Log) BeginPut(app, name string, version int64, bbox domain.BBox) (suppr
 	}
 	e := q.events[q.cursor]
 	if e.Kind != KindPut || e.Name != name || e.Version != version || !e.BBox.Equal(bbox) {
+		// The same retry during replay: the piece's first replay consumed
+		// its event, so it sits behind the cursor and the cursor stays.
+		if q.retried(q.cursor, name, version, bbox) {
+			return true, nil
+		}
 		return false, fmt.Errorf("%w: put %s v%d %v, next logged event %s %s v%d %v",
 			ErrReplayDivergence, name, version, bbox, e.Kind, e.Name, e.Version, e.BBox)
 	}
@@ -224,6 +230,24 @@ func (l *Log) BeginPut(app, name string, version int64, bbox domain.BBox) (suppr
 		q.exitReplay()
 	}
 	return true, nil
+}
+
+// retried reports whether the put events before index end log this
+// piece already. A version's pieces arrive as a contiguous run (the
+// client blocks on the put until every piece lands), so scanning back
+// through the same-version tail finds the original record of any
+// retried piece.
+func (q *appQueue) retried(end int, name string, version int64, bbox domain.BBox) bool {
+	for i := end - 1; i >= 0; i-- {
+		e := q.events[i]
+		if e.Kind != KindPut || e.Version != version {
+			return false
+		}
+		if e.Name == name && e.BBox.Equal(bbox) {
+			return true
+		}
+	}
+	return false
 }
 
 // CommitPut records a completed (non-suppressed) put.

@@ -179,6 +179,38 @@ func TestReplayDivergencePut(t *testing.T) {
 	}
 }
 
+// TestReplayRetriedPieceSuppressed: a piece re-sent during replay (its
+// response was lost after the server consumed it) is the same write as
+// its first replay, not a divergence. It is suppressed, the cursor stays
+// on the next logged piece, and the replay finishes as recorded.
+func TestReplayRetriedPieceSuppressed(t *testing.T) {
+	l := New()
+	a, b := domain.Box3(0, 0, 0, 4, 9, 9), domain.Box3(5, 0, 0, 9, 9, 9)
+	for _, bb := range []domain.BBox{a, b} {
+		if sup, err := l.BeginPut("sim", "f", 1, bb); err != nil || sup {
+			t.Fatalf("first put %v: %v %v", bb, sup, err)
+		}
+		l.CommitPut("sim", "f", 1, bb, 500)
+	}
+	l.OnRecovery("sim")
+	for i, bb := range []domain.BBox{a, a, b} {
+		if sup, err := l.BeginPut("sim", "f", 1, bb); err != nil || !sup {
+			t.Fatalf("replay piece %d %v: %v %v", i, bb, sup, err)
+		}
+	}
+	if l.Replaying("sim") {
+		t.Fatal("replay did not end after the last logged piece")
+	}
+	if l.QueueLen("sim") != 2 {
+		t.Fatalf("queue len %d, want 2", l.QueueLen("sim"))
+	}
+	// A piece that was never logged still diverges.
+	l.OnRecovery("sim")
+	if _, err := l.BeginPut("sim", "f", 1, domain.Box3(0, 0, 0, 1, 1, 1)); !errors.Is(err, ErrReplayDivergence) {
+		t.Fatalf("unlogged piece: err = %v", err)
+	}
+}
+
 func TestReplayGetLatestResolvesToLoggedVersion(t *testing.T) {
 	l := New()
 	doPut(t, l, "sim", "f", 3)
