@@ -55,7 +55,9 @@ loc:
 # client-side replay kinds in the facade (gospaces.TraceEv*,
 # TraceEventFromRecord, TraceRecord); every trace executes through the
 # soak executor.
-LOC_BUDGET = 6272
+# 6272 → 6230: the chaos transport arms its fault windows by address
+# only (Apply, its schedule timeline, the addr→id map and FailStop go).
+LOC_BUDGET = 6230
 loc-check:
 	@loc=$$($(LOC)); echo "make loc: $$loc, LOC_BUDGET: $(LOC_BUDGET)"; \
 	test $$loc -le $(LOC_BUDGET) || { echo 'over budget: remove lines, or raise LOC_BUDGET in this diff'; exit 1; }
@@ -78,8 +80,9 @@ short:
 # The nemesis schedules under the race detector: seeded soak traces
 # (internal/workflow/soak.go) of supervisor/server kills over the
 # HA-recovery stack — leader killed at every promotion stage,
-# deposed-leader fencing, spare exhaustion, Churn-drawn chaos, a shed
-# flood around a promoting fail-stop, and storage faults tearing,
+# deposed-leader fencing, spare exhaustion, churn-drawn chaos (net
+# delay/drop windows included), net faults around a restart's replay, a
+# shed flood around a promoting fail-stop, and storage faults tearing,
 # rotting, and ENOSPC-failing the cold tier under a spilling group.
 # Every run's last barrier checks the recovery ledger.
 nemesis:
@@ -91,10 +94,12 @@ nemesis:
 # rounds and the supervisor's kept connections run ten times each under
 # the race detector. So do the transport's kept handler goroutines:
 # their reuse, in-flight bound and close, the head-of-line and teardown
-# checks, and the get whose version is collected before its response
-# is written. A flake seen here is filed in CHANGES.md with its seed.
+# checks, the get whose version is collected before its response is
+# written, and the put piece re-sent during a replay whose server then
+# fail-stops (it waits on a promotion). A flake seen here is filed in
+# CHANGES.md with its seed.
 recovery-stress:
-	$(GO) test -race -count=10 -timeout 20m -run 'TestWaitIdle|TestProbeNow|TestSupervisorKeepsOneConnPerMember|TestKillAnyServerAtAnyPoint|TestKillInsidePut|TestNemesisChaosSoak|TestServeConn|TestSlowCallDoesNotKillNeighbors|TestTCPConcurrentCloseDuringCalls|TestGetSurvivesGCBeforeWrite' ./internal/health ./internal/recovery ./internal/workflow ./internal/transport ./internal/staging
+	$(GO) test -race -count=10 -timeout 20m -run 'TestWaitIdle|TestProbeNow|TestSupervisorKeepsOneConnPerMember|TestKillAnyServerAtAnyPoint|TestKillInsidePut|TestNemesisChaosSoak|TestServeConn|TestSlowCallDoesNotKillNeighbors|TestTCPConcurrentCloseDuringCalls|TestGetSurvivesGCBeforeWrite|TestReplayRetrySurvivesPromotion' ./internal/health ./internal/recovery ./internal/workflow ./internal/transport ./internal/staging
 
 # Bounded churn-soak gate: replay the checked-in regression traces
 # (each twice) and the record-vs-replay determinism tests, replay one of

@@ -98,136 +98,3 @@ func TestFixedSorts(t *testing.T) {
 		t.Fatalf("order = %v", s)
 	}
 }
-
-func TestKindString(t *testing.T) {
-	cases := []struct {
-		kind Kind
-		want string
-	}{
-		{RankFailStop, "rank-fail-stop"},
-		{ServerCrash, "server-crash"},
-		{NetDelay, "net-delay"},
-		{NetDrop, "net-drop"},
-		{ServerFailStop, "server-fail-stop"},
-		{SupervisorKill, "supervisor-kill"},
-		{TenantOverload, "tenant-overload"},
-		{PFSTornWrite, "pfs-torn-write"},
-		{PFSPartialWrite, "pfs-partial-write"},
-		{PFSBitRot, "pfs-bit-rot"},
-		{PFSENOSPC, "pfs-enospc"},
-		{PFSSlowIO, "pfs-slow-io"},
-		{Kind(99), "kind(99)"},
-	}
-	for _, c := range cases {
-		if got := c.kind.String(); got != c.want {
-			t.Fatalf("Kind(%d).String() = %q, want %q", int(c.kind), got, c.want)
-		}
-	}
-}
-
-func TestChaosEmitsServerFailStop(t *testing.T) {
-	s, err := Chaos(5, 40, time.Hour, time.Minute, 4, ServerCrash, ServerFailStop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failStops := 0
-	for _, inj := range s {
-		switch inj.Kind {
-		case ServerFailStop:
-			failStops++
-			if inj.Duration != 0 {
-				t.Fatalf("fail-stop with recovery horizon %v", inj.Duration)
-			}
-		case ServerCrash:
-			if inj.Duration <= 0 {
-				t.Fatalf("server crash with non-positive duration %v", inj.Duration)
-			}
-		default:
-			t.Fatalf("unexpected kind %v", inj.Kind)
-		}
-	}
-	if failStops == 0 {
-		t.Fatal("40 draws over 2 kinds produced no fail-stops")
-	}
-}
-
-func TestChurnSchedule(t *testing.T) {
-	kinds := []Kind{ServerFailStop, ServerCrash, PFSENOSPC, PFSTornWrite, TenantOverload}
-	a, err := Churn(21, 80, 200, 4, 40*time.Millisecond, kinds...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := Churn(21, 80, 200, 4, 40*time.Millisecond, kinds...)
-	if len(a) != 80 {
-		t.Fatalf("schedule length %d", len(a))
-	}
-	counts := map[Kind]int{}
-	for i, inj := range a {
-		if inj != b[i] {
-			t.Fatalf("same seed diverged at %d: %+v vs %+v", i, inj, b[i])
-		}
-		if i > 0 && inj.AtOp < a[i-1].AtOp {
-			t.Fatalf("unsorted by op clock at %d", i)
-		}
-		if inj.AtOp < 0 || inj.AtOp >= 200 {
-			t.Fatalf("op index %d outside horizon", inj.AtOp)
-		}
-		if inj.Server == 0 {
-			t.Fatal("churn faulted the lock server (slot 0)")
-		}
-		if inj.Server < 1 || inj.Server >= 4 {
-			t.Fatalf("server %d out of range", inj.Server)
-		}
-		counts[inj.Kind]++
-		switch inj.Kind {
-		case ServerCrash, TenantOverload:
-			if inj.Duration < 20*time.Millisecond || inj.Duration >= 60*time.Millisecond {
-				t.Fatalf("%v duration %v outside [mean/2, 3mean/2)", inj.Kind, inj.Duration)
-			}
-		case PFSTornWrite:
-			if inj.Offset < -1 || inj.Offset > 255 {
-				t.Fatalf("offset %d out of range", inj.Offset)
-			}
-		}
-	}
-	for _, k := range kinds {
-		if counts[k] == 0 {
-			t.Fatalf("80 draws produced no %v", k)
-		}
-	}
-}
-
-func TestChurnValidation(t *testing.T) {
-	if _, err := Churn(1, 5, 0, 4, time.Millisecond); err == nil {
-		t.Fatal("zero op horizon accepted")
-	}
-	if _, err := Churn(1, 5, 10, 1, time.Millisecond); err == nil {
-		t.Fatal("single-server churn accepted (slot 0 must stay unfaulted)")
-	}
-	if _, err := Churn(1, 5, 10, 4, 0); err == nil {
-		t.Fatal("zero mean fault accepted")
-	}
-	if _, err := Churn(1, 5, 10, 4, time.Millisecond, RankFailStop); err == nil {
-		t.Fatal("rank fail-stop accepted in a churn schedule")
-	}
-	// Supervisor kills target one of the two supervisors a soak may kill.
-	kills, err := Churn(1, 20, 10, 4, time.Millisecond, SupervisorKill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inj := range kills {
-		if inj.Kind != SupervisorKill || inj.Server < 0 || inj.Server > 1 {
-			t.Fatalf("supervisor kill drew %+v", inj)
-		}
-	}
-	// Default kinds: fail-stops and blackouts only.
-	sched, err := Churn(3, 40, 100, 3, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inj := range sched {
-		if inj.Kind != ServerFailStop && inj.Kind != ServerCrash {
-			t.Fatalf("default kinds drew %v", inj.Kind)
-		}
-	}
-}

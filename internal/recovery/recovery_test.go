@@ -8,7 +8,6 @@ import (
 
 	"gospaces/internal/corec"
 	"gospaces/internal/domain"
-	"gospaces/internal/failure"
 	"gospaces/internal/health"
 	"gospaces/internal/staging"
 	"gospaces/internal/transport"
@@ -184,8 +183,8 @@ func TestSupervisorNoSpare(t *testing.T) {
 }
 
 // TestRecoveryUnderChaosSchedule is the integration test for the fault
-// model: a live transport.Chaos schedule injects a transient
-// ServerCrash on one member and a permanent ServerFailStop on another.
+// model: a transport.Chaos blackout window crashes one member
+// transiently while another fail-stops for good (Group.FailStop).
 // CoREC reads must stay byte-identical before, during, and after the
 // supervised repair, and exactly the fail-stop (not the crash) must
 // trigger a promotion.
@@ -226,11 +225,10 @@ func TestRecoveryUnderChaosSchedule(t *testing.T) {
 	// threshold (12 consecutive misses at 15ms = 180ms) outlasts the
 	// crash window, so only the fail-stop is promoted — a transient
 	// blackout must never spend the spare.
-	sched := failure.Fixed(
-		failure.Injection{At: time.Millisecond, Server: 2, Kind: failure.ServerCrash, Duration: 90 * time.Millisecond},
-		failure.Injection{At: time.Millisecond, Server: 1, Kind: failure.ServerFailStop},
-	)
-	chaos.Apply(sched, g.Membership().Addrs())
+	chaos.Blackout(g.Membership().Addr(2), 90*time.Millisecond)
+	if err := g.FailStop(1); err != nil {
+		t.Fatal(err)
+	}
 
 	det := health.NewDetector(chaos, "supervisor/0", health.Config{
 		Period:       15 * time.Millisecond,

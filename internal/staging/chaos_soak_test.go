@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gospaces/internal/domain"
-	"gospaces/internal/failure"
 	"gospaces/internal/synth"
 	"gospaces/internal/transport"
 )
@@ -26,8 +25,8 @@ func soakConfig(nServers int) Config {
 // data while the chaos layer injects latency, dropped responses, and a
 // full server blackout. The retry layer must absorb every fault (zero
 // application-visible errors, nonzero retries) within a bounded retry
-// count. The fault schedule and probabilistic faults are seeded, so the
-// run is deterministic up to goroutine timing.
+// count. The fault windows and the seeded probabilistic faults are fixed,
+// so the run is deterministic up to goroutine timing.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
@@ -66,23 +65,26 @@ func TestChaosSoak(t *testing.T) {
 	}
 	defer consumer.Close()
 
-	// Arm the chaos: continuous low-grade per-call faults plus a seeded
-	// schedule of windows, including a guaranteed full blackout of
-	// server 1 (shorter than one retry envelope: 10 attempts x <=50ms
-	// spans >200ms).
+	// Arm the chaos: continuous low-grade per-call faults, plus fault
+	// windows armed by address before fixed timesteps, including a full
+	// blackout of server 1 (shorter than one retry envelope: 10 attempts
+	// x <=50ms spans >200ms).
 	chaos.SetCallFaults(0.10, 2*time.Millisecond, 0.05)
-	sched, err := failure.Chaos(seed, 6, 3*time.Second, 60*time.Millisecond, nServers,
-		failure.NetDelay, failure.NetDrop)
-	if err != nil {
-		t.Fatal(err)
+	addrs := group.Addrs()
+	windows := map[int64]func(){
+		2:  func() { chaos.Blackout(addrs[1], 120*time.Millisecond) },
+		3:  func() { chaos.Drop(addrs[2], 39*time.Millisecond) },
+		5:  func() { chaos.Delay(addrs[1], 88*time.Millisecond) },
+		7:  func() { chaos.Delay(addrs[0], 44*time.Millisecond); chaos.Drop(addrs[2], 84*time.Millisecond) },
+		9:  func() { chaos.Drop(addrs[1], 60*time.Millisecond) },
+		10: func() { chaos.Drop(addrs[0], 43*time.Millisecond) },
 	}
-	sched = append(sched, failure.Injection{
-		At: 150 * time.Millisecond, Kind: failure.ServerCrash, Server: 1, Duration: 120 * time.Millisecond,
-	})
-	chaos.Apply(sched, group.Addrs())
 
 	field := synth.NewField("u", cfg.Global, cfg.ElemSize)
 	for ts := int64(1); ts <= timesteps; ts++ {
+		if arm := windows[ts]; arm != nil {
+			arm()
+		}
 		if err := producer.PutWithLog("u", ts, cfg.Global, field.Fill(ts, cfg.Global)); err != nil {
 			t.Fatalf("timestep %d: put: %v", ts, err)
 		}

@@ -35,8 +35,12 @@ const (
 	EvSupervisorKill
 	// EvAddSpare starts Arg warm spares in the group's pool.
 	EvAddSpare
+	// EvNetFault opens a network fault window of Arg2 ms on slot Arg:
+	// Name "delay" slows each call by a quarter of the window, "drop"
+	// loses each response (the server did the work).
+	EvNetFault
 
-	evKindMax = EvAddSpare
+	evKindMax = EvNetFault
 )
 
 func (k EventKind) String() string {
@@ -71,6 +75,8 @@ func (k EventKind) String() string {
 		return "supervisor-kill"
 	case EvAddSpare:
 		return "add-spare"
+	case EvNetFault:
+		return "net-fault"
 	default:
 		return fmt.Sprintf("ev(%d)", int(k))
 	}
@@ -90,7 +96,8 @@ type Event struct {
 	// App is the acting client identity (component/rank, which is also
 	// the wlog queue and — via the object-name prefix — the QoS tenant).
 	App string
-	// Name is the staged object or lock name, or EvSupervisorKill's mode.
+	// Name is the staged object or lock name, EvSupervisorKill's mode or
+	// EvNetFault's fault.
 	Name string
 	// Version is the object version (puts/gets).
 	Version int64
@@ -106,11 +113,13 @@ type Event struct {
 	// Logged selects the logged data path (PutWithLog/GetWithLog).
 	Logged bool
 	// Arg is the fault target: the staging slot for
-	// EvFailStop/EvBlackout/EvTierFault, the burst size for EvFlood, the
-	// supervisor for EvSupervisorKill, the spare count for EvAddSpare.
+	// EvFailStop/EvBlackout/EvNetFault/EvTierFault, the burst size for
+	// EvFlood, the supervisor for EvSupervisorKill, the spare count for
+	// EvAddSpare.
 	Arg int64
-	// Arg2 is the fault parameter: blackout duration in milliseconds,
-	// or the tier-fault code (TierTornWrite … TierSlowIO) of a tier fault.
+	// Arg2 is the fault parameter: a blackout or net-fault window in
+	// milliseconds, or the tier-fault code (TierTornWrite … TierSlowIO)
+	// of a tier fault.
 	Arg2 int64
 }
 

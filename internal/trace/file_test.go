@@ -34,14 +34,16 @@ func sampleEvents() []Event {
 	}
 }
 
-// recoveryEvents is a schedule with both supervisor-kill modes and a
-// spare refill: the kinds appended after EvNote.
+// recoveryEvents is a schedule with both supervisor-kill modes, a
+// spare refill and both net faults: the kinds appended after EvNote.
 func recoveryEvents() []Event {
 	return []Event{
 		{LC: 0, Kind: EvSupervisorKill, Arg: 1},
 		{LC: 1, Kind: EvSupervisorKill, Name: "replaced"},
 		{LC: 2, Kind: EvFailStop, Arg: 3},
 		{LC: 3, Kind: EvAddSpare, Arg: 2},
+		{LC: 4, Kind: EvNetFault, Name: "delay", Arg: 1, Arg2: 40},
+		{LC: 5, Kind: EvNetFault, Name: "drop", Arg: 2, Arg2: 25},
 	}
 }
 
@@ -66,7 +68,8 @@ func TestEventStringNamesKinds(t *testing.T) {
 		{Event{LC: 9, Kind: EvSupervisorKill, Name: "stall"}, "lc=9 supervisor-kill name=stall"},
 		{Event{LC: 4, Kind: EvSupervisorKill, Arg: 1}, "lc=4 supervisor-kill arg=1,0"},
 		{Event{LC: 10, Kind: EvAddSpare, Arg: 2}, "lc=10 add-spare arg=2,0"},
-		{Event{Kind: evKindMax + 1}, "lc=0 ev(16)"},
+		{Event{LC: 11, Kind: EvNetFault, Name: "drop", Arg: 1, Arg2: 40}, "lc=11 net-fault name=drop arg=1,40"},
+		{Event{Kind: evKindMax + 1}, "lc=0 ev(17)"},
 	} {
 		if got := c.ev.String(); got != c.want {
 			t.Fatalf("%+v renders %q, want %q", c.ev, got, c.want)

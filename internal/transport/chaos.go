@@ -3,22 +3,20 @@ package transport
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
-
-	"gospaces/internal/failure"
 )
 
 // Chaos is a fault-injecting middleware Transport: it wraps any inner
 // Transport and perturbs the client side with call latency, dropped
-// responses, connection kills, and per-server blackouts. Faults come
-// from two sources: a deterministic seeded schedule (Apply, fed by
-// failure.Chaos) and optional per-call probabilistic faults
-// (SetCallFaults). The server side can inject handler latency and
-// hangs (SetServeFaults), which stagingd exposes as flags so clients
-// can be tested against a live faulty daemon.
+// responses, connection kills, and per-server blackouts. Faults are
+// armed by address: a blackout, delay or drop window holds until its
+// absolute expiry (Blackout, Delay, Drop), and optional per-call
+// probabilistic faults apply to every address (SetCallFaults). The
+// server side can inject handler latency and hangs (SetServeFaults),
+// which stagingd exposes as flags so clients can be tested against a
+// live faulty daemon.
 //
 // Dropped responses are modelled after the receive: the inner call
 // completes (the server did the work) and Chaos discards the result,
@@ -29,17 +27,15 @@ import (
 // With the multiplexed TCP transport each Call maps to exactly one
 // request frame and one response frame, so these call-scoped faults are
 // frame-scoped: concurrent calls sharing a connection are delayed and
-// dropped independently, while KillConns/FailStop break the shared
-// stream and hit every in-flight frame at once — the two fault
-// granularities the mux design distinguishes.
+// dropped independently, while KillConns breaks the shared stream and
+// hits every in-flight frame at once — the two fault granularities the
+// mux design distinguishes.
 type Chaos struct {
 	inner Transport
 
 	mu      sync.Mutex
 	rng     *rand.Rand
-	start   time.Time
-	windows map[int][]chaosWindow // keyed by server id
-	addrs   map[string]int        // addr -> server id for Apply schedules
+	windows map[string]windows // keyed by address
 	clients map[string][]*chaosClient
 
 	// per-call probabilistic faults (client side)
@@ -54,10 +50,19 @@ type Chaos struct {
 	serveHang      time.Duration
 }
 
-type chaosWindow struct {
-	from, until time.Duration // relative to start
-	kind        failure.Kind
-	delay       time.Duration
+// The fault windows one address can hold, indexing windows.until.
+const (
+	winBlackout = iota
+	winDelay
+	winDrop
+	nWindows
+)
+
+// windows is one address's armed fault windows: each holds until its
+// expiry, and a delay window adds perCall to every call.
+type windows struct {
+	until   [nWindows]time.Time
+	perCall time.Duration
 }
 
 // NewChaos wraps inner with a fault injector seeded for deterministic
@@ -66,9 +71,7 @@ func NewChaos(inner Transport, seed int64) *Chaos {
 	return &Chaos{
 		inner:   inner,
 		rng:     rand.New(rand.NewSource(seed)),
-		start:   time.Now(),
-		windows: make(map[int][]chaosWindow),
-		addrs:   make(map[string]int),
+		windows: make(map[string]windows),
 		clients: make(map[string][]*chaosClient),
 	}
 }
@@ -93,72 +96,31 @@ func (c *Chaos) SetServeFaults(delayProb float64, delay time.Duration, hangProb 
 	c.serveHangProb, c.serveHang = hangProb, hang
 }
 
-// Apply arms a failure schedule: injections with network/server kinds
-// become fault windows anchored at time.Now(). addrs maps staging
-// server ids (Injection.Server) to transport addresses, in id order;
-// RankFailStop entries are ignored (the workflow layer owns those).
-func (c *Chaos) Apply(sched failure.Schedule, addrs []string) {
+// Blackout blacks out addr for d, as a crashed-and-restarting server
+// would: dials and calls fail with ErrNoEndpoint, then the address
+// recovers.
+func (c *Chaos) Blackout(addr string, d time.Duration) { c.arm(addr, winBlackout, d) }
+
+// Delay slows every call to addr for d, adding d/4 to each.
+func (c *Chaos) Delay(addr string, d time.Duration) { c.arm(addr, winDelay, d) }
+
+// Drop loses every response from addr for d: the server does the work
+// and the client sees ErrTimeout.
+func (c *Chaos) Drop(addr string, d time.Duration) { c.arm(addr, winDrop, d) }
+
+// arm opens window w on addr until d from now; a window already open
+// past that keeps its expiry.
+func (c *Chaos) arm(addr string, w int, d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.start = time.Now()
-	c.windows = make(map[int][]chaosWindow)
-	// Rebuild the mapping from scratch: stale addr→id entries from a
-	// previous Apply (or ids synthesized by Blackout) must not route the
-	// new windows to the wrong address.
-	c.addrs = make(map[string]int)
-	for id, a := range addrs {
-		c.addrs[a] = id
+	ws := c.windows[addr]
+	if until := time.Now().Add(d); until.After(ws.until[w]) {
+		ws.until[w] = until
 	}
-	for _, inj := range sched {
-		if inj.Kind == failure.RankFailStop {
-			continue
-		}
-		if inj.Server < 0 || inj.Server >= len(addrs) {
-			continue
-		}
-		w := chaosWindow{from: inj.At, until: inj.At + inj.Duration, kind: inj.Kind}
-		if inj.Kind == failure.NetDelay {
-			w.delay = inj.Duration / 4 // injected latency per call
-		}
-		if inj.Kind == failure.ServerFailStop {
-			// Permanent fail-stop: the window never closes.
-			w.until = permanent
-		}
-		c.windows[inj.Server] = append(c.windows[inj.Server], w)
+	if w == winDelay {
+		ws.perCall = d / 4
 	}
-}
-
-// permanent is the window end of a fail-stop: far enough in the future
-// that it never expires within a run.
-const permanent = time.Duration(math.MaxInt64)
-
-// FailStop permanently blacks out addr, as a ServerFailStop would: every
-// dial and call fails with ErrNoEndpoint and the address never recovers.
-// Live connections are killed so in-flight calls fail promptly.
-func (c *Chaos) FailStop(addr string) {
-	c.mu.Lock()
-	id, ok := c.addrs[addr]
-	if !ok {
-		id = len(c.addrs) + 1000 // synthesize an id for manual targets
-		c.addrs[addr] = id
-	}
-	now := time.Since(c.start)
-	c.windows[id] = append(c.windows[id], chaosWindow{from: now, until: permanent, kind: failure.ServerFailStop})
-	c.mu.Unlock()
-	c.KillConns(addr)
-}
-
-// Blackout manually blacks out addr for d, as a ServerCrash would.
-func (c *Chaos) Blackout(addr string, d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, ok := c.addrs[addr]
-	if !ok {
-		id = len(c.addrs) + 1000 // synthesize an id for manual targets
-		c.addrs[addr] = id
-	}
-	now := time.Since(c.start)
-	c.windows[id] = append(c.windows[id], chaosWindow{from: now, until: now + d, kind: failure.ServerCrash})
+	c.windows[addr] = ws
 }
 
 // KillConns aborts every live connection to addr: in-flight calls fail
@@ -176,22 +138,13 @@ func (c *Chaos) KillConns(addr string) {
 func (c *Chaos) faults(addr string) (black bool, delay time.Duration, drop bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Since(c.start)
-	if id, ok := c.addrs[addr]; ok {
-		for _, w := range c.windows[id] {
-			if now < w.from || now >= w.until {
-				continue
-			}
-			switch w.kind {
-			case failure.ServerCrash, failure.ServerFailStop:
-				black = true
-			case failure.NetDelay:
-				delay += w.delay
-			case failure.NetDrop:
-				drop = true
-			}
-		}
+	now := time.Now()
+	ws := c.windows[addr]
+	black = now.Before(ws.until[winBlackout])
+	if now.Before(ws.until[winDelay]) {
+		delay = ws.perCall
 	}
+	drop = now.Before(ws.until[winDrop])
 	if c.delayProb > 0 && c.rng.Float64() < c.delayProb {
 		delay += c.delay
 	}

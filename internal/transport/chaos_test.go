@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"gospaces/internal/failure"
 )
 
 func echoServer(t *testing.T, tr Transport, addr string) func() {
@@ -50,8 +48,11 @@ func TestChaosDropReturnsTimeout(t *testing.T) {
 func TestChaosBlackoutWindowAndRecovery(t *testing.T) {
 	ch := NewChaos(NewInProc(), 1)
 	defer echoServer(t, ch, "s")()
+	defer echoServer(t, ch, "other")()
 	c, _ := ch.Dial("s")
 	defer c.Close()
+	other, _ := ch.Dial("other")
+	defer other.Close()
 	if _, err := c.Call("before"); err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +63,55 @@ func TestChaosBlackoutWindowAndRecovery(t *testing.T) {
 	if _, err := ch.Dial("s"); !errors.Is(err, ErrNoEndpoint) {
 		t.Fatalf("dial during blackout = %v, want ErrNoEndpoint", err)
 	}
+	if _, err := other.Call("x"); err != nil {
+		t.Fatalf("untargeted address perturbed: %v", err)
+	}
 	time.Sleep(80 * time.Millisecond)
 	if _, err := c.Call("after"); err != nil {
 		t.Fatalf("call after blackout: %v", err)
+	}
+}
+
+// TestChaosDelayAndDropWindows: a delay window adds a quarter of its
+// length to each call to its address and a drop window loses each
+// response from its address; both expire, and neither touches another
+// address.
+func TestChaosDelayAndDropWindows(t *testing.T) {
+	ch := NewChaos(NewInProc(), 1)
+	for _, a := range []string{"slow", "lossy", "other"} {
+		defer echoServer(t, ch, a)()
+	}
+	dial := func(addr string) Client {
+		c, err := ch.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	slow, lossy, other := dial("slow"), dial("lossy"), dial("other")
+	timed := func(c Client) (time.Duration, error) {
+		start := time.Now()
+		_, err := c.Call("x")
+		return time.Since(start), err
+	}
+	ch.Delay("slow", 160*time.Millisecond)
+	ch.Drop("lossy", 160*time.Millisecond)
+	if d, err := timed(slow); err != nil || d < 35*time.Millisecond {
+		t.Fatalf("call in the delay window took %v (%v), want >= 40ms", d, err)
+	}
+	if _, err := timed(lossy); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("call in the drop window = %v, want ErrTimeout", err)
+	}
+	if d, err := timed(other); err != nil || d >= 35*time.Millisecond {
+		t.Fatalf("untargeted address perturbed: %v (%v)", d, err)
+	}
+	time.Sleep(180 * time.Millisecond)
+	if d, err := timed(slow); err != nil || d >= 35*time.Millisecond {
+		t.Fatalf("call after the delay window took %v (%v)", d, err)
+	}
+	if _, err := timed(lossy); err != nil {
+		t.Fatalf("call after the drop window: %v", err)
 	}
 }
 
@@ -80,38 +127,6 @@ func TestChaosDelayAddsLatency(t *testing.T) {
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Fatalf("injected delay not observed: call took %v", d)
-	}
-}
-
-func TestChaosApplySchedule(t *testing.T) {
-	sched, err := failure.Chaos(7, 6, 500*time.Millisecond, 40*time.Millisecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sched) != 6 {
-		t.Fatalf("schedule has %d entries", len(sched))
-	}
-	ch := NewChaos(NewInProc(), 1)
-	defer echoServer(t, ch, "srv0")()
-	defer echoServer(t, ch, "srv1")()
-	// Arm an explicit blackout schedule so the timing is test-controlled.
-	ch.Apply(failure.Schedule{
-		{At: 1 * time.Millisecond, Kind: failure.ServerCrash, Server: 1, Duration: 50 * time.Millisecond},
-	}, []string{"srv0", "srv1"})
-	c0, _ := ch.Dial("srv0")
-	defer c0.Close()
-	c1, _ := ch.Dial("srv1")
-	defer c1.Close()
-	time.Sleep(5 * time.Millisecond)
-	if _, err := c0.Call("x"); err != nil {
-		t.Fatalf("untargeted server perturbed: %v", err)
-	}
-	if _, err := c1.Call("x"); !errors.Is(err, ErrNoEndpoint) {
-		t.Fatalf("scheduled blackout missed: %v", err)
-	}
-	time.Sleep(60 * time.Millisecond)
-	if _, err := c1.Call("x"); err != nil {
-		t.Fatalf("server did not recover after window: %v", err)
 	}
 }
 
@@ -178,34 +193,5 @@ func TestChaosKillConnsBreaksInFlightCall(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		close(block)
 		t.Fatal("in-flight call hung after connection kill")
-	}
-}
-
-// TestChaosApplyResetsAddrMappings: re-arming a schedule with a
-// different address list must not leave stale addr->id mappings behind,
-// which would route the new fault windows to the wrong address.
-func TestChaosApplyResetsAddrMappings(t *testing.T) {
-	ch := NewChaos(NewInProc(), 1)
-	defer echoServer(t, ch, "a")()
-	defer echoServer(t, ch, "b")()
-	sched := failure.Schedule{
-		{Kind: failure.ServerCrash, Server: 0, Duration: time.Hour},
-	}
-	ch.Apply(sched, []string{"a"})
-	if _, err := ch.Dial("a"); !errors.Is(err, ErrNoEndpoint) {
-		t.Fatalf("dial a under first schedule = %v, want ErrNoEndpoint", err)
-	}
-	// Re-arm with server 0 now living at "b": "a" must be clean.
-	ch.Apply(sched, []string{"b"})
-	ca, err := ch.Dial("a")
-	if err != nil {
-		t.Fatalf("stale mapping still blacks out a: %v", err)
-	}
-	defer ca.Close()
-	if _, err := ca.Call("x"); err != nil {
-		t.Fatalf("call to a after re-arm: %v", err)
-	}
-	if _, err := ch.Dial("b"); !errors.Is(err, ErrNoEndpoint) {
-		t.Fatalf("dial b under second schedule = %v, want ErrNoEndpoint", err)
 	}
 }

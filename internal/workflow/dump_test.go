@@ -169,12 +169,16 @@ func TestReplayTraceOrderAndDivergence(t *testing.T) {
 		t.Fatalf("got %v, want a divergence at lc=0", err)
 	}
 
-	// So is a tier fault whose code names no storage fault: it would arm
-	// nothing yet count as a fault.
-	for _, code := range []int64{3, trace.TierSlowIO + 1} {
-		bad := []trace.Event{{LC: 0, Kind: trace.EvTierFault, Arg: 1, Arg2: code}}
-		if _, err := ReplayTrace(dumpHeader(), bad); !errors.As(err, &div) || div.LC != 0 || !errors.Is(err, errSoakTerminal) {
-			t.Fatalf("tier fault code %d: got %v, want a divergence at lc=0", code, err)
+	// So is a tier fault whose code names no storage fault, or a net
+	// fault that names no window: it would arm nothing yet count as a
+	// fault.
+	for _, ev := range []trace.Event{
+		{Kind: trace.EvTierFault, Arg: 1, Arg2: 3},
+		{Kind: trace.EvTierFault, Arg: 1, Arg2: trace.TierSlowIO + 1},
+		{Kind: trace.EvNetFault, Arg: 1, Arg2: 40, Name: "reorder"},
+	} {
+		if _, err := ReplayTrace(dumpHeader(), []trace.Event{ev}); !errors.As(err, &div) || div.LC != 0 || !errors.Is(err, errSoakTerminal) {
+			t.Fatalf("%v: got %v, want a divergence at lc=0", ev, err)
 		}
 	}
 }

@@ -92,8 +92,9 @@ func TestNemesisSpareExhaustionHeals(t *testing.T) {
 	}
 }
 
-// TestNemesisChaosSoak runs Churn-drawn schedules of fail-stops,
-// blackouts and immediate supervisor kills.
+// TestNemesisChaosSoak runs drawn schedules of fail-stops, blackouts,
+// network delay and drop windows and immediate supervisor kills; each
+// seed draws all four kinds.
 func TestNemesisChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short")
@@ -103,10 +104,41 @@ func TestNemesisChaosSoak(t *testing.T) {
 			t.Parallel()
 			h, events, err := BuildSoakTrace(SoakOptions{Seed: seed, Faults: 8})
 			res := replaySchedule(t, h, events, err, 0)
-			if res.FailStops == 0 || res.Blackouts == 0 || res.SupKills == 0 {
-				t.Fatalf("schedule lacks a fail-stop, a blackout or a supervisor kill: %+v", res)
+			if res.FailStops == 0 || res.Blackouts == 0 || res.SupKills == 0 || res.NetFaults == 0 {
+				t.Fatalf("schedule lacks a fail-stop, a blackout, a supervisor kill or a net fault: %+v", res)
 			}
 		})
+	}
+}
+
+// TestNemesisNetFaultReplay opens a drop window and a delay window
+// right before a producer's restart: the restart's calls to the dropped
+// slot, and the replica stream into it, lose answers until the window
+// closes, and the replayed puts run through the delay window behind it.
+// The recorded schedule and its replay through the wire format read the
+// same bytes.
+func TestNemesisNetFaultReplay(t *testing.T) {
+	t.Parallel()
+	h, events, err := BuildSoakTrace(SoakOptions{Seed: 51})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := slices.IndexFunc(events, func(e trace.Event) bool { return e.Kind == trace.EvRestart })
+	h.Flags |= trace.FlagFaults
+	events = renumber(slices.Insert(events, at,
+		trace.Event{Kind: trace.EvNetFault, Name: "drop", Arg: 1, Arg2: 30},
+		trace.Event{Kind: trace.EvNetFault, Name: "delay", Arg: 2, Arg2: 59}))
+	rec := replaySchedule(t, h, events, nil, 0)
+	h2, ev2, err := trace.Decode(trace.Encode(h, events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := replaySchedule(t, h2, ev2, nil, 0)
+	if rec.NetFaults != 2 || rec.Restarts == 0 {
+		t.Fatalf("net faults or restarts missing: %+v", rec)
+	}
+	if rep.Digest != rec.Digest || rep.StateSum != rec.StateSum {
+		t.Fatalf("replay read %#x/%#x, recorded %#x/%#x", rep.Digest, rep.StateSum, rec.Digest, rec.StateSum)
 	}
 }
 

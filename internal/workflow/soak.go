@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"gospaces/internal/domain"
-	"gospaces/internal/failure"
 	"gospaces/internal/health"
 	"gospaces/internal/pfs"
 	"gospaces/internal/qos"
@@ -26,16 +25,17 @@ import (
 // `wfbench -exp soak` and `make nemesis`: a recorded multi-group
 // workload (producer/consumer pairs bracketing logged puts/gets with the
 // paper's lock API, checkpointing and restarting mid-run) interleaved
-// with a fault schedule (fail-stops, blackouts, tier storage faults,
-// tenant floods, recovery-supervisor kills and spare refills) over a
-// group run by three redundant supervisors, the whole thing expressed
-// as a trace.Event schedule positioned on a logical clock. Because the
-// schedule — including every payload seed and every expected get
-// digest — is generated deterministically from the seed BEFORE
-// execution, recording and replaying are the same operation: executing
-// the schedule. A failing run's trace file therefore reproduces the
-// failure deterministically under `go test` or `dsctl trace replay`,
-// which is what turns soak failures into checked-in regression tests.
+// with a fault schedule (fail-stops, blackouts, network delay and drop
+// windows, tier storage faults, tenant floods, recovery-supervisor
+// kills and spare refills) over a group run by three redundant
+// supervisors, the whole thing expressed as a trace.Event schedule
+// positioned on a logical clock. Because the schedule — including every
+// payload seed and every expected get digest — is generated
+// deterministically from the seed BEFORE execution, recording and
+// replaying are the same operation: executing the schedule. A failing
+// run's trace file therefore reproduces the failure deterministically
+// under `go test` or `dsctl trace replay`, which is what turns soak
+// failures into checked-in regression tests.
 // ReplayTrace is the one executor of trace events, for soak schedules
 // and for dumps of live groups (dump.go) alike.
 
@@ -100,6 +100,7 @@ type SoakResult struct {
 	Replayed   int    // wlog events replayed by those restarts
 	FailStops  int    // servers permanently killed
 	Blackouts  int    // transient blackout windows armed
+	NetFaults  int    // network delay and drop windows armed
 	TierFaults int    // storage faults armed on cold tiers
 	FloodPuts  int64  // flood-tenant puts attempted
 	FloodSheds int64  // flood puts rejected with a typed overload
@@ -280,34 +281,29 @@ func BuildSoakTrace(o SoakOptions) (trace.Header, []trace.Event, error) {
 		segments = append(segments, seg)
 	}
 
-	// Fault schedule on the segment clock. Fail-stops are capped by the
-	// spare pool; excess draws soften to blackouts.
-	byOp := map[int][]trace.Event{}
+	// Fault schedule on the segment clock.
+	var byOp map[int][]trace.Event
 	if o.Faults > 0 {
-		kinds := []failure.Kind{failure.ServerFailStop, failure.ServerCrash, failure.SupervisorKill}
+		kinds := []trace.Event{{Kind: trace.EvFailStop}, {Kind: trace.EvSupervisorKill},
+			{Kind: trace.EvBlackout}, {Kind: trace.EvNetFault}}
 		if o.Tier {
 			// Permanent fail-stops don't compose with private cold
 			// tiers: a spare promotes with a fresh tier, so versions the
 			// dead server had spilled (and nobody had logged a read for)
 			// are unrecoverable. A tiered schedule fail-stops only before
-			// its first spill, which Churn cannot place, so tiered churn
-			// keeps servers alive and tortures the storage instead.
-			kinds = []failure.Kind{failure.ServerCrash, failure.PFSTornWrite,
-				failure.PFSPartialWrite, failure.PFSBitRot, failure.PFSENOSPC, failure.PFSSlowIO}
+			// its first spill, which the drawer cannot place, so tiered
+			// churn keeps servers alive and tortures the storage instead.
+			kinds = []trace.Event{{Kind: trace.EvBlackout}}
+			for code := trace.TierTornWrite; code <= trace.TierSlowIO; code++ {
+				kinds = append(kinds, trace.Event{Kind: trace.EvTierFault, Arg2: code})
+			}
 		}
 		if o.Overload {
-			kinds = append(kinds, failure.TenantOverload)
+			kinds = append(kinds, trace.Event{Kind: trace.EvFlood})
 		}
-		sched, err := failure.Churn(o.Seed+1, o.Faults, len(segments), o.Servers, 40*time.Millisecond, kinds...)
-		if err != nil {
+		var err error
+		if byOp, err = drawChurn(o.Seed+1, o.Faults, len(segments), o.Servers, o.Spares, kinds...); err != nil {
 			return h, nil, err
-		}
-		failStops := 0
-		for _, inj := range sched {
-			ev, ok := churnEvent(inj, &failStops, o.Spares)
-			if ok {
-				byOp[inj.AtOp] = append(byOp[inj.AtOp], ev)
-			}
 		}
 	}
 
@@ -346,7 +342,7 @@ func BuildSoakTrace(o SoakOptions) (trace.Header, []trace.Event, error) {
 // BuildRegressionTrace builds one of the named crash-consistency
 // scenarios persisted under testdata/: a clean seeded workload with
 // faults inserted at hand-picked logical-clock positions so the trace
-// exercises one specific recovery path. Unlike Churn-drawn soaks, the
+// exercises one specific recovery path. Unlike drawChurn's soaks, the
 // fault placement here is part of the scenario's identity — a fail-stop
 // immediately before a restart IS kill-mid-replay.
 func BuildRegressionTrace(kind string) (trace.Header, []trace.Event, error) {
@@ -488,30 +484,85 @@ func renumber(events []trace.Event) []trace.Event {
 	return events
 }
 
-// churnEvent converts one churn injection into its trace event,
-// downgrading fail-stops beyond the spare budget into blackouts.
-func churnEvent(inj failure.Injection, failStops *int, spares int) (trace.Event, bool) {
-	switch inj.Kind {
-	case failure.ServerFailStop:
-		if *failStops >= spares {
-			return trace.Event{Kind: trace.EvBlackout, Arg: int64(inj.Server), Arg2: 40}, true
-		}
-		*failStops++
-		return trace.Event{Kind: trace.EvFailStop, Arg: int64(inj.Server)}, true
-	case failure.ServerCrash:
-		return trace.Event{Kind: trace.EvBlackout, Arg: int64(inj.Server), Arg2: int64(inj.Duration / time.Millisecond)}, true
-	case failure.PFSTornWrite, failure.PFSPartialWrite, failure.PFSBitRot, failure.PFSENOSPC, failure.PFSSlowIO:
-		return trace.Event{
-			Kind: trace.EvTierFault, Arg: int64(inj.Server), Arg2: int64(inj.Kind),
-			Version: int64(inj.Offset), Bytes: int64(inj.Duration / time.Millisecond),
-		}, true
-	case failure.TenantOverload:
-		return trace.Event{Kind: trace.EvFlood, Arg: 3 + int64(inj.Duration/(10*time.Millisecond))}, true
-	case failure.SupervisorKill:
-		return trace.Event{Kind: trace.EvSupervisorKill, Arg: int64(inj.Server)}, true
-	default:
-		return trace.Event{}, false
+// drawChurn draws a churn schedule: n faults, each a copy of one of
+// kinds (a fault event kind, with its code in Arg2 for a tier fault)
+// filled in and placed before a segment in [0, horizon), returned by
+// segment. Targets are slots 1..servers-1, never slot 0: the lock
+// server's RPC dedup keys on a per-client sequence that a client-level
+// retry cannot reuse, so faulting slot 0 would make retried lock
+// acquires ambiguous and the replay nondeterministic. A supervisor kill
+// targets supervisor 0 or 1: a soak runs three and never kills the last.
+// Fail-stops beyond the spare pool soften to 40ms blackouts. Blackout,
+// net-fault and slow-I/O windows last [20, 60) ms, under the detectors'
+// death threshold. A kind it cannot fill in is refused, so n draws are
+// n events. Deterministic for a given seed.
+func drawChurn(seed int64, n, horizon, servers, spares int, kinds ...trace.Event) (map[int][]trace.Event, error) {
+	if horizon <= 0 {
+		return nil, fmt.Errorf("workflow: churn over %d segments", horizon)
 	}
+	if servers < 2 {
+		return nil, fmt.Errorf("workflow: churn needs at least 2 servers, got %d (slot 0 is never faulted)", servers)
+	}
+	if len(kinds) == 0 {
+		return nil, errors.New("workflow: churn with no fault kinds")
+	}
+	for _, k := range kinds {
+		switch k {
+		case trace.Event{Kind: trace.EvFailStop}, trace.Event{Kind: trace.EvBlackout}, trace.Event{Kind: trace.EvNetFault},
+			trace.Event{Kind: trace.EvSupervisorKill}, trace.Event{Kind: trace.EvFlood}:
+			continue
+		}
+		if k != (trace.Event{Kind: trace.EvTierFault, Arg2: k.Arg2}) || k.Arg2 < trace.TierTornWrite || k.Arg2 > trace.TierSlowIO {
+			return nil, fmt.Errorf("workflow: churn cannot draw %v", k)
+		}
+	}
+	type draw struct {
+		at int
+		ev trace.Event
+	}
+	rng := rand.New(rand.NewSource(seed))
+	// A window in ms, drawn at ns resolution: the tiered soak seeds were
+	// picked for the schedules that draw gives.
+	window := func() int64 { return 20 + rng.Int63n(int64(40*time.Millisecond))/int64(time.Millisecond) }
+	draws := make([]draw, n)
+	for i := range draws {
+		ev := kinds[rng.Intn(len(kinds))]
+		at := rng.Intn(horizon)
+		ev.Arg = 1 + int64(rng.Intn(servers-1))
+		switch ev.Kind {
+		case trace.EvBlackout:
+			ev.Arg2 = window()
+		case trace.EvNetFault:
+			ev.Arg2 = window()
+			ev.Name = [2]string{"delay", "drop"}[rng.Intn(2)]
+		case trace.EvFlood:
+			ev.Arg = 3 + window()/10
+		case trace.EvSupervisorKill:
+			ev.Arg %= 2
+		case trace.EvTierFault:
+			switch ev.Arg2 {
+			case trace.TierSlowIO:
+				ev.Bytes = window()
+			case trace.TierTornWrite, trace.TierPartialWrite, trace.TierBitRot:
+				ev.Version = int64(rng.Intn(256) - 1)
+			}
+		}
+		draws[i] = draw{at, ev}
+	}
+	slices.SortStableFunc(draws, func(a, b draw) int { return a.at - b.at })
+	byOp := map[int][]trace.Event{}
+	failStops := 0
+	for _, d := range draws {
+		if d.ev.Kind == trace.EvFailStop {
+			if failStops >= spares {
+				d.ev = trace.Event{Kind: trace.EvBlackout, Arg: d.ev.Arg, Arg2: 40}
+			} else {
+				failStops++
+			}
+		}
+		byOp[d.at] = append(byOp[d.at], d.ev)
+	}
+	return byOp, nil
 }
 
 // RunSoak builds the seeded trace and executes it. The returned header
@@ -686,15 +737,15 @@ func newSoakExec(h trace.Header) (*soakExec, error) {
 		}
 	}
 	// The death threshold must sit well above the longest recorded
-	// blackout (Churn bounds them under 60ms, soak blackouts use
-	// 20-60ms): declaring a blacked-out-but-alive server dead promotes
-	// a spare, and when the blackout lifts the deposed server and any
-	// client still bound to it share the same stale epoch — fencing
-	// can't catch that pairing, so a put can be acked into deposed
-	// state and silently lost. With these settings a dead verdict needs
-	// ~140ms of continuous silence: transient blackouts ride, real
-	// kills promote. Every supervisor exists before any starts, so the
-	// promotion hooks never see a partly built set.
+	// blackout or drop window (drawChurn bounds them under 60ms, the
+	// hand-placed ones use 20-60ms): declaring a silent-but-alive
+	// server dead promotes a spare, and when the window closes the
+	// deposed server and any client still bound to it share the same
+	// stale epoch — fencing can't catch that pairing, so a put can be
+	// acked into deposed state and silently lost. With these settings a
+	// dead verdict needs ~140ms of continuous silence: transient windows
+	// ride, real kills promote. Every supervisor exists before any
+	// starts, so the promotion hooks never see a partly built set.
 	x.sups = make([]*recovery.Supervisor, soakSupervisors)
 	for i := range x.sups {
 		id := fmt.Sprintf("soak/sup/%d", i)
@@ -1167,6 +1218,23 @@ func (x *soakExec) apply(ev trace.Event) error {
 		}
 		x.tr.Blackout(addr, time.Duration(ev.Arg2)*time.Millisecond)
 		x.res.Blackouts++
+		return nil
+
+	case trace.EvNetFault:
+		addr, err := x.slotAddr(ev.Arg)
+		if err != nil {
+			return err
+		}
+		d := time.Duration(ev.Arg2) * time.Millisecond
+		switch ev.Name {
+		case "delay":
+			x.tr.Delay(addr, d)
+		case "drop":
+			x.tr.Drop(addr, d)
+		default:
+			return fmt.Errorf("%w: unknown net fault %q", errSoakTerminal, ev.Name)
+		}
+		x.res.NetFaults++
 		return nil
 
 	case trace.EvTierFault:

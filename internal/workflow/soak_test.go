@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gospaces/internal/trace"
@@ -252,5 +253,111 @@ func TestBuildRegressionTraceShapes(t *testing.T) {
 	}
 	if _, _, err := BuildRegressionTrace("no-such-scenario"); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// drawn flattens a churn schedule in segment order.
+func drawn(byOp map[int][]trace.Event, horizon int) []trace.Event {
+	var out []trace.Event
+	for at := 0; at < horizon; at++ {
+		out = append(out, byOp[at]...)
+	}
+	return out
+}
+
+func TestChurnSchedule(t *testing.T) {
+	kinds := []trace.Event{{Kind: trace.EvFailStop}, {Kind: trace.EvBlackout}, {Kind: trace.EvNetFault},
+		{Kind: trace.EvTierFault, Arg2: trace.TierENOSPC}, {Kind: trace.EvTierFault, Arg2: trace.TierTornWrite},
+		{Kind: trace.EvFlood}, {Kind: trace.EvSupervisorKill}}
+	a, err := drawChurn(21, 80, 200, 4, 100, kinds...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := drawChurn(21, 80, 200, 4, 100, kinds...)
+	evs := drawn(a, 200)
+	if len(evs) != 80 {
+		t.Fatalf("80 draws gave %d events", len(evs))
+	}
+	if !slices.Equal(evs, drawn(b, 200)) {
+		t.Fatal("same seed drew different schedules")
+	}
+	counts := map[trace.EventKind]int{}
+	nets := map[string]int{}
+	for _, ev := range evs {
+		counts[ev.Kind]++
+		switch ev.Kind {
+		case trace.EvFlood:
+			if ev.Arg < 5 || ev.Arg > 8 {
+				t.Fatalf("flood burst %d outside [5, 8]", ev.Arg)
+			}
+		case trace.EvSupervisorKill:
+			if ev.Arg < 0 || ev.Arg > 1 {
+				t.Fatalf("supervisor kill targets supervisor %d", ev.Arg)
+			}
+		default:
+			if ev.Arg < 1 || ev.Arg >= 4 {
+				t.Fatalf("%v targets slot %d (slot 0 is never faulted)", ev, ev.Arg)
+			}
+		}
+		switch ev.Kind {
+		case trace.EvBlackout, trace.EvNetFault:
+			if ev.Arg2 < 20 || ev.Arg2 >= 60 {
+				t.Fatalf("%v window %d ms outside [20, 60)", ev, ev.Arg2)
+			}
+		case trace.EvTierFault:
+			if ev.Arg2 == trace.TierTornWrite && (ev.Version < -1 || ev.Version > 255) {
+				t.Fatalf("torn write at offset %d", ev.Version)
+			}
+		}
+		if ev.Kind == trace.EvNetFault {
+			nets[ev.Name]++
+		}
+	}
+	for _, k := range kinds {
+		if counts[k.Kind] == 0 {
+			t.Fatalf("80 draws produced no %v", k.Kind)
+		}
+	}
+	if len(nets) != 2 || nets["delay"] == 0 || nets["drop"] == 0 {
+		t.Fatalf("net faults drawn %v, want delays and drops", nets)
+	}
+	// Fail-stops beyond the spare pool soften to blackouts.
+	capped, err := drawChurn(3, 20, 10, 3, 2, trace.Event{Kind: trace.EvFailStop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs = drawn(capped, 10)
+	for i, ev := range evs {
+		want := trace.EvFailStop
+		if i >= 2 {
+			want = trace.EvBlackout
+		}
+		if ev.Kind != want {
+			t.Fatalf("draw %d of fail-stops into 2 spares is %v, want %v", i, ev, want)
+		}
+	}
+}
+
+// TestChurnValidation: the drawer refuses what it cannot place or fill
+// in, so no draw is silently lost.
+func TestChurnValidation(t *testing.T) {
+	ok := trace.Event{Kind: trace.EvBlackout}
+	if _, err := drawChurn(1, 5, 0, 4, 2, ok); err == nil {
+		t.Fatal("zero segment horizon accepted")
+	}
+	if _, err := drawChurn(1, 5, 10, 1, 2, ok); err == nil {
+		t.Fatal("single-server churn accepted (slot 0 must stay unfaulted)")
+	}
+	if _, err := drawChurn(1, 5, 10, 4, 2); err == nil {
+		t.Fatal("churn with no kinds accepted")
+	}
+	for _, k := range []trace.Event{
+		{Kind: trace.EvPut}, {Kind: trace.EvRestart}, {Kind: trace.EvAddSpare}, {Kind: trace.EvNote},
+		{Kind: trace.EvTierFault}, {Kind: trace.EvTierFault, Arg2: trace.TierSlowIO + 1},
+		{Kind: trace.EvNetFault, Name: "delay"}, {Kind: trace.EvBlackout, Arg2: 40}, {Kind: trace.EvFailStop, Arg: 2},
+	} {
+		if _, err := drawChurn(1, 5, 10, 4, 2, ok, k); err == nil {
+			t.Fatalf("churn accepted %v", k)
+		}
 	}
 }
