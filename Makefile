@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt-check build test race short bench bench-smoke bench-e2e-test bench-pairs nemesis recovery-stress soak-smoke no-gob loc loc-check
+.PHONY: check vet fmt-check build test race short bench bench-smoke bench-e2e-test bench-pairs nemesis recovery-stress soak-smoke no-gob no-wallclock loc loc-check
 
-check: vet fmt-check no-gob loc-check test race
+check: vet fmt-check no-gob no-wallclock loc-check test race
 
 # bench/ is a module of its own, so tier-1 never compiles it: vetting it
 # here is what catches an exported-API change in codec, transport or
@@ -35,6 +35,16 @@ no-gob:
 	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' *.go cmd internal examples | grep -v '^internal/ckpt/'); \
 	test -z "$$out" || { echo "$$out"; echo 'encoding/gob imported outside internal/ckpt (above): messages and storage bodies go through internal/codec'; exit 1; }
 
+# One clock, verifiably: failure detection and recovery read time only
+# from the clock of the transport they run over (transport.ClockOf), so
+# an in-process world on a sim.Manual clock runs them with no wall time
+# at all, and their tests move that clock instead of sleeping. No file
+# in internal/health or internal/recovery, test or not, calls the wall
+# clock directly.
+no-wallclock:
+	@out=$$(grep -rnE 'time\.(Sleep|Now|After|AfterFunc|Since|Until|NewTimer|NewTicker|Tick)\(' --include='*.go' internal/health internal/recovery); \
+	test -z "$$out" || { echo "$$out"; echo 'direct wall-clock call in internal/health or internal/recovery (above): read the transport'"'"'s clock (sim.Clock)'; exit 1; }
+
 # The line count ROADMAP item 4's budget is measured in: non-test Go
 # under the wire/staging packages plus the public facade.
 LOC = cat $$(ls internal/staging/*.go internal/transport/*.go internal/codec/*.go gospaces.go | grep -v _test) | wc -l
@@ -57,7 +67,12 @@ loc:
 # soak executor.
 # 6272 → 6230: the chaos transport arms its fault windows by address
 # only (Apply, its schedule timeline, the addr→id map and FailStop go).
-LOC_BUDGET = 6230
+# 6230 → 6250: one clock. The in-process transport carries it
+# (InProc.Clock, transport.ClockOf, Unwrap on Chaos and Retrying); the
+# chaos windows and per-call sleeps, the retry back-off, the staging
+# lease and InProc's call timeout (sim.Within) read it. And a replayed
+# get retried behind the cursor ships the replicas no advance.
+LOC_BUDGET = 6250
 loc-check:
 	@loc=$$($(LOC)); echo "make loc: $$loc, LOC_BUDGET: $(LOC_BUDGET)"; \
 	test $$loc -le $(LOC_BUDGET) || { echo 'over budget: remove lines, or raise LOC_BUDGET in this diff'; exit 1; }
@@ -96,10 +111,12 @@ nemesis:
 # their reuse, in-flight bound and close, the head-of-line and teardown
 # checks, the get whose version is collected before its response is
 # written, and the put piece re-sent during a replay whose server then
-# fail-stops (it waits on a promotion). A flake seen here is filed in
+# fail-stops (it waits on a promotion), and the two recovery tests that
+# flaked on wall time: the view push a dark member misses and the
+# redundant supervisors' election. A flake seen here is filed in
 # CHANGES.md with its seed.
 recovery-stress:
-	$(GO) test -race -count=10 -timeout 20m -run 'TestWaitIdle|TestProbeNow|TestSupervisorKeepsOneConnPerMember|TestKillAnyServerAtAnyPoint|TestKillInsidePut|TestNemesisChaosSoak|TestServeConn|TestSlowCallDoesNotKillNeighbors|TestTCPConcurrentCloseDuringCalls|TestGetSurvivesGCBeforeWrite|TestReplayRetrySurvivesPromotion' ./internal/health ./internal/recovery ./internal/workflow ./internal/transport ./internal/staging
+	$(GO) test -race -count=10 -timeout 20m -run 'TestWaitIdle|TestProbeNow|TestSupervisorKeepsOneConnPerMember|TestKillAnyServerAtAnyPoint|TestKillInsidePut|TestNemesisChaosSoak|TestServeConn|TestSlowCallDoesNotKillNeighbors|TestTCPConcurrentCloseDuringCalls|TestGetSurvivesGCBeforeWrite|TestReplayRetrySurvivesPromotion|TestViewPushPartialFailureConverges|TestRedundantSupervisorsElectionAndFencing' ./internal/health ./internal/recovery ./internal/workflow ./internal/transport ./internal/staging
 
 # Bounded churn-soak gate: replay the checked-in regression traces
 # (each twice) and the record-vs-replay determinism tests, replay one of

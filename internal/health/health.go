@@ -18,6 +18,7 @@ import (
 
 	"gospaces/internal/codec"
 	"gospaces/internal/metrics"
+	"gospaces/internal/sim"
 	"gospaces/internal/transport"
 )
 
@@ -137,11 +138,13 @@ type target struct {
 }
 
 // Detector probes a set of staging servers and publishes liveness
-// transitions. Create with NewDetector, arm targets with Watch/SetAddr,
-// then Start; Close stops the probe loop and closes subscriber
-// channels.
+// transitions. Create with NewDetector, arm targets with Watch, then
+// Start; Close stops the probe loop and closes subscriber channels. Its
+// ticker, probe timeouts and Heard stamps are on its transport's clock
+// (transport.ClockOf).
 type Detector struct {
 	tr   transport.Transport
+	clk  sim.Clock
 	cfg  Config
 	from string
 	reg  *metrics.Registry
@@ -166,6 +169,7 @@ type Detector struct {
 func NewDetector(tr transport.Transport, from string, cfg Config) *Detector {
 	return &Detector{
 		tr:      tr,
+		clk:     transport.ClockOf(tr),
 		cfg:     cfg.withDefaults(),
 		from:    from,
 		reg:     metrics.NewRegistry(),
@@ -180,6 +184,9 @@ func NewDetector(tr transport.Transport, from string, cfg Config) *Detector {
 // Metrics returns the registry recording health.probes, health.misses,
 // health.deaths, health.rejoins, and health.rounds.
 func (d *Detector) Metrics() *metrics.Registry { return d.reg }
+
+// Clock returns the clock the detector runs on, its transport's.
+func (d *Detector) Clock() sim.Clock { return d.clk }
 
 // Window returns the worst-case detection latency: the time from a
 // fail-stop to the Dead verdict (DeadAfter missed periods plus one
@@ -220,11 +227,6 @@ func (d *Detector) Watch(id int, addr string) {
 	d.targets[id] = &target{id: id, addr: addr, state: Alive}
 }
 
-// SetAddr re-targets slot id at a new address after a promotion,
-// resetting its liveness state. It is Watch under the name the
-// supervisor uses.
-func (d *Detector) SetAddr(id int, addr string) { d.Watch(id, addr) }
-
 // Subscribe returns a channel of liveness transitions. The channel is
 // buffered; a subscriber that falls far behind loses the oldest
 // transitions (the current verdict is always available via States).
@@ -259,7 +261,9 @@ func (d *Detector) Start() {
 	}
 	d.started = true
 	d.mu.Unlock()
-	go d.loop()
+	// Armed here, not on the loop's goroutine: the first periodic round
+	// is due one Period after Start returns, on any clock.
+	go d.loop(d.clk.NewTicker(d.cfg.Period))
 }
 
 // Close stops probing and closes subscriber channels.
@@ -311,7 +315,7 @@ func (d *Detector) closeSubs() {
 	}
 }
 
-func (d *Detector) loop() {
+func (d *Detector) loop(ticker *sim.Ticker) {
 	defer close(d.done)
 	defer d.closeSubs()
 	// Requested rounds run beside the periodic ones, so a slow one never
@@ -329,7 +333,6 @@ func (d *Detector) loop() {
 		}
 	}()
 	defer func() { <-requested }()
-	ticker := time.NewTicker(d.cfg.Period)
 	defer ticker.Stop()
 	for {
 		select {
@@ -360,7 +363,7 @@ func (d *Detector) probeAll(requested bool) {
 	results := make(chan verdict, len(snapshot))
 	for _, t := range snapshot {
 		go func(t *target) {
-			sent := time.Now()
+			sent := d.clk.Now()
 			results <- verdict{t: t, ok: d.probe(t), sent: sent}
 		}(t)
 	}
@@ -379,65 +382,46 @@ func (d *Detector) probeAll(requested bool) {
 	d.mu.Unlock()
 }
 
-// probe pings one target, bounded by the configured timeout. The
-// target's cached connection is re-dialled lazily and dropped on any
-// fault, so a replaced or restarted server is re-reached next round.
+// probe pings one target, bounded by the configured timeout on the
+// detector's clock. A probe that outlives it finishes on its own and
+// parks the connection (ping); this round counts it a miss.
 func (d *Detector) probe(t *target) bool {
 	d.reg.Counter("health.probes").Inc()
+	var ok bool
+	return sim.Within(d.clk, d.cfg.Timeout, d.stop, func() { ok = d.ping(t) }) && ok
+}
+
+// ping sends one PingReq to the target over its cached connection,
+// which is re-dialled lazily and dropped on any fault, so a replaced or
+// restarted server is re-reached next round. It reports whether a
+// PingResp came back.
+func (d *Detector) ping(t *target) bool {
 	d.mu.Lock()
-	conn, addr := t.conn, t.addr
+	c, addr := t.conn, t.addr
 	d.mu.Unlock()
-
-	type outcome struct {
-		resp any
-		err  error
-	}
-	res := make(chan outcome, 1)
-	go func() {
-		c := conn
-		if c == nil {
-			var err error
-			c, err = d.tr.Dial(addr)
-			if err != nil {
-				res <- outcome{err: err}
-				return
-			}
-		}
-		resp, err := c.Call(PingReq{From: d.from})
-		d.mu.Lock()
-		// Keep the connection only while it works, the detector is live,
-		// the slot is still this target (SetAddr may have re-targeted
-		// it), and no concurrent probe (a requested round beside a
-		// periodic one, or a timed-out probe finishing late) parked
-		// another one first.
-		if err == nil && !d.closed && d.targets[t.id] == t && (t.conn == nil || t.conn == c) {
-			t.conn = c
-		} else {
-			if t.conn == c {
-				t.conn = nil
-			}
-			c.Close()
-		}
-		d.mu.Unlock()
-		res <- outcome{resp: resp, err: err}
-	}()
-
-	timer := time.NewTimer(d.cfg.Timeout)
-	defer timer.Stop()
-	select {
-	case o := <-res:
-		if o.err != nil {
+	if c == nil {
+		var err error
+		if c, err = d.tr.Dial(addr); err != nil {
 			return false
 		}
-		_, ok := o.resp.(PingResp)
-		return ok
-	case <-timer.C:
-		// The probe goroutine finishes on its own and parks the
-		// connection; this round counts as a miss.
-		return false
-	case <-d.stop:
-		return false
 	}
+	resp, err := c.Call(PingReq{From: d.from})
+	d.mu.Lock()
+	// Keep the connection only while it works, the detector is live, the
+	// slot is still this target (Watch may have re-targeted it), and no
+	// concurrent probe (a requested round beside a periodic one, or a
+	// timed-out probe finishing late) parked another one first.
+	if err == nil && !d.closed && d.targets[t.id] == t && (t.conn == nil || t.conn == c) {
+		t.conn = c
+	} else {
+		if t.conn == c {
+			t.conn = nil
+		}
+		c.Close()
+	}
+	d.mu.Unlock()
+	_, ok := resp.(PingResp)
+	return err == nil && ok
 }
 
 // record folds one probe outcome, of a probe sent at sent, into the

@@ -5,8 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"gospaces/internal/sim"
 	"gospaces/internal/transport"
 )
+
+// The detector tests run on a manual clock: a periodic round happens
+// when a test advances the clock one Period (tick), and every count
+// below is a count of rounds, never of elapsed time.
 
 // pingHandler answers pings while alive.
 func pingHandler(id int, alive *atomic.Bool) transport.Handler {
@@ -18,30 +23,57 @@ func pingHandler(id int, alive *atomic.Bool) transport.Handler {
 	}
 }
 
+// manualWorld returns an in-process transport whose world runs on a
+// manual clock.
+func manualWorld() (*transport.InProc, *sim.Manual) {
+	clk := sim.NewManual()
+	tr := transport.NewInProc()
+	tr.Clock = clk
+	return tr, clk
+}
+
 func fastConfig() Config {
 	return Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond, SuspectAfter: 2, DeadAfter: 4}
 }
 
-func waitFor(t *testing.T, ch <-chan Event, want State, timeout time.Duration) Event {
-	t.Helper()
-	deadline := time.After(timeout)
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				t.Fatalf("event channel closed waiting for %v", want)
-			}
-			if ev.State == want {
-				return ev
-			}
-		case <-deadline:
-			t.Fatalf("no %v event within %v", want, timeout)
-		}
+// tick advances the clock one period and waits for the periodic round
+// it starts to end.
+func tick(d *Detector, clk *sim.Manual) {
+	round := d.Round()
+	clk.Advance(d.cfg.Period)
+	<-round
+}
+
+// next returns the transition the ended rounds queued, if any: a round
+// queues its transitions before it ends.
+func next(events <-chan Event) (Event, bool) {
+	select {
+	case ev := <-events:
+		return ev, true
+	default:
+		return Event{}, false
 	}
 }
 
+// tickUntil ticks until the detector publishes a want transition and
+// returns it with the number of rounds that took. Other transitions on
+// the way are skipped.
+func tickUntil(t *testing.T, d *Detector, clk *sim.Manual, events <-chan Event, want State) (Event, int) {
+	t.Helper()
+	for n := 1; n <= 100; n++ {
+		tick(d, clk)
+		for ev, ok := next(events); ok; ev, ok = next(events) {
+			if ev.State == want {
+				return ev, n
+			}
+		}
+	}
+	t.Fatalf("no %v transition in 100 rounds", want)
+	return Event{}, 0
+}
+
 func TestDetectorDeathAndRejoin(t *testing.T) {
-	tr := transport.NewInProc()
+	tr, clk := manualWorld()
 	var alive atomic.Bool
 	alive.Store(true)
 	closer, err := tr.Listen("srv/0", pingHandler(0, &alive))
@@ -56,26 +88,24 @@ func TestDetectorDeathAndRejoin(t *testing.T) {
 	events := d.Subscribe()
 	d.Start()
 
-	// Healthy server: no transitions, probes counted.
-	time.Sleep(40 * time.Millisecond)
-	select {
-	case ev := <-events:
-		t.Fatalf("healthy server produced %+v", ev)
-	default:
+	// Healthy server: no transitions, one probe a round.
+	for i := 0; i < 8; i++ {
+		tick(d, clk)
 	}
-	if d.Metrics().Counter("health.probes").Value() == 0 {
-		t.Fatal("no probes recorded")
+	if ev, ok := next(events); ok {
+		t.Fatalf("healthy server produced %+v", ev)
+	}
+	if n := d.Metrics().Counter("health.probes").Value(); n != 8 {
+		t.Fatalf("health.probes = %d after 8 rounds", n)
 	}
 
-	// Kill it: Suspect then Dead, with the configured miss counts.
+	// Kill it: Suspect then Dead, each at exactly its miss count.
 	alive.Store(false)
-	ev := waitFor(t, events, Suspect, time.Second)
-	if ev.Server != 0 || ev.Misses < 2 {
-		t.Fatalf("suspect event %+v", ev)
+	if ev, n := tickUntil(t, d, clk, events, Suspect); ev.Server != 0 || ev.Misses != 2 || n != 2 {
+		t.Fatalf("suspect event %+v after %d rounds, want 2 misses in 2", ev, n)
 	}
-	ev = waitFor(t, events, Dead, time.Second)
-	if ev.Misses < 4 {
-		t.Fatalf("dead event %+v", ev)
+	if ev, n := tickUntil(t, d, clk, events, Dead); ev.Misses != 4 || n != 2 {
+		t.Fatalf("dead event %+v after 2 more rounds' %d", ev, n)
 	}
 	if d.Statuses()[0].State != Dead {
 		t.Fatalf("state = %v", d.Statuses()[0].State)
@@ -84,29 +114,30 @@ func TestDetectorDeathAndRejoin(t *testing.T) {
 		t.Fatalf("deaths = %d", d.Metrics().Counter("health.deaths").Value())
 	}
 
-	// Revive it: the detector reports the rejoin.
+	// Revive it: the next round reports the rejoin.
 	alive.Store(true)
-	waitFor(t, events, Alive, time.Second)
+	if _, n := tickUntil(t, d, clk, events, Alive); n != 1 {
+		t.Fatalf("rejoin reported after %d rounds, want 1", n)
+	}
 	if d.Metrics().Counter("health.rejoins").Value() != 1 {
 		t.Fatalf("rejoins = %d", d.Metrics().Counter("health.rejoins").Value())
 	}
 }
 
 func TestDetectorUnknownEndpointIsDead(t *testing.T) {
-	tr := transport.NewInProc()
+	tr, clk := manualWorld()
 	d := NewDetector(tr, "test/0", fastConfig())
 	defer d.Close()
 	d.Watch(3, "srv/missing")
 	events := d.Subscribe()
 	d.Start()
-	ev := waitFor(t, events, Dead, time.Second)
-	if ev.Server != 3 {
-		t.Fatalf("dead event %+v", ev)
+	if ev, n := tickUntil(t, d, clk, events, Dead); ev.Server != 3 || n != 4 {
+		t.Fatalf("dead event %+v after %d rounds, want slot 3 after 4", ev, n)
 	}
 }
 
-func TestDetectorSetAddrResetsVerdict(t *testing.T) {
-	tr := transport.NewInProc()
+func TestDetectorWatchResetsVerdict(t *testing.T) {
+	tr, clk := manualWorld()
 	var alive atomic.Bool
 	alive.Store(true)
 	closer, err := tr.Listen("srv/new", pingHandler(7, &alive))
@@ -120,23 +151,26 @@ func TestDetectorSetAddrResetsVerdict(t *testing.T) {
 	d.Watch(0, "srv/gone")
 	events := d.Subscribe()
 	d.Start()
-	waitFor(t, events, Dead, time.Second)
+	tickUntil(t, d, clk, events, Dead)
 
 	// Promote: the slot re-targets a healthy replacement and goes back
 	// to Alive without a rejoin event (fresh target, clean slate).
-	d.SetAddr(0, "srv/new")
-	time.Sleep(50 * time.Millisecond)
-	if got := d.Statuses()[0].State; got != Alive {
-		t.Fatalf("re-targeted slot state = %v", got)
+	d.Watch(0, "srv/new")
+	tick(d, clk)
+	if st := d.Statuses()[0]; st.State != Alive || st.Heard.IsZero() {
+		t.Fatalf("re-targeted slot after a round: %+v, want alive and heard", st)
+	}
+	if ev, ok := next(events); ok {
+		t.Fatalf("re-targeting produced %+v", ev)
 	}
 }
 
 // TestDetectorHeardAndRounds: a slot is heard at the send time of the
 // last probe it answered — a probe it misses moves nothing, a re-target
 // forgets it — and Round closes once per probe round, then for good at
-// Close. Everything is counted in rounds, not time.
+// Close.
 func TestDetectorHeardAndRounds(t *testing.T) {
-	tr := transport.NewInProc()
+	tr, clk := manualWorld()
 	var alive atomic.Bool
 	alive.Store(true)
 	for _, addr := range []string{"srv/0", "srv/new"} {
@@ -151,24 +185,23 @@ func TestDetectorHeardAndRounds(t *testing.T) {
 	d.Watch(0, "srv/0")
 	rounds := func(n int) {
 		for i := 0; i < n; i++ {
-			<-d.Round()
+			tick(d, clk)
 		}
 	}
 	if st := d.Statuses()[0]; st.State != Alive || !st.Heard.IsZero() {
 		t.Fatalf("watched, never probed: %+v, want alive and unheard", st)
 	}
-	started := time.Now()
+	started := clk.Now()
 	d.Start()
-	rounds(1) // the first round's probe leaves after Start
-	if heard := d.Statuses()[0].Heard; heard.Before(started) {
-		t.Fatalf("after one round heard at %v, before Start at %v", heard, started)
+	rounds(1)
+	if heard := d.Statuses()[0].Heard; !heard.After(started) {
+		t.Fatalf("after one round heard at %v, not after Start at %v", heard, started)
 	}
-	if n := d.Metrics().Counter("health.rounds").Value(); n < 1 {
+	if n := d.Metrics().Counter("health.rounds").Value(); n != 1 {
 		t.Fatalf("health.rounds = %d after one round", n)
 	}
 
 	alive.Store(false)
-	rounds(1) // the round in progress may still be answered; later ones are not
 	last := d.Statuses()[0].Heard
 	rounds(2)
 	if got := d.Statuses()[0].Heard; !got.Equal(last) {
@@ -176,20 +209,20 @@ func TestDetectorHeardAndRounds(t *testing.T) {
 	}
 
 	alive.Store(true)
-	d.SetAddr(0, "srv/new")
+	d.Watch(0, "srv/new")
 	if st := d.Statuses()[0]; !st.Heard.IsZero() {
 		t.Fatalf("re-targeted slot still heard at %v", st.Heard)
 	}
-	rounds(2)
+	rounds(1)
 	if st := d.Statuses()[0]; st.State != Alive || st.Heard.IsZero() {
-		t.Fatalf("re-targeted slot after two rounds: %+v, want alive and heard", st)
+		t.Fatalf("re-targeted slot after a round: %+v, want alive and heard", st)
 	}
 	// Watching the slot's own address again (a supervisor hearing back
 	// the membership change it made) forgets nothing.
 	heard := d.Statuses()[0].Heard
-	d.SetAddr(0, "srv/new")
-	if got := d.Statuses()[0].Heard; got.Before(heard) {
-		t.Fatalf("re-watching the same address moved heard back from %v to %v", heard, got)
+	d.Watch(0, "srv/new")
+	if got := d.Statuses()[0].Heard; !got.Equal(heard) {
+		t.Fatalf("re-watching the same address moved heard from %v to %v", heard, got)
 	}
 
 	d.Close()
@@ -207,15 +240,10 @@ func farConfig() Config {
 }
 
 // requestRound asks for a probe round and waits for it to end.
-func requestRound(t *testing.T, d *Detector) {
-	t.Helper()
+func requestRound(d *Detector) {
 	round := d.Round()
 	d.ProbeNow()
-	select {
-	case <-round:
-	case <-time.After(5 * time.Second):
-		t.Fatal("requested probe round never ended")
-	}
+	<-round
 }
 
 // TestProbeNowMissesNotCounted: a target that fails only requested
@@ -223,7 +251,7 @@ func requestRound(t *testing.T, d *Detector) {
 // never hasten a death verdict — while the periodic rounds around them
 // count as configured.
 func TestProbeNowMissesNotCounted(t *testing.T) {
-	tr := transport.NewInProc()
+	tr, _ := manualWorld()
 	var alive atomic.Bool
 	closer, err := tr.Listen("srv/0", pingHandler(0, &alive))
 	if err != nil {
@@ -246,7 +274,7 @@ func TestProbeNowMissesNotCounted(t *testing.T) {
 		t.Fatalf("misses = %d after one periodic round, want 1", m)
 	}
 	for i := 0; i < 5; i++ { // more requested misses than DeadAfter
-		requestRound(t, d)
+		requestRound(d)
 	}
 	if m, st := misses(), d.Statuses()[0].State; m != 1 || st != Alive {
 		t.Fatalf("after five missed requested rounds: misses %d, %v; want 1, alive", m, st)
@@ -254,14 +282,12 @@ func TestProbeNowMissesNotCounted(t *testing.T) {
 	if n := d.Metrics().Counter("health.misses").Value(); n != 1 {
 		t.Fatalf("health.misses = %d, want the periodic round's 1", n)
 	}
-	select {
-	case ev := <-events:
+	if ev, ok := next(events); ok {
 		t.Fatalf("requested rounds produced %+v", ev)
-	default:
 	}
 	d.probeAll(false) // the second periodic miss is the second in a row
-	if ev := waitFor(t, events, Suspect, time.Second); ev.Misses != 2 {
-		t.Fatalf("suspect event %+v, want 2 misses", ev)
+	if ev, ok := next(events); !ok || ev.State != Suspect || ev.Misses != 2 {
+		t.Fatalf("after the second periodic miss: %+v (%v), want suspect at 2 misses", ev, ok)
 	}
 }
 
@@ -269,7 +295,7 @@ func TestProbeNowMissesNotCounted(t *testing.T) {
 // end closes Round, with no periodic round anywhere near. ProbeNow after
 // Close does nothing.
 func TestProbeNowAnswers(t *testing.T) {
-	tr := transport.NewInProc()
+	tr, clk := manualWorld()
 	var alive atomic.Bool
 	alive.Store(true)
 	closer, err := tr.Listen("srv/0", pingHandler(0, &alive))
@@ -281,10 +307,10 @@ func TestProbeNowAnswers(t *testing.T) {
 	defer d.Close()
 	d.Watch(0, "srv/0")
 	d.Start()
-	asked := time.Now()
-	requestRound(t, d)
-	if st := d.Statuses()[0]; st.State != Alive || st.Heard.Before(asked) {
-		t.Fatalf("after a requested round: %+v, want alive and heard since %v", st, asked)
+	asked := clk.Now()
+	requestRound(d)
+	if st := d.Statuses()[0]; st.State != Alive || !st.Heard.After(asked) {
+		t.Fatalf("after a requested round: %+v, want alive and heard after %v", st, asked)
 	}
 	if n := d.Metrics().Counter("health.rounds").Value(); n != 1 {
 		t.Fatalf("health.rounds = %d, want the one requested round", n)
@@ -300,7 +326,7 @@ func TestProbeNowAnswers(t *testing.T) {
 // running coalesce into exactly one more round, whose probes leave after
 // them.
 func TestProbeNowCoalesces(t *testing.T) {
-	tr := transport.NewInProc()
+	tr, clk := manualWorld()
 	entered := make(chan struct{}, 1)
 	gate := make(chan struct{})
 	closer, err := tr.Listen("srv/0", func(req any) (any, error) {
@@ -321,19 +347,21 @@ func TestProbeNowCoalesces(t *testing.T) {
 	d.Start()
 	d.ProbeNow()
 	<-entered // the first round's probe is in flight
-	asked := time.Now()
+	asked := clk.Now()
 	for i := 0; i < 10; i++ {
 		d.ProbeNow()
 	}
 	close(gate)
 	rounds := d.Metrics().Counter("health.rounds")
-	for deadline := time.Now().Add(5 * time.Second); rounds.Value() < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("health.rounds = %d: the requests made during a round were never served", rounds.Value())
+	for {
+		round := d.Round() // taken before the count: a round ending after the check closes it
+		if rounds.Value() >= 2 {
+			break
 		}
+		<-round
 	}
-	if heard := d.Statuses()[0].Heard; heard.Before(asked) {
-		t.Fatalf("heard at %v, before the coalesced requests at %v", heard, asked)
+	if heard := d.Statuses()[0].Heard; !heard.After(asked) {
+		t.Fatalf("heard at %v, not after the coalesced requests at %v", heard, asked)
 	}
 	d.Close() // waits for the requested rounds to stop
 	if n := rounds.Value(); n != 2 {
@@ -341,10 +369,16 @@ func TestProbeNowCoalesces(t *testing.T) {
 	}
 }
 
+// TestDetectorTimeoutCountsAsMiss: a probe the server never answers is
+// a miss once the timeout passes on the detector's clock. The timeout
+// is shorter than the period, so every round is one tick and one
+// timeout.
 func TestDetectorTimeoutCountsAsMiss(t *testing.T) {
-	tr := transport.NewInProc()
+	tr, clk := manualWorld()
 	block := make(chan struct{})
+	entered := make(chan struct{}, 1)
 	closer, err := tr.Listen("srv/slow", func(req any) (any, error) {
+		entered <- struct{}{}
 		<-block
 		return PingResp{}, nil
 	})
@@ -354,12 +388,30 @@ func TestDetectorTimeoutCountsAsMiss(t *testing.T) {
 	defer closer.Close()
 	defer close(block)
 
-	d := NewDetector(tr, "test/0", Config{Period: 5 * time.Millisecond, Timeout: 10 * time.Millisecond, SuspectAfter: 2, DeadAfter: 3})
+	cfg := Config{Period: 10 * time.Millisecond, Timeout: 5 * time.Millisecond, SuspectAfter: 2, DeadAfter: 3}
+	d := NewDetector(tr, "test/0", cfg)
 	defer d.Close()
 	d.Watch(0, "srv/slow")
 	events := d.Subscribe()
 	d.Start()
-	waitFor(t, events, Dead, time.Second)
+	for n := 1; n <= cfg.DeadAfter; n++ {
+		round := d.Round()
+		clk.Advance(cfg.Period)
+		<-entered // the probe's timeout is armed before its call starts
+		clk.Advance(cfg.Timeout)
+		<-round
+		if got := d.Metrics().Counter("health.misses").Value(); got != int64(n) {
+			t.Fatalf("health.misses = %d after %d timed-out rounds", got, n)
+		}
+	}
+	for ev, ok := next(events); ; ev, ok = next(events) {
+		if !ok {
+			t.Fatal("no dead verdict after DeadAfter timed-out rounds")
+		}
+		if ev.State == Dead {
+			break
+		}
+	}
 }
 
 func TestMembershipEpochsAndSubscribe(t *testing.T) {
@@ -376,11 +428,11 @@ func TestMembershipEpochsAndSubscribe(t *testing.T) {
 		t.Fatalf("addrs = %v", m.Addrs())
 	}
 	select {
-	case ch := <-sub:
+	case ch := <-sub: // queued before ReplaceFenced returns
 		if ch.Epoch != 2 || ch.Server != 1 || ch.Addr != "b2" {
 			t.Fatalf("change = %+v", ch)
 		}
-	case <-time.After(time.Second):
+	default:
 		t.Fatal("no membership change delivered")
 	}
 	if _, err := m.ReplaceFenced(0, 9, "x"); err == nil {
@@ -396,22 +448,15 @@ func TestMembershipEpochsAndSubscribe(t *testing.T) {
 }
 
 func TestDetectorCloseIsPromptAndIdempotent(t *testing.T) {
-	tr := transport.NewInProc()
+	tr, clk := manualWorld()
 	d := NewDetector(tr, "test/0", fastConfig())
 	d.Watch(0, "srv/missing")
 	events := d.Subscribe()
 	d.Start()
-	done := make(chan struct{})
-	go func() {
-		d.Close()
-		d.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not return")
-	}
+	tick(d, clk)
+	// Close returns with the clock standing still, twice.
+	d.Close()
+	d.Close()
 	// Subscriber channel is closed after Close.
 	for {
 		if _, ok := <-events; !ok {

@@ -98,12 +98,12 @@ func (t *dialTap) breakConns(addr string) {
 // and one logged put (so a promotion installs a replica on the spare),
 // protects keys under red when it is set, and returns a started lone
 // supervisor whose every dial goes through the returned tap. The
-// detector probes over its own transport, an hour apart: a death is
-// handed to the supervisor by hand, and every dial the tap counts is
-// the supervisor's.
+// detector probes over its own transport, on a clock that never moves:
+// a death is handed to the supervisor by hand, and every dial the tap
+// counts is the supervisor's.
 func tappedGroup(t *testing.T, red *corec.Config) (*staging.Group, string, *dialTap, *Supervisor) {
 	t.Helper()
-	tr := transport.NewInProc()
+	tr := manualWorld()
 	cfg := replGroupConfig(4, 1)
 	g, err := staging.StartGroup(tr, "stage", cfg)
 	if err != nil {

@@ -31,8 +31,7 @@ func haDetector(tr transport.Transport, id string) *health.Detector {
 // unreachable) must go back to the pool, and the backlogged slot must
 // still heal once the spare is reachable again.
 func TestSpareReturnedOnFailedRestore(t *testing.T) {
-	inner := transport.NewInProc()
-	chaos := transport.NewChaos(inner, 1)
+	chaos := transport.NewChaos(manualWorld(), 1)
 	cfg := groupConfig(3)
 	cfg.WlogReplicas = 1
 	g, err := staging.StartGroup(chaos, "stage", cfg)
@@ -72,8 +71,8 @@ func TestSpareReturnedOnFailedRestore(t *testing.T) {
 	if err := g.FailStop(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.WaitIdle(10 * time.Second); err != nil {
-		t.Fatal(err)
+	if r := waitIdle(manualOf(chaos), period, sup); r.err != nil {
+		t.Fatal(r.err)
 	}
 
 	m := sup.Metrics()
@@ -99,7 +98,7 @@ func TestSpareReturnedOnFailedRestore(t *testing.T) {
 // OnSlotDown), and a later AddSpare must heal it via the backlog sweep
 // without another death event.
 func TestLateSpareHealsBacklog(t *testing.T) {
-	tr := transport.NewInProc()
+	tr := manualWorld()
 	g, err := staging.StartGroup(tr, "stage", groupConfig(3))
 	if err != nil {
 		t.Fatal(err)
@@ -121,13 +120,9 @@ func TestLateSpareHealsBacklog(t *testing.T) {
 	if err := g.FailStop(2); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sup.Metrics().Counter("recovery.no_spare").Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no_spare never recorded")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	stepUntil(t, manualOf(tr), time.Second, func() bool {
+		return sup.Metrics().Counter("recovery.no_spare").Value() > 0
+	}, sup)
 	if ds := sup.DeadSlots(); len(ds) != 1 || ds[0] != 2 {
 		t.Fatalf("dead backlog = %v, want [2]", ds)
 	}
@@ -136,8 +131,8 @@ func TestLateSpareHealsBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.WaitIdle(10 * time.Second); err != nil {
-		t.Fatal(err)
+	if r := waitIdle(manualOf(tr), period, sup); r.err != nil {
+		t.Fatal(r.err)
 	}
 
 	m := sup.Metrics()
@@ -166,7 +161,7 @@ func TestLateSpareHealsBacklog(t *testing.T) {
 // old address. That verdict must not put the promoted slot back in the
 // backlog, or the standby, once leader, promotes over the live spare.
 func TestStaleDeathAfterPromotionIgnored(t *testing.T) {
-	tr := transport.NewInProc()
+	tr := manualWorld()
 	g, err := staging.StartGroup(tr, "stage", groupConfig(3))
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +194,7 @@ func TestStaleDeathAfterPromotionIgnored(t *testing.T) {
 // leader re-sends the current view, so the member converges to the new
 // epoch instead of serving the stale membership forever.
 func TestViewPushPartialFailureConverges(t *testing.T) {
-	inner := transport.NewInProc()
-	chaos := transport.NewChaos(inner, 2)
+	chaos := transport.NewChaos(manualWorld(), 2)
 	g, err := staging.StartGroup(chaos, "stage", groupConfig(4))
 	if err != nil {
 		t.Fatal(err)
@@ -212,8 +206,9 @@ func TestViewPushPartialFailureConverges(t *testing.T) {
 	}
 
 	// Member 2 goes dark right after the membership write of slot 1's
-	// promotion — exactly in time to miss the view push — and rejoins
-	// well after the new epoch is installed everywhere else. (A blackout
+	// promotion — exactly in time to miss the view push, since the clock
+	// stands still while a recovery is in flight — and rejoins well
+	// after the new epoch is installed everywhere else. (A blackout
 	// started before the promotion would get member 2 itself confirmed
 	// dead first and promoted into, stealing the spare.)
 	darkAddr := g.Membership().Addr(2)
@@ -230,8 +225,8 @@ func TestViewPushPartialFailureConverges(t *testing.T) {
 	if err := g.FailStop(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.WaitIdle(10 * time.Second); err != nil {
-		t.Fatal(err)
+	if r := waitIdle(manualOf(chaos), period, sup); r.err != nil {
+		t.Fatal(r.err)
 	}
 
 	if v := sup.Metrics().Counter("recovery.promotions").Value(); v != 1 {
@@ -265,7 +260,8 @@ func TestViewPushPartialFailureConverges(t *testing.T) {
 // the dead leader's token is fenced out server-side; and the survivor
 // performs the one promotion.
 func TestRedundantSupervisorsElectionAndFencing(t *testing.T) {
-	tr := transport.NewInProc()
+	tr := manualWorld()
+	clk := manualOf(tr)
 	g, err := staging.StartGroup(tr, "stage", groupConfig(3))
 	if err != nil {
 		t.Fatal(err)
@@ -301,18 +297,8 @@ func TestRedundantSupervisorsElectionAndFencing(t *testing.T) {
 	oldToken := old.Token()
 
 	old.Kill()
-	var successor *Supervisor
-	deadline := time.Now().Add(10 * ttl)
-	for {
-		if l := leaders(); len(l) == 1 {
-			successor = l[0]
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no successor elected within %v of killing the leader", 10*ttl)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	stepUntil(t, clk, 10*ttl, func() bool { return len(leaders()) == 1 }, sups...)
+	successor := leaders()[0]
 	if successor == old {
 		t.Fatal("killed supervisor still reports leadership")
 	}
@@ -341,8 +327,8 @@ func TestRedundantSupervisorsElectionAndFencing(t *testing.T) {
 		if s == old {
 			continue
 		}
-		if err := s.WaitIdle(10 * time.Second); err != nil {
-			t.Fatal(err)
+		if r := waitIdle(clk, period, s, sups...); r.err != nil {
+			t.Fatal(r.err)
 		}
 		idle = true
 	}

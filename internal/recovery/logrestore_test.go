@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"gospaces/internal/domain"
+	"gospaces/internal/sim"
 	"gospaces/internal/staging"
 	"gospaces/internal/transport"
 	"gospaces/internal/wlog"
@@ -63,6 +63,7 @@ func verData(n int, ver int64) []byte {
 // two workflow clients.
 type harness struct {
 	tr     transport.Transport
+	clk    *sim.Manual
 	g      *staging.Group
 	sup    *Supervisor
 	prod   *staging.Client
@@ -73,11 +74,12 @@ type harness struct {
 
 func startHarness(t *testing.T, cfg staging.Config) *harness {
 	t.Helper()
-	return startHarnessOn(t, transport.NewInProc(), cfg)
+	return startHarnessOn(t, manualWorld(), cfg)
 }
 
-// startHarnessOn is startHarness over a given transport: servers,
-// supervisor and clients all dial through it.
+// startHarnessOn is startHarness over a given transport, whose world
+// runs on a manual clock: servers, supervisor and clients all dial
+// through it.
 func startHarnessOn(t *testing.T, tr transport.Transport, cfg staging.Config) *harness {
 	t.Helper()
 	g, err := staging.StartGroup(tr, "stage", cfg)
@@ -106,10 +108,14 @@ func startHarnessOn(t *testing.T, tr transport.Transport, cfg staging.Config) *h
 	}
 	t.Cleanup(func() { cons.Close() })
 	return &harness{
-		tr: tr, g: g, sup: sup, prod: prod, cons: cons,
+		tr: tr, clk: manualOf(tr), g: g, sup: sup, prod: prod, cons: cons,
 		global: cfg.Global, bufLen: domain.BufLen(cfg.Global, cfg.ElemSize),
 	}
 }
+
+// waitIdle waits, stepping the clock, until the supervisor confirms
+// the group repaired.
+func (h *harness) waitIdle() error { return waitIdle(h.clk, period, h.sup).err }
 
 func (h *harness) client(o wfOp) *staging.Client {
 	if o.prod {
@@ -189,7 +195,7 @@ func runKillScenario(t *testing.T, victim, killAt int) {
 	if err := h.g.FailStop(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.sup.WaitIdle(10 * time.Second); err != nil {
+	if err := h.waitIdle(); err != nil {
 		t.Fatal(err)
 	}
 	h.restartAndReplay(t, killAt)
@@ -247,7 +253,7 @@ func runKillDuringReplay(t *testing.T, victim, replayBefore int) {
 	if err := h.g.FailStop(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.sup.WaitIdle(10 * time.Second); err != nil {
+	if err := h.waitIdle(); err != nil {
 		t.Fatal(err)
 	}
 	// Restart again: cursor rewinds to the anchor on the restored log.
@@ -310,7 +316,7 @@ func TestNoReplicationLosesQueue(t *testing.T) {
 	if err := h.g.FailStop(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.sup.WaitIdle(10 * time.Second); err != nil {
+	if err := h.waitIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if n := h.sup.Metrics().Counter("recovery.log_missing").Value(); n != 1 {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"gospaces/internal/domain"
 	"gospaces/internal/staging"
@@ -17,8 +16,8 @@ import (
 // every piece boundary of the victim's run, where the pieces before the
 // boundary were acknowledged Deferred and their records are on no
 // replica. PutWithLog returning nil must still mean every piece is on
-// every reachable replica. There is no wall clock in the schedule: the
-// kill happens synchronously in the transport, on the message it names.
+// every reachable replica. There is no clock in the schedule: the kill
+// happens synchronously in the transport, on the message it names.
 
 // killTransport decorates a Transport for one scenario. Armed, it
 // fail-stops the victim and waits out the promotion right before it
@@ -45,6 +44,9 @@ type killTransport struct {
 	resps                 map[string][]staging.PutResp // by phase
 	victimDeferred        int                          // Deferred acks of the victim
 }
+
+// Unwrap exposes the decorated transport, whose clock the world runs on.
+func (k *killTransport) Unwrap() transport.Transport { return k.Transport }
 
 type killClient struct {
 	transport.Client
@@ -93,7 +95,7 @@ func (c *killClient) Call(req any) (any, error) {
 				k.mu.Unlock()
 				err := k.h.g.FailStop(k.victim)
 				if err == nil {
-					err = k.h.sup.WaitIdle(10 * time.Second)
+					err = k.h.waitIdle()
 				}
 				k.mu.Lock()
 				k.killErr = err
@@ -146,7 +148,7 @@ const putKillPieces = 16
 func startPutKill(t *testing.T, victim int) (*harness, *killTransport) {
 	t.Helper()
 	k := &killTransport{
-		Transport: transport.NewInProc(), gate: make(chan struct{}), victim: victim,
+		Transport: manualWorld(), gate: make(chan struct{}), victim: victim,
 		seen: map[string]bool{}, resps: map[string][]staging.PutResp{},
 	}
 	cfg := replGroupConfig(3, 1)

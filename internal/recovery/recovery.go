@@ -31,6 +31,7 @@ import (
 	"gospaces/internal/corec"
 	"gospaces/internal/health"
 	"gospaces/internal/metrics"
+	"gospaces/internal/sim"
 	"gospaces/internal/staging"
 	"gospaces/internal/transport"
 )
@@ -102,6 +103,7 @@ type deadSlot struct {
 type Supervisor struct {
 	conns  *peers
 	det    *health.Detector
+	clk    sim.Clock // the detector's: leases, back-offs and WaitIdle read it
 	mem    *health.Membership
 	spares SparePool
 	cfg    Config
@@ -138,6 +140,7 @@ func New(tr transport.Transport, det *health.Detector, mem *health.Membership, s
 	s := &Supervisor{
 		conns:  &peers{tr: tr, conns: make(map[string]transport.Client)},
 		det:    det,
+		clk:    det.Clock(),
 		mem:    mem,
 		spares: spares,
 		cfg:    cfg.withDefaults(det),
@@ -207,7 +210,7 @@ func (s *Supervisor) Start() {
 	// no added latency; contending candidates fall back to jittered
 	// retries in the loop.
 	s.campaign()
-	go s.loop()
+	go s.loop(s.clk.NewTicker(s.renewEvery()))
 }
 
 // Close stops supervising gracefully (the detector and the member
@@ -269,8 +272,8 @@ func (s *Supervisor) wakeLocked() {
 // the repair. A stopped supervisor confirms nothing: WaitIdle fails at
 // once.
 func (s *Supervisor) WaitIdle(timeout time.Duration) error {
-	since := time.Now()
-	timer := time.NewTimer(timeout)
+	since := s.clk.Now()
+	timer := s.clk.NewTimer(timeout)
 	defer timer.Stop()
 	for {
 		s.mu.Lock()
@@ -312,14 +315,20 @@ func (s *Supervisor) idleLocked(since time.Time) bool {
 // WaitIdle: it holds while one is in flight and, after it, until every
 // slot answers a probe sent once it ended. endRecovery asks for that
 // probe round at once rather than leaving it to the next periodic one.
+// Both wake WaitIdle's waiters, so recovery.in_flight changes only
+// under s.mu and a waiter (or a test moving a manual clock) sees each
+// change.
 func (s *Supervisor) beginRecovery() {
+	s.mu.Lock()
 	s.reg.Counter("recovery.in_flight").Inc()
+	s.wakeLocked()
+	s.mu.Unlock()
 }
 
 func (s *Supervisor) endRecovery() {
 	s.mu.Lock()
 	s.reg.Counter("recovery.in_flight").Add(-1)
-	s.settled = time.Now()
+	s.settled = s.clk.Now()
 	s.wakeLocked()
 	s.mu.Unlock()
 	s.det.ProbeNow()
@@ -339,9 +348,8 @@ func (s *Supervisor) renewEvery() time.Duration {
 	return every
 }
 
-func (s *Supervisor) loop() {
+func (s *Supervisor) loop(tick *sim.Ticker) {
 	defer close(s.done)
-	tick := time.NewTicker(s.renewEvery())
 	defer tick.Stop()
 	round := s.det.Round()
 	for {
@@ -458,7 +466,7 @@ func (s *Supervisor) handleEvent(ev health.Event) {
 // is leader: the detector re-targets the slot, and the slot leaves this
 // supervisor's backlog.
 func (s *Supervisor) handleChange(ch health.Change) {
-	s.det.SetAddr(ch.Server, ch.Addr)
+	s.det.Watch(ch.Server, ch.Addr)
 	s.mu.Lock()
 	_, wasDead := s.dead[ch.Server]
 	delete(s.dead, ch.Server)
@@ -715,7 +723,7 @@ func (s *Supervisor) recoverSlot(slot int) {
 	wasStranded := d.notified
 	s.mu.Unlock()
 
-	start := time.Now()
+	start := s.clk.Now()
 	s.beginRecovery()
 	defer s.endRecovery()
 
@@ -732,7 +740,7 @@ func (s *Supervisor) recoverSlot(slot int) {
 		s.reg.Counter("recovery.dead_retries").Inc()
 	}
 	s.promote(slot, deadAddr, spare)
-	s.reg.Counter("recovery.duration_ns").Add(time.Since(start).Nanoseconds())
+	s.reg.Counter("recovery.duration_ns").Add(s.clk.Now().Sub(start).Nanoseconds())
 }
 
 // markStranded delivers OnSlotDown(slot, true) exactly once per death.
@@ -812,7 +820,7 @@ func (s *Supervisor) promote(slot int, deadAddr, spare string) {
 	}
 	s.clearIntent(slot, token)
 	s.spares.CommitSpare(slot)
-	s.det.SetAddr(slot, spare)
+	s.det.Watch(slot, spare)
 	s.dropDead(slot)
 	if s.cfg.OnPromote != nil {
 		s.cfg.OnPromote(slot, spare, epoch)
@@ -1051,16 +1059,18 @@ const reprotectAttempts = 5
 // recovery.reprotect: rebuild decode dominates it, and the EC kernel's
 // chunked-parallel path shortens exactly this window.
 func (s *Supervisor) reprotect(addrs []string) {
-	start := time.Now()
-	defer func() { s.reg.Timer("recovery.reprotect").Observe(time.Since(start)) }()
+	start := s.clk.Now()
+	defer func() { s.reg.Timer("recovery.reprotect").Observe(s.clk.Now().Sub(start)) }()
 	for attempt := 0; attempt < reprotectAttempts; attempt++ {
 		if s.reprotectOnce(addrs) {
 			return
 		}
+		backoff := s.clk.NewTimer(s.det.Window())
 		select {
 		case <-s.stop:
+			backoff.Stop()
 			return
-		case <-time.After(s.det.Window()):
+		case <-backoff.C:
 		}
 		// Another promotion may have moved the membership meanwhile.
 		addrs = s.mem.Addrs()

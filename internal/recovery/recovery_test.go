@@ -80,7 +80,7 @@ func payloadFor(k string) []byte {
 }
 
 func TestSupervisorPromotesAndReprotects(t *testing.T) {
-	tr := transport.NewInProc()
+	tr := manualWorld()
 	g, err := staging.StartGroup(tr, "stage", groupConfig(4))
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +108,8 @@ func TestSupervisorPromotesAndReprotects(t *testing.T) {
 	if err := g.FailStop(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.WaitIdle(5 * time.Second); err != nil {
-		t.Fatal(err)
+	if r := waitIdle(manualOf(tr), period, sup); r.err != nil {
+		t.Fatal(r.err)
 	}
 
 	if e := g.Membership().Epoch(); e != 2 {
@@ -158,7 +158,7 @@ func TestSupervisorPromotesAndReprotects(t *testing.T) {
 }
 
 func TestSupervisorNoSpare(t *testing.T) {
-	tr := transport.NewInProc()
+	tr := manualWorld()
 	g, err := staging.StartGroup(tr, "stage", groupConfig(3))
 	if err != nil {
 		t.Fatal(err)
@@ -170,13 +170,9 @@ func TestSupervisorNoSpare(t *testing.T) {
 	if err := g.FailStop(2); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sup.Metrics().Counter("recovery.no_spare").Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no_spare never recorded")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	stepUntil(t, manualOf(tr), time.Second, func() bool {
+		return sup.Metrics().Counter("recovery.no_spare").Value() > 0
+	}, sup)
 	if e := g.Membership().Epoch(); e != 1 {
 		t.Fatalf("epoch bumped to %d without a spare", e)
 	}
@@ -189,8 +185,8 @@ func TestSupervisorNoSpare(t *testing.T) {
 // supervised repair, and exactly the fail-stop (not the crash) must
 // trigger a promotion.
 func TestRecoveryUnderChaosSchedule(t *testing.T) {
-	inner := transport.NewInProc()
-	chaos := transport.NewChaos(inner, 42)
+	chaos := transport.NewChaos(manualWorld(), 42)
+	clk := manualOf(chaos)
 	g, err := staging.StartGroup(chaos, "stage", groupConfig(4))
 	if err != nil {
 		t.Fatal(err)
@@ -220,11 +216,11 @@ func TestRecoveryUnderChaosSchedule(t *testing.T) {
 	}
 	readAll("pre-fault")
 
-	// Crash server 2 transiently (recovers at ~90ms) and fail-stop
-	// server 1 permanently, both immediately. The detector's Dead
-	// threshold (12 consecutive misses at 15ms = 180ms) outlasts the
-	// crash window, so only the fail-stop is promoted — a transient
-	// blackout must never spend the spare.
+	// Crash server 2 transiently (recovers at 90ms) and fail-stop server
+	// 1 permanently, both now. The detector's Dead threshold (12
+	// consecutive misses at 15ms = 180ms) outlasts the crash window, so
+	// only the fail-stop is promoted — a transient blackout must never
+	// spend the spare.
 	chaos.Blackout(g.Membership().Addr(2), 90*time.Millisecond)
 	if err := g.FailStop(1); err != nil {
 		t.Fatal(err)
@@ -240,13 +236,12 @@ func TestRecoveryUnderChaosSchedule(t *testing.T) {
 	defer sup.Close()
 	sup.Start()
 
-	// Degraded reads while both faults are active: two of four shards
-	// are unreachable, exactly K survive.
-	time.Sleep(20 * time.Millisecond)
+	// Degraded reads while both faults are active (the clock has not
+	// moved): two of four shards are unreachable, exactly K survive.
 	readAll("degraded")
 
-	if err := sup.WaitIdle(10 * time.Second); err != nil {
-		t.Fatal(err)
+	if r := waitIdle(clk, 15*time.Millisecond, sup); r.err != nil {
+		t.Fatal(r.err)
 	}
 	m := sup.Metrics()
 	if v := m.Counter("recovery.promotions").Value(); v != 1 {
@@ -272,7 +267,7 @@ func TestRecoveryUnderChaosSchedule(t *testing.T) {
 func BenchmarkRebuildVsObjectCount(b *testing.B) {
 	for _, objects := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("objects=%d", objects), func(b *testing.B) {
-			tr := transport.NewInProc()
+			tr := manualWorld()
 			g, err := staging.StartGroup(tr, "stage", groupConfig(4))
 			if err != nil {
 				b.Fatal(err)

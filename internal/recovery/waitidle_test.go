@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,8 +14,8 @@ import (
 // The tests in this file pin what WaitIdle confirms: it returns once no
 // recovery is in flight and every watched slot has answered a probe
 // sent after the call (and after the last recovery), never on a quiet
-// spell of wall-clock time. Where they bound how long it takes, they
-// count detector rounds.
+// spell of time. Where they bound how long it takes, they count probe
+// rounds on the manual clock.
 
 // seenAt returns the verdict WaitIdle last decided on for slot.
 func (s *Supervisor) seenAt(slot int) health.Status {
@@ -35,11 +36,11 @@ func TestWaitIdleConfirmsPromotedSpare(t *testing.T) {
 			t.Fatal(err)
 		}
 		spare := h.g.Spares()[0]
-		killed := time.Now()
+		killed := h.clk.Now()
 		if err := h.g.FailStop(victim); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.sup.WaitIdle(10 * time.Second); err != nil {
+		if err := h.waitIdle(); err != nil {
 			t.Fatalf("victim %d: %v", victim, err)
 		}
 		st := h.sup.seenAt(victim)
@@ -49,18 +50,26 @@ func TestWaitIdleConfirmsPromotedSpare(t *testing.T) {
 		if a := h.g.Membership().Addr(victim); a != spare {
 			t.Fatalf("victim %d: slot names %s, want the spare %s", victim, a, spare)
 		}
-		if st.State != health.Alive || st.Heard.Before(killed) {
+		if st.State != health.Alive || !st.Heard.After(killed) {
 			t.Fatalf("victim %d: WaitIdle returned on %+v: the spare had not answered since the kill at %v", victim, st, killed)
 		}
 	}
 }
 
 // TestWaitIdleOverRetryingDetector: a detector over the retrying
-// transport sleeps in back-off past its own probe timeout, so a death
-// takes longer to confirm than a detection window. WaitIdle must not
-// report idle in the meantime: the dead member never answers.
+// transport waits out the retry layer's back-off on every probe of a
+// dead member, so a death takes longer to confirm than a detection
+// window. WaitIdle must not report idle in the meantime: the dead
+// member never answers.
+//
+// The back-off waits on the clock, so a probe round here ends only as
+// the clock moves and cannot be a barrier: while WaitIdle waits, the
+// test moves the clock a period at a time, yielding in between. The
+// probe timeout is out of reach, so a probe ends when its call does
+// and no verdict depends on how far the clock runs ahead of a probe.
 func TestWaitIdleOverRetryingDetector(t *testing.T) {
-	tr := transport.NewInProc()
+	tr := manualWorld()
+	clk := manualOf(tr)
 	g, err := staging.StartGroup(tr, "stage", groupConfig(3))
 	if err != nil {
 		t.Fatal(err)
@@ -72,18 +81,31 @@ func TestWaitIdleOverRetryingDetector(t *testing.T) {
 	}
 	retry := transport.WithRetry(tr, transport.DefaultRetryPolicy())
 	defer retry.Close()
-	sup := New(tr, fastDetector(retry), g.Membership(), g, Config{})
+	det := health.NewDetector(retry, "supervisor/0", health.Config{Period: period, Timeout: time.Hour, SuspectAfter: 2, DeadAfter: 4})
+	sup := New(tr, det, g.Membership(), g, Config{})
 	defer sup.Close()
 	sup.Start()
-	if err := sup.WaitIdle(10 * time.Second); err != nil {
-		t.Fatal(err)
+	waitRunning := func() {
+		t.Helper()
+		res := goWaitIdle(clk, sup)
+		for {
+			select {
+			case r := <-res:
+				if r.err != nil {
+					t.Fatal(r.err)
+				}
+				return
+			default:
+				clk.Advance(period)
+				runtime.Gosched()
+			}
+		}
 	}
+	waitRunning()
 	if err := g.FailStop(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.WaitIdle(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waitRunning()
 	if p, a := sup.Metrics().Counter("recovery.promotions").Value(), g.Membership().Addr(1); p != 1 || a != spare {
 		t.Fatalf("WaitIdle reported idle with %d promotions and slot 1 at %s; want 1 and the spare %s", p, a, spare)
 	}
@@ -91,28 +113,27 @@ func TestWaitIdleOverRetryingDetector(t *testing.T) {
 
 // TestWaitIdleFaultFreeWithinTwoRounds: with nothing failing, WaitIdle
 // costs at most the probe round in progress at the call plus the one
-// after it, whose probes all leave after the call.
+// after it, whose probes all leave after the call. On a clock that
+// moves only between rounds no round is in progress at the call: it
+// returns on the first round, one step of the clock, and no more.
 func TestWaitIdleFaultFreeWithinTwoRounds(t *testing.T) {
-	tr := transport.NewInProc()
+	tr := manualWorld()
+	clk := manualOf(tr)
 	g, err := staging.StartGroup(tr, "stage", groupConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	// A period long against scheduling noise: a third round can only
-	// slip in if the waiter sleeps through a whole one.
-	det := health.NewDetector(tr, "supervisor/0", health.Config{Period: 25 * time.Millisecond, SuspectAfter: 2, DeadAfter: 4})
-	sup := New(tr, det, g.Membership(), g, Config{})
+	sup := New(tr, fastDetector(tr), g.Membership(), g, Config{})
 	defer sup.Close()
 	sup.Start()
-	rounds := det.Metrics().Counter("health.rounds")
 	for i := 0; i < 5; i++ {
-		before := rounds.Value()
-		if err := sup.WaitIdle(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if n := rounds.Value() - before; n > 2 {
-			t.Fatalf("call %d: WaitIdle took %d probe rounds on a fault-free group, want at most 2", i, n)
+		res := waitIdleAsync(clk, sup)
+		step(clk, period, sup)
+		// The round is over; confirming it takes the supervisor no more
+		// clock, so WaitIdle returns without another step.
+		if r := <-res; r.err != nil {
+			t.Fatalf("call %d: %v", i, r.err)
 		}
 	}
 }
@@ -121,7 +142,8 @@ func TestWaitIdleFaultFreeWithinTwoRounds(t *testing.T) {
 // declared dead) holds WaitIdle until it answers again, and nothing is
 // promoted.
 func TestWaitIdleHeldByBlackout(t *testing.T) {
-	chaos := transport.NewChaos(transport.NewInProc(), 3)
+	chaos := transport.NewChaos(manualWorld(), 3)
+	clk := manualOf(chaos)
 	g, err := staging.StartGroup(chaos, "stage", groupConfig(4))
 	if err != nil {
 		t.Fatal(err)
@@ -131,25 +153,26 @@ func TestWaitIdleHeldByBlackout(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := health.NewDetector(chaos, "supervisor/0", health.Config{
-		Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond, SuspectAfter: 2, DeadAfter: 1000,
+		Period: period, Timeout: 20 * time.Millisecond, SuspectAfter: 2, DeadAfter: 1000,
 	})
 	sup := New(chaos, det, g.Membership(), g, Config{})
 	defer sup.Close()
 	sup.Start()
-	if err := sup.WaitIdle(10 * time.Second); err != nil {
-		t.Fatal(err)
+	if r := waitIdle(clk, period, sup); r.err != nil {
+		t.Fatal(r.err)
 	}
 	const dark = 60 * time.Millisecond
-	from := time.Now()
+	from := clk.Now()
 	chaos.Blackout(g.Membership().Addr(2), dark)
-	if err := sup.WaitIdle(10 * time.Second); err != nil {
-		t.Fatal(err)
+	r := waitIdle(clk, period, sup)
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if held := time.Since(from); held < dark {
+	if held := r.at.Sub(from); held < dark {
 		t.Fatalf("WaitIdle returned %v into a %v blackout of member 2", held, dark)
 	}
-	if st := sup.seenAt(2); st.State != health.Alive || st.Heard.Before(from) {
-		t.Fatalf("member 2 at return: %+v, want alive and heard since the blackout began", st)
+	if st := sup.seenAt(2); st.State != health.Alive || st.Heard.Before(from.Add(dark)) {
+		t.Fatalf("member 2 at return: %+v, want alive and heard since the blackout ended", st)
 	}
 	if p := sup.Metrics().Counter("recovery.promotions").Value(); p != 0 {
 		t.Fatalf("%d promotions for a blackout", p)
@@ -157,12 +180,13 @@ func TestWaitIdleHeldByBlackout(t *testing.T) {
 }
 
 // promptGroup is a 4-member group with a spare under a supervisor whose
-// periodic probe round is period away: a test drives the promotion by
-// hand (handleEvent), not through detection. At the promotion's pushed
-// stage, atPushed runs and then WaitIdle is called on a goroutine of its
-// own; the returned channel yields WaitIdle's result and how long after
-// the repair ended (OnPromote) it returned.
-func promptGroup(t *testing.T, tr transport.Transport, period time.Duration, atPushed func()) (*staging.Group, *Supervisor, <-chan idleResult) {
+// periodic probe round is period away on a clock the test moves: a
+// test drives the promotion by hand (killByHand), not through
+// detection. At the promotion's pushed stage, atPushed runs and then
+// WaitIdle is called on a goroutine of its own, which has taken its
+// start time before the repair ends; once the promotion has run, the
+// returned func yields its result.
+func promptGroup(t *testing.T, tr transport.Transport, period time.Duration, atPushed func()) (*staging.Group, *Supervisor, func() idleResult) {
 	t.Helper()
 	g, err := staging.StartGroup(tr, "stage", groupConfig(4))
 	if err != nil {
@@ -173,37 +197,19 @@ func promptGroup(t *testing.T, tr transport.Transport, period time.Duration, atP
 		t.Fatal(err)
 	}
 	det := health.NewDetector(tr, "supervisor/0", health.Config{Period: period, Timeout: 50 * time.Millisecond, SuspectAfter: 2, DeadAfter: 4})
-	out := make(chan idleResult, 1)
-	var (
-		sup      *Supervisor
-		repaired = make(chan time.Time, 1)
-	)
+	var sup *Supervisor
+	var res <-chan idleResult
 	sup = New(tr, det, g.Membership(), g, Config{
 		PromotionHook: func(stage string, _ int) {
-			if stage != "pushed" {
-				return
+			if stage == "pushed" {
+				atPushed()
+				res = waitIdleAsync(manualOf(tr), sup)
 			}
-			atPushed()
-			calling := make(chan struct{})
-			go func() {
-				close(calling)
-				err := sup.WaitIdle(10 * time.Second)
-				out <- idleResult{err: err, afterRepair: time.Since(<-repaired)}
-			}()
-			// Let the waiter take its start time before the repair ends.
-			<-calling
-			time.Sleep(10 * time.Millisecond)
 		},
-		OnPromote: func(int, string, uint64) { repaired <- time.Now() },
 	})
 	t.Cleanup(func() { sup.Close() })
 	sup.Start()
-	return g, sup, out
-}
-
-type idleResult struct {
-	err         error
-	afterRepair time.Duration
+	return g, sup, func() idleResult { return <-res }
 }
 
 // killByHand fail-stops slot and hands the supervisor its death verdict
@@ -221,19 +227,17 @@ func killByHand(t *testing.T, g *staging.Group, sup *Supervisor, slot int) {
 }
 
 // TestWaitIdleConfirmsRepairAtOnce: the end of a recovery starts a probe
-// round, so WaitIdle, called while the promotion runs, returns within a
-// few milliseconds of the repair although the next periodic round is a
-// second away.
+// round, so WaitIdle, called while the promotion runs, returns on it
+// with the clock standing still: the periodic round, a second away,
+// never runs.
 func TestWaitIdleConfirmsRepairAtOnce(t *testing.T) {
-	const period, budget = time.Second, 100 * time.Millisecond
-	g, sup, idle := promptGroup(t, transport.NewInProc(), period, func() {})
+	g, sup, idle := promptGroup(t, manualWorld(), time.Second, func() {})
 	killByHand(t, g, sup, 1)
-	r := <-idle
-	if r.err != nil {
+	if r := idle(); r.err != nil {
 		t.Fatal(r.err)
 	}
-	if r.afterRepair > budget {
-		t.Fatalf("WaitIdle returned %v after the repair, want under %v (the periodic round is %v away)", r.afterRepair, budget, period)
+	if n := sup.det.Metrics().Counter("health.rounds").Value(); n != 1 {
+		t.Fatalf("health.rounds = %d, want the one round the repair asked for", n)
 	}
 	if st := sup.seenAt(1); st.State != health.Alive || st.Heard.IsZero() {
 		t.Fatalf("the spare at return: %+v, want alive and heard", st)
@@ -244,20 +248,31 @@ func TestWaitIdleConfirmsRepairAtOnce(t *testing.T) {
 // round the repair asked for keeps WaitIdle waiting for a periodic
 // round it answers; the missed requested round counts toward nothing.
 func TestWaitIdleSpareMissesRequestedRound(t *testing.T) {
-	const dark = 60 * time.Millisecond
-	chaos := transport.NewChaos(transport.NewInProc(), 4)
-	var from time.Time
-	var g *staging.Group
-	g, sup, idle := promptGroup(t, chaos, 250*time.Millisecond, func() {
-		from = time.Now()
+	const dark, every = 60 * time.Millisecond, 250 * time.Millisecond
+	chaos := transport.NewChaos(manualWorld(), 4)
+	clk := manualOf(chaos)
+	var (
+		from      time.Time
+		g         *staging.Group
+		sup       *Supervisor
+		requested <-chan struct{}
+	)
+	g, sup, idle := promptGroup(t, chaos, every, func() {
+		from = clk.Now()
 		chaos.Blackout(g.Membership().Addr(1), dark) // the spare, promoted
+		requested = sup.det.Round()                  // the round the repair asks for
 	})
 	killByHand(t, g, sup, 1)
-	r := <-idle
+	<-requested
+	if st := sup.det.Statuses()[1]; !st.Heard.IsZero() {
+		t.Fatalf("the dark spare answered the requested round: %+v", st)
+	}
+	step(clk, every, sup)
+	r := idle()
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if held := time.Since(from); held < dark {
+	if held := r.at.Sub(from); held < dark {
 		t.Fatalf("WaitIdle returned %v into the spare's %v blackout", held, dark)
 	}
 	if st := sup.seenAt(1); st.State != health.Alive || st.Heard.Before(from.Add(dark)) {
@@ -271,11 +286,11 @@ func TestWaitIdleSpareMissesRequestedRound(t *testing.T) {
 // TestWaitIdleStoppedSupervisor: a killed or closed supervisor can
 // confirm nothing, so WaitIdle fails at once — whether it was already
 // waiting (on a dead slot no spare can heal) or is called afterwards —
-// instead of sitting out its timeout.
+// instead of sitting out its timeout, which the clock never reaches.
 func TestWaitIdleStoppedSupervisor(t *testing.T) {
 	for _, stop := range []string{"kill", "close"} {
 		t.Run(stop, func(t *testing.T) {
-			tr := transport.NewInProc()
+			tr := manualWorld()
 			g, err := staging.StartGroup(tr, "stage", groupConfig(3))
 			if err != nil {
 				t.Fatal(err)
@@ -287,20 +302,14 @@ func TestWaitIdleStoppedSupervisor(t *testing.T) {
 			if err := g.FailStop(2); err != nil {
 				t.Fatal(err)
 			}
-			waiting := make(chan error, 1)
-			go func() { waiting <- sup.WaitIdle(time.Hour) }()
+			waiting := waitIdleAsync(manualOf(tr), sup)
 			if stop == "kill" {
 				sup.Kill()
 			} else {
 				sup.Close()
 			}
-			select {
-			case err := <-waiting:
-				if err == nil || !strings.Contains(err.Error(), "stopped") {
-					t.Fatalf("WaitIdle across %s = %v, want the stopped error", stop, err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("WaitIdle still waiting after %s", stop)
+			if r := <-waiting; r.err == nil || !strings.Contains(r.err.Error(), "stopped") {
+				t.Fatalf("WaitIdle across %s = %v, want the stopped error", stop, r.err)
 			}
 			if err := sup.WaitIdle(time.Hour); err == nil {
 				t.Fatalf("WaitIdle after %s reported idle", stop)

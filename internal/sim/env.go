@@ -18,6 +18,10 @@
 //     models a shared byte pipe (PFS or staging link) on top of it.
 //   - Env.Interrupt cancels a process's current wait, which is how
 //     fail-stop process failures are injected mid-computation.
+//
+// The staging service itself runs on free-running goroutines, not
+// processes, so it reads time through a Clock (clock.go): Wall in
+// production, Manual in a test that moves time by hand.
 package sim
 
 import (

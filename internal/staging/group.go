@@ -52,6 +52,7 @@ type node struct {
 // listener and the address it bound (which differs from addr for ":0").
 func Serve(tr transport.Transport, addr string, id int, cfg Config, spare bool) (*Server, io.Closer, string, error) {
 	srv := NewServer(id)
+	srv.clk = transport.ClockOf(tr)
 	srv.SetSpare(spare)
 	srv.SetMemoryBudget(cfg.MemoryBudgetPerServer)
 	if cfg.QoS != nil {

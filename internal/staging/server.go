@@ -13,6 +13,7 @@ import (
 	"gospaces/internal/locks"
 	"gospaces/internal/metrics"
 	"gospaces/internal/qos"
+	"gospaces/internal/sim"
 	"gospaces/internal/store"
 	"gospaces/internal/tier"
 	"gospaces/internal/trace"
@@ -58,8 +59,9 @@ type Server struct {
 
 	// lease is the server-side half of recovery-leader election: the
 	// lease record, the fencing token, and the journaled promotion
-	// intents (fence.go).
+	// intents (fence.go), timed on clk, the clock of Serve's transport.
 	lease leaseState
+	clk   sim.Clock
 
 	// Log replication (repl.go). repl is the origin side (nil when
 	// disabled); replicas holds the peer-slot replicas this server
@@ -99,6 +101,7 @@ func NewServer(id int) *Server {
 		trace:    trace.New(512),
 		shards:   make(map[string]map[int][]byte),
 		replicas: newReplicaSet(),
+		clk:      sim.Wall,
 	}
 	s.locks.OnRecord(s.lockRecord)
 	return s
@@ -265,7 +268,7 @@ func (s *Server) dispatch(req any) (any, error) {
 		}
 		return s.dispatch(r.Req)
 	case LeaseCASReq:
-		return s.lease.cas(r, time.Now()), nil
+		return s.lease.cas(r, s.clk.Now()), nil
 	case IntentPutReq:
 		s.lease.putIntent(r.Intent)
 		return IntentPutResp{}, nil
@@ -273,7 +276,7 @@ func (s *Server) dispatch(req any) (any, error) {
 		s.lease.clearIntent(r.Slot)
 		return IntentClearResp{}, nil
 	case LeaderInfoReq:
-		return s.lease.info(time.Now()), nil
+		return s.lease.info(s.clk.Now()), nil
 	case EpochSetReq:
 		s.SetMembership(r.Epoch, r.Addrs)
 		return EpochSetResp{Epoch: s.Epoch()}, nil
@@ -475,13 +478,14 @@ func (s *Server) applyGet(r GetReq) (GetResp, int64, error) {
 	version := r.Version
 	fromLog := false
 	if r.Logged {
-		wasReplaying := s.repl != nil && s.log.Replaying(r.App)
+		cursor := s.log.ReplayCursor(r.App)
 		var err error
 		version, fromLog, err = s.log.BeginGet(r.App, r.Name, r.Version, r.BBox)
 		if err != nil {
 			return GetResp{}, seq, err
 		}
-		if wasReplaying {
+		if s.repl != nil && cursor >= 0 && s.log.ReplayCursor(r.App) != cursor {
+			// As for a put: a retried get the replay served moves nothing.
 			seq = s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpAdvance, App: r.App}})
 		}
 		if fromLog {

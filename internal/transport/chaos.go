@@ -114,7 +114,7 @@ func (c *Chaos) arm(addr string, w int, d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ws := c.windows[addr]
-	if until := time.Now().Add(d); until.After(ws.until[w]) {
+	if until := ClockOf(c.inner).Now().Add(d); until.After(ws.until[w]) {
 		ws.until[w] = until
 	}
 	if w == winDelay {
@@ -122,6 +122,9 @@ func (c *Chaos) arm(addr string, w int, d time.Duration) {
 	}
 	c.windows[addr] = ws
 }
+
+// Unwrap returns the wrapped transport.
+func (c *Chaos) Unwrap() Transport { return c.inner }
 
 // KillConns aborts every live connection to addr: in-flight calls fail
 // with ErrConnBroken and the clients re-dial on their next call.
@@ -138,7 +141,7 @@ func (c *Chaos) KillConns(addr string) {
 func (c *Chaos) faults(addr string) (black bool, delay time.Duration, drop bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
+	now := ClockOf(c.inner).Now()
 	ws := c.windows[addr]
 	black = now.Before(ws.until[winBlackout])
 	if now.Before(ws.until[winDelay]) {
@@ -168,7 +171,7 @@ func (c *Chaos) Listen(addr string, h Handler) (io.Closer, error) {
 		}
 		c.mu.Unlock()
 		if sleep > 0 {
-			time.Sleep(sleep)
+			ClockOf(c.inner).Sleep(sleep)
 		}
 		return h(req)
 	}
@@ -204,7 +207,7 @@ func (cc *chaosClient) Call(req any) (any, error) {
 		return nil, fmt.Errorf("%w: %q: chaos blackout", ErrNoEndpoint, cc.addr)
 	}
 	if delay > 0 {
-		time.Sleep(delay)
+		ClockOf(cc.c.inner).Sleep(delay)
 	}
 	resp, err := cc.inner.Call(req)
 	if err != nil {

@@ -107,6 +107,9 @@ func (r *Retrying) Close() error {
 	return nil
 }
 
+// Unwrap returns the wrapped transport.
+func (r *Retrying) Unwrap() Transport { return r.inner }
+
 // Metrics returns the registry recording rpc.calls, rpc.retries,
 // rpc.timeouts, rpc.exhausted, rpc.budget_denied, and rpc.overloaded
 // counters.
@@ -222,7 +225,7 @@ func (r *Retrying) retry(what string, stop <-chan struct{}, op func() error) err
 			return fmt.Errorf("transport: %s: retry budget exhausted: %w", what, err)
 		}
 		r.reg.Counter("rpc.retries").Inc()
-		timer := time.NewTimer(wait)
+		timer := ClockOf(r.inner).NewTimer(wait)
 		select {
 		case <-timer.C:
 		case <-r.done:

@@ -16,6 +16,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"gospaces/internal/sim"
 )
 
 // Handler serves one request and returns a response. Handlers must be
@@ -72,6 +74,21 @@ func CallOnce[R any](tr Transport, addr string, req any) (R, error) {
 	}
 	defer conn.Close()
 	return As[R](conn.Call(req))
+}
+
+// ClockOf returns the clock tr's world runs on: an InProc's Clock, the
+// clock of the transport a decorator unwraps to (Chaos, Retrying), and
+// wall time for TCP, whose deadlines are its sockets'.
+func ClockOf(tr Transport) sim.Clock {
+	switch t := tr.(type) {
+	case *InProc:
+		if t.Clock != nil {
+			return t.Clock
+		}
+	case interface{ Unwrap() Transport }:
+		return ClockOf(t.Unwrap())
+	}
+	return sim.Wall
 }
 
 // ErrNoEndpoint is returned by Dial when the address is unknown.
@@ -161,6 +178,9 @@ type InProc struct {
 	// ErrTimeout (the handler goroutine is left to finish on its own,
 	// mirroring a TCP deadline expiring while the server still works).
 	CallTimeout time.Duration
+	// Clock is the time of the world the transport connects: every
+	// layer over it (ClockOf) reads it. Nil is wall time.
+	Clock sim.Clock
 
 	mu        sync.RWMutex
 	endpoints map[string]Handler
@@ -218,23 +238,12 @@ func (c *inprocClient) Call(req any) (any, error) {
 	if timeout <= 0 {
 		return h(req)
 	}
-	type result struct {
-		resp any
-		err  error
-	}
-	done := make(chan result, 1)
-	go func() {
-		resp, err := h(req)
-		done <- result{resp, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		return r.resp, r.err
-	case <-timer.C:
+	var resp any
+	var err error
+	if !sim.Within(ClockOf(c.t), timeout, nil, func() { resp, err = h(req) }) {
 		return nil, fmt.Errorf("%w: %q after %v", ErrTimeout, c.addr, timeout)
 	}
+	return resp, err
 }
 
 func (c *inprocClient) Close() error {

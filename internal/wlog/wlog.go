@@ -264,7 +264,9 @@ func (l *Log) commitPutLocked(app, name string, version int64, bbox domain.BBox,
 
 // BeginGet decides which version a get request must be served. For a
 // replaying component it returns the version logged during the initial
-// execution (fromLog=true) and advances the cursor. Otherwise it
+// execution (fromLog=true) and advances the cursor; a retry of the get
+// just behind the cursor resolves to its version again and leaves the
+// cursor where it is, as BeginPut does for a retried piece. Otherwise it
 // returns the requested version unchanged (NoVersion means the caller
 // resolves "latest" itself) and the caller must call CommitGet after a
 // successful read.
@@ -280,6 +282,11 @@ func (l *Log) BeginGet(app, name string, version int64, bbox domain.BBox) (resol
 		return version, false, nil
 	}
 	e := q.events[q.cursor]
+	if !repeats(e, name, version, bbox) && q.cursor > 0 && repeats(q.events[q.cursor-1], name, version, bbox) {
+		// A retry of the get the replay served last (its answer was
+		// lost): its event sits just behind the cursor, which stays.
+		return q.events[q.cursor-1].Version, true, nil
+	}
 	if e.Kind != KindGet || e.Name != name || !e.BBox.Equal(bbox) {
 		return 0, false, fmt.Errorf("%w: get %s %v, next logged event %s %s v%d %v",
 			ErrReplayDivergence, name, bbox, e.Kind, e.Name, e.Version, e.BBox)
@@ -293,6 +300,13 @@ func (l *Log) BeginGet(app, name string, version int64, bbox domain.BBox) (resol
 		q.exitReplay()
 	}
 	return e.Version, true, nil
+}
+
+// repeats reports whether a get of name over bbox asking for version
+// repeats the logged event e: a get of the same name and bbox, and of
+// e's version unless the request asks for NoVersion.
+func repeats(e *Event, name string, version int64, bbox domain.BBox) bool {
+	return e.Kind == KindGet && e.Name == name && e.BBox.Equal(bbox) && (version == NoVersion || version == e.Version)
 }
 
 // CommitGet records a completed first-execution get with its resolved

@@ -211,6 +211,54 @@ func TestReplayRetriedPieceSuppressed(t *testing.T) {
 	}
 }
 
+// TestReplayRetriedGetResolvesAgain: a get re-sent during replay (its
+// answer was lost after the server consumed its event) repeats the get
+// just behind the cursor. It resolves to that event's version again,
+// from the log, the cursor stays, and the replay finishes as recorded —
+// for an explicit version and for "latest" alike. (A request that also
+// repeats the event at the cursor is the next get, as for a put.)
+func TestReplayRetriedGetResolvesAgain(t *testing.T) {
+	l := New()
+	doPut(t, l, "sim", "f", 1)
+	doPut(t, l, "sim", "g", 1)
+	doPut(t, l, "sim", "f", 2)
+	doGet(t, l, "ana", "f", 1)
+	doGet(t, l, "ana", "g", 1)
+	doGet(t, l, "ana", "f", 2)
+	l.OnRecovery("ana")
+	replay := []struct {
+		name      string
+		ask, want int64
+	}{
+		{"f", 1, 1}, {"f", 1, 1}, // f v1, then its retry
+		{"g", NoVersion, 1}, {"g", NoVersion, 1}, // "latest" of g, resolved to v1, then its retry
+		{"f", 2, 2},
+	}
+	for i, g := range replay {
+		got, fromLog, err := l.BeginGet("ana", g.name, g.ask, box)
+		if err != nil || !fromLog || got != g.want {
+			t.Fatalf("replay get %d (%s asks %d): v%d fromLog=%v err=%v; want v%d from the log", i, g.name, g.ask, got, fromLog, err, g.want)
+		}
+	}
+	if l.Replaying("ana") {
+		t.Fatal("replay did not end after the last logged get")
+	}
+	if l.QueueLen("ana") != 3 {
+		t.Fatalf("queue len %d, want 3", l.QueueLen("ana"))
+	}
+	// A get that repeats nothing still diverges: another version of the
+	// get just behind the cursor, and the get two behind it.
+	l.OnRecovery("ana")
+	doGet(t, l, "ana", "f", 1)
+	if _, _, err := l.BeginGet("ana", "f", 2, box); !errors.Is(err, ErrReplayDivergence) {
+		t.Fatalf("f v2 with g next and f v1 just served: err = %v", err)
+	}
+	doGet(t, l, "ana", "g", 1)
+	if _, _, err := l.BeginGet("ana", "f", 1, box); !errors.Is(err, ErrReplayDivergence) {
+		t.Fatalf("retry of the get two behind the cursor: err = %v", err)
+	}
+}
+
 func TestReplayGetLatestResolvesToLoggedVersion(t *testing.T) {
 	l := New()
 	doPut(t, l, "sim", "f", 3)

@@ -874,8 +874,7 @@ func (x *soakExec) killSupervisor(ev trace.Event) error {
 // resumed the journaled intents it was elected into. A supervisor a
 // promotion hook kills mid-wait starts the barrier over.
 func (x *soakExec) settle() error {
-	deadline := time.Now().Add(soakSettle)
-	for {
+	expired, err := poll(soakSettle, func(deadline time.Time) (bool, error) {
 		var live []int
 		x.supMu.Lock()
 		for i, k := range x.killed {
@@ -890,14 +889,30 @@ func (x *soakExec) settle() error {
 				leaders++
 			}
 		}
-		err := fmt.Errorf("%d lease holders", leaders)
-		if leaders == 1 {
-			if err = x.allIdle(live, deadline); err == nil {
-				return nil
-			}
+		if leaders != 1 {
+			return false, fmt.Errorf("%d lease holders", leaders)
+		}
+		err := x.allIdle(live, deadline)
+		return err == nil, err
+	})
+	if expired {
+		return fmt.Errorf("workflow: recovery not settled after %v: %w", soakSettle, err)
+	}
+	return nil
+}
+
+// poll runs try every 5 ms until it reports done or d has passed, and
+// returns try's last error and whether d ran out first. try is handed
+// the deadline, for a wait of its own to stay within.
+func poll(d time.Duration, try func(deadline time.Time) (bool, error)) (expired bool, err error) {
+	deadline := time.Now().Add(d)
+	for {
+		done, err := try(deadline)
+		if done {
+			return false, err
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("workflow: recovery not settled after %v: %w", soakSettle, err)
+			return true, err
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -925,18 +940,15 @@ func (x *soakExec) awaitStranded() error {
 	if err != nil {
 		return err
 	}
-	deadline := time.Now().Add(soakSettle)
-	for {
+	expired, err := poll(soakSettle, func(time.Time) (bool, error) {
 		_, err := c.Versions(soakField(0))
-		if errors.Is(err, staging.ErrSlotDown) {
-			x.res.SlotDowns++
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("workflow: fail-stopped slot not stranded after %v: %v", soakSettle, err)
-		}
-		time.Sleep(5 * time.Millisecond)
+		return errors.Is(err, staging.ErrSlotDown), err
+	})
+	if expired {
+		return fmt.Errorf("workflow: fail-stopped slot not stranded after %v: %v", soakSettle, err)
 	}
+	x.res.SlotDowns++
+	return nil
 }
 
 // slotAddr is the address serving slot now: the original member or the
@@ -1052,28 +1064,22 @@ var errSoakTerminal = errors.New("workflow: soak divergence")
 // backoff) heals with time, exactly as workflow ranks experience it.
 // Terminal errors (errSoakTerminal, wlog divergence) surface at once.
 func (x *soakExec) retry(c *staging.Client, fn func() error) error {
-	deadline := time.Now().Add(15 * time.Second)
 	first := true
-	for {
-		err := fn()
-		if err == nil {
-			return nil
+	_, err := poll(15*time.Second, func(time.Time) (bool, error) {
+		if !first && c != nil {
+			c.Reconnect()
 		}
-		if errors.Is(err, errSoakTerminal) || errors.Is(err, wlog.ErrReplayDivergence) {
-			return err
+		err := fn()
+		if err == nil || errors.Is(err, errSoakTerminal) || errors.Is(err, wlog.ErrReplayDivergence) {
+			return true, err
 		}
 		if first {
 			x.res.Retries++
 			first = false
 		}
-		if time.Now().After(deadline) {
-			return err
-		}
-		if c != nil {
-			c.Reconnect()
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return false, err
+	})
+	return err
 }
 
 // lockIdempotent reports whether a lock-op error is the signature of a
