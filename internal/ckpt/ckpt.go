@@ -91,30 +91,113 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 const recMagic = "CKP1"
 
-// SealRecord frames a checkpoint or spill payload: magic, sequence
-// number, payload length, CRC32-C over header+payload, payload. The
-// payload is the concatenation of parts, copied and checksummed once
-// each, so a caller with a header and a bulk body need not join them
-// first. Any truncation or bit flip fails verification in OpenRecord.
-// The tier layer (internal/tier) reuses this exact framing for spilled
-// object records, so one codec — and one fuzz corpus — covers both.
+// SealRecord frames a checkpoint, trace or spill payload: magic,
+// sequence number, payload length, CRC32-C over header+payload,
+// payload. The payload is the concatenation of parts, copied and
+// checksummed once each, so a caller with a header and a bulk body need
+// not join them first. Any truncation or bit flip fails verification in
+// OpenRecord. The same framing holds a rank checkpoint, a Twin's
+// generation, a trace file's frames and a spilled version of the cold
+// tier (internal/tier), so one fuzz corpus covers them all. The tier
+// already holds the CRC-32C of each object it spills and seals through
+// SealParts, which writes these same bytes without reading a payload a
+// second time.
 func SealRecord(seq uint64, parts ...[]byte) []byte {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
 	}
-	rec := make([]byte, 24, 24+n)
-	copy(rec, recMagic)
-	hdr := rec[4:20]
-	binary.BigEndian.PutUint64(hdr[0:8], seq)
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(n))
-	crc := crc32.Checksum(hdr, crcTable)
+	rec := frame(seq, n)
+	crc := crc32.Checksum(rec[4:20], crcTable)
 	for _, p := range parts {
 		crc = crc32.Update(crc, crcTable, p)
 		rec = append(rec, p...)
 	}
 	binary.BigEndian.PutUint32(rec[20:24], crc)
 	return rec
+}
+
+// frame starts a record of an n-byte payload: the 24-byte header with
+// its CRC left zero, in a buffer with room for the payload.
+func frame(seq uint64, n int) []byte {
+	rec := make([]byte, 24, 24+n)
+	copy(rec, recMagic)
+	binary.BigEndian.PutUint64(rec[4:12], seq)
+	binary.BigEndian.PutUint64(rec[12:20], uint64(n))
+	return rec
+}
+
+// Part is a piece of a record payload together with its CRC-32C
+// (Castagnoli, as crc32.Checksum returns it for Data alone).
+type Part struct {
+	Data []byte
+	CRC  uint32
+}
+
+// SealParts writes exactly what SealRecord(seq, head, parts[0].Data,
+// parts[1].Data, ...) writes, but checksums only head: each part's CRC
+// is folded into the frame CRC by CRC-32C combination, so a part is
+// copied once and never read again. The frame then covers every byte
+// only as far as the given CRCs are right; a part given with a wrong
+// one yields a record OpenRecord rejects, never one it accepts.
+func SealParts(seq uint64, head []byte, parts []Part) []byte {
+	n := len(head)
+	for _, p := range parts {
+		n += len(p.Data)
+	}
+	rec := append(frame(seq, n), head...)
+	crc := crc32.Update(crc32.Checksum(rec[4:20], crcTable), crcTable, head)
+	for _, p := range parts {
+		crc = crcCombine(crc, p.CRC, len(p.Data))
+		rec = append(rec, p.Data...)
+	}
+	binary.BigEndian.PutUint32(rec[20:24], crc)
+	return rec
+}
+
+// castagnoli is the Castagnoli polynomial reflected, x^32 implied: bit
+// 31 is the coefficient of x^0.
+const castagnoli = 0x82f63b78
+
+// mulModP returns a·b modulo the Castagnoli polynomial, both operands
+// and the result in its reflected bit order.
+func mulModP(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ castagnoli
+		} else {
+			b >>= 1
+		}
+	}
+	return p
+}
+
+// x2n[k] is x^(2^k) modulo the polynomial, for every bit a 63-bit byte
+// count shifted left by 3 (a count of bits) can have.
+var x2n = func() (t [3 + 63]uint32) {
+	p := uint32(1) << 30 // x^1
+	for k := range t {
+		t[k] = p
+		p = mulModP(p, p)
+	}
+	return t
+}()
+
+// crcCombine returns the CRC-32C of A‖B from crcA, crcB and len(B):
+// crcA shifted through 8·len(B) zero bits, xor crcB. The pre- and
+// post-conditioning of the two CRCs cancel in the xor.
+func crcCombine(crcA, crcB uint32, lenB int) uint32 {
+	shift := uint32(1) << 31 // x^0
+	for k, n := 3, uint64(lenB); n != 0; k, n = k+1, n>>1 {
+		if n&1 != 0 {
+			shift = mulModP(x2n[k], shift)
+		}
+	}
+	return mulModP(shift, crcA) ^ crcB
 }
 
 // OpenRecord verifies and unframes one generation record.

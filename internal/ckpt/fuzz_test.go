@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"bytes"
+	"hash/crc32"
+	"math/rand/v2"
 	"testing"
 
 	"gospaces/internal/pfs"
@@ -109,4 +111,42 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("accepted record is not canonical (seq=%d, %d payload bytes)", seq, len(payload))
 		}
 	})
+}
+
+// TestSealPartsIsSealRecord holds the CRC-combined seal to SealRecord
+// byte for byte over random part counts and lengths — empty, one byte,
+// odd, 16 KiB and 128 KiB parts among them — and a part given with a
+// wrong CRC to a record OpenRecord rejects.
+func TestSealPartsIsSealRecord(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	lens := []int{0, 1, 7, 333, 16 << 10, 128 << 10}
+	for trial := 0; trial < 40; trial++ {
+		head := make([]byte, rng.IntN(100))
+		for i := range head {
+			head[i] = byte(rng.Uint32())
+		}
+		parts := make([]Part, rng.IntN(6))
+		datas := [][]byte{head}
+		for i := range parts {
+			d := make([]byte, lens[rng.IntN(len(lens))])
+			for j := range d {
+				d[j] = byte(rng.Uint32())
+			}
+			parts[i] = Part{Data: d, CRC: crc32.Checksum(d, crcTable)}
+			datas = append(datas, d)
+		}
+		seq := rng.Uint64()
+		rec := SealParts(seq, head, parts)
+		if want := SealRecord(seq, datas...); !bytes.Equal(rec, want) {
+			t.Fatalf("trial %d: SealParts differs from SealRecord over %d parts", trial, len(parts))
+		}
+		if len(parts) == 0 {
+			continue
+		}
+		i := rng.IntN(len(parts))
+		parts[i].CRC ^= 1 << rng.IntN(32)
+		if _, _, ok := OpenRecord(SealParts(seq, head, parts)); ok {
+			t.Fatalf("trial %d: part %d (%d bytes) sealed with a wrong CRC opens", trial, i, len(parts[i].Data))
+		}
+	}
 }

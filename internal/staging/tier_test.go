@@ -224,27 +224,29 @@ func TestSpillVersionDropsOnlyWhatWasCommitted(t *testing.T) {
 	}
 }
 
-// failNthWrite fails the n'th Write it sees with ENOSPC.
+// failNthWrite counts the Writes it sees and fails the n'th (1-based,
+// 0 = never) with ENOSPC.
 type failNthWrite struct {
 	*pfs.Store
-	n int
+	n, writes int
 }
 
 func (b *failNthWrite) Write(name string, data []byte) error {
-	if b.n--; b.n == 0 {
+	if b.writes++; b.writes == b.n {
 		b.Store.FailNextWrite(pfs.FaultENOSPC)
 	}
 	return b.Store.Write(name, data)
 }
 
 // TestSpillFaultLeavesVersionResident sweeps an ENOSPC over every write
-// of a version's group commit: wherever the backend fails, the server
-// still holds every byte of the version in RAM, the tier is degraded
-// and holds nothing of it — live or after a re-attach.
+// of a version's group commit, counted off a clean spill first (one
+// record in two generations, one manifest generation, one marker):
+// wherever the backend fails, the server still holds every byte of the
+// version in RAM, the tier is degraded and holds nothing of it — live
+// or after a re-attach.
 func TestSpillFaultLeavesVersionResident(t *testing.T) {
 	const n = 4
-	for k := 1; k <= 2*n+2; k++ {
-		be := &failNthWrite{Store: pfs.NewStore(), n: k}
+	withVersions := func(be tier.Backend) (*Server, []*store.Object) {
 		srv := NewServer(0)
 		srv.EnableTier(be, 0)
 		var want []*store.Object
@@ -257,6 +259,15 @@ func TestSpillFaultLeavesVersionResident(t *testing.T) {
 				}
 			}
 		}
+		return srv, want
+	}
+	clean := &failNthWrite{Store: pfs.NewStore()}
+	if srv, _ := withVersions(clean); !srv.spillVersion("field", 1) || clean.writes != 4 {
+		t.Fatalf("a clean spill of %d objects made %d backend writes, want 4", n, clean.writes)
+	}
+	for k := 1; k <= clean.writes; k++ {
+		be := &failNthWrite{Store: pfs.NewStore(), n: k}
+		srv, want := withVersions(be)
 		used := srv.store.BytesUsed()
 		if srv.spillVersion("field", 1) {
 			t.Fatalf("write %d failed yet the version was demoted", k)

@@ -3,19 +3,22 @@
 // RAM into CRC-checksummed records on checkpoint storage and promoted
 // back transparently when a replaying reader asks for them.
 //
-// Crash atomicity is internal/ckpt's. Each spilled object is sealed
-// with the same record framing (ckpt.SealRecord) and written in two
-// generations, so a single torn write or bit flip never loses the
-// record. The set of spilled entries lives in a manifest that is one
-// ckpt.Twin, the cell a rank's checkpoint is: a commit writes the
-// uncommitted generation and flips the marker, with no temp file and
-// no rename. A spill is a group commit: every record of the batch (one
-// version) is written, then the manifest is committed once, and the
-// caller drops the RAM copies only after that, so a crash or backend
-// fault mid-spill never leaves a version half-moved — it is either
-// still resident or durably in the tier, whole. Records not reachable
-// from the committed manifest are orphans and are garbage-collected on
-// attach.
+// Crash atomicity is internal/ckpt's. A spill is one batch, the logged
+// objects a server holds of one version, and the batch is one record:
+// a header, a fixed descriptor per object and the payloads back to
+// back, sealed with the checkpoint framing (ckpt.SealParts, whose frame
+// CRC is combined from the CRC-32C every logged object carries since
+// ingest) and written in two generations, so a single torn write or bit
+// flip never loses it. The set of spilled records lives in a manifest
+// that is one ckpt.Twin, the cell a rank's checkpoint is: a commit
+// writes the uncommitted generation and flips the marker, with no temp
+// file and no rename. A spill is therefore a group commit of four
+// backend writes — two record generations, one manifest generation,
+// one marker — and the caller drops the RAM copies only after the
+// last, so a crash or backend fault mid-spill never leaves a version
+// half-moved: it is either still resident or durably in the tier,
+// whole. Records not reachable from the committed manifest are orphans
+// and are garbage-collected on attach.
 //
 // When the backend fails (ENOSPC, I/O errors) the tier degrades to
 // RAM-only mode: spills return the typed *DegradedError and the
@@ -69,83 +72,119 @@ func (e *DegradedError) Unwrap() error { return e.Cause }
 // ErrTierDegraded is the bare degraded sentinel (no specific cause).
 var ErrTierDegraded = &DegradedError{}
 
-// Entry is one spilled object record in the manifest.
+// Entry is one spilled record in the manifest: one batch of one
+// version, all the logged objects a server held of it when it spilled.
+// A version spilled in several batches has one entry per batch.
 type Entry struct {
-	Key      uint64 // record id; records live at <prefix>o/<key>/g{0,1}
-	Name     string
-	Version  int64
-	BBox     domain.BBox
-	ElemSize int
-	CRC      uint32 // Castagnoli CRC of the payload (store.Object.CRC)
-	Bytes    int64
+	Key     uint64 // record id; records live at <prefix>o/<key>/g{0,1}
+	Name    string
+	Version int64
+	Objects int   // objects in the record
+	Bytes   int64 // payload bytes, summed over them
 }
 
-// A spill record's body is a fixed big-endian header, the object name,
-// and the payload to the end of the record (the ckpt frame carries and
-// checks the total length):
+// A spill record's body is a fixed big-endian header and the name, one
+// fixed descriptor per object, then the payloads back to back in
+// descriptor order (the ckpt frame carries and checks the total
+// length):
 //
-//	0  magic "TOB1"    4  version i64    12 elemSize u32   16 payload CRC u32
-//	20 ndim u8         21 min[3] i64     45 max[3] i64     69 name length u32
-//	73 name            73+len(name) payload
+//	0  magic "TVR1"    4  version i64    12 objects u32    16 name length u32
+//	20 name, then per object, 65 bytes:
+//	   0 ndim u8   1 min[3] i64   25 max[3] i64   49 elemSize u32   53 CRC u32   57 length u64
+//	payloads
 const (
-	bodyMagic  = "TOB1"
-	bodyHdrLen = 73
+	bodyMagic  = "TVR1"
+	bodyHdrLen = 20
+	descLen    = 65
 )
 
-// sealObject builds o's sealed record: the payload is copied and
-// checksummed exactly once, straight into the record.
-func sealObject(key uint64, o *store.Object) []byte {
-	hdr := make([]byte, bodyHdrLen, bodyHdrLen+len(o.Name))
-	copy(hdr, bodyMagic)
-	binary.BigEndian.PutUint64(hdr[4:], uint64(o.Version))
-	binary.BigEndian.PutUint32(hdr[12:], uint32(o.ElemSize))
-	binary.BigEndian.PutUint32(hdr[16:], o.CRC)
-	hdr[20] = byte(o.BBox.NDim)
-	for i := 0; i < domain.MaxDims; i++ {
-		binary.BigEndian.PutUint64(hdr[21+8*i:], uint64(o.BBox.Min[i]))
-		binary.BigEndian.PutUint64(hdr[45+8*i:], uint64(o.BBox.Max[i]))
+// sealVersion builds the sealed record of a batch of one version's
+// objects. Only the header and descriptors are checksummed here: the
+// frame CRC folds in each payload's ingest CRC (ckpt.SealParts), so a
+// payload is copied once and not read again.
+func sealVersion(key uint64, objs []*store.Object) []byte {
+	name := objs[0].Name
+	head := make([]byte, bodyHdrLen, bodyHdrLen+len(name)+descLen*len(objs))
+	copy(head, bodyMagic)
+	binary.BigEndian.PutUint64(head[4:], uint64(objs[0].Version))
+	binary.BigEndian.PutUint32(head[12:], uint32(len(objs)))
+	binary.BigEndian.PutUint32(head[16:], uint32(len(name)))
+	head = append(head, name...)
+	parts := make([]ckpt.Part, len(objs))
+	for i, o := range objs {
+		var d [descLen]byte
+		d[0] = byte(o.BBox.NDim)
+		for j := 0; j < domain.MaxDims; j++ {
+			binary.BigEndian.PutUint64(d[1+8*j:], uint64(o.BBox.Min[j]))
+			binary.BigEndian.PutUint64(d[25+8*j:], uint64(o.BBox.Max[j]))
+		}
+		binary.BigEndian.PutUint32(d[49:], uint32(o.ElemSize))
+		binary.BigEndian.PutUint32(d[53:], o.CRC)
+		binary.BigEndian.PutUint64(d[57:], uint64(len(o.Data)))
+		head = append(head, d[:]...)
+		parts[i] = ckpt.Part{Data: o.Data, CRC: o.CRC}
 	}
-	binary.BigEndian.PutUint32(hdr[69:], uint32(len(o.Name)))
-	return ckpt.SealRecord(key, append(hdr, o.Name...), o.Data)
+	return ckpt.SealParts(key, head, parts)
 }
 
-// openObject decodes a record body. The returned payload aliases body.
-func openObject(body []byte) (*store.Object, bool) {
-	if len(body) < bodyHdrLen || string(body[:4]) != bodyMagic || body[20] > domain.MaxDims {
+// openVersion decodes a record body into its objects, refusing any
+// body whose payloads do not fill it exactly. Each payload aliases
+// body, capped at its own length.
+func openVersion(body []byte) ([]*store.Object, bool) {
+	if len(body) < bodyHdrLen || string(body[:4]) != bodyMagic {
 		return nil, false
 	}
-	nameLen := uint64(binary.BigEndian.Uint32(body[69:]))
-	if uint64(len(body)-bodyHdrLen) < nameLen {
+	count := uint64(binary.BigEndian.Uint32(body[12:]))
+	nameLen := uint64(binary.BigEndian.Uint32(body[16:]))
+	rest := uint64(len(body) - bodyHdrLen)
+	if count == 0 || rest < nameLen || (rest-nameLen)/descLen < count {
 		return nil, false
 	}
-	o := &store.Object{
-		Name:     string(body[bodyHdrLen : bodyHdrLen+nameLen]),
-		Version:  int64(binary.BigEndian.Uint64(body[4:])),
-		ElemSize: int(binary.BigEndian.Uint32(body[12:])),
-		CRC:      binary.BigEndian.Uint32(body[16:]),
-		Data:     body[bodyHdrLen+nameLen:],
-		Logged:   true,
+	name := string(body[bodyHdrLen : bodyHdrLen+nameLen])
+	version := int64(binary.BigEndian.Uint64(body[4:]))
+	descs := body[bodyHdrLen+nameLen:]
+	off := bodyHdrLen + nameLen + count*descLen
+	objs := make([]*store.Object, count)
+	for i := range objs {
+		d := descs[i*descLen:]
+		n := binary.BigEndian.Uint64(d[57:])
+		if d[0] > domain.MaxDims || n > uint64(len(body))-off {
+			return nil, false
+		}
+		o := &store.Object{
+			Name:     name,
+			Version:  version,
+			ElemSize: int(binary.BigEndian.Uint32(d[49:])),
+			CRC:      binary.BigEndian.Uint32(d[53:]),
+			Data:     body[off : off+n : off+n],
+			Logged:   true,
+		}
+		o.BBox.NDim = int(d[0])
+		for j := 0; j < domain.MaxDims; j++ {
+			o.BBox.Min[j] = int64(binary.BigEndian.Uint64(d[1+8*j:]))
+			o.BBox.Max[j] = int64(binary.BigEndian.Uint64(d[25+8*j:]))
+		}
+		objs[i] = o
+		off += n
 	}
-	o.BBox.NDim = int(body[20])
-	for i := 0; i < domain.MaxDims; i++ {
-		o.BBox.Min[i] = int64(binary.BigEndian.Uint64(body[21+8*i:]))
-		o.BBox.Max[i] = int64(binary.BigEndian.Uint64(body[45+8*i:]))
-	}
-	return o, true
+	return objs, off == uint64(len(body))
 }
 
 // manifest is the body sealed inside the manifest record, a codec
 // message. A body that does not decode as one — a manifest written
-// before it was, in gob — is no valid manifest.
+// before it was, in gob, or under its retired id 1280, one entry per
+// object — is no valid manifest.
 type manifest struct {
 	NextKey uint64
 	Entries []Entry
 }
 
-// Ids 1280–1535 are tier's (DESIGN.md §7 has the whole table).
-func init() { codec.Register(1280, manifest{}) }
+// Ids 1280–1535 are tier's (DESIGN.md §7 has the whole table); 1280,
+// the manifest of one record per object, is retired.
+func init() { codec.Register(1281, manifest{}) }
 
-// Stats is a point-in-time tier counter snapshot.
+// Stats is a point-in-time tier counter snapshot. Entries, Spills,
+// Promotes and ScrubLost count objects, not records.
 type Stats struct {
 	Entries        int
 	Bytes          int64
@@ -164,7 +203,7 @@ type Stats struct {
 type ScrubReport struct {
 	Checked int64 // generation records verified
 	Healed  int64 // corrupt generations rewritten from the valid twin
-	Lost    int64 // entries with no valid generation (detected, dropped)
+	Lost    int64 // objects of records with no valid generation (detected, dropped)
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -252,7 +291,7 @@ func (t *Tier) index(e *Entry) {
 		t.byName[e.Name] = vers
 	}
 	vers[e.Version] = append(vers[e.Version], e)
-	t.entries++
+	t.entries += e.Objects
 	t.bytes += e.Bytes
 	if e.Key >= t.nextKey {
 		t.nextKey = e.Key + 1
@@ -274,7 +313,7 @@ func (t *Tier) unindex(e *Entry) {
 	if len(vers) == 0 {
 		delete(t.byName, e.Name)
 	}
-	t.entries--
+	t.entries -= e.Objects
 	t.bytes -= e.Bytes
 }
 
@@ -312,64 +351,55 @@ func (t *Tier) degrade(cause error) *DegradedError {
 }
 
 // deleteRecords removes both generations of every entry's record.
-func (t *Tier) deleteRecords(entries []*Entry) {
+func (t *Tier) deleteRecords(entries ...*Entry) {
 	for _, e := range entries {
 		t.be.Delete(t.recKey(e.Key, 0))
 		t.be.Delete(t.recKey(e.Key, 1))
 	}
 }
 
-// Spill demotes a batch of resident objects — one version's worth — as
-// a group commit: both generations of every record are written, then
-// the manifest is committed once, and only then may the caller drop
-// the RAM copies. A backend fault at any point deletes the batch's
-// records, degrades the tier and returns *DegradedError with nothing
-// of the batch visible, so the caller drops nothing.
+// Spill demotes a batch of resident objects of one version as a group
+// commit: the batch is sealed as one record, both generations of it
+// are written, then the manifest is committed once — four backend
+// writes whatever the batch size — and only then may the caller drop
+// the RAM copies. A backend fault at any point deletes the record,
+// degrades the tier and returns *DegradedError with nothing of the
+// batch visible, so the caller drops nothing.
 func (t *Tier) Spill(objs []*store.Object) error {
+	if len(objs) == 0 {
+		return nil
+	}
+	var total int64
 	for _, o := range objs {
 		if o.Data == nil {
 			return fmt.Errorf("tier: refusing to spill metadata-only object %s@%d", o.Name, o.Version)
 		}
+		if o.Name != objs[0].Name || o.Version != objs[0].Version {
+			return fmt.Errorf("tier: a spill batch is one version: %s@%d beside %s@%d", o.Name, o.Version, objs[0].Name, objs[0].Version)
+		}
+		total += int64(len(o.Data))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.degraded {
 		return &DegradedError{Cause: t.degradedCause}
 	}
-	batch := make([]*Entry, 0, len(objs))
-	var total int64
-	for _, o := range objs {
-		e := &Entry{
-			Key:      t.nextKey,
-			Name:     o.Name,
-			Version:  o.Version,
-			BBox:     o.BBox,
-			ElemSize: o.ElemSize,
-			CRC:      o.CRC,
-			Bytes:    int64(len(o.Data)),
-		}
-		t.nextKey++
-		batch = append(batch, e)
-		total += e.Bytes
-		rec := sealObject(e.Key, o)
-		for g := 0; g < 2; g++ {
-			if err := t.be.Write(t.recKey(e.Key, g), rec); err != nil {
-				t.deleteRecords(batch)
-				return t.degrade(err)
-			}
+	e := &Entry{Key: t.nextKey, Name: objs[0].Name, Version: objs[0].Version, Objects: len(objs), Bytes: total}
+	t.nextKey++
+	rec := sealVersion(e.Key, objs)
+	for g := 0; g < 2; g++ {
+		if err := t.be.Write(t.recKey(e.Key, g), rec); err != nil {
+			t.deleteRecords(e)
+			return t.degrade(err)
 		}
 	}
-	for _, e := range batch {
-		t.index(e)
-	}
+	t.index(e)
 	if err := t.commitManifest(); err != nil {
-		for _, e := range batch {
-			t.unindex(e)
-		}
-		t.deleteRecords(batch)
+		t.unindex(e)
+		t.deleteRecords(e)
 		return t.degrade(err)
 	}
-	t.spills += int64(len(batch))
+	t.spills += int64(len(objs))
 	t.spillBytes += total
 	return nil
 }
@@ -393,9 +423,11 @@ func (t *Tier) Versions(name string) []int64 {
 	return out
 }
 
-// readEntry reads and verifies one entry, trying the committed
-// generation order. Caller holds t.mu.
-func (t *Tier) readEntry(e *Entry) (*store.Object, bool) {
+// readEntry reads and verifies one record, trying generation 0, then
+// 1. A generation serves only when its frame CRC verifies, its body
+// matches the entry, and every payload matches its own CRC. Caller
+// holds t.mu.
+func (t *Tier) readEntry(e *Entry) ([]*store.Object, bool) {
 	for g := 0; g < 2; g++ {
 		rec, ok := t.be.Read(t.recKey(e.Key, g))
 		if !ok {
@@ -405,23 +437,34 @@ func (t *Tier) readEntry(e *Entry) (*store.Object, bool) {
 		if !ok || seq != e.Key {
 			continue
 		}
-		o, ok := openObject(body)
-		if !ok || o.Name != e.Name || o.Version != e.Version || int64(len(o.Data)) != e.Bytes {
-			continue
+		if objs, ok := openVersion(body); ok && e.holds(objs) {
+			return objs, true
 		}
-		if crc32.Checksum(o.Data, crcTable) != o.CRC {
-			continue
-		}
-		return o, true
 	}
 	return nil, false
 }
 
-// Promote reads back every spilled object of (name, version), removes
-// the entries from the manifest, and returns the objects for
-// re-insertion into staging RAM. Entries whose both generations fail
-// verification are dropped and counted lost — corruption is detected,
-// never returned as data.
+// holds reports whether objs are e's record: its name, version, object
+// count and byte total, and every payload matching its own CRC.
+func (e *Entry) holds(objs []*store.Object) bool {
+	if len(objs) != e.Objects {
+		return false
+	}
+	var n int64
+	for _, o := range objs {
+		if o.Name != e.Name || o.Version != e.Version || crc32.Checksum(o.Data, crcTable) != o.CRC {
+			return false
+		}
+		n += int64(len(o.Data))
+	}
+	return n == e.Bytes
+}
+
+// Promote reads back every spilled record of (name, version), removes
+// their entries from the manifest, and returns the objects for
+// re-insertion into staging RAM. A record whose both generations fail
+// verification is dropped and its objects counted lost — corruption is
+// detected, never returned as data.
 func (t *Tier) Promote(name string, version int64) ([]*store.Object, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -432,13 +475,13 @@ func (t *Tier) Promote(name string, version int64) ([]*store.Object, error) {
 	var objs []*store.Object
 	var promoted []*Entry
 	for _, e := range append([]*Entry(nil), list...) {
-		o, ok := t.readEntry(e)
+		rec, ok := t.readEntry(e)
 		if !ok {
-			t.scrubLost++
+			t.scrubLost += int64(e.Objects)
 			t.unindex(e)
 			continue
 		}
-		objs = append(objs, o)
+		objs = append(objs, rec...)
 		promoted = append(promoted, e)
 	}
 	for _, e := range promoted {
@@ -456,7 +499,7 @@ func (t *Tier) Promote(name string, version int64) ([]*store.Object, error) {
 		}
 		return objs, t.degrade(err)
 	}
-	t.deleteRecords(promoted)
+	t.deleteRecords(promoted...)
 	for _, o := range objs {
 		t.promotes++
 		t.promoteBytes += int64(len(o.Data))
@@ -491,7 +534,7 @@ func (t *Tier) DropBelow(name string, keep int64) int64 {
 		t.degrade(err)
 		return 0
 	}
-	t.deleteRecords(drop)
+	t.deleteRecords(drop...)
 	return freed
 }
 
@@ -513,10 +556,10 @@ func (t *Tier) Reset() {
 	t.degradedCause = nil
 }
 
-// Scrub verifies the CRC of every generation of every spilled record.
-// A corrupt generation with a valid twin is rewritten from the twin
-// ("re-replicated"); an entry with no valid generation is dropped and
-// counted lost. A successful pass over a degraded tier re-arms it —
+// Scrub verifies the frame CRC of every generation of every spilled
+// record. A corrupt generation with a valid twin is rewritten from the
+// twin ("re-replicated"); a record with no valid generation is dropped
+// and its objects counted lost. A successful pass over a degraded tier re-arms it —
 // scrub doubles as the repair probe.
 func (t *Tier) Scrub() ScrubReport {
 	t.mu.Lock()
@@ -550,7 +593,7 @@ func (t *Tier) Scrub() ScrubReport {
 			}
 		}
 		if good == nil {
-			rep.Lost++
+			rep.Lost += int64(e.Objects)
 			lost = append(lost, e)
 			continue
 		}
@@ -569,7 +612,7 @@ func (t *Tier) Scrub() ScrubReport {
 		if err := t.commitManifest(); err != nil {
 			healthy = false
 		} else {
-			t.deleteRecords(lost)
+			t.deleteRecords(lost...)
 		}
 	}
 	if healthy && t.degraded {

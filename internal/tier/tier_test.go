@@ -2,6 +2,7 @@ package tier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"gospaces/internal/ckpt"
+	"gospaces/internal/codec"
 	"gospaces/internal/domain"
 	"gospaces/internal/pfs"
 	"gospaces/internal/store"
@@ -320,14 +322,15 @@ func (b *opBackend) Rename(old, new string) error {
 	return b.Store.Rename(old, new)
 }
 
-// A spill of a version of N objects is one group commit: 2N record
-// writes, then exactly one manifest commit (one generation write, one
-// marker write; no temp file, no rename). A slide back to per-object
-// commits fails here, not in a benchmark.
+// A spill of a version of N objects is one group commit of four
+// writes: the version's one record in two generations, then exactly
+// one manifest commit (one generation write, one marker write; no temp
+// file, no rename). A slide back to a record or a commit per object
+// fails here, not in a benchmark.
 func TestSpillIsOneGroupCommit(t *testing.T) {
 	be := &opBackend{Store: pfs.NewStore()}
 	tr := New(be, "0")
-	if err := tr.Spill(version("sim/f", 1, 3, 64)); err != nil { // keys 0-2, manifest g0
+	if err := tr.Spill(version("sim/f", 1, 3, 64)); err != nil { // key 0, manifest g0
 		t.Fatal(err)
 	}
 	be.ops = nil
@@ -335,21 +338,41 @@ func TestSpillIsOneGroupCommit(t *testing.T) {
 	if err := tr.Spill(version("sim/f", 2, n, 64)); err != nil {
 		t.Fatal(err)
 	}
-	var want []string
-	for key := 3; key < 3+n; key++ {
-		want = append(want,
-			fmt.Sprintf("write tier/0/o/%d/g0", key),
-			fmt.Sprintf("write tier/0/o/%d/g1", key))
-	}
-	want = append(want,
+	want := []string{
+		"write tier/0/o/1/g0",
+		"write tier/0/o/1/g1",
 		"write tier/0/manifest/g1",
-		"write tier/0/manifest/cur")
+		"write tier/0/manifest/cur",
+	}
 	if !reflect.DeepEqual(be.ops, want) {
 		t.Fatalf("backend ops of one spill:\n got %q\nwant %q", be.ops, want)
 	}
 	if st := tr.Stats(); st.Spills != 3+n || st.Entries != 3+n {
 		t.Fatalf("stats count objects: %+v", st)
 	}
+}
+
+// spillWrites counts the backend writes of a clean spill of a version
+// of n objects, over a tier already holding prior objects of version 1,
+// and requires the four of one group commit: what a fault sweep must
+// cover.
+func spillWrites(t *testing.T, prior, n int) int {
+	t.Helper()
+	be := &opBackend{Store: pfs.NewStore()}
+	tr := New(be, "0")
+	if prior > 0 {
+		if err := tr.Spill(version("sim/f", 1, prior, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := be.writes
+	if err := tr.Spill(version("sim/f", 2, n, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if w := be.writes - before; w != 4 {
+		t.Fatalf("a clean spill of %d objects over %d made %d backend writes, want 4", n, prior, w)
+	}
+	return be.writes - before
 }
 
 // promoteAll promotes (name, v) and checks it returns exactly want,
@@ -376,7 +399,7 @@ func promoteAll(t *testing.T, tr *Tier, want []*store.Object) {
 func TestSpillFaultSweepIsAllOrNothing(t *testing.T) {
 	const n = 4
 	for _, prior := range []int{0, 2} { // first commit ever, and one with a committed predecessor
-		for k := 1; k <= 2*n+2; k++ {
+		for k := 1; k <= spillWrites(t, prior, n); k++ {
 			be := &opBackend{Store: pfs.NewStore()}
 			tr := New(be, "0")
 			v1 := version("sim/f", 1, prior, 64)
@@ -413,14 +436,15 @@ func TestSpillFaultSweepIsAllOrNothing(t *testing.T) {
 }
 
 // The same sweep with a torn write — the backend reports success and
-// keeps half the bytes. A torn record generation is served from its
-// twin; a torn marker is outvoted by the manifest sequence numbers. A
-// torn manifest generation falls back to the previous commit on
-// re-attach (TestTornManifestFallsBack), which holds none of the batch
-// — still all or nothing.
+// keeps half the bytes. A torn record generation (writes 1 and 2) is
+// served from its twin; a torn marker (write 4) is outvoted by the
+// manifest sequence numbers. A torn manifest generation (write 3)
+// falls back to the previous commit on re-attach
+// (TestTornManifestFallsBack), which holds none of the batch — still
+// all or nothing.
 func TestSpillTornWriteSweep(t *testing.T) {
 	const n = 4
-	for k := 1; k <= 2*n+2; k++ {
+	for k := 1; k <= spillWrites(t, 2, n); k++ {
 		be := &opBackend{Store: pfs.NewStore()}
 		tr := New(be, "0")
 		if err := tr.Spill(version("sim/f", 1, 2, 64)); err != nil {
@@ -432,8 +456,8 @@ func TestSpillTornWriteSweep(t *testing.T) {
 			t.Fatalf("write %d torn: %v", k, err)
 		}
 		tr2 := New(be.Store, "0")
-		if k == 2*n+1 {
-			if tr2.Has("sim/f", 2) || tr2.Stats().Entries != 2 || len(be.List("tier/0/o/")) != 4 {
+		if k == 3 {
+			if tr2.Has("sim/f", 2) || tr2.Stats().Entries != 2 || len(be.List("tier/0/o/")) != 2 {
 				t.Fatalf("torn manifest: re-attach sees %+v, records %v", tr2.Stats(), be.List("tier/0/o/"))
 			}
 			continue
@@ -442,6 +466,30 @@ func TestSpillTornWriteSweep(t *testing.T) {
 		if lost := tr2.Stats().ScrubLost; lost != 0 {
 			t.Fatalf("write %d torn: %d entries lost", k, lost)
 		}
+	}
+}
+
+// A record whose frame verifies but whose payload does not match its
+// descriptor's CRC is not served: a promote checks the frame, then
+// every payload.
+func TestPromoteChecksPayloadCRC(t *testing.T) {
+	be := pfs.NewStore()
+	tr := New(be, "0")
+	v := version("sim/f", 1, 2, 64)
+	if err := tr.Spill(v); err != nil {
+		t.Fatal(err)
+	}
+	bad := *v[1]
+	bad.CRC ^= 1
+	rec := sealVersion(0, []*store.Object{v[0], &bad})
+	rec = ckpt.SealRecord(0, rec[24:]) // the body past the frame header, framed over its bytes as they are
+	if _, _, ok := ckpt.OpenRecord(rec); !ok {
+		t.Fatal("re-framed record does not open")
+	}
+	be.Write("tier/0/o/0/g0", rec)
+	be.Write("tier/0/o/0/g1", rec)
+	if objs, _ := tr.Promote("sim/f", 1); len(objs) != 0 || tr.Stats().ScrubLost != 2 {
+		t.Fatalf("a payload off its CRC served: %d objects, stats %+v", len(objs), tr.Stats())
 	}
 }
 
@@ -461,8 +509,8 @@ func TestOldGobRecordRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o, ok := openObject(buf.Bytes()); ok {
-		t.Fatalf("gob body decoded as %+v", o)
+	if objs, ok := openVersion(buf.Bytes()); ok {
+		t.Fatalf("gob body decoded as %d objects", len(objs))
 	}
 	be := pfs.NewStore()
 	tr := New(be, "0")
@@ -487,7 +535,7 @@ func TestOldGobManifestRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	old := manifest{NextKey: 2, Entries: []Entry{{Key: 0, Name: "sim/f", Version: 1, ElemSize: 1, Bytes: 64}, {Key: 1, Name: "sim/f", Version: 1, ElemSize: 1, Bytes: 64}}}
+	old := manifest{NextKey: 1, Entries: []Entry{{Key: 0, Name: "sim/f", Version: 1, Objects: 2, Bytes: 128}}}
 	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
 		t.Fatal(err)
 	}
@@ -511,44 +559,144 @@ func TestOldGobManifestRejected(t *testing.T) {
 	}
 }
 
-// FuzzRecordBody: any object round-trips through the record body
-// byte-exactly, and arbitrary bytes never panic the decoder or yield an
-// object that does not re-encode to the same bytes.
-func FuzzRecordBody(f *testing.F) {
-	f.Add("sim/f", int64(3), uint32(8), uint32(0xdeadbeef), uint8(3), int64(-4), int64(1<<40), []byte("payload"))
-	f.Add("", int64(-1), uint32(0), uint32(0), uint8(0), int64(0), int64(0), []byte{})
-	_, valid, _ := ckpt.OpenRecord(sealObject(0, obj("sim/f", 1, 16)))
-	f.Add(bodyMagic, int64(0), uint32(1), uint32(1), uint8(200), int64(1), int64(2), valid)
-	f.Fuzz(func(t *testing.T, name string, version int64, elem, crc uint32, ndim uint8, lo, hi int64, data []byte) {
-		in := &store.Object{Name: name, Version: version, ElemSize: int(elem), CRC: crc, Data: data, Logged: true}
-		in.BBox.NDim = int(ndim % (domain.MaxDims + 1))
-		for i := range in.BBox.Min {
-			in.BBox.Min[i], in.BBox.Max[i] = lo+int64(i), hi-int64(i)
+// The retired layout, rebuilt here to show a tier reads none of it: a
+// "TOB1" record per object (a 73-byte header, the name, the payload)
+// under a manifest of one entry per object, codec id 1280.
+type oldEntry struct {
+	Key      uint64
+	Name     string
+	Version  int64
+	BBox     domain.BBox
+	ElemSize int
+	CRC      uint32
+	Bytes    int64
+}
+
+type oldManifest struct {
+	NextKey uint64
+	Entries []oldEntry
+}
+
+// Encoded under a test id; the id bytes are then patched to 1280.
+func init() { codec.Register(0xfe80, oldManifest{}) }
+
+func sealOldObject(key uint64, o *store.Object) []byte {
+	hdr := make([]byte, 73)
+	copy(hdr, "TOB1")
+	binary.BigEndian.PutUint64(hdr[4:], uint64(o.Version))
+	binary.BigEndian.PutUint32(hdr[12:], uint32(o.ElemSize))
+	binary.BigEndian.PutUint32(hdr[16:], o.CRC)
+	hdr[20] = byte(o.BBox.NDim)
+	for i := 0; i < domain.MaxDims; i++ {
+		binary.BigEndian.PutUint64(hdr[21+8*i:], uint64(o.BBox.Min[i]))
+		binary.BigEndian.PutUint64(hdr[45+8*i:], uint64(o.BBox.Max[i]))
+	}
+	binary.BigEndian.PutUint32(hdr[69:], uint32(len(o.Name)))
+	return ckpt.SealRecord(key, append(hdr, o.Name...), o.Data)
+}
+
+// A tier directory in the retired layout attaches empty and has every
+// old record collected as an orphan, never misread; a fresh spill and
+// promote on the same backend round-trip.
+func TestOldObjectRecordsCollected(t *testing.T) {
+	be := pfs.NewStore()
+	objs := version("sim/f", 1, 3, 64)
+	man := oldManifest{NextKey: uint64(len(objs))}
+	for key, o := range objs {
+		rec := sealOldObject(uint64(key), o)
+		if _, body, _ := ckpt.OpenRecord(rec); !bytes.HasPrefix(body, []byte("TOB1")) {
+			t.Fatal("old record not built")
+		} else if _, ok := openVersion(body); ok {
+			t.Fatal("a TOB1 body decodes as a version record")
 		}
-		seq, body, ok := ckpt.OpenRecord(sealObject(7, in))
+		for g := 0; g < 2; g++ {
+			be.Write(fmt.Sprintf("tier/0/o/%d/g%d", key, g), rec)
+		}
+		man.Entries = append(man.Entries, oldEntry{uint64(key), o.Name, o.Version, o.BBox, o.ElemSize, o.CRC, int64(len(o.Data))})
+	}
+	body, err := codec.Append(nil, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint16(body, 1280)
+	if _, err := codec.Unmarshal(body); !errors.Is(err, codec.ErrUnknownType) {
+		t.Fatalf("an id-1280 manifest body decodes: %v", err)
+	}
+	be.Write("tier/0/manifest/g0", ckpt.SealRecord(1, body))
+	be.Write("tier/0/manifest/cur", []byte{0})
+	tr := New(be, "0")
+	if st := tr.Stats(); tr.HasName("sim/f") || st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("old layout adopted: %+v", st)
+	}
+	if left := be.List("tier/0/o/"); len(left) != 0 {
+		t.Fatalf("old records not collected: %v", left)
+	}
+	v2 := version("sim/f", 2, 3, 64)
+	if err := tr.Spill(v2); err != nil {
+		t.Fatal(err)
+	}
+	tr2 := New(be, "0")
+	if !tr2.Has("sim/f", 2) || tr2.Stats().Entries != len(v2) {
+		t.Fatalf("re-attach after the old layout: %+v", tr2.Stats())
+	}
+	promoteAll(t, tr2, v2)
+}
+
+// FuzzRecordBody fuzzes the version-record decoder. A batch built from
+// the inputs round-trips through its sealed record exactly; and the
+// data bytes fed in as an arbitrary body never panic the decoder, and
+// whatever it accepts lies inside the body, payload by payload, and
+// re-seals to exactly those bytes.
+func FuzzRecordBody(f *testing.F) {
+	f.Add("sim/f", int64(3), uint8(2), uint32(8), uint8(3), int64(-4), int64(1<<40), []byte("payload"))
+	f.Add("", int64(-1), uint8(1), uint32(0), uint8(0), int64(0), int64(0), []byte{})
+	_, valid, _ := ckpt.OpenRecord(sealVersion(0, version("sim/f", 1, 3, 16)))
+	f.Add(bodyMagic, int64(0), uint8(0), uint32(1), uint8(200), int64(1), int64(2), valid)
+	f.Fuzz(func(t *testing.T, name string, v int64, count uint8, elem uint32, ndim uint8, lo, hi int64, data []byte) {
+		in := make([]*store.Object, 1+count%4)
+		for i := range in {
+			part := data[len(data)*i/len(in) : len(data)*(i+1)/len(in)]
+			o := &store.Object{Name: name, Version: v, ElemSize: int(elem), Data: part, CRC: crc32.Checksum(part, crcTable), Logged: true}
+			o.BBox.NDim = int(ndim % (domain.MaxDims + 1))
+			for j := range o.BBox.Min {
+				o.BBox.Min[j], o.BBox.Max[j] = lo+int64(i+j), hi-int64(i+j)
+			}
+			in[i] = o
+		}
+		seq, body, ok := ckpt.OpenRecord(sealVersion(7, in))
 		if !ok || seq != 7 {
 			t.Fatal("sealed record does not open")
 		}
-		out, ok := openObject(body)
-		if !ok {
+		out, ok := openVersion(body)
+		if !ok || len(out) != len(in) {
 			t.Fatal("sealed body does not decode")
 		}
-		if out.Data == nil {
-			out.Data = []byte{}
-		}
-		if in.Data == nil {
-			in.Data = []byte{}
-		}
-		if !reflect.DeepEqual(in, out) {
-			t.Fatalf("round trip: in %+v out %+v", in, out)
-		}
-		// The same bytes fed in as an arbitrary body (the fuzzer mutates
-		// data freely): decode may refuse, but what it accepts must be
-		// exactly what those bytes encode.
-		if o, ok := openObject(data); ok {
-			if _, again, _ := ckpt.OpenRecord(sealObject(0, o)); !bytes.Equal(again, data) {
-				t.Fatalf("arbitrary body %x decoded to %+v, which encodes to %x", data, o, again)
+		for i := range in {
+			if !bytes.Equal(in[i].Data, out[i].Data) {
+				t.Fatalf("object %d: payload differs", i)
 			}
+			out[i].Data = in[i].Data
+			if !reflect.DeepEqual(in[i], out[i]) {
+				t.Fatalf("object %d round trip: in %+v out %+v", i, in[i], out[i])
+			}
+		}
+		objs, ok := openVersion(data)
+		if !ok {
+			return
+		}
+		payload := 0
+		for i, o := range objs {
+			if cap(o.Data) != len(o.Data) {
+				t.Fatalf("object %d: payload of %d bytes reaches %d bytes on", i, len(o.Data), cap(o.Data))
+			}
+			payload += len(o.Data)
+		}
+		if payload > len(data) {
+			t.Fatalf("%d payload bytes out of a %d-byte body", payload, len(data))
+		}
+		rec := sealVersion(0, objs)
+		if again := rec[len(rec)-len(data):]; !bytes.Equal(again, data) {
+			t.Fatalf("arbitrary body %x decoded to %d objects, which seal to %x", data, len(objs), again)
 		}
 	})
 }
