@@ -424,7 +424,7 @@ func probe[R any](addrs []string, opts DialOptions, req any) []Probed[R] {
 // Epoch and whether it is a Spare waiting outside the membership — and,
 // when it answered, its accounting: Stats.ShardBytes, RebuiltShards and
 // RebuiltBytes are the resilience-shard footprint and how much of it
-// recovery re-protection re-wrote.
+// an application's Redundancy.Rebuild re-wrote.
 type ServerHealth struct {
 	Probed[health.PingResp]
 	Stats StagingStats

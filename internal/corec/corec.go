@@ -1,9 +1,11 @@
 // Package corec provides data resilience for the staging area, after
 // CoREC (Duan et al., IPDPS'18), the DataSpaces branch the paper builds
-// on. Staged payloads — including the event log's retained versions —
-// survive staging-server failures through either replication or
-// systematic Reed–Solomon erasure coding, with degraded reads while a
-// server is down and explicit rebuild onto a replacement.
+// on. Objects an application stores through it survive staging-server
+// failures through either replication or systematic Reed–Solomon
+// erasure coding, with degraded reads while a server is down and an
+// explicit Rebuild onto a replacement, which the application drives.
+// The staging service never writes or rebuilds a corec object itself:
+// the event log's versions are protected by wlog replication.
 //
 // The layer is client-driven: shards are placed on staging servers
 // through the shard RPCs of internal/staging, so it composes with any
@@ -136,7 +138,7 @@ func (c *Client) Put(key string, data []byte) error {
 
 // fetch returns shard i of key, or (nil, nil) when the server is
 // unreachable or the shard is absent — degraded-read tolerance.
-// rebuild marks fetches issued by re-protection so the server's QoS
+// rebuild marks fetches issued by Rebuild so the server's QoS
 // layer schedules them on the recovery lane, not the foreground lane.
 func (c *Client) fetch(key string, i int, rebuild bool) ([]byte, error) {
 	s := c.server(key, i)
@@ -195,24 +197,24 @@ func (c *Client) Rebuild(key string) (int64, error) {
 	switch c.cfg.Mode {
 	case Replication:
 		var good []byte
+		var missing []int
 		for i := 0; i < c.cfg.Replicas; i++ {
-			if d, _ := c.fetch(key, i, true); d != nil {
+			if d, _ := c.fetch(key, i, true); d == nil {
+				missing = append(missing, i)
+			} else if good == nil {
 				good = d
-				break
 			}
 		}
 		if good == nil {
 			return 0, ErrUnavailable
 		}
 		var restored int64
-		for i := 0; i < c.cfg.Replicas; i++ {
-			if d, _ := c.fetch(key, i, true); d == nil {
-				s := c.server(key, i)
-				if _, err := c.conns[s].Call(staging.ShardPutReq{Key: key, Shard: i, Data: good, Rebuild: true}); err != nil {
-					return restored, err
-				}
-				restored += int64(len(good))
+		for _, i := range missing {
+			s := c.server(key, i)
+			if _, err := c.conns[s].Call(staging.ShardPutReq{Key: key, Shard: i, Data: good, Rebuild: true}); err != nil {
+				return restored, err
 			}
+			restored += int64(len(good))
 		}
 		return restored, nil
 	default:

@@ -201,6 +201,52 @@ func TestReplicationRebuild(t *testing.T) {
 	}
 }
 
+// countingClient counts the shard gets it forwards.
+type countingClient struct {
+	transport.Client
+	gets *int
+}
+
+func (c countingClient) Call(req any) (any, error) {
+	if _, ok := req.(staging.ShardGetReq); ok {
+		*c.gets++
+	}
+	return c.Client.Call(req)
+}
+
+// TestReplicationRebuildReadsEachReplicaOnce: a replication Rebuild
+// reads each replica once, whether the key is intact or lost one, and
+// restores the same bytes.
+func TestReplicationRebuildReadsEachReplicaOnce(t *testing.T) {
+	const replicas = 3
+	fc := newTestConns(t, 4)
+	gets := 0
+	conns := make([]transport.Client, len(fc))
+	for i, c := range fc {
+		conns[i] = countingClient{Client: c, gets: &gets}
+	}
+	c, _ := New(Config{Mode: Replication, Replicas: replicas}, conns)
+	data := payload(100, 5)
+	if err := c.Put("k", data); err != nil {
+		t.Fatal(err)
+	}
+	if restored, err := c.Rebuild("k"); err != nil || restored != 0 || gets != replicas {
+		t.Fatalf("intact key: restored %d bytes in %d gets, err %v; want 0 in %d", restored, gets, err, replicas)
+	}
+	if _, err := fc[c.server("k", 0)].Call(staging.ShardDropReq{Key: "k"}); err != nil {
+		t.Fatal(err)
+	}
+	gets = 0
+	if restored, err := c.Rebuild("k"); err != nil || restored != int64(len(data)) || gets != replicas {
+		t.Fatalf("one replica lost: restored %d bytes in %d gets, err %v; want %d in %d", restored, gets, err, len(data), replicas)
+	}
+	fc[c.server("k", 1)].dead = true
+	fc[c.server("k", 2)].dead = true
+	if got, err := c.Get("k"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("rebuilt replica read: %v", err)
+	}
+}
+
 func TestDrop(t *testing.T) {
 	fc := newTestConns(t, 6)
 	c, _ := New(Config{Mode: ErasureCoding, K: 4, M: 2}, asTransport(fc))

@@ -153,6 +153,19 @@ func TestEncodeShardLengthMismatch(t *testing.T) {
 	if _, err := c.Encode([][]byte{make([]byte, 4)}); err == nil {
 		t.Fatal("wrong shard count accepted")
 	}
+	// Reconstruct compares every surviving shard with the first one,
+	// an empty first one included.
+	rc, _ := NewCoder(2, 2)
+	for _, shards := range [][][]byte{
+		{{1, 2}, {1, 2, 3}, nil, nil},
+		{{}, {1, 2, 3}, nil, nil},
+		{nil, {}, {1}, nil},
+		{{1, 2, 3}, nil, nil, {}},
+	} {
+		if err := rc.Reconstruct(shards); err == nil || err == ErrTooFewShards {
+			t.Errorf("Reconstruct(%v) = %v, want a length mismatch", shards, err)
+		}
+	}
 }
 
 // Property: for random data and random single/double erasures over a

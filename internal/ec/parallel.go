@@ -10,9 +10,11 @@ import (
 // Reconstruct) are byte-range parallel: every output byte depends only
 // on the same offset of the input shards, so the shard length can be
 // cut into chunks and coded on independent goroutines with no shared
-// writes. Re-protection after a fail-stop recodes every logged object,
-// so leaving the kernel single-core would serialize recovery behind one
-// CPU while the rest of the staging node idles.
+// writes. corec's Put encodes and its degraded Get and Rebuild
+// reconstruct a whole object at a time, and parity for the replay
+// window's cold tail (ROADMAP item 12) would recode every logged
+// version, so a single-core kernel would hold each of them to one CPU
+// while the rest of the staging node idles.
 
 const (
 	// parallelThreshold is the shard length below which chunking is not

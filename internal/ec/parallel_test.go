@@ -119,8 +119,8 @@ func BenchmarkECEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkECReconstruct measures the rebuild path the recovery
-// supervisor's re-protection pass exercises.
+// BenchmarkECReconstruct measures the rebuild path corec's degraded
+// Get and Rebuild exercise.
 func BenchmarkECReconstruct(b *testing.B) {
 	c, err := NewCoder(6, 3)
 	if err != nil {

@@ -132,14 +132,15 @@ func (c *Coder) Reconstruct(shards [][]byte) error {
 	var have []int
 	shardLen := 0
 	for i, s := range shards {
-		if s != nil {
-			have = append(have, i)
-			if shardLen == 0 {
-				shardLen = len(s)
-			} else if len(s) != shardLen {
-				return fmt.Errorf("ec: shard %d length %d != %d", i, len(s), shardLen)
-			}
+		if s == nil {
+			continue
 		}
+		if len(have) == 0 {
+			shardLen = len(s)
+		} else if len(s) != shardLen {
+			return fmt.Errorf("ec: shard %d length %d != %d", i, len(s), shardLen)
+		}
+		have = append(have, i)
 	}
 	if len(have) < c.k {
 		return ErrTooFewShards

@@ -7,8 +7,8 @@
 // Detection is φ-style consecutive-miss counting rather than a full
 // accrual detector: a server that misses SuspectAfter consecutive
 // periodic probes is Suspect, one that misses DeadAfter is Dead. A Dead
-// verdict is the trigger for the supervisor's promote-and-re-protect
-// sequence; the detector itself never mutates membership.
+// verdict is the trigger for the supervisor's promotion sequence; the
+// detector itself never mutates membership.
 package health
 
 import (
@@ -191,7 +191,7 @@ func (d *Detector) Clock() sim.Clock { return d.clk }
 // Window returns the worst-case detection latency: the time from a
 // fail-stop to the Dead verdict (DeadAfter missed periods plus one
 // probe timeout). It sizes timeouts that must outlast a detection — the
-// supervisor's lease TTL and re-protection back-off — and is never a
+// supervisor's lease TTL — and is never a
 // wait for "nothing has failed recently": that is a condition on
 // answered probes (Statuses, Round).
 func (d *Detector) Window() time.Duration {

@@ -16,7 +16,7 @@
 //     live decision signals (quota overshoot, lane queue depth, wlog
 //     replication lag).
 //   - Scheduler (sched.go): the weighted two-lane concurrency gate that
-//     keeps recovery/re-protection traffic and foreground traffic from
+//     keeps recovery traffic and foreground traffic from
 //     starving each other at the server's frame-dispatch level.
 //
 // The package deliberately has no transport dependency: ErrOverloaded
@@ -104,7 +104,7 @@ type Config struct {
 	MaxConcurrent int
 	// ForegroundWeight and RecoveryWeight set the lane service ratio
 	// under contention (defaults 3 and 1): of every 4 contended grants,
-	// 3 go to foreground puts/gets and 1 to recovery/re-protection, so
+	// 3 go to foreground puts/gets and 1 to recovery, so
 	// CoREC rebuilds neither starve nor are starved by foreground load.
 	ForegroundWeight int
 	RecoveryWeight   int
@@ -357,8 +357,8 @@ func (c *Controller) shedGlobal(q Quota, incoming, globalUsed, globalBudget int6
 // bytes for key may be admitted. Shard bytes count against the global
 // staging-RAM ceiling only, shed in the same priority order as puts;
 // they do not charge per-tenant quotas (checkpoint shards are transient
-// protection data, not staged objects). Rebuild re-protection traffic
-// must not reach here — the caller bypasses admission for it entirely.
+// protection data, not staged objects). A rebuild's shard writes must
+// not reach here — the caller bypasses admission for them entirely.
 func (c *Controller) AdmitShard(key string, incoming, globalUsed, globalBudget int64, sig Signals) *ErrOverloaded {
 	tenant := TenantOf(key)
 	q := c.cfg.quotaFor(tenant)

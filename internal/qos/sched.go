@@ -20,7 +20,7 @@ const (
 	LaneControl Lane = iota
 	// LaneForeground carries application puts/gets.
 	LaneForeground
-	// LaneRecovery carries re-protection traffic: CoREC rebuild shard
+	// LaneRecovery carries recovery traffic: CoREC rebuild shard
 	// fetch/store, recovery scans, wlog install into promoted spares.
 	LaneRecovery
 )

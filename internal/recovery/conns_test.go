@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"gospaces/internal/corec"
 	"gospaces/internal/health"
 	"gospaces/internal/staging"
 	"gospaces/internal/transport"
@@ -96,12 +95,11 @@ func (t *dialTap) breakConns(addr string) {
 
 // tappedGroup starts a four-server replicating group with one spare
 // and one logged put (so a promotion installs a replica on the spare),
-// protects keys under red when it is set, and returns a started lone
-// supervisor whose every dial goes through the returned tap. The
+// and returns a started lone supervisor whose every dial goes through the returned tap. The
 // detector probes over its own transport, on a clock that never moves:
 // a death is handed to the supervisor by hand, and every dial the tap
 // counts is the supervisor's.
-func tappedGroup(t *testing.T, red *corec.Config) (*staging.Group, string, *dialTap, *Supervisor) {
+func tappedGroup(t *testing.T) (*staging.Group, string, *dialTap, *Supervisor) {
 	t.Helper()
 	tr := manualWorld()
 	cfg := replGroupConfig(4, 1)
@@ -122,13 +120,10 @@ func tappedGroup(t *testing.T, red *corec.Config) (*staging.Group, string, *dial
 	if err := prod.PutWithLog("field", 1, cfg.Global, make([]byte, 64*64)); err != nil {
 		t.Fatal(err)
 	}
-	if red != nil {
-		protect(t, tr, g.Membership().Addrs(), *red, []string{"k/0", "k/1", "k/2", "k/3"}, payloadFor)
-	}
 
 	tap := newDialTap(tr)
 	det := health.NewDetector(tr, "supervisor/0", health.Config{Period: time.Hour, Timeout: 50 * time.Millisecond})
-	sup := New(tap, det, g.Membership(), g, Config{Redundancy: red})
+	sup := New(tap, det, g.Membership(), g, Config{})
 	t.Cleanup(func() { sup.Close() })
 	sup.Start()
 	if !sup.IsLeader() {
@@ -155,13 +150,11 @@ func checkDialsOnce(t *testing.T, what string, dials map[string]int, spare strin
 // TestSupervisorKeepsOneConnPerMember: the supervisor keeps one client
 // per member. A whole promotion — intents, positions, the fenced
 // install, the view push and the intent clears — dials each member and
-// the spare at most once (it used to dial per call, 16 times), and so
-// does a promotion plus its re-protection pass (which used to dial every
-// member again, per pass); a client whose connection broke is dropped
+// the spare at most once (it used to dial per call, 16 times); a client whose connection broke is dropped
 // and the member re-dialled on the next call; and Kill leaves no client
 // open.
 func TestSupervisorKeepsOneConnPerMember(t *testing.T) {
-	g, spare, tap, sup := tappedGroup(t, nil)
+	g, spare, tap, sup := tappedGroup(t)
 	killByHand(t, g, sup, 1)
 	if n := sup.Metrics().Counter("recovery.log_restores").Value(); n != 1 {
 		t.Fatalf("recovery.log_restores = %d, want 1", n)
@@ -189,21 +182,5 @@ func TestSupervisorKeepsOneConnPerMember(t *testing.T) {
 	sup.fetchIntents()
 	if dials := tap.take(); len(dials) != 0 {
 		t.Fatalf("a killed supervisor dialled %v", dials)
-	}
-
-	red := corec.Config{Mode: corec.ErasureCoding, K: 2, M: 2}
-	g, spare, tap, sup = tappedGroup(t, &red)
-	killByHand(t, g, sup, 1)
-	if n := sup.Metrics().Counter("recovery.rebuilds").Value(); n == 0 {
-		t.Fatal("the re-protection pass rebuilt nothing")
-	}
-	checkDialsOnce(t, "one promotion and its re-protection pass", tap.take(), spare)
-	// A member that cannot be reached leaves the pass unclean, so
-	// reprotect retries it.
-	if err := g.FailStop(2); err != nil {
-		t.Fatal(err)
-	}
-	if sup.reprotectOnce(g.Membership().Addrs()) {
-		t.Fatal("a re-protection pass with a dead member reported clean")
 	}
 }

@@ -1,23 +1,22 @@
 // Package recovery implements the staging-server fail-stop recovery
 // supervisor: it subscribes to liveness verdicts from a health.Detector
 // and, on a confirmed death, promotes a warm spare into the dead slot,
-// bumps the membership epoch, pushes the new view to every member, and
-// re-protects the CoREC-redundant objects whose shards died with the
-// server.
+// bumps the membership epoch, and pushes the new view to every member.
+// The dead server's event log, logged payloads and lock table reach the
+// spare from a surviving wlog replica before the membership moves.
 //
 // Recovery itself is crash-consistent: any number of redundant
 // supervisors may run against one group, and lease-based leader
 // election (a token CAS on a majority of the membership) picks exactly
 // one to act. Every recovery-side mutation — the membership write, the
-// view push, the log-restore install, the re-protection shard writes —
-// carries the leader's fencing token, so a deposed leader's stale
-// calls are rejected server-side. Each promotion is journaled as an
-// intent record on a majority of members before anything is mutated,
-// so a standby that takes over mid-promotion resumes the same slot
-// with the same spare: no half-promoted group, no double-spent spare.
-// The supervisor never touches object or log state directly —
-// re-protection goes through the same client-driven shard RPCs the
-// CoREC layer always uses, so it composes with any transport.
+// view push, the log-restore install — carries the leader's fencing
+// token, so a deposed leader's stale calls are rejected server-side.
+// Each promotion is journaled as an intent record on a majority of
+// members before anything is mutated, so a standby that takes over
+// mid-promotion resumes the same slot with the same spare: no
+// half-promoted group, no double-spent spare.
+// The supervisor never touches object or log state directly: a replica
+// holder installs its replica on the spare itself.
 package recovery
 
 import (
@@ -28,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"gospaces/internal/corec"
 	"gospaces/internal/health"
 	"gospaces/internal/metrics"
 	"gospaces/internal/sim"
@@ -48,16 +46,8 @@ type SparePool interface {
 	CommitSpare(slot int)
 }
 
-// rebuildParallel bounds the re-protection pass's concurrent key
-// rebuilds.
-const rebuildParallel = 4
-
 // Config tunes the supervisor.
 type Config struct {
-	// Redundancy is the CoREC geometry of the shards to re-protect after
-	// a promotion. Nil disables re-protection: the supervisor only
-	// promotes and re-registers membership.
-	Redundancy *corec.Config
 	// OnPromote, if set, runs after each promotion with the slot, the
 	// replacement address, and the new epoch — the hook a workflow uses
 	// to update its client-side staging pool.
@@ -103,7 +93,7 @@ type deadSlot struct {
 type Supervisor struct {
 	conns  *peers
 	det    *health.Detector
-	clk    sim.Clock // the detector's: leases, back-offs and WaitIdle read it
+	clk    sim.Clock // the detector's: leases and WaitIdle read it
 	mem    *health.Membership
 	spares SparePool
 	cfg    Config
@@ -159,7 +149,6 @@ func New(tr transport.Transport, det *health.Detector, mem *health.Membership, s
 }
 
 // Metrics returns the registry recording recovery.promotions,
-// recovery.rebuilds, recovery.rebuild_bytes, recovery.failed_rebuilds,
 // recovery.duration_ns, and recovery.no_spare; with log replication
 // enabled it also records recovery.log_restores, recovery.log_records,
 // recovery.log_bytes, recovery.log_lag (stream-position spread among
@@ -708,10 +697,9 @@ func (s *Supervisor) sweep() {
 	}
 }
 
-// recoverSlot runs the promote-and-re-protect sequence for one
-// backlogged slot: spare draw → intent journal → log restore → fenced
-// membership write → fenced view push → re-target detector → client
-// hook → fenced shard re-protection.
+// recoverSlot runs the promotion sequence for one backlogged slot:
+// spare draw → intent journal → log restore → fenced membership write →
+// fenced view push → re-target detector → client hook.
 func (s *Supervisor) recoverSlot(slot int) {
 	s.mu.Lock()
 	d, ok := s.dead[slot]
@@ -825,9 +813,6 @@ func (s *Supervisor) promote(slot int, deadAddr, spare string) {
 	if s.cfg.OnPromote != nil {
 		s.cfg.OnPromote(slot, spare, epoch)
 	}
-	if s.cfg.Redundancy != nil {
-		s.reprotect(addrs)
-	}
 }
 
 // dropDead removes a healed slot from the backlog, clearing its
@@ -903,9 +888,9 @@ func fencedCall[R any](s *Supervisor, addr string, token uint64, req any) (R, er
 
 // peers keeps one client per member address for every supervisor call:
 // the lease rounds, the intent journal, the position queries, the fenced
-// install, the view push and the re-protection pass. A client is dialled on
-// first use and dropped on a transport fault, so the next call to that
-// address re-dials; close shuts every client and refuses new dials.
+// install and the view push. A client is dialled on first use and
+// dropped on a transport fault, so the next call to that address
+// re-dials; close shuts every client and refuses new dials.
 type peers struct {
 	tr transport.Transport
 
@@ -1046,122 +1031,3 @@ func (s *Supervisor) pushViewTo(addr string, token uint64, epoch uint64, addrs [
 	}
 	return err == nil
 }
-
-// reprotectAttempts bounds the re-protection retry loop: a rebuild can
-// fail while another member is transiently dark (crashed, partitioned),
-// so the supervisor waits out a detection window and tries again rather
-// than leaving redundancy degraded.
-const reprotectAttempts = 5
-
-// reprotect restores full redundancy, retrying with a detection-window
-// backoff until a pass completes with every key rebuilt (or the
-// attempt budget runs out). Each pass is timed under
-// recovery.reprotect: rebuild decode dominates it, and the EC kernel's
-// chunked-parallel path shortens exactly this window.
-func (s *Supervisor) reprotect(addrs []string) {
-	start := s.clk.Now()
-	defer func() { s.reg.Timer("recovery.reprotect").Observe(s.clk.Now().Sub(start)) }()
-	for attempt := 0; attempt < reprotectAttempts; attempt++ {
-		if s.reprotectOnce(addrs) {
-			return
-		}
-		backoff := s.clk.NewTimer(s.det.Window())
-		select {
-		case <-s.stop:
-			backoff.Stop()
-			return
-		case <-backoff.C:
-		}
-		// Another promotion may have moved the membership meanwhile.
-		addrs = s.mem.Addrs()
-	}
-}
-
-// reprotectOnce runs one re-protection pass: union the shard keys held
-// by reachable members, rebuild each with bounded parallelism. Rebuild
-// reads any K surviving shards and re-writes only the missing ones, so
-// keys untouched by the failure cost one round of reads. Every call goes
-// fenced over the member's kept connection, so a deposed leader's
-// rebuild cannot dirty the group. It reports whether the pass fully
-// restored redundancy.
-func (s *Supervisor) reprotectOnce(addrs []string) bool {
-	token := s.currentToken()
-	clean := true
-	conns := make([]transport.Client, len(addrs))
-	for i, addr := range addrs {
-		conns[i] = fencedMember{s: s, addr: addr, token: token}
-	}
-	seen := map[string]struct{}{}
-	var keys []string
-	for _, conn := range conns {
-		resp, err := transport.As[staging.ShardKeysResp](conn.Call(staging.ShardKeysReq{}))
-		if err != nil {
-			if staging.IsFenced(err) {
-				s.observeDeposed()
-				return true // the new leader re-protects
-			}
-			// A dark member: its shards read as lost and its writes fail.
-			// Proceed degraded; survivors cover its keys, and the pass is
-			// retried for the remainder.
-			clean = false
-			continue
-		}
-		for _, k := range resp.Keys {
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				keys = append(keys, k)
-			}
-		}
-	}
-	if len(keys) == 0 {
-		return clean
-	}
-	rc, err := corec.New(*s.cfg.Redundancy, conns)
-	if err != nil {
-		s.reg.Counter("recovery.failed_rebuilds").Add(int64(len(keys)))
-		return false
-	}
-	sem := make(chan struct{}, rebuildParallel)
-	type result struct {
-		bytes int64
-		ok    bool
-	}
-	results := make(chan result, len(keys))
-	for _, key := range keys {
-		go func(key string) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			n, err := rc.Rebuild(key)
-			if err != nil {
-				s.reg.Counter("recovery.failed_rebuilds").Inc()
-			}
-			results <- result{bytes: n, ok: err == nil}
-		}(key)
-	}
-	for range keys {
-		r := <-results
-		if r.bytes > 0 {
-			s.reg.Counter("recovery.rebuilds").Inc()
-			s.reg.Counter("recovery.rebuild_bytes").Add(r.bytes)
-		}
-		if !r.ok {
-			clean = false
-		}
-	}
-	return clean
-}
-
-// fencedMember is one member as the re-protection pass's CoREC client
-// sees it: every call carries the leader's fencing token over the
-// supervisor's kept connection to addr. Close is a no-op; the kept
-// connection outlives the pass.
-type fencedMember struct {
-	s     *Supervisor
-	addr  string
-	token uint64
-}
-
-func (m fencedMember) Call(req any) (any, error) {
-	return m.s.conns.call(m.addr, staging.FencedReq{Token: m.token, Req: req})
-}
-func (fencedMember) Close() error { return nil }

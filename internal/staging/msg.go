@@ -113,9 +113,9 @@ type QueryResp struct {
 type ShardPutReq struct {
 	Key   string
 	Shard int
-	// Rebuild marks a shard re-written by the recovery supervisor's
-	// re-protection pass (as opposed to first-time protection); servers
-	// count rebuilt shards and bytes separately for recovery accounting.
+	// Rebuild marks a shard re-written by corec.Client.Rebuild (as
+	// opposed to first-time protection); servers count rebuilt shards
+	// and bytes separately, and never shed them.
 	Rebuild bool
 	Data    []byte
 }
@@ -124,7 +124,7 @@ type ShardPutReq struct {
 type ShardPutResp struct{}
 
 // ShardGetReq fetches a resilience shard. Rebuild marks fetches issued
-// by CoREC re-protection so the QoS layer schedules them on the
+// by corec.Client.Rebuild so the QoS layer schedules them on the
 // recovery lane instead of the foreground lane.
 type ShardGetReq struct {
 	Key     string
@@ -145,16 +145,6 @@ type ShardDropReq struct {
 
 // ShardDropResp acknowledges the drop.
 type ShardDropResp struct{}
-
-// ShardKeysReq asks a server which keys it holds shards for. The
-// recovery supervisor unions the answers across surviving servers to
-// enumerate the objects needing re-protection after a fail-stop.
-type ShardKeysReq struct{}
-
-// ShardKeysResp lists the shard keys resident on this server, sorted.
-type ShardKeysResp struct {
-	Keys []string
-}
 
 // EpochReq is the membership-epoch envelope: it wraps any staging
 // request with the client's view of the membership epoch. A server
@@ -439,9 +429,9 @@ type StatsResp struct {
 	ReplayGets     int64
 	GCFreedBytes   int64
 	PutNanos       int64 // cumulative server-side put handling time
-	// Recovery accounting: shards and bytes re-written by the recovery
-	// supervisor's re-protection pass, and the membership epoch the
-	// server holds (dsctl health surfaces these).
+	// Recovery accounting: shards and bytes re-written by
+	// corec.Client.Rebuild, and the membership epoch the server holds
+	// (dsctl health surfaces these).
 	RebuiltShards int64
 	RebuiltBytes  int64
 	Epoch         uint64

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"sync"
 	"time"
 
@@ -193,7 +192,7 @@ func (s *Server) chargeQoS(name string, storeDelta, wlogDelta int64) {
 // it flushes to its peer; if the peer's ReplApply needed a slot in
 // turn, two mutually-replicating servers under symmetric overload
 // would deadlock) and per the shedding policy is never shed.
-// Re-protection traffic — CoREC rebuild shard I/O, recovery scans, wlog
+// Recovery traffic — CoREC rebuild shard I/O, recovery scans, wlog
 // installs — rides the recovery lane; everything else is foreground.
 func laneFor(req any) qos.Lane {
 	switch r := req.(type) {
@@ -205,7 +204,7 @@ func laneFor(req any) qos.Lane {
 		LeaderInfoReq, EpochSetReq, MembershipReq, StatsReq, QosStatsReq,
 		TierStatsReq, TraceReq, ReplApplyReq, ReplSnapshotReq, ReplFetchReq:
 		return qos.LaneControl
-	case RecoveryReq, WlogInstallReq, ShardKeysReq, TierScrubReq:
+	case RecoveryReq, WlogInstallReq, TierScrubReq:
 		return qos.LaneRecovery
 	case ShardPutReq:
 		if r.Rebuild {
@@ -301,8 +300,6 @@ func (s *Server) dispatch(req any) (any, error) {
 		return s.handleShardGet(r)
 	case ShardDropReq:
 		return s.handleShardDrop(r)
-	case ShardKeysReq:
-		return s.handleShardKeys()
 	case LockReq:
 		return s.handleLock(r)
 	case ReplApplyReq:
@@ -643,7 +640,7 @@ func (s *Server) lockRecord(r locks.Record) int64 {
 func (s *Server) handleShardPut(r ShardPutReq) (any, error) {
 	if s.qosCtl != nil && !r.Rebuild {
 		// Shard bytes count against the global ceiling only (checkpoint
-		// protection data, not staged objects). Rebuild re-protection is
+		// protection data, not staged objects). A rebuild is
 		// never shed: refusing it would trade an overload blip for
 		// durably lost redundancy.
 		s.mu.Lock()
@@ -671,17 +668,6 @@ func (s *Server) handleShardPut(r ShardPutReq) (any, error) {
 		s.reg.Counter("rebuilt_bytes").Add(int64(len(cp)))
 	}
 	return ShardPutResp{}, nil
-}
-
-func (s *Server) handleShardKeys() (any, error) {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.shards))
-	for k := range s.shards {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(keys)
-	return ShardKeysResp{Keys: keys}, nil
 }
 
 func (s *Server) handleShardGet(r ShardGetReq) (any, error) {

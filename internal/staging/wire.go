@@ -5,8 +5,9 @@ import "gospaces/internal/codec"
 // wireTypes is the staging protocol's type-id table: every request,
 // response and typed error that crosses a transport, keyed by its
 // wire id (internal/codec builds the encoding from the type itself).
-// The ids are wire constants: never renumber, never reuse (53 and 54
-// were the in-transit reduce pair), only append. Ids 256 and up belong
+// The ids are wire constants: never renumber, never reuse (27 and 28
+// were the supervisor's shard-key scan, 53 and 54 the in-transit reduce
+// pair), only append. Ids 256 and up belong
 // to other packages (health, qos, transport, wlog, tier; DESIGN.md §7
 // has the whole table).
 var wireTypes = map[uint16]any{
@@ -22,7 +23,6 @@ var wireTypes = map[uint16]any{
 	21: RecoveryReq{}, 22: RecoveryResp{},
 	23: QueryReq{}, 24: QueryResp{},
 	25: ShardDropReq{}, 26: ShardDropResp{},
-	27: ShardKeysReq{}, 28: ShardKeysResp{},
 	29: EpochSetReq{}, 30: EpochSetResp{},
 	31: MembershipReq{}, 32: MembershipResp{},
 	33: LockReq{}, 34: LockResp{},

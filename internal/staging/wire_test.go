@@ -187,7 +187,6 @@ func TestWireCompleteness(t *testing.T) {
 		{QueryReq{Name: "f"}, QueryResp{}},
 		{ShardPutReq{Key: "k", Shard: 1, Data: big}, ShardPutResp{}},
 		{ShardGetReq{Key: "k", Shard: 1}, ShardGetResp{}},
-		{ShardKeysReq{}, ShardKeysResp{}},
 		{ShardDropReq{Key: "k"}, ShardDropResp{}},
 		{LockReq{Name: "step", Holder: "viz/0"}, LockResp{}},
 		{ReplApplyReq{Epoch: ahead, Slot: 1, Records: []ReplRecord{
@@ -245,6 +244,25 @@ func TestWireCompleteness(t *testing.T) {
 		})
 		return false
 	})
+}
+
+// TestRetiredWireIDs: a retired id stays retired. No table registers
+// 27 or 28 (the supervisor's shard-key scan) or 53 or 54 (the
+// in-transit reduce pair), and a message carrying one fails to decode
+// as an unknown type, so an old peer's frame is refused, never read as
+// whatever took its number.
+func TestRetiredWireIDs(t *testing.T) {
+	for _, id := range []uint16{27, 28, 53, 54} {
+		if m, ok := wireTypes[id]; ok {
+			t.Errorf("wireTypes[%d] = %T: a retired id is reused", id, m)
+		}
+		if m, ok := retainedTypes[id]; ok {
+			t.Errorf("retainedTypes[%d] = %T: a retired id is reused", id, m)
+		}
+		if v, err := codec.Unmarshal([]byte{byte(id >> 8), byte(id), 0}); !errors.Is(err, codec.ErrUnknownType) {
+			t.Errorf("decoding id %d = %T, %v; want codec.ErrUnknownType", id, v, err)
+		}
+	}
 }
 
 // TestNoGobInFrames: ReplState.Wlog rides inside ReplSnapshotReq and

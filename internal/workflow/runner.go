@@ -135,17 +135,6 @@ func (r *run) rankLoop(e *rankEntry, abort <-chan struct{}) error {
 				}
 				e.state.fold(synth.Checksum(data))
 			}
-			// CoREC-protect the full field alongside the plain staging
-			// copy; the payload is deterministic, so re-protection after
-			// a rollback overwrites shards with identical bytes.
-			if r.opts.Redundancy != nil && e.rank == 0 {
-				for _, f := range r.fields {
-					key := fmt.Sprintf("wf/%s/%d", f.Name, ts)
-					if err := r.protect(key, f.Fill(ts, r.subset)); err != nil {
-						return fmt.Errorf("workflow: protect %s ts%d: %w", f.Name, ts, err)
-					}
-				}
-			}
 			r.coupler.MarkProduced(ts, e.rank)
 		} else {
 			if err := r.coupler.WaitProduced(ts, abort); err != nil {

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"gospaces/internal/ckpt"
-	"gospaces/internal/corec"
 	"gospaces/internal/domain"
 	"gospaces/internal/health"
 	"gospaces/internal/mpi"
@@ -99,7 +98,7 @@ type Options struct {
 	// regenerates all coupling data, so nothing depends on the staged
 	// state lost with the dead server. Scheduling one enables the
 	// heartbeat detector and the recovery supervisor, which promotes a
-	// warm spare and re-protects CoREC shards.
+	// warm spare.
 	ServerFailures []ServerFailAt
 	// StagingSpares is the warm-spare staging-server pool size (default:
 	// one per scheduled server failure).
@@ -115,11 +114,6 @@ type Options struct {
 	// survives staging fail-stops. It is what lets logged schemes
 	// (uncoordinated, hybrid) tolerate ServerFailures. 0 disables.
 	WlogReplicas int
-	// Redundancy, when set, CoREC-protects every produced field per
-	// timestep (replication or erasure coding across the staging group),
-	// giving the recovery supervisor shards to rebuild after a
-	// fail-stop.
-	Redundancy *corec.Config
 	// FieldName names the exchanged object (prefix when Fields > 1).
 	FieldName string
 	// Fields is the number of field components exchanged per coupling
@@ -203,15 +197,6 @@ func (o *Options) defaults() error {
 	if o.Supervisors <= 0 {
 		o.Supervisors = 1
 	}
-	if o.Redundancy != nil {
-		spread := o.Redundancy.Replicas
-		if o.Redundancy.Mode == corec.ErasureCoding {
-			spread = o.Redundancy.K + o.Redundancy.M
-		}
-		if spread > o.NServers {
-			return fmt.Errorf("workflow: redundancy spans %d shards over %d servers", spread, o.NServers)
-		}
-	}
 	return nil
 }
 
@@ -246,10 +231,6 @@ type Result struct {
 	// ServerRecoveries counts staging-server promotions (spare replaced
 	// a confirmed-dead member).
 	ServerRecoveries int
-	// Rebuilds and RebuildBytes count supervised CoREC re-protection
-	// work after server fail-stops.
-	Rebuilds     int64
-	RebuildBytes int64
 	// FinalEpoch is the staging membership epoch at the end of the run
 	// (1 + one bump per promotion).
 	FinalEpoch uint64
@@ -351,13 +332,6 @@ type run struct {
 	simDec    *domain.Decomposition
 	anaDec    *domain.Decomposition
 
-	// redMu guards the lazily (re)built CoREC protector: a staging
-	// client plus resilience client over its raw shard connections,
-	// re-dialled after a promotion moves a membership slot.
-	redMu  sync.Mutex
-	protCl *staging.Client
-	prot   *corec.Client
-
 	recoveries     atomic.Int64
 	l1Loads        atomic.Int64
 	l2Loads        atomic.Int64
@@ -433,8 +407,6 @@ func Run(opts Options) (Result, error) {
 		subset:    domain.Subset(opts.Global, opts.SubsetFrac),
 		doom:      make(chan struct{}),
 	}
-	defer r.closeProtector()
-
 	if len(opts.ServerFailures) > 0 || opts.StagingSpares > 0 {
 		for i := 0; i < opts.StagingSpares; i++ {
 			if _, err := group.AddSpare(); err != nil {
@@ -450,8 +422,7 @@ func Run(opts Options) (Result, error) {
 				DeadAfter:    6,
 			})
 			sup := recovery.New(tr, det, group.Membership(), group, recovery.Config{
-				Redundancy: opts.Redundancy,
-				ID:         id,
+				ID: id,
 				OnPromote: func(slot int, addr string, epoch uint64) {
 					// Re-point the shared client pool so reconnecting ranks
 					// dial the promoted spare.
@@ -476,18 +447,16 @@ func Run(opts Options) (Result, error) {
 	}
 	elapsed := time.Since(start)
 
-	var promotions, rebuilds, rebuildBytes int64
+	var promotions int64
 	if r.sup != nil {
-		// Drain any in-flight repair so the final stats see the rebuilt
-		// shards; a slot that stays dead surfaces below as a dial error.
+		// Drain any in-flight repair so the final stats see the promoted
+		// spare; a slot that stays dead surfaces below as a dial error.
 		_ = r.sup.WaitIdle(30 * time.Second)
 		// Whichever supervisor held the lease did the work: sum across
 		// the redundant set.
 		for _, sup := range r.sups {
 			m := sup.Metrics()
 			promotions += m.Counter("recovery.promotions").Value()
-			rebuilds += m.Counter("recovery.rebuilds").Value()
-			rebuildBytes += m.Counter("recovery.rebuild_bytes").Value()
 		}
 	}
 
@@ -514,69 +483,12 @@ func Run(opts Options) (Result, error) {
 		Staging:          stats,
 		CheckpointBytes:  r.ckptStore.Bytes() + r.l1Store.Bytes(),
 		ServerRecoveries: int(promotions),
-		Rebuilds:         rebuilds,
-		RebuildBytes:     rebuildBytes,
 		FinalEpoch:       group.Membership().Epoch(),
 	}, nil
 }
 
-// protect CoREC-stores data under key, lazily building the protector
-// and re-dialling it once on failure — a promotion since the last call
-// moves a shard's home address.
-func (r *run) protect(key string, data []byte) error {
-	r.redMu.Lock()
-	defer r.redMu.Unlock()
-	if r.prot == nil {
-		if err := r.rebuildProtector(); err != nil {
-			return err
-		}
-	}
-	err := r.prot.Put(key, data)
-	if err == nil {
-		return nil
-	}
-	if rerr := r.rebuildProtector(); rerr != nil {
-		return err // dead slot not yet promoted: the put error says more
-	}
-	return r.prot.Put(key, data)
-}
-
-// rebuildProtector dials a fresh staging client at the pool's current
-// membership view and wraps a resilience client over its raw shard
-// connections. Callers hold redMu.
-func (r *run) rebuildProtector() error {
-	if r.protCl != nil {
-		r.protCl.Close()
-		r.protCl, r.prot = nil, nil
-	}
-	cl, err := r.group.NewClient("protect/0")
-	if err != nil {
-		return err
-	}
-	conns := make([]transport.Client, cl.NumServers())
-	for i := range conns {
-		conns[i] = cl.ShardConn(i)
-	}
-	p, err := corec.New(*r.opts.Redundancy, conns)
-	if err != nil {
-		cl.Close()
-		return err
-	}
-	r.protCl, r.prot = cl, p
-	return nil
-}
-
-func (r *run) closeProtector() {
-	r.redMu.Lock()
-	defer r.redMu.Unlock()
-	if r.protCl != nil {
-		r.protCl.Close()
-		r.protCl, r.prot = nil, nil
-	}
-}
-
 // waitServers blocks until the staging membership is quiet again — all
-// slots alive with no promotion or re-protection in flight — so rank
+// slots alive with no promotion in flight — so rank
 // recovery re-dials promoted addresses instead of dead ones. Without a
 // supervisor there is nothing to wait for.
 func (r *run) waitServers() error {
