@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt-check build test race short bench bench-smoke bench-e2e-test bench-pairs nemesis recovery-stress soak-smoke no-gob no-wallclock no-corec loc loc-check
+.PHONY: check vet fmt-check build test race short bench bench-smoke bench-e2e-test bench-pairs nemesis recovery-stress soak-smoke fuzz-smoke no-gob no-wallclock no-corec loc loc-check
 
 check: vet fmt-check no-gob no-wallclock no-corec loc-check test race
 
@@ -28,9 +28,10 @@ test: build
 
 # One codec, verifiably: internal/codec encodes every message and every
 # storage body the service itself defines (the wlog snapshot, the tier
-# manifest), so no non-test file imports encoding/gob. internal/ckpt is
-# the one exemption: ckpt.Saver serializes *application* state, of types
-# the application owns and cannot register with the codec.
+# manifest, a trace file's header and events), so no non-test file
+# imports encoding/gob. internal/ckpt is the one exemption: ckpt.Saver
+# serializes *application* state, of types the application owns and
+# cannot register with the codec.
 no-gob:
 	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' *.go cmd internal examples | grep -v '^internal/ckpt/'); \
 	test -z "$$out" || { echo "$$out"; echo 'encoding/gob imported outside internal/ckpt (above): messages and storage bodies go through internal/codec'; exit 1; }
@@ -138,6 +139,22 @@ soak-smoke:
 	$(GO) test -run 'TestSoakReplayDeterministic|TestSoakDivergenceDeterministic|TestReplayRegression' -count=1 -timeout 5m ./internal/workflow/
 	$(GO) run ./cmd/dsctl trace replay internal/workflow/testdata/kill-mid-replay.trace
 	$(GO) run ./cmd/wfbench -exp soak -seeds 2 -trace-dir .
+
+# Every fuzz target fuzzed for FUZZTIME (5 s) each, one `go test -fuzz`
+# per target (the tool fuzzes one at a time); plain `go test` runs only
+# their seeds. An input it finds is a defect: fix it and check the input
+# in under that package's testdata/fuzz.
+FUZZTIME ?= 5s
+FUZZ_TARGETS = ./internal/codec:FuzzDecode ./internal/trace:FuzzTraceDecode \
+	./internal/trace:FuzzTraceRoundTrip ./internal/ckpt:FuzzRecordRoundTrip \
+	./internal/ckpt:FuzzDecodeRecord ./internal/ckpt:FuzzTwinLoad \
+	./internal/transport:FuzzFrameDecode ./internal/staging:FuzzFastpathDecode \
+	./internal/tier:FuzzRecordBody ./internal/domain:FuzzCopyRegion
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) "$${t%%:*}"; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -18,6 +18,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 
 	"gospaces/internal/pfs"
@@ -218,6 +219,17 @@ func OpenRecord(rec []byte) (seq uint64, payload []byte, ok bool) {
 		return 0, nil, false
 	}
 	return seq, payload, true
+}
+
+// RecordLen reads the total length of the record at the front of b,
+// header and claimed payload, so a stream of records can be split
+// without knowing their layout; ok is false when fewer bytes than a
+// header remain. It verifies nothing: OpenRecord does.
+func RecordLen(b []byte) (n uint64, ok bool) {
+	if len(b) < 24 {
+		return 0, false
+	}
+	return 24 + min(binary.BigEndian.Uint64(b[12:20]), math.MaxUint64-24), true
 }
 
 // Store is the slice of a PFS store a Twin reads and commits through.

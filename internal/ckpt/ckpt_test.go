@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -353,5 +354,26 @@ func TestMultiLevelConcurrentSaves(t *testing.T) {
 				t.Fatalf("rank %d save %d went to level %d, want %d", r, i, lvl, want)
 			}
 		}
+	}
+}
+
+// TestRecordLen splits a stream of records by their claimed lengths: a
+// record's own length, too few bytes for a header, and a claim near
+// 2^64 that must not wrap to a short length.
+func TestRecordLen(t *testing.T) {
+	rec := SealRecord(3, []byte("payload"))
+	stream := append(append([]byte(nil), rec...), SealRecord(4, nil)...)
+	if n, ok := RecordLen(stream); !ok || n != uint64(len(rec)) {
+		t.Fatalf("RecordLen = %d, %v; want %d, true", n, ok, len(rec))
+	}
+	if _, ok := RecordLen(rec[:23]); ok {
+		t.Fatal("a 23-byte fragment has a length")
+	}
+	huge := append([]byte(nil), rec...)
+	for i := 12; i < 20; i++ {
+		huge[i] = 0xff
+	}
+	if n, ok := RecordLen(huge); !ok || n != math.MaxUint64 {
+		t.Fatalf("RecordLen of a 2^64-1 claim = %d, %v", n, ok)
 	}
 }

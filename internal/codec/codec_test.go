@@ -16,6 +16,7 @@ import (
 	"gospaces/internal/health"
 	"gospaces/internal/qos"
 	"gospaces/internal/staging"
+	"gospaces/internal/trace"
 	"gospaces/internal/transport"
 )
 
@@ -91,10 +92,13 @@ func gen(t testing.TB, typ reflect.Type, rng *rand.Rand, depth int) reflect.Valu
 		}
 		// The wlog snapshot's Validators want what Log.Snapshot writes:
 		// events of a known kind, none missing, the anchor and cursor
-		// inside the queue, no component twice.
+		// inside the queue, no component twice. A trace event's kind is
+		// a known one too.
 		switch typ.String() {
 		case "wlog.Event":
 			v.FieldByName("Kind").SetInt(1 + rng.Int63n(3))
+		case "trace.Event":
+			v.FieldByName("Kind").SetUint(1 + uint64(rng.Intn(int(trace.EvNetFault))))
 		case "wlog.snapQueue":
 			evs := v.FieldByName("Events")
 			for i := 0; i < evs.Len(); i++ {

@@ -151,8 +151,8 @@ type ShardDropResp struct{}
 // whose epoch is newer rejects the call with StaleEpochError so the
 // client re-binds to the current membership before retrying — a client
 // routing on a stale view could read from (or write to) a promoted
-// spare's predecessor. Bare (unwrapped) requests bypass the check for
-// backward compatibility and for layers that place data explicitly.
+// spare's predecessor. Bare requests bypass the check: they serve the
+// control RPCs and corec's explicit placement, which names its server.
 type EpochReq struct {
 	Epoch uint64
 	Req   any

@@ -1,16 +1,13 @@
 package trace
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // EventKind classifies one replayable trace event. Workload kinds
 // drive the staging client verbatim on replay; fault kinds re-arm the
 // same injection the recorded run suffered; EvNote is an
 // observability-only record (e.g. a GC pass harvested from a server's
 // ring buffer) that replay skips. Kinds are encoded by value, so new
-// ones are appended and the format version stays put.
+// ones are only ever appended.
 type EventKind uint8
 
 // Replayable event kinds.
@@ -134,6 +131,16 @@ const (
 	TierSlowIO                        // slow every tier I/O for Bytes ms
 )
 
+// ValidateWire refuses an event of a kind this build does not know:
+// the codec calls it on every decoded Event, so such a frame is
+// corrupt, not an event replay would have to skip.
+func (e *Event) ValidateWire() error {
+	if e.Kind < EvPut || e.Kind > evKindMax {
+		return fmt.Errorf("unknown event kind %d", e.Kind)
+	}
+	return nil
+}
+
 // String renders the event for terminals.
 func (e Event) String() string {
 	s := fmt.Sprintf("lc=%d %s", e.LC, e.Kind)
@@ -156,119 +163,4 @@ func (e Event) String() string {
 		s += fmt.Sprintf(" arg=%d,%d", e.Arg, e.Arg2)
 	}
 	return s
-}
-
-// maxTraceString bounds every encoded string field; anything longer is
-// corrupt by definition (object and app names are short), and the
-// bound keeps a rotted length prefix from ballooning a decode.
-const maxTraceString = 4096
-
-func appendString(buf []byte, s string) []byte {
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(s)))
-	buf = append(buf, l[:]...)
-	return append(buf, s...)
-}
-
-func readString(buf []byte) (string, []byte, error) {
-	if len(buf) < 2 {
-		return "", nil, ErrCorrupt
-	}
-	n := int(binary.BigEndian.Uint16(buf))
-	buf = buf[2:]
-	if n > maxTraceString || len(buf) < n {
-		return "", nil, ErrCorrupt
-	}
-	return string(buf[:n]), buf[n:], nil
-}
-
-func appendU64(buf []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return append(buf, b[:]...)
-}
-
-func readU64(buf []byte) (uint64, []byte, error) {
-	if len(buf) < 8 {
-		return 0, nil, ErrCorrupt
-	}
-	return binary.BigEndian.Uint64(buf), buf[8:], nil
-}
-
-// encodeEvent serializes one event as the payload of a framed trace
-// record: fixed-width big-endian integers and length-prefixed strings,
-// so the byte image of a trace is deterministic across runs.
-func encodeEvent(e Event) []byte {
-	buf := make([]byte, 0, 64+len(e.App)+len(e.Name))
-	buf = appendU64(buf, e.LC)
-	flags := byte(0)
-	if e.Logged {
-		flags = 1
-	}
-	buf = append(buf, byte(e.Kind), flags)
-	buf = appendString(buf, e.App)
-	buf = appendString(buf, e.Name)
-	buf = appendU64(buf, uint64(e.Version))
-	buf = appendU64(buf, uint64(e.Bytes))
-	buf = appendU64(buf, uint64(e.Seed))
-	buf = appendU64(buf, e.Sum)
-	buf = appendU64(buf, uint64(e.Arg))
-	buf = appendU64(buf, uint64(e.Arg2))
-	return buf
-}
-
-// decodeEvent is the inverse of encodeEvent; every malformed input
-// returns ErrCorrupt rather than panicking.
-func decodeEvent(buf []byte) (Event, error) {
-	var e Event
-	var err error
-	if e.LC, buf, err = readU64(buf); err != nil {
-		return e, err
-	}
-	if len(buf) < 2 {
-		return e, ErrCorrupt
-	}
-	e.Kind = EventKind(buf[0])
-	if e.Kind < EvPut || e.Kind > evKindMax {
-		return e, fmt.Errorf("%w: unknown event kind %d", ErrCorrupt, buf[0])
-	}
-	if buf[1] > 1 {
-		return e, fmt.Errorf("%w: bad flag byte %#x", ErrCorrupt, buf[1])
-	}
-	e.Logged = buf[1] == 1
-	buf = buf[2:]
-	if e.App, buf, err = readString(buf); err != nil {
-		return e, err
-	}
-	if e.Name, buf, err = readString(buf); err != nil {
-		return e, err
-	}
-	var u uint64
-	if u, buf, err = readU64(buf); err != nil {
-		return e, err
-	}
-	e.Version = int64(u)
-	if u, buf, err = readU64(buf); err != nil {
-		return e, err
-	}
-	e.Bytes = int64(u)
-	if u, buf, err = readU64(buf); err != nil {
-		return e, err
-	}
-	e.Seed = int64(u)
-	if e.Sum, buf, err = readU64(buf); err != nil {
-		return e, err
-	}
-	if u, buf, err = readU64(buf); err != nil {
-		return e, err
-	}
-	e.Arg = int64(u)
-	if u, buf, err = readU64(buf); err != nil {
-		return e, err
-	}
-	e.Arg2 = int64(u)
-	if len(buf) != 0 {
-		return e, fmt.Errorf("%w: %d trailing bytes after event", ErrCorrupt, len(buf))
-	}
-	return e, nil
 }

@@ -2,23 +2,24 @@
 // the in-memory trace into a first-class recorded artifact. The file
 // is a magic string followed by ckpt.SealRecord frames (the same
 // Castagnoli-CRC framing the checkpoint and cold-tier records use, so
-// one codec and one fuzz corpus cover all three): frame 0 carries the
-// header, frames 1..N carry one event each, sequence-numbered so
-// reordering is detected, CRC'd so bit rot is detected, and
-// self-delimiting so truncation is detected. Every failure mode maps
-// to a typed error — a torn or rotted trace never panics and never
-// replays silently wrong.
+// one fuzz corpus covers all three), each holding one internal/codec
+// message: frame 0 the Header, frames 1..N one Event each. Frames are
+// sequence-numbered so reordering is detected, CRC'd so bit rot is
+// detected, and self-delimiting and counted by the header so
+// truncation is detected, at a frame boundary too. Every failure mode
+// maps to a typed error — a torn or rotted trace never panics and
+// never replays silently wrong.
 package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"gospaces/internal/ckpt"
+	"gospaces/internal/codec"
 )
 
 // Typed decode failures, distinguished so tests and tools can tell a
@@ -53,11 +54,15 @@ func (e *DivergenceError) Error() string {
 
 func (e *DivergenceError) Unwrap() error { return e.Err }
 
-// fileMagic opens every trace file.
-const fileMagic = "GTRACE1\n"
+// fileMagic opens every trace file; one opening with magicStem but not
+// fileMagic (GTRACE1, the retired hand-laid format) is another version.
+const (
+	fileMagic = "GTRACE2\n"
+	magicStem = "GTRACE"
+)
 
 // FormatVersion is the current trace file format version.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Header flags.
 const (
@@ -75,6 +80,9 @@ const (
 type Header struct {
 	// Version is the trace format version (FormatVersion when written).
 	Version uint32
+	// Events is the number of event frames that follow (len(events)
+	// when written), so a file cut at a frame boundary is torn.
+	Events int
 	// Label names the scenario for humans ("soak seed=7", a bug id).
 	Label string
 	// Seed is the schedule seed the trace was generated from.
@@ -104,130 +112,90 @@ type Header struct {
 	Digest uint64
 }
 
-func encodeHeader(h Header) []byte {
-	buf := make([]byte, 0, 96+len(h.Label))
-	var v [4]byte
-	binary.BigEndian.PutUint32(v[:], h.Version)
-	buf = append(buf, v[:]...)
-	binary.BigEndian.PutUint32(v[:], h.Flags)
-	buf = append(buf, v[:]...)
-	buf = appendString(buf, h.Label)
-	buf = appendU64(buf, uint64(h.Seed))
-	for _, n := range []int{h.Servers, h.Spares, h.Bits, h.ElemSize, h.Replicas, h.Groups, h.Steps} {
-		buf = appendU64(buf, uint64(n))
-	}
-	buf = appendU64(buf, uint64(h.DimX))
-	buf = appendU64(buf, uint64(h.DimY))
-	buf = appendU64(buf, uint64(h.DimZ))
-	buf = appendU64(buf, uint64(h.MemBudget))
-	buf = appendU64(buf, h.Digest)
-	return buf
-}
-
-func decodeHeader(buf []byte) (Header, error) {
-	var h Header
-	if len(buf) < 8 {
-		return h, ErrCorrupt
-	}
-	h.Version = binary.BigEndian.Uint32(buf)
-	h.Flags = binary.BigEndian.Uint32(buf[4:])
-	buf = buf[8:]
-	if h.Version != FormatVersion {
-		return h, fmt.Errorf("%w: got %d, want %d", ErrVersion, h.Version, FormatVersion)
-	}
-	var err error
-	if h.Label, buf, err = readString(buf); err != nil {
-		return h, err
-	}
-	var u uint64
-	if u, buf, err = readU64(buf); err != nil {
-		return h, err
-	}
-	h.Seed = int64(u)
-	ints := []*int{&h.Servers, &h.Spares, &h.Bits, &h.ElemSize, &h.Replicas, &h.Groups, &h.Steps}
-	for _, p := range ints {
-		if u, buf, err = readU64(buf); err != nil {
-			return h, err
-		}
-		*p = int(int64(u))
-	}
-	dims := []*int64{&h.DimX, &h.DimY, &h.DimZ, &h.MemBudget}
-	for _, p := range dims {
-		if u, buf, err = readU64(buf); err != nil {
-			return h, err
-		}
-		*p = int64(u)
-	}
-	if h.Digest, buf, err = readU64(buf); err != nil {
-		return h, err
-	}
-	if len(buf) != 0 {
-		return h, fmt.Errorf("%w: %d trailing bytes after header", ErrCorrupt, len(buf))
-	}
-	return h, nil
+// Ids 1536–1791 are trace's (DESIGN.md §7 has the whole table): a
+// trace file's two bodies are codec messages, sealed in ckpt frames.
+func init() {
+	codec.Register(1536, Header{})
+	codec.Register(1537, Event{})
 }
 
 // maxFramePayload bounds a single frame; real headers and events are
-// well under a kilobyte, so a larger claimed length is corruption, not
-// an allocation request.
+// well under a kilobyte, so a frame claiming more is corrupt, not torn.
 const maxFramePayload = 1 << 20
 
 // Encode serializes a complete trace file image: magic, header frame,
 // then one frame per event in LC order.
 func Encode(h Header, events []Event) []byte {
-	h.Version = FormatVersion
-	buf := make([]byte, 0, 256+64*len(events))
-	buf = append(buf, fileMagic...)
-	buf = append(buf, ckpt.SealRecord(0, encodeHeader(h))...)
+	h.Version, h.Events = FormatVersion, len(events)
+	buf := append(make([]byte, 0, 128+48*len(events)), fileMagic...)
+	buf = seal(buf, 0, h)
 	for i, e := range events {
-		buf = append(buf, ckpt.SealRecord(uint64(i+1), encodeEvent(e))...)
+		buf = seal(buf, uint64(i+1), e)
 	}
 	return buf
 }
 
-// frameHeaderLen is the fixed prefix of a ckpt.SealRecord frame:
-// 4-byte magic, 8-byte sequence, 8-byte payload length, 4-byte CRC.
-const frameHeaderLen = 24
+// seal appends msg's codec encoding as frame seq. Header and Event are
+// registered, so the encode cannot fail.
+func seal(buf []byte, seq uint64, msg any) []byte {
+	body, _ := codec.Append(nil, msg)
+	return append(buf, ckpt.SealRecord(seq, body)...)
+}
 
 // nextFrame splits one sealed frame off data, verifying framing and
 // CRC and that its sequence number equals want.
 func nextFrame(data []byte, want uint64) (payload, rest []byte, err error) {
-	if len(data) < frameHeaderLen {
-		return nil, nil, fmt.Errorf("%w: %d bytes left mid-frame", ErrTorn, len(data))
+	n, ok := ckpt.RecordLen(data)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %d bytes left where record %d starts", ErrTorn, len(data), want)
 	}
-	if string(data[:4]) != "CKP1" {
-		return nil, nil, fmt.Errorf("%w: bad frame magic at record %d", ErrCorrupt, want)
+	if n > maxFramePayload {
+		return nil, nil, fmt.Errorf("%w: record %d claims %d bytes", ErrCorrupt, want, n)
 	}
-	plen := binary.BigEndian.Uint64(data[12:20])
-	if plen > maxFramePayload {
-		return nil, nil, fmt.Errorf("%w: record %d claims %d payload bytes", ErrCorrupt, want, plen)
+	if uint64(len(data)) < n {
+		return nil, nil, fmt.Errorf("%w: record %d needs %d bytes, %d left", ErrTorn, want, n, len(data))
 	}
-	total := frameHeaderLen + int(plen)
-	if len(data) < total {
-		return nil, nil, fmt.Errorf("%w: record %d needs %d bytes, %d left", ErrTorn, want, total, len(data))
-	}
-	seq, payload, ok := ckpt.OpenRecord(data[:total])
+	seq, payload, ok := ckpt.OpenRecord(data[:n])
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: record %d failed CRC", ErrCorrupt, want)
 	}
 	if seq != want {
 		return nil, nil, fmt.Errorf("%w: record %d carries sequence %d", ErrOrder, want, seq)
 	}
-	return payload, data[total:], nil
+	return payload, data[n:], nil
+}
+
+// body decodes frame seq's payload as a T. A payload that is not the
+// encoding Encode writes for what it decodes to (a padded varint, a
+// bool byte of 2) is corrupt too, so an accepted trace re-encodes to
+// its own bytes.
+func body[T any](payload []byte, seq uint64) (T, error) {
+	v, err := codec.Unmarshal(payload)
+	t, ok := v.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("holds a %T", v)
+	}
+	if err != nil {
+		return t, fmt.Errorf("%w: record %d: %v", ErrCorrupt, seq, err)
+	}
+	if again, _ := codec.Append(nil, t); !bytes.Equal(again, payload) {
+		return t, fmt.Errorf("%w: record %d is not in canonical form", ErrCorrupt, seq)
+	}
+	return t, nil
 }
 
 // Decode parses a trace file image back into its header and events,
-// verifying magic, version, per-record CRC, sequence order, and the
-// events' logical-clock order.
+// verifying magic, version, per-record CRC, sequence order, the event
+// count, and the events' logical-clock order.
 func Decode(data []byte) (Header, []Event, error) {
 	var h Header
-	if len(data) < len(fileMagic) {
-		if bytes.HasPrefix([]byte(fileMagic), data) {
+	if !bytes.HasPrefix(data, []byte(fileMagic)) {
+		switch {
+		case bytes.HasPrefix([]byte(fileMagic), data):
 			return h, nil, fmt.Errorf("%w: %d-byte fragment", ErrTorn, len(data))
+		case bytes.HasPrefix(data, []byte(magicStem)):
+			return h, nil, fmt.Errorf("%w: magic is not %q", ErrVersion, fileMagic)
 		}
-		return h, nil, ErrBadMagic
-	}
-	if string(data[:len(fileMagic)]) != fileMagic {
 		return h, nil, ErrBadMagic
 	}
 	data = data[len(fileMagic):]
@@ -235,15 +203,21 @@ func Decode(data []byte) (Header, []Event, error) {
 	if err != nil {
 		return h, nil, err
 	}
-	if h, err = decodeHeader(payload); err != nil {
+	if h, err = body[Header](payload, 0); err != nil {
 		return h, nil, err
 	}
+	if h.Version != FormatVersion {
+		return h, nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, h.Version, FormatVersion)
+	}
+	if h.Events < 0 {
+		return h, nil, fmt.Errorf("%w: header claims %d events", ErrCorrupt, h.Events)
+	}
 	var events []Event
-	for seq := uint64(1); len(data) > 0; seq++ {
+	for seq := uint64(1); seq <= uint64(h.Events); seq++ {
 		if payload, data, err = nextFrame(data, seq); err != nil {
 			return h, events, err
 		}
-		e, err := decodeEvent(payload)
+		e, err := body[Event](payload, seq)
 		if err != nil {
 			return h, events, err
 		}
@@ -251,6 +225,9 @@ func Decode(data []byte) (Header, []Event, error) {
 			return h, events, fmt.Errorf("%w: record %d carries lc=%d", ErrOrder, seq, e.LC)
 		}
 		events = append(events, e)
+	}
+	if len(data) != 0 {
+		return h, events, fmt.Errorf("%w: %d bytes after the last of %d events", ErrCorrupt, len(data), h.Events)
 	}
 	return h, events, nil
 }

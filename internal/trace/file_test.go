@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gospaces/internal/ckpt"
+	"gospaces/internal/codec"
 )
 
 func sampleHeader() Header {
@@ -54,7 +55,7 @@ func TestRecoveryKindsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	h.Version = FormatVersion
+	h.Version, h.Events = FormatVersion, len(evs)
 	if h2 != h || !reflect.DeepEqual(evs2, evs) {
 		t.Fatalf("round trip:\n got %+v %+v\nwant %+v %+v", h2, evs2, h, evs)
 	}
@@ -94,7 +95,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	h.Version = FormatVersion
+	h.Version, h.Events = FormatVersion, len(evs)
 	if h2 != h {
 		t.Fatalf("header round trip:\n got %+v\nwant %+v", h2, h)
 	}
@@ -154,9 +155,10 @@ func TestDecodeBadMagic(t *testing.T) {
 func TestDecodeTruncated(t *testing.T) {
 	img := Encode(sampleHeader(), sampleEvents())
 	// Every proper prefix inside the record stream must fail typed —
-	// torn at a frame boundary cut, corrupt never (CRC can't pass on a
-	// truncation because the length check fires first).
-	for cut := len(fileMagic); cut < len(img); cut += 7 {
+	// torn, a cut at a frame boundary too (the header counts the event
+	// frames), corrupt never (CRC can't pass on a truncation because the
+	// length check fires first).
+	for cut := len(fileMagic); cut < len(img); cut++ {
 		_, _, err := Decode(img[:cut])
 		if !errors.Is(err, ErrTorn) {
 			t.Fatalf("cut=%d: got %v, want ErrTorn", cut, err)
@@ -192,13 +194,25 @@ func TestDecodeReordered(t *testing.T) {
 
 func TestDecodeFutureVersion(t *testing.T) {
 	h := sampleHeader()
-	h.Version = FormatVersion
 	// Encode forces the current version; hand-craft a future one by
-	// bumping the header payload's leading version field and re-sealing.
-	hdr := encodeHeader(h)
-	hdr[3] = 99
+	// sealing a header body that carries it.
+	h.Version = FormatVersion + 1
+	hdr, err := codec.Append(nil, h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	img := append([]byte(fileMagic), ckpt.SealRecord(0, hdr)...)
 	if _, _, err := Decode(img); !errors.Is(err, ErrVersion) {
+		t.Fatalf("got %v, want ErrVersion", err)
+	}
+}
+
+// TestDecodeVersion1Refused: a file of the retired hand-laid format
+// (magic GTRACE1) is another version, not a damaged or alien file.
+func TestDecodeVersion1Refused(t *testing.T) {
+	img := Encode(sampleHeader(), sampleEvents())
+	v1 := append([]byte("GTRACE1\n"), img[len(fileMagic):]...)
+	if _, _, err := Decode(v1); !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
 }

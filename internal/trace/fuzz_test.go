@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -12,11 +13,14 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add("soak", int64(7), uint64(3), "prod/0", "g0/field", int64(5), int64(4096), int64(99), uint64(0xabc), true, int64(2), int64(40))
 	f.Add("", int64(0), uint64(0), "", "", int64(0), int64(0), int64(0), uint64(0), false, int64(0), int64(0))
 	f.Add("x", int64(-1), uint64(12), "a/b", "c", int64(-5), int64(-1), int64(-9), uint64(1), false, int64(-3), int64(-4))
+	// Strings past 4 KiB and past a 16-bit length: no field has a
+	// length cap of its own.
+	for _, n := range []int{4097, 70000} {
+		long := strings.Repeat("x", n)
+		f.Add(long, int64(1), uint64(2), long, long, int64(3), int64(4), int64(5), uint64(6), true, int64(7), int64(8))
+	}
 	f.Fuzz(func(t *testing.T, label string, seed int64, sum uint64,
 		app, name string, version, size, pseed int64, evsum uint64, logged bool, arg, arg2 int64) {
-		if len(label) > maxTraceString || len(app) > maxTraceString || len(name) > maxTraceString {
-			t.Skip()
-		}
 		h := Header{
 			Label: label, Seed: seed, Servers: 4, Spares: 1, Bits: 2,
 			ElemSize: 1, Replicas: 2, DimX: 8, DimY: 8, DimZ: 1,
@@ -31,7 +35,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of encoded trace: %v", err)
 		}
-		h.Version = FormatVersion
+		h.Version, h.Events = FormatVersion, len(evs)
 		if h2 != h {
 			t.Fatalf("header: got %+v want %+v", h2, h)
 		}

@@ -3,8 +3,10 @@
 // captures the protocol activity (puts, gets, checkpoints, recoveries,
 // suppressions, GC passes) without unbounded growth, and the durable
 // trace-file format (file.go, event.go) that records and replays a
-// run. dsctl's trace command reads the ring back; internal/workflow
-// turns rings into trace files and executes them.
+// run: a header and one event per ckpt frame, each an internal/codec
+// message, so the package lays out no bytes of its own. dsctl's trace
+// command reads the ring back; internal/workflow turns rings into
+// trace files and executes them.
 package trace
 
 import (

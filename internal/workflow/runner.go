@@ -87,7 +87,7 @@ func (r *run) runRanks(entries []*rankEntry) []error {
 
 // rankLoop advances one rank from its start timestep to completion.
 func (r *run) rankLoop(e *rankEntry, abort <-chan struct{}) error {
-	c := e.c
+	c, f := e.c, r.field
 	rankBox, err := c.dec.RankBox(e.rank)
 	if err != nil {
 		return err
@@ -123,18 +123,16 @@ func (r *run) rankLoop(e *rankEntry, abort <-chan struct{}) error {
 			if err := r.coupler.WaitConsumed(ts-1, abort); err != nil {
 				return err
 			}
-			for _, f := range r.fields {
-				data := f.Fill(ts, rankBox)
-				if c.logged {
-					err = e.client.PutWithLog(f.Name, ts, rankBox, data)
-				} else {
-					err = e.client.Put(f.Name, ts, rankBox, data)
-				}
-				if err != nil {
-					return fmt.Errorf("workflow: %s/%d ts%d %s: %w", c.name, e.rank, ts, f.Name, err)
-				}
-				e.state.fold(synth.Checksum(data))
+			data := f.Fill(ts, rankBox)
+			if c.logged {
+				err = e.client.PutWithLog(f.Name, ts, rankBox, data)
+			} else {
+				err = e.client.Put(f.Name, ts, rankBox, data)
 			}
+			if err != nil {
+				return fmt.Errorf("workflow: %s/%d ts%d %s: %w", c.name, e.rank, ts, f.Name, err)
+			}
+			e.state.fold(synth.Checksum(data))
 			r.coupler.MarkProduced(ts, e.rank)
 		} else {
 			if err := r.coupler.WaitProduced(ts, abort); err != nil {
@@ -144,31 +142,29 @@ func (r *run) rankLoop(e *rankEntry, abort <-chan struct{}) error {
 			if c.readLatest {
 				version = staging.NoVersion
 			}
-			for _, f := range r.fields {
-				var data []byte
-				if c.logged {
-					data, _, err = e.client.GetWithLog(f.Name, version, rankBox)
-				} else {
-					data, _, err = e.client.Get(f.Name, version, rankBox)
-				}
-				switch {
-				case err != nil && c.readLatest:
-					// The unguarded individual scheme races recovering
-					// components against live ones; a torn read is one
-					// more way it corrupts results.
-					r.corruptReads.Add(1)
-					// Fold a marker so the state divergence is
-					// observable there too.
-					e.state.fold(0xdead)
-				case err != nil:
-					return fmt.Errorf("workflow: %s/%d read ts%d %s: %w", c.name, e.rank, ts, f.Name, err)
-				case f.Verify(ts, rankBox, data) >= 0:
-					r.corruptReads.Add(1)
-					e.state.fold(synth.Checksum(data))
-				default:
-					r.successReads.Add(1)
-					e.state.fold(synth.Checksum(data))
-				}
+			var data []byte
+			if c.logged {
+				data, _, err = e.client.GetWithLog(f.Name, version, rankBox)
+			} else {
+				data, _, err = e.client.Get(f.Name, version, rankBox)
+			}
+			switch {
+			case err != nil && c.readLatest:
+				// The unguarded individual scheme races recovering
+				// components against live ones; a torn read is one
+				// more way it corrupts results.
+				r.corruptReads.Add(1)
+				// Fold a marker so the state divergence is
+				// observable there too.
+				e.state.fold(0xdead)
+			case err != nil:
+				return fmt.Errorf("workflow: %s/%d read ts%d %s: %w", c.name, e.rank, ts, f.Name, err)
+			case f.Verify(ts, rankBox, data) >= 0:
+				r.corruptReads.Add(1)
+				e.state.fold(synth.Checksum(data))
+			default:
+				r.successReads.Add(1)
+				e.state.fold(synth.Checksum(data))
 			}
 			r.coupler.MarkConsumed(ts, c.consumerBase+e.rank)
 		}

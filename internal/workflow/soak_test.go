@@ -68,6 +68,7 @@ func TestBuildSoakTraceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h1.Events = len(ev1)
 	if h3 != h1 || len(ev3) != len(ev1) {
 		t.Fatal("decode round trip lost data")
 	}

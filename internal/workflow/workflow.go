@@ -114,12 +114,6 @@ type Options struct {
 	// survives staging fail-stops. It is what lets logged schemes
 	// (uncoordinated, hybrid) tolerate ServerFailures. 0 disables.
 	WlogReplicas int
-	// FieldName names the exchanged object (prefix when Fields > 1).
-	FieldName string
-	// Fields is the number of field components exchanged per coupling
-	// cycle (the paper's S3D workflow moves dozens of scalar/vector
-	// fields). Default 1.
-	Fields int
 	// OverTCP runs the staging group on loopback TCP sockets instead of
 	// the in-process transport, exercising the full wire path.
 	OverTCP bool
@@ -137,9 +131,6 @@ func (o *Options) defaults() error {
 	if o.Steps <= 0 || o.SimRanks <= 0 || o.AnaRanks <= 0 || o.NServers <= 0 {
 		return fmt.Errorf("workflow: non-positive sizes in %+v", *o)
 	}
-	if o.FieldName == "" {
-		o.FieldName = "field"
-	}
 	if o.SubsetFrac <= 0 || o.SubsetFrac > 1 {
 		o.SubsetFrac = 1
 	}
@@ -154,9 +145,6 @@ func (o *Options) defaults() error {
 	}
 	if o.Consumers <= 0 {
 		o.Consumers = 1
-	}
-	if o.Fields <= 0 {
-		o.Fields = 1
 	}
 	if o.MultiLevel && o.L2Every <= 0 {
 		o.L2Every = 4
@@ -323,7 +311,7 @@ type run struct {
 	world     *mpi.World
 	spares    *mpi.SparePool
 	coupler   *Coupler
-	fields    []*synth.Field
+	field     *synth.Field
 	inj       *injector
 	srvInj    *serverInjector
 	sup       *recovery.Supervisor   // first supervisor (WaitIdle convenience)
@@ -401,7 +389,7 @@ func Run(opts Options) (Result, error) {
 		finalAcc:  make(map[string]uint64),
 		spares:    mpi.NewSparePool(world, opts.Spares),
 		coupler:   NewCoupler(opts.SimRanks, opts.AnaRanks*opts.Consumers),
-		fields:    makeFields(opts),
+		field:     synth.NewField("field", opts.Global, opts.ElemSize),
 		inj:       newInjector(opts.Failures),
 		srvInj:    newServerInjector(opts.ServerFailures),
 		subset:    domain.Subset(opts.Global, opts.SubsetFrac),
@@ -508,19 +496,6 @@ func groupPrefix(opts Options) string {
 	return "wf"
 }
 
-// makeFields builds the per-component field generators. With one field
-// the bare FieldName is used; with more, names get an index suffix.
-func makeFields(opts Options) []*synth.Field {
-	if opts.Fields == 1 {
-		return []*synth.Field{synth.NewField(opts.FieldName, opts.Global, opts.ElemSize)}
-	}
-	out := make([]*synth.Field, opts.Fields)
-	for i := range out {
-		out[i] = synth.NewField(fmt.Sprintf("%s%d", opts.FieldName, i), opts.Global, opts.ElemSize)
-	}
-	return out
-}
-
 // validateState compares every rank's final accumulator against the
 // failure-free expectation (computable because the synthetic field is
 // deterministic) and returns the number of divergent ranks. The
@@ -544,9 +519,7 @@ func (r *run) validateState() int {
 		}
 		var want rankState
 		for ts := int64(1); ts <= r.opts.Steps; ts++ {
-			for _, f := range r.fields {
-				want.fold(synth.Checksum(f.Fill(ts, box)))
-			}
+			want.fold(synth.Checksum(r.field.Fill(ts, box)))
 		}
 		if got != want.Acc {
 			_ = comp
