@@ -49,7 +49,6 @@ func main() {
 	qosTenants := flag.String("qos-tenants", "", "enable admission control with per-tenant quotas: semicolon-separated specs 'tenant:staging=BYTES,wlog=BYTES,prio=N' (omitted limits are unlimited), e.g. 'lo:staging=4096,prio=0;hi:prio=2'")
 	qosHighWater := flag.Float64("qos-highwater", 0, "staging-RAM fraction above which low-priority tenants are shed (0 = default 0.7; needs -qos-tenants)")
 	tierDir := flag.String("tier-dir", "", "attach a PFS cold tier backed by this directory: cold logged versions demote to it under budget pressure instead of shedding the put; needs -mem-budget")
-	tierWatermark := flag.Float64("tier-watermark", 0, "budget fraction above which puts spill cold versions to the tier (0 = QoS spill water when QoS is on, else the package default; needs -tier-dir)")
 	memBudget := flag.Int64("mem-budget", 0, "cap resident staged bytes per server (0 = unlimited)")
 	flag.Parse()
 
@@ -70,7 +69,7 @@ func main() {
 		}
 		opts.QoS = qcfg
 	}
-	if err := applyTierFlags(&opts, *tierDir, *tierWatermark, *memBudget); err != nil {
+	if err := applyTierFlags(&opts, *tierDir, *memBudget); err != nil {
 		fmt.Fprintf(os.Stderr, "stagingd: %v\n", err)
 		os.Exit(1)
 	}
@@ -179,21 +178,12 @@ func parseQoS(spec string, highWater float64) (*gospaces.QoSConfig, error) {
 }
 
 // applyTierFlags validates and installs the cold-tier flags: the tier
-// needs a directory and a memory budget (otherwise nothing ever spills),
-// and the watermark is a budget fraction strictly inside (0, 1).
-func applyTierFlags(opts *gospaces.ServeOptions, dir string, watermark float64, budget int64) error {
+// needs a directory and a memory budget (otherwise nothing ever spills).
+func applyTierFlags(opts *gospaces.ServeOptions, dir string, budget int64) error {
 	if budget < 0 {
 		return fmt.Errorf("-mem-budget %d is negative", budget)
 	}
-	if watermark < 0 || watermark >= 1 {
-		if watermark != 0 {
-			return fmt.Errorf("-tier-watermark %v outside (0, 1)", watermark)
-		}
-	}
 	if dir == "" {
-		if watermark != 0 {
-			return fmt.Errorf("-tier-watermark needs -tier-dir")
-		}
 		opts.MemoryBudget = budget
 		return nil
 	}
@@ -201,7 +191,6 @@ func applyTierFlags(opts *gospaces.ServeOptions, dir string, watermark float64, 
 		return fmt.Errorf("-tier-dir needs -mem-budget: without a budget nothing ever spills")
 	}
 	opts.TierDir = dir
-	opts.TierWatermark = watermark
 	opts.MemoryBudget = budget
 	return nil
 }

@@ -49,46 +49,33 @@ func TestParseQoS(t *testing.T) {
 
 func TestApplyTierFlags(t *testing.T) {
 	var opts gospaces.ServeOptions
-	if err := applyTierFlags(&opts, "/tmp/tier", 0.5, 1<<20); err != nil {
+	if err := applyTierFlags(&opts, "/tmp/tier", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if opts.TierDir != "/tmp/tier" || opts.TierWatermark != 0.5 || opts.MemoryBudget != 1<<20 {
+	if opts.TierDir != "/tmp/tier" || opts.MemoryBudget != 1<<20 {
 		t.Fatalf("tier opts = %+v", opts)
 	}
 
 	// A budget without a tier is plain backpressure — still valid.
 	opts = gospaces.ServeOptions{}
-	if err := applyTierFlags(&opts, "", 0, 4096); err != nil {
+	if err := applyTierFlags(&opts, "", 4096); err != nil {
 		t.Fatal(err)
 	}
 	if opts.MemoryBudget != 4096 || opts.TierDir != "" {
 		t.Fatalf("budget-only opts = %+v", opts)
 	}
 
-	// Zero watermark with a tier defers to the server-side default.
-	opts = gospaces.ServeOptions{}
-	if err := applyTierFlags(&opts, "/tmp/tier", 0, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if opts.TierWatermark != 0 {
-		t.Fatalf("default watermark rewritten: %+v", opts)
-	}
-
 	bad := []struct {
-		dir       string
-		watermark float64
-		budget    int64
+		dir    string
+		budget int64
 	}{
-		{"/tmp/tier", 0, 0},    // tier without a budget never spills
-		{"/tmp/tier", 1.0, 64}, // watermark at/above 1 never triggers
-		{"/tmp/tier", -0.2, 64},
-		{"", 0.5, 64}, // watermark without a tier
-		{"", 0, -1},   // negative budget
+		{"/tmp/tier", 0}, // tier without a budget never spills
+		{"", -1},         // negative budget
 	}
 	for _, b := range bad {
 		opts = gospaces.ServeOptions{}
-		if err := applyTierFlags(&opts, b.dir, b.watermark, b.budget); err == nil {
-			t.Fatalf("accepted dir=%q watermark=%v budget=%d", b.dir, b.watermark, b.budget)
+		if err := applyTierFlags(&opts, b.dir, b.budget); err == nil {
+			t.Fatalf("accepted dir=%q budget=%d", b.dir, b.budget)
 		}
 	}
 }

@@ -162,10 +162,6 @@ type ServeOptions struct {
 	// records) instead of shedding the put, and replay reads promote
 	// them back transparently.
 	TierDir string
-	// TierWatermark is the fraction of the memory budget above which
-	// puts demote cold versions (<= 0: the QoS SpillWater when QoS is
-	// on, else the package default).
-	TierWatermark float64
 	// MemoryBudget caps the server's resident object bytes (0 =
 	// unlimited). The cold tier needs a budget to have a watermark to
 	// spill against.
@@ -191,7 +187,6 @@ func ServeWithOptions(addr string, id int, opts ServeOptions) (*StagingServer, e
 		MemoryBudgetPerServer: opts.MemoryBudget,
 		WlogReplicas:          opts.WlogReplicas,
 		QoS:                   opts.QoS,
-		TierWatermark:         opts.TierWatermark,
 	}
 	if opts.TierDir != "" {
 		be, err := pfs.NewDirStore(opts.TierDir)

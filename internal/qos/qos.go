@@ -89,12 +89,6 @@ type Config struct {
 	// linearly with priority until the full budget, which nobody may
 	// exceed. Recovery and wlog-replication traffic is never shed.
 	HighWater float64
-	// SpillWater is the fraction of the budget at which the staging
-	// server starts demoting cold versions to its PFS tier, when one is
-	// enabled. It defaults to 85% of HighWater so spill runs strictly
-	// before the shed rule fires: reclaimable-by-demotion bytes never
-	// cause a rejection, mirroring the GC-before-shed policy.
-	SpillWater float64
 	// RetryAfterBase scales the server-computed retry-after hint
 	// (default 25ms); RetryAfterMax caps it (default 2s).
 	RetryAfterBase time.Duration
@@ -110,12 +104,16 @@ type Config struct {
 	RecoveryWeight   int
 }
 
+// SpillWater is the fraction of the budget at which a staging server
+// with a PFS tier starts demoting cold versions: 85% of HighWater, so
+// spill runs strictly before the shed rule fires and
+// reclaimable-by-demotion bytes never cause a rejection, mirroring the
+// GC-before-shed policy.
+func (c Config) SpillWater() float64 { return 0.85 * c.HighWater }
+
 func (c Config) withDefaults() Config {
 	if c.HighWater <= 0 || c.HighWater >= 1 {
 		c.HighWater = 0.7
-	}
-	if c.SpillWater <= 0 || c.SpillWater >= 1 {
-		c.SpillWater = 0.85 * c.HighWater
 	}
 	if c.RetryAfterBase <= 0 {
 		c.RetryAfterBase = 25 * time.Millisecond

@@ -201,18 +201,10 @@ func TestSnapshotSortedAndQuotaAnnotated(t *testing.T) {
 
 func TestSpillWaterDefaultsBelowHighWater(t *testing.T) {
 	c := NewController(Config{}, nil).Config()
-	if want := 0.85 * c.HighWater; c.SpillWater != want {
-		t.Fatalf("SpillWater default %v, want %v (85%% of HighWater)", c.SpillWater, want)
+	if want := 0.85 * c.HighWater; c.SpillWater() != want {
+		t.Fatalf("SpillWater %v, want %v (85%% of HighWater)", c.SpillWater(), want)
 	}
-	if c.SpillWater >= c.HighWater {
+	if c.SpillWater() >= c.HighWater {
 		t.Fatal("spill must trigger strictly before the shed rule")
-	}
-	c = NewController(Config{HighWater: 0.9, SpillWater: 0.5}, nil).Config()
-	if c.SpillWater != 0.5 {
-		t.Fatalf("explicit SpillWater overridden to %v", c.SpillWater)
-	}
-	c = NewController(Config{SpillWater: 1.5}, nil).Config()
-	if c.SpillWater >= 1 {
-		t.Fatalf("out-of-range SpillWater kept: %v", c.SpillWater)
 	}
 }

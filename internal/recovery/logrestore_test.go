@@ -90,11 +90,7 @@ func startHarnessOn(t *testing.T, tr transport.Transport, cfg staging.Config) *h
 	if _, err := g.AddSpare(); err != nil {
 		t.Fatal(err)
 	}
-	sup := New(tr, fastDetector(tr), g.Membership(), g, Config{
-		OnPromote: func(slot int, addr string, epoch uint64) {
-			g.SetMember(slot, addr, epoch)
-		},
-	})
+	sup := New(tr, fastDetector(tr), g.Membership(), g, Config{})
 	t.Cleanup(func() { sup.Close() })
 	sup.Start()
 	prod, err := g.NewClient("sim/0")

@@ -62,10 +62,11 @@ func TestWaitIdleConfirmsPromotedSpare(t *testing.T) {
 // window. WaitIdle must not report idle in the meantime: the dead
 // member never answers.
 //
-// The back-off waits on the clock, so a probe round here ends only as
-// the clock moves and cannot be a barrier: while WaitIdle waits, the
-// test moves the clock a period at a time, yielding in between. The
-// probe timeout is out of reach, so a probe ends when its call does
+// The back-off waits on the clock, so a probe round here may end only
+// as the clock moves: after each step the test waits until the round
+// has ended and the supervisor has confirmed it, or the round is parked
+// on the clock — a back-off timer armed beside the detector's ticker.
+// The probe timeout is out of reach, so a probe ends when its call does
 // and no verdict depends on how far the clock runs ahead of a probe.
 func TestWaitIdleOverRetryingDetector(t *testing.T) {
 	tr := manualWorld()
@@ -79,12 +80,26 @@ func TestWaitIdleOverRetryingDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retry := transport.WithRetry(tr, transport.DefaultRetryPolicy())
+	pol := transport.DefaultRetryPolicy()
+	retry := transport.WithRetry(tr, pol)
 	defer retry.Close()
 	det := health.NewDetector(retry, "supervisor/0", health.Config{Period: period, Timeout: time.Hour, SuspectAfter: 2, DeadAfter: 4})
 	sup := New(tr, det, g.Membership(), g, Config{})
 	defer sup.Close()
 	sup.Start()
+	// parked reports a back-off timer armed: besides the detector's
+	// ticker, a deadline within the policy's longest back-off. The
+	// supervisor's lease ticker, WaitIdle's timeout and the probes'
+	// hour-long timeouts all lie beyond it.
+	parked := func() bool {
+		n := 0
+		for _, d := range clk.Pending() {
+			if d <= pol.MaxDelay {
+				n++
+			}
+		}
+		return n > 1
+	}
 	waitRunning := func() {
 		t.Helper()
 		res := goWaitIdle(clk, sup)
@@ -96,8 +111,17 @@ func TestWaitIdleOverRetryingDetector(t *testing.T) {
 				}
 				return
 			default:
-				clk.Advance(period)
-				runtime.Gosched()
+			}
+			sup.quiet()
+			round := sup.det.Round()
+			clk.Advance(period)
+			for ended := false; !ended && !parked(); runtime.Gosched() {
+				select {
+				case <-round:
+					sup.confirmed()
+					ended = true
+				default:
+				}
 			}
 		}
 	}

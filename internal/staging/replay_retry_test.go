@@ -37,9 +37,7 @@ func TestReplayRetrySurvivesPromotion(t *testing.T) {
 	det := health.NewDetector(inner, "supervisor/0", health.Config{
 		Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond, SuspectAfter: 2, DeadAfter: 4,
 	})
-	sup := recovery.New(inner, det, g.Membership(), g, recovery.Config{
-		OnPromote: func(slot int, addr string, epoch uint64) { g.SetMember(slot, addr, epoch) },
-	})
+	sup := recovery.New(inner, det, g.Membership(), g, recovery.Config{})
 	defer sup.Close()
 	sup.Start()
 

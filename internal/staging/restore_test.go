@@ -119,7 +119,6 @@ func TestRestoreCrossesOnce(t *testing.T) {
 					Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond, SuspectAfter: 2, DeadAfter: 4,
 				})
 				sup := recovery.New(supTr, det, g.Membership(), g, recovery.Config{
-					OnPromote: func(slot int, addr string, epoch uint64) { g.SetMember(slot, addr, epoch) },
 					// The restore is over when its stage ends: stop recording.
 					PromotionHook: func(stage string, _ int) {
 						if stage == "restored" {

@@ -16,7 +16,8 @@ import (
 // spilled versions, and the TierStats/TierScrub control RPCs.
 
 // defaultTierWatermark is the spill trigger as a fraction of the
-// memory budget when neither EnableTier nor QoS specifies one.
+// memory budget without QoS; with it, the trigger is the QoS spill
+// water (qos.Config.SpillWater), strictly below the shed rule.
 const defaultTierWatermark = 0.6
 
 // tierCounters are the server's tier.* counters, resolved once in
@@ -27,19 +28,16 @@ type tierCounters struct {
 	gcFreedBytes, scrubs                             *metrics.Counter
 }
 
-// EnableTier attaches a cold-tier backend. watermark is the fraction
-// of the memory budget above which puts demote cold versions; <= 0
-// picks the QoS SpillWater when QoS is enabled, else the default.
-// Call before the server serves traffic, after EnableQoS.
-func (s *Server) EnableTier(be tier.Backend, watermark float64) {
-	if watermark <= 0 || watermark >= 1 {
-		watermark = defaultTierWatermark
-		if s.qosCtl != nil {
-			watermark = s.qosCtl.Config().SpillWater
-		}
-	}
+// EnableTier attaches a cold-tier backend. Puts demote cold versions
+// above the QoS spill water when QoS is enabled, else above
+// defaultTierWatermark of the memory budget. Call before the server
+// serves traffic, after EnableQoS.
+func (s *Server) EnableTier(be tier.Backend) {
 	s.tier = tier.New(be, strconv.Itoa(s.id))
-	s.tierWater = watermark
+	s.tierWater = defaultTierWatermark
+	if s.qosCtl != nil {
+		s.tierWater = s.qosCtl.Config().SpillWater()
+	}
 	s.tierCtr = tierCounters{
 		spills:         s.reg.Counter("tier.spills"),
 		spilledBytes:   s.reg.Counter("tier.spilled_bytes"),

@@ -200,7 +200,7 @@ func loggedObj(name string, version int64, bbox domain.BBox, seed int64) *store.
 // tier holds a committed copy of it.
 func TestSpillVersionDropsOnlyWhatWasCommitted(t *testing.T) {
 	srv := NewServer(0)
-	srv.EnableTier(pfs.NewStore(), 0)
+	srv.EnableTier(pfs.NewStore())
 	boxA, boxB := domain.Box3(0, 0, 0, 3, 3, 0), domain.Box3(4, 0, 0, 7, 3, 0)
 	logged := loggedObj("field", 1, boxA, 1)
 	unlogged := &store.Object{Name: "field", Version: 1, BBox: boxB, ElemSize: 1, Data: fill(16, 2)}
@@ -248,7 +248,7 @@ func TestSpillFaultLeavesVersionResident(t *testing.T) {
 	const n = 4
 	withVersions := func(be tier.Backend) (*Server, []*store.Object) {
 		srv := NewServer(0)
-		srv.EnableTier(be, 0)
+		srv.EnableTier(be)
 		var want []*store.Object
 		for i := int64(0); i < n; i++ {
 			box := domain.Box3(4*i, 0, 0, 4*i+3, 3, 0)
@@ -292,7 +292,7 @@ func TestTierChargesQoSByDelta(t *testing.T) {
 	srv := NewServer(0)
 	srv.SetMemoryBudget(1024)
 	srv.EnableQoS(qos.Config{Tenants: map[string]qos.Quota{"sim": {Priority: 1}, "ana": {Priority: 1}}})
-	srv.EnableTier(pfs.NewStore(), 0.5)
+	srv.EnableTier(pfs.NewStore())
 	for v := int64(1); v <= 8; v++ {
 		for _, name := range []string{"sim/u", "ana/w"} {
 			if _, err := srv.Handle(qosPut(name, v, box, true, v)); err != nil {

@@ -409,19 +409,9 @@ func Run(opts Options) (Result, error) {
 				SuspectAfter: 2,
 				DeadAfter:    6,
 			})
-			sup := recovery.New(tr, det, group.Membership(), group, recovery.Config{
-				ID: id,
-				OnPromote: func(slot int, addr string, epoch uint64) {
-					// Re-point the shared client pool so reconnecting ranks
-					// dial the promoted spare.
-					group.Pool.SetMember(slot, addr, epoch)
-				},
-				OnSlotDown: func(slot int, down bool) {
-					// While a dead slot has no spare to promote, clients
-					// fail fast with ErrSlotDown instead of timing out.
-					group.Pool.MarkSlotDown(slot, down)
-				},
-			})
+			// Ranks learn a promotion, or a slot stranded with no spare,
+			// from the servers' view, as any client does.
+			sup := recovery.New(tr, det, group.Membership(), group, recovery.Config{ID: id})
 			sup.Start()
 			defer sup.Close()
 			r.sups = append(r.sups, sup)
