@@ -1,6 +1,8 @@
 package health
 
 import (
+	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -438,12 +440,57 @@ func TestMembershipEpochsAndSubscribe(t *testing.T) {
 	if _, err := m.ReplaceFenced(0, 9, "x"); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
-	addrs, epoch := m.Snapshot()
-	if len(addrs) != 3 || epoch != 2 {
-		t.Fatalf("snapshot = %v, %d", addrs, epoch)
+	addrs, down, epoch := m.Snapshot()
+	if len(addrs) != 3 || len(down) != 0 || epoch != 2 {
+		t.Fatalf("snapshot = %v, %v, %d", addrs, down, epoch)
 	}
 	if m.Addr(9) != "" {
 		t.Fatal("out-of-range addr not empty")
+	}
+}
+
+// TestMembershipDownBumpsEpoch checks that stranding and healing a slot
+// each name a new view, that a promotion heals the slot it fills, and
+// that a deposed writer cannot move the stranded set.
+func TestMembershipDownBumpsEpoch(t *testing.T) {
+	m := NewMembership([]string{"a", "b", "c"})
+	sub := m.Subscribe()
+	for _, step := range []struct {
+		id      int
+		down    bool
+		changed bool
+		want    []int
+	}{
+		{2, true, true, []int{2}},
+		{2, true, false, []int{2}},
+		{0, true, true, []int{0, 2}},
+		{0, false, true, []int{2}},
+		{0, false, false, []int{2}},
+	} {
+		before := m.Epoch()
+		changed, err := m.SetDownFenced(1, step.id, step.down)
+		if err != nil || changed != step.changed {
+			t.Fatalf("SetDownFenced(%d, %v) = %v, %v", step.id, step.down, changed, err)
+		}
+		_, down, epoch := m.Snapshot()
+		if bumped := epoch != before; bumped != step.changed || !slices.Equal(down, step.want) {
+			t.Fatalf("after SetDownFenced(%d, %v): down %v at epoch %d (was %d), want %v", step.id, step.down, down, epoch, before, step.want)
+		}
+	}
+	select {
+	case ch := <-sub:
+		t.Fatalf("stranded-set change notified as %+v", ch)
+	default:
+	}
+	if _, err := m.SetDownFenced(0, 1, true); !errors.Is(err, ErrFenced) {
+		t.Fatalf("deposed writer: %v, want ErrFenced", err)
+	}
+	if _, err := m.SetDownFenced(1, 5, true); err == nil {
+		t.Fatal("out-of-range slot accepted")
+	}
+	epoch, err := m.ReplaceFenced(1, 2, "c2")
+	if _, down, _ := m.Snapshot(); err != nil || len(down) != 0 || epoch != 5 {
+		t.Fatalf("promotion into the stranded slot: down %v at epoch %d, err %v", down, epoch, err)
 	}
 }
 

@@ -46,6 +46,72 @@ func TestServerRejectsStaleEpoch(t *testing.T) {
 	}
 }
 
+// TestPoolAdoptsOnlyNewerViews: one epoch names one view, stranded
+// slots included, so a member that missed a push cannot hand a client
+// an older Down list — neither re-stranding a healed slot nor healing a
+// stranded one.
+func TestPoolAdoptsOnlyNewerViews(t *testing.T) {
+	p, err := NewPool(transport.NewInProc(), []string{"a", "b", "c"}, Config{
+		Global: domain.Box3(0, 0, 0, 63, 63, 0), NServers: 3, Bits: 2, ElemSize: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		v    MembershipResp
+		down bool // slot 1 stranded after adopting v
+	}{
+		{MembershipResp{Epoch: 2, Addrs: []string{"a", "b", "c"}, Down: []int{1}}, true},
+		{MembershipResp{Epoch: 1, Addrs: []string{"a", "b", "c"}}, true},
+		{MembershipResp{Epoch: 3, Addrs: []string{"a", "b", "c"}}, false},
+		{MembershipResp{Epoch: 2, Addrs: []string{"a", "b", "c"}, Down: []int{1}}, false},
+		{MembershipResp{Epoch: 3, Addrs: []string{"a", "b", "c"}, Down: []int{1}}, false},
+	} {
+		p.adopt(step.v)
+		if p.isDown(1) != step.down {
+			t.Fatalf("after %+v: slot 1 down = %v, want %v (pool at epoch %d)", step.v, p.isDown(1), step.down, p.Epoch())
+		}
+	}
+}
+
+// TestRebindSkipsLaggingMember: a member that missed the push healing
+// a stranded slot still answers the stranding view; a client's rebind
+// reads past it to a member holding the newer view, so the healed slot
+// serves instead of answering ErrSlotDown for as long as the member
+// lags.
+func TestRebindSkipsLaggingMember(t *testing.T) {
+	g, err := StartGroup(transport.NewInProc(), "stage", Config{
+		Global: domain.Box3(0, 0, 0, 63, 63, 0), NServers: 3, Bits: 2, ElemSize: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	c, err := g.NewClient("sim/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	addrs := g.Membership().Addrs()
+	for i := range addrs {
+		g.Server(i).setView(EpochSetReq{Epoch: 2, Addrs: addrs, Down: []int{1}})
+	}
+	if _, err := c.call(1, StatsReq{}); !errors.Is(err, ErrSlotDown) {
+		t.Fatalf("call on the stranded slot: %v, want ErrSlotDown", err)
+	}
+	// The heal reaches every member but slot 2, the first a rebind for
+	// slot 1 asks.
+	for _, i := range []int{0, 1} {
+		g.Server(i).setView(EpochSetReq{Epoch: 3, Addrs: addrs})
+	}
+	if _, err := c.call(1, StatsReq{}); err != nil {
+		t.Fatalf("call on the healed slot: %v", err)
+	}
+	if e := c.pool.Epoch(); e != 3 {
+		t.Fatalf("pool epoch = %d, want the heal's 3", e)
+	}
+}
+
 // TestClientRebindsAfterPromotion drives the full redirect path: a
 // member fail-stops, a spare is promoted under a bumped epoch, and a
 // client holding the old view self-heals — its next call re-binds to
