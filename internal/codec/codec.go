@@ -21,6 +21,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -120,14 +121,50 @@ type Cut struct {
 // min bytes (min > 0) — at any depth: in a nested struct, a slice of
 // structs, an envelope's payload — is appended as its length prefix only
 // and returned as a cut aliasing the field, so head with each cut's Data
-// spliced in at its At is byte-identical to Append's output.
+// spliced in at its At is byte-identical to Append's output. It is
+// Measure then AppendTo: buf grows at most once.
 func AppendCuts(buf []byte, v any, min int) (head []byte, cuts []Cut, err error) {
-	e := encoder{buf: buf, min: min}
-	e.message(v)
-	if e.err != nil {
-		return buf, nil, e.err
+	m, err := Measure(v, min)
+	if err != nil {
+		return buf, nil, err
 	}
-	return e.buf, e.cuts, nil
+	head, cuts = m.AppendTo(buf)
+	return head, cuts, nil
+}
+
+// Measured is v's encoding under AppendCuts's rule at min, sized by a
+// pass over v that copies nothing, so a caller knows how large the
+// encoding is before a byte of it is built.
+type Measured struct {
+	Head int // bytes AppendTo appends: the encoding less its cuts
+	Len  int // Head plus every cut's bytes: the whole encoding
+	v    any
+	min  int
+	cuts int
+}
+
+// Measure sizes v's encoding with every []byte field of at least min
+// bytes (min > 0) cut. Head and Len are exact: real varint lengths, not
+// bounds. An unregistered v, or nested payload, is ErrUnregistered.
+func Measure(v any, min int) (Measured, error) {
+	s := sizer{min: min}
+	s.message(v)
+	if s.err != nil {
+		return Measured{}, s.err
+	}
+	return Measured{Head: s.head, Len: s.head + s.cut, v: v, min: min, cuts: s.cuts}, nil
+}
+
+// AppendTo appends the measured value's head to buf, growing buf at
+// most once (to room for Head more bytes, when it has less), and
+// returns the cuts. The value must not have changed since Measure.
+func (m Measured) AppendTo(buf []byte) (head []byte, cuts []Cut) {
+	e := encoder{buf: slices.Grow(buf, m.Head), min: m.min}
+	if m.cuts > 0 {
+		e.cuts = make([]Cut, 0, m.cuts)
+	}
+	e.message(m.v)
+	return e.buf, e.cuts
 }
 
 // MarshalBulk is the single-tail split bench/ still calls: ok when v's

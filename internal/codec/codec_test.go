@@ -209,12 +209,16 @@ func stitch(head []byte, cuts []codec.Cut) []byte {
 
 // checkCuts holds AppendCuts to its contract for v at one threshold:
 // the cuts are exactly v's byte fields of at least min bytes, in order
-// and by address (nothing copied), and head stitched with them is wire.
+// and by address (nothing copied), head stitched with them is wire, and
+// Measure sized both before they were built.
 func checkCuts(t *testing.T, v any, wire []byte, min int) []codec.Cut {
 	t.Helper()
 	head, cuts, err := codec.AppendCuts([]byte("prefix"), v, min)
 	if err != nil {
 		t.Fatalf("%T min %d: %v", v, min, err)
+	}
+	if m, err := codec.Measure(v, min); err != nil || m.Head != len(head)-len("prefix") || m.Len != len(wire) {
+		t.Fatalf("%T min %d: Measure = head %d of %d bytes, %v; built head %d of %d", v, min, m.Head, m.Len, err, len(head)-len("prefix"), len(wire))
 	}
 	var want [][]byte
 	for _, b := range byteFields(nil, reflect.ValueOf(v)) {
@@ -356,6 +360,37 @@ func checkTotal(t *testing.T, data []byte) {
 // id. The seeds are one valid encoding per id plus a truncation and a
 // corruption of it, so plain `go test` already walks every plan.
 func FuzzDecode(f *testing.F) {
+	addDecodeSeeds(f)
+	f.Fuzz(checkTotal)
+}
+
+// FuzzEncodedSize re-encodes whatever FuzzDecode's seeds (and their
+// mutations) decode to, and holds Measure to exactness on it: at every
+// cut rule, Head is the length of the head AppendCuts builds and Len
+// that of Append's whole encoding.
+func FuzzEncodedSize(f *testing.F) {
+	addDecodeSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := codec.Unmarshal(data)
+		if err != nil {
+			return
+		}
+		wire, err := codec.Append(nil, v)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", v, err)
+		}
+		for _, min := range []int{0, 1, 16 << 10} {
+			m, err := codec.Measure(v, min)
+			head, _, _ := codec.AppendCuts(nil, v, min)
+			if err != nil || m.Head != len(head) || m.Len != len(wire) {
+				t.Fatalf("%T min %d: Measure = head %d of %d bytes, %v; AppendCuts built %d, Append %d", v, min, m.Head, m.Len, err, len(head), len(wire))
+			}
+		}
+	})
+}
+
+// addDecodeSeeds adds FuzzDecode's seed corpus to f.
+func addDecodeSeeds(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	ids, types := registered()
 	for _, id := range ids {
@@ -378,7 +413,6 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xfe})
-	f.Fuzz(checkTotal)
 }
 
 // TestCorruptCountAllocatesNothing is the regression for the 318 MiB
@@ -494,7 +528,8 @@ func TestRegisterRejects(t *testing.T) {
 
 // BenchmarkPlan tracks the reflection plan's cost on the data plane's
 // own messages, the way the transport drives it — a scatter-gather
-// encode that cuts byte fields of 64 KiB and up, and an alias decode:
+// encode (its size pass included) that cuts byte fields of 16 KiB and
+// up, and an alias decode:
 // a logged put's envelope, small and large, and a get response of four
 // pieces.
 func BenchmarkPlan(b *testing.B) {
@@ -515,7 +550,7 @@ func BenchmarkPlan(b *testing.B) {
 		b.Run(bc.name+"/encode", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := codec.AppendCuts(buf[:0], bc.msg, 64<<10); err != nil {
+				if _, _, err := codec.AppendCuts(buf[:0], bc.msg, 16<<10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -540,15 +575,16 @@ func getResp(pieces, size int) staging.GetResp {
 }
 
 // BenchmarkGetRespWire is one get round trip over loopback TCP by
-// piece size: a server's whole answer to a consumer, every piece a cut
-// at 128 KiB and none at 16 KiB.
+// piece shape: a server's whole answer to a consumer, every piece a cut
+// (the transport cuts byte fields from 16 KiB). 32 × 16 KiB is a
+// replayed get's answer on restart-spill.
 func BenchmarkGetRespWire(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		size int
-	}{{"pieces=16x128KiB", 128 << 10}, {"pieces=16x16KiB", 16 << 10}} {
+		name         string
+		pieces, size int
+	}{{"pieces=16x128KiB", 16, 128 << 10}, {"pieces=16x16KiB", 16, 16 << 10}, {"pieces=32x16KiB", 32, 16 << 10}} {
 		b.Run(bc.name, func(b *testing.B) {
-			resp := getResp(16, bc.size)
+			resp := getResp(bc.pieces, bc.size)
 			tr := transport.NewTCP()
 			ep, err := tr.ListenTCP("127.0.0.1:0", func(any) (any, error) { return resp, nil })
 			if err != nil {
@@ -561,11 +597,11 @@ func BenchmarkGetRespWire(b *testing.B) {
 			}
 			defer cl.Close()
 			b.ReportAllocs()
-			b.SetBytes(int64(16 * bc.size))
+			b.SetBytes(int64(bc.pieces * bc.size))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				got, err := cl.Call(staging.GetReq{Name: "field", Version: 7})
-				if err != nil || len(got.(staging.GetResp).Pieces) != 16 {
+				if err != nil || len(got.(staging.GetResp).Pieces) != bc.pieces {
 					b.Fatal(got, err)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"time"
 )
@@ -118,31 +119,121 @@ func planFor(t reflect.Type, seen map[reflect.Type]*plan) *plan {
 	return p
 }
 
-// encoder carries one encode: the output, the byte fields of at least
-// min bytes held back as cuts (min 0: none), and the first error (only
-// an unregistered nested message can fail an encode).
-type encoder struct {
-	buf  []byte
-	min  int
-	cuts []Cut
-	err  error
-}
-
-// message appends v's type id and body.
-func (e *encoder) message(v any) {
+// lookup finds v's registration and the value its plan walks.
+func lookup(v any) (*msgType, reflect.Value, error) {
 	m := registry.Load().byType[reflect.TypeOf(v)]
 	if m == nil {
-		e.err = fmt.Errorf("%w: %T", ErrUnregistered, v)
-		return
+		return nil, reflect.Value{}, fmt.Errorf("%w: %T", ErrUnregistered, v)
 	}
 	rv := reflect.ValueOf(v)
 	if m.ptr {
 		if rv.IsNil() {
-			e.err = fmt.Errorf("%w: nil %T", ErrUnregistered, v)
-			return
+			return nil, rv, fmt.Errorf("%w: nil %T", ErrUnregistered, v)
 		}
 		rv = rv.Elem()
 	}
+	return m, rv, nil
+}
+
+// sizer carries one size pass: the head's exact length, and the count
+// and bytes of the byte fields of at least min bytes held back as cuts
+// (min 0: none), and the first error (only an unregistered nested
+// message can fail one).
+type sizer struct {
+	min, head, cuts, cut int
+	err                  error
+}
+
+// message adds v's type id and body.
+func (s *sizer) message(v any) {
+	m, rv, err := lookup(v)
+	if err != nil {
+		s.err = err
+		return
+	}
+	s.head += 2
+	m.plan.size(s, rv)
+}
+
+// size adds what enc appends for v: the real varint lengths, and a cut
+// byte field as its length prefix in the head and its bytes in the cuts.
+func (p *plan) size(s *sizer, v reflect.Value) {
+	switch p.kind {
+	case kBool:
+		s.head++
+	case kInt:
+		s.head += varintLen(v.Int())
+	case kUint:
+		s.head += uvarintLen(v.Uint())
+	case kFloat:
+		s.head += 8
+	case kString:
+		s.head += uvarintLen(uint64(v.Len())) + v.Len()
+	case kBytes:
+		n := v.Len()
+		s.head += uvarintLen(uint64(n))
+		if s.min > 0 && n >= s.min {
+			s.cuts++
+			s.cut += n
+		} else {
+			s.head += n
+		}
+	case kTime:
+		t := timeOf(v)
+		s.head += varintLen(t.Unix()) + uvarintLen(uint64(t.Nanosecond()))
+	case kArray:
+		for i := 0; i < p.n; i++ {
+			p.elem.size(s, v.Index(i))
+		}
+	case kSlice:
+		n := v.Len()
+		s.head += uvarintLen(uint64(n))
+		for i := 0; i < n; i++ {
+			p.elem.size(s, v.Index(i))
+		}
+	case kStruct:
+		for _, f := range p.fields {
+			f.plan.size(s, v.Field(f.idx))
+		}
+	case kPtr:
+		s.head++
+		if !v.IsNil() {
+			p.elem.size(s, v.Elem())
+		}
+	case kAny:
+		if s.err == nil {
+			s.message(v.Interface())
+		}
+	}
+}
+
+// uvarintLen is the length binary.AppendUvarint gives x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length binary.AppendVarint gives x (zig-zag).
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// timeOf reads a time.Time field; one that is addressable (a slice
+// element, a pointee) is read in place, not boxed into a fresh copy.
+func timeOf(v reflect.Value) time.Time {
+	if v.CanAddr() {
+		return *v.Addr().Interface().(*time.Time)
+	}
+	return v.Interface().(time.Time)
+}
+
+// encoder carries one encode: the output and the byte fields of at
+// least min bytes held back as cuts (min 0: none).
+type encoder struct {
+	buf  []byte
+	min  int
+	cuts []Cut
+}
+
+// message appends v's type id and body. Measure has sized the same
+// value, so every type in it is registered.
+func (e *encoder) message(v any) {
+	m, rv, _ := lookup(v)
 	e.buf = binary.BigEndian.AppendUint16(e.buf, m.id)
 	m.plan.enc(e, rv)
 }
@@ -169,7 +260,7 @@ func (p *plan) enc(e *encoder, v reflect.Value) {
 			e.buf = append(e.buf, b...)
 		}
 	case kTime:
-		t := v.Interface().(time.Time)
+		t := timeOf(v)
 		e.buf = binary.AppendVarint(e.buf, t.Unix())
 		e.buf = binary.AppendUvarint(e.buf, uint64(t.Nanosecond()))
 	case kArray:
@@ -192,9 +283,7 @@ func (p *plan) enc(e *encoder, v reflect.Value) {
 			p.elem.enc(e, v.Elem())
 		}
 	case kAny:
-		if e.err == nil {
-			e.message(v.Interface())
-		}
+		e.message(v.Interface())
 	}
 }
 

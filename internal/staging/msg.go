@@ -35,7 +35,7 @@ type PutReq struct {
 	// Defer asks for the ack without flushing the piece's record to the
 	// replicas: a later piece of the same put flushes for both (Client.put).
 	Defer bool
-	// Piece's payload is never copied into a frame: from 64 KiB up the
+	// Piece's payload is never copied into a frame: from 16 KiB up the
 	// transport writes it as its own iovec (codec.AppendCuts), wherever
 	// the field sits. Field order is a wire constant all the same.
 	Piece Piece

@@ -156,23 +156,25 @@ func wireBytes(resp any) (data []byte, carries bool) {
 	return data, true
 }
 
-// TestWireCompleteness sends every request type Server.dispatch
-// switches on over loopback TCP — bare, and inside each envelope — and
-// wants its typed response back. InProc never encodes, so without this
-// a message missing from wireTypes passes every other test and fails
-// the first real deployment. Every message that carries payload bytes
-// carries 64 KiB of them, so it crosses as a head and a cut (bare and
-// at both envelope depths), and the bytes must come back exact.
-func TestWireCompleteness(t *testing.T) {
-	const ahead = 1 << 40 // an epoch / fencing token no install below overtakes
-	box := domain.Box3(0, 0, 0, 63, 31, 31)
-	big := fill(domain.BufLen(box, 1), 1) // 64 KiB: the transport's vecThreshold
+// wireAhead is an epoch / fencing token no install in wireCases
+// overtakes.
+const wireAhead = 1 << 40
+
+type wireCase struct{ req, resp any }
+
+// wireCases is one request of every type Server.dispatch switches on,
+// with the type of its response. Every request that carries payload
+// bytes carries big, exactly 16 KiB (the transport's vecThreshold), so
+// over TCP it crosses as a head and a cut.
+func wireCases(t *testing.T) (cases []wireCase, big []byte) {
+	box := domain.Box3(0, 0, 0, 31, 31, 15)
+	big = fill(domain.BufLen(box, 1), 1)
 	wl, err := wlog.New().Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	state := ReplState{Wlog: wl, Objects: []ReplObject{{Name: "f", Version: 1, BBox: box, ElemSize: 1, Data: big}}}
-	cases := []struct{ req, resp any }{
+	return []wireCase{
 		{health.PingReq{}, health.PingResp{}},
 		{LeaseCASReq{Holder: "sup", Token: 1, TTL: time.Second}, LeaseCASResp{}},
 		{IntentPutReq{Intent: PromotionIntent{Slot: 1, DeadAddr: "d", Spare: "s", Token: 1}}, IntentPutResp{}},
@@ -189,11 +191,11 @@ func TestWireCompleteness(t *testing.T) {
 		{ShardGetReq{Key: "k", Shard: 1}, ShardGetResp{}},
 		{ShardDropReq{Key: "k"}, ShardDropResp{}},
 		{LockReq{Name: "step", Holder: "viz/0"}, LockResp{}},
-		{ReplApplyReq{Epoch: ahead, Slot: 1, Records: []ReplRecord{
+		{ReplApplyReq{Epoch: wireAhead, Slot: 1, Records: []ReplRecord{
 			{Seq: 1, Lock: &LockRecord{Name: "l", Holder: "h", Ok: true}},
 			{Seq: 2, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0", Name: "f", Version: 1, BBox: box, Bytes: int64(len(big))}, Data: big, ElemSize: 1},
 		}}, ReplApplyResp{}},
-		{ReplSnapshotReq{Epoch: ahead, Slot: 2, State: state}, ReplSnapshotResp{}},
+		{ReplSnapshotReq{Epoch: wireAhead, Slot: 2, State: state}, ReplSnapshotResp{}},
 		{ReplFetchReq{Slot: 2}, ReplFetchResp{}},
 		{WlogInstallReq{Slot: 0, State: state}, WlogInstallResp{}},
 		{TraceReq{}, TraceResp{}},
@@ -201,13 +203,29 @@ func TestWireCompleteness(t *testing.T) {
 		{QosStatsReq{}, QosStatsResp{}},
 		{TierStatsReq{}, TierStatsResp{}},
 		{TierScrubReq{}, TierScrubResp{}},
-	}
+	}, big
+}
 
+// enveloped is req bare and inside each envelope.
+func enveloped(req any) []any {
+	return []any{req, EpochReq{Epoch: wireAhead, Req: req}, FencedReq{Token: wireAhead, Req: EpochReq{Epoch: wireAhead, Req: req}}}
+}
+
+// TestWireCompleteness sends every request type Server.dispatch
+// switches on over loopback TCP — bare, and inside each envelope — and
+// wants its typed response back. InProc never encodes, so without this
+// a message missing from wireTypes passes every other test and fails
+// the first real deployment. Every message that carries payload bytes
+// carries exactly 16 KiB of them, the transport's vecThreshold, so it
+// crosses as a head and a cut (bare and at both envelope depths), and
+// the bytes must come back exact.
+func TestWireCompleteness(t *testing.T) {
+	cases, big := wireCases(t)
 	cl := listenTCP(t, NewServer(0))
 	sent := map[string]bool{"EpochReq": true, "FencedReq": true} // every case below goes through both
 	for _, tc := range cases {
 		sent[strings.TrimPrefix(fmt.Sprintf("%T", tc.req), "staging.")] = true
-		for _, req := range []any{tc.req, EpochReq{Epoch: ahead, Req: tc.req}, FencedReq{Token: ahead, Req: EpochReq{Epoch: ahead, Req: tc.req}}} {
+		for _, req := range enveloped(tc.req) {
 			resp, err := cl.Call(req)
 			if err != nil || reflect.TypeOf(resp) != reflect.TypeOf(tc.resp) {
 				t.Errorf("Call(%T{%T}) = %T, %v; want %T", req, tc.req, resp, err, tc.resp)
@@ -244,6 +262,55 @@ func TestWireCompleteness(t *testing.T) {
 		})
 		return false
 	})
+}
+
+// TestMeasureEveryWireCase: for every request of wireCases, bare and in
+// both envelopes, and for the response a server gives it, codec.Measure
+// is exact at both cut rules the service uses (none, and the
+// transport's 16 KiB): Head is the length AppendCuts appends, Len that
+// of the whole encoding. AppendCuts into a buffer of Head bytes' room
+// builds the head in that buffer, with no allocation but the cut list,
+// made once at its size.
+func TestMeasureEveryWireCase(t *testing.T) {
+	cases, _ := wireCases(t)
+	s := NewServer(0)
+	for _, tc := range cases {
+		for _, req := range enveloped(tc.req) {
+			resp, err := s.Handle(req)
+			if err != nil {
+				t.Fatalf("Handle(%T{%T}): %v", req, tc.req, err)
+			}
+			for _, v := range []any{req, resp} {
+				for _, min := range []int{0, 16 << 10} {
+					checkMeasured(t, v, min)
+				}
+			}
+		}
+	}
+}
+
+func checkMeasured(t *testing.T, v any, min int) {
+	t.Helper()
+	m, err := codec.Measure(v, min)
+	if err != nil {
+		t.Fatalf("Measure(%T, %d): %v", v, min, err)
+	}
+	wire, _ := codec.Append(nil, v)
+	buf := make([]byte, 0, m.Head)
+	head, cuts, err := codec.AppendCuts(buf, v, min)
+	if err != nil || len(head) != m.Head || m.Len != len(wire) {
+		t.Fatalf("%T min %d: Measure says head %d of %d bytes, AppendCuts built %d, Append %d (%v)", v, min, m.Head, m.Len, len(head), len(wire), err)
+	}
+	if &head[0] != &buf[:1][0] {
+		t.Fatalf("%T min %d: the head outgrew a buffer of Head bytes' room", v, min)
+	}
+	want := 0.0
+	if len(cuts) > 0 {
+		want = 1 // the cut list
+	}
+	if got := testing.AllocsPerRun(10, func() { codec.AppendCuts(buf, v, min) }); got > want {
+		t.Fatalf("%T min %d: AppendCuts into a buffer of Head bytes' room allocated %v times, want %v", v, min, got, want)
+	}
 }
 
 // TestRetiredWireIDs: a retired id stays retired. No table registers
@@ -399,10 +466,17 @@ func FuzzFastpathDecode(f *testing.F) {
 // second connection after every logged get has been served and before
 // its response is encoded: the collection must really happen, and the
 // consumer must still read the version's exact bytes (under -race: no
-// one may write what the transport is reading).
+// one may write what the transport is reading). Pieces of 64 and of
+// 16 KiB, the transport's vecThreshold: both leave as cuts.
 func TestGetSurvivesGCBeforeWrite(t *testing.T) {
+	for _, global := range []domain.BBox{domain.Box3(0, 0, 0, 127, 127, 31), domain.Box3(0, 0, 0, 63, 63, 31)} {
+		cfg := Config{Global: global, NServers: 1, Bits: 2, ElemSize: 8} // 64 cells
+		t.Run(fmt.Sprintf("cell=%dKiB", domain.BufLen(global, 8)/64>>10), func(t *testing.T) { getSurvivesGCBeforeWrite(t, cfg) })
+	}
+}
+
+func getSurvivesGCBeforeWrite(t *testing.T, cfg Config) {
 	tr := transport.NewTCP()
-	cfg := Config{Global: domain.Box3(0, 0, 0, 127, 127, 31), NServers: 1, Bits: 2, ElemSize: 8} // 64 cells of 64 KiB
 	srv := NewServer(0)
 	var check *Client
 	// The handler writes freed and the test reads it; nothing else orders

@@ -10,7 +10,7 @@ import (
 )
 
 // benchPut mimics a staged put: a small key plus a bulk payload (from
-// 64 KiB up the transport writes it as an iovec of its own).
+// 16 KiB up the transport writes it as an iovec of its own).
 type benchPut struct {
 	Key  string
 	Data []byte

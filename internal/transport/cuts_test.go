@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -40,14 +41,23 @@ func sgPieces(n, size int) sgResp {
 	return resp
 }
 
-// TestScatterGatherResponse: a 2 MiB get response of 16 × 128 KiB
-// pieces reaches a raw socket byte for byte as codec.Append would have
-// laid it out, transport.bytes_out counts exactly header + body, and
-// the sending side allocates next to nothing per response — the pieces
-// leave as iovecs of the handler's own slices, never copied into a
-// frame buffer (the contiguous encode allocated more than the response).
+// TestScatterGatherResponse: a get response reaches a raw socket byte
+// for byte as codec.Append would have laid it out,
+// transport.bytes_out counts exactly header + body, and the sending
+// side allocates next to nothing per response — the pieces leave as
+// iovecs of the handler's own slices, never copied into a frame buffer
+// (the contiguous encode allocated more than the response). Two shapes:
+// couple-large's 2 MiB of 16 × 128 KiB pieces, and a replayed get's
+// answer on restart-spill, 32 × 16 KiB: pieces of exactly vecThreshold.
 func TestScatterGatherResponse(t *testing.T) {
-	resp := sgPieces(16, 128<<10)
+	for _, shape := range []struct{ pieces, size int }{{16, 128 << 10}, {32, vecThreshold}} {
+		t.Run(fmt.Sprintf("%dx%dKiB", shape.pieces, shape.size>>10), func(t *testing.T) {
+			scatterGatherResponse(t, sgPieces(shape.pieces, shape.size))
+		})
+	}
+}
+
+func scatterGatherResponse(t *testing.T, resp sgResp) {
 	wire, err := codec.Append(nil, resp)
 	if err != nil {
 		t.Fatal(err)
@@ -73,10 +83,7 @@ func TestScatterGatherResponse(t *testing.T) {
 	frame := make([]byte, frameHdrLen+len(wire))
 	call := func(msg string, id uint64) []byte {
 		t.Helper()
-		req, _, err := appendPayload(beginFrame(nil), echoReq{Msg: msg})
-		if err == nil {
-			err = finishFrameTail(req, 0, id, 0)
-		}
+		req, _, err := appendFrame(nil, 0, id, nil, echoReq{Msg: msg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,5 +193,83 @@ func TestFrameTooLargeFailsOneCall(t *testing.T) {
 	}
 	if now, _ := cl.(*tcpClient).live(); now != conn {
 		t.Fatal("the client re-dialled: a too-large message cost it its connection")
+	}
+}
+
+// TestVecThresholdBoundary: a byte field one byte short of vecThreshold
+// is copied into the frame's head, and one of exactly vecThreshold
+// leaves as a cut of the field itself.
+func TestVecThresholdBoundary(t *testing.T) {
+	resp := sgResp{Pieces: []sgPiece{{Data: make([]byte, vecThreshold-1)}, {Data: make([]byte, vecThreshold)}}}
+	wire, err := codec.Append(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, cuts, err := appendFrame(nil, flagResponse, 1, nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cuts) != 1 || &cuts[0].Data[0] != &resp.Pieces[1].Data[0] {
+		t.Fatalf("%d cuts: want one, the %d-byte field itself", len(cuts), vecThreshold)
+	}
+	if head := len(frame) - frameHdrLen; head != len(wire)-vecThreshold {
+		t.Fatalf("head is %d bytes, want %d: the %d-byte field copied in, the other not", head, len(wire)-vecThreshold, vecThreshold-1)
+	}
+	if body := int(binary.BigEndian.Uint32(frame[14:18])); body != len(wire) {
+		t.Fatalf("the header counts %d body bytes, want %d", body, len(wire))
+	}
+}
+
+// TestFrameTooLargeRefusedUnbuilt: a message that would outgrow
+// MaxFrameBody in its head alone — every byte field under vecThreshold,
+// so nothing is cut — fails its one call before its frame is built: a
+// request locally and a response as an error frame, each allocating a
+// small fraction of the frame it refused.
+func TestFrameTooLargeRefusedUnbuilt(t *testing.T) {
+	chunk := make([]byte, vecThreshold-1)
+	huge := sgResp{Pieces: make([]sgPiece, MaxFrameBody/len(chunk)+1)}
+	for i := range huge.Pieces {
+		huge.Pieces[i].Data = chunk // 64 MiB of head, 16 KiB of memory
+	}
+	size, err := codec.Measure(huge, vecThreshold)
+	if err != nil || size.Head <= MaxFrameBody {
+		t.Fatalf("the message's head is %d bytes (%v): not over MaxFrameBody", size.Head, err)
+	}
+	ep, err := NewTCP().ListenTCP("127.0.0.1:0", func(req any) (any, error) {
+		if r, ok := req.(echoReq); ok && r.Msg == "huge" {
+			return huge, nil
+		}
+		return echoHandler(req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	cl, err := NewTCP().Dial(ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Call(echoReq{Msg: "warm"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		req    any
+		remote bool
+	}{{"request", huge, false}, {"response", echoReq{Msg: "huge"}, true}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := cl.Call(tc.req)
+		runtime.ReadMemStats(&after)
+		var re *RemoteError
+		if !errors.Is(err, ErrFrameTooLarge) || errors.As(err, &re) != tc.remote {
+			t.Fatalf("oversized %s = %v, want ErrFrameTooLarge (remote %v)", tc.name, err, tc.remote)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("refusing a %d-byte %s allocated %d bytes", size.Len, tc.name, alloc)
+		if alloc >= MaxFrameBody/16 {
+			t.Fatalf("refusing the %s allocated %d bytes: its frame was built", tc.name, alloc)
+		}
 	}
 }

@@ -63,30 +63,6 @@ func (e *frameTooLargeError) Is(target error) bool { return target == ErrFrameTo
 
 func init() { codec.Register(768, &frameTooLargeError{}) }
 
-// beginFrame reserves header space at the start of a (pooled) buffer;
-// the body is appended after it and finishFrame fills the header in.
-func beginFrame(buf []byte) []byte {
-	var hdr [frameHdrLen]byte
-	return append(buf, hdr[:]...)
-}
-
-// finishFrameTail writes the header of a frame whose body follows the
-// reserved space and — for a vectored frame — continues for cutLen more
-// bytes, the cuts writeFrame interleaves with buf. It fails if the body
-// outgrew MaxFrameBody.
-func finishFrameTail(buf []byte, flags byte, id uint64, cutLen int) error {
-	body := len(buf) - frameHdrLen + cutLen
-	if body > MaxFrameBody {
-		return &frameTooLargeError{Bytes: body}
-	}
-	binary.BigEndian.PutUint32(buf[0:4], frameMagic)
-	buf[4] = flags
-	buf[5] = 0
-	binary.BigEndian.PutUint64(buf[6:14], id)
-	binary.BigEndian.PutUint32(buf[14:18], uint32(body))
-	return nil
-}
-
 // readFrame reads one frame; the returned body is a pooled buffer the
 // caller must release with codec.PutBuf. Corruption (bad magic,
 // oversized length) is typed: the stream is desynced and the connection
@@ -130,28 +106,49 @@ func readFrame(r io.Reader) (flags byte, id uint64, body []byte, err error) {
 // vecThreshold is the byte-field size from which a frame leaves the
 // field in place and writes it as its own iovec (a codec.Cut) instead
 // of copying it into the frame buffer. Below it one contiguous write is
-// cheaper than another iovec.
-const vecThreshold = 64 << 10
+// cheaper than another iovec. 16 KiB pieces are what a replayed get
+// answers on restart-spill (32 a version): from 64 KiB, each answer was
+// regrown into a frame buffer about seven times.
+const vecThreshold = 16 << 10
 
-// appendPayload appends v's encoding to buf, less every byte field of
-// at least vecThreshold bytes: those come back as cuts aliasing v, for
-// writeFrame to splice in. A v whose type (or whose nested payload's
-// type) is not registered is an error: there is no other codec to fall
-// back to.
-func appendPayload(buf []byte, v any) ([]byte, []codec.Cut, error) {
-	out, cuts, err := codec.AppendCuts(buf, v, vecThreshold)
-	if err != nil {
-		err = fmt.Errorf("transport: encode %T: %w", v, err) // out is buf, unchanged
+// appendFrame builds one frame into buf, a pooled buffer whose contents
+// are dropped: the header, herr's head for an error response, then v's
+// encoding less every byte field of at least vecThreshold bytes — those
+// come back as cuts aliasing v, for writeFrame to splice in. v is
+// measured before a byte of it is copied, so buf grows at most once and
+// a body past MaxFrameBody, its cuts counted, is refused unbuilt. A v
+// whose type (or whose nested payload's type) is not registered is an
+// error: there is no other codec to fall back to. The returned buffer
+// goes back to the pool whether or not err is nil.
+func appendFrame(buf []byte, flags byte, id uint64, herr error, v any) ([]byte, []codec.Cut, error) {
+	var hdr [frameHdrLen]byte
+	buf = append(buf[:0], hdr[:]...)
+	if herr != nil {
+		var ef byte
+		buf, ef = appendError(buf, herr)
+		flags |= ef
 	}
-	return out, cuts, err
-}
-
-// cutBytes is the part of a frame's body its cuts carry.
-func cutBytes(cuts []codec.Cut) (n int) {
-	for _, c := range cuts {
-		n += len(c.Data)
+	var m codec.Measured
+	if v != nil {
+		var err error
+		if m, err = codec.Measure(v, vecThreshold); err != nil {
+			return buf, nil, fmt.Errorf("transport: encode %T: %w", v, err)
+		}
 	}
-	return n
+	body := len(buf) - frameHdrLen + m.Len
+	if body > MaxFrameBody {
+		return buf, nil, &frameTooLargeError{Bytes: body}
+	}
+	var cuts []codec.Cut
+	if v != nil {
+		buf, cuts = m.AppendTo(buf)
+	}
+	binary.BigEndian.PutUint32(buf[0:4], frameMagic)
+	buf[4] = flags
+	buf[5] = 0
+	binary.BigEndian.PutUint64(buf[6:14], id)
+	binary.BigEndian.PutUint32(buf[14:18], uint32(body))
+	return buf, cuts, nil
 }
 
 // appendError appends an error response's head: the error string, and
@@ -174,7 +171,7 @@ func appendError(buf []byte, herr error) ([]byte, byte) {
 // thing and starve the pool.
 const aliasThreshold = 16 << 10
 
-// decodePayload decodes a payload encoded by appendPayload. An empty
+// decodePayload decodes a payload encoded by appendFrame. An empty
 // body is a nil payload. Large payloads decode in alias mode — the
 // value's byte fields point into body itself, saving one full payload
 // copy — so when aliased is true the caller has ceded ownership of body

@@ -173,10 +173,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(buildFrame(frameMagic, 1<<2, 4, 4, []byte{0, 1, 0, 0})) // retired codec-selector bit
 	f.Add(buildFrame(0xbadbad, 0, 5, 0, nil))
 	f.Add(buildFrame(frameMagic, 0, 6, MaxFrameBody+1, nil))
-	if env, _, err := appendPayload(beginFrame(nil), echoReq{Msg: "seed"}); err == nil {
-		if finishFrameTail(env, flagResponse, 9, 0) == nil {
-			f.Add(env)
-		}
+	if env, _, err := appendFrame(nil, flagResponse, 9, nil, echoReq{Msg: "seed"}); err == nil {
+		f.Add(env)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		flags, _, body, err := readFrame(bytes.NewReader(data))

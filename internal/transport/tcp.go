@@ -258,32 +258,15 @@ func (t *TCP) serveConn(conn net.Conn, h Handler) {
 // encode or the lock. A write failure kills the connection: the reader
 // loop and the client both find out through their own I/O errors.
 func (t *TCP) writeResponse(conn net.Conn, wmu *sync.Mutex, id uint64, resp any, herr error, idle *atomic.Int32) {
-	buf := beginFrame(codec.GetBuf())
-	defer func() { codec.PutBuf(buf) }()
-	flags := byte(flagResponse)
-	if herr != nil {
-		var ef byte
-		buf, ef = appendError(buf, herr)
-		flags |= ef
-	}
-	var cuts []codec.Cut
-	var err error
-	if resp != nil {
-		if buf, cuts, err = appendPayload(buf, resp); err == nil {
-			t.m().payloads.Inc()
-		}
-	}
-	if err == nil {
-		err = finishFrameTail(buf, flags, id, cutBytes(cuts))
-	}
+	buf, cuts, err := appendFrame(codec.GetBuf(), flagResponse, id, herr, resp)
 	if err != nil {
-		// A response that does not encode, or outgrew MaxFrameBody, fails
-		// its own call and nobody else's: an error frame, without cuts.
-		var ef byte
-		buf, ef = appendError(beginFrame(buf[:0]), err)
-		cuts = nil
-		_ = finishFrameTail(buf, flagResponse|ef, id, 0) // an error text is no 64 MiB
+		// A response that does not encode, or would outgrow MaxFrameBody,
+		// fails its own call and nobody else's: an error frame, no cuts.
+		buf, cuts, _ = appendFrame(buf, flagResponse, id, err, nil) // an error text is no 64 MiB
+	} else if resp != nil {
+		t.m().payloads.Inc()
 	}
+	defer codec.PutBuf(buf)
 	wmu.Lock()
 	if idle != nil {
 		idle.Add(1)
@@ -518,10 +501,7 @@ func (c *tcpClient) Call(req any) (any, error) {
 		return nil, err
 	}
 
-	buf, cuts, err := appendPayload(beginFrame(codec.GetBuf()), req)
-	if err == nil {
-		err = finishFrameTail(buf, 0, id, cutBytes(cuts))
-	}
+	buf, cuts, err := appendFrame(codec.GetBuf(), 0, id, nil, req)
 	if err != nil {
 		codec.PutBuf(buf)
 		mc.unregister(id)
