@@ -40,10 +40,9 @@ var ErrUnregistered = errors.New("codec: unregistered message type")
 
 // msgType is one registered message.
 type msgType struct {
-	id       uint16
-	plan     *plan
-	ptr      bool // registered as *T: encode dereferences, decode returns the pointer
-	retained bool // decoded values outlive the delivering call: never alias the input
+	id   uint16
+	plan *plan
+	ptr  bool // registered as *T: encode dereferences, decode returns the pointer
 }
 
 // registrations is the immutable registry snapshot; Register swaps in
@@ -69,17 +68,10 @@ func init() {
 // Register puts zero's type on the wire under id: a struct T, a *T
 // (typed errors register the pointer their chain holds), or string.
 // Ids are protocol constants; a duplicate id or type, or a type with a
-// field that has no wire encoding, panics.
-func Register(id uint16, zero any) { register(id, zero, false) }
-
-// RegisterRetained is Register for messages whose handler keeps the
-// decoded value past its return (replication records, snapshot and
-// install state): their byte fields are always copied, even out of a
-// buffer UnmarshalAlias was told it may alias, because the transport
-// reclaims that buffer when the handler returns.
-func RegisterRetained(id uint16, zero any) { register(id, zero, true) }
-
-func register(id uint16, zero any, retained bool) {
+// field that has no wire encoding, panics. Every type decodes by one
+// rule: UnmarshalAlias aliases its byte fields, whatever the message,
+// and whoever keeps one past the input's life copies it.
+func Register(id uint16, zero any) {
 	registerMu.Lock()
 	defer registerMu.Unlock()
 	old := registry.Load()
@@ -88,7 +80,7 @@ func register(id uint16, zero any, retained bool) {
 		panic(fmt.Sprintf("codec: duplicate registration of id %d / %v", id, t))
 	}
 	next := &registrations{byID: maps.Clone(old.byID), byType: maps.Clone(old.byType), plans: maps.Clone(old.plans)}
-	m := &msgType{id: id, ptr: t.Kind() == reflect.Pointer, retained: retained}
+	m := &msgType{id: id, ptr: t.Kind() == reflect.Pointer}
 	if m.ptr {
 		t = t.Elem()
 	}
@@ -182,10 +174,11 @@ func MarshalBulk(buf []byte, v any) (head, tail []byte, ok bool) {
 // are corruption. Byte and string fields are copied out of data.
 func Unmarshal(data []byte) (any, error) { return unmarshal(NewReader(data)) }
 
-// UnmarshalAlias decodes like Unmarshal but byte fields alias data
-// directly (zero copy), except in messages registered as retained. The
-// caller cedes ownership of data: it must not be modified or recycled
-// while the decoded value is live.
+// UnmarshalAlias decodes like Unmarshal but every byte field, at any
+// depth, aliases data directly (zero copy). The caller cedes ownership of
+// data: it must not be modified or recycled while the decoded value is
+// live, and a byte field kept longer than data must be copied by whoever
+// keeps it (the transport.Handler contract).
 func UnmarshalAlias(data []byte) (any, error) { return unmarshal(NewAliasReader(data)) }
 
 func unmarshal(r *Reader) (any, error) {
@@ -196,8 +189,8 @@ func unmarshal(r *Reader) (any, error) {
 	return v, err
 }
 
-// maxNesting bounds envelopes within envelopes; the deepest real
-// message is three levels (FencedReq{EpochReq{ShardPutReq}}).
+// maxNesting bounds envelopes within envelopes; the deepest a client
+// sends is two levels (EpochReq{PutReq}, FencedReq{WlogInstallReq}).
 const maxNesting = 8
 
 // UnmarshalFrom decodes one message (type id + body) from the unread
@@ -221,9 +214,6 @@ func UnmarshalFrom(r *Reader) (any, error) {
 	if r.depth++; r.depth > maxNesting {
 		r.err = fmt.Errorf("%w: messages nested %d deep", ErrCorrupt, r.depth)
 		return nil, r.err
-	}
-	if m.retained {
-		r.alias = false
 	}
 	pv := reflect.New(m.plan.typ)
 	m.plan.dec(r, pv.Elem())

@@ -143,7 +143,7 @@ func TestDoReleaseAllFailsQueued(t *testing.T) {
 	if err := within(t, "the restarted incarnation's Seq 1", func() error { _, err := m.Do(ana); return err }); err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := m.Holders("f"); w != "ana/0" || len(reported) != 4 || !reported[1].ReleaseAll || reported[3] != (Record{Name: "f", Holder: "ana/0", Write: true, Seq: 1, Ok: true}) {
+	if w, _ := m.Holders("f"); w != "ana/0" || len(reported) != 4 || !reported[1].ReleaseAll || reported[3] != (Record{Name: "f", Holder: "ana/0", Write: true, Seq: 1}) {
 		t.Fatalf("writer %q, reported %+v", w, reported)
 	}
 }

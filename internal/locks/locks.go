@@ -48,10 +48,65 @@ var ErrClosed = errors.New("locks: manager closed")
 // ErrNotHeld is returned when releasing a lock the caller does not hold.
 var ErrNotHeld = errors.New("locks: lock not held")
 
+// ErrWriteHeld is returned when a holder asks for a write lock it
+// already holds.
+var ErrWriteHeld = errors.New("locks: already holds write lock")
+
+// ErrDeadlock is returned for an upgrade (a write acquire while holding
+// the read lock) or a downgrade, either of which would wait forever.
+var ErrDeadlock = errors.New("locks: would deadlock")
+
+// ErrInvalid is returned for an operation with an empty name or holder,
+// or an unknown kind.
+var ErrInvalid = errors.New("locks: invalid operation")
+
 // ErrReleased fails an acquire that was still queued when ReleaseAll
 // released its holder: the incarnation that asked is gone
 // (workflow_restart), and the lock must not go to its successor.
 var ErrReleased = errors.New("locks: holder released while its acquire was queued")
+
+// Fault is the kind of a failed operation: the outcome a Record carries
+// and replicates in place of the failure's text. NoFault is success.
+type Fault uint8
+
+// The faults, each the kind of one sentinel error.
+const (
+	NoFault Fault = iota
+	NotHeld
+	WriteHeld
+	Deadlock
+	Invalid
+	Closed
+)
+
+var faultErrs = [...]error{nil, ErrNotHeld, ErrWriteHeld, ErrDeadlock, ErrInvalid, ErrClosed}
+
+// Error is a failed lock operation: its Fault, and the lock and holder
+// it failed on. It is a wire type (internal/staging registers *Error), so
+// errors.Is matches its Fault's sentinel on the origin, on a replica
+// answering a retry from its dedup row, and behind a remote transport.
+type Error struct {
+	Fault  Fault
+	Name   string
+	Holder string
+	Kind   Kind
+}
+
+func (e *Error) Error() string {
+	return fmt.Sprintf("%v: %s lock on %q by %q", e.Unwrap(), e.Kind, e.Name, e.Holder)
+}
+
+func fail(f Fault, name, holder string, kind Kind) error {
+	return &Error{Fault: f, Name: name, Holder: holder, Kind: kind}
+}
+
+// Unwrap returns the sentinel of e's Fault.
+func (e *Error) Unwrap() error {
+	if int(e.Fault) < len(faultErrs) && e.Fault != NoFault {
+		return faultErrs[e.Fault]
+	}
+	return fmt.Errorf("locks: fault %d", e.Fault)
+}
 
 type lockState struct {
 	readers map[string]int // holder -> recursion count
@@ -72,10 +127,10 @@ func (st *lockState) grant(holder string, kind Kind) {
 
 // Record is one operation of the table as it completed: a numbered
 // acquire or release of Name by Holder (Seq counts the holder's
-// operations), or the release of everything Holder holds. Ok and Err
-// are its outcome. Do reports every record it completes, in the order
-// of the transitions, and a table that applies them in that order
-// (Apply) holds the same locks and dedup rows.
+// operations), or the release of everything Holder holds. Fault is its
+// outcome. Do reports every record it completes, in the order of the
+// transitions, and a table that applies them in that order (Apply)
+// holds the same locks and dedup rows.
 type Record struct {
 	Name    string
 	Holder  string
@@ -85,10 +140,9 @@ type Record struct {
 	// component recovery); Name/Write/Release are ignored.
 	ReleaseAll bool
 	Seq        uint64
-	// Ok is true when the operation succeeded and its transition was
-	// applied; Err carries the failure otherwise.
-	Ok  bool
-	Err string
+	// Fault is NoFault when the operation succeeded and its transition
+	// was applied, the kind of its failure otherwise.
+	Fault Fault
 }
 
 // Kind is the kind of lock r acquires or releases.
@@ -111,8 +165,8 @@ type op struct {
 // doneOp is the dedup row a reported record stands for.
 func doneOp(r Record) *op {
 	o := &op{rec: r, done: true}
-	if !r.Ok {
-		o.err = errors.New(r.Err)
+	if r.Fault != NoFault {
+		o.err = fail(r.Fault, r.Name, r.Holder, r.Kind())
 	}
 	return o
 }
@@ -177,7 +231,7 @@ func (m *Manager) Acquire(name, holder string, kind Kind) error {
 // acquire is Acquire with m.mu held.
 func (m *Manager) acquire(name, holder string, kind Kind) error {
 	if name == "" || holder == "" {
-		return fmt.Errorf("locks: empty name or holder")
+		return fail(Invalid, name, holder, kind)
 	}
 	st := m.state(name)
 	var busy func() bool
@@ -185,16 +239,16 @@ func (m *Manager) acquire(name, holder string, kind Kind) error {
 	switch kind {
 	case Write:
 		if st.readers[holder] > 0 {
-			return fmt.Errorf("locks: %q upgrading read lock on %q would deadlock", holder, name)
+			return fail(Deadlock, name, holder, kind)
 		}
 		if st.writer == holder {
-			return fmt.Errorf("locks: %q already holds write lock on %q", holder, name)
+			return fail(WriteHeld, name, holder, kind)
 		}
 		busy = func() bool { return st.writer != "" || len(st.readers) > 0 }
 		waiting = &st.writersWaiting
 	case Read:
 		if st.writer == holder {
-			return fmt.Errorf("locks: %q downgrading write lock on %q would deadlock", holder, name)
+			return fail(Deadlock, name, holder, kind)
 		}
 		if st.readers[holder] > 0 {
 			st.readers[holder]++
@@ -202,7 +256,7 @@ func (m *Manager) acquire(name, holder string, kind Kind) error {
 		}
 		busy = func() bool { return st.writer != "" || st.writersWaiting > 0 }
 	default:
-		return fmt.Errorf("locks: unknown kind %d", kind)
+		return fail(Invalid, name, holder, kind)
 	}
 	released := m.releases[holder]
 	*waiting++
@@ -213,7 +267,7 @@ func (m *Manager) acquire(name, holder string, kind Kind) error {
 	switch {
 	case m.closed:
 		m.cond.Broadcast()
-		return ErrClosed
+		return fail(Closed, name, holder, kind)
 	case m.releases[holder] != released:
 		m.cond.Broadcast() // one writer fewer waiting may let readers in
 		return ErrReleased
@@ -233,24 +287,24 @@ func (m *Manager) Release(name, holder string, kind Kind) error {
 func (m *Manager) release(name, holder string, kind Kind) error {
 	st, ok := m.locks[name]
 	if !ok {
-		return fmt.Errorf("%w: %s lock on %q by %q", ErrNotHeld, kind, name, holder)
+		return fail(NotHeld, name, holder, kind)
 	}
 	switch kind {
 	case Write:
 		if st.writer != holder {
-			return fmt.Errorf("%w: write lock on %q by %q", ErrNotHeld, name, holder)
+			return fail(NotHeld, name, holder, kind)
 		}
 		st.writer = ""
 	case Read:
 		if st.readers[holder] == 0 {
-			return fmt.Errorf("%w: read lock on %q by %q", ErrNotHeld, name, holder)
+			return fail(NotHeld, name, holder, kind)
 		}
 		st.readers[holder]--
 		if st.readers[holder] == 0 {
 			delete(st.readers, holder)
 		}
 	default:
-		return fmt.Errorf("locks: unknown kind %d", kind)
+		return fail(Invalid, name, holder, kind)
 	}
 	m.cond.Broadcast()
 	return nil
@@ -319,9 +373,8 @@ func (m *Manager) Do(r Record) (int64, error) {
 		delete(m.queued, r.Holder)
 	}
 	if !errors.Is(o.err, ErrReleased) {
-		o.rec.Ok = o.err == nil
-		if o.err != nil {
-			o.rec.Err = o.err.Error()
+		if e, ok := o.err.(*Error); ok {
+			o.rec.Fault = e.Fault
 		}
 		m.last[r.Holder] = o
 		o.pos = m.emit(o.rec)
@@ -343,7 +396,7 @@ func (m *Manager) Apply(r Record) {
 	}
 	m.last[r.Holder] = doneOp(r)
 	switch {
-	case !r.Ok:
+	case r.Fault != NoFault:
 	case r.Release:
 		_ = m.release(r.Name, r.Holder, r.Kind()) // it succeeded on the origin, in this order
 	default:

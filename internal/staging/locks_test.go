@@ -1,6 +1,7 @@
 package staging
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -206,5 +207,22 @@ func TestRecoveryFailsQueuedAcquire(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the producer's next write lock is blocked")
+	}
+}
+
+// TestLockFaultKeepsItsTypeOverTCP: a failed lock operation answered
+// over loopback TCP matches its sentinel, as it does in process: the
+// lock error is a registered wire type, so the remote error carries it.
+func TestLockFaultKeepsItsTypeOverTCP(t *testing.T) {
+	cl := listenTCP(t, NewServer(0))
+	for _, f := range lockFaults {
+		for _, req := range f.before {
+			if _, err := cl.Call(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cl.Call(f.req); !errors.Is(err, f.want) {
+			t.Fatalf("%+v over TCP = %v, want %v", f.req, err, f.want)
+		}
 	}
 }

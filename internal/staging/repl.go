@@ -2,6 +2,7 @@ package staging
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sync"
 
 	"gospaces/internal/locks"
@@ -105,7 +106,7 @@ func recBytes(rec ReplRecord) int64 {
 		n += int64(len(rec.Wlog.App) + len(rec.Wlog.Name))
 	}
 	if rec.Lock != nil {
-		n += int64(len(rec.Lock.Name) + len(rec.Lock.Holder) + len(rec.Lock.Err) + 64)
+		n += int64(len(rec.Lock.Name) + len(rec.Lock.Holder) + 64)
 	}
 	return n
 }
@@ -435,8 +436,9 @@ func (rs *replicaSet) stats() (int, int64, int64) {
 	return len(slots), bytes, applied
 }
 
-// applyRecord folds one stream record into the replica. Caller holds
-// rep.mu.
+// applyRecord folds one stream record into the replica, which keeps a
+// copy of the record's payload: the request's bytes are the transport's.
+// Caller holds rep.mu.
 func (rep *slotReplica) applyRecord(rec ReplRecord) error {
 	if rec.Wlog != nil {
 		if rec.Wlog.Op == wlog.OpPut && rec.Data != nil {
@@ -445,7 +447,7 @@ func (rep *slotReplica) applyRecord(rec ReplRecord) error {
 				Version:  rec.Wlog.Version,
 				BBox:     rec.Wlog.BBox,
 				ElemSize: rec.ElemSize,
-				Data:     rec.Data,
+				Data:     append([]byte(nil), rec.Data...),
 				CRC:      rec.CRC,
 				Logged:   true,
 			}
@@ -500,7 +502,11 @@ func installState(st ReplState, log *wlog.Log, str *store.Store) error {
 	if err := log.Restore(st.Wlog); err != nil {
 		return err
 	}
-	return str.Import(importObjects(st.Objects))
+	objs, err := importObjects(st.Objects)
+	if err != nil {
+		return err
+	}
+	return str.Import(objs)
 }
 
 func exportObjects(objs []*store.Object) []ReplObject {
@@ -517,15 +523,23 @@ func exportObjects(objs []*store.Object) []ReplObject {
 	return out
 }
 
-func importObjects(objs []ReplObject) []*store.Object {
+// importObjects makes a snapshot's objects the store's, each with a copy
+// of its payload (a hosted replica's install and a promoted spare's keep
+// them past the request) that must match its CRC: a torn snapshot is
+// refused, not installed to be served.
+func importObjects(objs []ReplObject) ([]*store.Object, error) {
 	out := make([]*store.Object, 0, len(objs))
 	for _, o := range objs {
+		data := append([]byte(nil), o.Data...)
+		if o.CRC != 0 && crc32.Checksum(data, castagnoli) != o.CRC {
+			return nil, fmt.Errorf("staging: snapshot object %q v%d %v fails its CRC", o.Name, o.Version, o.BBox)
+		}
 		out = append(out, &store.Object{
-			Name: o.Name, Version: o.Version, BBox: o.BBox,
-			ElemSize: o.ElemSize, Data: o.Data, CRC: o.CRC, Logged: true,
+			Name: o.Name, Version: o.Version, BBox: o.BBox, ElemSize: o.ElemSize,
+			Data: data, CRC: o.CRC, Logged: true,
 		})
 	}
-	return out
+	return out, nil
 }
 
 // --- Server-side wiring ---
@@ -586,11 +600,12 @@ func (s *Server) emit(rec ReplRecord) int64 {
 	return s.repl.enqueue(rec)
 }
 
-// flushRepl blocks until record seq is shipped (no-op for seq 0).
-func (s *Server) flushRepl(seq int64) {
-	if seq > 0 && s.repl != nil {
-		s.repl.flush(seq)
+// streamPos is the replication stream's position (0 when off).
+func (s *Server) streamPos() int64 {
+	if s.repl == nil {
+		return 0
 	}
+	return s.repl.position()
 }
 
 // buildReplState snapshots the server's own replicated state at the

@@ -184,3 +184,49 @@ func TestLockTableReplicationDifferential(t *testing.T) {
 		})
 	}
 }
+
+// lockFaults are one failing operation of each kind a lost-ack retry
+// can meet, each by a holder of its own (a dedup row keeps a holder's
+// latest operation only): a release of a lock not held, and a write
+// acquire of a lock the holder holds (after its first acquire). want is
+// the sentinel each must match, wherever it is answered.
+var lockFaults = []struct {
+	before []LockReq
+	req    LockReq
+	want   error
+}{
+	{nil, LockReq{Name: "c", Holder: "sim/0", Release: true, Seq: 1}, locks.ErrNotHeld},
+	{[]LockReq{{Name: "d", Holder: "sim/1", Write: true, Seq: 1}}, LockReq{Name: "d", Holder: "sim/1", Write: true, Seq: 2}, locks.ErrWriteHeld},
+}
+
+// TestLockFaultKeepsItsTypeOnFailover: a failed lock operation is typed
+// on the lock server, and a promoted spare that installed the freshest
+// replica answers its retry, out of the replicated dedup row, with the
+// same typed outcome.
+func TestLockFaultKeepsItsTypeOnFailover(t *testing.T) {
+	g := replGroup(t, 3, 1)
+	origin := g.Server(lockServer)
+	for _, f := range lockFaults {
+		for _, req := range f.before {
+			if _, err := origin.Handle(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := origin.Handle(f.req); !errors.Is(err, f.want) {
+			t.Fatalf("%+v on the lock server = %v, want %v", f.req, err, f.want)
+		}
+	}
+	spareAddr, err := g.AddSpare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare := g.ServerAt(spareAddr)
+	if _, err := spare.Handle(FencedReq{Token: 1, Req: WlogInstallReq{Slot: lockServer, State: fetchReplica(t, g.Server(1), lockServer)}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range lockFaults {
+		if _, err := spare.Handle(f.req); !errors.Is(err, f.want) {
+			t.Fatalf("retried %+v on the promoted spare = %v, want %v", f.req, err, f.want)
+		}
+	}
+}

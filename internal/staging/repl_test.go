@@ -127,7 +127,7 @@ func TestReplicationCarriesLockState(t *testing.T) {
 	// Restore the lock server's (slot 0) replica onto the spare.
 	st := fetchReplica(t, g.Server(1), 0)
 	held := []locks.HeldLock{{Name: "field", Writer: "sim/0"}}
-	dedup := []LockRecord{{Name: "field", Holder: "sim/0", Write: true, Seq: 1, Ok: true}}
+	dedup := []LockRecord{{Name: "field", Holder: "sim/0", Write: true, Seq: 1}}
 	if !reflect.DeepEqual(st.Locks, locks.State{Held: held, Dedup: dedup}) {
 		t.Fatalf("slot 0 replica carries lock state %+v, want sim/0's write lock and its dedup row", st.Locks)
 	}

@@ -194,21 +194,17 @@ func (s *Server) chargeQoS(name string, storeDelta, wlogDelta int64) {
 	}
 }
 
-// laneFor classifies a request for the two-lane scheduler. Envelopes
-// classify by their payload. Control-plane traffic — health, leases,
-// membership, stats — and wlog replication bypass the gate: replication
-// must never queue behind data traffic (a gated put holds a slot while
-// it flushes to its peer; if the peer's ReplApply needed a slot in
-// turn, two mutually-replicating servers under symmetric overload
-// would deadlock) and per the shedding policy is never shed.
-// Recovery traffic — CoREC rebuild shard I/O, recovery scans, wlog
-// installs — rides the recovery lane; everything else is foreground.
+// laneFor classifies a request for the two-lane scheduler.
+// Control-plane traffic — health, leases, membership, stats — and wlog
+// replication bypass the gate: replication must never queue behind data
+// traffic (a gated put holds a slot while it flushes to its peer; if the
+// peer's ReplApply needed a slot in turn, two mutually-replicating
+// servers under symmetric overload would deadlock) and per the shedding
+// policy is never shed. Recovery traffic — CoREC rebuild shard I/O,
+// recovery scans, wlog installs — rides the recovery lane; everything
+// else is foreground.
 func laneFor(req any) qos.Lane {
 	switch r := req.(type) {
-	case EpochReq:
-		return laneFor(r.Req)
-	case FencedReq:
-		return laneFor(r.Req)
 	case health.PingReq, LeaseCASReq, IntentPutReq, IntentClearReq,
 		LeaderInfoReq, EpochSetReq, MembershipReq, StatsReq, QosStatsReq,
 		TierStatsReq, TraceReq, ReplApplyReq, ReplSnapshotReq, ReplFetchReq:
@@ -231,9 +227,16 @@ func laneFor(req any) qos.Lane {
 }
 
 // Handle serves one staging protocol request; it is the
-// transport.Handler for this server. With QoS enabled it first passes
-// the weighted two-lane gate; dispatch does the actual serving.
+// transport.Handler for this server and the front of its one request
+// pipeline: open the envelopes, pass the weighted two-lane gate (with
+// QoS enabled), dispatch. A stale or fenced request is refused before it
+// takes a lane slot. Logged mutations then run through the replicate
+// stage.
 func (s *Server) Handle(req any) (any, error) {
+	req, token, err := s.open(req)
+	if err != nil {
+		return nil, err
+	}
 	if s.qosSched != nil {
 		lane := laneFor(req)
 		if err := s.qosSched.Acquire(lane); err != nil {
@@ -241,40 +244,46 @@ func (s *Server) Handle(req any) (any, error) {
 		}
 		defer s.qosSched.Release(lane)
 	}
-	return s.dispatch(req)
+	return s.dispatch(req, token)
 }
 
-// dispatch serves one request after gating. Envelope handlers recurse
-// into dispatch (not Handle) so a request is gated exactly once.
-func (s *Server) dispatch(req any) (any, error) {
-	switch r := req.(type) {
-	case EpochReq:
-		// Membership-epoch envelope: reject calls stamped with a stale
-		// view so the client re-binds instead of routing to dead slots.
-		s.memberMu.Lock()
-		epoch := s.epoch
-		s.memberMu.Unlock()
-		if r.Epoch < epoch {
-			s.reg.Counter("stale_epoch_rejects").Inc()
-			return nil, &StaleEpochError{Client: r.Epoch, Server: epoch}
+// open unwraps req's envelopes, outermost first, and returns the request
+// inside with the fencing token it came under (0: none). A membership-
+// epoch envelope stamped with a stale view is refused, so the client
+// re-binds instead of routing to dead slots; a recovery-leadership
+// envelope from a deposed leader (token behind the fence) is refused,
+// and any other raises the fence.
+func (s *Server) open(req any) (any, uint64, error) {
+	var token uint64
+	for {
+		switch r := req.(type) {
+		case EpochReq:
+			if epoch := s.Epoch(); r.Epoch < epoch {
+				s.reg.Counter("stale_epoch_rejects").Inc()
+				return nil, 0, &StaleEpochError{Client: r.Epoch, Server: epoch}
+			}
+			req = r.Req
+		case FencedReq:
+			if err := s.lease.admit(r.Token); err != nil {
+				s.reg.Counter("fenced_rejects").Inc()
+				return nil, 0, err
+			}
+			req, token = r.Req, r.Token
+		default:
+			return req, token, nil
 		}
-		return s.dispatch(r.Req)
+	}
+}
+
+// dispatch serves one unwrapped request; token is the fencing token it
+// came under (a replica install it forwards carries it).
+func (s *Server) dispatch(req any, token uint64) (any, error) {
+	switch r := req.(type) {
 	case health.PingReq:
 		s.memberMu.Lock()
 		resp := health.PingResp{ID: s.id, Epoch: s.epoch, Spare: s.spare}
 		s.memberMu.Unlock()
 		return resp, nil
-	case FencedReq:
-		// Recovery-leadership envelope: reject mutations from a deposed
-		// leader (token behind the fence), raise the fence otherwise.
-		if err := s.lease.admit(r.Token); err != nil {
-			s.reg.Counter("fenced_rejects").Inc()
-			return nil, err
-		}
-		if f, ok := r.Req.(ReplFetchReq); ok {
-			return s.handleReplFetch(f, r.Token) // an install it forwards carries the token
-		}
-		return s.dispatch(r.Req)
 	case LeaseCASReq:
 		return s.lease.cas(r, s.clk.Now()), nil
 	case IntentPutReq:
@@ -296,11 +305,11 @@ func (s *Server) dispatch(req any) (any, error) {
 	case PutReq:
 		return s.handlePut(r)
 	case GetReq:
-		return s.handleGet(r)
+		return s.replicate(r.Logged, func() (any, int64, error) { return s.handleGet(r) })
 	case CheckpointReq:
-		return s.handleCheckpoint(r)
+		return s.replicate(true, func() (any, int64, error) { return s.handleCheckpoint(r) })
 	case RecoveryReq:
-		return s.handleRecovery(r)
+		return s.replicate(true, func() (any, int64, error) { return s.handleRecovery(r) })
 	case QueryReq:
 		return QueryResp{Versions: s.store.Versions(r.Name)}, nil
 	case ShardPutReq:
@@ -310,13 +319,13 @@ func (s *Server) dispatch(req any) (any, error) {
 	case ShardDropReq:
 		return s.handleShardDrop(r)
 	case LockReq:
-		return s.handleLock(r)
+		return s.replicate(false, func() (any, int64, error) { return s.handleLock(r) })
 	case ReplApplyReq:
 		return s.handleReplApply(r)
 	case ReplSnapshotReq:
 		return s.handleReplSnapshot(r)
 	case ReplFetchReq:
-		return s.handleReplFetch(r, 0)
+		return s.handleReplFetch(r, token)
 	case WlogInstallReq:
 		return s.handleWlogInstall(r)
 	case TraceReq:
@@ -332,6 +341,40 @@ func (s *Server) dispatch(req any) (any, error) {
 	default:
 		return nil, fmt.Errorf("staging: server %d: unknown request type %T", s.id, req)
 	}
+}
+
+// replicate is the pipeline's replicate stage: the one place a mutation
+// of the replicated state joins the stream and is acknowledged only once
+// shipped (DESIGN.md §6). apply runs the mutation and returns its answer
+// and the stream position that waits for (0: none, and always with
+// replication off). An ordered apply — a logged wlog mutation — runs
+// under replMu, so the stream takes its records in mutation order; a
+// lock operation is ordered by the lock table. Once replMu is released,
+// the stage flushes, except for a put piece that asked to be Deferred
+// while the held bytes fit the window: a later piece of its put flushes
+// for it.
+func (s *Server) replicate(ordered bool, apply func() (any, int64, error)) (any, error) {
+	ordered = ordered && s.repl != nil
+	if ordered {
+		s.replMu.Lock()
+	}
+	resp, pos, err := apply()
+	if ordered {
+		s.replMu.Unlock()
+	}
+	if p, ok := resp.(PutResp); ok && p.Deferred {
+		if p.Deferred = s.repl.hold(); p.Deferred {
+			return p, nil
+		}
+		resp = p
+	}
+	if pos > 0 {
+		s.repl.flush(pos)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 func (s *Server) handlePut(r PutReq) (any, error) {
@@ -367,33 +410,18 @@ func (s *Server) handlePut(r PutReq) (any, error) {
 		return nil, fmt.Errorf("%w: %d resident + %d incoming > %d",
 			ErrOverBudget, s.store.BytesUsed(), len(r.Piece.Data), s.budget)
 	}
-	resp, err := s.applyPut(r)
-	if r.Logged && s.repl != nil {
-		// Flush before the client operation is acknowledged (DESIGN.md
-		// §6): a deferred piece is acked unshipped, and a later piece of
-		// its put flushes for it — to the stream's position, not its own
-		// record, so a retry the wlog deduplicated (which emits nothing)
-		// waits for its first attempt's record too.
-		resp.Deferred = resp.Deferred && s.repl.hold()
-		if !resp.Deferred {
-			s.repl.flush(s.repl.position())
+	return s.replicate(r.Logged, func() (resp any, pos int64, err error) {
+		if resp, err = s.applyPut(r); r.Logged {
+			// The stream's position, not the piece's record: a retry the
+			// wlog deduplicated waits for its first attempt's record too.
+			pos = s.streamPos()
 		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+		return resp, pos, err
+	})
 }
 
-// applyPut performs the put's log and store mutations. With
-// replication enabled, logged puts run under replMu so the emitted
-// record order matches the mutation order; the caller flushes after
-// replMu is released, unless the response comes back Deferred.
-func (s *Server) applyPut(r PutReq) (PutResp, error) {
-	if r.Logged && s.repl != nil {
-		s.replMu.Lock()
-		defer s.replMu.Unlock()
-	}
+// applyPut performs the put's log and store mutations.
+func (s *Server) applyPut(r PutReq) (any, error) {
 	var resp PutResp
 	if r.Logged {
 		cursor := -1
@@ -403,7 +431,7 @@ func (s *Server) applyPut(r PutReq) (PutResp, error) {
 		wasReplaying := cursor >= 0
 		suppress, err := s.log.BeginPut(r.App, r.Name, r.Version, r.Piece.BBox)
 		if err != nil {
-			return PutResp{}, err
+			return nil, err
 		}
 		if wasReplaying && s.log.ReplayCursor(r.App) != cursor {
 			// The replay cursor moved (or replay ended): advance the
@@ -439,7 +467,7 @@ func (s *Server) applyPut(r PutReq) (PutResp, error) {
 	}
 	delta, err := s.store.PutAccounted(obj)
 	if err != nil {
-		return PutResp{}, err
+		return nil, err
 	}
 	if r.Logged {
 		s.chargeQoS(r.Name, delta, delta)
@@ -465,22 +493,11 @@ func (s *Server) applyPut(r PutReq) (PutResp, error) {
 	return resp, nil
 }
 
-func (s *Server) handleGet(r GetReq) (any, error) {
+// handleGet reads the version a get resolves to, with the stream
+// position of the record it emitted (0: none).
+func (s *Server) handleGet(r GetReq) (any, int64, error) {
 	s.reg.Counter("gets").Inc()
-	resp, seq, err := s.applyGet(r)
-	s.flushRepl(seq)
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-func (s *Server) applyGet(r GetReq) (GetResp, int64, error) {
 	var seq int64
-	if r.Logged && s.repl != nil {
-		s.replMu.Lock()
-		defer s.replMu.Unlock()
-	}
 	version := r.Version
 	fromLog := false
 	if r.Logged {
@@ -488,7 +505,7 @@ func (s *Server) applyGet(r GetReq) (GetResp, int64, error) {
 		var err error
 		version, fromLog, err = s.log.BeginGet(r.App, r.Name, r.Version, r.BBox)
 		if err != nil {
-			return GetResp{}, seq, err
+			return nil, seq, err
 		}
 		if s.repl != nil && cursor >= 0 && s.log.ReplayCursor(r.App) != cursor {
 			// As for a put: a retried get the replay served moves nothing.
@@ -502,7 +519,7 @@ func (s *Server) applyGet(r GetReq) (GetResp, int64, error) {
 	if version == NoVersion {
 		v, ok := s.store.LatestVersion(r.Name, -1)
 		if !ok {
-			return GetResp{}, seq, fmt.Errorf("staging: get %q: no versions staged", r.Name)
+			return nil, seq, fmt.Errorf("staging: get %q: no versions staged", r.Name)
 		}
 		version = v
 	}
@@ -512,13 +529,13 @@ func (s *Server) applyGet(r GetReq) (GetResp, int64, error) {
 		objs = s.store.GetVersion(r.Name, version, r.BBox)
 	}
 	if len(objs) == 0 {
-		return GetResp{}, seq, fmt.Errorf("staging: get %q v%d %v: not staged on server %d", r.Name, version, r.BBox, s.id)
+		return nil, seq, fmt.Errorf("staging: get %q v%d %v: not staged on server %d", r.Name, version, r.BBox, s.id)
 	}
 	resp := GetResp{Version: version, FromLog: fromLog, Pieces: make([]Piece, 0, len(objs))}
 	var bytes int64
 	for _, o := range objs {
 		if fromLog && o.CRC != 0 && crc32.Checksum(o.Data, castagnoli) != o.CRC {
-			return GetResp{}, seq, fmt.Errorf("staging: logged payload %q v%d %v failed integrity check", o.Name, o.Version, o.BBox)
+			return nil, seq, fmt.Errorf("staging: logged payload %q v%d %v failed integrity check", o.Name, o.Version, o.BBox)
 		}
 		resp.Pieces = append(resp.Pieces, Piece{BBox: o.BBox, Data: o.Data})
 		bytes += o.Bytes()
@@ -534,17 +551,7 @@ func (s *Server) applyGet(r GetReq) (GetResp, int64, error) {
 	return resp, seq, nil
 }
 
-func (s *Server) handleCheckpoint(r CheckpointReq) (any, error) {
-	resp, seq := s.applyCheckpoint(r)
-	s.flushRepl(seq)
-	return resp, nil
-}
-
-func (s *Server) applyCheckpoint(r CheckpointReq) (CheckpointResp, int64) {
-	if s.repl != nil {
-		s.replMu.Lock()
-		defer s.replMu.Unlock()
-	}
+func (s *Server) handleCheckpoint(r CheckpointReq) (any, int64, error) {
 	chkID, _ := s.log.OnCheckpoint(r.App)
 	s.trace.Add(trace.Record{Op: trace.OpCheckpoint, App: r.App, Detail: chkID})
 	seq := s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpCheckpoint, App: r.App}})
@@ -552,7 +559,7 @@ func (s *Server) applyCheckpoint(r CheckpointReq) (CheckpointResp, int64) {
 	if freed > 0 {
 		s.trace.Add(trace.Record{Op: trace.OpGC, Bytes: freed})
 	}
-	return CheckpointResp{ChkID: chkID, FreedBytes: freed}, seq
+	return CheckpointResp{ChkID: chkID, FreedBytes: freed}, seq, nil
 }
 
 // gcWater is the resident-bytes level above which a put first runs GC:
@@ -584,17 +591,7 @@ func (s *Server) collectGarbage() int64 {
 	return freed
 }
 
-func (s *Server) handleRecovery(r RecoveryReq) (any, error) {
-	resp, seq := s.applyRecovery(r)
-	s.flushRepl(seq)
-	return resp, nil
-}
-
-func (s *Server) applyRecovery(r RecoveryReq) (RecoveryResp, int64) {
-	if s.repl != nil {
-		s.replMu.Lock()
-		defer s.replMu.Unlock()
-	}
+func (s *Server) handleRecovery(r RecoveryReq) (any, int64, error) {
 	script := s.log.OnRecoveryFrom(r.App, r.Covered)
 	s.trace.Add(trace.Record{Op: trace.OpRecovery, App: r.App, Bytes: int64(len(script))})
 	s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpRecovery, App: r.App, Version: r.Covered}})
@@ -604,7 +601,7 @@ func (s *Server) applyRecovery(r RecoveryReq) (RecoveryResp, int64) {
 	// with them: the recovered client restarts its sequence counter, and
 	// a stale row could alias its first post-recovery lock operation.
 	seq, _ := s.locks.Do(locks.Record{Holder: r.App, ReleaseAll: true}) // a ReleaseAll cannot fail
-	return RecoveryResp{ReplayEvents: len(script)}, seq
+	return RecoveryResp{ReplayEvents: len(script)}, seq, nil
 }
 
 func (s *Server) handleTrace(r TraceReq) (any, error) {
@@ -619,13 +616,9 @@ func (s *Server) handleTrace(r TraceReq) (any, error) {
 // once per holder and sequence number, however often the request is
 // retried — and acknowledges it once its record has shipped, so a
 // promoted spare answers a retried lock RPC exactly like this server.
-func (s *Server) handleLock(r LockReq) (any, error) {
+func (s *Server) handleLock(r LockReq) (any, int64, error) {
 	seq, err := s.locks.Do(locks.Record{Name: r.Name, Holder: r.Holder, Write: r.Write, Release: r.Release, Seq: r.Seq})
-	s.flushRepl(seq)
-	if err != nil {
-		return nil, err
-	}
-	return LockResp{}, nil
+	return LockResp{}, seq, err
 }
 
 // lockRecord is the lock table's report of an operation it completed,
@@ -638,7 +631,7 @@ func (s *Server) lockRecord(r locks.Record) int64 {
 			detail = "release"
 		}
 		detail += " " + r.Kind().String()
-		if !r.Ok {
+		if r.Fault != locks.NoFault {
 			detail += " err"
 		}
 		s.trace.Add(trace.Record{Op: trace.OpLock, App: r.Holder, Name: r.Name, Detail: detail})

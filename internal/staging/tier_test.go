@@ -218,7 +218,7 @@ func TestSpillVersionDropsOnlyWhatWasCommitted(t *testing.T) {
 	if st := srv.tier.Stats(); st.Entries != 1 || st.Bytes != logged.Bytes() {
 		t.Fatalf("tier after spill: %+v", st)
 	}
-	resp, _, err := srv.applyGet(GetReq{App: "ana/0", Name: "field", Version: 1, BBox: boxA})
+	resp, err := transport.As[GetResp](srv.Handle(GetReq{App: "ana/0", Name: "field", Version: 1, BBox: boxA}))
 	if err != nil || len(resp.Pieces) != 1 || !bytes.Equal(resp.Pieces[0].Data, logged.Data) {
 		t.Fatalf("get of the spilled object: %v, %d pieces", err, len(resp.Pieces))
 	}

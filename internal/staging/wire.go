@@ -1,6 +1,9 @@
 package staging
 
-import "gospaces/internal/codec"
+import (
+	"gospaces/internal/codec"
+	"gospaces/internal/locks"
+)
 
 // wireTypes is the staging protocol's type-id table: every request,
 // response and typed error that crosses a transport, keyed by its
@@ -16,9 +19,10 @@ var wireTypes = map[uint16]any{
 	5: ShardPutReq{}, 6: ShardPutResp{},
 	7: ShardGetReq{}, 8: ShardGetResp{},
 	9: EpochReq{}, 10: FencedReq{},
-	12: ReplApplyResp{}, 14: ReplSnapshotResp{},
+	11: ReplApplyReq{}, 12: ReplApplyResp{},
+	13: ReplSnapshotReq{}, 14: ReplSnapshotResp{},
 	15: ReplFetchReq{}, 16: ReplFetchResp{},
-	18: WlogInstallResp{},
+	17: WlogInstallReq{}, 18: WlogInstallResp{},
 	19: CheckpointReq{}, 20: CheckpointResp{},
 	21: RecoveryReq{}, 22: RecoveryResp{},
 	23: QueryReq{}, 24: QueryResp{},
@@ -36,21 +40,11 @@ var wireTypes = map[uint16]any{
 	49: TierStatsReq{}, 50: TierStatsResp{},
 	51: TierScrubReq{}, 52: TierScrubResp{},
 	55: &StaleEpochError{}, 56: &FencedError{},
-}
-
-// retainedTypes are the messages whose decoded state the receiving
-// server keeps after the handler returns — replica-slot records, hosted
-// snapshots, the log and store a promoted spare installs — so their
-// bytes are copied out of the frame buffer, never aliased.
-var retainedTypes = map[uint16]any{
-	11: ReplApplyReq{}, 13: ReplSnapshotReq{}, 17: WlogInstallReq{},
+	57: &locks.Error{},
 }
 
 func init() {
 	for id, m := range wireTypes {
 		codec.Register(id, m)
-	}
-	for id, m := range retainedTypes {
-		codec.RegisterRetained(id, m)
 	}
 }

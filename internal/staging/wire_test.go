@@ -43,7 +43,7 @@ func roundTrip(t *testing.T, v any) any {
 func TestFastpathRoundTrip(t *testing.T) {
 	box := domain.Box3(0, 0, 0, 15, 15, 15)
 	rec := wlog.Record{Op: wlog.OpPut, App: "sim/3", Name: "field", Version: 7, BBox: box, Bytes: 4096}
-	lock := LockRecord{Name: "step", Holder: "sim/3", Write: true, Seq: 9, Ok: true}
+	lock := LockRecord{Name: "step", Holder: "sim/3", Write: true, Seq: 9}
 	state := ReplState{
 		Seq:  42,
 		Wlog: []byte{1, 2, 3},
@@ -57,8 +57,8 @@ func TestFastpathRoundTrip(t *testing.T) {
 				{Name: "mesh", Readers: []locks.ReaderCount{{Holder: "viz/0", Count: 2}, {Holder: "viz/1", Count: 1}}},
 			},
 			Dedup: []LockRecord{
-				{Holder: "sim/3", Seq: 9, Name: "step", Write: true, Ok: true},
-				{Holder: "viz/0", Seq: 2, Name: "mesh", Release: true, Err: "not held"},
+				{Holder: "sim/3", Seq: 9, Name: "step", Write: true},
+				{Holder: "viz/0", Seq: 2, Name: "mesh", Release: true, Fault: locks.NotHeld},
 			},
 		},
 	}
@@ -166,7 +166,7 @@ type wireCase struct{ req, resp any }
 // with the type of its response. Every request that carries payload
 // bytes carries big, exactly 16 KiB (the transport's vecThreshold), so
 // over TCP it crosses as a head and a cut.
-func wireCases(t *testing.T) (cases []wireCase, big []byte) {
+func wireCases(t testing.TB) (cases []wireCase, big []byte) {
 	box := domain.Box3(0, 0, 0, 31, 31, 15)
 	big = fill(domain.BufLen(box, 1), 1)
 	wl, err := wlog.New().Snapshot()
@@ -192,7 +192,7 @@ func wireCases(t *testing.T) (cases []wireCase, big []byte) {
 		{ShardDropReq{Key: "k"}, ShardDropResp{}},
 		{LockReq{Name: "step", Holder: "viz/0"}, LockResp{}},
 		{ReplApplyReq{Epoch: wireAhead, Slot: 1, Records: []ReplRecord{
-			{Seq: 1, Lock: &LockRecord{Name: "l", Holder: "h", Ok: true}},
+			{Seq: 1, Lock: &LockRecord{Name: "l", Holder: "h"}},
 			{Seq: 2, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0", Name: "f", Version: 1, BBox: box, Bytes: int64(len(big))}, Data: big, ElemSize: 1},
 		}}, ReplApplyResp{}},
 		{ReplSnapshotReq{Epoch: wireAhead, Slot: 2, State: state}, ReplSnapshotResp{}},
@@ -322,9 +322,6 @@ func TestRetiredWireIDs(t *testing.T) {
 	for _, id := range []uint16{27, 28, 53, 54} {
 		if m, ok := wireTypes[id]; ok {
 			t.Errorf("wireTypes[%d] = %T: a retired id is reused", id, m)
-		}
-		if m, ok := retainedTypes[id]; ok {
-			t.Errorf("retainedTypes[%d] = %T: a retired id is reused", id, m)
 		}
 		if v, err := codec.Unmarshal([]byte{byte(id >> 8), byte(id), 0}); !errors.Is(err, codec.ErrUnknownType) {
 			t.Errorf("decoding id %d = %T, %v; want codec.ErrUnknownType", id, v, err)

@@ -26,10 +26,10 @@ import (
 //
 // Byte-slice fields of req are only valid until the handler returns:
 // large payloads are decoded zero-copy out of a frame buffer the
-// transport reclaims afterwards. A handler that retains payload bytes
-// past its return must copy them (the staging server already copies on
-// ingest), or the message must be registered with
-// codec.RegisterRetained, which never aliases.
+// transport reclaims afterwards. That is the one ownership rule, for
+// every message: a handler that keeps a byte field past its return
+// copies it itself (the staging server copies a put's payload, a shard,
+// a replicated record and an installed snapshot's objects).
 type Handler func(req any) (resp any, err error)
 
 // Client issues requests to one endpoint.

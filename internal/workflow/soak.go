@@ -11,6 +11,7 @@ import (
 
 	"gospaces/internal/domain"
 	"gospaces/internal/health"
+	"gospaces/internal/locks"
 	"gospaces/internal/pfs"
 	"gospaces/internal/qos"
 	"gospaces/internal/recovery"
@@ -1083,11 +1084,7 @@ func (x *soakExec) retry(c *staging.Client, fn func() error) error {
 // lost-ack retry (the previous attempt already took effect): acquiring
 // a write lock we already hold, or releasing one we no longer hold.
 func lockIdempotent(err error) bool {
-	if err == nil {
-		return false
-	}
-	s := err.Error()
-	return strings.Contains(s, "already holds write lock") || strings.Contains(s, "lock not held")
+	return errors.Is(err, locks.ErrWriteHeld) || errors.Is(err, locks.ErrNotHeld)
 }
 
 // apply executes one trace event.
