@@ -28,13 +28,20 @@ test: build
 
 # One codec, verifiably: internal/codec encodes every message and every
 # storage body the service itself defines (the wlog snapshot, the tier
-# manifest, a trace file's header and events), so no non-test file
-# imports encoding/gob. internal/ckpt is the one exemption: ckpt.Saver
-# serializes *application* state, of types the application owns and
-# cannot register with the codec.
+# manifest and spill record, a trace file's header and events), so no
+# non-test file imports encoding/gob. internal/ckpt is the one
+# exemption: ckpt.Saver serializes *application* state, of types the
+# application owns and cannot register with the codec. Nor does a
+# non-test file of the packages that define storage bodies or keep
+# logged objects (tier, trace, wlog, staging, store) import
+# encoding/binary: a byte layout laid by hand outside the codec would
+# be a second codec. Framing stays in internal/ckpt and
+# internal/transport.
 no-gob:
 	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' *.go cmd internal examples | grep -v '^internal/ckpt/'); \
 	test -z "$$out" || { echo "$$out"; echo 'encoding/gob imported outside internal/ckpt (above): messages and storage bodies go through internal/codec'; exit 1; }
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/binary"' internal/tier internal/trace internal/wlog internal/staging internal/store); \
+	test -z "$$out" || { echo "$$out"; echo 'encoding/binary imported by a storage-body package (above): bodies go through internal/codec, framing through internal/ckpt or internal/transport'; exit 1; }
 
 # One clock, verifiably: failure detection and recovery read time only
 # from the clock of the transport they run over (transport.ClockOf), so
@@ -98,7 +105,11 @@ loc:
 # before the lane gate; one replicate stage takes replMu and flushes for
 # every logged mutation; the codec has one decode rule (RegisterRetained
 # goes) and the handlers that keep received bytes copy them.
-LOC_BUDGET = 6319
+# 6319 → 6296: one record of a logged object. The replication stream,
+# the replica snapshot and the cold tier's spill record carry
+# store.Object, checked by store.Object.Verify (ReplObject, the
+# record's Data/ElemSize/CRC triple and staging's CRC table go).
+LOC_BUDGET = 6296
 loc-check:
 	@loc=$$($(LOC)); echo "make loc: $$loc, LOC_BUDGET: $(LOC_BUDGET)"; \
 	test $$loc -le $(LOC_BUDGET) || { echo 'over budget: remove lines, or raise LOC_BUDGET in this diff'; exit 1; }

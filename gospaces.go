@@ -461,9 +461,10 @@ func ProbeLeader(addrs []string, opts DialOptions) []LeaderView {
 // Admission control and QoS (dsctl qos wraps ProbeQoS).
 
 // QoSConfig configures the staging admission-control layer: tenant
-// quotas over staging memory and event-log bytes, the global
-// high-water mark for priority-ordered load shedding, retry-after
-// sizing, and the foreground/recovery lane weights. Enable it with
+// quotas over staging memory and event-log bytes and the global
+// high-water mark for priority-ordered load shedding. The retry-after
+// hint's sizing and the foreground/recovery lanes are fixed (25 ms
+// scale, 2 s cap; 16 concurrent requests, weighted 3:1). Enable it with
 // StagingConfig.QoS (in-process groups) or ServeOptions.QoS (TCP
 // servers).
 type QoSConfig = qos.Config

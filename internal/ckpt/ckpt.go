@@ -128,30 +128,38 @@ func frame(seq uint64, n int) []byte {
 	return rec
 }
 
-// Part is a piece of a record payload together with its CRC-32C
+// Part is a piece of a record payload that belongs at offset At of the
+// head passed with it to SealParts, together with its CRC-32C
 // (Castagnoli, as crc32.Checksum returns it for Data alone).
 type Part struct {
+	At   int
 	Data []byte
 	CRC  uint32
 }
 
-// SealParts writes exactly what SealRecord(seq, head, parts[0].Data,
-// parts[1].Data, ...) writes, but checksums only head: each part's CRC
-// is folded into the frame CRC by CRC-32C combination, so a part is
-// copied once and never read again. The frame then covers every byte
-// only as far as the given CRCs are right; a part given with a wrong
-// one yields a record OpenRecord rejects, never one it accepts.
+// SealParts writes exactly what SealRecord writes over head with each
+// part's Data spliced in at its At — the parts in ascending At, each At
+// within head, as codec.AppendCuts returns its cuts — but checksums
+// only head: each part's CRC is folded into the frame CRC by CRC-32C
+// combination, so a part is copied once and never read again. The frame
+// then covers every byte only as far as the given CRCs are right; a
+// part given with a wrong one yields a record OpenRecord rejects, never
+// one it accepts.
 func SealParts(seq uint64, head []byte, parts []Part) []byte {
 	n := len(head)
 	for _, p := range parts {
 		n += len(p.Data)
 	}
-	rec := append(frame(seq, n), head...)
-	crc := crc32.Update(crc32.Checksum(rec[4:20], crcTable), crcTable, head)
+	rec := frame(seq, n)
+	crc := crc32.Checksum(rec[4:20], crcTable)
+	at := 0
 	for _, p := range parts {
-		crc = crcCombine(crc, p.CRC, len(p.Data))
-		rec = append(rec, p.Data...)
+		crc = crcCombine(crc32.Update(crc, crcTable, head[at:p.At]), p.CRC, len(p.Data))
+		rec = append(append(rec, head[at:p.At]...), p.Data...)
+		at = p.At
 	}
+	crc = crc32.Update(crc, crcTable, head[at:])
+	rec = append(rec, head[at:]...)
 	binary.BigEndian.PutUint32(rec[20:24], crc)
 	return rec
 }

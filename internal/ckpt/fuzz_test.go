@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/crc32"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"gospaces/internal/pfs"
@@ -115,8 +116,9 @@ func FuzzDecodeRecord(f *testing.F) {
 
 // TestSealPartsIsSealRecord holds the CRC-combined seal to SealRecord
 // byte for byte over random part counts and lengths — empty, one byte,
-// odd, 16 KiB and 128 KiB parts among them — and a part given with a
-// wrong CRC to a record OpenRecord rejects.
+// odd, 16 KiB and 128 KiB parts among them — spliced in at random
+// offsets of the head (its start, its middle, back to back, its end),
+// and a part given with a wrong CRC to a record OpenRecord rejects.
 func TestSealPartsIsSealRecord(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	lens := []int{0, 1, 7, 333, 16 << 10, 128 << 10}
@@ -126,19 +128,27 @@ func TestSealPartsIsSealRecord(t *testing.T) {
 			head[i] = byte(rng.Uint32())
 		}
 		parts := make([]Part, rng.IntN(6))
-		datas := [][]byte{head}
+		ats := make([]int, len(parts))
+		for i := range ats {
+			ats[i] = [3]int{0, len(head), rng.IntN(len(head) + 1)}[rng.IntN(3)]
+		}
+		slices.Sort(ats)
+		var datas [][]byte // head's pieces and the parts, in record order
+		at := 0
 		for i := range parts {
 			d := make([]byte, lens[rng.IntN(len(lens))])
 			for j := range d {
 				d[j] = byte(rng.Uint32())
 			}
-			parts[i] = Part{Data: d, CRC: crc32.Checksum(d, crcTable)}
-			datas = append(datas, d)
+			parts[i] = Part{At: ats[i], Data: d, CRC: crc32.Checksum(d, crcTable)}
+			datas = append(datas, head[at:ats[i]], d)
+			at = ats[i]
 		}
+		datas = append(datas, head[at:])
 		seq := rng.Uint64()
 		rec := SealParts(seq, head, parts)
 		if want := SealRecord(seq, datas...); !bytes.Equal(rec, want) {
-			t.Fatalf("trial %d: SealParts differs from SealRecord over %d parts", trial, len(parts))
+			t.Fatalf("trial %d: SealParts differs from SealRecord over %d parts at %v", trial, len(parts), ats)
 		}
 		if len(parts) == 0 {
 			continue

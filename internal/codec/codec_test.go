@@ -16,6 +16,7 @@ import (
 	"gospaces/internal/health"
 	"gospaces/internal/qos"
 	"gospaces/internal/staging"
+	"gospaces/internal/store"
 	"gospaces/internal/trace"
 	"gospaces/internal/transport"
 )
@@ -260,7 +261,7 @@ func cutCases(rng *rand.Rand) []cutCase {
 		{3, staging.GetResp{Version: 3, Pieces: []staging.Piece{{Data: big()}, {Data: []byte("small")}, {Data: big()}, {Data: big()}}}},
 		{2, twoBulk{A: big(), B: big()}},
 		{2, staging.FencedReq{Token: 1, Req: staging.EpochReq{Epoch: 2, Req: staging.ReplApplyReq{Records: []staging.ReplRecord{
-			{Seq: 1, Data: big()}, {Seq: 2, Lock: &staging.LockRecord{Name: "l"}}, {Seq: 3, Data: big()}}}}}},
+			{Seq: 1, Obj: &store.Object{Data: big()}}, {Seq: 2, Lock: &staging.LockRecord{Name: "l"}}, {Seq: 3, Obj: &store.Object{Data: big()}}}}}}},
 	}
 }
 
@@ -472,7 +473,7 @@ func TestNestingBounded(t *testing.T) {
 func TestAliasRule(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xab}, 16<<10)
 	put := staging.PutReq{Name: "f", Piece: staging.Piece{Data: payload}}
-	apply := staging.ReplApplyReq{Epoch: 1, Records: []staging.ReplRecord{{Seq: 1, Data: payload}}}
+	apply := staging.ReplApplyReq{Epoch: 1, Records: []staging.ReplRecord{{Seq: 1, Obj: &store.Object{Data: payload}}}}
 	for _, msg := range []any{put, apply, staging.FencedReq{Token: 1, Req: apply}} {
 		wire, _ := codec.Append(nil, msg)
 		v, err := codec.UnmarshalAlias(wire)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -34,23 +33,6 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestTimerStats(t *testing.T) {
-	var tm Timer
-	tm.Observe(2 * time.Second)
-	tm.Observe(4 * time.Second)
-	tm.Observe(6 * time.Second)
-	if tm.Count() != 3 || tm.Total() != 12*time.Second || tm.Mean() != 4*time.Second {
-		t.Fatalf("count=%d total=%v mean=%v", tm.Count(), tm.Total(), tm.Mean())
-	}
-}
-
-func TestTimerEmptyMean(t *testing.T) {
-	var tm Timer
-	if tm.Mean() != 0 {
-		t.Fatal("empty timer mean should be 0")
-	}
-}
-
 func TestRegistryIdentityAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("puts") != r.Counter("puts") {
@@ -58,9 +40,8 @@ func TestRegistryIdentityAndSnapshot(t *testing.T) {
 	}
 	r.Counter("puts").Add(3)
 	r.Gauge("bytes").Set(42)
-	r.Timer("write").Observe(time.Millisecond)
 	snap := r.Snapshot()
-	for _, want := range []string{"counter puts = 3", "gauge bytes = 42", "timer write: count=1"} {
+	for _, want := range []string{"counter puts = 3", "gauge bytes = 42"} {
 		if !strings.Contains(snap, want) {
 			t.Fatalf("snapshot missing %q:\n%s", want, snap)
 		}

@@ -34,7 +34,7 @@ func BenchmarkAdmit(b *testing.B) {
 // BenchmarkSchedulerUncontended measures the gate's cost when slots are
 // free — the common case every admitted request pays.
 func BenchmarkSchedulerUncontended(b *testing.B) {
-	s := NewScheduler(Config{MaxConcurrent: 16}, nil)
+	s := NewScheduler(Config{}, nil)
 	defer s.Close()
 	b.ReportAllocs()
 	b.ResetTimer()

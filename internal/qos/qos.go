@@ -89,20 +89,20 @@ type Config struct {
 	// linearly with priority until the full budget, which nobody may
 	// exceed. Recovery and wlog-replication traffic is never shed.
 	HighWater float64
-	// RetryAfterBase scales the server-computed retry-after hint
-	// (default 25ms); RetryAfterMax caps it (default 2s).
-	RetryAfterBase time.Duration
-	RetryAfterMax  time.Duration
-	// MaxConcurrent bounds the requests the lane scheduler lets run at
-	// once (default 16). Control-plane traffic bypasses the gate.
-	MaxConcurrent int
-	// ForegroundWeight and RecoveryWeight set the lane service ratio
-	// under contention (defaults 3 and 1): of every 4 contended grants,
-	// 3 go to foreground puts/gets and 1 to recovery, so
-	// CoREC rebuilds neither starve nor are starved by foreground load.
-	ForegroundWeight int
-	RecoveryWeight   int
 }
+
+// The retry-after hint's scale and cap, and the lane scheduler's bound
+// on gated requests running at once (control-plane traffic bypasses the
+// gate) and its lane service ratio under contention: of every 4
+// contended grants, 3 go to foreground puts/gets and 1 to recovery, so
+// CoREC rebuilds neither starve nor are starved by foreground load.
+const (
+	retryAfterBase = 25 * time.Millisecond
+	retryAfterMax  = 2 * time.Second
+	maxConcurrent  = 16
+)
+
+var laneWeights = [2]int{3, 1} // foreground, recovery
 
 // SpillWater is the fraction of the budget at which a staging server
 // with a PFS tier starts demoting cold versions: 85% of HighWater, so
@@ -114,21 +114,6 @@ func (c Config) SpillWater() float64 { return 0.85 * c.HighWater }
 func (c Config) withDefaults() Config {
 	if c.HighWater <= 0 || c.HighWater >= 1 {
 		c.HighWater = 0.7
-	}
-	if c.RetryAfterBase <= 0 {
-		c.RetryAfterBase = 25 * time.Millisecond
-	}
-	if c.RetryAfterMax < c.RetryAfterBase {
-		c.RetryAfterMax = 2 * time.Second
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 16
-	}
-	if c.ForegroundWeight <= 0 {
-		c.ForegroundWeight = 3
-	}
-	if c.RecoveryWeight <= 0 {
-		c.RecoveryWeight = 1
 	}
 	return c
 }
@@ -263,25 +248,25 @@ func (c *Controller) usage(tenant string) *tenantUsage {
 // retryAfter turns overshoot pressure and the live signals into the
 // server-directed backoff hint. The hint grows linearly with relative
 // overshoot, queue depth, and replication lag, and is capped at
-// RetryAfterMax — a client cannot be told to stall forever, and the
+// retryAfterMax — a client cannot be told to stall forever, and the
 // retry layer charges the wait against its budget anyway.
 func (c *Controller) retryAfter(overshoot float64, sig Signals) time.Duration {
 	if overshoot < 1 {
 		overshoot = 1
 	}
-	load := 1.0 + float64(sig.QueueDepth)/float64(c.cfg.MaxConcurrent)
+	load := 1.0 + float64(sig.QueueDepth)/maxConcurrent
 	if sig.ReplLag > 0 {
 		load += float64(sig.ReplLag) / 64
 	}
 	// Compare in float space: extreme overshoot would overflow the
 	// Duration conversion into a negative value.
-	df := float64(c.cfg.RetryAfterBase) * overshoot * load
-	if df > float64(c.cfg.RetryAfterMax) {
-		df = float64(c.cfg.RetryAfterMax)
+	df := float64(retryAfterBase) * overshoot * load
+	if df > float64(retryAfterMax) {
+		df = float64(retryAfterMax)
 	}
 	d := time.Duration(df)
-	if d < c.cfg.RetryAfterBase {
-		d = c.cfg.RetryAfterBase
+	if d < retryAfterBase {
+		d = retryAfterBase
 	}
 	return d
 }

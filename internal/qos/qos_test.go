@@ -133,18 +133,20 @@ func TestGlobalShedIsPriorityOrdered(t *testing.T) {
 }
 
 func TestRetryAfterGrowsWithPressureAndIsCapped(t *testing.T) {
-	cfg := Config{RetryAfterBase: 10 * time.Millisecond, RetryAfterMax: 500 * time.Millisecond}
-	c := NewController(cfg, nil)
+	c := NewController(Config{}, nil)
 
 	calm := c.retryAfter(1, Signals{})
+	if calm != retryAfterBase {
+		t.Fatalf("retry-after without pressure = %v, want %v", calm, retryAfterBase)
+	}
 	loaded := c.retryAfter(1.5, Signals{QueueDepth: 32, ReplLag: 256})
 	if loaded <= calm {
 		t.Fatalf("retry-after did not grow with pressure: calm=%v loaded=%v", calm, loaded)
 	}
-	if loaded > 500*time.Millisecond {
+	if loaded > retryAfterMax {
 		t.Fatalf("retry-after exceeds cap: %v", loaded)
 	}
-	if huge := c.retryAfter(1e9, Signals{QueueDepth: 1 << 20}); huge != 500*time.Millisecond {
+	if huge := c.retryAfter(1e9, Signals{QueueDepth: 1 << 20}); huge != retryAfterMax {
 		t.Fatalf("extreme pressure not capped: %v", huge)
 	}
 }

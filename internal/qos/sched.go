@@ -41,22 +41,21 @@ func (l Lane) String() string {
 var ErrSchedClosed = errors.New("qos: scheduler closed")
 
 // Scheduler is the weighted two-lane concurrency gate at server
-// dispatch: at most MaxConcurrent gated requests run at once, and when
-// both lanes have waiters, grants alternate in the configured
-// foreground:recovery weight ratio so neither CoREC rebuilds nor
-// foreground traffic can starve the other. LaneControl bypasses the
+// dispatch: at most maxConcurrent gated requests run at once, and when
+// both lanes have waiters, grants alternate in the laneWeights
+// foreground:recovery ratio so neither CoREC rebuilds nor foreground
+// traffic can starve the other. LaneControl bypasses the
 // gate. Queue depths are exported as qos.queue.foreground /
 // qos.queue.recovery gauges.
 type Scheduler struct {
 	reg *metrics.Registry
 
-	mu      sync.Mutex
-	closed  bool
-	slots   int // free slots
-	weights [2]int
-	credit  [2]int // remaining grants in the current weight round
-	queues  [2]*list.List
-	depth   [2]*metrics.Gauge
+	mu     sync.Mutex
+	closed bool
+	slots  int    // free slots
+	credit [2]int // remaining grants in the current weight round
+	queues [2]*list.List
+	depth  [2]*metrics.Gauge
 }
 
 // laneIdx maps gated lanes onto queue indices.
@@ -67,20 +66,24 @@ func laneIdx(l Lane) int {
 	return 0
 }
 
-// NewScheduler builds the gate from cfg (defaults applied), reporting
-// into reg (nil allocates a private registry).
-func NewScheduler(cfg Config, reg *metrics.Registry) *Scheduler {
-	cfg = cfg.withDefaults()
+// NewScheduler builds the gate, reporting into reg (nil allocates a
+// private registry). No Config field sizes it: it admits maxConcurrent
+// gated requests at once, in the laneWeights ratio.
+func NewScheduler(_ Config, reg *metrics.Registry) *Scheduler {
+	return newScheduler(maxConcurrent, reg)
+}
+
+// newScheduler is NewScheduler with slots gated requests at once.
+func newScheduler(slots int, reg *metrics.Registry) *Scheduler {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	s := &Scheduler{
-		reg:     reg,
-		slots:   cfg.MaxConcurrent,
-		weights: [2]int{cfg.ForegroundWeight, cfg.RecoveryWeight},
-		queues:  [2]*list.List{list.New(), list.New()},
+		reg:    reg,
+		slots:  slots,
+		credit: laneWeights,
+		queues: [2]*list.List{list.New(), list.New()},
 	}
-	s.credit = s.weights
 	s.depth = [2]*metrics.Gauge{
 		reg.Gauge("qos.queue.foreground"),
 		reg.Gauge("qos.queue.recovery"),
@@ -180,7 +183,7 @@ func (s *Scheduler) pickLocked() (int, bool) {
 	}
 	// Both lanes contend: honor the weight ratio.
 	if s.credit[0] <= 0 && s.credit[1] <= 0 {
-		s.credit = s.weights
+		s.credit = laneWeights
 	}
 	if s.credit[0] >= s.credit[1] {
 		if s.credit[0] > 0 {

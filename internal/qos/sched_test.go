@@ -8,7 +8,7 @@ import (
 )
 
 func TestSchedulerControlBypasses(t *testing.T) {
-	s := NewScheduler(Config{MaxConcurrent: 1}, nil)
+	s := newScheduler(1, nil)
 	defer s.Close()
 	if err := s.Acquire(LaneForeground); err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestSchedulerControlBypasses(t *testing.T) {
 }
 
 func TestSchedulerBlocksAtCapacityAndGrantsFIFO(t *testing.T) {
-	s := NewScheduler(Config{MaxConcurrent: 2}, nil)
+	s := newScheduler(2, nil)
 	defer s.Close()
 	for i := 0; i < 2; i++ {
 		if err := s.Acquire(LaneForeground); err != nil {
@@ -75,7 +75,7 @@ func TestSchedulerBlocksAtCapacityAndGrantsFIFO(t *testing.T) {
 // checks the contended grant ratio tracks the configured 3:1 weights —
 // recovery is neither starved by foreground pressure nor dominant.
 func TestSchedulerWeightedFairness(t *testing.T) {
-	s := NewScheduler(Config{MaxConcurrent: 1, ForegroundWeight: 3, RecoveryWeight: 1}, nil)
+	s := newScheduler(1, nil)
 	defer s.Close()
 
 	const perLane = 200
@@ -145,7 +145,7 @@ func TestSchedulerWeightedFairness(t *testing.T) {
 }
 
 func TestSchedulerWorkConservingWhenOneLaneIdle(t *testing.T) {
-	s := NewScheduler(Config{MaxConcurrent: 1, ForegroundWeight: 3, RecoveryWeight: 1}, nil)
+	s := newScheduler(1, nil)
 	defer s.Close()
 	if err := s.Acquire(LaneRecovery); err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestSchedulerWorkConservingWhenOneLaneIdle(t *testing.T) {
 }
 
 func TestSchedulerCloseWakesWaiters(t *testing.T) {
-	s := NewScheduler(Config{MaxConcurrent: 1}, nil)
+	s := newScheduler(1, nil)
 	if err := s.Acquire(LaneForeground); err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"gospaces/internal/domain"
 	"gospaces/internal/locks"
 	"gospaces/internal/qos"
+	"gospaces/internal/store"
 	"gospaces/internal/tier"
 	"gospaces/internal/trace"
 	"gospaces/internal/wlog"
@@ -225,12 +226,12 @@ type LockRecord = locks.Record
 type ReplRecord struct {
 	Seq  int64
 	Wlog *wlog.Record
-	// Put payload, carried on Wlog OpPut records so a restored server
-	// can serve replay reads without the dead origin.
-	Data     []byte
-	ElemSize int
-	CRC      uint32
-	Lock     *LockRecord
+	// Obj is the logged object a Wlog OpPut record stored, its payload
+	// and ingest CRC with it, so a restored server can serve replay
+	// reads without the dead origin. The origin ships the very object
+	// it stored; a replica keeps a checked copy (keepObject).
+	Obj  *store.Object
+	Lock *LockRecord
 }
 
 // ReplState is a full snapshot of a server's replicated state at stream
@@ -243,18 +244,8 @@ type ReplState struct {
 	// Log.Restore opens it, under the codec's bounds and the snapshot's
 	// own ValidateWire.
 	Wlog    []byte
-	Objects []ReplObject
+	Objects []*store.Object
 	Locks   locks.State
-}
-
-// ReplObject is one logged object payload in a replication snapshot.
-type ReplObject struct {
-	Name     string
-	Version  int64
-	BBox     domain.BBox
-	ElemSize int
-	Data     []byte
-	CRC      uint32
 }
 
 // ReplApplyReq ships a batch of replication records from the origin of

@@ -3,11 +3,12 @@ package staging
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"testing"
 
+	"gospaces/internal/ckpt"
 	"gospaces/internal/codec"
 	"gospaces/internal/domain"
+	"gospaces/internal/pfs"
 	"gospaces/internal/qos"
 	"gospaces/internal/store"
 	"gospaces/internal/transport"
@@ -23,20 +24,29 @@ import (
 // bytes sent, with the CRCs they were sent with. Each case is one
 // handler's copy: the put's ingest copy, the shard's, the replica
 // record's (bare and in an envelope) and the snapshot objects' (a
-// hosted replica's install and a promoted spare's).
+// hosted replica's install and a promoted spare's). And each carrier of
+// a logged object — those four and a cold-tier record — refuses one
+// whose payload has a byte flipped under its CRC, keeping nothing: the
+// sender's clean re-send is then kept, and a replica installs.
 func TestHandlersOwnWhatTheyKeep(t *testing.T) {
 	box := domain.Box3(0, 0, 0, 31, 31, 15)
 	big := fill(domain.BufLen(box, 1), 7)
-	crc := crc32.Checksum(big, castagnoli)
+	good := &store.Object{Name: "f", Version: 1, BBox: box, ElemSize: 1, Data: big, CRC: store.Checksum(big), Logged: true}
+	flipped := *good
+	flipped.Data = bytes.Clone(big)
+	flipped.Data[len(big)/2] ^= 1
 	wl, err := wlog.New().Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := ReplRecord{Seq: 1, Data: big, ElemSize: 1, CRC: crc, Wlog: &wlog.Record{
-		Op: wlog.OpPut, App: "sim/0", Name: "f", Version: 1, BBox: box, Bytes: int64(len(big)),
-	}}
-	state := ReplState{Seq: 1, Wlog: wl, Objects: []ReplObject{{Name: "f", Version: 1, BBox: box, ElemSize: 1, Data: big, CRC: crc}}}
-	apply := ReplApplyReq{Epoch: 1, Slot: 1, Records: []ReplRecord{rec}}
+	apply := func(o *store.Object) ReplApplyReq {
+		return ReplApplyReq{Epoch: 1, Slot: 1, Records: []ReplRecord{{Seq: 1, Obj: o, Wlog: &wlog.Record{
+			Op: wlog.OpPut, App: "sim/0", Name: "f", Version: 1, BBox: box, Bytes: int64(len(big)),
+		}}}}
+	}
+	state := func(o *store.Object) ReplState {
+		return ReplState{Seq: 1, Wlog: wl, Objects: []*store.Object{o}}
+	}
 
 	// stored reads the one object the store holds and checks its CRC.
 	stored := func(str *store.Store) ([]byte, error) {
@@ -44,8 +54,8 @@ func TestHandlersOwnWhatTheyKeep(t *testing.T) {
 		if len(objs) != 1 {
 			return nil, fmt.Errorf("%d objects kept, want 1", len(objs))
 		}
-		if o := objs[0]; o.CRC != crc || crc32.Checksum(o.Data, castagnoli) != crc {
-			return nil, fmt.Errorf("kept CRC %#x, its bytes' %#x, sent %#x", o.CRC, crc32.Checksum(o.Data, castagnoli), crc)
+		if o := objs[0]; o.CRC != good.CRC || o.Verify() != nil {
+			return nil, fmt.Errorf("kept CRC %#x, its bytes' %#x, sent %#x", o.CRC, store.Checksum(o.Data), good.CRC)
 		}
 		return objs[0].Data, nil
 	}
@@ -63,21 +73,28 @@ func TestHandlersOwnWhatTheyKeep(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		req  any
+		req  func(o *store.Object) any // carries o's payload, and o itself when carrier
 		read func(*Server) ([]byte, error)
+		// carrier: the request carries a logged object, which a flipped
+		// payload byte gets refused.
+		carrier bool
 	}{
-		{"PutReq", PutReq{App: "sim/0", Name: "f", Version: 1, ElemSize: 1, Logged: true, Piece: Piece{BBox: box, Data: big}}, got},
-		{"ShardPutReq", ShardPutReq{Key: "k", Shard: 1, Data: big}, func(s *Server) ([]byte, error) {
+		{"PutReq", func(o *store.Object) any {
+			return PutReq{App: "sim/0", Name: "f", Version: 1, ElemSize: 1, Logged: true, Piece: Piece{BBox: box, Data: o.Data}}
+		}, got, false},
+		{"ShardPutReq", func(o *store.Object) any { return ShardPutReq{Key: "k", Shard: 1, Data: o.Data} }, func(s *Server) ([]byte, error) {
 			resp, err := transport.As[ShardGetResp](s.Handle(ShardGetReq{Key: "k", Shard: 1}))
 			return resp.Data, err
-		}},
-		{"ReplApplyReq", apply, replica},
-		{"EpochReq{ReplApplyReq}", EpochReq{Epoch: 1, Req: apply}, replica},
-		{"ReplSnapshotReq", ReplSnapshotReq{Epoch: 1, Slot: 1, State: state}, replica},
-		{"FencedReq{WlogInstallReq}", FencedReq{Token: 1, Req: WlogInstallReq{Slot: 0, State: state}}, got},
+		}, false},
+		{"ReplApplyReq", func(o *store.Object) any { return apply(o) }, replica, true},
+		{"EpochReq{ReplApplyReq}", func(o *store.Object) any { return EpochReq{Epoch: 1, Req: apply(o)} }, replica, true},
+		{"ReplSnapshotReq", func(o *store.Object) any { return ReplSnapshotReq{Epoch: 1, Slot: 1, State: state(o)} }, replica, true},
+		{"FencedReq{WlogInstallReq}", func(o *store.Object) any {
+			return FencedReq{Token: 1, Req: WlogInstallReq{Slot: 0, State: state(o)}}
+		}, got, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			wire, err := codec.Append(nil, tc.req)
+			wire, err := codec.Append(nil, tc.req(good))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,6 +115,66 @@ func TestHandlersOwnWhatTheyKeep(t *testing.T) {
 				t.Fatal("the kept bytes changed when the request's buffer was recycled")
 			}
 		})
+		if !tc.carrier {
+			continue
+		}
+		t.Run(tc.name+"/flipped", func(t *testing.T) {
+			s := NewServer(0)
+			if _, err := s.Handle(tc.req(&flipped)); err == nil {
+				t.Fatal("an object whose payload fails its CRC was accepted")
+			}
+			if kept, err := tc.read(s); err == nil {
+				t.Fatalf("a refused request kept %d bytes", len(kept))
+			}
+			// The sender's clean re-send is kept, and a replica it lands in
+			// installs on a fresh server.
+			if _, err := s.Handle(tc.req(good)); err != nil {
+				t.Fatalf("clean re-send after the refusal: %v", err)
+			}
+			if kept, err := tc.read(s); err != nil || !bytes.Equal(kept, big) {
+				t.Fatalf("clean re-send after the refusal not kept: %v", err)
+			}
+			if _, ok := s.replicas.slots[1]; ok {
+				spare := NewServer(0)
+				if _, err := spare.Handle(FencedReq{Token: 1, Req: WlogInstallReq{Slot: 1, State: fetchReplica(t, s, 1)}}); err != nil {
+					t.Fatalf("install of the replica: %v", err)
+				}
+				if kept, err := got(spare); err != nil || !bytes.Equal(kept, big) {
+					t.Fatalf("get after the install: %v", err)
+				}
+			}
+		})
+	}
+
+	// The cold tier's record: a record whose frame verifies but whose
+	// payload fails its CRC is not promoted, so a replay read of it fails.
+	for _, o := range []*store.Object{good, &flipped} {
+		s := NewServer(0)
+		be := pfs.NewStore()
+		s.EnableTier(be)
+		if err := s.tier.Spill([]*store.Object{o}); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range be.List("tier/0/o/") {
+			rec, _ := be.Read(name)
+			seq, body, ok := ckpt.OpenRecord(rec)
+			if o == &flipped {
+				// Spilled with its payload off its CRC, the record does not
+				// open; re-framed over its bytes as they are, it does.
+				if ok {
+					t.Fatal("a record sealed with a payload off its CRC opens")
+				}
+				seq, body = 0, rec[24:]
+			}
+			be.Write(name, ckpt.SealRecord(seq, body))
+		}
+		kept, err := got(s)
+		if o == good && (err != nil || !bytes.Equal(kept, big)) {
+			t.Fatalf("tier record: promote: %v", err)
+		}
+		if o == &flipped && (err == nil || s.store.Objects() != 0) {
+			t.Fatalf("tier record: a payload that fails its CRC was promoted (get: %v)", err)
+		}
 	}
 }
 
@@ -134,7 +211,7 @@ func FuzzServerHandle(f *testing.F) {
 		s.Handle(req)
 		clear(data)
 		for _, o := range s.store.Export() {
-			if o.Logged && o.CRC != 0 && crc32.Checksum(o.Data, castagnoli) != o.CRC {
+			if o.Logged && o.Verify() != nil {
 				t.Fatalf("after %T: staged %q v%d %v fails its CRC", req, o.Name, o.Version, o.BBox)
 			}
 		}

@@ -2,7 +2,7 @@ package staging
 
 import (
 	"fmt"
-	"hash/crc32"
+	"slices"
 	"sync"
 
 	"gospaces/internal/locks"
@@ -101,7 +101,9 @@ type replicator struct {
 // the delta-vs-snapshot byte metrics.
 func recBytes(rec ReplRecord) int64 {
 	n := int64(96) // seq + op metadata framing
-	n += int64(len(rec.Data))
+	if rec.Obj != nil {
+		n += int64(len(rec.Obj.Data))
+	}
 	if rec.Wlog != nil {
 		n += int64(len(rec.Wlog.App) + len(rec.Wlog.Name))
 	}
@@ -437,19 +439,13 @@ func (rs *replicaSet) stats() (int, int64, int64) {
 }
 
 // applyRecord folds one stream record into the replica, which keeps a
-// copy of the record's payload: the request's bytes are the transport's.
-// Caller holds rep.mu.
+// checked copy of the record's object (keepObject). Caller holds rep.mu.
 func (rep *slotReplica) applyRecord(rec ReplRecord) error {
 	if rec.Wlog != nil {
-		if rec.Wlog.Op == wlog.OpPut && rec.Data != nil {
-			obj := &store.Object{
-				Name:     rec.Wlog.Name,
-				Version:  rec.Wlog.Version,
-				BBox:     rec.Wlog.BBox,
-				ElemSize: rec.ElemSize,
-				Data:     append([]byte(nil), rec.Data...),
-				CRC:      rec.CRC,
-				Logged:   true,
+		if rec.Wlog.Op == wlog.OpPut && rec.Obj != nil {
+			obj, err := keepObject(rec.Obj)
+			if err != nil {
+				return err
 			}
 			if err := rep.store.Put(obj); err != nil {
 				return err
@@ -487,59 +483,50 @@ func (rep *slotReplica) install(epoch uint64, st ReplState) error {
 }
 
 // exportState renders replicated state — a server's own or the replica
-// it hosts of a peer's — as a ReplState at stream position seq.
+// it hosts of a peer's — as a ReplState at stream position seq. Its
+// objects are the store's own logged ones.
 func exportState(seq int64, log *wlog.Log, str *store.Store, lockTable locks.State) (ReplState, error) {
 	wl, err := log.Snapshot()
 	if err != nil {
 		return ReplState{}, err
 	}
-	return ReplState{Seq: seq, Wlog: wl, Objects: exportObjects(str.Export()), Locks: lockTable}, nil
+	objs := slices.DeleteFunc(str.Export(), func(o *store.Object) bool { return !o.Logged })
+	return ReplState{Seq: seq, Wlog: wl, Objects: objs, Locks: lockTable}, nil
 }
 
 // installState is exportState's inverse: log and str take on the
-// snapshot's event log and logged objects.
+// snapshot's event log and a checked copy of each of its objects
+// (keepObject), so a torn snapshot is refused, not installed to be
+// served.
 func installState(st ReplState, log *wlog.Log, str *store.Store) error {
-	if err := log.Restore(st.Wlog); err != nil {
-		return err
+	objs := make([]*store.Object, len(st.Objects))
+	for i, o := range st.Objects {
+		var err error
+		if objs[i], err = keepObject(o); err != nil {
+			return err
+		}
 	}
-	objs, err := importObjects(st.Objects)
-	if err != nil {
+	if err := log.Restore(st.Wlog); err != nil {
 		return err
 	}
 	return str.Import(objs)
 }
 
-func exportObjects(objs []*store.Object) []ReplObject {
-	out := make([]ReplObject, 0, len(objs))
-	for _, o := range objs {
-		if !o.Logged {
-			continue
-		}
-		out = append(out, ReplObject{
-			Name: o.Name, Version: o.Version, BBox: o.BBox,
-			ElemSize: o.ElemSize, Data: o.Data, CRC: o.CRC,
-		})
+// keepObject is how a server keeps a logged object it received — a
+// stream record's, a hosted replica's snapshot's or a promoted spare's
+// install's: as a copy with a copy of its payload (the request's bytes
+// are the transport's, and in process the object is the sender's), and
+// only when it is logged and the copy matches its CRC.
+func keepObject(o *store.Object) (*store.Object, error) {
+	if o == nil || !o.Logged {
+		return nil, fmt.Errorf("staging: a replicated object must be a logged one")
 	}
-	return out
-}
-
-// importObjects makes a snapshot's objects the store's, each with a copy
-// of its payload (a hosted replica's install and a promoted spare's keep
-// them past the request) that must match its CRC: a torn snapshot is
-// refused, not installed to be served.
-func importObjects(objs []ReplObject) ([]*store.Object, error) {
-	out := make([]*store.Object, 0, len(objs))
-	for _, o := range objs {
-		data := append([]byte(nil), o.Data...)
-		if o.CRC != 0 && crc32.Checksum(data, castagnoli) != o.CRC {
-			return nil, fmt.Errorf("staging: snapshot object %q v%d %v fails its CRC", o.Name, o.Version, o.BBox)
-		}
-		out = append(out, &store.Object{
-			Name: o.Name, Version: o.Version, BBox: o.BBox, ElemSize: o.ElemSize,
-			Data: data, CRC: o.CRC, Logged: true,
-		})
+	kept := *o
+	kept.Data = append([]byte(nil), o.Data...)
+	if err := kept.Verify(); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &kept, nil
 }
 
 // --- Server-side wiring ---

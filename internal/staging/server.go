@@ -3,7 +3,6 @@ package staging
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"time"
 
@@ -21,9 +20,6 @@ import (
 
 // NoVersion marks a get request for the latest available version.
 const NoVersion = wlog.NoVersion
-
-// castagnoli is the CRC-32C table used to protect logged payloads.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrOverBudget is returned when a put cannot fit in the server's
 // memory budget even after garbage collection.
@@ -463,7 +459,7 @@ func (s *Server) applyPut(r PutReq) (any, error) {
 	if r.Logged {
 		// Logged payloads may be re-served long after ingest (replay);
 		// checksum them so the log cannot silently serve corrupt data.
-		obj.CRC = crc32.Checksum(data, castagnoli)
+		obj.CRC = store.Checksum(data)
 	}
 	delta, err := s.store.PutAccounted(obj)
 	if err != nil {
@@ -482,7 +478,7 @@ func (s *Server) applyPut(r PutReq) (any, error) {
 				Op: wlog.OpPut, App: r.App, Name: r.Name,
 				Version: r.Version, BBox: r.Piece.BBox, Bytes: obj.Bytes(),
 			},
-			Data: data, ElemSize: r.ElemSize, CRC: obj.CRC,
+			Obj: obj,
 		})
 	} else {
 		// Original staging semantics: only the most recently put
@@ -534,8 +530,10 @@ func (s *Server) handleGet(r GetReq) (any, int64, error) {
 	resp := GetResp{Version: version, FromLog: fromLog, Pieces: make([]Piece, 0, len(objs))}
 	var bytes int64
 	for _, o := range objs {
-		if fromLog && o.CRC != 0 && crc32.Checksum(o.Data, castagnoli) != o.CRC {
-			return nil, seq, fmt.Errorf("staging: logged payload %q v%d %v failed integrity check", o.Name, o.Version, o.BBox)
+		if fromLog && o.Logged {
+			if err := o.Verify(); err != nil {
+				return nil, seq, err
+			}
 		}
 		resp.Pieces = append(resp.Pieces, Piece{BBox: o.BBox, Data: o.Data})
 		bytes += o.Bytes()

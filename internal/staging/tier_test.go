@@ -2,7 +2,6 @@ package staging
 
 import (
 	"bytes"
-	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -190,7 +189,7 @@ func loggedObj(name string, version int64, bbox domain.BBox, seed int64) *store.
 	data := fill(domain.BufLen(bbox, 1), seed)
 	return &store.Object{
 		Name: name, Version: version, BBox: bbox, ElemSize: 1,
-		Data: data, CRC: crc32.Checksum(data, castagnoli), Logged: true,
+		Data: data, CRC: store.Checksum(data), Logged: true,
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"gospaces/internal/domain"
 	"gospaces/internal/health"
 	"gospaces/internal/locks"
+	"gospaces/internal/store"
 	"gospaces/internal/transport"
 	"gospaces/internal/wlog"
 )
@@ -47,8 +48,8 @@ func TestFastpathRoundTrip(t *testing.T) {
 	state := ReplState{
 		Seq:  42,
 		Wlog: []byte{1, 2, 3},
-		Objects: []ReplObject{
-			{Name: "field", Version: 7, BBox: box, ElemSize: 8, Data: []byte("payload"), CRC: 0xdeadbeef},
+		Objects: []*store.Object{
+			{Name: "field", Version: 7, BBox: box, ElemSize: 8, Data: []byte("payload"), CRC: 0xdeadbeef, Logged: true},
 			{Name: "empty", Version: 1, BBox: domain.BBox{}, ElemSize: 4, Data: nil, CRC: 1},
 		},
 		Locks: locks.State{
@@ -77,7 +78,7 @@ func TestFastpathRoundTrip(t *testing.T) {
 		ShardGetReq{Key: "field@3", Shard: 2},
 		ShardGetResp{Data: []byte("shard"), Found: true},
 		ReplApplyReq{Epoch: 5, Slot: 1, Records: []ReplRecord{
-			{Seq: 1, Wlog: &rec, Data: []byte("body"), ElemSize: 8, CRC: 77},
+			{Seq: 1, Wlog: &rec, Obj: &store.Object{Name: "field", Version: 7, BBox: box, ElemSize: 8, Data: []byte("body"), CRC: 77, Logged: true}},
 			{Seq: 2, Lock: &lock},
 			{Seq: 3},
 		}},
@@ -173,7 +174,8 @@ func wireCases(t testing.TB) (cases []wireCase, big []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := ReplState{Wlog: wl, Objects: []ReplObject{{Name: "f", Version: 1, BBox: box, ElemSize: 1, Data: big}}}
+	obj := &store.Object{Name: "f", Version: 1, BBox: box, ElemSize: 1, Data: big, CRC: store.Checksum(big), Logged: true}
+	state := ReplState{Wlog: wl, Objects: []*store.Object{obj}}
 	return []wireCase{
 		{health.PingReq{}, health.PingResp{}},
 		{LeaseCASReq{Holder: "sup", Token: 1, TTL: time.Second}, LeaseCASResp{}},
@@ -193,7 +195,7 @@ func wireCases(t testing.TB) (cases []wireCase, big []byte) {
 		{LockReq{Name: "step", Holder: "viz/0"}, LockResp{}},
 		{ReplApplyReq{Epoch: wireAhead, Slot: 1, Records: []ReplRecord{
 			{Seq: 1, Lock: &LockRecord{Name: "l", Holder: "h"}},
-			{Seq: 2, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0", Name: "f", Version: 1, BBox: box, Bytes: int64(len(big))}, Data: big, ElemSize: 1},
+			{Seq: 2, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0", Name: "f", Version: 1, BBox: box, Bytes: int64(len(big))}, Obj: obj},
 		}}, ReplApplyResp{}},
 		{ReplSnapshotReq{Epoch: wireAhead, Slot: 2, State: state}, ReplSnapshotResp{}},
 		{ReplFetchReq{Slot: 2}, ReplFetchResp{}},
@@ -424,8 +426,8 @@ func FuzzFastpathDecode(f *testing.F) {
 			Piece: Piece{BBox: domain.Box3(0, 0, 0, 7, 7, 7), Data: []byte("seed")}, Logged: true},
 		GetResp{Version: 2, Pieces: []Piece{{BBox: domain.Box3(0, 0, 0, 1, 1, 1), Data: []byte("p")}}},
 		ShardPutReq{Key: "k", Shard: 1, Data: []byte("shard")},
-		ReplApplyReq{Epoch: 1, Slot: 0, Records: []ReplRecord{{Seq: 1, Data: []byte("d")}}},
-		WlogInstallReq{Slot: 1, State: ReplState{Seq: 3, Objects: []ReplObject{{Name: "o", Data: []byte("x")}}}},
+		ReplApplyReq{Epoch: 1, Slot: 0, Records: []ReplRecord{{Seq: 1, Obj: &store.Object{Name: "o", Data: []byte("d"), CRC: store.Checksum([]byte("d")), Logged: true}}}},
+		WlogInstallReq{Slot: 1, State: ReplState{Seq: 3, Objects: []*store.Object{{Name: "o", Data: []byte("x"), CRC: store.Checksum([]byte("x")), Logged: true}}}},
 		EpochReq{Epoch: 2, Req: ShardGetReq{Key: "k", Shard: 0}},
 	}
 	for _, v := range seedValues {

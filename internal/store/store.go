@@ -9,6 +9,7 @@ package store
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"sync"
 
@@ -22,28 +23,34 @@ type Object struct {
 	BBox    domain.BBox
 	// ElemSize is the byte width of one grid cell.
 	ElemSize int
-	// Data is the row-major payload covering BBox; it may be nil for
-	// metadata-only stores (the simulator accounts bytes without
-	// materializing them, via Bytes).
+	// Data is the row-major payload covering BBox.
 	Data []byte
-	// DeclaredBytes is used when Data is nil: the simulated payload
-	// size. Ignored when Data is non-nil.
-	DeclaredBytes int64
-	// CRC is the Castagnoli CRC-32 of Data for logged objects; the
-	// replay path verifies it before re-serving logged payloads.
+	// CRC is Checksum(Data) for logged objects, taken at ingest; every
+	// hop that keeps or re-serves a logged payload checks it (Verify).
 	CRC uint32
 	// Logged marks objects ingested through the crash-consistent path;
 	// the log-replication layer ships exactly these to peer servers.
 	Logged bool
 }
 
-// Bytes returns the payload size in bytes.
-func (o *Object) Bytes() int64 {
-	if o.Data != nil {
-		return int64(len(o.Data))
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum is a logged payload's CRC-32C (Castagnoli), the one
+// integrity rule of the bytes a replaying reader is re-served: taken
+// once at ingest, carried with the object over the replication stream,
+// in replica snapshots and in the cold tier, and checked by Verify.
+func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
+
+// Verify reports an error when the payload does not match its CRC.
+func (o *Object) Verify() error {
+	if got := Checksum(o.Data); got != o.CRC {
+		return fmt.Errorf("store: logged payload %q v%d %v fails its CRC (%#x, carried %#x)", o.Name, o.Version, o.BBox, got, o.CRC)
 	}
-	return o.DeclaredBytes
+	return nil
 }
+
+// Bytes returns the payload size in bytes.
+func (o *Object) Bytes() int64 { return int64(len(o.Data)) }
 
 type versionSlot struct {
 	objs []*Object

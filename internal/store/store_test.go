@@ -171,17 +171,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func TestDeclaredBytesAccounting(t *testing.T) {
-	s := New()
-	o := &Object{Name: "sim", Version: 1, BBox: domain.Box3(0, 0, 0, 1, 1, 1), DeclaredBytes: 1 << 30}
-	if err := s.Put(o); err != nil {
-		t.Fatal(err)
-	}
-	if s.BytesUsed() != 1<<30 {
-		t.Fatalf("bytes = %d", s.BytesUsed())
-	}
-}
-
 func TestConcurrentPutGet(t *testing.T) {
 	s := New()
 	var wg sync.WaitGroup

@@ -4,12 +4,16 @@
 // back transparently when a replaying reader asks for them.
 //
 // Crash atomicity is internal/ckpt's. A spill is one batch, the logged
-// objects a server holds of one version, and the batch is one record:
-// a header, a fixed descriptor per object and the payloads back to
-// back, sealed with the checkpoint framing (ckpt.SealParts, whose frame
-// CRC is combined from the CRC-32C every logged object carries since
-// ingest) and written in two generations, so a single torn write or bit
-// flip never loses it. The set of spilled records lives in a manifest
+// objects a server holds of one version, and the batch is one record: a
+// codec message holding the store.Objects themselves, the record a
+// logged object is on the replication stream and in a replica snapshot
+// too. It is sealed with the checkpoint framing (ckpt.SealParts, whose
+// frame CRC is combined from the CRC-32C every logged object carries
+// since ingest, so no payload is read to seal it) and written in two
+// generations, so a single torn write or bit flip never loses it. A
+// promote serves a record only when its frame verifies and then every
+// object passes store.Object.Verify and the record matches its manifest
+// entry. The set of spilled records lives in a manifest
 // that is one ckpt.Twin, the cell a rank's checkpoint is: a commit
 // writes the uncommitted generation and flips the marker, with no temp
 // file and no rename. A spill is therefore a group commit of four
@@ -30,15 +34,12 @@
 package tier
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"sync"
 
 	"gospaces/internal/ckpt"
 	"gospaces/internal/codec"
-	"gospaces/internal/domain"
 	"gospaces/internal/store"
 )
 
@@ -83,105 +84,53 @@ type Entry struct {
 	Bytes   int64 // payload bytes, summed over them
 }
 
-// A spill record's body is a fixed big-endian header and the name, one
-// fixed descriptor per object, then the payloads back to back in
-// descriptor order (the ckpt frame carries and checks the total
-// length):
-//
-//	0  magic "TVR1"    4  version i64    12 objects u32    16 name length u32
-//	20 name, then per object, 65 bytes:
-//	   0 ndim u8   1 min[3] i64   25 max[3] i64   49 elemSize u32   53 CRC u32   57 length u64
-//	payloads
-const (
-	bodyMagic  = "TVR1"
-	bodyHdrLen = 20
-	descLen    = 65
-)
+// record is a spill record's body, a codec message: a batch of one
+// version's logged objects, each with its payload and ingest CRC. A
+// body that does not decode as one (a record of the retired TVR1 or
+// TOB1 layouts, or in gob) is no valid record.
+type record struct {
+	Objects []*store.Object
+}
 
 // sealVersion builds the sealed record of a batch of one version's
-// objects. Only the header and descriptors are checksummed here: the
-// frame CRC folds in each payload's ingest CRC (ckpt.SealParts), so a
-// payload is copied once and not read again.
+// objects. Every payload is a cut of the encoding (codec.AppendCuts),
+// spliced into the frame by ckpt.SealParts with its ingest CRC folded
+// in: only the rest of the encoding is checksummed here, so a payload
+// is copied once and not read again.
 func sealVersion(key uint64, objs []*store.Object) []byte {
-	name := objs[0].Name
-	head := make([]byte, bodyHdrLen, bodyHdrLen+len(name)+descLen*len(objs))
-	copy(head, bodyMagic)
-	binary.BigEndian.PutUint64(head[4:], uint64(objs[0].Version))
-	binary.BigEndian.PutUint32(head[12:], uint32(len(objs)))
-	binary.BigEndian.PutUint32(head[16:], uint32(len(name)))
-	head = append(head, name...)
-	parts := make([]ckpt.Part, len(objs))
-	for i, o := range objs {
-		var d [descLen]byte
-		d[0] = byte(o.BBox.NDim)
-		for j := 0; j < domain.MaxDims; j++ {
-			binary.BigEndian.PutUint64(d[1+8*j:], uint64(o.BBox.Min[j]))
-			binary.BigEndian.PutUint64(d[25+8*j:], uint64(o.BBox.Max[j]))
+	head, cuts, _ := codec.AppendCuts(nil, record{Objects: objs}, 1) // a registered type: no error
+	parts := make([]ckpt.Part, 0, len(cuts))
+	for _, o := range objs {
+		if len(o.Data) > 0 { // the cuts are the non-empty payloads, in order
+			parts = append(parts, ckpt.Part{At: cuts[len(parts)].At, Data: o.Data, CRC: o.CRC})
 		}
-		binary.BigEndian.PutUint32(d[49:], uint32(o.ElemSize))
-		binary.BigEndian.PutUint32(d[53:], o.CRC)
-		binary.BigEndian.PutUint64(d[57:], uint64(len(o.Data)))
-		head = append(head, d[:]...)
-		parts[i] = ckpt.Part{Data: o.Data, CRC: o.CRC}
 	}
 	return ckpt.SealParts(key, head, parts)
 }
 
-// openVersion decodes a record body into its objects, refusing any
-// body whose payloads do not fill it exactly. Each payload aliases
-// body, capped at its own length.
+// openVersion decodes a record body into its objects. Each payload
+// aliases body, capped at its own length.
 func openVersion(body []byte) ([]*store.Object, bool) {
-	if len(body) < bodyHdrLen || string(body[:4]) != bodyMagic {
-		return nil, false
-	}
-	count := uint64(binary.BigEndian.Uint32(body[12:]))
-	nameLen := uint64(binary.BigEndian.Uint32(body[16:]))
-	rest := uint64(len(body) - bodyHdrLen)
-	if count == 0 || rest < nameLen || (rest-nameLen)/descLen < count {
-		return nil, false
-	}
-	name := string(body[bodyHdrLen : bodyHdrLen+nameLen])
-	version := int64(binary.BigEndian.Uint64(body[4:]))
-	descs := body[bodyHdrLen+nameLen:]
-	off := bodyHdrLen + nameLen + count*descLen
-	objs := make([]*store.Object, count)
-	for i := range objs {
-		d := descs[i*descLen:]
-		n := binary.BigEndian.Uint64(d[57:])
-		if d[0] > domain.MaxDims || n > uint64(len(body))-off {
-			return nil, false
-		}
-		o := &store.Object{
-			Name:     name,
-			Version:  version,
-			ElemSize: int(binary.BigEndian.Uint32(d[49:])),
-			CRC:      binary.BigEndian.Uint32(d[53:]),
-			Data:     body[off : off+n : off+n],
-			Logged:   true,
-		}
-		o.BBox.NDim = int(d[0])
-		for j := 0; j < domain.MaxDims; j++ {
-			o.BBox.Min[j] = int64(binary.BigEndian.Uint64(d[1+8*j:]))
-			o.BBox.Max[j] = int64(binary.BigEndian.Uint64(d[25+8*j:]))
-		}
-		objs[i] = o
-		off += n
-	}
-	return objs, off == uint64(len(body))
+	msg, err := codec.UnmarshalAlias(body)
+	rec, ok := msg.(record)
+	return rec.Objects, err == nil && ok
 }
 
 // manifest is the body sealed inside the manifest record, a codec
 // message. A body that does not decode as one — a manifest written
-// before it was, in gob, or under its retired id 1280, one entry per
-// object — is no valid manifest.
+// before it was, in gob, or under a retired id (1280, one entry per
+// object; 1281, entries of TVR1 records) — is no valid manifest.
 type manifest struct {
 	NextKey uint64
 	Entries []Entry
 }
 
-// Ids 1280–1535 are tier's (DESIGN.md §7 has the whole table); 1280,
-// the manifest of one record per object, is retired.
-func init() { codec.Register(1281, manifest{}) }
+// Ids 1280–1535 are tier's (DESIGN.md §7 has the whole table); 1280
+// and 1281, manifests of the retired record layouts, are never reused.
+func init() {
+	codec.Register(1282, manifest{})
+	codec.Register(1283, record{})
+}
 
 // Stats is a point-in-time tier counter snapshot. Entries, Spills,
 // Promotes and ScrubLost count objects, not records.
@@ -205,8 +154,6 @@ type ScrubReport struct {
 	Healed  int64 // corrupt generations rewritten from the valid twin
 	Lost    int64 // objects of records with no valid generation (detected, dropped)
 }
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Tier is one server's cold tier. Safe for concurrent use.
 type Tier struct {
@@ -371,8 +318,8 @@ func (t *Tier) Spill(objs []*store.Object) error {
 	}
 	var total int64
 	for _, o := range objs {
-		if o.Data == nil {
-			return fmt.Errorf("tier: refusing to spill metadata-only object %s@%d", o.Name, o.Version)
+		if o.Data == nil || !o.Logged {
+			return fmt.Errorf("tier: refusing to spill %s@%d: only logged objects with a payload spill", o.Name, o.Version)
 		}
 		if o.Name != objs[0].Name || o.Version != objs[0].Version {
 			return fmt.Errorf("tier: a spill batch is one version: %s@%d beside %s@%d", o.Name, o.Version, objs[0].Name, objs[0].Version)
@@ -425,7 +372,7 @@ func (t *Tier) Versions(name string) []int64 {
 
 // readEntry reads and verifies one record, trying generation 0, then
 // 1. A generation serves only when its frame CRC verifies, its body
-// matches the entry, and every payload matches its own CRC. Caller
+// decodes, and its objects are the entry's, each passing Verify. Caller
 // holds t.mu.
 func (t *Tier) readEntry(e *Entry) ([]*store.Object, bool) {
 	for g := 0; g < 2; g++ {
@@ -445,14 +392,15 @@ func (t *Tier) readEntry(e *Entry) ([]*store.Object, bool) {
 }
 
 // holds reports whether objs are e's record: its name, version, object
-// count and byte total, and every payload matching its own CRC.
+// count and byte total, every object logged and its payload matching
+// its own CRC.
 func (e *Entry) holds(objs []*store.Object) bool {
 	if len(objs) != e.Objects {
 		return false
 	}
 	var n int64
 	for _, o := range objs {
-		if o.Name != e.Name || o.Version != e.Version || crc32.Checksum(o.Data, crcTable) != o.CRC {
+		if o == nil || o.Name != e.Name || o.Version != e.Version || !o.Logged || o.Verify() != nil {
 			return false
 		}
 		n += int64(len(o.Data))

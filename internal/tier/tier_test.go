@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -28,7 +27,7 @@ func obj(name string, version int64, n int) *store.Object {
 		BBox:     domain.Box3(0, 0, 0, 3, 3, 0),
 		ElemSize: 1,
 		Data:     data,
-		CRC:      crc32.Checksum(data, crcTable),
+		CRC:      store.Checksum(data),
 		Logged:   true,
 	}
 }
@@ -642,23 +641,99 @@ func TestOldObjectRecordsCollected(t *testing.T) {
 	promoteAll(t, tr2, v2)
 }
 
-// FuzzRecordBody fuzzes the version-record decoder. A batch built from
-// the inputs round-trips through its sealed record exactly; and the
-// data bytes fed in as an arbitrary body never panic the decoder, and
-// whatever it accepts lies inside the body, payload by payload, and
-// re-seals to exactly those bytes.
+// sealTVR1 rebuilds the retired version-record layout: a big-endian
+// header ("TVR1", version, object count, name length), the name, a
+// 65-byte descriptor per object (ndim, min, max, elemSize, CRC, length)
+// and the payloads back to back.
+func sealTVR1(key uint64, objs []*store.Object) []byte {
+	head := []byte("TVR1")
+	head = binary.BigEndian.AppendUint64(head, uint64(objs[0].Version))
+	head = binary.BigEndian.AppendUint32(head, uint32(len(objs)))
+	head = binary.BigEndian.AppendUint32(head, uint32(len(objs[0].Name)))
+	head = append(head, objs[0].Name...)
+	parts := [][]byte{nil}
+	for _, o := range objs {
+		head = append(head, byte(o.BBox.NDim))
+		for _, c := range append(o.BBox.Min[:], o.BBox.Max[:]...) {
+			head = binary.BigEndian.AppendUint64(head, uint64(c))
+		}
+		head = binary.BigEndian.AppendUint32(head, uint32(o.ElemSize))
+		head = binary.BigEndian.AppendUint32(head, o.CRC)
+		head = binary.BigEndian.AppendUint64(head, uint64(len(o.Data)))
+		parts = append(parts, o.Data)
+	}
+	parts[0] = head
+	return ckpt.SealRecord(key, parts...)
+}
+
+// A tier directory of TVR1 records under a manifest of id 1281 — the
+// layout before the record was a codec message — attaches empty and
+// has every old record collected as an orphan, never misread; a fresh
+// spill and promote on the same backend round-trip.
+func TestTVR1RecordsCollected(t *testing.T) {
+	be := pfs.NewStore()
+	man := manifest{NextKey: 2}
+	for key, v := range []int64{1, 2} {
+		objs := version("sim/f", v, 3, 64)
+		rec := sealTVR1(uint64(key), objs)
+		if _, body, ok := ckpt.OpenRecord(rec); !ok || !bytes.HasPrefix(body, []byte("TVR1")) {
+			t.Fatal("TVR1 record not built")
+		} else if _, ok := openVersion(body); ok {
+			t.Fatal("a TVR1 body decodes as a version record")
+		}
+		for g := 0; g < 2; g++ {
+			be.Write(fmt.Sprintf("tier/0/o/%d/g%d", key, g), rec)
+		}
+		man.Entries = append(man.Entries, Entry{Key: uint64(key), Name: "sim/f", Version: v, Objects: 3, Bytes: 3 * 64})
+	}
+	body, err := codec.Append(nil, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint16(body, 1281)
+	if _, err := codec.Unmarshal(body); !errors.Is(err, codec.ErrUnknownType) {
+		t.Fatalf("an id-1281 manifest body decodes: %v", err)
+	}
+	be.Write("tier/0/manifest/g0", ckpt.SealRecord(1, body))
+	be.Write("tier/0/manifest/cur", []byte{0})
+	tr := New(be, "0")
+	if st := tr.Stats(); tr.HasName("sim/f") || st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("TVR1 layout adopted: %+v", st)
+	}
+	if left := be.List("tier/0/o/"); len(left) != 0 {
+		t.Fatalf("TVR1 records not collected: %v", left)
+	}
+	v3 := version("sim/f", 3, 3, 64)
+	if err := tr.Spill(v3); err != nil {
+		t.Fatal(err)
+	}
+	tr2 := New(be, "0")
+	if !tr2.Has("sim/f", 3) || tr2.Stats().Entries != len(v3) {
+		t.Fatalf("re-attach after the TVR1 layout: %+v", tr2.Stats())
+	}
+	promoteAll(t, tr2, v3)
+}
+
+// FuzzRecordBody fuzzes the version record, a codec message. A batch
+// built from the inputs round-trips through its sealed record exactly;
+// and the data bytes fed in as an arbitrary body never panic the
+// decoder, and every payload of whatever it accepts aliases the body,
+// capped at its own length.
 func FuzzRecordBody(f *testing.F) {
 	f.Add("sim/f", int64(3), uint8(2), uint32(8), uint8(3), int64(-4), int64(1<<40), []byte("payload"))
 	f.Add("", int64(-1), uint8(1), uint32(0), uint8(0), int64(0), int64(0), []byte{})
 	_, valid, _ := ckpt.OpenRecord(sealVersion(0, version("sim/f", 1, 3, 16)))
-	f.Add(bodyMagic, int64(0), uint8(0), uint32(1), uint8(200), int64(1), int64(2), valid)
+	f.Add("TVR1", int64(0), uint8(0), uint32(1), uint8(200), int64(1), int64(2), valid)
 	f.Fuzz(func(t *testing.T, name string, v int64, count uint8, elem uint32, ndim uint8, lo, hi int64, data []byte) {
 		in := make([]*store.Object, 1+count%4)
 		for i := range in {
 			part := data[len(data)*i/len(in) : len(data)*(i+1)/len(in)]
-			o := &store.Object{Name: name, Version: v, ElemSize: int(elem), Data: part, CRC: crc32.Checksum(part, crcTable), Logged: true}
+			if len(part) == 0 {
+				part = nil // the codec's one empty payload
+			}
+			o := &store.Object{Name: name, Version: v, ElemSize: int(elem), Data: part, CRC: store.Checksum(part), Logged: true}
 			o.BBox.NDim = int(ndim % (domain.MaxDims + 1))
-			for j := range o.BBox.Min {
+			for j := 0; j < o.BBox.NDim; j++ { // a box off the wire sets no coordinate past NDim
 				o.BBox.Min[j], o.BBox.Max[j] = lo+int64(i+j), hi-int64(i+j)
 			}
 			in[i] = o
@@ -668,35 +743,38 @@ func FuzzRecordBody(f *testing.F) {
 			t.Fatal("sealed record does not open")
 		}
 		out, ok := openVersion(body)
-		if !ok || len(out) != len(in) {
-			t.Fatal("sealed body does not decode")
+		if !ok || !reflect.DeepEqual(in, out) {
+			t.Fatalf("sealed batch round trip:\n in %+v\nout %+v", in, out)
 		}
-		for i := range in {
-			if !bytes.Equal(in[i].Data, out[i].Data) {
-				t.Fatalf("object %d: payload differs", i)
-			}
-			out[i].Data = in[i].Data
-			if !reflect.DeepEqual(in[i], out[i]) {
-				t.Fatalf("object %d round trip: in %+v out %+v", i, in[i], out[i])
-			}
-		}
-		objs, ok := openVersion(data)
+		body = bytes.Clone(data)
+		objs, ok := openVersion(body)
 		if !ok {
 			return
 		}
+		was := make([][]byte, len(objs))
 		payload := 0
 		for i, o := range objs {
+			if o == nil {
+				continue
+			}
 			if cap(o.Data) != len(o.Data) {
 				t.Fatalf("object %d: payload of %d bytes reaches %d bytes on", i, len(o.Data), cap(o.Data))
 			}
+			was[i] = bytes.Clone(o.Data)
 			payload += len(o.Data)
 		}
-		if payload > len(data) {
-			t.Fatalf("%d payload bytes out of a %d-byte body", payload, len(data))
+		if payload > len(body) {
+			t.Fatalf("%d payload bytes out of a %d-byte body", payload, len(body))
 		}
-		rec := sealVersion(0, objs)
-		if again := rec[len(rec)-len(data):]; !bytes.Equal(again, data) {
-			t.Fatalf("arbitrary body %x decoded to %d objects, which seal to %x", data, len(objs), again)
+		for i := range body {
+			body[i] ^= 0xff
+		}
+		for i, o := range objs {
+			for j := range was[i] {
+				if o.Data[j] != ^was[i][j] {
+					t.Fatalf("object %d: payload byte %d is not the body's", i, j)
+				}
+			}
 		}
 	})
 }
