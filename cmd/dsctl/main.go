@@ -225,14 +225,21 @@ func healthCmd(addrs []string, opts gospaces.DialOptions) error {
 		if skip(&rows, h.Probed, "", 0, true) {
 			continue
 		}
-		role := "member"
-		if h.Resp.Spare {
-			role = "spare"
-		}
-		fmt.Printf("%-22s ALIVE id=%d epoch=%d role=%s shard_bytes=%d rebuilt_shards=%d rebuilt_bytes=%d\n",
-			h.Addr, h.Resp.ID, h.Resp.Epoch, role, h.Stats.ShardBytes, h.Stats.RebuiltShards, h.Stats.RebuiltBytes)
+		fmt.Println(healthRow(h))
 	}
 	return rows.err()
+}
+
+// healthRow renders one live server's health: its id, the view its
+// ping reports (epoch and stranded slots), its role and its shard
+// accounting.
+func healthRow(h gospaces.ServerHealth) string {
+	role := "member"
+	if h.Resp.Spare {
+		role = "spare"
+	}
+	return fmt.Sprintf("%-22s ALIVE id=%d epoch=%d down=%v role=%s shard_bytes=%d rebuilt_shards=%d rebuilt_bytes=%d",
+		h.Addr, h.Resp.ID, h.Resp.View.Epoch, h.Resp.View.Down, role, h.Stats.ShardBytes, h.Stats.RebuiltShards, h.Stats.RebuiltBytes)
 }
 
 func leaderCmd(addrs []string, opts gospaces.DialOptions) error {

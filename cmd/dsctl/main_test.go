@@ -3,12 +3,16 @@ package main
 import (
 	"errors"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"gospaces"
+	"gospaces/internal/health"
+	"gospaces/internal/staging"
+	"gospaces/internal/transport"
 	"gospaces/internal/workflow"
 )
 
@@ -332,5 +336,30 @@ func TestHealthCommand(t *testing.T) {
 	hs = gospaces.ProbeHealth([]string{deadAddr}, opts)
 	if hs[0].Alive() || hs[0].Err == "" {
 		t.Fatalf("dead health = %+v", hs[0])
+	}
+}
+
+// TestHealthShowsStrandedSlot: a member holding a view that strands a
+// slot (the push a recovery leader sends when a dead slot has no spare)
+// reports it in its ping, and dsctl health prints it beside the epoch.
+func TestHealthShowsStrandedSlot(t *testing.T) {
+	member, err := gospaces.Serve("127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer member.Close()
+	view := health.View{Epoch: 2, Addrs: []string{member.Addr(), "127.0.0.1:1"}, Down: []int{1}}
+	tr := transport.NewTCPTimeout(time.Second, time.Second)
+	if _, err := transport.CallOnce[health.PingResp](tr, member.Addr(), staging.EpochSetReq{View: view}); err != nil {
+		t.Fatal(err)
+	}
+	opts := gospaces.DefaultDialOptions()
+	opts.Retry.MaxAttempts = 1
+	h := gospaces.ProbeHealth([]string{member.Addr()}, opts)[0]
+	if !h.Alive() || !slices.Equal(h.Resp.View.Down, []int{1}) {
+		t.Fatalf("health = %+v, want slot 1 down", h)
+	}
+	if row := healthRow(h); !strings.Contains(row, " epoch=2 down=[1] role=member ") {
+		t.Fatalf("health row %q does not show the stranded slot beside the epoch", row)
 	}
 }

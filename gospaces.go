@@ -415,8 +415,9 @@ func probe[R any](addrs []string, opts DialOptions, req any) []Probed[R] {
 	return out
 }
 
-// ServerHealth is one staging server's liveness — its ID, membership
-// Epoch and whether it is a Spare waiting outside the membership — and,
+// ServerHealth is one staging server's liveness — its ID, the
+// membership View it holds (epoch, slot addresses, stranded slots) and
+// whether it is a Spare waiting outside the membership — and,
 // when it answered, its accounting: Stats.ShardBytes, RebuiltShards and
 // RebuiltBytes are the resilience-shard footprint and how much of it
 // an application's Redundancy.Rebuild re-wrote.
@@ -426,7 +427,7 @@ type ServerHealth struct {
 }
 
 // ProbeHealth pings each address and asks the servers that answered
-// for their accounting; Resp.Epoch is the newer of the two answers'.
+// for their accounting.
 func ProbeHealth(addrs []string, opts DialOptions) []ServerHealth {
 	tr := transport.NewTCPTimeout(opts.CallTimeout, opts.DialTimeout)
 	out := make([]ServerHealth, len(addrs))
@@ -436,10 +437,7 @@ func ProbeHealth(addrs []string, opts DialOptions) []ServerHealth {
 			continue
 		}
 		// A server that dies between the two calls keeps its ping row.
-		if st, err := transport.CallOnce[StagingStats](tr, p.Addr, staging.StatsReq{}); err == nil {
-			out[i].Stats = st
-			out[i].Resp.Epoch = max(p.Resp.Epoch, st.Epoch)
-		}
+		out[i].Stats, _ = transport.CallOnce[StagingStats](tr, p.Addr, staging.StatsReq{})
 	}
 	return out
 }

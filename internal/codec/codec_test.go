@@ -394,8 +394,17 @@ func FuzzEncodedSize(f *testing.F) {
 func addDecodeSeeds(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	ids, types := registered()
+	var msgs []any
 	for _, id := range ids {
-		wire, err := codec.Append(nil, genMessage(f, types[id], rng))
+		msgs = append(msgs, genMessage(f, types[id], rng))
+	}
+	// The membership view as the service sends it, stranding a slot: a
+	// ping's answer, and a push bare and fenced.
+	view := health.View{Epoch: 3, Addrs: []string{"a", "b", "c"}, Down: []int{1}}
+	msgs = append(msgs, health.PingResp{ID: 2, View: view}, staging.EpochSetReq{View: view},
+		staging.FencedReq{Token: 4, Req: staging.EpochSetReq{View: view}})
+	for _, msg := range msgs {
+		wire, err := codec.Append(nil, msg)
 		if err != nil {
 			f.Fatal(err)
 		}

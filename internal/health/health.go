@@ -30,13 +30,15 @@ type PingReq struct {
 	From string
 }
 
-// PingResp reports the server's identity and membership view.
+// PingResp reports the server's identity and membership view. It is
+// the one answer about the view: the supervisor's probe, a client's
+// rebind and the answer to a view push all read it.
 type PingResp struct {
 	// ID is the server's id within its group.
 	ID int
-	// Epoch is the membership epoch the server has been told about
-	// (0 until the first EpochSet push).
-	Epoch uint64
+	// View is the membership view the server holds (the zero View until
+	// the first EpochSet push).
+	View View
 	// Spare is true while the server waits in the spare pool, outside
 	// the membership.
 	Spare bool

@@ -440,9 +440,8 @@ func TestMembershipEpochsAndSubscribe(t *testing.T) {
 	if _, err := m.ReplaceFenced(0, 9, "x"); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
-	addrs, down, epoch := m.Snapshot()
-	if len(addrs) != 3 || len(down) != 0 || epoch != 2 {
-		t.Fatalf("snapshot = %v, %v, %d", addrs, down, epoch)
+	if v := m.View(); len(v.Addrs) != 3 || len(v.Down) != 0 || v.Epoch != 2 {
+		t.Fatalf("view = %+v", v)
 	}
 	if m.Addr(9) != "" {
 		t.Fatal("out-of-range addr not empty")
@@ -467,14 +466,24 @@ func TestMembershipDownBumpsEpoch(t *testing.T) {
 		{0, false, true, []int{2}},
 		{0, false, false, []int{2}},
 	} {
-		before := m.Epoch()
+		prev := m.View()
+		held := slices.Clone(prev.Down)
+		before := prev.Epoch
 		changed, err := m.SetDownFenced(1, step.id, step.down)
 		if err != nil || changed != step.changed {
 			t.Fatalf("SetDownFenced(%d, %v) = %v, %v", step.id, step.down, changed, err)
 		}
-		_, down, epoch := m.Snapshot()
-		if bumped := epoch != before; bumped != step.changed || !slices.Equal(down, step.want) {
-			t.Fatalf("after SetDownFenced(%d, %v): down %v at epoch %d (was %d), want %v", step.id, step.down, down, epoch, before, step.want)
+		v := m.View()
+		if bumped := v.Epoch != before; bumped != step.changed || !slices.Equal(v.Down, step.want) {
+			t.Fatalf("after SetDownFenced(%d, %v): down %v at epoch %d (was %d), want %v", step.id, step.down, v.Down, v.Epoch, before, step.want)
+		}
+		for slot := range 3 {
+			if v.IsDown(slot) != slices.Contains(step.want, slot) {
+				t.Fatalf("after SetDownFenced(%d, %v): IsDown(%d) = %v, want down %v", step.id, step.down, slot, v.IsDown(slot), step.want)
+			}
+		}
+		if !slices.Equal(prev.Down, held) { // a view is replaced, never written into
+			t.Fatalf("SetDownFenced(%d, %v) wrote into the previous view: %v, was %v", step.id, step.down, prev.Down, held)
 		}
 	}
 	select {
@@ -489,7 +498,7 @@ func TestMembershipDownBumpsEpoch(t *testing.T) {
 		t.Fatal("out-of-range slot accepted")
 	}
 	epoch, err := m.ReplaceFenced(1, 2, "c2")
-	if _, down, _ := m.Snapshot(); err != nil || len(down) != 0 || epoch != 5 {
+	if down := m.View().Down; err != nil || len(down) != 0 || epoch != 5 {
 		t.Fatalf("promotion into the stranded slot: down %v at epoch %d, err %v", down, epoch, err)
 	}
 }

@@ -20,21 +20,34 @@ type Change struct {
 	Addr   string
 }
 
+// View is one membership view: the epoch, the slot addresses in slot
+// order and the stranded slots (dead with no spare to promote),
+// ascending. It is the one record of the view: the recovery leader
+// pushes it (staging.EpochSetReq), every server answers its own in
+// PingResp, and clients route on the one they adopted. A holder
+// replaces its View on a newer one and never writes into it, so
+// answers may share its slices.
+type View struct {
+	Epoch uint64
+	Addrs []string
+	Down  []int
+}
+
+// IsDown reports whether v strands slot.
+func (v View) IsDown(slot int) bool { return slices.Contains(v.Down, slot) }
+
 // Membership is the recovery supervisors' record of the epoch-stamped
-// staging server set: the slot addresses and the stranded slots (dead
-// with no spare to promote). Exactly one writer — the recovery leader —
-// bumps it, and pushes each new view to the servers; standbys follow
-// it through Subscribe. Clients never read it: they learn the view from
+// staging server set. Exactly one writer — the recovery leader — bumps
+// it, and pushes each new view to the servers; standbys follow it
+// through Subscribe. Clients never read it: they learn the view from
 // the servers. Epochs start at 1 and grow by one per change — a
 // promotion, a slot stranded or a stranded slot healed — so one epoch
 // names one view, and a client whose stamped epoch trails the servers'
 // is provably routing on a stale view.
 type Membership struct {
-	mu    sync.Mutex
-	epoch uint64
-	addrs []string
-	down  []int // stranded slots, ascending
-	subs  []chan Change
+	mu   sync.Mutex
+	view View
+	subs []chan Change
 	// maxToken is the highest fencing token that has written (or sealed)
 	// the membership; fenced writes carrying an older token are rejected,
 	// so a deposed recovery leader cannot race the current one even
@@ -45,39 +58,29 @@ type Membership struct {
 // NewMembership creates epoch 1 over the given addresses in slot
 // order.
 func NewMembership(addrs []string) *Membership {
-	return &Membership{epoch: 1, addrs: append([]string(nil), addrs...)}
+	return &Membership{view: View{Epoch: 1, Addrs: slices.Clone(addrs)}}
+}
+
+// View returns the current view, shared: the caller must not write
+// into it.
+func (m *Membership) View() View {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.view
 }
 
 // Epoch returns the current epoch.
-func (m *Membership) Epoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
-}
+func (m *Membership) Epoch() uint64 { return m.View().Epoch }
 
-// Addrs returns the current server addresses in slot order.
-func (m *Membership) Addrs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.addrs...)
-}
+// Addrs returns a copy of the current server addresses in slot order.
+func (m *Membership) Addrs() []string { return slices.Clone(m.View().Addrs) }
 
 // Addr returns the address of slot id ("" when out of range).
 func (m *Membership) Addr(id int) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if id < 0 || id >= len(m.addrs) {
-		return ""
+	if addrs := m.View().Addrs; id >= 0 && id < len(addrs) {
+		return addrs[id]
 	}
-	return m.addrs[id]
-}
-
-// Snapshot returns the addresses, the stranded slots and the epoch
-// atomically.
-func (m *Membership) Snapshot() ([]string, []int, uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.addrs...), append([]int(nil), m.down...), m.epoch
+	return ""
 }
 
 // Fence seals the membership at a fencing token: writes carrying an
@@ -107,20 +110,21 @@ func (m *Membership) ReplaceFenced(token uint64, id int, addr string) (uint64, e
 		m.mu.Unlock()
 		return 0, fmt.Errorf("%w: token %d behind %d", ErrFenced, token, fence)
 	}
-	if id < 0 || id >= len(m.addrs) {
+	v := m.view
+	if id < 0 || id >= len(v.Addrs) {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("health: no membership slot %d", id)
 	}
 	m.maxToken = token
-	if m.addrs[id] == addr {
-		epoch := m.epoch
+	if v.Addrs[id] == addr {
 		m.mu.Unlock()
-		return epoch, nil
+		return v.Epoch, nil
 	}
-	m.addrs[id] = addr
-	m.down = slices.DeleteFunc(m.down, func(s int) bool { return s == id })
-	m.epoch++
-	ev := Change{Epoch: m.epoch, Server: id, Addr: addr}
+	addrs := slices.Clone(v.Addrs)
+	addrs[id] = addr
+	down := slices.DeleteFunc(slices.Clone(v.Down), func(s int) bool { return s == id })
+	m.view = View{Epoch: v.Epoch + 1, Addrs: addrs, Down: down}
+	ev := Change{Epoch: m.view.Epoch, Server: id, Addr: addr}
 	subs := append([]chan Change(nil), m.subs...)
 	m.mu.Unlock()
 	for _, ch := range subs {
@@ -151,26 +155,28 @@ func (m *Membership) SetDownFenced(token uint64, id int, down bool) (bool, error
 	if token < m.maxToken {
 		return false, fmt.Errorf("%w: token %d behind %d", ErrFenced, token, m.maxToken)
 	}
-	if id < 0 || id >= len(m.addrs) {
+	v := m.view
+	if id < 0 || id >= len(v.Addrs) {
 		return false, fmt.Errorf("health: no membership slot %d", id)
 	}
 	m.maxToken = token
-	i, found := slices.BinarySearch(m.down, id)
-	switch {
-	case down == found:
+	i, found := slices.BinarySearch(v.Down, id)
+	if down == found {
 		return false, nil
-	case down:
-		m.down = slices.Insert(m.down, i, id)
-	default:
-		m.down = slices.Delete(m.down, i, i+1)
 	}
-	m.epoch++
+	if down {
+		v.Down = slices.Insert(slices.Clone(v.Down), i, id)
+	} else {
+		v.Down = slices.Delete(slices.Clone(v.Down), i, i+1)
+	}
+	v.Epoch++
+	m.view = v
 	return true, nil
 }
 
 // Subscribe returns a buffered channel of membership changes. The
 // channel is never closed; a subscriber that stops reading loses the
-// oldest changes but can always resynchronize via Snapshot.
+// oldest changes but can always resynchronize via View.
 func (m *Membership) Subscribe() <-chan Change {
 	ch := make(chan Change, 16)
 	m.mu.Lock()

@@ -307,11 +307,11 @@ func TestViewPushPartialFailureConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	raw, err := conn.Call(staging.MembershipReq{})
+	raw, err := conn.Call(health.PingReq{From: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := raw.(staging.MembershipResp)
+	view := raw.(health.PingResp).View
 	if view.Epoch != e || len(view.Addrs) != 4 || view.Addrs[1] != spareAddr || len(view.Down) != 0 {
 		t.Fatalf("rejoined member's view = %+v, want epoch %d with slot 1 = %s and no slot down", view, e, spareAddr)
 	}

@@ -156,7 +156,7 @@ func startPutKill(t *testing.T, victim int) (*harness, *killTransport) {
 	h := startHarnessOn(t, k, cfg)
 	t.Cleanup(func() { close(k.gate) }) // before the harness closes the group
 	k.mu.Lock()
-	k.h, k.victimAddr, k.spareAddr = h, h.g.Pool.Addrs()[victim], h.g.Spares()[0]
+	k.h, k.victimAddr, k.spareAddr = h, h.g.Pool.View().Addrs[victim], h.g.Spares()[0]
 	k.mu.Unlock()
 	return h, k
 }
@@ -189,7 +189,7 @@ func (h *harness) replicaPuts(t *testing.T, slot int, app string) []domain.BBox 
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	addrs := h.g.Pool.Addrs()
+	addrs := h.g.Pool.View().Addrs
 	conn, err := h.tr.Dial(addrs[(slot+1)%len(addrs)])
 	if err != nil {
 		t.Fatal(err)

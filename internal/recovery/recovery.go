@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -49,7 +48,7 @@ type SparePool interface {
 
 // Config tunes the supervisor. Clients learn what it does only from
 // the servers' view it pushes: a promotion, a stranded slot
-// (staging.EpochSetReq.Down) and its heal each come as a new epoch.
+// (health.View.Down) and its heal each come as a new epoch.
 type Config struct {
 	// ID names this supervisor in lease records (default "supervisor/0").
 	// Redundant supervisors over one group must use distinct IDs.
@@ -426,13 +425,13 @@ func (s *Supervisor) handleEvent(ev health.Event) {
 		// the leader re-sends the current view to it (a spare that died
 		// out of the membership is not re-pushed). A stranded slot that
 		// rejoins heals: every member gets the view that lists it up.
-		v := s.view()
+		v := s.mem.View()
 		if !leader || ev.Server < 0 || ev.Server >= len(v.Addrs) || v.Addrs[ev.Server] != ev.Addr {
 			return
 		}
-		healed := slices.Contains(v.Down, ev.Server) && s.setDown(ev.Server, false)
+		healed := v.IsDown(ev.Server) && s.setDown(ev.Server, false)
 		if healed {
-			v = s.view()
+			v = s.mem.View()
 		}
 		if s.pushViewTo(ev.Addr, token, v) {
 			s.reg.Counter("recovery.view_repushes").Inc()
@@ -602,7 +601,7 @@ func (s *Supervisor) onElected(token uint64) {
 		}
 		s.resume(in)
 	}
-	for _, slot := range s.view().Down {
+	for _, slot := range s.mem.View().Down {
 		s.mu.Lock()
 		_, dead := s.dead[slot]
 		s.mu.Unlock()
@@ -610,7 +609,7 @@ func (s *Supervisor) onElected(token uint64) {
 			s.setDown(slot, false)
 		}
 	}
-	s.pushView(token, s.view())
+	s.pushView(token, s.mem.View())
 }
 
 // fetchIntents unions the journaled promotion intents across members,
@@ -720,11 +719,11 @@ func (s *Supervisor) recoverSlot(slot int) {
 		// ErrSlotDown.
 		s.reg.Counter("recovery.no_spare").Inc()
 		if s.setDown(slot, true) {
-			s.pushView(s.currentToken(), s.view())
+			s.pushView(s.currentToken(), s.mem.View())
 		}
 		return
 	}
-	if slices.Contains(s.view().Down, slot) {
+	if s.mem.View().IsDown(slot) {
 		s.reg.Counter("recovery.dead_retries").Inc()
 	}
 	s.promote(slot, deadAddr, spare)
@@ -800,7 +799,7 @@ func (s *Supervisor) promote(slot int, deadAddr, spare string) {
 	if !s.hook("replaced", slot) {
 		return
 	}
-	s.pushView(token, s.view())
+	s.pushView(token, s.mem.View())
 	if !s.hook("pushed", slot) {
 		return
 	}
@@ -994,17 +993,11 @@ func (s *Supervisor) restoreLog(deadSlot int, spareAddr string, token uint64) bo
 	return true
 }
 
-// view is the membership view the leader pushes.
-func (s *Supervisor) view() staging.EpochSetReq {
-	addrs, down, epoch := s.mem.Snapshot()
-	return staging.EpochSetReq{Epoch: epoch, Addrs: addrs, Down: down}
-}
-
 // pushView installs v on every member, including a promoted spare
 // (which clears its spare flag). Unreachable members are skipped; they
 // adopt the view on rejoin — the leader re-pushes it when the detector
 // reports them Alive again.
-func (s *Supervisor) pushView(token uint64, v staging.EpochSetReq) {
+func (s *Supervisor) pushView(token uint64, v health.View) {
 	for _, addr := range v.Addrs {
 		if !s.isLeader() {
 			return
@@ -1013,9 +1006,10 @@ func (s *Supervisor) pushView(token uint64, v staging.EpochSetReq) {
 	}
 }
 
-// pushViewTo sends one fenced view install, reporting success.
-func (s *Supervisor) pushViewTo(addr string, token uint64, v staging.EpochSetReq) bool {
-	_, err := fencedCall[staging.EpochSetResp](s, addr, token, v)
+// pushViewTo sends one fenced view install, reporting success: the
+// member answers with its health.PingResp.
+func (s *Supervisor) pushViewTo(addr string, token uint64, v health.View) bool {
+	_, err := fencedCall[health.PingResp](s, addr, token, staging.EpochSetReq{View: v})
 	if staging.IsFenced(err) {
 		s.observeDeposed()
 	}

@@ -20,14 +20,15 @@ func fastDetector(tr transport.Transport) *health.Detector {
 	})
 }
 
-// viewOf returns the membership view the server at addr holds.
-func viewOf(t *testing.T, tr transport.Transport, addr string) staging.MembershipResp {
+// viewOf returns the membership view the server at addr holds, as its
+// ping reports it.
+func viewOf(t *testing.T, tr transport.Transport, addr string) health.View {
 	t.Helper()
-	v, err := transport.CallOnce[staging.MembershipResp](tr, addr, staging.MembershipReq{})
+	p, err := transport.CallOnce[health.PingResp](tr, addr, health.PingReq{From: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
+	return p.View
 }
 
 func groupConfig(n int) staging.Config {
@@ -105,8 +106,8 @@ func TestSupervisorNoSpare(t *testing.T) {
 	// No promotion: the slot keeps its address, and the one new epoch
 	// is the view that strands it.
 	sup.quiet()
-	if addrs, down, e := g.Membership().Snapshot(); e != 2 || addrs[2] != dead || !slices.Equal(down, []int{2}) {
-		t.Fatalf("membership %v down %v at epoch %d without a spare, want slot 2 stranded at epoch 2", addrs, down, e)
+	if v := g.Membership().View(); v.Epoch != 2 || v.Addrs[2] != dead || !slices.Equal(v.Down, []int{2}) {
+		t.Fatalf("membership %v down %v at epoch %d without a spare, want slot 2 stranded at epoch 2", v.Addrs, v.Down, v.Epoch)
 	}
 	if v := sup.Metrics().Counter("recovery.promotions").Value(); v != 0 {
 		t.Fatalf("promotions = %d without a spare", v)

@@ -3,12 +3,14 @@ package staging
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"time"
 
 	"gospaces/internal/dht"
 	"gospaces/internal/domain"
+	"gospaces/internal/health"
 	"gospaces/internal/qos"
 	"gospaces/internal/tier"
 	"gospaces/internal/transport"
@@ -23,7 +25,7 @@ var ErrDegraded = errors.New("staging: degraded: server unreachable")
 
 // ErrSlotDown reports that a membership slot is confirmed dead with no
 // spare left to promote: the recovery leader has stranded the slot and
-// pushed it in the servers' view (EpochSetReq.Down), and will heal it
+// pushed it in the servers' view (health.View.Down), and will heal it
 // when the spare pool is refilled (AddSpare) or the server rejoins.
 // Unlike ErrDegraded — a transient transport verdict — ErrSlotDown is
 // the servers' verdict, surfaced at once instead of after a retry storm
@@ -84,11 +86,9 @@ type Pool struct {
 
 	// mu guards the membership view: the slot addresses, the epoch
 	// clients stamp their calls with, and the slots the servers' view
-	// strands.
-	mu    sync.Mutex
-	addrs []string
-	epoch uint64
-	down  []int
+	// strands. It is replaced on adoption, never written into.
+	mu   sync.Mutex
+	view health.View
 
 	// cellMu guards cells, a lazily built cache of the sub-boxes each
 	// server owns; the pool is shared by all of a component's clients.
@@ -113,8 +113,7 @@ func NewPool(tr transport.Transport, addrs []string, cfg Config) (*Pool, error) 
 		cfg:   cfg,
 		index: idx,
 		tr:    tr,
-		addrs: append([]string(nil), addrs...),
-		epoch: 1,
+		view:  health.View{Epoch: 1, Addrs: slices.Clone(addrs)},
 		cells: make([][]domain.BBox, cfg.NServers),
 	}, nil
 }
@@ -122,38 +121,22 @@ func NewPool(tr transport.Transport, addrs []string, cfg Config) (*Pool, error) 
 // Config returns the pool configuration.
 func (p *Pool) Config() Config { return p.cfg }
 
-// Epoch returns the membership epoch clients stamp their calls with.
-func (p *Pool) Epoch() uint64 {
+// View returns the membership view the pool's clients route on,
+// shared: the caller must not write into it.
+func (p *Pool) View() health.View {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.epoch
-}
-
-// Addrs returns the current slot addresses.
-func (p *Pool) Addrs() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.addrs...)
-}
-
-// isDown reports whether the servers' view strands slot id.
-func (p *Pool) isDown(id int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return slices.Contains(p.down, id)
+	return p.view
 }
 
 // adopt takes a server's membership view if it is newer than the
-// pool's: its addresses and its stranded slots.
-func (p *Pool) adopt(v MembershipResp) {
+// pool's and of its size: its addresses and its stranded slots.
+func (p *Pool) adopt(v health.View) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if v.Epoch <= p.epoch || len(v.Addrs) != len(p.addrs) {
-		return
+	if v.Epoch > p.view.Epoch && len(v.Addrs) == len(p.view.Addrs) {
+		p.view = v
 	}
-	p.addrs = append(p.addrs[:0], v.Addrs...)
-	p.epoch = v.Epoch
-	p.down = append(p.down[:0], v.Down...)
 }
 
 // serverCells returns (cached) the sub-boxes owned by server s.
@@ -176,10 +159,12 @@ type Client struct {
 	// addrs records the address each conn was dialled to, so a rebind
 	// after a stale-epoch redirect only re-dials the slots that moved.
 	addrs []string
-	// lockSeq numbers this rank's lock operations so the lock server can
-	// deduplicate retried requests (the client is per-rank and serial,
-	// so a plain counter suffices).
-	lockSeq uint64
+	// lockSeq numbers this rank's lock operations and getSeq its logged
+	// gets, so the servers can deduplicate retried requests (the client
+	// is per-rank and serial, so plain counters suffice). getSeq starts
+	// at random: two clients of one rank (a restarted process, or one
+	// CLI call after another) must not number a get alike.
+	lockSeq, getSeq uint64
 	// CumulativeWriteTime accumulates client-observed put response
 	// time, the Figure 9(a)/(b) metric.
 	cumWrite time.Duration
@@ -194,10 +179,11 @@ type Client struct {
 // NewClient connects rank identity app (e.g. "sim/12") to the group.
 func (p *Pool) NewClient(app string) (*Client, error) {
 	c := &Client{
-		app:   app,
-		pool:  p,
-		conns: make([]transport.Client, p.cfg.NServers),
-		addrs: make([]string, p.cfg.NServers),
+		app:    app,
+		pool:   p,
+		conns:  make([]transport.Client, p.cfg.NServers),
+		addrs:  make([]string, p.cfg.NServers),
+		getSeq: rand.Uint64() >> 1,
 	}
 	if err := c.Reconnect(); err != nil {
 		c.Close()
@@ -246,7 +232,7 @@ func (c *Client) Close() error {
 // client binds from any member that answers instead.
 func (c *Client) Reconnect() error {
 	var dialErr error
-	for i, addr := range c.pool.Addrs() {
+	for i, addr := range c.pool.View().Addrs {
 		if err := c.redial(i, addr); err != nil && dialErr == nil {
 			dialErr = fmt.Errorf("staging: dial server %d: %w", i, err)
 		}
@@ -275,8 +261,8 @@ func (c *Client) Reconnect() error {
 // healed.
 func (c *Client) call(s int, req any) (any, error) {
 	addr := c.addrs[s]
-	if !c.pool.isDown(s) {
-		raw, err := c.conns[s].Call(EpochReq{Epoch: c.pool.Epoch(), Req: req})
+	if v := c.pool.View(); !v.IsDown(s) {
+		raw, err := c.conns[s].Call(EpochReq{Epoch: v.Epoch, Req: req})
 		stale := IsStaleEpoch(err)
 		if err == nil || !stale && !transport.Retryable(err) {
 			return raw, err
@@ -292,7 +278,8 @@ func (c *Client) call(s int, req any) (any, error) {
 	} else if err := c.rebind(s); err != nil {
 		return nil, fmt.Errorf("%w: server %d", ErrSlotDown, s)
 	}
-	if c.pool.isDown(s) {
+	v := c.pool.View()
+	if v.IsDown(s) {
 		return nil, fmt.Errorf("%w: server %d", ErrSlotDown, s)
 	}
 	if c.addrs[s] != addr {
@@ -302,13 +289,13 @@ func (c *Client) call(s int, req any) (any, error) {
 		// dedup makes each a no-op or the missing append (DESIGN.md §6).
 		for _, h := range c.held {
 			h.Defer = false
-			if _, err := c.conns[s].Call(EpochReq{Epoch: c.pool.Epoch(), Req: h}); err != nil {
+			if _, err := c.conns[s].Call(EpochReq{Epoch: v.Epoch, Req: h}); err != nil {
 				return nil, err
 			}
 		}
 		c.dropHeld()
 	}
-	return c.conns[s].Call(EpochReq{Epoch: c.pool.Epoch(), Req: req})
+	return c.conns[s].Call(EpochReq{Epoch: v.Epoch, Req: req})
 }
 
 func (c *Client) dropHeld() { c.held, c.heldBytes = c.held[:0], 0 }
@@ -318,27 +305,31 @@ func (c *Client) dropHeld() { c.held, c.heldBytes = c.held[:0], 0 }
 // newer than the pool's — a member that missed a push answers an older
 // one — skipping slots whose dial failed and slots the view strands,
 // and re-dials the connections whose slot address changed; a stranded
-// slot keeps its connection. It fails only when no member answers.
+// slot keeps its connection. A member's view is its health.PingResp,
+// asked for on the slot's own connection (the control lane). It fails
+// only when no member answers.
 func (c *Client) rebind(from int) error {
 	n := len(c.conns)
 	got := false
-	for i, epoch := 1, c.pool.Epoch(); i <= n; i++ {
+	v := c.pool.View()
+	for i := 1; i <= n; i++ {
 		s := (from + i + n) % n
-		if c.addrs[s] == "" || c.pool.isDown(s) {
+		if c.addrs[s] == "" || v.IsDown(s) {
 			continue
 		}
-		m, err := transport.As[MembershipResp](c.conns[s].Call(MembershipReq{}))
-		ok := err == nil && m.Epoch > 0 && len(m.Addrs) == n
-		if got = got || ok; ok && m.Epoch > epoch {
-			c.pool.adopt(m)
+		p, err := transport.As[health.PingResp](c.conns[s].Call(health.PingReq{From: c.app}))
+		ok := err == nil && p.View.Epoch > 0 && len(p.View.Addrs) == n
+		if got = got || ok; ok && p.View.Epoch > v.Epoch {
+			c.pool.adopt(p.View)
 			break
 		}
 	}
 	if !got {
 		return fmt.Errorf("%w: rebind: no server returned a membership view", ErrDegraded)
 	}
-	for i, addr := range c.pool.Addrs() {
-		if c.addrs[i] == addr && c.conns[i] != nil || c.pool.isDown(i) {
+	v = c.pool.View()
+	for i, addr := range v.Addrs {
+		if c.addrs[i] == addr && c.conns[i] != nil || v.IsDown(i) {
 			continue
 		}
 		if err := c.redial(i, addr); err != nil {
@@ -408,8 +399,12 @@ func (c *Client) get(name string, version int64, bbox domain.BBox, logged bool) 
 	dst := make([]byte, domain.BufLen(bbox, c.pool.cfg.ElemSize))
 	resolved := int64(NoVersion)
 	var covered int64
+	req := GetReq{App: c.app, Name: name, Version: version, BBox: bbox, Logged: logged}
+	if logged {
+		c.getSeq++
+		req.Seq = c.getSeq
+	}
 	for _, s := range c.pool.index.ServersFor(bbox) {
-		req := GetReq{App: c.app, Name: name, Version: version, BBox: bbox, Logged: logged}
 		raw, err := c.call(s, req)
 		if err != nil {
 			return nil, 0, wrapCall(err, "get %q v%d from server %d", name, version, s)
@@ -581,9 +576,6 @@ func (c *Client) Stats() (StatsResp, error) {
 		agg.SnapshotsSent += st.SnapshotsSent
 		agg.SnapshotBytes += st.SnapshotBytes
 		agg.FencedRejects += st.FencedRejects
-		if st.Epoch > agg.Epoch {
-			agg.Epoch = st.Epoch
-		}
 	}
 	return agg, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gospaces/internal/domain"
+	"gospaces/internal/health"
 	"gospaces/internal/transport"
 )
 
@@ -58,18 +59,20 @@ func TestPoolAdoptsOnlyNewerViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, step := range []struct {
-		v    MembershipResp
+		v    health.View
 		down bool // slot 1 stranded after adopting v
 	}{
-		{MembershipResp{Epoch: 2, Addrs: []string{"a", "b", "c"}, Down: []int{1}}, true},
-		{MembershipResp{Epoch: 1, Addrs: []string{"a", "b", "c"}}, true},
-		{MembershipResp{Epoch: 3, Addrs: []string{"a", "b", "c"}}, false},
-		{MembershipResp{Epoch: 2, Addrs: []string{"a", "b", "c"}, Down: []int{1}}, false},
-		{MembershipResp{Epoch: 3, Addrs: []string{"a", "b", "c"}, Down: []int{1}}, false},
+		{health.View{Epoch: 2, Addrs: []string{"a", "b", "c"}, Down: []int{1}}, true},
+		{health.View{Epoch: 1, Addrs: []string{"a", "b", "c"}}, true},
+		{health.View{Epoch: 3, Addrs: []string{"a", "b", "c"}}, false},
+		{health.View{Epoch: 2, Addrs: []string{"a", "b", "c"}, Down: []int{1}}, false},
+		{health.View{Epoch: 3, Addrs: []string{"a", "b", "c"}, Down: []int{1}}, false},
+		// A view of another size is not this pool's, however new.
+		{health.View{Epoch: 4, Addrs: []string{"a", "b"}, Down: []int{1}}, false},
 	} {
 		p.adopt(step.v)
-		if p.isDown(1) != step.down {
-			t.Fatalf("after %+v: slot 1 down = %v, want %v (pool at epoch %d)", step.v, p.isDown(1), step.down, p.Epoch())
+		if p.View().IsDown(1) != step.down {
+			t.Fatalf("after %+v: slot 1 down = %v, want %v (pool at epoch %d)", step.v, p.View().IsDown(1), step.down, p.View().Epoch)
 		}
 	}
 }
@@ -94,7 +97,7 @@ func TestRebindSkipsLaggingMember(t *testing.T) {
 	defer c.Close()
 	addrs := g.Membership().Addrs()
 	for i := range addrs {
-		g.Server(i).setView(EpochSetReq{Epoch: 2, Addrs: addrs, Down: []int{1}})
+		g.Server(i).setView(health.View{Epoch: 2, Addrs: addrs, Down: []int{1}})
 	}
 	if _, err := c.call(1, StatsReq{}); !errors.Is(err, ErrSlotDown) {
 		t.Fatalf("call on the stranded slot: %v, want ErrSlotDown", err)
@@ -102,12 +105,12 @@ func TestRebindSkipsLaggingMember(t *testing.T) {
 	// The heal reaches every member but slot 2, the first a rebind for
 	// slot 1 asks.
 	for _, i := range []int{0, 1} {
-		g.Server(i).setView(EpochSetReq{Epoch: 3, Addrs: addrs})
+		g.Server(i).setView(health.View{Epoch: 3, Addrs: addrs})
 	}
 	if _, err := c.call(1, StatsReq{}); err != nil {
 		t.Fatalf("call on the healed slot: %v", err)
 	}
-	if e := c.pool.Epoch(); e != 3 {
+	if e := c.pool.View().Epoch; e != 3 {
 		t.Fatalf("pool epoch = %d, want the heal's 3", e)
 	}
 }
@@ -185,16 +188,16 @@ func TestClientRebindsAfterPromotion(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("post-promotion data mismatch")
 	}
-	if c.pool.Epoch() != 2 {
-		t.Fatalf("pool epoch = %d after rebind", c.pool.Epoch())
+	if e := c.pool.View().Epoch; e != 2 {
+		t.Fatalf("pool epoch = %d after rebind", e)
 	}
 	// The promoted spare now identifies as a member.
-	raw, err := g.ServerAt(spareAddr).Handle(MembershipReq{})
+	raw, err := g.ServerAt(spareAddr).Handle(health.PingReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := raw.(MembershipResp); m.Epoch != 2 || m.Addrs[1] != spareAddr {
-		t.Fatalf("membership view = %+v", m)
+	if p := raw.(health.PingResp); p.Spare || p.View.Epoch != 2 || p.View.Addrs[1] != spareAddr {
+		t.Fatalf("promoted spare's ping = %+v", p)
 	}
 }
 

@@ -104,7 +104,7 @@ func StartGroup(tr transport.Transport, prefix string, cfg Config) (*Group, erro
 	g.Pool = pool
 	g.membership = health.NewMembership(addrs)
 	// Seed every member with the initial view so epoch-stamped calls
-	// (epoch 1) pass and MembershipReq answers are useful from the start.
+	// (epoch 1) pass and ping answers carry a view from the start.
 	for _, n := range g.nodes {
 		n.srv.SetMembership(1, addrs)
 	}
@@ -250,8 +250,7 @@ func (g *Group) ReplaceServer(id int) error {
 	if err != nil {
 		return fmt.Errorf("staging: restart server %d: %w", id, err)
 	}
-	addrs, down, epoch := g.membership.Snapshot()
-	srv.setView(EpochSetReq{Epoch: epoch, Addrs: addrs, Down: down})
+	srv.setView(g.membership.View())
 	g.nodes[id] = node{srv, addr, closer}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gospaces/internal/domain"
+	"gospaces/internal/health"
 	"gospaces/internal/locks"
 	"gospaces/internal/qos"
 	"gospaces/internal/store"
@@ -60,6 +61,10 @@ type GetReq struct {
 	Version int64
 	BBox    domain.BBox
 	Logged  bool
+	// Seq numbers a logged get among its client's (0: none). The retry
+	// layer re-sends it unchanged, so a server recognizes the retry of a
+	// get whose answer was lost and logs it once (wlog.Log.RetriedGet).
+	Seq uint64
 }
 
 // GetResp carries the resolved version and matching fragments.
@@ -162,35 +167,12 @@ type EpochReq struct {
 // EpochSetReq installs a membership view on a server. The recovery
 // leader pushes it to every member whenever the view changes — a
 // promotion, a slot stranded, a stranded slot healed, each a new epoch
-// — and once on election; a server only adopts views newer than the
-// one it holds. Receiving a view also clears the server's spare flag:
-// a spare that is told about membership has been promoted into it.
+// — and once on election; a server only adopts views not older than the
+// one it holds, and answers with its health.PingResp (the view it holds
+// after the push). Receiving a view also clears the server's spare
+// flag: a spare that is told about membership has been promoted into it.
 type EpochSetReq struct {
-	Epoch uint64
-	Addrs []string
-	// Down lists the slots dead with no spare to promote: a client that
-	// reads one here answers ErrSlotDown instead of calling it.
-	Down []int
-}
-
-// EpochSetResp acknowledges the install and reports the epoch the
-// server now holds (useful when the push raced a newer one).
-type EpochSetResp struct {
-	Epoch uint64
-}
-
-// MembershipReq asks a server for its current membership view; clients
-// use it to re-bind after a StaleEpochError redirect, a transport fault
-// or a failed dial, and before answering ErrSlotDown.
-type MembershipReq struct{}
-
-// MembershipResp carries the server's membership view (Epoch 0 and nil
-// Addrs until the first EpochSet), with the stranded slots of the last
-// EpochSetReq.
-type MembershipResp struct {
-	Epoch uint64
-	Addrs []string
-	Down  []int
+	View health.View
 }
 
 // LockReq acquires or releases a named reader/writer lock hosted by
@@ -428,11 +410,10 @@ type StatsResp struct {
 	GCFreedBytes   int64
 	PutNanos       int64 // cumulative server-side put handling time
 	// Recovery accounting: shards and bytes re-written by
-	// corec.Client.Rebuild, and the membership epoch the server holds
-	// (dsctl health surfaces these).
+	// corec.Client.Rebuild (dsctl health surfaces these beside the
+	// view its ping reports).
 	RebuiltShards int64
 	RebuiltBytes  int64
-	Epoch         uint64
 	// Log-replication accounting: the origin-side stream position
 	// (records emitted for this server's own slot) and the batches they
 	// shipped in, and the replica state hosted for peer slots.

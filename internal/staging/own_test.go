@@ -184,12 +184,13 @@ func TestHandlersOwnWhatTheyKeep(t *testing.T) {
 // transport recycles a frame buffer. Nothing may panic, and every logged
 // object the server then stages must read back with a valid CRC: the
 // request's bytes are not the server's to keep. The corpus is seeded
-// with TestWireCompleteness's requests, bare and in both envelopes.
+// with TestWireCompleteness's requests, bare and in both envelopes,
+// and with their responses (a server must refuse those unharmed).
 func FuzzServerHandle(f *testing.F) {
 	cases, _ := wireCases(f)
 	for _, tc := range cases {
-		for _, req := range enveloped(tc.req) {
-			if wire, err := codec.Append(nil, req); err == nil {
+		for _, msg := range append(enveloped(tc.req), tc.resp) {
+			if wire, err := codec.Append(nil, msg); err == nil {
 				f.Add(wire)
 			}
 		}

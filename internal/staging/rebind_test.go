@@ -111,12 +111,12 @@ func TestStrandedSlotFailsFastOverTCP(t *testing.T) {
 	clk := transport.ClockOf(tcp)
 	for _, addr := range []string{g.Membership().Addr(0), g.Membership().Addr(2)} {
 		for end := clk.Now().Add(10 * time.Second); ; clk.Sleep(5 * time.Millisecond) {
-			v, err := transport.CallOnce[staging.MembershipResp](tcp, addr, staging.MembershipReq{})
-			if err == nil && slices.Equal(v.Down, []int{1}) {
+			p, err := transport.CallOnce[health.PingResp](tcp, addr, health.PingReq{From: "test"})
+			if err == nil && slices.Equal(p.View.Down, []int{1}) {
 				break
 			}
 			if clk.Now().After(end) {
-				t.Fatalf("%s never listed slot 1 down: %+v, %v", addr, v, err)
+				t.Fatalf("%s never listed slot 1 down: %+v, %v", addr, p.View, err)
 			}
 		}
 	}

@@ -558,9 +558,7 @@ func (s *Server) StopReplication() {
 // and has nowhere to replicate to.
 func (s *Server) replicaTargets(k int) (epoch uint64, slot int, targets []string) {
 	s.memberMu.Lock()
-	epoch = s.epoch
-	addrs := s.memberAddrs
-	self := s.addr
+	epoch, addrs, self := s.view.Epoch, s.view.Addrs, s.addr
 	s.memberMu.Unlock()
 	slot = -1
 	for i, a := range addrs {

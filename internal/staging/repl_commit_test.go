@@ -13,6 +13,7 @@ import (
 	"gospaces/internal/domain"
 	"gospaces/internal/qos"
 	"gospaces/internal/transport"
+	"gospaces/internal/wlog"
 )
 
 // The tests in this file pin the group commit of log replication: which
@@ -29,7 +30,8 @@ type tapTransport struct {
 	after  func(addr string, req, resp any)
 	// drop, when it returns true, fails the call unforwarded: the
 	// address is dark for that request. lose forwards it and fails it
-	// all the same: the request arrived, its answer did not.
+	// all the same, as a timeout: the request arrived, its answer did
+	// not.
 	drop, lose func(addr string, req any) bool
 }
 
@@ -66,7 +68,7 @@ func (c *tapClient) Call(req any) (any, error) {
 	}
 	resp, err := c.Client.Call(req)
 	if c.t.lose != nil && c.t.lose(c.addr, inner) {
-		return nil, fmt.Errorf("tap: the answer from %s is lost", c.addr)
+		return nil, fmt.Errorf("tap: the answer from %s is lost: %w", c.addr, transport.ErrTimeout)
 	}
 	if c.t.after != nil && err == nil {
 		c.t.after(c.addr, inner, resp)
@@ -86,13 +88,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // stalledGroup is a 2-server K=1 in-process group whose replica stream
-// is parked until release is called.
-func stalledGroup(t *testing.T, q *qos.Config) (g *Group, release func()) {
+// is parked until release is called, from the moment server 0 has
+// handled the setup requests on.
+func stalledGroup(t *testing.T, q *qos.Config, setup ...any) (g *Group, release func()) {
 	t.Helper()
+	var parked atomic.Bool
+	parked.Store(len(setup) == 0)
 	gate := make(chan struct{})
 	release = sync.OnceFunc(func() { close(gate) })
 	tr := &tapTransport{Transport: transport.NewInProc(), before: func(_ string, req any) {
-		if _, ok := req.(ReplApplyReq); ok {
+		if _, ok := req.(ReplApplyReq); ok && parked.Load() {
 			<-gate
 		}
 	}}
@@ -103,6 +108,12 @@ func stalledGroup(t *testing.T, q *qos.Config) (g *Group, release func()) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { release(); g.Close() })
+	for _, r := range setup {
+		if _, err := g.Server(0).Handle(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked.Store(true)
 	return g, release
 }
 
@@ -138,6 +149,221 @@ func TestRetriedPutAckWaitsForStream(t *testing.T) {
 	release()
 	<-acked
 	<-acked
+}
+
+// TestRetriedGetAckWaitsForStream: a retried logged get emits no
+// record of its own, yet its ack waits for its first attempt's record,
+// as a deduplicated put piece's does. In a first execution the retry
+// carries its first attempt's request number; in a replay it repeats
+// the get just behind the cursor.
+func TestRetriedGetAckWaitsForStream(t *testing.T) {
+	box := domain.Box3(0, 0, 0, 3, 3, 3)
+	req := GetReq{App: "ana/0", Name: "field", Version: 1, BBox: box, Logged: true, Seq: 7}
+	other := GetReq{App: "ana/0", Name: "field", Version: 1, BBox: domain.Box3(4, 0, 0, 7, 3, 3), Logged: true, Seq: 8}
+	puts := []any{qosPut("field", 1, box, false, 1), qosPut("field", 1, other.BBox, false, 1)}
+	for _, tc := range []struct {
+		name   string
+		setup  []any
+		replay bool
+	}{
+		{"first execution", puts, false},
+		{"replay", append(puts, req, other, RecoveryReq{App: "ana/0"}), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, release := stalledGroup(t, nil, tc.setup...)
+			srv := g.Server(0)
+			pos, gets := srv.repl.position(), srv.reg.Counter("gets").Value()
+			var released atomic.Bool
+			acked := make(chan struct{})
+			send := func(who string) {
+				go func() {
+					defer func() { acked <- struct{}{} }()
+					resp, err := transport.As[GetResp](srv.Handle(req))
+					if err != nil || resp.FromLog != tc.replay {
+						t.Errorf("%s: FromLog %v, %v; want FromLog %v", who, resp.FromLog, err, tc.replay)
+					}
+					if !released.Load() {
+						t.Errorf("%s acknowledged while the stream was stalled and its record unshipped", who)
+					}
+				}()
+			}
+			send("first attempt")
+			waitFor(t, "the first attempt to ask for its record", func() bool { return srv.repl.lag() == 1 })
+			send("retry")
+			waitFor(t, "the retry to be served", func() bool { return srv.reg.Counter("gets").Value() == gets+2 })
+			for i := 0; i < 1000; i++ {
+				runtime.Gosched() // room for an ack that does not wait
+			}
+			released.Store(true)
+			release()
+			<-acked
+			<-acked
+			if got := srv.repl.position(); got != pos+1 {
+				t.Fatalf("stream at %d after a get and its retry, want its one record past %d", got, pos)
+			}
+		})
+	}
+}
+
+// retryRig is a two-server group with K=1 whose producer "sim/0" and
+// consumer "ana/0" reach it through a retry layer over a tap over a
+// chaos transport; put and read stage and check one field over the
+// domain.
+type retryRig struct {
+	g     *Group
+	tap   *tapTransport
+	chaos *transport.Chaos
+	retry *transport.Retrying
+	cons  *Client
+	put   func(v int64)
+	read  func(ask, want int64)
+}
+
+func newRetryRig(t *testing.T) *retryRig {
+	t.Helper()
+	global := domain.Box3(0, 0, 0, 31, 31, 7)
+	cfg := Config{Global: global, NServers: 2, Bits: 2, ElemSize: 8, WlogReplicas: 1}
+	inner := transport.NewInProc()
+	g, err := StartGroup(inner, "stage", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	chaos := transport.NewChaos(inner, 1)
+	tap := &tapTransport{Transport: chaos}
+	retry := transport.WithRetry(tap, transport.RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond})
+	pool, err := NewPool(retry, g.Addrs(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, err := pool.NewClient("sim/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { prod.Close() })
+	cons, err := pool.NewClient("ana/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cons.Close() })
+	size := domain.BufLen(global, 8)
+	return &retryRig{
+		g: g, tap: tap, chaos: chaos, retry: retry, cons: cons,
+		put: func(v int64) {
+			t.Helper()
+			if err := prod.PutWithLog("field", v, global, fill(size, v)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		read: func(ask, want int64) {
+			t.Helper()
+			got, v, err := cons.GetWithLog("field", ask, global)
+			if err != nil || v != want || !bytes.Equal(got, fill(size, want)) {
+				t.Fatalf("get asking %d: v%d, %v; want v%d's bytes", ask, v, err, want)
+			}
+		},
+	}
+}
+
+// logs are server 0's log and its replica on server 1.
+func (r *retryRig) logs() map[string]*wlog.Log {
+	rep := r.g.Server(1).replicas.slot(0)
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	return map[string]*wlog.Log{"origin": r.g.Server(0).log, "replica": rep.log}
+}
+
+// TestRetriedFirstGetLoggedOnce: a consumer's first-execution logged
+// gets, an explicit version and "latest", each lose their first answer
+// from server 0 (a chaos drop window under the retry layer), so each is
+// served twice; then it re-reads "latest" with nothing lost. The
+// origin's log and its replica on server 1 hold each get once and the
+// re-read as a get of its own, and a restarted consumer replays all
+// three reads to the versions it first read, though a newer version
+// was put since.
+func TestRetriedFirstGetLoggedOnce(t *testing.T) {
+	r := newRetryRig(t)
+	r.put(1)
+	r.put(2)
+	for _, g := range []struct{ ask, want int64 }{{1, 1}, {NoVersion, 2}} {
+		r.chaos.Drop(r.g.Addrs()[0], 20*time.Millisecond) // the retry comes after the window
+		r.read(g.ask, g.want)
+	}
+	if n := r.retry.Metrics().Counter("rpc.retries").Value(); n != 2 {
+		t.Fatalf("%d retries, want one per get", n)
+	}
+	if n := r.g.Server(0).reg.Counter("gets").Value(); n != 4 {
+		t.Fatalf("server 0 served %d gets, want each of 2 twice", n)
+	}
+	r.read(NoVersion, 2)
+	for who, l := range r.logs() {
+		if n := loggedGets(t, l, "ana/0"); n != 3 {
+			t.Fatalf("the %s log holds %d gets of the consumer, want 3", who, n)
+		}
+	}
+
+	r.put(3)
+	if _, err := r.cons.WorkflowRestart(); err != nil {
+		t.Fatal(err)
+	}
+	r.read(1, 1)
+	r.read(NoVersion, 2)
+	r.read(NoVersion, 2)
+	if r.g.Server(0).log.Replaying("ana/0") {
+		t.Fatal("the replay did not consume the logged window")
+	}
+}
+
+// TestRetriedGetServedItsFirstVersion: the answer to a consumer's
+// "latest" read is lost after server 1 (the last it asks) resolved and
+// logged v2, and v3 is put before the retry. The retry carries its
+// first attempt's request number, so it is served v2, as server 0
+// served it, and logs nothing; a restarted consumer replays v2.
+func TestRetriedGetServedItsFirstVersion(t *testing.T) {
+	r := newRetryRig(t)
+	r.put(1)
+	r.put(2)
+	var lost atomic.Bool
+	r.tap.lose = func(addr string, req any) bool {
+		if _, ok := req.(GetReq); !ok || addr != r.g.Addrs()[1] || lost.Swap(true) {
+			return false
+		}
+		r.put(3)
+		return true
+	}
+	r.read(NoVersion, 2)
+	if n := r.retry.Metrics().Counter("rpc.retries").Value(); n != 1 {
+		t.Fatalf("%d retries, want the lost answer's one", n)
+	}
+	if n := loggedGets(t, r.g.Server(1).log, "ana/0"); n != 1 {
+		t.Fatalf("server 1's log holds %d gets of the consumer, want 1", n)
+	}
+	if _, err := r.cons.WorkflowRestart(); err != nil {
+		t.Fatal(err)
+	}
+	r.read(NoVersion, 2)
+	r.read(NoVersion, 3)
+}
+
+// loggedGets counts app's Get events in a copy of l's window: the
+// replay script a recovery would run.
+func loggedGets(t *testing.T, l *wlog.Log, app string) int {
+	t.Helper()
+	state, err := l.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := wlog.New()
+	if err := cp.Restore(state); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range cp.OnRecovery(app) {
+		if e.Kind == wlog.KindGet {
+			n++
+		}
+	}
+	return n
 }
 
 // TestReplLagIgnoresHeldRecords: records held for a put in progress are

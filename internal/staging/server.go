@@ -3,6 +3,7 @@ package staging
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,17 +43,14 @@ type Server struct {
 	shards     map[string]map[int][]byte
 	shardBytes int64
 
-	// memberMu guards the server's membership view: the epoch it has
-	// been told about (0 until the first EpochSet), the member
-	// addresses and stranded slots (replaced, never written into, so a
-	// MembershipResp may share them), the server's own bound address,
-	// and whether it is still a spare outside the membership.
-	memberMu    sync.Mutex
-	epoch       uint64
-	memberAddrs []string
-	down        []int
-	addr        string
-	spare       bool
+	// memberMu guards the server's membership view (the zero View until
+	// the first EpochSet; replaced, never written into, so a PingResp
+	// may share it), the server's own bound address, and whether it is
+	// still a spare outside the membership.
+	memberMu sync.Mutex
+	view     health.View
+	addr     string
+	spare    bool
 
 	// lease is the server-side half of recovery-leader election: the
 	// lease record, the fencing token, and the journaled promotion
@@ -122,29 +120,30 @@ func (s *Server) SetSpare(v bool) {
 // SetMembership installs a membership view with no stranded slot
 // directly (the in-proc equivalent of an EpochSetReq push).
 func (s *Server) SetMembership(epoch uint64, addrs []string) {
-	s.setView(EpochSetReq{Epoch: epoch, Addrs: addrs})
+	s.setView(health.View{Epoch: epoch, Addrs: slices.Clone(addrs)})
 }
 
 // setView installs a pushed view; views older than the server's are
-// ignored (one epoch names one view, stranded slots included).
-func (s *Server) setView(v EpochSetReq) {
+// ignored (one epoch names one view, stranded slots included). The
+// server keeps v itself: a view is never written into.
+func (s *Server) setView(v health.View) {
 	s.memberMu.Lock()
 	defer s.memberMu.Unlock()
-	if v.Epoch < s.epoch {
-		return
+	if v.Epoch >= s.view.Epoch {
+		s.view, s.spare = v, false
 	}
-	s.epoch = v.Epoch
-	s.memberAddrs = append([]string(nil), v.Addrs...)
-	s.down = append([]int(nil), v.Down...)
-	s.spare = false
+}
+
+// ping is the server's health.PingResp: its id, the view it holds and
+// whether it is still a spare.
+func (s *Server) ping() health.PingResp {
+	s.memberMu.Lock()
+	defer s.memberMu.Unlock()
+	return health.PingResp{ID: s.id, View: s.view, Spare: s.spare}
 }
 
 // Epoch returns the membership epoch the server currently holds.
-func (s *Server) Epoch() uint64 {
-	s.memberMu.Lock()
-	defer s.memberMu.Unlock()
-	return s.epoch
-}
+func (s *Server) Epoch() uint64 { return s.ping().View.Epoch }
 
 // EnableQoS installs the admission controller and lane scheduler.
 // Call before the server serves traffic (like EnableReplication).
@@ -202,7 +201,7 @@ func (s *Server) chargeQoS(name string, storeDelta, wlogDelta int64) {
 func laneFor(req any) qos.Lane {
 	switch r := req.(type) {
 	case health.PingReq, LeaseCASReq, IntentPutReq, IntentClearReq,
-		LeaderInfoReq, EpochSetReq, MembershipReq, StatsReq, QosStatsReq,
+		LeaderInfoReq, EpochSetReq, StatsReq, QosStatsReq,
 		TierStatsReq, TraceReq, ReplApplyReq, ReplSnapshotReq, ReplFetchReq:
 		return qos.LaneControl
 	case RecoveryReq, WlogInstallReq, TierScrubReq:
@@ -276,10 +275,7 @@ func (s *Server) open(req any) (any, uint64, error) {
 func (s *Server) dispatch(req any, token uint64) (any, error) {
 	switch r := req.(type) {
 	case health.PingReq:
-		s.memberMu.Lock()
-		resp := health.PingResp{ID: s.id, Epoch: s.epoch, Spare: s.spare}
-		s.memberMu.Unlock()
-		return resp, nil
+		return s.ping(), nil
 	case LeaseCASReq:
 		return s.lease.cas(r, s.clk.Now()), nil
 	case IntentPutReq:
@@ -291,13 +287,8 @@ func (s *Server) dispatch(req any, token uint64) (any, error) {
 	case LeaderInfoReq:
 		return s.lease.info(s.clk.Now()), nil
 	case EpochSetReq:
-		s.setView(r)
-		return EpochSetResp{Epoch: s.Epoch()}, nil
-	case MembershipReq:
-		s.memberMu.Lock()
-		resp := MembershipResp{Epoch: s.epoch, Addrs: s.memberAddrs, Down: s.down}
-		s.memberMu.Unlock()
-		return resp, nil
+		s.setView(r.View)
+		return s.ping(), nil
 	case PutReq:
 		return s.handlePut(r)
 	case GetReq:
@@ -495,8 +486,17 @@ func (s *Server) handleGet(r GetReq) (any, int64, error) {
 	s.reg.Counter("gets").Inc()
 	var seq int64
 	version := r.Version
-	fromLog := false
+	fromLog, retried := false, false
 	if r.Logged {
+		var v int64
+		if v, retried = s.log.RetriedGet(r.App, r.Seq, r.Name, r.Version, r.BBox); retried {
+			// A first-execution get re-sent because its answer was lost is
+			// served the version its first attempt logged, and waits for
+			// that attempt's record, as a deduplicated put piece does.
+			version, seq = v, s.streamPos()
+		}
+	}
+	if r.Logged && !retried {
 		cursor := s.log.ReplayCursor(r.App)
 		var err error
 		version, fromLog, err = s.log.BeginGet(r.App, r.Name, r.Version, r.BBox)
@@ -504,8 +504,11 @@ func (s *Server) handleGet(r GetReq) (any, int64, error) {
 			return nil, seq, err
 		}
 		if s.repl != nil && cursor >= 0 && s.log.ReplayCursor(r.App) != cursor {
-			// As for a put: a retried get the replay served moves nothing.
 			seq = s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpAdvance, App: r.App}})
+		} else if fromLog {
+			// As for a put: a repeat of the get the replay served last
+			// moves nothing, and waits for that get's record.
+			seq = s.streamPos()
 		}
 		if fromLog {
 			s.reg.Counter("replay_gets").Inc()
@@ -538,13 +541,14 @@ func (s *Server) handleGet(r GetReq) (any, int64, error) {
 		resp.Pieces = append(resp.Pieces, Piece{BBox: o.BBox, Data: o.Data})
 		bytes += o.Bytes()
 	}
-	if r.Logged && !fromLog {
-		s.log.CommitGet(r.App, r.Name, version, r.BBox, bytes)
+	if r.Logged && !fromLog && !retried {
+		// The log takes the record it ships, which numbers the request.
+		rec := wlog.Record{Op: wlog.OpGet, App: r.App, Name: r.Name, Version: version, BBox: r.BBox, Bytes: bytes, Req: r.Seq}
+		if err := s.log.Apply(rec); err != nil {
+			return nil, seq, err
+		}
 		s.trace.Add(trace.Record{Op: trace.OpGet, App: r.App, Name: r.Name, Version: version, Bytes: bytes})
-		seq = s.emit(ReplRecord{Wlog: &wlog.Record{
-			Op: wlog.OpGet, App: r.App, Name: r.Name,
-			Version: version, BBox: r.BBox, Bytes: bytes,
-		}})
+		seq = s.emit(ReplRecord{Wlog: &rec})
 	}
 	return resp, seq, nil
 }
@@ -737,7 +741,6 @@ func (s *Server) stats() StatsResp {
 		PutNanos:       s.reg.Counter("put_nanos").Value(),
 		RebuiltShards:  s.reg.Counter("rebuilt_shards").Value(),
 		RebuiltBytes:   s.reg.Counter("rebuilt_bytes").Value(),
-		Epoch:          s.Epoch(),
 		FencedRejects:  s.reg.Counter("fenced_rejects").Value(),
 	}
 	if r := s.repl; r != nil {

@@ -9,10 +9,11 @@ import (
 // response and typed error that crosses a transport, keyed by its
 // wire id (internal/codec builds the encoding from the type itself).
 // The ids are wire constants: never renumber, never reuse (27 and 28
-// were the supervisor's shard-key scan, 53 and 54 the in-transit reduce
-// pair), only append. Ids 256 and up belong
-// to other packages (health, qos, transport, wlog, tier; DESIGN.md §7
-// has the whole table).
+// were the supervisor's shard-key scan, 30 EpochSetResp and 31/32 the
+// MembershipReq pair, whose view health.PingResp now carries, 53 and 54
+// the in-transit reduce pair), only append. Ids 256 and up belong to
+// other packages (health, qos, transport, wlog, tier; DESIGN.md §7 has
+// the whole table).
 var wireTypes = map[uint16]any{
 	1: PutReq{}, 2: PutResp{},
 	3: GetReq{}, 4: GetResp{},
@@ -27,8 +28,7 @@ var wireTypes = map[uint16]any{
 	21: RecoveryReq{}, 22: RecoveryResp{},
 	23: QueryReq{}, 24: QueryResp{},
 	25: ShardDropReq{}, 26: ShardDropResp{},
-	29: EpochSetReq{}, 30: EpochSetResp{},
-	31: MembershipReq{}, 32: MembershipResp{},
+	29: EpochSetReq{},
 	33: LockReq{}, 34: LockResp{},
 	35: LeaseCASReq{}, 36: LeaseCASResp{},
 	37: IntentPutReq{}, 38: IntentPutResp{},

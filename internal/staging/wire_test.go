@@ -163,10 +163,14 @@ const wireAhead = 1 << 40
 
 type wireCase struct{ req, resp any }
 
+// wireView is a membership view with a stranded slot: wireCases pushes
+// it first, so every PingResp a server answers them with carries Down.
+var wireView = health.View{Epoch: 1, Addrs: []string{"a", "b", "c"}, Down: []int{1}}
+
 // wireCases is one request of every type Server.dispatch switches on,
-// with the type of its response. Every request that carries payload
-// bytes carries big, exactly 16 KiB (the transport's vecThreshold), so
-// over TCP it crosses as a head and a cut.
+// with its response (compared by type). Every request that carries
+// payload bytes carries big, exactly 16 KiB (the transport's
+// vecThreshold), so over TCP it crosses as a head and a cut.
 func wireCases(t testing.TB) (cases []wireCase, big []byte) {
 	box := domain.Box3(0, 0, 0, 31, 31, 15)
 	big = fill(domain.BufLen(box, 1), 1)
@@ -177,13 +181,12 @@ func wireCases(t testing.TB) (cases []wireCase, big []byte) {
 	obj := &store.Object{Name: "f", Version: 1, BBox: box, ElemSize: 1, Data: big, CRC: store.Checksum(big), Logged: true}
 	state := ReplState{Wlog: wl, Objects: []*store.Object{obj}}
 	return []wireCase{
-		{health.PingReq{}, health.PingResp{}},
+		{EpochSetReq{View: wireView}, health.PingResp{View: wireView}},
+		{health.PingReq{}, health.PingResp{View: wireView}},
 		{LeaseCASReq{Holder: "sup", Token: 1, TTL: time.Second}, LeaseCASResp{}},
 		{IntentPutReq{Intent: PromotionIntent{Slot: 1, DeadAddr: "d", Spare: "s", Token: 1}}, IntentPutResp{}},
 		{IntentClearReq{Slot: 1}, IntentClearResp{}},
 		{LeaderInfoReq{}, LeaderInfoResp{}},
-		{EpochSetReq{Epoch: 1, Addrs: []string{"a", "b"}}, EpochSetResp{}},
-		{MembershipReq{}, MembershipResp{}},
 		{PutReq{App: "sim/0", Name: "f", Version: 1, ElemSize: 1, Logged: true, Piece: Piece{BBox: box, Data: big}}, PutResp{}},
 		{GetReq{App: "viz/0", Name: "f", Version: 1, BBox: box, Logged: true}, GetResp{}},
 		{CheckpointReq{App: "viz/0"}, CheckpointResp{}},
@@ -267,7 +270,8 @@ func TestWireCompleteness(t *testing.T) {
 }
 
 // TestMeasureEveryWireCase: for every request of wireCases, bare and in
-// both envelopes, and for the response a server gives it, codec.Measure
+// both envelopes, for the response a server gives it and for the one
+// the table lists (a PingResp among them, its view stranding a slot), codec.Measure
 // is exact at both cut rules the service uses (none, and the
 // transport's 16 KiB): Head is the length AppendCuts appends, Len that
 // of the whole encoding. AppendCuts into a buffer of Head bytes' room
@@ -282,7 +286,7 @@ func TestMeasureEveryWireCase(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Handle(%T{%T}): %v", req, tc.req, err)
 			}
-			for _, v := range []any{req, resp} {
+			for _, v := range []any{req, resp, tc.resp} {
 				for _, min := range []int{0, 16 << 10} {
 					checkMeasured(t, v, min)
 				}
@@ -316,12 +320,14 @@ func checkMeasured(t *testing.T, v any, min int) {
 }
 
 // TestRetiredWireIDs: a retired id stays retired. No table registers
-// 27 or 28 (the supervisor's shard-key scan) or 53 or 54 (the
-// in-transit reduce pair), and a message carrying one fails to decode
+// 27 or 28 (the supervisor's shard-key scan), 30 (EpochSetResp: a view
+// push is answered with the PingResp), 31 or 32 (the MembershipReq
+// pair: the ping carries the view) or 53 or 54 (the in-transit reduce
+// pair), and a message carrying one fails to decode
 // as an unknown type, so an old peer's frame is refused, never read as
 // whatever took its number.
 func TestRetiredWireIDs(t *testing.T) {
-	for _, id := range []uint16{27, 28, 53, 54} {
+	for _, id := range []uint16{27, 28, 30, 31, 32, 53, 54} {
 		if m, ok := wireTypes[id]; ok {
 			t.Errorf("wireTypes[%d] = %T: a retired id is reused", id, m)
 		}
@@ -429,6 +435,8 @@ func FuzzFastpathDecode(f *testing.F) {
 		ReplApplyReq{Epoch: 1, Slot: 0, Records: []ReplRecord{{Seq: 1, Obj: &store.Object{Name: "o", Data: []byte("d"), CRC: store.Checksum([]byte("d")), Logged: true}}}},
 		WlogInstallReq{Slot: 1, State: ReplState{Seq: 3, Objects: []*store.Object{{Name: "o", Data: []byte("x"), CRC: store.Checksum([]byte("x")), Logged: true}}}},
 		EpochReq{Epoch: 2, Req: ShardGetReq{Key: "k", Shard: 0}},
+		FencedReq{Token: 3, Req: EpochSetReq{View: wireView}},
+		health.PingResp{ID: 2, View: wireView},
 	}
 	for _, v := range seedValues {
 		if buf, err := codec.Append(nil, v); err == nil {

@@ -60,6 +60,7 @@ type Record struct {
 	Version int64       // put/get; recovery: covered-version bound
 	BBox    domain.BBox // put/get
 	Bytes   int64       // put/get payload accounting
+	Req     uint64      // get: the request's number (RetriedGet), 0 for none
 }
 
 // Apply replays one mutation record onto l. Records must be applied in
@@ -71,7 +72,7 @@ func (l *Log) Apply(r Record) error {
 	case OpPut:
 		l.commitPutLocked(r.App, r.Name, r.Version, r.BBox, r.Bytes)
 	case OpGet:
-		l.commitGetLocked(r.App, r.Name, r.Version, r.BBox, r.Bytes)
+		l.commitGetLocked(r.App, r.Name, r.Version, r.BBox, r.Bytes, r.Req)
 	case OpCheckpoint:
 		l.onCheckpointLocked(r.App)
 	case OpRecovery:

@@ -133,19 +133,25 @@ func (d *fidDriver) normalStep(i int, app string) {
 			l.CommitPut(app, name, v, box, 100)
 		}
 		d.send(Record{Op: OpPut, App: app, Name: name, Version: v, BBox: box, Bytes: 100})
-	case 3, 4: // get an existing version
+	case 3, 4: // get an existing version, numbered and logged as a server does
 		if d.versions[name] == 0 {
 			return
 		}
 		v := 1 + d.rng.Int63n(d.versions[name])
+		rec := Record{Op: OpGet, App: app, Name: name, Version: v, BBox: box, Bytes: 100, Req: uint64(i + 1)}
 		for li, l := range d.logs {
 			res, fromLog, err := l.BeginGet(app, name, v, box)
 			if err != nil || fromLog || res != v {
 				t.Fatalf("op %d log %d: get v%d res=%d fromLog=%v err=%v", i, li, v, res, fromLog, err)
 			}
-			l.CommitGet(app, name, v, box, 100)
+			if err := l.Apply(rec); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := l.RetriedGet(app, rec.Req, name, NoVersion, box); !ok || got != v {
+				t.Fatalf("op %d log %d: the retry of get %d: v%d %v, want v%d", i, li, rec.Req, got, ok, v)
+			}
 		}
-		d.send(Record{Op: OpGet, App: app, Name: name, Version: v, BBox: box, Bytes: 100})
+		d.send(rec)
 	case 5: // checkpoint
 		d.checkpoint(i, app)
 	case 6: // recovery

@@ -68,6 +68,7 @@ type Event struct {
 	BBox    domain.BBox // put/get region
 	Bytes   int64       // payload size, for accounting
 	ChkID   string      // W_Chk_ID, checkpoint events only
+	Req     uint64      // get: its request's number (RetriedGet), 0 for none
 }
 
 // metaBytes estimates the in-memory footprint of one event record, used
@@ -309,17 +310,34 @@ func repeats(e *Event, name string, version int64, bbox domain.BBox) bool {
 	return e.Kind == KindGet && e.Name == name && e.BBox.Equal(bbox) && (version == NoVersion || version == e.Version)
 }
 
+// RetriedGet reports whether get request number req of app (asking for
+// version of name over bbox) logged app's last event: a first-execution
+// get re-sent because its answer was lost. It returns the version that
+// attempt logged; the retry is served it and logs nothing, as BeginPut's
+// same-version tail finds a retried piece. Number 0 repeats nothing.
+func (l *Log) RetriedGet(app string, req uint64, name string, version int64, bbox domain.BBox) (int64, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if q, ok := l.apps[app]; ok && req != 0 && len(q.events) > 0 {
+		if e := q.events[len(q.events)-1]; e.Req == req && repeats(e, name, version, bbox) {
+			return e.Version, true
+		}
+	}
+	return 0, false
+}
+
 // CommitGet records a completed first-execution get with its resolved
-// version.
+// version. A server logs a get through Apply instead, with the record
+// it ships, which numbers the request (Record.Req).
 func (l *Log) CommitGet(app, name string, resolved int64, bbox domain.BBox, bytes int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.commitGetLocked(app, name, resolved, bbox, bytes)
+	l.commitGetLocked(app, name, resolved, bbox, bytes, 0)
 }
 
-func (l *Log) commitGetLocked(app, name string, resolved int64, bbox domain.BBox, bytes int64) {
+func (l *Log) commitGetLocked(app, name string, resolved int64, bbox domain.BBox, bytes int64, req uint64) {
 	q := l.queue(app)
-	l.append(q, &Event{App: app, Kind: KindGet, Name: name, Version: resolved, BBox: bbox, Bytes: bytes})
+	l.append(q, &Event{App: app, Kind: KindGet, Name: name, Version: resolved, BBox: bbox, Bytes: bytes, Req: req})
 	l.indexGetEvent(name, resolved)
 	l.indexReader(app, name, resolved)
 }

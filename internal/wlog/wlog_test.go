@@ -211,6 +211,53 @@ func TestReplayRetriedPieceSuppressed(t *testing.T) {
 	}
 }
 
+// TestRetriedGetByRequestNumber: a first-execution get re-sent because
+// its answer was lost carries the request number its first attempt
+// logged, and RetriedGet finds it: same number, name and bbox, and a
+// version the logged one answers. Nothing else is a retry: another
+// number, number 0, or a get that is no longer the app's last event. A
+// restored snapshot keeps the number.
+func TestRetriedGetByRequestNumber(t *testing.T) {
+	l := New()
+	doPut(t, l, "sim", "f", 2)
+	get := Record{Op: OpGet, App: "ana", Name: "f", Version: 2, BBox: box, Bytes: 1000, Req: 5}
+	if err := l.Apply(get); err != nil {
+		t.Fatal(err)
+	}
+	retried := func(l *Log, req uint64, name string, version int64, bbox domain.BBox) bool {
+		t.Helper()
+		v, ok := l.RetriedGet("ana", req, name, version, bbox)
+		if ok && v != 2 {
+			t.Fatalf("retry of request %d served v%d, want v2", req, v)
+		}
+		return ok
+	}
+	for _, ask := range []int64{NoVersion, 2} {
+		if !retried(l, 5, "f", ask, box) {
+			t.Fatalf("request 5 asking %d is not found as a retry", ask)
+		}
+	}
+	restored := New()
+	if err := restored.Restore(mustSnapshot(t, l)); err != nil || !retried(restored, 5, "f", NoVersion, box) {
+		t.Fatalf("the restored log lost the request number (%v)", err)
+	}
+	other := domain.Box3(10, 0, 0, 19, 9, 9)
+	for _, c := range []struct {
+		req     uint64
+		name    string
+		version int64
+		bbox    domain.BBox
+	}{{6, "f", NoVersion, box}, {5, "g", NoVersion, box}, {5, "f", 1, box}, {5, "f", NoVersion, other}} {
+		if retried(l, c.req, c.name, c.version, c.bbox) {
+			t.Fatalf("%+v found as a retry of request 5", c)
+		}
+	}
+	doGet(t, l, "ana", "f", 2) // logged without a number
+	if retried(l, 5, "f", NoVersion, box) || retried(l, 0, "f", NoVersion, box) {
+		t.Fatal("a retry found behind a later event, or for number 0")
+	}
+}
+
 // TestReplayRetriedGetResolvesAgain: a get re-sent during replay (its
 // answer was lost after the server consumed its event) repeats the get
 // just behind the cursor. It resolves to that event's version again,
