@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt-check build test race synctest short flake-sweep bench bench-smoke bench-e2e-test bench-pairs nemesis recovery-stress soak-smoke fuzz-smoke no-gob no-wallclock no-corec loc loc-check
+.PHONY: check vet fmt-check build test race synctest short flake-sweep bench bench-smoke bench-e2e-test bench-pairs nemesis recovery-stress soak-smoke fuzz-smoke no-gob no-wallclock no-corec no-dial loc loc-check
 
-check: vet fmt-check no-gob no-wallclock no-corec loc-check test race synctest
+check: vet fmt-check no-gob no-wallclock no-corec no-dial loc-check test race synctest
 
 # bench/ is a module of its own, so tier-1 never compiles it: vetting it
 # here is what catches an exported-API change in codec, transport or
@@ -62,6 +62,15 @@ no-corec:
 	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' '"gospaces/internal/corec"' internal/recovery internal/workflow); \
 	test -z "$$out" || { echo "$$out"; echo 'internal/corec imported by internal/recovery or internal/workflow (above): logged data has one owner, wlog replication'; exit 1; }
 
+# One kept client per peer, verifiably: a transport client re-dials a
+# broken connection itself, so a caller that talks to a server again
+# keeps one client for it in a transport.Peers, and a one-off call is
+# transport.CallOnce. No non-test file outside internal/transport calls
+# Dial: none dials, drops and re-dials on a rule of its own.
+no-dial:
+	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Dial(' *.go cmd internal examples | grep -v '^internal/transport/'); \
+	test -z "$$out" || { echo "$$out"; echo 'Dial called outside internal/transport (above): keep a client in a transport.Peers, or make a one-off call with transport.CallOnce'; exit 1; }
+
 # The line count ROADMAP item 4's budget is measured in: non-test Go
 # under the wire/staging packages plus the public facade.
 LOC = cat $$(ls internal/staging/*.go internal/transport/*.go internal/codec/*.go gospaces.go | grep -v _test) | wc -l
@@ -115,6 +124,10 @@ loc:
 # view push is answered with the PingResp, and the server and the
 # client's Pool each hold one View (StatsResp.Epoch goes too). A
 # logged get carries a request number, so its retry is logged once.
+# 6267 → 6267: one kept client per peer. transport.Peers (dialled on
+# first use, never dropped on a fault) replaces the staging client's
+# per-slot connections, their re-dial on rebind and the replicator's
+# dropPeer; Client.Stats sums every StatsResp field over c.call.
 LOC_BUDGET = 6267
 loc-check:
 	@loc=$$($(LOC)); echo "make loc: $$loc, LOC_BUDGET: $(LOC_BUDGET)"; \
@@ -170,7 +183,7 @@ nemesis:
 # Recovery timing gate: WaitIdle confirms a repaired group (no window
 # pads it, and the repair's end asks for the probe round at once), so
 # the kill sweeps, the chaos soak that wait on it, the requested probe
-# rounds and the supervisor's kept connections run ten times each under
+# rounds and the supervisor's and detector's kept clients run ten times each under
 # the race detector. So do the transport's kept handler goroutines:
 # their reuse, in-flight bound and close, the head-of-line and teardown
 # checks, the get whose version is collected before its response is
@@ -182,7 +195,7 @@ nemesis:
 # a failed restore, both of which advanced the clock past a barrier. A
 # flake seen here is filed in CHANGES.md with its seed.
 recovery-stress:
-	$(GO) test -race -count=10 -timeout 20m -run 'TestWaitIdle|TestProbeNow|TestSupervisorKeepsOneConnPerMember|TestKillAnyServerAtAnyPoint|TestKillInsidePut|TestNemesisChaosSoak|TestServeConn|TestSlowCallDoesNotKillNeighbors|TestTCPConcurrentCloseDuringCalls|TestGetSurvivesGCBeforeWrite|TestReplayRetrySurvivesPromotion|TestViewPushPartialFailureConverges|TestRedundantSupervisorsElectionAndFencing|TestSpareReturnedOnFailedRestore' ./internal/health ./internal/recovery ./internal/workflow ./internal/transport ./internal/staging
+	$(GO) test -race -count=10 -timeout 20m -run 'TestWaitIdle|TestProbeNow|TestSupervisorKeepsOneConnPerMember|TestDetectorKeepsOneConnPerAddress|TestKillAnyServerAtAnyPoint|TestKillInsidePut|TestNemesisChaosSoak|TestServeConn|TestSlowCallDoesNotKillNeighbors|TestTCPConcurrentCloseDuringCalls|TestGetSurvivesGCBeforeWrite|TestReplayRetrySurvivesPromotion|TestViewPushPartialFailureConverges|TestRedundantSupervisorsElectionAndFencing|TestSpareReturnedOnFailedRestore' ./internal/health ./internal/recovery ./internal/workflow ./internal/transport ./internal/staging
 
 # Bounded churn-soak gate: replay the checked-in regression traces
 # (each twice) and the record-vs-replay determinism tests, replay one of

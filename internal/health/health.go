@@ -133,7 +133,6 @@ type Status struct {
 type target struct {
 	id     int
 	addr   string
-	conn   transport.Client
 	misses int
 	state  State
 	heard  time.Time
@@ -141,15 +140,17 @@ type target struct {
 
 // Detector probes a set of staging servers and publishes liveness
 // transitions. Create with NewDetector, arm targets with Watch, then
-// Start; Close stops the probe loop and closes subscriber channels. Its
-// ticker, probe timeouts and Heard stamps are on its transport's clock
-// (transport.ClockOf).
+// Start; Close stops the probe loop and closes subscriber channels and
+// the probe clients. Its ticker, probe timeouts and Heard stamps are on
+// its transport's clock (transport.ClockOf).
 type Detector struct {
-	tr   transport.Transport
-	clk  sim.Clock
-	cfg  Config
-	from string
-	reg  *metrics.Registry
+	// conns keeps one client per probed address: a miss closes nothing,
+	// and a re-targeted slot's new address is dialled on its first probe.
+	conns *transport.Peers
+	clk   sim.Clock
+	cfg   Config
+	from  string
+	reg   *metrics.Registry
 
 	mu      sync.Mutex
 	targets map[int]*target
@@ -170,7 +171,7 @@ type Detector struct {
 // identity `from` (e.g. "supervisor/0").
 func NewDetector(tr transport.Transport, from string, cfg Config) *Detector {
 	return &Detector{
-		tr:      tr,
+		conns:   transport.NewPeers(tr),
 		clk:     transport.ClockOf(tr),
 		cfg:     cfg.withDefaults(),
 		from:    from,
@@ -223,9 +224,6 @@ func (d *Detector) Watch(id int, addr string) {
 	if ok && t.addr == addr {
 		return
 	}
-	if ok && t.conn != nil {
-		t.conn.Close()
-	}
 	d.targets[id] = &target{id: id, addr: addr, state: Alive}
 }
 
@@ -268,7 +266,8 @@ func (d *Detector) Start() {
 	go d.loop(d.clk.NewTicker(d.cfg.Period))
 }
 
-// Close stops probing and closes subscriber channels.
+// Close stops probing and closes subscriber channels and the probe
+// clients.
 func (d *Detector) Close() error {
 	d.stopOnce.Do(func() { close(d.stop) })
 	d.mu.Lock()
@@ -309,12 +308,7 @@ func (d *Detector) closeSubs() {
 		close(d.round) // after the subscriptions: a woken waiter finds them closed
 	}
 	d.closed = true
-	for _, t := range d.targets {
-		if t.conn != nil {
-			t.conn.Close()
-			t.conn = nil
-		}
-	}
+	d.conns.Close()
 }
 
 func (d *Detector) loop(ticker *sim.Ticker) {
@@ -384,46 +378,17 @@ func (d *Detector) probeAll(requested bool) {
 	d.mu.Unlock()
 }
 
-// probe pings one target, bounded by the configured timeout on the
-// detector's clock. A probe that outlives it finishes on its own and
-// parks the connection (ping); this round counts it a miss.
+// probe pings one target over its address's kept client, bounded by
+// the configured timeout on the detector's clock, and reports whether a
+// PingResp came back. A probe that outlives the timeout finishes on its
+// own; this round counts it a miss.
 func (d *Detector) probe(t *target) bool {
 	d.reg.Counter("health.probes").Inc()
-	var ok bool
-	return sim.Within(d.clk, d.cfg.Timeout, d.stop, func() { ok = d.ping(t) }) && ok
-}
-
-// ping sends one PingReq to the target over its cached connection,
-// which is re-dialled lazily and dropped on any fault, so a replaced or
-// restarted server is re-reached next round. It reports whether a
-// PingResp came back.
-func (d *Detector) ping(t *target) bool {
-	d.mu.Lock()
-	c, addr := t.conn, t.addr
-	d.mu.Unlock()
-	if c == nil {
-		var err error
-		if c, err = d.tr.Dial(addr); err != nil {
-			return false
-		}
-	}
-	resp, err := c.Call(PingReq{From: d.from})
-	d.mu.Lock()
-	// Keep the connection only while it works, the detector is live, the
-	// slot is still this target (Watch may have re-targeted it), and no
-	// concurrent probe (a requested round beside a periodic one, or a
-	// timed-out probe finishing late) parked another one first.
-	if err == nil && !d.closed && d.targets[t.id] == t && (t.conn == nil || t.conn == c) {
-		t.conn = c
-	} else {
-		if t.conn == c {
-			t.conn = nil
-		}
-		c.Close()
-	}
-	d.mu.Unlock()
-	_, ok := resp.(PingResp)
-	return err == nil && ok
+	var err error
+	answered := sim.Within(d.clk, d.cfg.Timeout, d.stop, func() {
+		_, err = transport.As[PingResp](d.conns.Call(t.addr, PingReq{From: d.from}))
+	})
+	return answered && err == nil
 }
 
 // record folds one probe outcome, of a probe sent at sent, into the

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,9 +13,10 @@ import (
 	"gospaces/internal/transport"
 )
 
-// dialTap decorates the supervisor's transport: it counts dials per
-// address and the clients still open, and can break every open client
-// to an address, whose next call then fails as a broken connection.
+// dialTap decorates a transport: it counts dials per address and the
+// clients still open, and can break every open client to an address:
+// its next call fails as a broken connection and the one after it goes
+// through, as a real client that re-dials underneath behaves.
 type dialTap struct {
 	transport.Transport
 
@@ -34,6 +36,9 @@ func newDialTap(inner transport.Transport) *dialTap {
 	return &dialTap{Transport: inner, dials: map[string]int{}, open: map[*tapConn]bool{}}
 }
 
+// Unwrap exposes the decorated transport, whose clock the world runs on.
+func (t *dialTap) Unwrap() transport.Transport { return t.Transport }
+
 func (t *dialTap) Dial(addr string) (transport.Client, error) {
 	c, err := t.Transport.Dial(addr)
 	t.mu.Lock()
@@ -48,7 +53,7 @@ func (t *dialTap) Dial(addr string) (transport.Client, error) {
 }
 
 func (c *tapConn) Call(req any) (any, error) {
-	if c.broken.Load() {
+	if c.broken.Swap(false) {
 		return nil, fmt.Errorf("%w: %q: broken by the tap", transport.ErrConnBroken, c.addr)
 	}
 	return c.Client.Call(req)
@@ -150,9 +155,9 @@ func checkDialsOnce(t *testing.T, what string, dials map[string]int, spare strin
 // TestSupervisorKeepsOneConnPerMember: the supervisor keeps one client
 // per member. A whole promotion — intents, positions, the fenced
 // install, the view push and the intent clears — dials each member and
-// the spare at most once (it used to dial per call, 16 times); a client whose connection broke is dropped
-// and the member re-dialled on the next call; and Kill leaves no client
-// open.
+// the spare at most once (it used to dial per call, 16 times); a broken
+// connection heals under the kept client with no supervisor re-dial;
+// and Kill leaves no client open.
 func TestSupervisorKeepsOneConnPerMember(t *testing.T) {
 	g, spare, tap, sup := tappedGroup(t)
 	killByHand(t, g, sup, 1)
@@ -163,16 +168,17 @@ func TestSupervisorKeepsOneConnPerMember(t *testing.T) {
 
 	member := g.Membership().Addr(0)
 	tap.breakConns(member)
-	sup.fetchIntents() // the call to member fails and drops its client
-	if n := tap.openTo(member); n != 0 {
-		t.Fatalf("%d clients to %s still open after its connection broke", n, member)
+	if _, err := call[staging.LeaderInfoResp](sup, member, staging.LeaderInfoReq{}); err == nil {
+		t.Fatal("the call over the broken connection went through")
 	}
-	sup.fetchIntents()
-	if n := tap.take()[member]; n != 1 {
-		t.Fatalf("%s re-dialled %d times after its connection broke, want once", member, n)
+	if _, err := call[staging.LeaderInfoResp](sup, member, staging.LeaderInfoReq{}); err != nil {
+		t.Fatalf("the call after the broken one: %v", err)
+	}
+	if n := tap.take()[member]; n != 0 {
+		t.Fatalf("the supervisor re-dialled %s %d times after its connection broke, want none", member, n)
 	}
 	if n := tap.openTo(member); n != 1 {
-		t.Fatalf("%d clients to %s open after the re-dial, want 1", n, member)
+		t.Fatalf("%d clients to %s open after its connection broke, want the kept one", n, member)
 	}
 
 	sup.Kill()
@@ -182,5 +188,60 @@ func TestSupervisorKeepsOneConnPerMember(t *testing.T) {
 	sup.fetchIntents()
 	if dials := tap.take(); len(dials) != 0 {
 		t.Fatalf("a killed supervisor dialled %v", dials)
+	}
+}
+
+// TestDetectorKeepsOneConnPerAddress: the detector keeps one client per
+// probed address. Through a blackout long enough for a Dead verdict and
+// the rejoin after it, the address is dialled once, on the first probe;
+// a slot re-targeted by Watch dials its new address exactly once; and
+// Close leaves no client open.
+func TestDetectorKeepsOneConnPerAddress(t *testing.T) {
+	tr := manualWorld()
+	clk := manualOf(tr)
+	for _, addr := range []string{"srv/0", "srv/1"} {
+		closer, err := tr.Listen(addr, func(any) (any, error) { return health.PingResp{}, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closer.Close()
+	}
+	chaos := transport.NewChaos(tr, 1)
+	tap := newDialTap(chaos)
+	det := health.NewDetector(tap, "test/0", health.Config{Period: period, Timeout: 4 * period, SuspectAfter: 2, DeadAfter: 4})
+	defer det.Close()
+	det.Watch(0, "srv/0")
+	events := det.Subscribe()
+	det.Start()
+	rounds := func(n int) {
+		for i := 0; i < n; i++ {
+			round := det.Round()
+			clk.Advance(period)
+			<-round
+		}
+	}
+
+	rounds(1)
+	chaos.Blackout("srv/0", 6*period) // the next five rounds miss
+	rounds(8)
+	var states []health.State
+	for len(events) > 0 {
+		states = append(states, (<-events).State)
+	}
+	if want := []health.State{health.Suspect, health.Dead, health.Alive}; !reflect.DeepEqual(states, want) {
+		t.Fatalf("transitions %v through the blackout, want %v", states, want)
+	}
+	if dials := tap.take(); !reflect.DeepEqual(dials, map[string]int{"srv/0": 1}) {
+		t.Fatalf("dials %v through a blackout and a rejoin, want srv/0 once", dials)
+	}
+
+	det.Watch(0, "srv/1")
+	rounds(3)
+	if dials := tap.take(); !reflect.DeepEqual(dials, map[string]int{"srv/1": 1}) {
+		t.Fatalf("dials %v after the slot was re-targeted, want srv/1 once", dials)
+	}
+	det.Close()
+	if n := tap.openTo(""); n != 0 {
+		t.Fatalf("%d of the detector's clients open after Close", n)
 	}
 }

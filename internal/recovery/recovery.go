@@ -78,7 +78,7 @@ func (c Config) withDefaults(det *health.Detector) Config {
 // redundant supervisors may supervise the same group; leader election
 // picks one to act and the rest stand by.
 type Supervisor struct {
-	conns  *peers
+	conns  *transport.Peers // one kept client per member
 	det    *health.Detector
 	clk    sim.Clock // the detector's: leases and WaitIdle read it
 	mem    *health.Membership
@@ -118,7 +118,7 @@ type Supervisor struct {
 // not be started yet (Start does it).
 func New(tr transport.Transport, det *health.Detector, mem *health.Membership, spares SparePool, cfg Config) *Supervisor {
 	s := &Supervisor{
-		conns:  &peers{tr: tr, conns: make(map[string]transport.Client)},
+		conns:  transport.NewPeers(tr),
 		det:    det,
 		clk:    det.Clock(),
 		mem:    mem,
@@ -208,7 +208,7 @@ func (s *Supervisor) Close() error {
 	if started {
 		<-s.done
 	}
-	s.conns.close()
+	s.conns.Close()
 	return nil
 }
 
@@ -221,7 +221,7 @@ func (s *Supervisor) Close() error {
 func (s *Supervisor) Kill() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.det.Close()
-	s.conns.close()
+	s.conns.Close()
 }
 
 func (s *Supervisor) stopped() bool {
@@ -858,88 +858,16 @@ func (s *Supervisor) clearIntent(slot int, token uint64) {
 	}
 }
 
-// call issues one request to addr over the member's kept connection
-// and expects an R back.
+// call issues one request to addr over the member's kept client and
+// expects an R back.
 func call[R any](s *Supervisor, addr string, req any) (R, error) {
-	return transport.As[R](s.conns.call(addr, req))
+	return transport.As[R](s.conns.Call(addr, req))
 }
 
 // fencedCall issues one request to addr under the fencing token and
 // expects an R back.
 func fencedCall[R any](s *Supervisor, addr string, token uint64, req any) (R, error) {
 	return call[R](s, addr, staging.FencedReq{Token: token, Req: req})
-}
-
-// peers keeps one client per member address for every supervisor call:
-// the lease rounds, the intent journal, the position queries, the fenced
-// install and the view push. A client is dialled on first use and
-// dropped on a transport fault, so the next call to that address
-// re-dials; close shuts every client and refuses new dials.
-type peers struct {
-	tr transport.Transport
-
-	mu     sync.Mutex
-	conns  map[string]transport.Client
-	closed bool
-}
-
-// call issues req to addr over its kept client.
-func (p *peers) call(addr string, req any) (any, error) {
-	c, err := p.client(addr)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.Call(req)
-	if transport.Retryable(err) || errors.Is(err, transport.ErrClosed) {
-		p.mu.Lock()
-		if p.conns[addr] == c {
-			delete(p.conns, addr)
-		}
-		p.mu.Unlock()
-		c.Close()
-	}
-	return resp, err
-}
-
-// client returns addr's kept client, dialling it if there is none. The
-// dial runs outside the lock, so a slow one never holds up close.
-func (p *peers) client(addr string) (transport.Client, error) {
-	p.mu.Lock()
-	c, ok := p.conns[addr]
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return nil, transport.ErrClosed
-	}
-	if ok {
-		return c, nil
-	}
-	c, err := p.tr.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		c.Close()
-		return nil, transport.ErrClosed
-	}
-	if kept, ok := p.conns[addr]; ok { // a concurrent call dialled first
-		c.Close()
-		return kept, nil
-	}
-	p.conns[addr] = c
-	return c, nil
-}
-
-func (p *peers) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	for addr, c := range p.conns {
-		c.Close()
-		delete(p.conns, addr)
-	}
 }
 
 // restoreLog restores the dead slot's replicated event-log state onto

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"sync"
 	"time"
@@ -76,9 +77,8 @@ type Config struct {
 
 // Pool is a client-side view of a staging group: the spatial index plus
 // the epoch-stamped server addresses. The address set is mutable — a
-// client that hits a StaleEpochError, a transport fault, a failed dial
-// or a stranded slot adopts the servers' view — so all access goes
-// through the mutex.
+// client that hits a StaleEpochError, a transport fault or a stranded
+// slot adopts the servers' view — so all access goes through the mutex.
 type Pool struct {
 	cfg   Config
 	index *dht.Index
@@ -153,12 +153,11 @@ func (p *Pool) serverCells(s int) []domain.BBox {
 // A Client is not safe for concurrent use; create one per rank, as each
 // rank's request stream must stay ordered for deterministic replay.
 type Client struct {
-	app   string
-	pool  *Pool
-	conns []transport.Client
-	// addrs records the address each conn was dialled to, so a rebind
-	// after a stale-epoch redirect only re-dials the slots that moved.
-	addrs []string
+	app  string
+	pool *Pool
+	// conns keeps one client per server address; a slot's calls go to
+	// its address in the pool's view.
+	conns *transport.Peers
 	// lockSeq numbers this rank's lock operations and getSeq its logged
 	// gets, so the servers can deduplicate retried requests (the client
 	// is per-rank and serial, so plain counters suffice). getSeq starts
@@ -169,10 +168,12 @@ type Client struct {
 	// time, the Figure 9(a)/(b) metric.
 	cumWrite time.Duration
 	// held are the pieces of the put in progress that its current server
-	// acked Deferred since its last flushed ack (heldBytes their payload):
-	// applied there, on no replica yet. regions is put's scratch.
+	// (at at, where the last request went) acked Deferred since its last
+	// flushed ack (heldBytes their payload): applied there, on no replica
+	// yet. regions is put's scratch.
 	held      []PutReq
 	heldBytes int
+	at        string
 	regions   []domain.BBox
 }
 
@@ -181,8 +182,7 @@ func (p *Pool) NewClient(app string) (*Client, error) {
 	c := &Client{
 		app:    app,
 		pool:   p,
-		conns:  make([]transport.Client, p.cfg.NServers),
-		addrs:  make([]string, p.cfg.NServers),
+		conns:  transport.NewPeers(p.tr),
 		getSeq: rand.Uint64() >> 1,
 	}
 	if err := c.Reconnect(); err != nil {
@@ -192,77 +192,41 @@ func (p *Pool) NewClient(app string) (*Client, error) {
 	return c, nil
 }
 
-// redial points slot i's connection at addr, closing whatever was
-// dialled before. A failed dial keeps the old connection but forgets
-// its address, so the next rebind dials the slot again.
-func (c *Client) redial(i int, addr string) error {
-	conn, err := c.pool.tr.Dial(addr)
-	if err != nil {
-		c.addrs[i] = ""
-		return err
-	}
-	if c.conns[i] != nil {
-		c.conns[i].Close()
-	}
-	c.conns[i], c.addrs[i] = conn, addr
-	return nil
-}
-
 // App returns the client's component/rank identity.
 func (c *Client) App() string { return c.app }
 
 // Close releases the client's connections.
-func (c *Client) Close() error {
-	var first error
-	for _, conn := range c.conns {
-		if conn == nil {
-			continue
-		}
-		if err := conn.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (c *Client) Close() error { return c.conns.Close() }
 
-// Reconnect dials all servers at the pool's current addresses, closing
-// the connections it replaces; workflow_restart uses it to rebuild the
-// staging client after a component recovers (paper §III-C). When a dial
-// fails, the pool's view may be stale (a spare was promoted since): the
-// client binds from any member that answers instead.
+// Reconnect dials every server of the pool's view that has no kept
+// client; workflow_restart uses it to rebuild the staging client after a
+// component recovers (paper §III-C). A failed dial may mean a stale view
+// (a spare was promoted since): the client rebinds from the members. It
+// fails only when no member answers, or when the view strands a slot.
 func (c *Client) Reconnect() error {
-	var dialErr error
-	for i, addr := range c.pool.View().Addrs {
-		if err := c.redial(i, addr); err != nil && dialErr == nil {
-			dialErr = fmt.Errorf("staging: dial server %d: %w", i, err)
-		}
-	}
-	if dialErr == nil {
-		return nil
-	}
-	if err := c.rebind(-1); err != nil {
-		return fmt.Errorf("%w (%w)", dialErr, err)
-	}
-	for i, conn := range c.conns {
-		if conn == nil {
-			return fmt.Errorf("%w: server %d", ErrSlotDown, i)
+	for s, addr := range c.pool.View().Addrs {
+		if _, err := c.conns.Client(addr); err != nil {
+			if rerr := c.rebind(s); rerr != nil {
+				return fmt.Errorf("staging: dial server %d: %w (%w)", s, err, rerr)
+			}
+			if down := c.pool.View().Down; len(down) > 0 {
+				return fmt.Errorf("%w: server %d", ErrSlotDown, down[0])
+			}
+			return nil
 		}
 	}
 	return nil
 }
 
 // call sends one epoch-stamped request to server s. On a stale-epoch
-// redirect — and on transport faults that outlived the retry layer,
-// which is what calling a fail-stopped slot looks like — it re-binds
-// (adopts the servers' newer membership, re-dials the slots that
-// moved) and retries once. A second redirect (a promotion raced the
-// retry) surfaces to the caller. A slot the servers' view strands
-// fails fast with ErrSlotDown, after one rebind that would see it
-// healed.
+// redirect, or a transport fault that outlived the retry layer (calling
+// or dialling a fail-stopped slot), it adopts the servers' newer view
+// (rebind) and retries once; a second redirect surfaces. A slot the
+// view strands fails fast with ErrSlotDown, after a rebind that would
+// see it healed.
 func (c *Client) call(s int, req any) (any, error) {
-	addr := c.addrs[s]
 	if v := c.pool.View(); !v.IsDown(s) {
-		raw, err := c.conns[s].Call(EpochReq{Epoch: v.Epoch, Req: req})
+		raw, err := c.send(v, s, req)
 		stale := IsStaleEpoch(err)
 		if err == nil || !stale && !transport.Retryable(err) {
 			return raw, err
@@ -282,20 +246,27 @@ func (c *Client) call(s int, req any) (any, error) {
 	if v.IsDown(s) {
 		return nil, fmt.Errorf("%w: server %d", ErrSlotDown, s)
 	}
-	if c.addrs[s] != addr {
-		// The slot moved to a promoted spare: the server that acked the
-		// held pieces died, perhaps with their records unshipped. Re-send
-		// them first, in order and flushed; the wlog's same-version-tail
-		// dedup makes each a no-op or the missing append (DESIGN.md §6).
+	return c.send(v, s, req)
+}
+
+// send sends req to slot s at its address in view v. A slot moved away
+// from the server that acked the held pieces (by any client's rebind)
+// means that server died, perhaps with their records unshipped: they are
+// re-sent first, in order and flushed; the wlog's same-version-tail
+// dedup makes each a no-op or the missing append (DESIGN.md §6).
+func (c *Client) send(v health.View, s int, req any) (any, error) {
+	addr := v.Addrs[s]
+	if len(c.held) > 0 && addr != c.at {
 		for _, h := range c.held {
 			h.Defer = false
-			if _, err := c.conns[s].Call(EpochReq{Epoch: v.Epoch, Req: h}); err != nil {
+			if _, err := c.conns.Call(addr, EpochReq{Epoch: v.Epoch, Req: h}); err != nil {
 				return nil, err
 			}
 		}
 		c.dropHeld()
 	}
-	return c.conns[s].Call(EpochReq{Epoch: v.Epoch, Req: req})
+	c.at = addr
+	return c.conns.Call(addr, EpochReq{Epoch: v.Epoch, Req: req})
 }
 
 func (c *Client) dropHeld() { c.held, c.heldBytes = c.held[:0], 0 }
@@ -303,21 +274,18 @@ func (c *Client) dropHeld() { c.held, c.heldBytes = c.held[:0], 0 }
 // rebind refreshes the membership view from the members after slot
 // from (-1: from slot 0) in turn, up to the first that holds a view
 // newer than the pool's — a member that missed a push answers an older
-// one — skipping slots whose dial failed and slots the view strands,
-// and re-dials the connections whose slot address changed; a stranded
-// slot keeps its connection. A member's view is its health.PingResp,
-// asked for on the slot's own connection (the control lane). It fails
-// only when no member answers.
+// one — skipping slots the view strands. A member's view is its
+// health.PingResp (the control lane). It fails only when no member
+// answers.
 func (c *Client) rebind(from int) error {
-	n := len(c.conns)
-	got := false
 	v := c.pool.View()
+	n, got := len(v.Addrs), false
 	for i := 1; i <= n; i++ {
 		s := (from + i + n) % n
-		if c.addrs[s] == "" || v.IsDown(s) {
+		if v.IsDown(s) {
 			continue
 		}
-		p, err := transport.As[health.PingResp](c.conns[s].Call(health.PingReq{From: c.app}))
+		p, err := transport.As[health.PingResp](c.conns.Call(v.Addrs[s], health.PingReq{From: c.app}))
 		ok := err == nil && p.View.Epoch > 0 && len(p.View.Addrs) == n
 		if got = got || ok; ok && p.View.Epoch > v.Epoch {
 			c.pool.adopt(p.View)
@@ -326,15 +294,6 @@ func (c *Client) rebind(from int) error {
 	}
 	if !got {
 		return fmt.Errorf("%w: rebind: no server returned a membership view", ErrDegraded)
-	}
-	v = c.pool.View()
-	for i, addr := range v.Addrs {
-		if c.addrs[i] == addr && c.conns[i] != nil || v.IsDown(i) {
-			continue
-		}
-		if err := c.redial(i, addr); err != nil {
-			return wrapCall(err, "rebind: re-dial server %d", i)
-		}
 	}
 	return nil
 }
@@ -478,7 +437,7 @@ func (c *Client) GetWithLog(name string, version int64, bbox domain.BBox) ([]byt
 func (c *Client) WorkflowCheck() (int64, error) {
 	var freed int64
 	var firstErr error
-	for s := range c.conns {
+	for s := range c.pool.cfg.NServers {
 		resp, err := transport.As[CheckpointResp](c.call(s, CheckpointReq{App: c.app}))
 		if err != nil {
 			if firstErr == nil {
@@ -516,7 +475,7 @@ func (c *Client) WorkflowRestartFrom(covered int64) (int, error) {
 		return 0, err
 	}
 	total := 0
-	for s := range c.conns {
+	for s := range c.pool.cfg.NServers {
 		resp, err := transport.As[RecoveryResp](c.call(s, RecoveryReq{App: c.app, Covered: covered}))
 		if err != nil {
 			return total, wrapCall(err, "recovery on server %d", s)
@@ -529,7 +488,7 @@ func (c *Client) WorkflowRestartFrom(covered int64) (int, error) {
 // Versions returns the union of staged versions of name across servers.
 func (c *Client) Versions(name string) ([]int64, error) {
 	seen := map[int64]struct{}{}
-	for s := range c.conns {
+	for s := range c.pool.cfg.NServers {
 		resp, err := transport.As[QueryResp](c.call(s, QueryReq{Name: name}))
 		if err != nil {
 			return nil, wrapCall(err, "query on server %d", s)
@@ -546,36 +505,19 @@ func (c *Client) Versions(name string) ([]int64, error) {
 	return out, nil
 }
 
-// Stats aggregates accounting across all servers.
+// Stats aggregates accounting across all servers: every field of a
+// StatsResp is a count, and the group's is the sum of its servers'.
 func (c *Client) Stats() (StatsResp, error) {
 	var agg StatsResp
-	for s, conn := range c.conns {
-		st, err := transport.As[StatsResp](conn.Call(StatsReq{}))
+	sum := reflect.ValueOf(&agg).Elem()
+	for s := range c.pool.cfg.NServers {
+		st, err := transport.As[StatsResp](c.call(s, StatsReq{}))
 		if err != nil {
 			return agg, wrapCall(err, "stats on server %d", s)
 		}
-		agg.StoreBytes += st.StoreBytes
-		agg.LogMetaBytes += st.LogMetaBytes
-		agg.ShardBytes += st.ShardBytes
-		agg.Objects += st.Objects
-		agg.Puts += st.Puts
-		agg.Gets += st.Gets
-		agg.SuppressedPuts += st.SuppressedPuts
-		agg.ReplayGets += st.ReplayGets
-		agg.GCFreedBytes += st.GCFreedBytes
-		agg.PutNanos += st.PutNanos
-		agg.RebuiltShards += st.RebuiltShards
-		agg.RebuiltBytes += st.RebuiltBytes
-		agg.ReplSeq += st.ReplSeq
-		agg.ReplBatches += st.ReplBatches
-		agg.ReplicaSlots += st.ReplicaSlots
-		agg.ReplicaBytes += st.ReplicaBytes
-		agg.ReplicaRecords += st.ReplicaRecords
-		agg.DeltaResyncs += st.DeltaResyncs
-		agg.DeltaBytes += st.DeltaBytes
-		agg.SnapshotsSent += st.SnapshotsSent
-		agg.SnapshotBytes += st.SnapshotBytes
-		agg.FencedRejects += st.FencedRejects
+		for i, one := 0, reflect.ValueOf(st); i < sum.NumField(); i++ {
+			sum.Field(i).SetInt(sum.Field(i).Int() + one.Field(i).Int())
+		}
 	}
 	return agg, nil
 }
@@ -584,9 +526,9 @@ func (c *Client) Stats() (StatsResp, error) {
 // indexed by server id: each server's retained records, oldest first,
 // and its Total, which exceeds len(Raw) once the ring has wrapped.
 func (c *Client) TraceRecords(limit int) ([]TraceResp, error) {
-	out := make([]TraceResp, len(c.conns))
-	for sid, conn := range c.conns {
-		resp, err := transport.As[TraceResp](conn.Call(TraceReq{Limit: limit}))
+	out := make([]TraceResp, c.pool.cfg.NServers)
+	for sid := range out {
+		resp, err := transport.As[TraceResp](c.call(sid, TraceReq{Limit: limit}))
 		if err != nil {
 			return nil, wrapCall(err, "trace on server %d", sid)
 		}
@@ -625,9 +567,19 @@ func (c *Client) LockOnRead(name string) error { return c.lockOp(name, false, fa
 // UnlockOnRead releases the read lock on name.
 func (c *Client) UnlockOnRead(name string) error { return c.lockOp(name, false, true) }
 
-// ShardConn exposes the raw per-server connection for the resilience
-// layer (internal/corec), which places shards explicitly.
-func (c *Client) ShardConn(server int) transport.Client { return c.conns[server] }
+// ShardConn is server's slot for the resilience layer (internal/corec):
+// calls go to the slot's address in the pool's view; Close is a no-op.
+func (c *Client) ShardConn(server int) transport.Client { return shardConn{c, server} }
+
+type shardConn struct {
+	c    *Client
+	slot int
+}
+
+func (sc shardConn) Call(req any) (any, error) {
+	return sc.c.conns.Call(sc.c.pool.View().Addrs[sc.slot], req)
+}
+func (shardConn) Close() error { return nil }
 
 // NumServers returns the group size.
-func (c *Client) NumServers() int { return len(c.conns) }
+func (c *Client) NumServers() int { return c.pool.cfg.NServers }

@@ -63,7 +63,8 @@ type GetReq struct {
 	Logged  bool
 	// Seq numbers a logged get among its client's (0: none). The retry
 	// layer re-sends it unchanged, so a server recognizes the retry of a
-	// get whose answer was lost and logs it once (wlog.Log.RetriedGet).
+	// get whose answer was lost and logs it once (wlog.Log.RetriedGet);
+	// a replayed get stamps it on the event it consumes.
 	Seq uint64
 }
 
@@ -210,8 +211,10 @@ type ReplRecord struct {
 	Wlog *wlog.Record
 	// Obj is the logged object a Wlog OpPut record stored, its payload
 	// and ingest CRC with it, so a restored server can serve replay
-	// reads without the dead origin. The origin ships the very object
-	// it stored; a replica keeps a checked copy (keepObject).
+	// reads without the dead origin, and the one account of what was put
+	// (the OpPut record names the app alone). The origin ships the very
+	// object it stored; a replica keeps a checked copy (keepObject), logs
+	// the put from it, and refuses a put record without one.
 	Obj  *store.Object
 	Lock *LockRecord
 }
@@ -397,7 +400,7 @@ type TraceResp struct {
 type StatsReq struct{}
 
 // StatsResp reports server-side accounting used by the Figure 9
-// experiments.
+// experiments. Every field is a count (Client.Stats sums them).
 type StatsResp struct {
 	StoreBytes     int64 // resident object payload bytes
 	LogMetaBytes   int64 // resident event-record bytes

@@ -27,7 +27,9 @@ import (
 // hosted replica's install and a promoted spare's). And each carrier of
 // a logged object — those four and a cold-tier record — refuses one
 // whose payload has a byte flipped under its CRC, keeping nothing: the
-// sender's clean re-send is then kept, and a replica installs.
+// sender's clean re-send is then kept, and a replica installs. A put
+// record that carries no object is refused the same way: the object is
+// the record's one account of what was put.
 func TestHandlersOwnWhatTheyKeep(t *testing.T) {
 	box := domain.Box3(0, 0, 0, 31, 31, 15)
 	big := fill(domain.BufLen(box, 1), 7)
@@ -40,9 +42,7 @@ func TestHandlersOwnWhatTheyKeep(t *testing.T) {
 		t.Fatal(err)
 	}
 	apply := func(o *store.Object) ReplApplyReq {
-		return ReplApplyReq{Epoch: 1, Slot: 1, Records: []ReplRecord{{Seq: 1, Obj: o, Wlog: &wlog.Record{
-			Op: wlog.OpPut, App: "sim/0", Name: "f", Version: 1, BBox: box, Bytes: int64(len(big)),
-		}}}}
+		return ReplApplyReq{Epoch: 1, Slot: 1, Records: []ReplRecord{{Seq: 1, Obj: o, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0"}}}}
 	}
 	state := func(o *store.Object) ReplState {
 		return ReplState{Seq: 1, Wlog: wl, Objects: []*store.Object{o}}
@@ -146,6 +146,34 @@ func TestHandlersOwnWhatTheyKeep(t *testing.T) {
 		})
 	}
 
+	t.Run("ReplApplyReq/object-less", func(t *testing.T) {
+		s := NewServer(0)
+		if _, err := s.Handle(apply(nil)); err == nil {
+			t.Fatal("a put record without its object was accepted")
+		}
+		rep := s.replicas.slot(1)
+		if rep.seq != 0 {
+			t.Fatalf("a refused put record moved the replica to seq %d", rep.seq)
+		}
+		if _, err := s.Handle(apply(good)); err != nil {
+			t.Fatalf("clean re-send after the refusal: %v", err)
+		}
+		if kept, err := replica(s); err != nil || !bytes.Equal(kept, big) {
+			t.Fatalf("clean re-send after the refusal not kept: %v", err)
+		}
+		state, err := rep.log.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged := wlog.New()
+		if err := logged.Restore(state); err != nil {
+			t.Fatal(err)
+		}
+		if ev := logged.OnRecovery("sim/0"); len(ev) != 1 || ev[0].Name != "f" || ev[0].Version != 1 || !ev[0].BBox.Equal(box) || ev[0].Bytes != int64(len(big)) {
+			t.Fatalf("the replica logged %+v, want the object's put alone", ev)
+		}
+	})
+
 	// The cold tier's record: a record whose frame verifies but whose
 	// payload fails its CRC is not promoted, so a replay read of it fails.
 	for _, o := range []*store.Object{good, &flipped} {
@@ -185,7 +213,8 @@ func TestHandlersOwnWhatTheyKeep(t *testing.T) {
 // object the server then stages must read back with a valid CRC: the
 // request's bytes are not the server's to keep. The corpus is seeded
 // with TestWireCompleteness's requests, bare and in both envelopes,
-// and with their responses (a server must refuse those unharmed).
+// with their responses (a server must refuse those unharmed), and with
+// a put record that carries no object.
 func FuzzServerHandle(f *testing.F) {
 	cases, _ := wireCases(f)
 	for _, tc := range cases {
@@ -194,6 +223,10 @@ func FuzzServerHandle(f *testing.F) {
 				f.Add(wire)
 			}
 		}
+	}
+	objectless := ReplApplyReq{Epoch: 1, Slot: 1, Records: []ReplRecord{{Seq: 1, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0"}}}}
+	if wire, err := codec.Append(nil, objectless); err == nil {
+		f.Add(wire)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := codec.UnmarshalAlias(data)

@@ -36,13 +36,19 @@ func tcpGroup(t *testing.T, spares int) (*transport.TCP, *staging.Group, *recove
 			t.Fatal(err)
 		}
 	}
+	return tcp, g, supervise(t, tcp, g), cfg
+}
+
+// supervise starts a supervisor over g.
+func supervise(t *testing.T, tcp *transport.TCP, g *staging.Group) *recovery.Supervisor {
+	t.Helper()
 	det := health.NewDetector(tcp, "supervisor/0", health.Config{
 		Period: 10 * time.Millisecond, Timeout: 100 * time.Millisecond, SuspectAfter: 2, DeadAfter: 4,
 	})
 	sup := recovery.New(tcp, det, g.Membership(), g, recovery.Config{})
 	t.Cleanup(func() { sup.Close() })
 	sup.Start()
-	return tcp, g, sup, cfg
+	return sup
 }
 
 // retryingClient builds a pool from addrs over tcp behind the default
@@ -94,6 +100,37 @@ func TestClientFromOriginalAddrsAfterPromotion(t *testing.T) {
 		t.Fatalf("slot 1 at %s, want the spare %s", a, spare)
 	}
 	c, _ := retryingClient(t, tcp, orig, cfg)
+	roundTrip(t, c, cfg, 1)
+}
+
+// TestClientBuiltBeforePromotion: a client built while a member is dead
+// and not yet replaced is created — its dial of the dead slot fails, and
+// the members that answer hold the current view — and it serves once
+// the promotion lands, dialling the promoted spare on its first call
+// there.
+func TestClientBuiltBeforePromotion(t *testing.T) {
+	cfg := staging.Config{Global: domain.Box3(0, 0, 0, 31, 31, 7), NServers: 3, Bits: 2, ElemSize: 8, WlogReplicas: 1}
+	tcp := transport.NewTCP()
+	g, err := staging.StartGroup(tcp, "127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	spare, err := g.AddSpare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.FailStop(1); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := retryingClient(t, tcp, g.Membership().Addrs(), cfg)
+	sup := supervise(t, tcp, g)
+	if err := sup.WaitIdle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if a := g.Membership().Addr(1); a != spare {
+		t.Fatalf("slot 1 at %s, want the spare %s", a, spare)
+	}
 	roundTrip(t, c, cfg, 1)
 }
 

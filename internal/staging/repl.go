@@ -21,18 +21,18 @@ import (
 // server. The stream is fenced by membership epochs: a replica holding
 // a newer epoch rejects batches from an origin with a prior view.
 
-// cursorUnknown is a peer's cursor after a dial: the origin cannot know
-// what the peer holds until it has asked.
+// cursorUnknown is a peer's cursor before first contact and after a
+// failed call: the origin cannot know what the peer holds until it has
+// asked.
 const cursorUnknown = -1
 
-// peerConn is the origin's link to one replica peer and its cursor into
-// the retained log. The one shipper at a time owns it (peer and dropPeer
-// hand it over under r.mu), and the entry outlives a failed connection:
-// what the origin sent a peer is remembered across re-dials.
+// peerConn is the origin's cursor into the retained log for one replica
+// peer. The one shipper at a time owns it (peer hands it over under
+// r.mu), and it outlives a failed call: what the origin sent a peer is
+// remembered across faults.
 type peerConn struct {
-	conn    transport.Client // nil until dialled and after a failed call
-	history int              // replicator.history the cursor was taken in
-	acked   int64            // the peer's position as it last reported it
+	history int   // replicator.history the cursor was taken in
+	acked   int64 // the peer's position as it last reported it
 	// sent is the highest position this origin sent the peer, by record
 	// or by snapshot, answered or not. A peer reporting more holds records
 	// of another incarnation of the slot: it is re-seeded, never passed
@@ -64,10 +64,11 @@ type replCounters struct {
 // metadata store needs. Only a piece of a rank put that a later piece
 // flushes for is acked without (PutReq.Defer).
 type replicator struct {
-	srv *Server
-	tr  transport.Transport
-	k   int
-	ctr replCounters
+	srv   *Server
+	tr    transport.Transport
+	conns *transport.Peers // one kept client per replica peer
+	k     int
+	ctr   replCounters
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -126,6 +127,7 @@ func newReplicator(srv *Server, tr transport.Transport, k int) *replicator {
 	r := &replicator{
 		srv:       srv,
 		tr:        tr,
+		conns:     transport.NewPeers(tr),
 		k:         k,
 		peers:     make(map[string]*peerConn),
 		maxWindow: replWindowBytes,
@@ -270,12 +272,14 @@ func (r *replicator) lag() int64 {
 	return max(r.want-r.shipped, 0)
 }
 
-// close unblocks flushers; what is still held is never shipped.
+// close unblocks flushers and closes the peer clients; what is held is
+// never shipped.
 func (r *replicator) close() {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
 	r.cond.Broadcast()
+	r.conns.Close()
 }
 
 // ship brings every current replica peer from its cursor to upTo; (from,
@@ -285,28 +289,29 @@ func (r *replicator) close() {
 // new ones for a peer in step, its own suffix for one that fell behind;
 // a cursor the log no longer reaches, a position this origin never put
 // the peer at, or a second gap in a row is re-seeded with a snapshot.
-// Every record reaches every peer once. A peer failure forgets the
-// connection and is counted, but does not fail the origin's operation:
-// replica count degrades until the membership heals, exactly like the
-// data-redundancy layer.
+// Every record reaches every peer once. A failed call forgets the
+// peer's cursor (the next ship asks) and is counted, but does not fail
+// the origin's operation: replica count degrades until the membership
+// heals, exactly like the data-redundancy layer.
 func (r *replicator) ship(from, upTo int64) {
 	epoch, slot, targets := r.srv.replicaTargets(r.k)
 	if slot < 0 || len(targets) == 0 {
 		return
 	}
 	for _, addr := range targets {
-		p, err := r.peer(addr)
+		p := r.peer(addr)
+		var err error
 		for gaps := 0; err == nil && (p.acked < upTo || p.acked > p.sent); {
 			recs, inLog := r.since(p.acked, upTo)
 			if p.acked != cursorUnknown && (!inLog || p.acked > p.sent || gaps > 1) {
-				err = r.sendSnapshot(p, epoch, slot)
+				err = r.sendSnapshot(addr, p, epoch, slot)
 				continue
 			}
 			if len(recs) > 0 {
 				p.sent = max(p.sent, upTo) // before the call: its answer may be lost
 			}
 			var resp ReplApplyResp
-			resp, err = transport.As[ReplApplyResp](p.conn.Call(ReplApplyReq{Epoch: epoch, Slot: slot, Records: recs}))
+			resp, err = transport.As[ReplApplyResp](r.conns.Call(addr, ReplApplyReq{Epoch: epoch, Slot: slot, Records: recs}))
 			if err != nil {
 				break
 			}
@@ -323,7 +328,7 @@ func (r *replicator) ship(from, upTo int64) {
 			p.acked = resp.Seq
 		}
 		if err != nil {
-			r.dropPeer(addr)
+			p.acked = cursorUnknown
 			r.ctr.peerErrors.Inc()
 		}
 	}
@@ -334,13 +339,13 @@ func (r *replicator) ship(from, upTo int64) {
 // sendSnapshot re-seeds one peer with the server's full state, always
 // built from the latest (the freshest anchor): the cursor lands at or
 // beyond whatever ship was asked to reach.
-func (r *replicator) sendSnapshot(p *peerConn, epoch uint64, slot int) error {
+func (r *replicator) sendSnapshot(addr string, p *peerConn, epoch uint64, slot int) error {
 	state, err := r.srv.buildReplState()
 	if err != nil {
 		return err
 	}
 	p.sent = max(p.sent, state.Seq)
-	resp, err := transport.As[ReplSnapshotResp](p.conn.Call(ReplSnapshotReq{Epoch: epoch, Slot: slot, State: state}))
+	resp, err := transport.As[ReplSnapshotResp](r.conns.Call(addr, ReplSnapshotReq{Epoch: epoch, Slot: slot, State: state}))
 	if err != nil {
 		return err
 	}
@@ -350,11 +355,12 @@ func (r *replicator) sendSnapshot(p *peerConn, epoch uint64, slot int) error {
 	return nil
 }
 
-// peer returns addr's cursor over a live connection, dialling when it
-// has none. A fresh dial leaves the cursor unknown: the origin cannot
-// know what the peer holds, so ship asks before it sends.
-func (r *replicator) peer(addr string) (*peerConn, error) {
+// peer returns addr's cursor, unknown for a peer not seen in this
+// history of the stream: the origin cannot know what the peer holds, so
+// ship asks before it sends.
+func (r *replicator) peer(addr string) *peerConn {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	p, ok := r.peers[addr]
 	if !ok {
 		p = &peerConn{history: -1}
@@ -363,26 +369,7 @@ func (r *replicator) peer(addr string) (*peerConn, error) {
 	if p.history != r.history {
 		p.history, p.acked, p.sent = r.history, cursorUnknown, r.base
 	}
-	r.mu.Unlock()
-	if p.conn == nil {
-		conn, err := r.tr.Dial(addr)
-		if err != nil {
-			return p, err
-		}
-		p.conn = conn
-	}
-	return p, nil
-}
-
-// dropPeer closes the connection to addr; the next ship re-dials and
-// asks the peer where it is.
-func (r *replicator) dropPeer(addr string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p := r.peers[addr]; p != nil && p.conn != nil {
-		p.conn.Close()
-		p.conn, p.acked = nil, cursorUnknown
-	}
+	return p
 }
 
 // slotReplica is one hosted replica of a peer server's state. Its lock
@@ -438,11 +425,14 @@ func (rs *replicaSet) stats() (int, int64, int64) {
 	return len(slots), bytes, applied
 }
 
-// applyRecord folds one stream record into the replica, which keeps a
-// checked copy of the record's object (keepObject). Caller holds rep.mu.
+// applyRecord folds one stream record into the replica. A put record's
+// object names what was put: the replica keeps a checked copy of it
+// (keepObject), refusing a put record without one, and logs the put
+// from it. Caller holds rep.mu.
 func (rep *slotReplica) applyRecord(rec ReplRecord) error {
 	if rec.Wlog != nil {
-		if rec.Wlog.Op == wlog.OpPut && rec.Obj != nil {
+		w := *rec.Wlog
+		if w.Op == wlog.OpPut {
 			obj, err := keepObject(rec.Obj)
 			if err != nil {
 				return err
@@ -450,8 +440,9 @@ func (rep *slotReplica) applyRecord(rec ReplRecord) error {
 			if err := rep.store.Put(obj); err != nil {
 				return err
 			}
+			w.Name, w.Version, w.BBox, w.Bytes = obj.Name, obj.Version, obj.BBox, obj.Bytes()
 		}
-		if err := rep.log.Apply(*rec.Wlog); err != nil {
+		if err := rep.log.Apply(w); err != nil {
 			return err
 		}
 		if rec.Wlog.Op == wlog.OpCheckpoint {

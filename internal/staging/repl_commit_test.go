@@ -33,6 +33,8 @@ type tapTransport struct {
 	// all the same, as a timeout: the request arrived, its answer did
 	// not.
 	drop, lose func(addr string, req any) bool
+	// dialed sees every dial that succeeded.
+	dialed func(addr string)
 }
 
 type tapClient struct {
@@ -45,6 +47,9 @@ func (t *tapTransport) Dial(addr string) (transport.Client, error) {
 	c, err := t.Transport.Dial(addr)
 	if err != nil {
 		return nil, err
+	}
+	if t.dialed != nil {
+		t.dialed(addr)
 	}
 	return &tapClient{Client: c, t: t, addr: addr}, nil
 }
@@ -155,19 +160,34 @@ func TestRetriedPutAckWaitsForStream(t *testing.T) {
 // record of its own, yet its ack waits for its first attempt's record,
 // as a deduplicated put piece's does. In a first execution the retry
 // carries its first attempt's request number; in a replay it repeats
-// the get just behind the cursor.
+// the get just behind the cursor. A replayed get that consumes the
+// window's last event ends the replay, and a newer version is put
+// before its retry arrives: the replayed get stamped its number on the
+// event, so the retry is still served the logged version, logs nothing,
+// and the origin's log and its replica hold the get once.
 func TestRetriedGetAckWaitsForStream(t *testing.T) {
 	box := domain.Box3(0, 0, 0, 3, 3, 3)
 	req := GetReq{App: "ana/0", Name: "field", Version: 1, BBox: box, Logged: true, Seq: 7}
 	other := GetReq{App: "ana/0", Name: "field", Version: 1, BBox: domain.Box3(4, 0, 0, 7, 3, 3), Logged: true, Seq: 8}
 	puts := []any{qosPut("field", 1, box, false, 1), qosPut("field", 1, other.BBox, false, 1)}
+	latest := GetReq{App: "ana/0", Name: "field", Version: NoVersion, BBox: box, Logged: true, Seq: 7}
+	replayed := latest
+	replayed.Seq = 9 // the restarted client's number
 	for _, tc := range []struct {
-		name   string
-		setup  []any
-		replay bool
+		name    string
+		setup   []any
+		req     GetReq
+		between []any   // handled after the first attempt, before the retry
+		fromLog [2]bool // of the first attempt and of the retry
+		want    int64   // the version both are served
+		records int64   // the stream's growth
+		logged  int     // the consumer's gets in the logs at the end
 	}{
-		{"first execution", puts, false},
-		{"replay", append(puts, req, other, RecoveryReq{App: "ana/0"}), true},
+		{"first execution", puts, req, nil, [2]bool{false, false}, 1, 1, 1},
+		{"replay", append(puts, req, other, RecoveryReq{App: "ana/0"}), req, nil, [2]bool{true, true}, 1, 1, 2},
+		{"replay of a one-get window",
+			[]any{qosPut("field", 1, box, true, 1), qosPut("field", 2, box, true, 2), latest, RecoveryReq{App: "ana/0"}},
+			replayed, []any{qosPut("field", 3, box, true, 3)}, [2]bool{true, false}, 2, 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, release := stalledGroup(t, nil, tc.setup...)
@@ -175,21 +195,26 @@ func TestRetriedGetAckWaitsForStream(t *testing.T) {
 			pos, gets := srv.repl.position(), srv.reg.Counter("gets").Value()
 			var released atomic.Bool
 			acked := make(chan struct{})
-			send := func(who string) {
+			send := func(who string, fromLog bool) {
 				go func() {
 					defer func() { acked <- struct{}{} }()
-					resp, err := transport.As[GetResp](srv.Handle(req))
-					if err != nil || resp.FromLog != tc.replay {
-						t.Errorf("%s: FromLog %v, %v; want FromLog %v", who, resp.FromLog, err, tc.replay)
+					resp, err := transport.As[GetResp](srv.Handle(tc.req))
+					if err != nil || resp.FromLog != fromLog || resp.Version != tc.want {
+						t.Errorf("%s: v%d FromLog %v, %v; want v%d FromLog %v", who, resp.Version, resp.FromLog, err, tc.want, fromLog)
 					}
 					if !released.Load() {
 						t.Errorf("%s acknowledged while the stream was stalled and its record unshipped", who)
 					}
 				}()
 			}
-			send("first attempt")
+			send("first attempt", tc.fromLog[0])
 			waitFor(t, "the first attempt to ask for its record", func() bool { return srv.repl.lag() == 1 })
-			send("retry")
+			between := make(chan error, len(tc.between))
+			for _, r := range tc.between {
+				go func() { _, err := srv.Handle(r); between <- err }()
+			}
+			waitFor(t, "the requests between to be applied", func() bool { return srv.repl.position() == pos+tc.records })
+			send("retry", tc.fromLog[1])
 			waitFor(t, "the retry to be served", func() bool { return srv.reg.Counter("gets").Value() == gets+2 })
 			for i := 0; i < 1000; i++ {
 				runtime.Gosched() // room for an ack that does not wait
@@ -198,8 +223,21 @@ func TestRetriedGetAckWaitsForStream(t *testing.T) {
 			release()
 			<-acked
 			<-acked
-			if got := srv.repl.position(); got != pos+1 {
-				t.Fatalf("stream at %d after a get and its retry, want its one record past %d", got, pos)
+			for range tc.between {
+				if err := <-between; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := srv.repl.position(); got != pos+tc.records {
+				t.Fatalf("stream at %d after a get and its retry, want %d records past %d", got, tc.records, pos)
+			}
+			rep := g.Server(1).replicas.slot(0)
+			rep.mu.Lock()
+			defer rep.mu.Unlock()
+			for who, l := range map[string]*wlog.Log{"origin": srv.log, "replica": rep.log} {
+				if n := loggedGets(t, l, "ana/0"); n != tc.logged {
+					t.Fatalf("the %s log holds %d gets of the consumer, want %d", who, n, tc.logged)
+				}
 			}
 		})
 	}
@@ -814,6 +852,74 @@ func TestLostAckIsNotAnotherHistory(t *testing.T) {
 	}
 	if sn, e := counter(origin, "repl_snapshots_sent"), counter(origin, "repl_peer_errors"); sn != 0 || e != 1 {
 		t.Fatalf("%d snapshots, %d peer errors, want 0 and 1", sn, e)
+	}
+	if rep := fetchReplica(t, g.Server(1), 0); rep.Seq != 3 {
+		t.Fatalf("replica at seq %d, want 3", rep.Seq)
+	}
+}
+
+// TestShipErrorKeepsTheClient: a ship whose call to the replica peer
+// fails forgets the peer's cursor and nothing else. The next ship asks
+// the peer where it is — one record-less ReplApplyReq — and sends what
+// it missed, over the client it already has: the origin dials no peer
+// again.
+func TestShipErrorKeepsTheClient(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		dark  bool
+		wire  [][]int64
+		dials = map[string]int{}
+	)
+	tr := &tapTransport{Transport: transport.NewInProc()}
+	tr.drop = func(_ string, req any) bool {
+		r, ok := req.(ReplApplyReq)
+		mu.Lock()
+		defer mu.Unlock()
+		if !ok || r.Slot != 0 {
+			return false
+		}
+		var seqs []int64
+		for _, rec := range r.Records {
+			seqs = append(seqs, rec.Seq)
+		}
+		wire = append(wire, seqs)
+		return dark
+	}
+	tr.dialed = func(addr string) {
+		mu.Lock()
+		dials[addr]++
+		mu.Unlock()
+	}
+	g, err := StartGroup(tr, "stage", Config{
+		Global: domain.Box3(0, 0, 0, 63, 63, 31), NServers: 2, Bits: 2, ElemSize: 8, WlogReplicas: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	origin, peer := g.Server(0), g.Addrs()[1]
+	ship := func(fail bool) {
+		mu.Lock()
+		dark = fail
+		mu.Unlock()
+		origin.repl.flush(origin.repl.enqueue(ReplRecord{}))
+	}
+	ship(false) // 1: first contact
+	mu.Lock()
+	dialled := dials[peer]
+	mu.Unlock()
+	ship(true) // 2: the call fails
+	ship(false)
+	mu.Lock()
+	defer mu.Unlock()
+	if want := [][]int64{nil, {1}, {2}, nil, {2, 3}}; !reflect.DeepEqual(wire, want) {
+		t.Fatalf("the stream sent %v, want %v", wire, want)
+	}
+	if dialled != 1 || dials[peer] != dialled {
+		t.Fatalf("the peer was dialled %d times for first contact and %d after the failed call, want once and never", dialled, dials[peer]-dialled)
+	}
+	if e := counter(origin, "repl_peer_errors"); e != 1 {
+		t.Fatalf("%d peer errors, want 1", e)
 	}
 	if rep := fetchReplica(t, g.Server(1), 0); rep.Seq != 3 {
 		t.Fatalf("replica at seq %d, want 3", rep.Seq)

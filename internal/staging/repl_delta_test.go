@@ -37,9 +37,9 @@ func assertReplicaConverged(t *testing.T, g *Group) {
 	}
 }
 
-// dropReplica wipes the replica host's state for slot 0 and forces the
-// origin to re-dial — the shape of a peer that lost its hosted replica
-// (a promoted spare, a restarted host).
+// dropReplica wipes the replica host's state for slot 0 and makes the
+// origin forget where its peers are — the shape of a peer that lost its
+// hosted replica (a promoted spare, a restarted host).
 func dropReplica(g *Group) {
 	host := g.Server(1)
 	host.replicas.mu.Lock()
@@ -48,17 +48,13 @@ func dropReplica(g *Group) {
 	dropPeers(g.Server(0))
 }
 
-// dropPeers closes the origin's replica connections: its next ship
-// re-dials and has to ask every peer where it is.
+// dropPeers forgets the origin's replica cursors, as a failed call
+// does: its next ship has to ask every peer where it is.
 func dropPeers(origin *Server) {
 	origin.repl.mu.Lock()
-	addrs := make([]string, 0, len(origin.repl.peers))
-	for a := range origin.repl.peers {
-		addrs = append(addrs, a)
-	}
-	origin.repl.mu.Unlock()
-	for _, a := range addrs {
-		origin.repl.dropPeer(a)
+	defer origin.repl.mu.Unlock()
+	for _, p := range origin.repl.peers {
+		p.acked = cursorUnknown
 	}
 }
 

@@ -464,13 +464,7 @@ func (s *Server) applyPut(r PutReq) (any, error) {
 	if r.Logged {
 		s.log.CommitPut(r.App, r.Name, r.Version, r.Piece.BBox, obj.Bytes())
 		s.trace.Add(trace.Record{Op: trace.OpPut, App: r.App, Name: r.Name, Version: r.Version, Bytes: obj.Bytes()})
-		s.emit(ReplRecord{
-			Wlog: &wlog.Record{
-				Op: wlog.OpPut, App: r.App, Name: r.Name,
-				Version: r.Version, BBox: r.Piece.BBox, Bytes: obj.Bytes(),
-			},
-			Obj: obj,
-		})
+		s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpPut, App: r.App}, Obj: obj})
 	} else {
 		// Original staging semantics: only the most recently put
 		// version is kept. Using the put version (not the max) lets a
@@ -490,21 +484,22 @@ func (s *Server) handleGet(r GetReq) (any, int64, error) {
 	if r.Logged {
 		var v int64
 		if v, retried = s.log.RetriedGet(r.App, r.Seq, r.Name, r.Version, r.BBox); retried {
-			// A first-execution get re-sent because its answer was lost is
-			// served the version its first attempt logged, and waits for
-			// that attempt's record, as a deduplicated put piece does.
+			// A get re-sent because its answer was lost — its first attempt
+			// logged the app's last event, or replayed it as the window's
+			// last — is served that event's version, and waits for the
+			// attempt's record, as a deduplicated put piece does.
 			version, seq = v, s.streamPos()
 		}
 	}
 	if r.Logged && !retried {
 		cursor := s.log.ReplayCursor(r.App)
 		var err error
-		version, fromLog, err = s.log.BeginGet(r.App, r.Name, r.Version, r.BBox)
+		version, fromLog, err = s.log.BeginNumberedGet(r.App, r.Seq, r.Name, r.Version, r.BBox)
 		if err != nil {
 			return nil, seq, err
 		}
 		if s.repl != nil && cursor >= 0 && s.log.ReplayCursor(r.App) != cursor {
-			seq = s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpAdvance, App: r.App}})
+			seq = s.emit(ReplRecord{Wlog: &wlog.Record{Op: wlog.OpAdvance, App: r.App, Req: r.Seq}})
 		} else if fromLog {
 			// As for a put: a repeat of the get the replay served last
 			// moves nothing, and waits for that get's record.

@@ -198,7 +198,7 @@ func wireCases(t testing.TB) (cases []wireCase, big []byte) {
 		{LockReq{Name: "step", Holder: "viz/0"}, LockResp{}},
 		{ReplApplyReq{Epoch: wireAhead, Slot: 1, Records: []ReplRecord{
 			{Seq: 1, Lock: &LockRecord{Name: "l", Holder: "h"}},
-			{Seq: 2, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0", Name: "f", Version: 1, BBox: box, Bytes: int64(len(big))}, Obj: obj},
+			{Seq: 2, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0"}, Obj: obj},
 		}}, ReplApplyResp{}},
 		{ReplSnapshotReq{Epoch: wireAhead, Slot: 2, State: state}, ReplSnapshotResp{}},
 		{ReplFetchReq{Slot: 2}, ReplFetchResp{}},
@@ -433,6 +433,7 @@ func FuzzFastpathDecode(f *testing.F) {
 		GetResp{Version: 2, Pieces: []Piece{{BBox: domain.Box3(0, 0, 0, 1, 1, 1), Data: []byte("p")}}},
 		ShardPutReq{Key: "k", Shard: 1, Data: []byte("shard")},
 		ReplApplyReq{Epoch: 1, Slot: 0, Records: []ReplRecord{{Seq: 1, Obj: &store.Object{Name: "o", Data: []byte("d"), CRC: store.Checksum([]byte("d")), Logged: true}}}},
+		ReplApplyReq{Epoch: 1, Slot: 0, Records: []ReplRecord{{Seq: 1, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0"}}}}, // a put record without its object
 		WlogInstallReq{Slot: 1, State: ReplState{Seq: 3, Objects: []*store.Object{{Name: "o", Data: []byte("x"), CRC: store.Checksum([]byte("x")), Logged: true}}}},
 		EpochReq{Epoch: 2, Req: ShardGetReq{Key: "k", Shard: 0}},
 		FencedReq{Token: 3, Req: EpochSetReq{View: wireView}},

@@ -278,7 +278,3 @@ func (c *retryClient) Close() error {
 	c.closeOnce.Do(func() { close(c.done) })
 	return c.inner.Close()
 }
-
-// Unwrap exposes the wrapped client (the chaos transport and tests peek
-// through the policy layer).
-func (c *retryClient) Unwrap() Client { return c.inner }

@@ -76,6 +76,69 @@ func CallOnce[R any](tr Transport, addr string, req any) (R, error) {
 	return As[R](conn.Call(req))
 }
 
+// Peers keeps one client per address, dialled on first use. No fault
+// replaces it: a Client re-dials a broken connection itself (TCP on its
+// next call; InProc looks its endpoint up on every call). A failed dial
+// keeps nothing. Close closes every client and refuses new dials.
+type Peers struct {
+	tr      Transport
+	mu      sync.Mutex
+	clients map[string]Client // nil once closed
+}
+
+// NewPeers returns an empty set of clients dialled over tr.
+func NewPeers(tr Transport) *Peers { return &Peers{tr: tr, clients: make(map[string]Client)} }
+
+// Call issues req to addr over its kept client, holding no lock.
+func (p *Peers) Call(addr string, req any) (any, error) {
+	c, err := p.Client(addr)
+	if err != nil {
+		return nil, err
+	}
+	return c.Call(req)
+}
+
+// Client returns addr's kept client, dialling it outside the lock if
+// there is none; of concurrent first dials, the first kept wins.
+func (p *Peers) Client(addr string) (Client, error) {
+	p.mu.Lock()
+	c, ok := p.clients[addr]
+	closed := p.clients == nil
+	p.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	if ok {
+		return c, nil
+	}
+	c, err := p.tr.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if kept, ok := p.clients[addr]; ok || p.clients == nil {
+		c.Close() // another first dial won, or Close ran
+		if !ok {
+			return nil, ErrClosed
+		}
+		return kept, nil
+	}
+	p.clients[addr] = c
+	return c, nil
+}
+
+// Close closes every kept client; later calls fail with ErrClosed.
+func (p *Peers) Close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.clients {
+		c.Close()
+	}
+	p.clients = nil
+	return nil
+}
+
 // ClockOf returns the clock tr's world runs on: an InProc's Clock, the
 // clock of the transport a decorator unwraps to (Chaos, Retrying), and
 // wall time for TCP, whose deadlines are its sockets'.

@@ -27,8 +27,10 @@ const (
 	OpRecovery
 	// OpAdvance moves the replay cursor one step: a suppressed put or a
 	// replayed get consumed the next logged event (BeginPut/BeginGet on
-	// the primary while replaying). It also covers the replay-exit
-	// transition when the cursor already sits at the end of the queue.
+	// the primary while replaying); Req is the replayed get's number,
+	// stamped on the event as the primary stamped it. It also covers the
+	// replay-exit transition when the cursor already sits at the end of
+	// the queue.
 	OpAdvance
 )
 
@@ -60,7 +62,7 @@ type Record struct {
 	Version int64       // put/get; recovery: covered-version bound
 	BBox    domain.BBox // put/get
 	Bytes   int64       // put/get payload accounting
-	Req     uint64      // get: the request's number (RetriedGet), 0 for none
+	Req     uint64      // get, advance: the get request's number (RetriedGet), 0 for none
 }
 
 // Apply replays one mutation record onto l. Records must be applied in
@@ -83,9 +85,8 @@ func (l *Log) Apply(r Record) error {
 			return fmt.Errorf("wlog: advance record for %s, but replica is not replaying", r.App)
 		}
 		if q.cursor < len(q.events) {
-			q.cursor++
-		}
-		if q.cursor >= len(q.events) {
+			q.consume(r.Req)
+		} else {
 			q.exitReplay()
 		}
 	default:

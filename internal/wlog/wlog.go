@@ -68,7 +68,7 @@ type Event struct {
 	BBox    domain.BBox // put/get region
 	Bytes   int64       // payload size, for accounting
 	ChkID   string      // W_Chk_ID, checkpoint events only
-	Req     uint64      // get: its request's number (RetriedGet), 0 for none
+	Req     uint64      // get: the number of the request that logged or last replayed it (RetriedGet), 0 for none
 }
 
 // metaBytes estimates the in-memory footprint of one event record, used
@@ -190,6 +190,23 @@ func (l *Log) ReplayCursor(app string) int {
 // run past the logged window.
 func (q *appQueue) exitReplay() { q.replaying = false }
 
+// consume moves the replay cursor past the event it sits on, leaving
+// replay at the end of the window. A replayed get's request number req
+// is stamped on the event it consumed (0 stamps nothing), so a retry of
+// it is found by RetriedGet even after the replay has ended. The event
+// is replaced, not written into: a replay script shares the old one.
+func (q *appQueue) consume(req uint64) {
+	if req != 0 {
+		e := *q.events[q.cursor]
+		e.Req = req
+		q.events[q.cursor] = &e
+	}
+	q.cursor++
+	if q.cursor >= len(q.events) {
+		q.exitReplay()
+	}
+}
+
 // BeginPut decides how to treat a put request from app. It returns
 // suppress=true when the request is a re-issued write from a rollback
 // re-execution whose payload is already staged; the caller must then
@@ -226,10 +243,7 @@ func (l *Log) BeginPut(app, name string, version int64, bbox domain.BBox) (suppr
 		return false, fmt.Errorf("%w: put %s v%d %v, next logged event %s %s v%d %v",
 			ErrReplayDivergence, name, version, bbox, e.Kind, e.Name, e.Version, e.BBox)
 	}
-	q.cursor++
-	if q.cursor >= len(q.events) {
-		q.exitReplay()
-	}
+	q.consume(0)
 	return true, nil
 }
 
@@ -272,6 +286,12 @@ func (l *Log) commitPutLocked(app, name string, version int64, bbox domain.BBox,
 // resolves "latest" itself) and the caller must call CommitGet after a
 // successful read.
 func (l *Log) BeginGet(app, name string, version int64, bbox domain.BBox) (resolved int64, fromLog bool, err error) {
+	return l.BeginNumberedGet(app, 0, name, version, bbox)
+}
+
+// BeginNumberedGet is BeginGet for get request number req, which a
+// replayed get stamps on the event it consumes (consume).
+func (l *Log) BeginNumberedGet(app string, req uint64, name string, version int64, bbox domain.BBox) (resolved int64, fromLog bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	q := l.queue(app)
@@ -296,10 +316,7 @@ func (l *Log) BeginGet(app, name string, version int64, bbox domain.BBox) (resol
 		return 0, false, fmt.Errorf("%w: get %s asks v%d, log replays v%d",
 			ErrReplayDivergence, name, version, e.Version)
 	}
-	q.cursor++
-	if q.cursor >= len(q.events) {
-		q.exitReplay()
-	}
+	q.consume(req)
 	return e.Version, true, nil
 }
 
@@ -311,9 +328,10 @@ func repeats(e *Event, name string, version int64, bbox domain.BBox) bool {
 }
 
 // RetriedGet reports whether get request number req of app (asking for
-// version of name over bbox) logged app's last event: a first-execution
-// get re-sent because its answer was lost. It returns the version that
-// attempt logged; the retry is served it and logs nothing, as BeginPut's
+// version of name over bbox) logged or last replayed app's last event: a
+// get re-sent because its answer was lost, by a first execution or by a
+// replay that consumed the window's last event. It returns the event's
+// version; the retry is served it and logs nothing, as BeginPut's
 // same-version tail finds a retried piece. Number 0 repeats nothing.
 func (l *Log) RetriedGet(app string, req uint64, name string, version int64, bbox domain.BBox) (int64, bool) {
 	l.mu.Lock()

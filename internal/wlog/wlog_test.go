@@ -258,6 +258,59 @@ func TestRetriedGetByRequestNumber(t *testing.T) {
 	}
 }
 
+// TestReplayedLastGetRetriedAfterReplay: a replayed get that consumes
+// the window's last event ends the replay. Its answer is lost, and a
+// newer version is put before the retry, which arrives outside replay
+// with the restarted client's request number. The replayed get stamped
+// that number on the event, so RetriedGet finds the retry and serves it
+// the logged version — on the primary, on a replica fed the primary's
+// records (the advance carries the number) and on a restored snapshot of
+// either — and the restarted client's next get is no retry.
+func TestReplayedLastGetRetriedAfterReplay(t *testing.T) {
+	stream := []Record{
+		{Op: OpPut, App: "sim", Name: "f", Version: 1, BBox: box, Bytes: 1000},
+		{Op: OpPut, App: "sim", Name: "f", Version: 2, BBox: box, Bytes: 1000},
+		{Op: OpGet, App: "ana", Name: "f", Version: 2, BBox: box, Bytes: 1000, Req: 5},
+		{Op: OpRecovery, App: "ana"},
+	}
+	primary, replica := New(), New()
+	for _, r := range stream {
+		if err := primary.Apply(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, fromLog, err := primary.BeginNumberedGet("ana", 9, "f", NoVersion, box)
+	if err != nil || !fromLog || got != 2 || primary.Replaying("ana") {
+		t.Fatalf("replayed get: v%d fromLog=%v err=%v replaying=%v; want v2 from the log, replay over", got, fromLog, err, primary.Replaying("ana"))
+	}
+	doPut(t, primary, "sim", "f", 3)
+	stream = append(stream,
+		Record{Op: OpAdvance, App: "ana", Req: 9},
+		Record{Op: OpPut, App: "sim", Name: "f", Version: 3, BBox: box, Bytes: 1000})
+	for _, r := range stream {
+		if err := replica.Apply(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for who, l := range map[string]*Log{"primary": primary, "replica": replica} {
+		restored := New()
+		if err := restored.Restore(mustSnapshot(t, l)); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []*Log{l, restored} {
+			if v, ok := l.RetriedGet("ana", 9, "f", NoVersion, box); !ok || v != 2 {
+				t.Fatalf("%s: the retry of the replayed get: v%d, found %v; want v2", who, v, ok)
+			}
+			if _, ok := l.RetriedGet("ana", 10, "f", NoVersion, box); ok {
+				t.Fatalf("%s: the next get found as a retry", who)
+			}
+			if n := l.QueueLen("ana"); n != 1 {
+				t.Fatalf("%s: queue len %d, want the one get", who, n)
+			}
+		}
+	}
+}
+
 // TestReplayRetriedGetResolvesAgain: a get re-sent during replay (its
 // answer was lost after the server consumed its event) repeats the get
 // just behind the cursor. It resolves to that event's version again,

@@ -392,13 +392,6 @@ func (r *run) superviseReplicated(c *component) error {
 			name := fmt.Sprintf("%s/%d", c.name, rank)
 			client, err := r.group.NewClient(name)
 			if err != nil {
-				// A staging fail-stop can land before this rank first
-				// dials: wait out the promotion, then dial again.
-				if err = r.waitServers(); err == nil {
-					client, err = r.group.NewClient(name)
-				}
-			}
-			if err != nil {
 				fail(err)
 				return
 			}

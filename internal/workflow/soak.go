@@ -765,22 +765,6 @@ func newSoakExec(h trace.Header) (*soakExec, error) {
 	for _, s := range x.sups {
 		s.Start()
 	}
-	// Dial every workload client now, while all slots are up:
-	// Group.NewClient connects to the full membership, so lazily
-	// creating a client mid-churn would race the promotion window.
-	apps := []string{soakSweep()}
-	if h.Flags&trace.FlagOverload != 0 {
-		apps = append(apps, soakFloodApp())
-	}
-	for g := 0; g < h.Groups; g++ {
-		apps = append(apps, soakProd(g), soakCons(g))
-	}
-	for _, app := range apps {
-		if _, err := x.client(app); err != nil {
-			x.close()
-			return nil, err
-		}
-	}
 	return x, nil
 }
 
@@ -931,12 +915,11 @@ func (x *soakExec) allIdle(live []int, deadline time.Time) error {
 // so none can finish before an EvAddSpare refills the pool: a schedule
 // places one right behind such a fail-stop.
 func (x *soakExec) awaitStranded() error {
-	c, err := x.client(soakSweep())
-	if err != nil {
-		return err
-	}
 	expired, err := poll(soakSettle, func(time.Time) (bool, error) {
-		_, err := c.Versions(soakField(0))
+		c, err := x.client(soakSweep())
+		if err == nil {
+			_, err = c.Versions(soakField(0))
+		}
 		return errors.Is(err, staging.ErrSlotDown), err
 	})
 	if expired {
@@ -999,8 +982,8 @@ func (x *soakExec) finish() error {
 		return fmt.Errorf("workflow: recovery ledger: %d fail-stops, %d promotions, %d spares consumed, %d stranded-set changes, epoch %d",
 			x.res.FailStops, x.res.Promotions, spares, downChanges, epoch)
 	}
-	c := x.clients[soakSweep()]
-	if err := c.Reconnect(); err != nil {
+	c, err := x.client(soakSweep())
+	if err != nil {
 		return err
 	}
 	st, err := c.Stats()
