@@ -11,14 +11,12 @@
 package gospaces_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"gospaces"
 	"gospaces/internal/ckpt"
 	"gospaces/internal/cluster"
-	"gospaces/internal/corec"
 	"gospaces/internal/domain"
 	"gospaces/internal/expt"
 	"gospaces/internal/failure"
@@ -242,53 +240,6 @@ func BenchmarkAblationGC(b *testing.B) {
 			run(b, false)
 		}
 	})
-}
-
-// BenchmarkAblationRedundancy compares the staging-resilience write
-// path: replication vs Reed-Solomon erasure coding (CoREC's trade).
-func BenchmarkAblationRedundancy(b *testing.B) {
-	configs := []struct {
-		name string
-		cfg  corec.Config
-	}{
-		{"replication-x2", corec.Config{Mode: corec.Replication, Replicas: 2}},
-		{"replication-x3", corec.Config{Mode: corec.Replication, Replicas: 3}},
-		{"rs-4+2", corec.Config{Mode: corec.ErasureCoding, K: 4, M: 2}},
-	}
-	for _, tc := range configs {
-		b.Run(tc.name, func(b *testing.B) {
-			global := domain.Box3(0, 0, 0, 7, 7, 7)
-			g, err := staging.StartGroup(transport.NewInProc(), "red", staging.Config{
-				Global: global, NServers: 6, Bits: 2, ElemSize: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer g.Close()
-			cl, err := g.NewClient("red/0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			conns := make([]transport.Client, cl.NumServers())
-			for i := range conns {
-				conns[i] = cl.ShardConn(i)
-			}
-			red, err := corec.New(tc.cfg, conns)
-			if err != nil {
-				b.Fatal(err)
-			}
-			payload := make([]byte, 1<<20)
-			b.SetBytes(1 << 20)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := red.Put(fmt.Sprintf("k%d", i%16), payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(red.StorageOverhead(), "storage_factor")
-		})
-	}
 }
 
 // BenchmarkAblationCoordinationStall isolates the failure-free cost of

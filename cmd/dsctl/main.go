@@ -24,7 +24,7 @@
 //	                        replica re-sync (delta vs snapshot) counters
 //	                        among them
 //	health                  probe each server's liveness, membership
-//	                        epoch, spare status, and rebuild counters
+//	                        epoch, stranded slots, and spare status
 //	leader                  probe each server's recovery-leadership view:
 //	                        lease holder, fencing token, lease expiry,
 //	                        and the journaled promotion backlog
@@ -222,7 +222,7 @@ func (t probeRows) err() error {
 func healthCmd(addrs []string, opts gospaces.DialOptions) error {
 	var rows probeRows
 	for _, h := range gospaces.ProbeHealth(addrs, opts) {
-		if skip(&rows, h.Probed, "", 0, true) {
+		if skip(&rows, h, "", 0, true) {
 			continue
 		}
 		fmt.Println(healthRow(h))
@@ -231,15 +231,14 @@ func healthCmd(addrs []string, opts gospaces.DialOptions) error {
 }
 
 // healthRow renders one live server's health: its id, the view its
-// ping reports (epoch and stranded slots), its role and its shard
-// accounting.
+// ping reports (epoch and stranded slots) and its role.
 func healthRow(h gospaces.ServerHealth) string {
 	role := "member"
 	if h.Resp.Spare {
 		role = "spare"
 	}
-	return fmt.Sprintf("%-22s ALIVE id=%d epoch=%d down=%v role=%s shard_bytes=%d rebuilt_shards=%d rebuilt_bytes=%d",
-		h.Addr, h.Resp.ID, h.Resp.View.Epoch, h.Resp.View.Down, role, h.Stats.ShardBytes, h.Stats.RebuiltShards, h.Stats.RebuiltBytes)
+	return fmt.Sprintf("%-22s ALIVE id=%d epoch=%d down=%v role=%s",
+		h.Addr, h.Resp.ID, h.Resp.View.Epoch, h.Resp.View.Down, role)
 }
 
 func leaderCmd(addrs []string, opts gospaces.DialOptions) error {

@@ -359,7 +359,7 @@ func TestHealthShowsStrandedSlot(t *testing.T) {
 	if !h.Alive() || !slices.Equal(h.Resp.View.Down, []int{1}) {
 		t.Fatalf("health = %+v, want slot 1 down", h)
 	}
-	if row := healthRow(h); !strings.Contains(row, " epoch=2 down=[1] role=member ") {
+	if row := healthRow(h); !strings.HasSuffix(row, " epoch=2 down=[1] role=member") {
 		t.Fatalf("health row %q does not show the stranded slot beside the epoch", row)
 	}
 }

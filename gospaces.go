@@ -35,7 +35,6 @@ import (
 
 	"gospaces/internal/ckpt"
 	"gospaces/internal/cluster"
-	"gospaces/internal/corec"
 	"gospaces/internal/domain"
 	"gospaces/internal/expt"
 	"gospaces/internal/health"
@@ -353,35 +352,6 @@ func NewField(name string, global BBox, elemSize int) *Field {
 }
 
 // ---------------------------------------------------------------------
-// Staging-data resilience (CoREC layer).
-
-// RedundancyMode selects replication or erasure coding for staged data.
-type RedundancyMode = corec.Mode
-
-// Redundancy schemes for staged payloads.
-const (
-	Replication   = corec.Replication
-	ErasureCoding = corec.ErasureCoding
-)
-
-// RedundancyConfig describes the redundancy geometry.
-type RedundancyConfig = corec.Config
-
-// Redundancy stores objects resiliently across the staging group, with
-// degraded reads while servers are down and explicit rebuild.
-type Redundancy = corec.Client
-
-// NewRedundancy creates a resilience client over a staging client's
-// server connections.
-func NewRedundancy(cfg RedundancyConfig, c *Client) (*Redundancy, error) {
-	conns := make([]transport.Client, c.NumServers())
-	for i := range conns {
-		conns[i] = c.ShardConn(i)
-	}
-	return corec.New(cfg, conns)
-}
-
-// ---------------------------------------------------------------------
 // Probes (dsctl health, leader, qos, tier and scrub wrap these).
 
 // Probed is one staging server's answer to a probe: the response as
@@ -415,31 +385,14 @@ func probe[R any](addrs []string, opts DialOptions, req any) []Probed[R] {
 	return out
 }
 
-// ServerHealth is one staging server's liveness — its ID, the
+// ServerHealth is one staging server's liveness: its ID, the
 // membership View it holds (epoch, slot addresses, stranded slots) and
-// whether it is a Spare waiting outside the membership — and,
-// when it answered, its accounting: Stats.ShardBytes, RebuiltShards and
-// RebuiltBytes are the resilience-shard footprint and how much of it
-// an application's Redundancy.Rebuild re-wrote.
-type ServerHealth struct {
-	Probed[health.PingResp]
-	Stats StagingStats
-}
+// whether it is a Spare waiting outside the membership.
+type ServerHealth = Probed[health.PingResp]
 
-// ProbeHealth pings each address and asks the servers that answered
-// for their accounting.
+// ProbeHealth pings each address once.
 func ProbeHealth(addrs []string, opts DialOptions) []ServerHealth {
-	tr := transport.NewTCPTimeout(opts.CallTimeout, opts.DialTimeout)
-	out := make([]ServerHealth, len(addrs))
-	for i, p := range probe[health.PingResp](addrs, opts, health.PingReq{From: "dsctl"}) {
-		out[i].Probed = p
-		if !p.Alive() {
-			continue
-		}
-		// A server that dies between the two calls keeps its ping row.
-		out[i].Stats, _ = transport.CallOnce[StagingStats](tr, p.Addr, staging.StatsReq{})
-	}
-	return out
+	return probe[health.PingResp](addrs, opts, health.PingReq{From: "dsctl"})
 }
 
 // LeaderView is one staging server's view of recovery leadership: the

@@ -140,35 +140,3 @@ func TestPublicTCPStaging(t *testing.T) {
 		t.Fatalf("tcp round trip: %v", err)
 	}
 }
-
-func TestPublicRedundancy(t *testing.T) {
-	g, err := gospaces.StartStaging(gospaces.StagingConfig{
-		Global: gospaces.Box3(0, 0, 0, 7, 7, 7), NServers: 6, Bits: 2, ElemSize: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	c, err := g.NewClient("res/0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	red, err := gospaces.NewRedundancy(gospaces.RedundancyConfig{
-		Mode: gospaces.ErasureCoding, K: 4, M: 2,
-	}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("precious checkpoint bytes")
-	if err := red.Put("ckpt", payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := red.Get("ckpt")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("redundancy round trip: %v", err)
-	}
-	if red.StorageOverhead() != 1.5 {
-		t.Fatalf("overhead %f", red.StorageOverhead())
-	}
-}

@@ -273,7 +273,7 @@ func cutCases(rng *rand.Rand) []cutCase {
 func TestRoundTripEveryRegisteredType(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ids, types := registered()
-	if len(ids) < 60 {
+	if len(ids) < 56 {
 		t.Fatalf("only %d registered types: the protocol packages' registrations did not run", len(ids))
 	}
 	thresholds := []int{1, 16 << 10, 64 << 10, 0}
@@ -413,6 +413,17 @@ func addDecodeSeeds(f *testing.F) {
 		mut := append([]byte(nil), wire...)
 		mut[len(mut)-1] ^= 0xff
 		f.Add(mut)
+	}
+	// A retired id (a hole between registered ids of one package's
+	// block of 256) as an old peer's frame carries it, so the fuzzer
+	// starts from the unknown-type path too.
+	for i := 1; i < len(ids); i++ {
+		for id := ids[i-1] + 1; id < ids[i] && id>>8 == ids[i]>>8; id++ {
+			wire := []byte{byte(id >> 8), byte(id), 0}
+			f.Add(wire)
+			f.Add(wire[:2])
+			f.Add([]byte{wire[0], wire[1], 0xff})
+		}
 	}
 	for _, tc := range cutCases(rng) {
 		head, cuts, err := codec.AppendCuts(nil, tc.msg, 1)

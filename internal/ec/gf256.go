@@ -1,7 +1,9 @@
 // Package ec implements systematic Reed–Solomon erasure coding over
-// GF(2^8), the redundancy scheme the CoREC staging layer (Duan et al.,
-// IPDPS'18) uses to keep logged data available across staging-server
-// failures. Any k of the n = k+m shards reconstruct the original data.
+// GF(2^8), the redundancy scheme of the CoREC staging layer (Duan et
+// al., IPDPS'18). Any k of the n = k+m shards reconstruct the original
+// data. No package imports it yet: it is the kernel for cold parity
+// over the replay window (ROADMAP item 12, step 2), while logged data
+// is protected by wlog replication today.
 package ec
 
 // GF(2^8) with the polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d), under

@@ -10,10 +10,9 @@ import (
 // Reconstruct) are byte-range parallel: every output byte depends only
 // on the same offset of the input shards, so the shard length can be
 // cut into chunks and coded on independent goroutines with no shared
-// writes. corec's Put encodes and its degraded Get and Rebuild
-// reconstruct a whole object at a time, and parity for the replay
-// window's cold tail (ROADMAP item 12) would recode every logged
-// version, so a single-core kernel would hold each of them to one CPU
+// writes. Parity for the replay window's cold tail (ROADMAP item 12)
+// would encode every logged version, and reconstruct it whole after a
+// loss, so a single-core kernel would hold each of them to one CPU
 // while the rest of the staging node idles.
 
 const (

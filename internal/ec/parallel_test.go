@@ -119,8 +119,8 @@ func BenchmarkECEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkECReconstruct measures the rebuild path corec's degraded
-// Get and Rebuild exercise.
+// BenchmarkECReconstruct measures the rebuild path: a whole object
+// reconstructed after three of its shards are lost.
 func BenchmarkECReconstruct(b *testing.B) {
 	c, err := NewCoder(6, 3)
 	if err != nil {

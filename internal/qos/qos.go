@@ -41,8 +41,8 @@ import (
 // prefix (no "/" in the name).
 const DefaultTenant = "default"
 
-// TenantOf maps an object or shard-key name to its tenant namespace:
-// the prefix before the first "/", or DefaultTenant when there is none.
+// TenantOf maps an object name to its tenant namespace: the prefix
+// before the first "/", or DefaultTenant when there is none.
 // "hi/temperature" belongs to tenant "hi"; "temperature" to "default".
 func TenantOf(name string) string {
 	if i := strings.IndexByte(name, '/'); i > 0 {
@@ -95,7 +95,8 @@ type Config struct {
 // on gated requests running at once (control-plane traffic bypasses the
 // gate) and its lane service ratio under contention: of every 4
 // contended grants, 3 go to foreground puts/gets and 1 to recovery, so
-// CoREC rebuilds neither starve nor are starved by foreground load.
+// restarts' recovery requests, wlog installs and tier scrubs neither
+// starve nor are starved by foreground load.
 const (
 	retryAfterBase = 25 * time.Millisecond
 	retryAfterMax  = 2 * time.Second
@@ -304,54 +305,18 @@ func (c *Controller) AdmitPut(name string, incoming int64, logged bool, globalUs
 		c.reg.Counter("qos.sheds").Inc()
 		return &ErrOverloaded{Tenant: tenant, Resource: ResourceWlog, RetryAfter: c.retryAfter(over, sig)}
 	}
-	if over, shed := c.shedGlobal(q, incoming, globalUsed, globalBudget); shed {
-		u.sheds++
-		c.mu.Unlock()
-		c.reg.Counter("qos.sheds").Inc()
-		return &ErrOverloaded{Tenant: tenant, Resource: ResourceGlobal, RetryAfter: c.retryAfter(over, sig)}
-	}
-	u.admits++
-	c.mu.Unlock()
-	c.reg.Counter("qos.admits").Inc()
-	return nil
-}
-
-// shedGlobal applies the priority-ordered global shed rule: the shed
-// threshold is HighWater of the budget for priority 0, rising linearly
-// to the full budget (the hard ceiling) for the highest configured
-// priority. Returns the overshoot ratio and whether to shed.
-func (c *Controller) shedGlobal(q Quota, incoming, globalUsed, globalBudget int64) (float64, bool) {
-	if globalBudget <= 0 {
-		return 0, false
-	}
-	f := float64(globalUsed+incoming) / float64(globalBudget)
-	rank := 1.0
-	if c.maxPri > 0 {
-		rank = float64(q.Priority) / float64(c.maxPri)
-	}
-	threshold := c.cfg.HighWater + (1-c.cfg.HighWater)*rank
-	if f > threshold {
-		return f / threshold, true
-	}
-	return 0, false
-}
-
-// AdmitShard decides whether an erasure-coded shard put of incoming
-// bytes for key may be admitted. Shard bytes count against the global
-// staging-RAM ceiling only, shed in the same priority order as puts;
-// they do not charge per-tenant quotas (checkpoint shards are transient
-// protection data, not staged objects). A rebuild's shard writes must
-// not reach here — the caller bypasses admission for them entirely.
-func (c *Controller) AdmitShard(key string, incoming, globalUsed, globalBudget int64, sig Signals) *ErrOverloaded {
-	tenant := TenantOf(key)
-	q := c.cfg.quotaFor(tenant)
-	c.mu.Lock()
-	u := c.usage(tenant)
-	if over, shed := c.shedGlobal(q, incoming, globalUsed, globalBudget); shed {
-		u.sheds++
-		c.mu.Unlock()
-		c.reg.Counter("qos.sheds").Inc()
-		return &ErrOverloaded{Tenant: tenant, Resource: ResourceGlobal, RetryAfter: c.retryAfter(over, sig)}
+	if globalBudget > 0 {
+		rank := 1.0
+		if c.maxPri > 0 {
+			rank = float64(q.Priority) / float64(c.maxPri)
+		}
+		threshold := c.cfg.HighWater + (1-c.cfg.HighWater)*rank
+		if f := float64(globalUsed+incoming) / float64(globalBudget); f > threshold {
+			u.sheds++
+			c.mu.Unlock()
+			c.reg.Counter("qos.sheds").Inc()
+			return &ErrOverloaded{Tenant: tenant, Resource: ResourceGlobal, RetryAfter: c.retryAfter(f/threshold, sig)}
+		}
 	}
 	u.admits++
 	c.mu.Unlock()

@@ -20,8 +20,8 @@ const (
 	LaneControl Lane = iota
 	// LaneForeground carries application puts/gets.
 	LaneForeground
-	// LaneRecovery carries recovery traffic: CoREC rebuild shard
-	// fetch/store, recovery scans, wlog install into promoted spares.
+	// LaneRecovery carries recovery traffic: a restarted component's
+	// recovery request, wlog install into promoted spares, tier scrubs.
 	LaneRecovery
 )
 
@@ -43,7 +43,7 @@ var ErrSchedClosed = errors.New("qos: scheduler closed")
 // Scheduler is the weighted two-lane concurrency gate at server
 // dispatch: at most maxConcurrent gated requests run at once, and when
 // both lanes have waiters, grants alternate in the laneWeights
-// foreground:recovery ratio so neither CoREC rebuilds nor foreground
+// foreground:recovery ratio so neither recovery nor foreground
 // traffic can starve the other. LaneControl bypasses the
 // gate. Queue depths are exported as qos.queue.foreground /
 // qos.queue.recovery gauges.

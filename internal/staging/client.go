@@ -206,7 +206,7 @@ func (c *Client) Close() error { return c.conns.Close() }
 func (c *Client) Reconnect() error {
 	for s, addr := range c.pool.View().Addrs {
 		if _, err := c.conns.Client(addr); err != nil {
-			if rerr := c.rebind(s); rerr != nil {
+			if rerr := c.rebind(s, false); rerr != nil {
 				return fmt.Errorf("staging: dial server %d: %w (%w)", s, err, rerr)
 			}
 			if down := c.pool.View().Down; len(down) > 0 {
@@ -231,7 +231,7 @@ func (c *Client) call(s int, req any) (any, error) {
 		if err == nil || !stale && !transport.Retryable(err) {
 			return raw, err
 		}
-		if rerr := c.rebind(s); rerr != nil {
+		if rerr := c.rebind(s, stale); rerr != nil {
 			if stale {
 				return nil, rerr
 			}
@@ -239,7 +239,7 @@ func (c *Client) call(s int, req any) (any, error) {
 			// says more than the failed rebind.
 			return raw, err
 		}
-	} else if err := c.rebind(s); err != nil {
+	} else if err := c.rebind(s, false); err != nil {
 		return nil, fmt.Errorf("%w: server %d", ErrSlotDown, s)
 	}
 	v := c.pool.View()
@@ -272,17 +272,20 @@ func (c *Client) send(v health.View, s int, req any) (any, error) {
 func (c *Client) dropHeld() { c.held, c.heldBytes = c.held[:0], 0 }
 
 // rebind refreshes the membership view from the members after slot
-// from (-1: from slot 0) in turn, up to the first that holds a view
-// newer than the pool's — a member that missed a push answers an older
-// one — skipping slots the view strands. A member's view is its
-// health.PingResp (the control lane). It fails only when no member
-// answers.
-func (c *Client) rebind(from int) error {
+// from in turn, up to the first that holds a view newer than the
+// pool's — a member that missed a push answers an older one — skipping
+// slots the view strands. from itself is asked last, and only when
+// askFrom: after a stale-epoch answer it is the member known to hold
+// the newer view, while after a failed dial or a transport fault asking
+// it again would sit out the retry back-off a second time. A member's
+// view is its health.PingResp (the control lane). It fails only when no
+// member answers.
+func (c *Client) rebind(from int, askFrom bool) error {
 	v := c.pool.View()
 	n, got := len(v.Addrs), false
 	for i := 1; i <= n; i++ {
-		s := (from + i + n) % n
-		if v.IsDown(s) {
+		s := (from + i) % n
+		if v.IsDown(s) || s == from && !askFrom {
 			continue
 		}
 		p, err := transport.As[health.PingResp](c.conns.Call(v.Addrs[s], health.PingReq{From: c.app}))
@@ -566,20 +569,6 @@ func (c *Client) LockOnRead(name string) error { return c.lockOp(name, false, fa
 
 // UnlockOnRead releases the read lock on name.
 func (c *Client) UnlockOnRead(name string) error { return c.lockOp(name, false, true) }
-
-// ShardConn is server's slot for the resilience layer (internal/corec):
-// calls go to the slot's address in the pool's view; Close is a no-op.
-func (c *Client) ShardConn(server int) transport.Client { return shardConn{c, server} }
-
-type shardConn struct {
-	c    *Client
-	slot int
-}
-
-func (sc shardConn) Call(req any) (any, error) {
-	return sc.c.conns.Call(sc.c.pool.View().Addrs[sc.slot], req)
-}
-func (shardConn) Close() error { return nil }
 
 // NumServers returns the group size.
 func (c *Client) NumServers() int { return c.pool.cfg.NServers }

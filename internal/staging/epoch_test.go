@@ -200,20 +200,3 @@ func TestClientRebindsAfterPromotion(t *testing.T) {
 		t.Fatalf("promoted spare's ping = %+v", p)
 	}
 }
-
-func TestRebuildAccounting(t *testing.T) {
-	s := NewServer(0)
-	if _, err := s.Handle(ShardPutReq{Key: "b", Shard: 0, Data: []byte{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Handle(ShardPutReq{Key: "a", Shard: 1, Data: []byte{3}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Handle(ShardPutReq{Key: "a", Shard: 2, Data: []byte{4, 5, 6}, Rebuild: true}); err != nil {
-		t.Fatal(err)
-	}
-	st := s.stats()
-	if st.RebuiltShards != 1 || st.RebuiltBytes != 3 {
-		t.Fatalf("rebuild accounting = %d shards, %d bytes", st.RebuiltShards, st.RebuiltBytes)
-	}
-}

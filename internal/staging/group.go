@@ -210,7 +210,7 @@ func (g *Group) Spares() []string {
 }
 
 // FailStop permanently kills server id: its listener closes, so every
-// call and dial to its address fails, and its object, log, and shard
+// call and dial to its address fails, and its object, log, and replica
 // state is unreachable for good — the real fail-stop the recovery
 // supervisor exists to repair (unlike ReplaceServer, nothing comes back
 // at the old address).
@@ -232,11 +232,9 @@ func (nopCloser) Close() error { return nil }
 // ReplaceServer simulates losing staging server id and bringing up an
 // empty replacement at the same address, configured like the server it
 // replaces and holding the group's current membership view: all
-// object, log, and shard state on that server is gone. Clients keep
-// working through the same address; shard data protected by the
-// resilience layer (internal/corec) is recoverable with Rebuild, and
-// object data is recoverable from producers via the crash-consistency
-// protocol.
+// object, log, and replica state on that server is gone. Clients keep
+// working through the same address, and object data is recoverable
+// from producers via the crash-consistency protocol.
 func (g *Group) ReplaceServer(id int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()

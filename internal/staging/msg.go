@@ -115,51 +115,13 @@ type QueryResp struct {
 	Versions []int64
 }
 
-// ShardPutReq stores an opaque resilience shard (used by the CoREC
-// layer, internal/corec).
-type ShardPutReq struct {
-	Key   string
-	Shard int
-	// Rebuild marks a shard re-written by corec.Client.Rebuild (as
-	// opposed to first-time protection); servers count rebuilt shards
-	// and bytes separately, and never shed them.
-	Rebuild bool
-	Data    []byte
-}
-
-// ShardPutResp acknowledges a shard write.
-type ShardPutResp struct{}
-
-// ShardGetReq fetches a resilience shard. Rebuild marks fetches issued
-// by corec.Client.Rebuild so the QoS layer schedules them on the
-// recovery lane instead of the foreground lane.
-type ShardGetReq struct {
-	Key     string
-	Shard   int
-	Rebuild bool
-}
-
-// ShardGetResp returns the shard payload; Found is false when absent.
-type ShardGetResp struct {
-	Found bool
-	Data  []byte
-}
-
-// ShardDropReq deletes all shards of a key on this server.
-type ShardDropReq struct {
-	Key string
-}
-
-// ShardDropResp acknowledges the drop.
-type ShardDropResp struct{}
-
 // EpochReq is the membership-epoch envelope: it wraps any staging
 // request with the client's view of the membership epoch. A server
 // whose epoch is newer rejects the call with StaleEpochError so the
 // client re-binds to the current membership before retrying — a client
 // routing on a stale view could read from (or write to) a promoted
 // spare's predecessor. Bare requests bypass the check: they serve the
-// control RPCs and corec's explicit placement, which names its server.
+// control RPCs, which name their server.
 type EpochReq struct {
 	Epoch uint64
 	Req   any
@@ -297,7 +259,7 @@ type WlogInstallResp struct {
 }
 
 // FencedReq is the recovery-leadership envelope: it wraps a
-// recovery-side mutation (EpochSetReq, WlogInstallReq, shard writes,
+// recovery-side mutation (EpochSetReq, WlogInstallReq, ReplFetchReq,
 // intent journal updates) with the sender's fencing token. A server
 // that has granted a lease with a higher token — a newer leader exists
 // — rejects the call with FencedError, so a deposed supervisor's stale
@@ -404,7 +366,6 @@ type StatsReq struct{}
 type StatsResp struct {
 	StoreBytes     int64 // resident object payload bytes
 	LogMetaBytes   int64 // resident event-record bytes
-	ShardBytes     int64 // resilience shard bytes (corec)
 	Objects        int
 	Puts           int64
 	Gets           int64
@@ -412,11 +373,6 @@ type StatsResp struct {
 	ReplayGets     int64
 	GCFreedBytes   int64
 	PutNanos       int64 // cumulative server-side put handling time
-	// Recovery accounting: shards and bytes re-written by
-	// corec.Client.Rebuild (dsctl health surfaces these beside the
-	// view its ping reports).
-	RebuiltShards int64
-	RebuiltBytes  int64
 	// Log-replication accounting: the origin-side stream position
 	// (records emitted for this server's own slot) and the batches they
 	// shipped in, and the replica state hosted for peer slots.

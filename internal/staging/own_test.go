@@ -19,12 +19,12 @@ import (
 // lives, in the handlers: every request whose bytes the server keeps
 // past the call is alias-decoded (as the transport decodes a large
 // frame), handled, and its buffer zeroed, as the transport recycles it.
-// What the server kept — read back by a Get or a ShardGet, out of a
-// hosted replica's store, or out of an installed store — must be the
-// bytes sent, with the CRCs they were sent with. Each case is one
-// handler's copy: the put's ingest copy, the shard's, the replica
-// record's (bare and in an envelope) and the snapshot objects' (a
-// hosted replica's install and a promoted spare's). And each carrier of
+// What the server kept — read back by a Get, out of a hosted replica's
+// store, or out of an installed store — must be the bytes sent, with
+// the CRCs they were sent with. Each case is one handler's copy: the
+// put's ingest copy, the replica record's (bare and in an envelope) and
+// the snapshot objects' (a hosted replica's install and a promoted
+// spare's). And each carrier of
 // a logged object — those four and a cold-tier record — refuses one
 // whose payload has a byte flipped under its CRC, keeping nothing: the
 // sender's clean re-send is then kept, and a replica installs. A put
@@ -82,10 +82,6 @@ func TestHandlersOwnWhatTheyKeep(t *testing.T) {
 		{"PutReq", func(o *store.Object) any {
 			return PutReq{App: "sim/0", Name: "f", Version: 1, ElemSize: 1, Logged: true, Piece: Piece{BBox: box, Data: o.Data}}
 		}, got, false},
-		{"ShardPutReq", func(o *store.Object) any { return ShardPutReq{Key: "k", Shard: 1, Data: o.Data} }, func(s *Server) ([]byte, error) {
-			resp, err := transport.As[ShardGetResp](s.Handle(ShardGetReq{Key: "k", Shard: 1}))
-			return resp.Data, err
-		}, false},
 		{"ReplApplyReq", func(o *store.Object) any { return apply(o) }, replica, true},
 		{"EpochReq{ReplApplyReq}", func(o *store.Object) any { return EpochReq{Epoch: 1, Req: apply(o)} }, replica, true},
 		{"ReplSnapshotReq", func(o *store.Object) any { return ReplSnapshotReq{Epoch: 1, Slot: 1, State: state(o)} }, replica, true},
@@ -227,6 +223,9 @@ func FuzzServerHandle(f *testing.F) {
 	objectless := ReplApplyReq{Epoch: 1, Slot: 1, Records: []ReplRecord{{Seq: 1, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0"}}}}
 	if wire, err := codec.Append(nil, objectless); err == nil {
 		f.Add(wire)
+	}
+	for _, id := range retiredIDs { // an old peer's request
+		f.Add([]byte{byte(id >> 8), byte(id), 0})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := codec.UnmarshalAlias(data)

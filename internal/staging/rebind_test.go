@@ -107,7 +107,8 @@ func TestClientFromOriginalAddrsAfterPromotion(t *testing.T) {
 // and not yet replaced is created — its dial of the dead slot fails, and
 // the members that answer hold the current view — and it serves once
 // the promotion lands, dialling the promoted spare on its first call
-// there.
+// there. Building it sits out the dead slot's retry back-off once, for
+// the failed dial: the rebind that follows asks the other members only.
 func TestClientBuiltBeforePromotion(t *testing.T) {
 	cfg := staging.Config{Global: domain.Box3(0, 0, 0, 31, 31, 7), NServers: 3, Bits: 2, ElemSize: 8, WlogReplicas: 1}
 	tcp := transport.NewTCP()
@@ -123,7 +124,10 @@ func TestClientBuiltBeforePromotion(t *testing.T) {
 	if err := g.FailStop(1); err != nil {
 		t.Fatal(err)
 	}
-	c, _ := retryingClient(t, tcp, g.Membership().Addrs(), cfg)
+	c, retry := retryingClient(t, tcp, g.Membership().Addrs(), cfg)
+	if n, want := retry.Metrics().Counter("rpc.retries").Value(), int64(transport.DefaultRetryPolicy().MaxAttempts-1); n != want {
+		t.Fatalf("building the client retried %d times, want %d (one dial's back-off)", n, want)
+	}
 	sup := supervise(t, tcp, g)
 	if err := sup.WaitIdle(10 * time.Second); err != nil {
 		t.Fatal(err)

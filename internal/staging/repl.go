@@ -292,7 +292,7 @@ func (r *replicator) close() {
 // Every record reaches every peer once. A failed call forgets the
 // peer's cursor (the next ship asks) and is counted, but does not fail
 // the origin's operation: replica count degrades until the membership
-// heals, exactly like the data-redundancy layer.
+// heals.
 func (r *replicator) ship(from, upTo int64) {
 	epoch, slot, targets := r.srv.replicaTargets(r.k)
 	if slot < 0 || len(targets) == 0 {

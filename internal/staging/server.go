@@ -39,10 +39,6 @@ type Server struct {
 	locks *locks.Manager
 	trace *trace.Buffer
 
-	mu         sync.Mutex
-	shards     map[string]map[int][]byte
-	shardBytes int64
-
 	// memberMu guards the server's membership view (the zero View until
 	// the first EpochSet; replaced, never written into, so a PingResp
 	// may share it), the server's own bound address, and whether it is
@@ -94,7 +90,6 @@ func NewServer(id int) *Server {
 		reg:      metrics.NewRegistry(),
 		locks:    locks.NewManager(),
 		trace:    trace.New(512),
-		shards:   make(map[string]map[int][]byte),
 		replicas: newReplicaSet(),
 		clk:      sim.Wall,
 	}
@@ -195,27 +190,17 @@ func (s *Server) chargeQoS(name string, storeDelta, wlogDelta int64) {
 // traffic (a gated put holds a slot while it flushes to its peer; if the
 // peer's ReplApply needed a slot in turn, two mutually-replicating
 // servers under symmetric overload would deadlock) and per the shedding
-// policy is never shed. Recovery traffic — CoREC rebuild shard I/O,
-// recovery scans, wlog installs — rides the recovery lane; everything
-// else is foreground.
+// policy is never shed. Recovery traffic — a restarted component's
+// RecoveryReq, a promoted spare's wlog install, a tier scrub — rides the
+// recovery lane; everything else is foreground.
 func laneFor(req any) qos.Lane {
-	switch r := req.(type) {
+	switch req.(type) {
 	case health.PingReq, LeaseCASReq, IntentPutReq, IntentClearReq,
 		LeaderInfoReq, EpochSetReq, StatsReq, QosStatsReq,
 		TierStatsReq, TraceReq, ReplApplyReq, ReplSnapshotReq, ReplFetchReq:
 		return qos.LaneControl
 	case RecoveryReq, WlogInstallReq, TierScrubReq:
 		return qos.LaneRecovery
-	case ShardPutReq:
-		if r.Rebuild {
-			return qos.LaneRecovery
-		}
-		return qos.LaneForeground
-	case ShardGetReq:
-		if r.Rebuild {
-			return qos.LaneRecovery
-		}
-		return qos.LaneForeground
 	default:
 		return qos.LaneForeground
 	}
@@ -299,12 +284,6 @@ func (s *Server) dispatch(req any, token uint64) (any, error) {
 		return s.replicate(true, func() (any, int64, error) { return s.handleRecovery(r) })
 	case QueryReq:
 		return QueryResp{Versions: s.store.Versions(r.Name)}, nil
-	case ShardPutReq:
-		return s.handleShardPut(r)
-	case ShardGetReq:
-		return s.handleShardGet(r)
-	case ShardDropReq:
-		return s.handleShardDrop(r)
 	case LockReq:
 		return s.replicate(false, func() (any, int64, error) { return s.handleLock(r) })
 	case ReplApplyReq:
@@ -636,65 +615,6 @@ func (s *Server) lockRecord(r locks.Record) int64 {
 	return s.emit(ReplRecord{Lock: &r})
 }
 
-func (s *Server) handleShardPut(r ShardPutReq) (any, error) {
-	if s.qosCtl != nil && !r.Rebuild {
-		// Shard bytes count against the global ceiling only (checkpoint
-		// protection data, not staged objects). A rebuild is
-		// never shed: refusing it would trade an overload blip for
-		// durably lost redundancy.
-		s.mu.Lock()
-		shardBytes := s.shardBytes
-		s.mu.Unlock()
-		if rej := s.qosCtl.AdmitShard(r.Key, int64(len(r.Data)), s.store.BytesUsed()+shardBytes, s.budget, s.qosSignals()); rej != nil {
-			return nil, rej
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.shards[r.Key]
-	if !ok {
-		m = make(map[int][]byte)
-		s.shards[r.Key] = m
-	}
-	if old, ok := m[r.Shard]; ok {
-		s.shardBytes -= int64(len(old))
-	}
-	cp := append([]byte(nil), r.Data...)
-	m[r.Shard] = cp
-	s.shardBytes += int64(len(cp))
-	if r.Rebuild {
-		s.reg.Counter("rebuilt_shards").Inc()
-		s.reg.Counter("rebuilt_bytes").Add(int64(len(cp)))
-	}
-	return ShardPutResp{}, nil
-}
-
-func (s *Server) handleShardGet(r ShardGetReq) (any, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.shards[r.Key]
-	if !ok {
-		return ShardGetResp{}, nil
-	}
-	d, ok := m[r.Shard]
-	if !ok {
-		return ShardGetResp{}, nil
-	}
-	return ShardGetResp{Data: d, Found: true}, nil
-}
-
-func (s *Server) handleShardDrop(r ShardDropReq) (any, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.shards[r.Key]; ok {
-		for _, d := range m {
-			s.shardBytes -= int64(len(d))
-		}
-		delete(s.shards, r.Key)
-	}
-	return ShardDropResp{}, nil
-}
-
 // qosStats exports the server's admission-control state for dsctl qos.
 func (s *Server) qosStats() QosStatsResp {
 	if s.qosCtl == nil {
@@ -716,9 +636,6 @@ func (s *Server) qosStats() QosStatsResp {
 }
 
 func (s *Server) stats() StatsResp {
-	s.mu.Lock()
-	shardBytes := s.shardBytes
-	s.mu.Unlock()
 	slots, repBytes, repRecords := s.replicas.stats()
 	st := StatsResp{
 		ReplicaSlots:   slots,
@@ -726,7 +643,6 @@ func (s *Server) stats() StatsResp {
 		ReplicaRecords: repRecords,
 		StoreBytes:     s.store.BytesUsed(),
 		LogMetaBytes:   s.log.MetaBytes(),
-		ShardBytes:     shardBytes,
 		Objects:        s.store.Objects(),
 		Puts:           s.reg.Counter("puts").Value(),
 		Gets:           s.reg.Counter("gets").Value(),
@@ -734,8 +650,6 @@ func (s *Server) stats() StatsResp {
 		ReplayGets:     s.reg.Counter("replay_gets").Value(),
 		GCFreedBytes:   s.reg.Counter("gc_freed_bytes").Value(),
 		PutNanos:       s.reg.Counter("put_nanos").Value(),
-		RebuiltShards:  s.reg.Counter("rebuilt_shards").Value(),
-		RebuiltBytes:   s.reg.Counter("rebuilt_bytes").Value(),
 		FencedRejects:  s.reg.Counter("fenced_rejects").Value(),
 	}
 	if r := s.repl; r != nil {

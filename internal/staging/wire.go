@@ -8,8 +8,9 @@ import (
 // wireTypes is the staging protocol's type-id table: every request,
 // response and typed error that crosses a transport, keyed by its
 // wire id (internal/codec builds the encoding from the type itself).
-// The ids are wire constants: never renumber, never reuse (27 and 28
-// were the supervisor's shard-key scan, 30 EpochSetResp and 31/32 the
+// The ids are wire constants: never renumber, never reuse (5–8 and
+// 25/26 were the CoREC shard store's put, get and drop pairs, 27 and 28
+// the supervisor's shard-key scan, 30 EpochSetResp and 31/32 the
 // MembershipReq pair, whose view health.PingResp now carries, 53 and 54
 // the in-transit reduce pair), only append. Ids 256 and up belong to
 // other packages (health, qos, transport, wlog, tier; DESIGN.md §7 has
@@ -17,8 +18,6 @@ import (
 var wireTypes = map[uint16]any{
 	1: PutReq{}, 2: PutResp{},
 	3: GetReq{}, 4: GetResp{},
-	5: ShardPutReq{}, 6: ShardPutResp{},
-	7: ShardGetReq{}, 8: ShardGetResp{},
 	9: EpochReq{}, 10: FencedReq{},
 	11: ReplApplyReq{}, 12: ReplApplyResp{},
 	13: ReplSnapshotReq{}, 14: ReplSnapshotResp{},
@@ -27,7 +26,6 @@ var wireTypes = map[uint16]any{
 	19: CheckpointReq{}, 20: CheckpointResp{},
 	21: RecoveryReq{}, 22: RecoveryResp{},
 	23: QueryReq{}, 24: QueryResp{},
-	25: ShardDropReq{}, 26: ShardDropResp{},
 	29: EpochSetReq{},
 	33: LockReq{}, 34: LockResp{},
 	35: LeaseCASReq{}, 36: LeaseCASResp{},

@@ -73,10 +73,6 @@ func TestFastpathRoundTrip(t *testing.T) {
 			{BBox: box, Data: []byte("xy")},
 			{BBox: domain.Box3(1, 2, 3, 4, 5, 6), Data: nil},
 		}},
-		ShardPutReq{Key: "field@3", Shard: 2, Data: []byte{0, 255, 7}, Rebuild: true},
-		ShardPutResp{},
-		ShardGetReq{Key: "field@3", Shard: 2},
-		ShardGetResp{Data: []byte("shard"), Found: true},
 		ReplApplyReq{Epoch: 5, Slot: 1, Records: []ReplRecord{
 			{Seq: 1, Wlog: &rec, Obj: &store.Object{Name: "field", Version: 7, BBox: box, ElemSize: 8, Data: []byte("body"), CRC: 77, Logged: true}},
 			{Seq: 2, Lock: &lock},
@@ -105,7 +101,7 @@ func TestFastpathEmptyValues(t *testing.T) {
 }
 
 func TestFastpathEnvelopes(t *testing.T) {
-	inner := ShardPutReq{Key: "k", Shard: 1, Data: []byte("d")}
+	inner := PutReq{App: "sim/0", Name: "k", Version: 1, ElemSize: 1, Piece: Piece{BBox: domain.Box3(0, 0, 0, 0, 0, 0), Data: []byte("d")}}
 	roundTrip(t, EpochReq{Epoch: 3, Req: inner})
 	roundTrip(t, FencedReq{Token: 8, Req: inner})
 	// Nested envelope: fenced epoch-wrapped bulk request.
@@ -142,19 +138,13 @@ func listenTCP(t *testing.T, s *Server) transport.Client {
 }
 
 // wireBytes returns the payload bytes a response carries back, for the
-// two responses that do.
+// one response that does.
 func wireBytes(resp any) (data []byte, carries bool) {
-	switch r := resp.(type) {
-	case GetResp:
-		if len(r.Pieces) == 1 {
-			data = r.Pieces[0].Data
-		}
-	case ShardGetResp:
-		data = r.Data
-	default:
-		return nil, false
+	r, carries := resp.(GetResp)
+	if carries && len(r.Pieces) == 1 {
+		data = r.Pieces[0].Data
 	}
-	return data, true
+	return data, carries
 }
 
 // wireAhead is an epoch / fencing token no install in wireCases
@@ -192,9 +182,6 @@ func wireCases(t testing.TB) (cases []wireCase, big []byte) {
 		{CheckpointReq{App: "viz/0"}, CheckpointResp{}},
 		{RecoveryReq{App: "viz/0"}, RecoveryResp{}},
 		{QueryReq{Name: "f"}, QueryResp{}},
-		{ShardPutReq{Key: "k", Shard: 1, Data: big}, ShardPutResp{}},
-		{ShardGetReq{Key: "k", Shard: 1}, ShardGetResp{}},
-		{ShardDropReq{Key: "k"}, ShardDropResp{}},
 		{LockReq{Name: "step", Holder: "viz/0"}, LockResp{}},
 		{ReplApplyReq{Epoch: wireAhead, Slot: 1, Records: []ReplRecord{
 			{Seq: 1, Lock: &LockRecord{Name: "l", Holder: "h"}},
@@ -319,7 +306,11 @@ func checkMeasured(t *testing.T, v any, min int) {
 	}
 }
 
+// retiredIDs are the staging wire ids no table may register again.
+var retiredIDs = []uint16{5, 6, 7, 8, 25, 26, 27, 28, 30, 31, 32, 53, 54}
+
 // TestRetiredWireIDs: a retired id stays retired. No table registers
+// 5 to 8, 25 or 26 (the CoREC shard store's put, get and drop pairs),
 // 27 or 28 (the supervisor's shard-key scan), 30 (EpochSetResp: a view
 // push is answered with the PingResp), 31 or 32 (the MembershipReq
 // pair: the ping carries the view) or 53 or 54 (the in-transit reduce
@@ -327,7 +318,7 @@ func checkMeasured(t *testing.T, v any, min int) {
 // as an unknown type, so an old peer's frame is refused, never read as
 // whatever took its number.
 func TestRetiredWireIDs(t *testing.T) {
-	for _, id := range []uint16{27, 28, 30, 31, 32, 53, 54} {
+	for _, id := range retiredIDs {
 		if m, ok := wireTypes[id]; ok {
 			t.Errorf("wireTypes[%d] = %T: a retired id is reused", id, m)
 		}
@@ -431,11 +422,11 @@ func FuzzFastpathDecode(f *testing.F) {
 		PutReq{App: "sim/0", Name: "f", Version: 1, ElemSize: 8,
 			Piece: Piece{BBox: domain.Box3(0, 0, 0, 7, 7, 7), Data: []byte("seed")}, Logged: true},
 		GetResp{Version: 2, Pieces: []Piece{{BBox: domain.Box3(0, 0, 0, 1, 1, 1), Data: []byte("p")}}},
-		ShardPutReq{Key: "k", Shard: 1, Data: []byte("shard")},
+		PutReq{App: "sim/0", Name: "k", Version: 1, ElemSize: 1, Piece: Piece{BBox: domain.Box3(0, 0, 0, 4, 0, 0), Data: []byte("piece")}},
 		ReplApplyReq{Epoch: 1, Slot: 0, Records: []ReplRecord{{Seq: 1, Obj: &store.Object{Name: "o", Data: []byte("d"), CRC: store.Checksum([]byte("d")), Logged: true}}}},
 		ReplApplyReq{Epoch: 1, Slot: 0, Records: []ReplRecord{{Seq: 1, Wlog: &wlog.Record{Op: wlog.OpPut, App: "sim/0"}}}}, // a put record without its object
 		WlogInstallReq{Slot: 1, State: ReplState{Seq: 3, Objects: []*store.Object{{Name: "o", Data: []byte("x"), CRC: store.Checksum([]byte("x")), Logged: true}}}},
-		EpochReq{Epoch: 2, Req: ShardGetReq{Key: "k", Shard: 0}},
+		EpochReq{Epoch: 2, Req: GetReq{App: "viz/0", Name: "k", Version: 1, BBox: domain.Box3(0, 0, 0, 4, 0, 0)}},
 		FencedReq{Token: 3, Req: EpochSetReq{View: wireView}},
 		health.PingResp{ID: 2, View: wireView},
 	}

@@ -202,7 +202,7 @@ func decodeResponse(flags byte, body []byte) (v any, aliased bool, err error) {
 	if flags&flagCause != 0 {
 		c, _ := codec.UnmarshalFrom(r)
 		if re.Cause, _ = c.(error); re.Cause == nil && r.Err() == nil {
-			return nil, false, fmt.Errorf("%w: error frame: cause %T is not an error", ErrFrameCorrupt, c)
+			return nil, false, fmt.Errorf("%w: error frame: %w: cause %T is not an error", ErrFrameCorrupt, codec.ErrCorrupt, c)
 		}
 	}
 	if r.Err() != nil {

@@ -28,8 +28,8 @@ import (
 // large payloads are decoded zero-copy out of a frame buffer the
 // transport reclaims afterwards. That is the one ownership rule, for
 // every message: a handler that keeps a byte field past its return
-// copies it itself (the staging server copies a put's payload, a shard,
-// a replicated record and an installed snapshot's objects).
+// copies it itself (the staging server copies a put's payload, a
+// replicated record and an installed snapshot's objects).
 type Handler func(req any) (resp any, err error)
 
 // Client issues requests to one endpoint.
