@@ -63,10 +63,14 @@ no-dial:
 	test -z "$$out" || { echo "$$out"; echo 'Dial called outside internal/transport (above): keep a client in a transport.Peers, or make a one-off call with transport.CallOnce'; exit 1; }
 
 # The line count ROADMAP item 4's budget is measured in: non-test Go
-# under the wire/staging packages plus the public facade.
+# under the wire/staging packages plus the public facade. `make loc`
+# also prints the root module's whole non-test Go total (bench/, a
+# module of its own, aside), so lines moved out of the LOC set into
+# another package still show.
 LOC = cat $$(ls internal/staging/*.go internal/transport/*.go internal/codec/*.go gospaces.go | grep -v _test) | wc -l
+GO_LOC = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
 loc:
-	@$(LOC)
+	@echo "LOC set: $$($(LOC))"; echo "root module non-test Go: $$($(GO_LOC))"
 
 # The ratchet: `make loc` may not rise unnoticed. A PR that needs more
 # lines raises LOC_BUDGET in its own diff, where a reviewer sees it; one
@@ -123,7 +127,16 @@ loc:
 # map, its three handlers and message pairs, ids 5–8 and 25/26 retired,
 # Client.ShardConn, the facade's Redundancy), and ServerHealth is the
 # health ping alone.
-LOC_BUDGET = 6075
+# 6075 → 5951: one lease record and one fence. The health ping answers
+# every lease and intent call and carries the lease record (LeaseCASResp,
+# the intent acks and the LeaderInfoReq pair go, ids 36, 38, 40–42
+# retired), and health.Fence is the one fencing rule (staging's
+# FencedError moves to health as id 258). About 60 of the lines went to
+# internal/health, which this set does not count: the root module's
+# non-test Go fell 20347 → 20288. Counters nothing reads go too (the
+# server's tier.* set, repl_records_shipped, replica_snapshots_installed,
+# log_installs, stale_epoch_rejects) and Retrying.spendRetry.
+LOC_BUDGET = 5951
 loc-check:
 	@loc=$$($(LOC)); echo "make loc: $$loc, LOC_BUDGET: $(LOC_BUDGET)"; \
 	test $$loc -le $(LOC_BUDGET) || { echo 'over budget: remove lines, or raise LOC_BUDGET in this diff'; exit 1; }

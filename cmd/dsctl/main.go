@@ -244,12 +244,12 @@ func healthRow(h gospaces.ServerHealth) string {
 func leaderCmd(addrs []string, opts gospaces.DialOptions) error {
 	holders := map[string]int{}
 	backlog := 0
-	for _, p := range gospaces.ProbeLeader(addrs, opts) {
+	for _, p := range gospaces.ProbeHealth(addrs, opts) {
 		if !p.Alive() {
 			fmt.Printf("%-22s DEAD  %s\n", p.Addr, p.Err)
 			continue
 		}
-		v := p.Resp
+		v := p.Resp.Lease
 		holder := v.Holder
 		if holder == "" {
 			holder = "<none>"
@@ -257,7 +257,7 @@ func leaderCmd(addrs []string, opts gospaces.DialOptions) error {
 			holders[holder]++
 		}
 		fmt.Printf("%-22s holder=%-20s token=%d fence=%d expires_in=%v\n",
-			p.Addr, holder, v.Token, v.MaxFence, v.ExpiresIn.Round(time.Millisecond))
+			p.Addr, holder, v.Token, v.Fence, v.ExpiresIn.Round(time.Millisecond))
 		for _, in := range v.Intents {
 			backlog++
 			fmt.Printf("%22s   intent: slot %d (%s dead) -> spare %s under token %d\n",

@@ -2,6 +2,8 @@ package main
 
 import (
 	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -361,5 +363,100 @@ func TestHealthShowsStrandedSlot(t *testing.T) {
 	}
 	if row := healthRow(h); !strings.HasSuffix(row, " epoch=2 down=[1] role=member") {
 		t.Fatalf("health row %q does not show the stranded slot beside the epoch", row)
+	}
+}
+
+// printed runs f and returns what it wrote to stdout.
+func printed(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	return <-out, ferr
+}
+
+// TestLeaderCommand renders the lease records of live TCP servers:
+// none held at first, then one supervisor's grant on every member and
+// the intent it journaled on one.
+func TestLeaderCommand(t *testing.T) {
+	addrs := strings.Split(liveServers(t, 2), ",")
+	opts := gospaces.DefaultDialOptions()
+	opts.Retry.MaxAttempts = 1
+	out, err := printed(t, func() error { return leaderCmd(addrs, opts) })
+	if err != nil || !strings.Contains(out, "no lease held") {
+		t.Fatalf("leader before any grant = %q, %v; want no lease held", out, err)
+	}
+
+	tr := transport.NewTCPTimeout(time.Second, time.Second)
+	for _, addr := range addrs {
+		p, err := transport.CallOnce[health.PingResp](tr, addr, staging.LeaseCASReq{Holder: "sup-a", Token: 3, TTL: time.Minute})
+		if err != nil || !p.Lease.Grants("sup-a", 3) {
+			t.Fatalf("lease proposal to %s = %+v, %v; want a grant", addr, p.Lease, err)
+		}
+	}
+	intent := health.Intent{Slot: 1, DeadAddr: "10.0.0.9:7070", Spare: "10.0.0.8:7070", Token: 3}
+	put := staging.FencedReq{Token: 3, Req: staging.IntentPutReq{Intent: intent}}
+	if p, err := transport.CallOnce[health.PingResp](tr, addrs[0], put); err != nil || len(p.Lease.Intents) != 1 {
+		t.Fatalf("intent put = %+v, %v", p.Lease, err)
+	}
+
+	out, err = printed(t, func() error { return leaderCmd(addrs, opts) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(out, "\n")
+	for _, addr := range addrs {
+		i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, addr+" ") })
+		if i < 0 || !strings.Contains(lines[i], "holder=sup-a ") || !strings.Contains(lines[i], " token=3 fence=3 expires_in=") {
+			t.Fatalf("no holder, token and fence row for %s in\n%s", addr, out)
+		}
+	}
+	for _, want := range []string{
+		"intent: slot 1 (10.0.0.9:7070 dead) -> spare 10.0.0.8:7070 under token 3",
+		"leader: sup-a (granted by 2 of 2 servers)",
+		"1 journaled promotion(s) outstanding",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("leader output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestQoSCommand: a server with admission control prints a row per
+// tenant it has admitted; one without prints that QoS is disabled.
+func TestQoSCommand(t *testing.T) {
+	const quota = 1 << 20
+	srv, err := gospaces.ServeWithOptions("127.0.0.1:0", 0, gospaces.ServeOptions{
+		QoS: &gospaces.QoSConfig{Tenants: map[string]gospaces.QoSQuota{"lo": {StagingBytes: quota}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	opts := gospaces.DefaultDialOptions()
+	opts.Retry.MaxAttempts = 1
+	if err := run(srv.Addr(), "32x32x16", 8, 2, "dsctl/0", opts, []string{"put", "lo/f", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := printed(t, func() error { return qosCmd([]string{srv.Addr()}, opts) })
+	if err != nil || !strings.Contains(out, "tenant lo ") || !strings.Contains(out, "/"+strconv.Itoa(quota)+" ") {
+		t.Fatalf("qos with a tenant = %q, %v; want the tenant lo row against its quota", out, err)
+	}
+
+	plain := liveServers(t, 1)
+	out, err = printed(t, func() error { return qosCmd([]string{plain}, opts) })
+	if err != nil || !strings.Contains(out, "id=0 qos disabled") {
+		t.Fatalf("qos without admission control = %q, %v; want qos disabled", out, err)
 	}
 }

@@ -386,26 +386,14 @@ func probe[R any](addrs []string, opts DialOptions, req any) []Probed[R] {
 }
 
 // ServerHealth is one staging server's liveness: its ID, the
-// membership View it holds (epoch, slot addresses, stranded slots) and
-// whether it is a Spare waiting outside the membership.
+// membership View it holds (epoch, slot addresses, stranded slots),
+// whether it is a Spare waiting outside the membership, and its Lease
+// record of recovery leadership (holder, fence, journaled promotions).
 type ServerHealth = Probed[health.PingResp]
 
 // ProbeHealth pings each address once.
 func ProbeHealth(addrs []string, opts DialOptions) []ServerHealth {
 	return probe[health.PingResp](addrs, opts, health.PingReq{From: "dsctl"})
-}
-
-// LeaderView is one staging server's view of recovery leadership: the
-// lease record it granted, its fencing high-water mark, and any
-// journaled promotion intents (the dead-slot backlog a takeover would
-// resume).
-type LeaderView = Probed[staging.LeaderInfoResp]
-
-// ProbeLeader asks each address for its recovery-leadership view —
-// lease holder, fencing token, and journaled promotion backlog. dsctl
-// leader wraps this.
-func ProbeLeader(addrs []string, opts DialOptions) []LeaderView {
-	return probe[staging.LeaderInfoResp](addrs, opts, staging.LeaderInfoReq{})
 }
 
 // ---------------------------------------------------------------------

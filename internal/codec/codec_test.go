@@ -273,7 +273,7 @@ func cutCases(rng *rand.Rand) []cutCase {
 func TestRoundTripEveryRegisteredType(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ids, types := registered()
-	if len(ids) < 56 {
+	if len(ids) < 51 {
 		t.Fatalf("only %d registered types: the protocol packages' registrations did not run", len(ids))
 	}
 	thresholds := []int{1, 16 << 10, 64 << 10, 0}

@@ -2,7 +2,8 @@
 // recovery supervisor (internal/recovery): a lightweight heartbeat
 // detector that probes each member of a staging group with PingReq RPCs
 // and publishes liveness transitions, plus the epoch-stamped Membership
-// that names the current server set.
+// that names the current server set. The ping answers with a View and
+// a Lease; Fence is the one fencing rule members and Membership keep.
 //
 // Detection is φ-style consecutive-miss counting rather than a full
 // accrual detector: a server that misses SuspectAfter consecutive
@@ -22,17 +23,18 @@ import (
 	"gospaces/internal/transport"
 )
 
-// PingReq is the liveness probe. Staging servers answer it without
-// touching any protected state, so a ping never blocks behind data
-// traffic locks.
+// PingReq is the liveness probe. Staging servers answer it from their
+// view and their lease record, each under its own lock and never a
+// data-path lock, so a ping never blocks behind data traffic.
 type PingReq struct {
 	// From identifies the prober (supervisor or dsctl), for traces.
 	From string
 }
 
-// PingResp reports the server's identity and membership view. It is
-// the one answer about the view: the supervisor's probe, a client's
-// rebind and the answer to a view push all read it.
+// PingResp reports the server's identity, membership view and lease
+// record. It is the one answer about both: the supervisor's probe, a
+// client's rebind, the answer to a view push, to a lease proposal and
+// to an intent write, and dsctl's health and leader all read it.
 type PingResp struct {
 	// ID is the server's id within its group.
 	ID int
@@ -42,13 +44,16 @@ type PingResp struct {
 	// Spare is true while the server waits in the spare pool, outside
 	// the membership.
 	Spare bool
+	// Lease is the server's record of recovery leadership.
+	Lease Lease
 }
 
-// Wire ids of the probe pair (internal/codec; DESIGN.md §7 has the
-// whole table). Never renumber.
+// Wire ids of the probe pair and the fencing rejection
+// (internal/codec; DESIGN.md §7 has the whole table). Never renumber.
 func init() {
 	codec.Register(256, PingReq{})
 	codec.Register(257, PingResp{})
+	codec.Register(258, &FencedError{})
 }
 
 // State is a probed server's liveness verdict.

@@ -1,7 +1,6 @@
 package health
 
 import (
-	"errors"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -491,8 +490,8 @@ func TestMembershipDownBumpsEpoch(t *testing.T) {
 		t.Fatalf("stranded-set change notified as %+v", ch)
 	default:
 	}
-	if _, err := m.SetDownFenced(0, 1, true); !errors.Is(err, ErrFenced) {
-		t.Fatalf("deposed writer: %v, want ErrFenced", err)
+	if _, err := m.SetDownFenced(0, 1, true); !IsFenced(err) {
+		t.Fatalf("deposed writer: %v, want a FencedError", err)
 	}
 	if _, err := m.SetDownFenced(1, 5, true); err == nil {
 		t.Fatal("out-of-range slot accepted")

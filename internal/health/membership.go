@@ -1,16 +1,10 @@
 package health
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
 )
-
-// ErrFenced rejects a membership write whose fencing token trails a
-// newer recovery leader's: the writer has been deposed and must stop
-// mutating.
-var ErrFenced = errors.New("health: membership write fenced: newer leader exists")
 
 // Change is one membership transition: slot ID re-pointed to Addr at
 // the (freshly bumped) Epoch.
@@ -48,11 +42,11 @@ type Membership struct {
 	mu   sync.Mutex
 	view View
 	subs []chan Change
-	// maxToken is the highest fencing token that has written (or sealed)
+	// fence is the highest fencing token that has written (or sealed)
 	// the membership; fenced writes carrying an older token are rejected,
 	// so a deposed recovery leader cannot race the current one even
 	// in-process.
-	maxToken uint64
+	fence Fence
 }
 
 // NewMembership creates epoch 1 over the given addresses in slot
@@ -89,33 +83,29 @@ func (m *Membership) Addr(id int) string {
 // in-process leader's stale ReplaceFenced cannot land mid-takeover.
 func (m *Membership) Fence(token uint64) {
 	m.mu.Lock()
-	if token > m.maxToken {
-		m.maxToken = token
-	}
+	_ = m.fence.Admit(token) // an older token leaves the seal as it is
 	m.mu.Unlock()
 }
 
 // ReplaceFenced points slot id at a new address under a fencing token
 // and bumps the epoch, notifying subscribers; it returns the new epoch.
-// A promoted slot is no longer stranded. The write is rejected with
-// ErrFenced when token trails the highest the membership has seen. It
+// A promoted slot is no longer stranded. The write is rejected with a
+// *FencedError when token trails the highest the membership has seen. It
 // is idempotent — re-pointing a slot at the address it already holds
 // (a takeover resuming a deposed leader's completed write) returns the
 // current epoch without a bump, so a resumed promotion never
 // double-counts.
 func (m *Membership) ReplaceFenced(token uint64, id int, addr string) (uint64, error) {
 	m.mu.Lock()
-	if token < m.maxToken {
-		fence := m.maxToken
-		m.mu.Unlock()
-		return 0, fmt.Errorf("%w: token %d behind %d", ErrFenced, token, fence)
-	}
 	v := m.view
 	if id < 0 || id >= len(v.Addrs) {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("health: no membership slot %d", id)
 	}
-	m.maxToken = token
+	if err := m.fence.Admit(token); err != nil {
+		m.mu.Unlock()
+		return 0, err
+	}
 	if v.Addrs[id] == addr {
 		m.mu.Unlock()
 		return v.Epoch, nil
@@ -147,19 +137,18 @@ func (m *Membership) ReplaceFenced(token uint64, id int, addr string) (uint64, e
 // SetDownFenced strands slot id (down) or heals it under a fencing
 // token, bumping the epoch when that changes the stranded set, and
 // reports whether it did. Subscribers are not notified: no slot is
-// re-pointed. The write is rejected with ErrFenced when token trails
-// the highest the membership has seen.
+// re-pointed. The write is rejected with a *FencedError when token
+// trails the highest the membership has seen.
 func (m *Membership) SetDownFenced(token uint64, id int, down bool) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if token < m.maxToken {
-		return false, fmt.Errorf("%w: token %d behind %d", ErrFenced, token, m.maxToken)
-	}
 	v := m.view
 	if id < 0 || id >= len(v.Addrs) {
 		return false, fmt.Errorf("health: no membership slot %d", id)
 	}
-	m.maxToken = token
+	if err := m.fence.Admit(token); err != nil {
+		return false, err
+	}
 	i, found := slices.BinarySearch(v.Down, id)
 	if down == found {
 		return false, nil

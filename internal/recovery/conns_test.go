@@ -168,10 +168,10 @@ func TestSupervisorKeepsOneConnPerMember(t *testing.T) {
 
 	member := g.Membership().Addr(0)
 	tap.breakConns(member)
-	if _, err := call[staging.LeaderInfoResp](sup, member, staging.LeaderInfoReq{}); err == nil {
+	if _, err := call[health.PingResp](sup, member, health.PingReq{}); err == nil {
 		t.Fatal("the call over the broken connection went through")
 	}
-	if _, err := call[staging.LeaderInfoResp](sup, member, staging.LeaderInfoReq{}); err != nil {
+	if _, err := call[health.PingResp](sup, member, health.PingReq{}); err != nil {
 		t.Fatalf("the call after the broken one: %v", err)
 	}
 	if n := tap.take()[member]; n != 0 {

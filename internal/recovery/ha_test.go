@@ -377,7 +377,7 @@ func TestRedundantSupervisorsElectionAndFencing(t *testing.T) {
 	}
 	_, err = conn.Call(staging.FencedReq{Token: oldToken, Req: staging.IntentClearReq{Slot: 0}})
 	conn.Close()
-	if !staging.IsFenced(err) {
+	if !health.IsFenced(err) {
 		t.Fatalf("stale-token call got %v, want fencing rejection", err)
 	}
 

@@ -504,22 +504,22 @@ func (s *Supervisor) quorum(addrs []string) int {
 }
 
 // leaseRound proposes (or renews) the lease on every member and counts
-// grants, folding refused servers' token high-water marks into maxSeen
-// so the next campaign proposes past them.
+// the lease records that grant it, folding every member's fence into
+// maxSeen so the next campaign proposes past it.
 func (s *Supervisor) leaseRound(addrs []string, token uint64) int {
 	grants := 0
 	for _, addr := range addrs {
-		resp, err := call[staging.LeaseCASResp](s, addr,
+		resp, err := call[health.PingResp](s, addr,
 			staging.LeaseCASReq{Holder: s.cfg.ID, Token: token, TTL: s.cfg.LeaseTTL})
 		if err != nil {
 			continue
 		}
 		s.mu.Lock()
-		if resp.MaxToken > s.maxSeen {
-			s.maxSeen = resp.MaxToken
+		if resp.Lease.Fence > s.maxSeen {
+			s.maxSeen = resp.Lease.Fence
 		}
 		s.mu.Unlock()
-		if resp.Granted {
+		if resp.Lease.Grants(s.cfg.ID, token) {
 			grants++
 		}
 	}
@@ -581,7 +581,7 @@ func (s *Supervisor) renew() bool {
 func (s *Supervisor) releaseRound(addrs []string) {
 	for _, addr := range addrs {
 		// Best effort: a grant that is not given back expires on its own.
-		call[staging.LeaseCASResp](s, addr, staging.LeaseCASReq{Holder: s.cfg.ID, Release: true})
+		call[health.PingResp](s, addr, staging.LeaseCASReq{Holder: s.cfg.ID, Release: true})
 	}
 }
 
@@ -612,16 +612,16 @@ func (s *Supervisor) onElected(token uint64) {
 	s.pushView(token, s.mem.View())
 }
 
-// fetchIntents unions the journaled promotion intents across members,
-// keeping the highest-token record per slot.
-func (s *Supervisor) fetchIntents() []staging.PromotionIntent {
-	best := make(map[int]staging.PromotionIntent)
+// fetchIntents pings every member and unions the intents in their
+// lease records, keeping the highest-token one per slot.
+func (s *Supervisor) fetchIntents() []health.Intent {
+	best := make(map[int]health.Intent)
 	for _, addr := range s.mem.Addrs() {
-		resp, err := call[staging.LeaderInfoResp](s, addr, staging.LeaderInfoReq{})
+		resp, err := call[health.PingResp](s, addr, health.PingReq{From: s.cfg.ID})
 		if err != nil {
 			continue
 		}
-		for _, in := range resp.Intents {
+		for _, in := range resp.Lease.Intents {
 			if cur, ok := best[in.Slot]; !ok || in.Token > cur.Token {
 				best[in.Slot] = in
 			}
@@ -632,7 +632,7 @@ func (s *Supervisor) fetchIntents() []staging.PromotionIntent {
 		slots = append(slots, slot)
 	}
 	sort.Ints(slots)
-	out := make([]staging.PromotionIntent, 0, len(best))
+	out := make([]health.Intent, 0, len(best))
 	for _, slot := range slots {
 		out = append(out, best[slot])
 	}
@@ -643,7 +643,7 @@ func (s *Supervisor) fetchIntents() []staging.PromotionIntent {
 // shared spare assignment is authoritative: TakeSpareFor returns the
 // spare the deposed leader already drew for the slot, so the resumed
 // promotion can never spend a second one.
-func (s *Supervisor) resume(in staging.PromotionIntent) {
+func (s *Supervisor) resume(in health.Intent) {
 	token := s.currentToken()
 	already := s.mem.Addr(in.Slot) == in.Spare
 	var spare string
@@ -735,7 +735,7 @@ func (s *Supervisor) recoverSlot(slot int) {
 // caller to push.
 func (s *Supervisor) setDown(slot int, down bool) bool {
 	changed, err := s.mem.SetDownFenced(s.currentToken(), slot, down)
-	if errors.Is(err, health.ErrFenced) {
+	if health.IsFenced(err) {
 		s.observeDeposed()
 	}
 	if changed {
@@ -762,7 +762,7 @@ func (s *Supervisor) hook(stage string, slot int) bool {
 // re-installing onto a live member would wipe post-promotion writes).
 func (s *Supervisor) promote(slot int, deadAddr, spare string) {
 	token := s.currentToken()
-	intent := staging.PromotionIntent{Slot: slot, DeadAddr: deadAddr, Spare: spare, Token: token}
+	intent := health.Intent{Slot: slot, DeadAddr: deadAddr, Spare: spare, Token: token}
 	if !s.putIntent(intent, token) {
 		s.reg.Counter("recovery.failed_promotions").Inc()
 		return
@@ -782,7 +782,7 @@ func (s *Supervisor) promote(slot int, deadAddr, spare string) {
 		return
 	}
 	if _, err := s.mem.ReplaceFenced(token, slot, spare); err != nil {
-		if errors.Is(err, health.ErrFenced) {
+		if health.IsFenced(err) {
 			s.observeDeposed()
 			return
 		}
@@ -828,7 +828,7 @@ func (s *Supervisor) giveBack(slot int, token uint64) {
 // putIntent journals the promotion intent on a majority of the
 // surviving membership (the dead slot cannot ack). A fencing rejection
 // means a newer leader exists and the promotion is abandoned here.
-func (s *Supervisor) putIntent(in staging.PromotionIntent, token uint64) bool {
+func (s *Supervisor) putIntent(in health.Intent, token uint64) bool {
 	addrs := s.mem.Addrs()
 	acks, polled := 0, 0
 	for i, addr := range addrs {
@@ -836,8 +836,8 @@ func (s *Supervisor) putIntent(in staging.PromotionIntent, token uint64) bool {
 			continue
 		}
 		polled++
-		if _, err := fencedCall[staging.IntentPutResp](s, addr, token, staging.IntentPutReq{Intent: in}); err != nil {
-			if staging.IsFenced(err) {
+		if _, err := fencedCall[health.PingResp](s, addr, token, staging.IntentPutReq{Intent: in}); err != nil {
+			if health.IsFenced(err) {
 				s.observeDeposed()
 				return false
 			}
@@ -851,7 +851,7 @@ func (s *Supervisor) putIntent(in staging.PromotionIntent, token uint64) bool {
 // clearIntent drops the journaled intent on every reachable member.
 func (s *Supervisor) clearIntent(slot int, token uint64) {
 	for _, addr := range s.mem.Addrs() {
-		if _, err := fencedCall[staging.IntentClearResp](s, addr, token, staging.IntentClearReq{Slot: slot}); err != nil && staging.IsFenced(err) {
+		if _, err := fencedCall[health.PingResp](s, addr, token, staging.IntentClearReq{Slot: slot}); health.IsFenced(err) {
 			s.observeDeposed()
 			return
 		}
@@ -907,7 +907,7 @@ func (s *Supervisor) restoreLog(deadSlot int, spareAddr string, token uint64) bo
 	}
 	resp, err := fencedCall[staging.ReplFetchResp](s, holder, token, staging.ReplFetchReq{Slot: deadSlot, InstallOn: spareAddr})
 	if err != nil || !resp.Found {
-		if staging.IsFenced(err) {
+		if health.IsFenced(err) {
 			s.observeDeposed()
 			return false
 		}
@@ -938,7 +938,7 @@ func (s *Supervisor) pushView(token uint64, v health.View) {
 // member answers with its health.PingResp.
 func (s *Supervisor) pushViewTo(addr string, token uint64, v health.View) bool {
 	_, err := fencedCall[health.PingResp](s, addr, token, staging.EpochSetReq{View: v})
-	if staging.IsFenced(err) {
+	if health.IsFenced(err) {
 		s.observeDeposed()
 	}
 	return err == nil

@@ -1,31 +1,11 @@
 package staging
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"time"
+
+	"gospaces/internal/health"
 )
-
-// FencedError rejects a recovery-side mutation carrying a fencing
-// token older than the highest this server has granted: the caller is
-// a deposed recovery leader whose lease has been superseded, and must
-// stop mutating — the current leader owns the promotion.
-type FencedError struct {
-	Token uint64 // token the call carried
-	Fence uint64 // highest token the server has seen
-}
-
-func (e *FencedError) Error() string {
-	return fmt.Sprintf("staging: fenced: stale leader token: call fenced at %d, server at %d", e.Token, e.Fence)
-}
-
-// IsFenced reports whether err's chain holds a fencing rejection, in
-// process or behind a remote transport alike (see IsStaleEpoch).
-func IsFenced(err error) bool {
-	var fe *FencedError
-	return errors.As(err, &fe)
-}
 
 // leaseState is the server-side half of recovery-leader election: one
 // lease record (holder, token, expiry) plus the monotonic fence — the
@@ -37,17 +17,18 @@ type leaseState struct {
 	holder  string
 	token   uint64
 	until   time.Time
-	fence   uint64
-	intents map[int]PromotionIntent
+	fence   health.Fence
+	intents map[int]health.Intent
 }
 
 // cas is the server-side lease compare-and-swap. A proposal is granted
 // when the record is free (empty or expired) or already held by the
-// proposer, and the proposed token is not behind the highest token this
-// server has seen. A grant stores the record, extends the expiry by
-// TTL, and raises the fence to the granted token — from that moment
-// every fenced call by an older leader is rejected.
-func (l *leaseState) cas(r LeaseCASReq, now time.Time) LeaseCASResp {
+// proposer, and the fence admits the proposed token. A grant stores the
+// record, extends the expiry by TTL, and sets the fence to the granted
+// token — from that moment every fenced call by an older leader is
+// rejected. The proposer reads the outcome off the record
+// (health.Lease.Grants).
+func (l *leaseState) cas(r LeaseCASReq, now time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if r.Release {
@@ -55,27 +36,15 @@ func (l *leaseState) cas(r LeaseCASReq, now time.Time) LeaseCASResp {
 			l.holder = ""
 			l.until = time.Time{}
 		}
-		max := l.token
-		if l.fence > max {
-			max = l.fence
-		}
-		return LeaseCASResp{Holder: l.holder, Token: l.token, MaxToken: max}
+		return
 	}
-	held := l.holder != "" && now.Before(l.until)
-	max := l.token
-	if l.fence > max {
-		max = l.fence
+	if l.holder != "" && l.holder != r.Holder && now.Before(l.until) {
+		return
 	}
-	if (held && l.holder != r.Holder) || r.Token < max {
-		return LeaseCASResp{Holder: l.holder, Token: l.token, MaxToken: max, ExpiresIn: l.until.Sub(now)}
+	if l.fence.Admit(r.Token) != nil {
+		return
 	}
-	l.holder = r.Holder
-	l.token = r.Token
-	l.until = now.Add(r.TTL)
-	if r.Token > l.fence {
-		l.fence = r.Token
-	}
-	return LeaseCASResp{Granted: true, Holder: l.holder, Token: l.token, MaxToken: l.fence, ExpiresIn: r.TTL}
+	l.holder, l.token, l.until = r.Holder, r.Token, now.Add(r.TTL)
 }
 
 // admit checks a fenced call's token against the fence, raising the
@@ -84,21 +53,17 @@ func (l *leaseState) cas(r LeaseCASReq, now time.Time) LeaseCASResp {
 func (l *leaseState) admit(token uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if token < l.fence {
-		return &FencedError{Token: token, Fence: l.fence}
-	}
-	l.fence = token
-	return nil
+	return l.fence.Admit(token)
 }
 
 // putIntent journals a promotion intent, keeping the record with the
 // highest token per slot (a resumed promotion re-journals under the
 // new leader's token).
-func (l *leaseState) putIntent(in PromotionIntent) {
+func (l *leaseState) putIntent(in health.Intent) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.intents == nil {
-		l.intents = make(map[int]PromotionIntent)
+		l.intents = make(map[int]health.Intent)
 	}
 	if cur, ok := l.intents[in.Slot]; !ok || in.Token >= cur.Token {
 		l.intents[in.Slot] = in
@@ -112,17 +77,17 @@ func (l *leaseState) clearIntent(slot int) {
 	delete(l.intents, slot)
 }
 
-// info snapshots the lease record and journaled intents for
-// LeaderInfoReq (dsctl leader, takeover resume).
-func (l *leaseState) info(now time.Time) LeaderInfoResp {
+// record snapshots the lease record and the journaled intents for the
+// server's PingResp.
+func (l *leaseState) record(now time.Time) health.Lease {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	resp := LeaderInfoResp{Holder: l.holder, Token: l.token, MaxFence: l.fence}
+	rec := health.Lease{Holder: l.holder, Token: l.token, Fence: uint64(l.fence)}
 	if l.holder != "" {
-		resp.ExpiresIn = l.until.Sub(now)
+		rec.ExpiresIn = l.until.Sub(now)
 	}
 	for _, in := range l.intents {
-		resp.Intents = append(resp.Intents, in)
+		rec.Intents = append(rec.Intents, in)
 	}
-	return resp
+	return rec
 }

@@ -262,8 +262,8 @@ type WlogInstallResp struct {
 // recovery-side mutation (EpochSetReq, WlogInstallReq, ReplFetchReq,
 // intent journal updates) with the sender's fencing token. A server
 // that has granted a lease with a higher token — a newer leader exists
-// — rejects the call with FencedError, so a deposed supervisor's stale
-// mutations can never land after a takeover.
+// — rejects the call with a health.FencedError, so a deposed
+// supervisor's stale mutations can never land after a takeover.
 type FencedReq struct {
 	Token uint64
 	Req   any
@@ -273,8 +273,10 @@ type FencedReq struct {
 // Holder proposes to hold the recovery lease under Token for TTL. The
 // proposal is granted when the server's lease record is free (empty or
 // expired) or already held by Holder, and Token is not behind the
-// highest token the server has seen. A supervisor is leader while a
-// majority of the membership grants its lease.
+// server's fence. The server answers with its health.PingResp, whose
+// Lease grants the proposal or names why not: the holder it keeps and
+// the fence the candidate proposes past next round. A supervisor is
+// leader while a majority of the membership grants its lease.
 //
 // Release set makes the call the inverse: Holder gives back its grant
 // (a no-op when the record is held by someone else). A candidate that
@@ -288,58 +290,17 @@ type LeaseCASReq struct {
 	Release bool
 }
 
-// LeaseCASResp reports the CAS outcome. On refusal, Holder/Token name
-// the lease the server holds and MaxToken is the highest token it has
-// seen — the candidate proposes MaxToken+1 next round.
-type LeaseCASResp struct {
-	Granted   bool
-	Holder    string
-	Token     uint64
-	MaxToken  uint64
-	ExpiresIn time.Duration
-}
-
-// PromotionIntent journals one in-flight spare promotion: the leader
-// writes it to the membership (fenced) before mutating anything, so a
-// standby that takes over mid-promotion resumes the same slot with the
-// same spare — idempotently, with no double-spent spare.
-type PromotionIntent struct {
-	Slot     int
-	DeadAddr string
-	Spare    string
-	Token    uint64
-}
-
-// IntentPutReq journals a promotion intent on a member (sent fenced).
+// IntentPutReq journals a promotion intent on a member (sent fenced);
+// the member answers with its health.PingResp.
 type IntentPutReq struct {
-	Intent PromotionIntent
+	Intent health.Intent
 }
-
-// IntentPutResp acknowledges the journal write.
-type IntentPutResp struct{}
 
 // IntentClearReq drops the journaled intent for Slot once the
-// promotion has fully completed (sent fenced).
+// promotion has fully completed (sent fenced); the member answers with
+// its health.PingResp.
 type IntentClearReq struct {
 	Slot int
-}
-
-// IntentClearResp acknowledges the clear.
-type IntentClearResp struct{}
-
-// LeaderInfoReq asks a server for its recovery-leadership view: the
-// lease record, the fence, and the journaled promotion intents. A
-// freshly elected leader unions the answers to resume half-done
-// promotions; dsctl leader renders them.
-type LeaderInfoReq struct{}
-
-// LeaderInfoResp is one server's leadership view.
-type LeaderInfoResp struct {
-	Holder    string
-	Token     uint64
-	MaxFence  uint64
-	ExpiresIn time.Duration
-	Intents   []PromotionIntent
 }
 
 // TraceReq fetches the server's recent protocol trace.

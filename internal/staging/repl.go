@@ -48,9 +48,9 @@ const replWindowBytes = 4 << 20
 // replCounters are the replicator's repl_* counters, resolved once in
 // newReplicator so the ship path pays no registry lookup.
 type replCounters struct {
-	recordsShipped, batchesShipped, peerErrors, anchorCompactions *metrics.Counter
-	deltaResyncs, deltaBytes, snapshotsSent, snapshotBytes        *metrics.Counter
-	deferredAcks, forcedFlushes                                   *metrics.Counter
+	batchesShipped, peerErrors, anchorCompactions          *metrics.Counter
+	deltaResyncs, deltaBytes, snapshotsSent, snapshotBytes *metrics.Counter
+	deferredAcks, forcedFlushes                            *metrics.Counter
 }
 
 // replicator is the origin side of log replication for one server: one
@@ -132,7 +132,6 @@ func newReplicator(srv *Server, tr transport.Transport, k int) *replicator {
 		peers:     make(map[string]*peerConn),
 		maxWindow: replWindowBytes,
 		ctr: replCounters{
-			recordsShipped:    srv.reg.Counter("repl_records_shipped"),
 			batchesShipped:    srv.reg.Counter("repl_batches_shipped"),
 			peerErrors:        srv.reg.Counter("repl_peer_errors"),
 			anchorCompactions: srv.reg.Counter("repl_anchor_compactions"),
@@ -332,7 +331,6 @@ func (r *replicator) ship(from, upTo int64) {
 			r.ctr.peerErrors.Inc()
 		}
 	}
-	r.ctr.recordsShipped.Add(upTo - from)
 	r.ctr.batchesShipped.Inc()
 }
 
@@ -615,7 +613,6 @@ func (s *Server) replicaFor(epoch uint64, slot int) (*slotReplica, error) {
 		}
 		rep.mu.Unlock()
 	}
-	s.reg.Counter("stale_epoch_rejects").Inc()
 	return nil, &StaleEpochError{Client: epoch, Server: held}
 }
 
@@ -650,7 +647,6 @@ func (s *Server) handleReplSnapshot(r ReplSnapshotReq) (any, error) {
 	if err := rep.install(r.Epoch, r.State); err != nil {
 		return nil, fmt.Errorf("staging: replica slot %d install: %w", r.Slot, err)
 	}
-	s.reg.Counter("replica_snapshots_installed").Inc()
 	return ReplSnapshotResp{Seq: rep.seq}, nil
 }
 
@@ -716,6 +712,5 @@ func (s *Server) handleWlogInstall(r WlogInstallReq) (any, error) {
 	// off instead of resetting (a reset invites a post-recovery put
 	// stampede straight past the quotas).
 	s.rebaseQoS()
-	s.reg.Counter("log_installs").Inc()
 	return WlogInstallResp{Records: r.State.Seq}, nil
 }

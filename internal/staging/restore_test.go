@@ -247,10 +247,10 @@ func TestForwardedInstallFenced(t *testing.T) {
 	install := staging.ReplFetchReq{Slot: 0, InstallOn: spareAddr}
 
 	_, err = holder.Handle(staging.FencedReq{Token: 5, Req: install})
-	if !staging.IsFenced(err) {
+	if !health.IsFenced(err) {
 		t.Fatalf("install under a deposed token: %v, want a FencedError from the spare", err)
 	}
-	if _, err := holder.Handle(install); err == nil || staging.IsFenced(err) {
+	if _, err := holder.Handle(install); err == nil || health.IsFenced(err) {
 		t.Fatalf("unfenced install: %v, want the holder's refusal", err)
 	}
 	if st := installed(); st.StoreBytes != 0 || st.ReplSeq != 0 {

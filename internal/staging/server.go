@@ -78,7 +78,6 @@ type Server struct {
 	tier      *tier.Tier
 	tierWater float64
 	tierMu    sync.Mutex
-	tierCtr   tierCounters
 }
 
 // NewServer creates staging server id.
@@ -129,16 +128,22 @@ func (s *Server) setView(v health.View) {
 	}
 }
 
-// ping is the server's health.PingResp: its id, the view it holds and
-// whether it is still a spare.
+// ping is the server's health.PingResp: its id, the view it holds,
+// whether it is still a spare, and its lease record.
 func (s *Server) ping() health.PingResp {
+	lease := s.lease.record(s.clk.Now())
 	s.memberMu.Lock()
 	defer s.memberMu.Unlock()
-	return health.PingResp{ID: s.id, View: s.view, Spare: s.spare}
+	return health.PingResp{ID: s.id, View: s.view, Spare: s.spare, Lease: lease}
 }
 
-// Epoch returns the membership epoch the server currently holds.
-func (s *Server) Epoch() uint64 { return s.ping().View.Epoch }
+// Epoch returns the membership epoch the server currently holds. It
+// reads the view alone: every epoch-stamped request asks for it.
+func (s *Server) Epoch() uint64 {
+	s.memberMu.Lock()
+	defer s.memberMu.Unlock()
+	return s.view.Epoch
+}
 
 // EnableQoS installs the admission controller and lane scheduler.
 // Call before the server serves traffic (like EnableReplication).
@@ -196,8 +201,8 @@ func (s *Server) chargeQoS(name string, storeDelta, wlogDelta int64) {
 func laneFor(req any) qos.Lane {
 	switch req.(type) {
 	case health.PingReq, LeaseCASReq, IntentPutReq, IntentClearReq,
-		LeaderInfoReq, EpochSetReq, StatsReq, QosStatsReq,
-		TierStatsReq, TraceReq, ReplApplyReq, ReplSnapshotReq, ReplFetchReq:
+		EpochSetReq, StatsReq, QosStatsReq, TierStatsReq, TraceReq,
+		ReplApplyReq, ReplSnapshotReq, ReplFetchReq:
 		return qos.LaneControl
 	case RecoveryReq, WlogInstallReq, TierScrubReq:
 		return qos.LaneRecovery
@@ -239,7 +244,6 @@ func (s *Server) open(req any) (any, uint64, error) {
 		switch r := req.(type) {
 		case EpochReq:
 			if epoch := s.Epoch(); r.Epoch < epoch {
-				s.reg.Counter("stale_epoch_rejects").Inc()
 				return nil, 0, &StaleEpochError{Client: r.Epoch, Server: epoch}
 			}
 			req = r.Req
@@ -262,15 +266,14 @@ func (s *Server) dispatch(req any, token uint64) (any, error) {
 	case health.PingReq:
 		return s.ping(), nil
 	case LeaseCASReq:
-		return s.lease.cas(r, s.clk.Now()), nil
+		s.lease.cas(r, s.clk.Now())
+		return s.ping(), nil
 	case IntentPutReq:
 		s.lease.putIntent(r.Intent)
-		return IntentPutResp{}, nil
+		return s.ping(), nil
 	case IntentClearReq:
 		s.lease.clearIntent(r.Slot)
-		return IntentClearResp{}, nil
-	case LeaderInfoReq:
-		return s.lease.info(s.clk.Now()), nil
+		return s.ping(), nil
 	case EpochSetReq:
 		s.setView(r.View)
 		return s.ping(), nil

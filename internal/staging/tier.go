@@ -2,9 +2,7 @@ package staging
 
 import (
 	"strconv"
-	"time"
 
-	"gospaces/internal/metrics"
 	"gospaces/internal/store"
 	"gospaces/internal/tier"
 )
@@ -20,14 +18,6 @@ import (
 // water (qos.Config.SpillWater), strictly below the shed rule.
 const defaultTierWatermark = 0.6
 
-// tierCounters are the server's tier.* counters, resolved once in
-// EnableTier so the spill and promote paths pay no registry lookup.
-type tierCounters struct {
-	spills, spilledBytes, spillNanos, degradedSpills *metrics.Counter
-	promotes, promoteNanos, promoteErrors            *metrics.Counter
-	gcFreedBytes, scrubs                             *metrics.Counter
-}
-
 // EnableTier attaches a cold-tier backend. Puts demote cold versions
 // above the QoS spill water when QoS is enabled, else above
 // defaultTierWatermark of the memory budget. Call before the server
@@ -37,17 +27,6 @@ func (s *Server) EnableTier(be tier.Backend) {
 	s.tierWater = defaultTierWatermark
 	if s.qosCtl != nil {
 		s.tierWater = s.qosCtl.Config().SpillWater()
-	}
-	s.tierCtr = tierCounters{
-		spills:         s.reg.Counter("tier.spills"),
-		spilledBytes:   s.reg.Counter("tier.spilled_bytes"),
-		spillNanos:     s.reg.Counter("tier.spill_nanos"),
-		degradedSpills: s.reg.Counter("tier.degraded_spills"),
-		promotes:       s.reg.Counter("tier.promotes"),
-		promoteNanos:   s.reg.Counter("tier.promote_nanos"),
-		promoteErrors:  s.reg.Counter("tier.promote_errors"),
-		gcFreedBytes:   s.reg.Counter("tier.gc_freed_bytes"),
-		scrubs:         s.reg.Counter("tier.scrubs"),
 	}
 }
 
@@ -87,7 +66,6 @@ func (s *Server) maybeSpill(incoming int64) {
 				return
 			}
 			if !s.spillVersion(name, v) && s.tier.Degraded() {
-				s.tierCtr.degradedSpills.Inc()
 				return
 			}
 		}
@@ -100,7 +78,6 @@ func (s *Server) maybeSpill(incoming int64) {
 // version either resident or spilled — never half-moved. Unlogged
 // objects of the version stay resident. Reports whether it was demoted.
 func (s *Server) spillVersion(name string, version int64) bool {
-	start := time.Now()
 	var batch []*store.Object
 	for _, o := range s.store.VersionObjects(name, version) {
 		if o.Logged && o.Data != nil {
@@ -112,9 +89,6 @@ func (s *Server) spillVersion(name string, version int64) bool {
 	}
 	freed := s.store.DropObjects(name, version, batch)
 	s.chargeQoS(name, -freed, -freed)
-	s.tierCtr.spills.Inc()
-	s.tierCtr.spilledBytes.Add(freed)
-	s.tierCtr.spillNanos.Add(time.Since(start).Nanoseconds())
 	return true
 }
 
@@ -125,13 +99,12 @@ func (s *Server) promoteFromTier(name string, version int64) bool {
 	if s.tier == nil {
 		return false
 	}
-	start := time.Now()
 	s.tierMu.Lock()
 	defer s.tierMu.Unlock()
-	objs, err := s.tier.Promote(name, version)
-	if err != nil {
-		s.tierCtr.promoteErrors.Inc()
-	}
+	// A Promote error is a manifest commit that failed: the tier counts
+	// the degradation itself, and the objects it returns are verified
+	// and still committed there, so re-inserting them is safe.
+	objs, _ := s.tier.Promote(name, version)
 	if len(objs) == 0 {
 		return false
 	}
@@ -139,15 +112,12 @@ func (s *Server) promoteFromTier(name string, version int64) bool {
 	for _, o := range objs {
 		delta, err := s.store.PutAccounted(o)
 		if err != nil {
-			s.tierCtr.promoteErrors.Inc()
 			s.chargeQoS(name, resident, resident)
 			return false
 		}
 		resident += delta
 	}
 	s.chargeQoS(name, resident, resident)
-	s.tierCtr.promotes.Inc()
-	s.tierCtr.promoteNanos.Add(time.Since(start).Nanoseconds())
 	return true
 }
 
@@ -161,7 +131,6 @@ func (s *Server) tierGC() int64 {
 	for _, name := range s.store.Names() {
 		freed += s.tier.DropBelow(name, s.log.PayloadFrontier(name))
 	}
-	s.tierCtr.gcFreedBytes.Add(freed)
 	return freed
 }
 
@@ -177,6 +146,5 @@ func (s *Server) handleTierScrub() (any, error) {
 		return TierScrubResp{ID: s.id}, nil
 	}
 	rep := s.tier.Scrub()
-	s.tierCtr.scrubs.Inc()
 	return TierScrubResp{Enabled: true, ID: s.id, ScrubReport: rep, Degraded: s.tier.Degraded()}, nil
 }

@@ -11,10 +11,12 @@ import (
 // The ids are wire constants: never renumber, never reuse (5–8 and
 // 25/26 were the CoREC shard store's put, get and drop pairs, 27 and 28
 // the supervisor's shard-key scan, 30 EpochSetResp and 31/32 the
-// MembershipReq pair, whose view health.PingResp now carries, 53 and 54
-// the in-transit reduce pair), only append. Ids 256 and up belong to
-// other packages (health, qos, transport, wlog, tier; DESIGN.md §7 has
-// the whole table).
+// MembershipReq pair, whose view health.PingResp now carries; 36, 38
+// and 40 the lease answer and the intent acks and 41/42 the leadership
+// probe, whose lease record it carries too; 53 and 54 the in-transit
+// reduce pair, 56 the fencing error, now health's), only append. Ids 256 and up
+// belong to other packages (health, qos, transport, wlog, tier;
+// DESIGN.md §7 has the whole table).
 var wireTypes = map[uint16]any{
 	1: PutReq{}, 2: PutResp{},
 	3: GetReq{}, 4: GetResp{},
@@ -28,16 +30,13 @@ var wireTypes = map[uint16]any{
 	23: QueryReq{}, 24: QueryResp{},
 	29: EpochSetReq{},
 	33: LockReq{}, 34: LockResp{},
-	35: LeaseCASReq{}, 36: LeaseCASResp{},
-	37: IntentPutReq{}, 38: IntentPutResp{},
-	39: IntentClearReq{}, 40: IntentClearResp{},
-	41: LeaderInfoReq{}, 42: LeaderInfoResp{},
+	35: LeaseCASReq{}, 37: IntentPutReq{}, 39: IntentClearReq{},
 	43: TraceReq{}, 44: TraceResp{},
 	45: StatsReq{}, 46: StatsResp{},
 	47: QosStatsReq{}, 48: QosStatsResp{},
 	49: TierStatsReq{}, 50: TierStatsResp{},
 	51: TierScrubReq{}, 52: TierScrubResp{},
-	55: &StaleEpochError{}, 56: &FencedError{},
+	55: &StaleEpochError{},
 	57: &locks.Error{},
 }
 

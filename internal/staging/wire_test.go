@@ -173,10 +173,9 @@ func wireCases(t testing.TB) (cases []wireCase, big []byte) {
 	return []wireCase{
 		{EpochSetReq{View: wireView}, health.PingResp{View: wireView}},
 		{health.PingReq{}, health.PingResp{View: wireView}},
-		{LeaseCASReq{Holder: "sup", Token: 1, TTL: time.Second}, LeaseCASResp{}},
-		{IntentPutReq{Intent: PromotionIntent{Slot: 1, DeadAddr: "d", Spare: "s", Token: 1}}, IntentPutResp{}},
-		{IntentClearReq{Slot: 1}, IntentClearResp{}},
-		{LeaderInfoReq{}, LeaderInfoResp{}},
+		{LeaseCASReq{Holder: "sup", Token: 1, TTL: time.Second}, health.PingResp{View: wireView}},
+		{IntentPutReq{Intent: health.Intent{Slot: 1, DeadAddr: "d", Spare: "s", Token: 1}}, health.PingResp{View: wireView}},
+		{IntentClearReq{Slot: 1}, health.PingResp{View: wireView}},
 		{PutReq{App: "sim/0", Name: "f", Version: 1, ElemSize: 1, Logged: true, Piece: Piece{BBox: box, Data: big}}, PutResp{}},
 		{GetReq{App: "viz/0", Name: "f", Version: 1, BBox: box, Logged: true}, GetResp{}},
 		{CheckpointReq{App: "viz/0"}, CheckpointResp{}},
@@ -307,16 +306,19 @@ func checkMeasured(t *testing.T, v any, min int) {
 }
 
 // retiredIDs are the staging wire ids no table may register again.
-var retiredIDs = []uint16{5, 6, 7, 8, 25, 26, 27, 28, 30, 31, 32, 53, 54}
+var retiredIDs = []uint16{5, 6, 7, 8, 25, 26, 27, 28, 30, 31, 32, 36, 38, 40, 41, 42, 53, 54, 56}
 
 // TestRetiredWireIDs: a retired id stays retired. No table registers
 // 5 to 8, 25 or 26 (the CoREC shard store's put, get and drop pairs),
 // 27 or 28 (the supervisor's shard-key scan), 30 (EpochSetResp: a view
 // push is answered with the PingResp), 31 or 32 (the MembershipReq
-// pair: the ping carries the view) or 53 or 54 (the in-transit reduce
-// pair), and a message carrying one fails to decode
-// as an unknown type, so an old peer's frame is refused, never read as
-// whatever took its number.
+// pair: the ping carries the view), 36, 38 or 40 (the lease answer and
+// the intent acks: a lease or intent call is answered with the
+// PingResp), 41 or 42 (the leadership probe: the ping carries the lease
+// record), 53 or 54 (the in-transit reduce pair) or 56 (the fencing
+// error, registered by health as 258), and a message carrying one fails
+// to decode as an unknown type, so an old peer's frame is refused,
+// never read as whatever took its number.
 func TestRetiredWireIDs(t *testing.T) {
 	for _, id := range retiredIDs {
 		if m, ok := wireTypes[id]; ok {
@@ -376,10 +378,10 @@ func TestNoGobInFrames(t *testing.T) {
 	}
 }
 
-// TestTypedErrorsOverTCP: the two staging rejections cross loopback TCP
-// as typed causes — fields intact, the handler's text byte for byte in
-// RemoteError.Msg, terminal to the retry layer — so IsStaleEpoch and
-// IsFenced need no string matching.
+// TestTypedErrorsOverTCP: a server's two envelope rejections cross
+// loopback TCP as typed causes — fields intact, the handler's text byte
+// for byte in RemoteError.Msg, terminal to the retry layer — so
+// IsStaleEpoch and health.IsFenced need no string matching.
 func TestTypedErrorsOverTCP(t *testing.T) {
 	s := NewServer(0)
 	s.SetMembership(3, []string{"a", "b"})
@@ -399,8 +401,8 @@ func TestTypedErrorsOverTCP(t *testing.T) {
 	}
 
 	_, err = cl.Call(FencedReq{Token: 5, Req: IntentClearReq{Slot: 1}})
-	var fe *FencedError
-	if !IsFenced(err) || !errors.As(err, &fe) || *fe != (FencedError{Token: 5, Fence: 7}) {
+	var fe *health.FencedError
+	if !health.IsFenced(err) || !errors.As(err, &fe) || *fe != (health.FencedError{Token: 5, Fence: 7}) {
 		t.Fatalf("fenced call = %#v", err)
 	}
 	if !errors.As(err, &re) || re.Msg != fe.Error() || transport.Retryable(err) {
@@ -409,7 +411,7 @@ func TestTypedErrorsOverTCP(t *testing.T) {
 
 	// An untyped handler error stays a plain message with no cause.
 	_, err = cl.Call(PutReq{Name: "f"})
-	if !errors.As(err, &re) || re.Cause != nil || IsStaleEpoch(err) || IsFenced(err) {
+	if !errors.As(err, &re) || re.Cause != nil || IsStaleEpoch(err) || health.IsFenced(err) {
 		t.Fatalf("untyped handler error = %#v", err)
 	}
 }

@@ -2,8 +2,11 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
+
+	"gospaces/internal/sim"
 )
 
 func echoServer(t *testing.T, tr Transport, addr string) func() {
@@ -194,4 +197,63 @@ func TestChaosKillConnsBreaksInFlightCall(t *testing.T) {
 		close(block)
 		t.Fatal("in-flight call hung after connection kill")
 	}
+}
+
+// TestChaosServeFaults drives the server-side faults behind stagingd's
+// -chaos-* flags on a manual clock. With delay probability 1 every call
+// takes at least the delay; with hang probability 1 a call outlives
+// the transport's CallTimeout and fails with a retryable ErrTimeout.
+func TestChaosServeFaults(t *testing.T) {
+	const delay, hang, timeout = 30 * time.Millisecond, time.Hour, 50 * time.Millisecond
+	clk := sim.NewManual()
+	in := NewInProc()
+	in.Clock = clk
+	ch := NewChaos(in, 1)
+	defer echoServer(t, ch, "s")()
+	c, err := ch.Dial("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	call := func(req any) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			resp, err := c.Call(req)
+			if err == nil && resp != req {
+				err = fmt.Errorf("echo of %v = %v", req, resp)
+			}
+			done <- err
+		}()
+		return done
+	}
+
+	ch.SetServeFaults(1, delay, 0, 0)
+	for i := 0; i < 3; i++ {
+		start := clk.Now()
+		done := call(i)
+		clk.AwaitPending(1)
+		clk.Advance(delay - time.Millisecond)
+		select {
+		case err := <-done:
+			t.Fatalf("call %d returned before the delay: %v", i, err)
+		default:
+		}
+		clk.Advance(time.Millisecond)
+		if err := <-done; err != nil {
+			t.Fatalf("delayed call %d: %v", i, err)
+		}
+		if took := clk.Now().Sub(start); took < delay {
+			t.Fatalf("delayed call %d took %v, want at least %v", i, took, delay)
+		}
+	}
+
+	ch.SetServeFaults(0, 0, 1, hang)
+	in.CallTimeout = timeout
+	done := call("hung")
+	clk.AwaitPending(2) // the call's deadline and the handler's hang
+	clk.Advance(timeout)
+	if err := <-done; !errors.Is(err, ErrTimeout) || !Retryable(err) {
+		t.Fatalf("hung call = %v, want a retryable ErrTimeout", err)
+	}
+	clk.Advance(hang) // release the hung handler
 }

@@ -136,11 +136,8 @@ func (r *Retrying) delay(n int) time.Duration {
 	return d
 }
 
-// spendRetry consumes one unit of the retry budget; false means the
-// budget is exhausted and the caller must fail fast.
-func (r *Retrying) spendRetry() bool { return r.spendRetryN(1) }
-
-// spendRetryN consumes n units of the retry budget. A plain backoff
+// spendRetryN consumes n units of the retry budget; false means the
+// budget is exhausted and the caller must fail fast. A plain backoff
 // retry costs one unit; a server-directed retry-after wait costs
 // ceil(wait/MaxDelay) units (minimum one), so honoring overload hints
 // draws down the same budget as backoff sleeps and total stall time
