@@ -181,6 +181,16 @@ func Unmarshal(data []byte) (any, error) { return unmarshal(NewReader(data)) }
 // keeps it (the transport.Handler contract).
 func UnmarshalAlias(data []byte) (any, error) { return unmarshal(NewAliasReader(data)) }
 
+// UnmarshalFrame is UnmarshalAlias for a frame body from GetBuf: the
+// message's first Frame field, if it has one, takes body, and its
+// holder releases body once done with the message. A message with no
+// Frame field leaves body to the garbage collector.
+func UnmarshalFrame(body []byte) (any, error) {
+	r := NewAliasReader(body)
+	r.frame = body
+	return unmarshal(r)
+}
+
 func unmarshal(r *Reader) (any, error) {
 	v, err := UnmarshalFrom(r)
 	if err == nil && len(r.d) != 0 {
@@ -255,7 +265,8 @@ type Reader struct {
 	d     []byte
 	err   error
 	alias bool
-	depth int // messages being decoded around the current one
+	depth int    // messages being decoded around the current one
+	frame []byte // UnmarshalFrame's input, until a Frame field takes it
 }
 
 // NewReader wraps data for decoding; Bytes copies out of data.
@@ -391,56 +402,4 @@ func (r *Reader) Bool() bool {
 	v := r.d[0] != 0
 	r.d = r.d[1:]
 	return v
-}
-
-// ---------------------------------------------------------------------
-// Buffer pool: reusable frame/encode buffers shared by both ends of the
-// transport so steady-state bulk traffic allocates nothing per call.
-
-// maxPooledBuf bounds what the pool retains; one-off giant frames are
-// left to the GC rather than pinned forever.
-const maxPooledBuf = 8 << 20
-
-// bigBufCutoff routes buffers to the channel free list below. Bulk
-// traffic allocates frequent short-lived 100 KiB+ buffers; sync.Pool
-// sheds its caches on every GC cycle, and the GC pressure of exactly
-// that traffic empties the pool right when it is needed most. The
-// fixed-size channel free list is invisible to the collector, so large
-// buffers keep circulating under load.
-const bigBufCutoff = 64 << 10
-
-// The capacity covers a full window of in-flight bulk frames (one
-// server connection admits up to 256 concurrent handlers); buffers
-// beyond it fall through to the GC rather than pile up.
-var bigBufs = make(chan []byte, 256)
-
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-// GetBuf returns a zero-length reusable buffer.
-func GetBuf() []byte {
-	select {
-	case b := <-bigBufs:
-		return b[:0]
-	default:
-	}
-	return (*bufPool.Get().(*[]byte))[:0]
-}
-
-// PutBuf returns a buffer obtained from GetBuf to the pool.
-func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
-		return
-	}
-	if cap(b) >= bigBufCutoff {
-		select {
-		case bigBufs <- b[:0]:
-		default: // free list full; let the GC have it
-		}
-		return
-	}
-	b = b[:0]
-	bufPool.Put(&b)
 }

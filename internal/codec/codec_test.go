@@ -56,8 +56,9 @@ func registered() (ids []uint16, types map[uint16]reflect.Type) {
 }
 
 var (
-	bboxType = reflect.TypeOf(domain.BBox{})
-	timeType = reflect.TypeOf(time.Time{})
+	bboxType  = reflect.TypeOf(domain.BBox{})
+	timeType  = reflect.TypeOf(time.Time{})
+	frameType = reflect.TypeOf(codec.Frame{})
 )
 
 // gen builds a random value of t in the codec's canonical form: empty
@@ -76,6 +77,8 @@ func gen(t testing.TB, typ reflect.Type, rng *rand.Rand, depth int) reflect.Valu
 		return reflect.ValueOf(b)
 	case timeType:
 		return reflect.ValueOf(time.Unix(rng.Int63n(1<<33), rng.Int63n(1e9)))
+	case frameType:
+		return v // no wire encoding: a decode leaves it unset
 	}
 	switch typ.Kind() {
 	case reflect.Interface:
@@ -504,6 +507,36 @@ func TestAliasRule(t *testing.T) {
 		if reflect.DeepEqual(v, msg) {
 			t.Fatalf("an alias-decoded %T does not alias its buffer", msg)
 		}
+	}
+}
+
+// TestFrameRule: UnmarshalFrame hands a GetResp its input out of band —
+// Unmarshal and UnmarshalAlias leave the Frame unset, and the encoding
+// with it set is byte-identical — and Release gives exactly that input
+// back to the free list, for the next get of its size.
+func TestFrameRule(t *testing.T) {
+	wire, _ := codec.Append(nil, getResp(4, 32<<10))
+	for name, decode := range decoders {
+		if v, err := decode(wire); err != nil || !reflect.DeepEqual(v.(staging.GetResp).Frame, codec.Frame{}) {
+			t.Fatalf("%s set a GetResp's Frame (%v)", name, err)
+		}
+	}
+	body := codec.GetBuf(len(wire))
+	copy(body, wire)
+	v, err := codec.UnmarshalFrame(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := v.(staging.GetResp)
+	if reflect.DeepEqual(resp.Frame, codec.Frame{}) {
+		t.Fatal("UnmarshalFrame left the GetResp without its frame")
+	}
+	if again, _ := codec.Append(nil, resp); !bytes.Equal(again, wire) {
+		t.Fatal("a GetResp holding its frame encodes differently")
+	}
+	resp.Frame.Release()
+	if b := codec.GetBuf(len(wire)); &b[0] != &body[0] {
+		t.Fatal("Release did not give the frame back to the free list")
 	}
 }
 

@@ -27,6 +27,7 @@ const (
 	kStruct             // the exported fields in declaration order
 	kPtr                // presence byte + pointee
 	kAny                // a nested registered message: type id + body
+	kFrame              // Frame: nothing on the wire; UnmarshalFrame sets it
 )
 
 // Validator is the type-level decode hook: when *T implements it, every
@@ -38,6 +39,7 @@ type Validator interface{ ValidateWire() error }
 
 var (
 	timeType      = reflect.TypeOf(time.Time{})
+	frameType     = reflect.TypeOf(Frame{})
 	validatorType = reflect.TypeOf((*Validator)(nil)).Elem()
 )
 
@@ -101,6 +103,10 @@ func planFor(t reflect.Type, seen map[reflect.Type]*plan) *plan {
 	case reflect.Struct:
 		if t == timeType {
 			p.kind, p.min = kTime, 2
+			break
+		}
+		if t == frameType {
+			p.kind, p.min = kFrame, 0
 			break
 		}
 		p.kind, p.min = kStruct, 0
@@ -358,6 +364,11 @@ func (p *plan) dec(r *Reader, v reflect.Value) {
 	case kAny:
 		if inner, err := UnmarshalFrom(r); err == nil {
 			v.Set(reflect.ValueOf(inner))
+		}
+	case kFrame:
+		if r.frame != nil {
+			v.Set(reflect.ValueOf(Frame{r.frame}))
+			r.frame = nil
 		}
 	}
 }

@@ -389,6 +389,7 @@ func (c *Client) get(name string, version int64, bbox domain.BBox, logged bool) 
 			domain.CopyRegion(dst, bbox, piece.Data, piece.BBox, region, c.pool.cfg.ElemSize)
 			covered += region.Volume()
 		}
+		resp.Frame.Release()
 	}
 	if covered != bbox.Volume() {
 		return nil, 0, fmt.Errorf("staging: get %q v%d %v: incomplete coverage %d/%d cells", name, version, bbox, covered, bbox.Volume())

@@ -11,6 +11,7 @@ package staging
 import (
 	"time"
 
+	"gospaces/internal/codec"
 	"gospaces/internal/domain"
 	"gospaces/internal/health"
 	"gospaces/internal/locks"
@@ -74,6 +75,10 @@ type GetResp struct {
 	Pieces  []Piece
 	// FromLog is true when the version was dictated by the replay log.
 	FromLog bool
+	// Frame is the frame body the pieces alias, when the transport read
+	// the answer off the wire; it has no wire encoding. The client
+	// releases it after copying the pieces out.
+	Frame codec.Frame
 }
 
 // CheckpointReq notifies the staging server of a component checkpoint

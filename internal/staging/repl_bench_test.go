@@ -45,6 +45,26 @@ func benchGroupOn(b *testing.B, tr transport.Transport, prefix string, cfg Confi
 	return g, prod, cons, g.Config().Global
 }
 
+// tcpPieces are the loopback-TCP shapes of the logged put and get
+// benchmarks, by piece size: a put's 2 KiB pieces share one replica
+// round trip per server, 16 KiB ones one per 64 KiB, 128 KiB ones none.
+var tcpPieces = []struct {
+	piece  string
+	global domain.BBox
+}{
+	{"2KiB", domain.Box3(0, 0, 0, 31, 31, 15)},
+	{"16KiB", domain.Box3(0, 0, 0, 63, 63, 31)},
+	{"128KiB", domain.Box3(0, 0, 0, 127, 127, 63)},
+}
+
+// benchTCPGroup is a K=1 group of four servers over loopback TCP, where
+// a replica round trip costs what it costs in production.
+func benchTCPGroup(b *testing.B, global domain.BBox) (*Group, *Client, *Client, domain.BBox) {
+	return benchGroupOn(b, transport.NewTCP(), "127.0.0.1:0", Config{
+		Global: global, NServers: 4, Bits: 2, ElemSize: 8, WlogReplicas: 1,
+	})
+}
+
 func BenchmarkLoggedPut(b *testing.B) {
 	for _, k := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
@@ -52,21 +72,9 @@ func BenchmarkLoggedPut(b *testing.B) {
 			benchLoggedPut(b, prod, global)
 		})
 	}
-	// K=1 over loopback TCP, where a replica round trip costs what it
-	// costs in production, by piece size: 2 KiB pieces share one round
-	// trip per server, 16 KiB ones one per 64 KiB, 128 KiB ones none.
-	for _, tc := range []struct {
-		piece  string
-		global domain.BBox
-	}{
-		{"2KiB", domain.Box3(0, 0, 0, 31, 31, 15)},
-		{"16KiB", domain.Box3(0, 0, 0, 63, 63, 31)},
-		{"128KiB", domain.Box3(0, 0, 0, 127, 127, 63)},
-	} {
+	for _, tc := range tcpPieces {
 		b.Run("tcp/piece="+tc.piece, func(b *testing.B) {
-			_, prod, _, global := benchGroupOn(b, transport.NewTCP(), "127.0.0.1:0", Config{
-				Global: tc.global, NServers: 4, Bits: 2, ElemSize: 8, WlogReplicas: 1,
-			})
+			_, prod, _, global := benchTCPGroup(b, tc.global)
 			benchLoggedPut(b, prod, global)
 		})
 	}
@@ -83,21 +91,34 @@ func benchLoggedPut(b *testing.B, prod *Client, global domain.BBox) {
 	}
 }
 
+// BenchmarkLoggedGet is BenchmarkLoggedPut's read side. Over TCP each
+// answer is read into a frame from the codec's free list, which the
+// client gives back once it has copied the pieces out.
 func BenchmarkLoggedGet(b *testing.B) {
 	for _, k := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			_, prod, cons, global := benchGroup(b, k)
-			data := fill(domain.BufLen(global, 8), 1)
-			if err := prod.PutWithLog("field", 1, global, data); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := cons.GetWithLog("field", 1, global); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchLoggedGet(b, prod, cons, global)
 		})
+	}
+	for _, tc := range tcpPieces {
+		b.Run("tcp/piece="+tc.piece, func(b *testing.B) {
+			_, prod, cons, global := benchTCPGroup(b, tc.global)
+			benchLoggedGet(b, prod, cons, global)
+		})
+	}
+}
+
+func benchLoggedGet(b *testing.B, prod, cons *Client, global domain.BBox) {
+	data := fill(domain.BufLen(global, 8), 1)
+	if err := prod.PutWithLog("field", 1, global, data); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := cons.GetWithLog("field", 1, global); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -83,7 +83,7 @@ func scatterGatherResponse(t *testing.T, resp sgResp) {
 	frame := make([]byte, frameHdrLen+len(wire))
 	call := func(msg string, id uint64) []byte {
 		t.Helper()
-		req, _, err := appendFrame(nil, 0, id, nil, echoReq{Msg: msg})
+		req, _, err := appendFrame(0, id, nil, echoReq{Msg: msg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestVecThresholdBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, cuts, err := appendFrame(nil, flagResponse, 1, nil, resp)
+	frame, cuts, err := appendFrame(flagResponse, 1, nil, resp)
 	if err != nil {
 		t.Fatal(err)
 	}

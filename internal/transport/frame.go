@@ -63,10 +63,13 @@ func (e *frameTooLargeError) Is(target error) bool { return target == ErrFrameTo
 
 func init() { codec.Register(768, &frameTooLargeError{}) }
 
-// readFrame reads one frame; the returned body is a pooled buffer the
-// caller must release with codec.PutBuf. Corruption (bad magic,
-// oversized length) is typed: the stream is desynced and the connection
-// must be torn down.
+// readFrame reads one frame; the returned body is a buffer from
+// codec.GetBuf, asked for by the header's length, which the caller
+// releases with codec.PutBuf or hands on with the message decoded from
+// it (decodePayload). The free list's pop is never too small, so no
+// read zero-fills a fresh body unless its class is empty. Corruption
+// (bad magic, oversized length) is typed: the stream is desynced and
+// the connection must be torn down.
 func readFrame(r io.Reader) (flags byte, id uint64, body []byte, err error) {
 	var hdr [frameHdrLen]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
@@ -83,16 +86,7 @@ func readFrame(r io.Reader) (flags byte, id uint64, body []byte, err error) {
 	if n > MaxFrameBody {
 		return 0, 0, nil, fmt.Errorf("%w: body %d bytes", ErrFrameTooLarge, n)
 	}
-	body = codec.GetBuf()
-	if cap(body) < int(n) {
-		// The popped buffer is let go, not put back: a miss is the free
-		// list's only eviction. Re-queued, every miss grows the list by
-		// one until it is full of buffers some frame did not fit, cycled
-		// first in first out and cache-cold (measured: DESIGN.md §7).
-		body = make([]byte, n)
-	} else {
-		body = body[:n]
-	}
+	body = codec.GetBuf(int(n))
 	if _, err = io.ReadFull(r, body); err != nil {
 		codec.PutBuf(body)
 		if err == io.EOF {
@@ -111,29 +105,32 @@ func readFrame(r io.Reader) (flags byte, id uint64, body []byte, err error) {
 // regrown into a frame buffer about seven times.
 const vecThreshold = 16 << 10
 
-// appendFrame builds one frame into buf, a pooled buffer whose contents
-// are dropped: the header, herr's head for an error response, then v's
-// encoding less every byte field of at least vecThreshold bytes — those
-// come back as cuts aliasing v, for writeFrame to splice in. v is
-// measured before a byte of it is copied, so buf grows at most once and
-// a body past MaxFrameBody, its cuts counted, is refused unbuilt. A v
-// whose type (or whose nested payload's type) is not registered is an
-// error: there is no other codec to fall back to. The returned buffer
-// goes back to the pool whether or not err is nil.
-func appendFrame(buf []byte, flags byte, id uint64, herr error, v any) ([]byte, []codec.Cut, error) {
-	var hdr [frameHdrLen]byte
-	buf = append(buf[:0], hdr[:]...)
-	if herr != nil {
-		var ef byte
-		buf, ef = appendError(buf, herr)
-		flags |= ef
-	}
+// appendFrame builds one frame into a buffer from codec.GetBuf, sized
+// by measuring v first: the header, herr's head for an error response,
+// then v's encoding less every byte field of at least vecThreshold
+// bytes — those come back as cuts aliasing v, for writeFrame to splice
+// in. The buffer grows only for an error's head, and a body past
+// MaxFrameBody, its cuts counted, is refused unbuilt. A v whose type
+// (or whose nested payload's type) is not registered is an error: there
+// is no other codec to fall back to. The caller gives the returned
+// buffer back with codec.PutBuf whether or not err is nil.
+func appendFrame(flags byte, id uint64, herr error, v any) ([]byte, []codec.Cut, error) {
 	var m codec.Measured
 	if v != nil {
 		var err error
 		if m, err = codec.Measure(v, vecThreshold); err != nil {
-			return buf, nil, fmt.Errorf("transport: encode %T: %w", v, err)
+			return nil, nil, fmt.Errorf("transport: encode %T: %w", v, err)
 		}
+	}
+	n := frameHdrLen
+	if m.Len <= MaxFrameBody {
+		n += m.Head // a frame refused below needs room for its header only
+	}
+	buf := codec.GetBuf(n)[:frameHdrLen]
+	if herr != nil {
+		var ef byte
+		buf, ef = appendError(buf, herr)
+		flags |= ef
 	}
 	body := len(buf) - frameHdrLen + m.Len
 	if body > MaxFrameBody {
@@ -165,23 +162,26 @@ func appendError(buf []byte, herr error) ([]byte, byte) {
 	return buf, flagError
 }
 
-// aliasThreshold is the body size above which payloads decode in alias
-// mode. Below it the copy is cheaper than losing the pooled buffer: a
-// tiny ack aliased into a recycled 256 KiB buffer would pin the whole
-// thing and starve the pool.
+// aliasThreshold is the body size from which payloads decode in alias
+// mode. Below it copying the few bytes costs less than a body that
+// lives as long as the value, and the body goes straight back to the
+// free list.
 const aliasThreshold = 16 << 10
 
 // decodePayload decodes a payload encoded by appendFrame. An empty
 // body is a nil payload. Large payloads decode in alias mode — the
 // value's byte fields point into body itself, saving one full payload
-// copy — so when aliased is true the caller has ceded ownership of body
-// and must NOT recycle it into the buffer pool.
+// copy — so when aliased is true body lives as long as the value:
+// serveConn gives it back once the handler is done with the request,
+// and a response with a codec.Frame field (a GetResp) holds it there
+// for its reader to release after the last read (codec.UnmarshalFrame).
+// Any other aliased response leaves it to the GC.
 func decodePayload(body []byte) (v any, aliased bool, err error) {
 	if len(body) == 0 {
 		return nil, false, nil
 	}
 	if aliased = len(body) >= aliasThreshold; aliased {
-		v, err = codec.UnmarshalAlias(body)
+		v, err = codec.UnmarshalFrame(body)
 	} else {
 		v, err = codec.Unmarshal(body)
 	}

@@ -173,7 +173,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(buildFrame(frameMagic, 1<<2, 4, 4, []byte{0, 1, 0, 0})) // retired codec-selector bit
 	f.Add(buildFrame(0xbadbad, 0, 5, 0, nil))
 	f.Add(buildFrame(frameMagic, 0, 6, MaxFrameBody+1, nil))
-	if env, _, err := appendFrame(nil, flagResponse, 9, nil, echoReq{Msg: "seed"}); err == nil {
+	if env, _, err := appendFrame(flagResponse, 9, nil, echoReq{Msg: "seed"}); err == nil {
 		f.Add(env)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

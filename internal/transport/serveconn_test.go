@@ -111,7 +111,7 @@ func TestServeConnReusesHandlers(t *testing.T) {
 func TestServeConnInflightBound(t *testing.T) {
 	tr := NewTCP()
 	_, cl, arrived, release := gatedServer(t, tr, maxConnInflight+1)
-	frame, _, err := appendFrame(nil, 0, 1, nil, echoReq{Msg: "0"})
+	frame, _, err := appendFrame(0, 1, nil, echoReq{Msg: "0"})
 	if err != nil {
 		t.Fatal(err)
 	}

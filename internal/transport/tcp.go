@@ -258,11 +258,12 @@ func (t *TCP) serveConn(conn net.Conn, h Handler) {
 // encode or the lock. A write failure kills the connection: the reader
 // loop and the client both find out through their own I/O errors.
 func (t *TCP) writeResponse(conn net.Conn, wmu *sync.Mutex, id uint64, resp any, herr error, idle *atomic.Int32) {
-	buf, cuts, err := appendFrame(codec.GetBuf(), flagResponse, id, herr, resp)
+	buf, cuts, err := appendFrame(flagResponse, id, herr, resp)
 	if err != nil {
 		// A response that does not encode, or would outgrow MaxFrameBody,
 		// fails its own call and nobody else's: an error frame, no cuts.
-		buf, cuts, _ = appendFrame(buf, flagResponse, id, err, nil) // an error text is no 64 MiB
+		codec.PutBuf(buf)
+		buf, cuts, _ = appendFrame(flagResponse, id, err, nil) // an error text is no 64 MiB
 	} else if resp != nil {
 		t.m().payloads.Inc()
 	}
@@ -475,7 +476,7 @@ func (mc *muxConn) demux() {
 		}
 		resp, aliased, rerr := decodeResponse(flags, body)
 		if !aliased {
-			codec.PutBuf(body) // an aliased response owns its frame body
+			codec.PutBuf(body) // an aliased response holds its frame body
 		}
 		mc.mu.Lock()
 		ch := mc.pending[id]
@@ -501,7 +502,7 @@ func (c *tcpClient) Call(req any) (any, error) {
 		return nil, err
 	}
 
-	buf, cuts, err := appendFrame(codec.GetBuf(), 0, id, nil, req)
+	buf, cuts, err := appendFrame(0, id, nil, req)
 	if err != nil {
 		codec.PutBuf(buf)
 		mc.unregister(id)
